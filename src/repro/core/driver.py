@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -81,10 +80,8 @@ def run_workload(
         # kinds schedule their disturbance on the sim here (a no-op arm
         # for the classic models).
         model_for(plan.fault.kind).arm(env, runtime, plan)
-    started = time.perf_counter()
     workload.setup(env, runtime)
     env.run(workload.duration_ms)
-    trace.wall_time_s = time.perf_counter() - started
     trace.saturated = env.saturated
     trace.virtual_end_ms = env.now
     return trace

@@ -19,8 +19,8 @@ overhead experiment can compare instrumented vs bare execution.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, List, Optional, Type
+from contextlib import nullcontext
+from typing import Any, ContextManager, Iterable, Iterator, List, Optional, Type
 
 from ..config import MAX_STATES_PER_SITE
 from ..errors import SimFault, UnknownSite
@@ -30,13 +30,16 @@ from .sites import SiteRegistry
 from .trace import FaultEvent, RunTrace
 
 _ROOT = "<root>"
+_NO_STACK = (_ROOT, _ROOT)
 
 
 class _Scope:
     """A local branch-recording scope: a function body or loop iteration.
 
     ``owner`` is ``None`` for a function-body scope and the loop site id for
-    an iteration scope.
+    an iteration scope.  A ``for`` loop reuses one scope for all of its
+    iterations (emptied as each one closes), so ``branches`` is allocated
+    per loop, not per iteration.
     """
 
     __slots__ = ("owner", "branches")
@@ -47,17 +50,29 @@ class _Scope:
 
 
 class _Frame:
-    """One function invocation on the instrumented call stack."""
+    """One function invocation on the instrumented call stack; entering
+    it pushes it, leaving pops it."""
 
-    __slots__ = ("site", "scopes", "above")
+    __slots__ = ("site", "scopes", "above", "_stack")
 
-    def __init__(self, site: str, above: tuple) -> None:
+    def __init__(self, stack: List["_Frame"], site: str) -> None:
+        self._stack = stack
         self.site = site
+        #: ``scopes[0]`` is the function body and is never removed.
         self.scopes: List[_Scope] = [_Scope(None)]
         #: The two call-stack levels above this frame (2-call-site
         #: sensitivity) — fixed for the frame's lifetime, so local-state
         #: recording reads it instead of re-walking the stack.
-        self.above = above
+        self.above = (stack[-1].site, stack[-1].above[0]) if stack else _NO_STACK
+
+    def __enter__(self) -> None:
+        self._stack.append(self)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._stack.pop()
+
+
+_DISABLED_FRAME = nullcontext()
 
 
 class Runtime:
@@ -80,6 +95,15 @@ class Runtime:
         self._exception_fired = False
         self._negation_fired = False
         self._injected_delay_iters = 0
+        # A run arms at most one site, so the armed-site test is resolved
+        # here once: a hook compares its site id against the one slot of its
+        # own kind (``None`` when the plan arms another kind, an environment
+        # fault, or nothing) and every other site misses on that compare.
+        kind = plan.fault.kind if plan is not None else None
+        self._exception_site = plan.site_id if kind is InjKind.EXCEPTION else None
+        self._delay_site = plan.site_id if kind is InjKind.DELAY else None
+        self._negation_site = plan.site_id if kind is InjKind.NEGATION else None
+        self._warmup_ms = plan.warmup_ms if plan is not None else 0.0
         # Interned recording: resolve site ids to dense integers once and
         # record into the trace's flat stores, avoiding per-event string
         # hashing (the §8.5 overhead hot path).
@@ -105,27 +129,20 @@ class Runtime:
         if self.env is not None:
             self.env.spin(ms)
 
-    def _stack_above_enclosing(self) -> tuple:
-        """Closest two call-stack levels above the enclosing function."""
-        frames = self._frames
-        return frames[-1].above if frames else (_ROOT, _ROOT)
-
     def _local_state(self) -> LocalState:
-        branches = tuple(self._frames[-1].scopes[-1].branches) if self._frames else ()
-        return LocalState(self._stack_above_enclosing(), branches)
+        frames = self._frames
+        if not frames:
+            return LocalState(_NO_STACK, ())
+        return LocalState(frames[-1].above, tuple(frames[-1].scopes[-1].branches))
 
-    def _armed(self, site_id: str, kind: InjKind) -> bool:
-        return (
-            self.plan is not None
-            and self.plan.fault.site_id == site_id
-            and self.plan.fault.kind is kind
-            and self._now() >= self.plan.warmup_ms
-        )
+    def _exception_due(self) -> bool:
+        """Whether the one-time exception injection (already matched to
+        its site) is past warm-up and has not fired yet."""
+        return not self._exception_fired and self._now() >= self._warmup_ms
 
-    def _record_iteration_state(self, site_id: str, scope: _Scope) -> None:
-        key = (site_id, self._stack_above_enclosing(), tuple(scope.branches))
-        if key in self._state_memo:
-            return
+    def _record_state(self, site_id: str, key: tuple) -> None:
+        """Record an iteration state whose ``(site, stack, branches)`` key
+        missed the memo."""
         states = self.trace.states_bucket(site_id)
         if len(states) < MAX_STATES_PER_SITE:
             self._state_memo.add(key)
@@ -133,29 +150,17 @@ class Runtime:
 
     # ----------------------------------------------------------- call stack
 
-    @contextmanager
-    def function(self, site_id: str) -> Iterator[None]:
-        """Push an instrumented function frame."""
+    def function(self, site_id: str) -> ContextManager[None]:
+        """An instrumented function frame, pushed for the ``with`` body."""
         if not self.enabled:
-            yield
-            return
-        frames = self._frames
-        n = len(frames)
-        above = (
-            frames[n - 1].site if n >= 1 else _ROOT,
-            frames[n - 2].site if n >= 2 else _ROOT,
-        )
-        frames.append(_Frame(site_id, above))
-        try:
-            yield
-        finally:
-            frames.pop()
+            return _DISABLED_FRAME
+        return _Frame(self._frames, site_id)
 
     # -------------------------------------------------------------- branches
 
     def branch(self, site_id: str, cond: Any) -> bool:
         """Record a monitor-point branch outcome; returns ``bool(cond)``."""
-        outcome = bool(cond)
+        outcome = True if cond else False
         if not self.enabled:
             return outcome
         trace = self.trace
@@ -179,36 +184,54 @@ class Runtime:
             for item in iterable:
                 yield item
             return
-        delay = self.plan.delay_ms if self._armed(site_id, InjKind.DELAY) else None
-        frame = self._frames[-1] if self._frames else None
+        delay = None
+        if site_id == self._delay_site and self._now() >= self._warmup_ms:
+            delay = self.plan.delay_ms
         trace = self.trace
         idx = self._index.get(site_id)
         if idx is None:
-            counts, flags = trace._extra_counts, None
+            counts, flags, key = trace._extra_counts, None, site_id
         else:
-            counts, flags = trace._counts, trace._reached_flags
-        key = site_id if idx is None else idx
+            counts, flags, key = trace._counts, trace._reached_flags, idx
+        if self._frames:
+            frame = self._frames[-1]
+            scopes, above = frame.scopes, frame.above
+        else:
+            scopes, above = None, _NO_STACK
+        scope = _Scope(site_id)
+        branches = scope.branches
+        memo = self._state_memo
+        no_branches = (site_id, above, ())
         for item in iterable:
             counts[key] += 1
             if flags is None:
                 trace._extra_reached.add(site_id)
             else:
                 flags[key] = 1
-            scope = _Scope(site_id)
-            if frame is not None:
-                frame.scopes.append(scope)
+            if scopes is not None:
+                scopes.append(scope)
             if delay:
                 self._spin(delay)
                 self._injected_delay_iters += 1
             try:
                 yield item
             finally:
-                if frame is not None:
-                    while frame.scopes and frame.scopes[-1] is not scope:
-                        frame.scopes.pop()
-                    if frame.scopes and frame.scopes[-1] is scope:
-                        frame.scopes.pop()
-                self._record_iteration_state(site_id, scope)
+                if scopes is not None:
+                    # Close this iteration, and with it any inner scope a
+                    # ``break`` or exception abandoned above it.  A scope an
+                    # enclosing ``loop_guard`` already removed (this
+                    # iterator was still suspended then) is left alone.
+                    if scopes[-1] is scope:
+                        scopes.pop()
+                    elif scope in scopes:
+                        del scopes[scopes.index(scope):]
+                if branches:
+                    state = (site_id, above, tuple(branches))
+                    del branches[:]
+                else:
+                    state = no_branches
+                if state not in memo:
+                    self._record_state(site_id, state)
 
     def loop_guard(self, site_id: str, cond: Any) -> bool:
         """Instrumented ``while`` guard.
@@ -218,32 +241,31 @@ class Runtime:
         is closed and its state recorded; abandoned scopes of inner loops
         exited via exceptions are discarded along the way.
         """
-        outcome = bool(cond)
+        outcome = True if cond else False
         if not self.enabled:
             return outcome
-        frame = self._frames[-1] if self._frames else None
-        if frame is not None:
-            open_idx = None
-            for i in range(len(frame.scopes) - 1, 0, -1):
-                if frame.scopes[i].owner == site_id:
-                    open_idx = i
+        scopes = self._frames[-1].scopes if self._frames else None
+        if scopes is not None:
+            for i in range(len(scopes) - 1, 0, -1):
+                if scopes[i].owner == site_id:
+                    state = (site_id, self._frames[-1].above, tuple(scopes[i].branches))
+                    del scopes[i:]
+                    if state not in self._state_memo:
+                        self._record_state(site_id, state)
                     break
-            if open_idx is not None:
-                closed = frame.scopes[open_idx]
-                del frame.scopes[open_idx:]
-                self._record_iteration_state(site_id, closed)
         if not outcome:
             return False
+        trace = self.trace
         idx = self._index.get(site_id)
         if idx is None:
-            self.trace._extra_counts[site_id] += 1
-            self.trace._extra_reached.add(site_id)
+            trace._extra_counts[site_id] += 1
+            trace._extra_reached.add(site_id)
         else:
-            self.trace._counts[idx] += 1
-            self.trace._reached_flags[idx] = 1
-        if frame is not None:
-            frame.scopes.append(_Scope(site_id))
-        if self._armed(site_id, InjKind.DELAY):
+            trace._counts[idx] += 1
+            trace._reached_flags[idx] = 1
+        if scopes is not None:
+            scopes.append(_Scope(site_id))
+        if site_id == self._delay_site and self._now() >= self._warmup_ms:
             self._spin(self.plan.delay_ms or 0.0)
             self._injected_delay_iters += 1
         return True
@@ -265,18 +287,23 @@ class Runtime:
             if natural:
                 raise exc_cls("natural fault at %s" % site_id)
             return
-        self.trace.mark_reached(site_id)
-        if self._armed(site_id, InjKind.EXCEPTION) and not self._exception_fired:
+        trace = self.trace
+        idx = self._index.get(site_id)
+        if idx is None:
+            trace._extra_reached.add(site_id)
+        else:
+            trace._reached_flags[idx] = 1
+        if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
             # Raise the *same* exception type the site naturally throws so
             # the system's own handlers catch it (software-implemented fault
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
             raise exc_cls("natural fault at %s" % site_id)
 
     def lib_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -290,17 +317,22 @@ class Runtime:
         """
         if not self.enabled:
             return fn(*args, **kwargs)
-        self.trace.mark_reached(site_id)
-        if self._armed(site_id, InjKind.EXCEPTION) and not self._exception_fired:
+        trace = self.trace
+        idx = self._index.get(site_id)
+        if idx is None:
+            trace._extra_reached.add(site_id)
+        else:
+            trace._reached_flags[idx] = 1
+        if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
             raise exc_cls("injected fault at %s" % site_id)
         try:
             return fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
             raise
 
     def rpc_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -316,18 +348,23 @@ class Runtime:
         """
         if not self.enabled:
             return fn(*args, **kwargs)
-        self.trace.mark_reached(site_id)
-        armed = self._armed(site_id, InjKind.EXCEPTION) and not self._exception_fired
+        trace = self.trace
+        idx = self._index.get(site_id)
+        if idx is None:
+            trace._extra_reached.add(site_id)
+        else:
+            trace._reached_flags[idx] = 1
+        armed = site_id == self._exception_site and self._exception_due()
         try:
             result = fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
             raise
         if armed:
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
             raise exc_cls("injected response loss at %s" % site_id)
         return result
 
@@ -335,16 +372,23 @@ class Runtime:
 
     def detector(self, site_id: str, value: Any) -> bool:
         """Error-detector site: returns the (possibly negated) value."""
-        result = bool(value)
+        result = True if value else False
         if not self.enabled:
             return result
-        self.trace.mark_reached(site_id)
-        if self._armed(site_id, InjKind.NEGATION) and (
-            self.plan.sticky or not self._negation_fired
+        trace = self.trace
+        idx = self._index.get(site_id)
+        if idx is None:
+            trace._extra_reached.add(site_id)
+        else:
+            trace._reached_flags[idx] = 1
+        if (
+            site_id == self._negation_site
+            and self._now() >= self._warmup_ms
+            and (self.plan.sticky or not self._negation_fired)
         ):
             self._negation_fired = True
             key = FaultKey(site_id, InjKind.NEGATION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
             return not result
         error_value = self._detector_meta.get(site_id)
         if error_value is None:
@@ -356,7 +400,7 @@ class Runtime:
             self._detector_meta[site_id] = error_value
         if result == error_value:
             key = FaultKey(site_id, InjKind.NEGATION)
-            self.trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
         return result
 
 

@@ -50,7 +50,6 @@ class RunTrace:
     events: List[FaultEvent] = field(default_factory=list)
     branches_recorded: int = 0
     saturated: bool = False
-    wall_time_s: float = 0.0
     virtual_end_ms: float = 0.0
     #: Bound by the runtime agent (via :meth:`bind_interner`) before
     #: recording starts; ``None`` means string-keyed (legacy) storage.
@@ -289,7 +288,6 @@ class RunTrace:
             and self.events == other.events
             and self.branches_recorded == other.branches_recorded
             and self.saturated == other.saturated
-            and self.wall_time_s == other.wall_time_s
             and self.virtual_end_ms == other.virtual_end_ms
             and self.loop_counts == other.loop_counts
             and self.loop_states == other.loop_states

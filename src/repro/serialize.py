@@ -176,12 +176,13 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
         "reached": sorted(trace.reached),
         "branches_recorded": trace.branches_recorded,
         "saturated": trace.saturated,
-        "wall_time_s": trace.wall_time_s,
         "virtual_end_ms": trace.virtual_end_ms,
     }
 
 
 def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
+    # Entries written before host time left the trace also carry a
+    # ``wall_time_s`` key; it is ignored.
     trace = RunTrace(
         test_id=obj["test_id"],
         injection=plan_from_obj(obj["injection"]),
@@ -203,7 +204,6 @@ def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
     trace.reached = set(obj["reached"])
     trace.branches_recorded = obj["branches_recorded"]
     trace.saturated = obj["saturated"]
-    trace.wall_time_s = obj["wall_time_s"]
     trace.virtual_end_ms = obj["virtual_end_ms"]
     return trace
 

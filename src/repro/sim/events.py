@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
 from ..errors import NodeCrashed, RpcTimeout, SimFault
 
 
 class Event:
-    """A scheduled handler invocation; cancellable."""
+    """A scheduled handler invocation; cancellable.
+
+    The heap holds ``(time, seq, event)`` tuples, so ordering is decided
+    by C tuple comparison on ``(time, seq)`` — ``seq`` is unique per event,
+    the event object itself is never compared.
+    """
 
     __slots__ = ("time", "seq", "node", "fn", "args", "cancelled")
 
@@ -25,9 +30,6 @@ class Event:
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class _Activity:
@@ -55,13 +57,18 @@ class SimEnv:
     def __init__(self, sim_config: Optional[SimConfig] = None, seed: int = 0) -> None:
         self.cfg = sim_config or SimConfig()
         self.rng = random.Random(seed)
-        self._heap: List[Event] = []
+        #: ``(time, seq, event)`` entries; see :class:`Event`.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._loop_time = 0.0
         self._activities: List[_Activity] = []
         self.nodes: List[Any] = []
         self.saturated = False
         self.events_processed = 0
+        #: Crash watermarks: node -> the ``seq`` below which its events
+        #: are dropped (see :meth:`cancel_events_for`).  Empty unless a
+        #: node crashed.
+        self._dropped_before: Dict[Any, int] = {}
         #: Set of frozensets({a, b}) of node names that cannot communicate.
         self._partitions: set = set()
         #: Per-link probabilistic datagram loss: frozenset({a, b}) ->
@@ -77,9 +84,8 @@ class SimEnv:
     @property
     def now(self) -> float:
         """Current virtual time: the active handler's cursor, else loop time."""
-        if self._activities:
-            return self._activities[-1].cursor
-        return self._loop_time
+        activities = self._activities
+        return activities[-1].cursor if activities else self._loop_time
 
     @property
     def current_node(self) -> Optional[Any]:
@@ -89,17 +95,21 @@ class SimEnv:
         """Charge ``ms`` of processing cost to the current activity's node."""
         if ms < 0:
             raise ValueError("cannot spin a negative duration")
-        if self._activities:
-            self._activities[-1].cursor += ms
+        activities = self._activities
+        if activities:
+            activities[-1].cursor += ms
         else:  # outside any handler: advance the world clock
             self._loop_time += ms
 
     # ------------------------------------------------------------- scheduling
 
     def schedule_at(self, at: float, node: Any, fn: Callable, *args: Any) -> Event:
-        ev = Event(max(at, 0.0), self._seq, node, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        if at < 0.0:
+            at = 0.0
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(at, seq, node, fn, args)
+        heapq.heappush(self._heap, (at, seq, ev))
         return ev
 
     def after(self, node: Any, delay_ms: float, fn: Callable, *args: Any) -> Event:
@@ -109,23 +119,31 @@ class SimEnv:
     def cancel_events_for(self, node: Any) -> None:
         """Cancel every pending event targeting ``node`` (crash semantics:
         a crashed node's scheduled work is dropped, even work whose fire
-        time falls beyond a later restart)."""
-        for ev in self._heap:
-            if ev.node is node:
-                ev.cancel()
+        time falls beyond a later restart).
+
+        Every pending event was scheduled under a ``seq`` below the
+        current one (a busy-deferred event keeps its ``seq``), so one
+        watermark per node replaces a scan of the heap; :meth:`run`
+        drops the events when it pops them.
+        """
+        self._dropped_before[node] = self._seq
 
     def every(self, node: Any, interval_ms: float, fn: Callable, jitter_ms: float = 0.0) -> Event:
         """Fixed-delay periodic handler: the next firing is scheduled
         ``interval`` after the previous one *finishes*, so a busy node's
         period genuinely stretches (heartbeats fall behind under load)."""
+        activities = self._activities
 
         def tick() -> None:
             fn()
             delay = interval_ms
             if jitter_ms:
-                delay += self.rng.uniform(0.0, jitter_ms)
+                # ``rng.uniform(0.0, jitter_ms)`` minus the call: the same
+                # draw from the seeded stream and the same float.
+                delay += jitter_ms * self.rng.random()
             if not getattr(node, "crashed", False):
-                self.after(node, delay, tick)
+                now = activities[-1].cursor if activities else self._loop_time
+                self.schedule_at(now + delay, node, tick)
 
         return self.after(node, interval_ms, tick)
 
@@ -134,49 +152,50 @@ class SimEnv:
     def run(self, until_ms: Optional[float] = None) -> None:
         """Process events in time order until the heap drains or ``until_ms``."""
         horizon = until_ms if until_ms is not None else self.cfg.run_duration_ms
-        while self._heap:
-            if self.events_processed >= self.MAX_EVENTS:
+        heap = self._heap
+        activities = self._activities
+        dropped = self._dropped_before
+        max_events = self.MAX_EVENTS
+        while heap:
+            if self.events_processed >= max_events:
                 self.saturated = True
                 break
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+            entry = heapq.heappop(heap)
+            time, seq, ev = entry
+            node = ev.node
+            if ev.cancelled or (dropped and seq < dropped.get(node, 0)):
                 continue
-            if ev.time > horizon:
+            if time > horizon:
                 # Leave it for a later run() call with a larger horizon.
-                heapq.heappush(self._heap, ev)
+                heapq.heappush(heap, entry)
                 break
-            self._loop_time = max(self._loop_time, ev.time)
-            if getattr(ev.node, "crashed", False):
+            if time > self._loop_time:
+                self._loop_time = time
+            if getattr(node, "crashed", False):
                 continue
-            busy = getattr(ev.node, "busy_until", 0.0)
-            if busy > ev.time + 1e-9:
+            busy = getattr(node, "busy_until", 0.0)
+            if busy > time + 1e-9:
                 # The node is still busy: defer the handler in the heap so
                 # world time stays consistent (running it "late" from here
                 # would reserve other nodes' idle time out of order).
                 ev.time = busy
-                heapq.heappush(self._heap, ev)
+                heapq.heappush(heap, (busy, seq, ev))
                 continue
             self.events_processed += 1
-            self._execute(ev.node, ev.fn, ev.args, start_at=ev.time)
-        self._loop_time = max(self._loop_time, horizon if not self._heap else self._loop_time)
-
-    def _execute(self, node: Any, fn: Callable, args: tuple, start_at: float) -> None:
-        start = start_at
-        busy = getattr(node, "busy_until", 0.0)
-        if busy > start:
-            start = busy
-        act = _Activity(node, start)
-        self._activities.append(act)
-        try:
-            fn(*args)
-        except SimFault:
-            # An unhandled fault terminates the handler, nothing more: the
-            # mini-systems model their own error handling explicitly.
-            pass
-        finally:
-            self._activities.pop()
-            if node is not None:
-                node.busy_until = max(busy, act.cursor)
+            act = _Activity(node, busy if busy > time else time)
+            activities.append(act)
+            try:
+                ev.fn(*ev.args)
+            except SimFault:
+                # An unhandled fault terminates the handler, nothing more: the
+                # mini-systems model their own error handling explicitly.
+                pass
+            finally:
+                activities.pop()
+                if node is not None:
+                    node.busy_until = act.cursor if act.cursor > busy else busy
+        if not heap and horizon > self._loop_time:
+            self._loop_time = horizon
 
     # ---------------------------------------------------------------- network
 
@@ -221,12 +240,6 @@ class SimEnv:
             return False
         return frozenset((src.name, dst.name)) not in self._partitions
 
-    def _latency(self) -> float:
-        lat = self.cfg.network_latency_ms
-        if self.cfg.network_jitter_ms:
-            lat += self.rng.uniform(0.0, self.cfg.network_jitter_ms)
-        return lat
-
     def send(self, dst: Any, fn: Callable, *args: Any) -> None:
         """One-way message: schedule ``fn`` on ``dst`` after network latency."""
         src = self.current_node
@@ -236,7 +249,10 @@ class SimEnv:
             rule = self._drop_rules.get(frozenset((src.name, dst.name)))
             if rule is not None and rule[1].random() < rule[0]:
                 return  # injected datagram loss (msg_drop fault model)
-        self.schedule_at(self.now + self._latency(), dst, fn, *args)
+        latency = self.cfg.network_latency_ms
+        if self.cfg.network_jitter_ms:
+            latency += self.cfg.network_jitter_ms * self.rng.random()
+        self.schedule_at(self.now + latency, dst, fn, *args)
 
     def rpc(self, dst: Any, fn: Callable, *args: Any, timeout_ms: Optional[float] = None) -> Any:
         """Synchronous RPC with virtual-time accounting.
@@ -247,21 +263,34 @@ class SimEnv:
         trip exceeds the timeout the caller sees :class:`RpcTimeout` — the
         callee's work still happened (it was merely too slow), which is the
         overload behaviour cascading failures exploit.
+
+        Both latency legs draw ``latency + jitter * rng.random()`` — the
+        draw and the float of ``rng.uniform(0.0, jitter)`` without the call,
+        so the seeded stream profile and injection runs share is untouched.
         """
-        timeout = timeout_ms if timeout_ms is not None else self.cfg.rpc_timeout_ms
-        if not self._activities:
+        cfg = self.cfg
+        timeout = timeout_ms if timeout_ms is not None else cfg.rpc_timeout_ms
+        activities = self._activities
+        if not activities:
             raise RuntimeError("rpc() must be called from inside a handler")
-        caller = self._activities[-1]
+        caller = activities[-1]
         t_call = caller.cursor
         src = caller.node
-        if not self.reachable(src, dst):
+        if (
+            getattr(dst, "crashed", False)
+            or getattr(src, "crashed", False)
+            or (self._partitions and frozenset((src.name, dst.name)) in self._partitions)
+        ):
             caller.cursor = t_call + timeout
             raise RpcTimeout("%s -> %s unreachable" % (src.name, dst.name))
-        arrival = t_call + self._latency()
+        latency = cfg.network_latency_ms
+        jitter = cfg.network_jitter_ms
+        draw = self.rng.random
+        arrival = t_call + (latency + jitter * draw() if jitter else latency)
         busy = getattr(dst, "busy_until", 0.0)
-        dst_start = max(arrival, busy)
+        dst_start = busy if busy > arrival else arrival
         act = _Activity(dst, dst_start)
-        self._activities.append(act)
+        activities.append(act)
         error: Optional[SimFault] = None
         result: Any = None
         try:
@@ -272,9 +301,9 @@ class SimEnv:
         except SimFault as exc:
             error = exc
         finally:
-            self._activities.pop()
-            dst.busy_until = max(busy, act.cursor)
-        reply_at = act.cursor + self._latency()
+            activities.pop()
+            dst.busy_until = act.cursor if act.cursor > busy else busy
+        reply_at = act.cursor + (latency + jitter * draw() if jitter else latency)
         if reply_at - t_call > timeout:
             caller.cursor = t_call + timeout
             raise RpcTimeout(

@@ -1,10 +1,13 @@
 """Unit tests for the experiment driver, using the toy system."""
 
+import json
+
 import pytest
 
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver, _seed_for, run_workload
 from repro.errors import UnknownSite
+from repro.serialize import trace_to_obj
 from repro.systems.toy import build_system
 from repro.types import FaultKey, InjKind
 
@@ -34,6 +37,9 @@ def test_run_workload_is_deterministic(spec):
     b = run_workload(spec, wl, None, seed=5)
     assert a.loop_counts == b.loop_counts
     assert [e.fault for e in a.events] == [e.fault for e in b.events]
+    # No host time in a trace: one seed means equal traces, identical bytes.
+    assert a == b
+    assert json.dumps(trace_to_obj(a), sort_keys=True) == json.dumps(trace_to_obj(b), sort_keys=True)
 
 
 def test_different_seeds_may_vary_but_run(spec):

@@ -137,6 +137,28 @@ class TestLoop:
         # Outer iteration scope saw its own branch only (inner scope popped).
         assert all(s.branch_trace == (("toy.b_outer", True),) for s in outer_states)
 
+    def test_late_close_of_loop_whose_scope_a_guard_removed(self, registry):
+        """A ``rt.loop`` iterator still suspended when the enclosing
+        ``while`` guard is re-evaluated loses its scope to the guard's
+        truncation; closing it afterwards must not unwind the scopes that
+        remain (it used to pop the function-body scope too)."""
+        rt, trace = make_rt(registry)
+        with rt.function("Toy.run"):
+            suspended = None
+            while rt.loop_guard("toy.outer", suspended is None):
+                suspended = rt.loop("toy.inner", [1, 2])
+                next(suspended)
+                rt.branch("toy.b_inner", True)
+            suspended.close()
+            rt.branch("toy.b1", True)
+            with pytest.raises(IOEx):
+                rt.throw_point("toy.ioe", IOEx, natural=True)
+        assert trace.events[0].state.branch_trace == (("toy.b1", True),)
+        assert trace.loop_counts["toy.inner"] == 1
+        assert {s.branch_trace for s in trace.loop_states["toy.inner"]} == {
+            (("toy.b_inner", True),)
+        }
+
 
 class TestLocalState:
     def test_call_stack_excludes_enclosing_function(self, registry):
