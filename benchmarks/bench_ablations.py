@@ -25,7 +25,7 @@ def test_compat_check_ablation(benchmark, hdfs2_campaign):
     """§6.2: without the local compatibility check, unsound stitches let
     extra (invalid) cycles through."""
     edges = hdfs2_campaign.edges
-    scores = hdfs2_campaign.detector.allocation.fault_scores
+    scores = hdfs2_campaign.allocation.fault_scores
     on = BeamSearch(bench_config("minihdfs2"), scores).search(edges)
 
     def run_off():
@@ -47,7 +47,7 @@ def test_compat_check_ablation(benchmark, hdfs2_campaign):
 def test_beam_width_ablation(benchmark, hdfs2_campaign):
     """Wider beams recover more cycles until the chain space is exhausted."""
     edges = hdfs2_campaign.edges
-    scores = hdfs2_campaign.detector.allocation.fault_scores
+    scores = hdfs2_campaign.allocation.fault_scores
 
     def sweep():
         counts = {}
@@ -66,7 +66,7 @@ def test_beam_width_ablation(benchmark, hdfs2_campaign):
 def test_chain_length_ablation(benchmark, hdfs2_campaign):
     """Longer chains expose longer cycles (at a cost)."""
     edges = hdfs2_campaign.edges
-    scores = hdfs2_campaign.detector.allocation.fault_scores
+    scores = hdfs2_campaign.allocation.fault_scores
 
     def sweep():
         counts = {}
@@ -85,7 +85,7 @@ def test_idf_weighting_ablation(benchmark, hdfs2_campaign):
     """IDF weighting de-noises ubiquitous faults: clustering with uniform
     weights merges faults that IDF keeps apart (or vice versa), changing
     the cluster structure the 3PA protocol allocates over."""
-    records = hdfs2_campaign.detector.allocation.records
+    records = hdfs2_campaign.allocation.records
     faults = sorted({r.fault for r in records})
     docs = [r.result.interference for r in records]
 

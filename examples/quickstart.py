@@ -10,7 +10,14 @@ then prints the detected cascades.
 """
 
 from repro.config import CSnakeConfig
-from repro.core import CSnake
+from repro.pipeline import (
+    AllocationStage,
+    BeamSearchStage,
+    PipelineContext,
+    ProfileStage,
+    ReportStage,
+    StaticAnalysisStage,
+)
 from repro.systems import get_system
 
 
@@ -20,23 +27,29 @@ def main() -> None:
         delay_values_ms=(500.0, 2000.0, 8000.0),  # contention sweep
         seed=7,
     )
-    detector = CSnake(get_system("toy"), config)
+    # One stage at a time, to look at what each publishes;
+    # ``Pipeline(spec, config).run()`` runs the same five in one call.
+    ctx = PipelineContext(get_system("toy"), config)
 
-    analysis = detector.analyze_static()
+    StaticAnalysisStage().run(ctx)
+    analysis = ctx.require("analysis")
     print("fault space: %d injectable faults (%d sites filtered)" % (
         len(analysis.faults), len(analysis.excluded)))
 
-    detector.allocate_and_inject()
+    ProfileStage().run(ctx)
+    AllocationStage().run(ctx)
+    allocation = ctx.require("allocation").outcome
     print("experiments: %d (budget %d), causal edges discovered: %d" % (
-        detector.allocation.budget_used,
-        detector.allocation.budget_total,
-        len(detector.driver.edges),
+        allocation.budget_used,
+        allocation.budget_total,
+        len(ctx.driver.edges),
     ))
-    for edge in detector.driver.edges.all_edges():
+    for edge in ctx.driver.edges.all_edges():
         print("   ", edge)
 
-    detector.detect_cycles()
-    report = detector.report()
+    BeamSearchStage().run(ctx)
+    ReportStage().run(ctx)
+    report = ctx.require("report")
     print("\ncycles: %d in %d clusters" % (len(report.cycles), len(report.cycle_clusters)))
     for match in report.bug_matches:
         status = "DETECTED" if match.detected else "missed"

@@ -3,10 +3,9 @@
 A *campaign* is one full CSnake evaluation of one system: static analysis,
 profile runs, 3PA-allocated fault injection, FCA, beam search, cycle
 clustering, and ground-truth matching.  Campaigns run through the staged
-:class:`repro.pipeline.Pipeline` (via the ``CSnake`` wrapper), so the
-benchmarks exercise exactly the code path of ``repro run`` — including
-parallel experiment fan-out when ``parallel > 1``.  The benchmark files
-regenerate the paper's tables from campaign results.
+:class:`repro.pipeline.Pipeline`, so the benchmarks exercise exactly the
+code path of ``repro run``.  The benchmark files regenerate the paper's
+tables from campaign results.
 """
 
 from __future__ import annotations
@@ -15,12 +14,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import FAST_DELAY_VALUES_MS, CSnakeConfig
+from ..core.allocation import AllocationOutcome
 from ..core.beam import BeamSearch
-from ..core.detector import CSnake
 from ..core.driver import ExperimentDriver
 from ..core.report import DetectionReport, build_report
 from ..baselines.random_alloc import RandomAllocator
 from ..instrument.analyzer import analyze
+from ..pipeline import Pipeline, PipelineContext
 from ..systems import get_system
 from ..types import CausalEdge
 
@@ -57,24 +57,28 @@ def bench_config(system: str, **overrides: object) -> CSnakeConfig:
 class CampaignResult:
     system: str
     report: DetectionReport
-    detector: CSnake
+    ctx: PipelineContext
     wall_time_s: float = 0.0
 
     @property
     def edges(self) -> List[CausalEdge]:
-        return self.detector.driver.edges.all_edges()
+        return self.ctx.driver.edges.all_edges()
+
+    @property
+    def allocation(self) -> AllocationOutcome:
+        return self.ctx.require("allocation").outcome
 
     def detection_phase(self, bug_id: str) -> Optional[int]:
         """3PA phase after which all of the bug's cycle edges were known
         (Table 3's "Alloc." column)."""
-        self.detector.spec.bug(bug_id)  # raises KeyError on unknown ids
+        self.ctx.spec.bug(bug_id)  # raises KeyError on unknown ids
         match = next(m for m in self.report.bug_matches if m.bug.bug_id == bug_id)
         if not match.detected:
             return None
         cycle = match.best_cycle
         needed = {e.key() for e in cycle.edges}
         discovered: Dict[Tuple, int] = {}
-        for record in self.detector.allocation.records:
+        for record in self.allocation.records:
             for edge in record.result.edges:
                 discovered.setdefault(edge.key(), record.phase)
         phases = [discovered.get(k) for k in needed]
@@ -83,29 +87,14 @@ class CampaignResult:
         return max(1, max(phases))
 
 
-def run_campaign(
-    system: str,
-    config: Optional[CSnakeConfig] = None,
-    parallel: Optional[int] = None,
-) -> CampaignResult:
-    """One full CSnake evaluation of one system, through the pipeline.
-
-    ``parallel`` overrides ``config.experiment_workers``; parallel and
-    serial campaigns produce identical results (the pipeline commits
-    experiment results in schedule order).
-    """
-    import dataclasses
+def run_campaign(system: str, config: Optional[CSnakeConfig] = None) -> CampaignResult:
+    """One full CSnake evaluation of one system, through the pipeline."""
     import time
 
     t0 = time.perf_counter()
-    spec = get_system(system)
-    cfg = config or bench_config(system)
-    if parallel is not None:
-        cfg = dataclasses.replace(cfg, experiment_workers=parallel)
-    detector = CSnake(spec, cfg)
-    report = detector.run()
+    ctx = Pipeline(get_system(system), config or bench_config(system)).run()
     return CampaignResult(
-        system=system, report=report, detector=detector,
+        system=system, report=ctx.require("report"), ctx=ctx,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -158,10 +147,10 @@ def table4_row(campaign: CampaignResult) -> Tuple[List[object], List[object]]:
     """(unlimited, <=1 delay) Table 4 numbers for one system."""
     unlimited = campaign.report
     cfg_capped = bench_config(campaign.system, max_delay_faults=1)
-    beam = BeamSearch(cfg_capped, campaign.detector.allocation.fault_scores)
+    beam = BeamSearch(cfg_capped, campaign.allocation.fault_scores)
     capped_cycles = beam.search(campaign.edges).cycles
     capped = build_report(
-        campaign.detector.spec, capped_cycles, campaign.detector.allocation.clustering
+        campaign.ctx.spec, capped_cycles, campaign.allocation.clustering
     )
 
     def nums(report: DetectionReport) -> List[object]:

@@ -32,7 +32,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .config import EXECUTION_ONLY_KNOBS, CSnakeConfig
+from .config import CSnakeConfig
 from .core.fca import FcaResult
 from .faults import fault_models_digest, model_for, schedules_digest
 from .instrument.plan import InjectionPlan
@@ -76,19 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 CACHE_SCHEMA = 4
 
 
-def result_affecting_config(config: CSnakeConfig) -> Dict[str, Any]:
-    """The config snapshot experiment keys embed.
-
-    Everything except :data:`~repro.config.EXECUTION_ONLY_KNOBS`: those
-    provably cannot change results, and excluding them is what lets one
-    cache serve serial, thread, and process campaigns interchangeably.
-    """
-    out = config.to_dict()
-    for knob in EXECUTION_ONLY_KNOBS:
-        out.pop(knob, None)
-    return out
-
-
 class ExperimentCache:
     """On-disk, content-addressed store of campaign intermediate results.
 
@@ -107,7 +94,7 @@ class ExperimentCache:
         self.sites_digest = spec.sites_digest()
         self.models_digest = fault_models_digest()
         self.schedules_digest = schedules_digest()
-        self.config_snapshot = result_affecting_config(config)
+        self.config_snapshot = config.result_affecting()
         self.hits = 0
         self.misses = 0
         self.stores = 0

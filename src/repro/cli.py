@@ -137,8 +137,6 @@ def _config(args: argparse.Namespace) -> CSnakeConfig:
     if getattr(args, "sweep", None):
         params["sweep_overrides"] = _parse_sweeps(args.sweep)
     workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = getattr(args, "parallel", None)  # legacy alias
     backend = getattr(args, "backend", None)
     if backend is not None:
         params["experiment_backend"] = backend
@@ -347,12 +345,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
     session = Session.open(args.session_dir)
     config = session.config
     overrides = {}
-    workers = args.workers if args.workers is not None else args.parallel
-    if workers is not None:
-        overrides["experiment_workers"] = workers
+    if args.workers is not None:
+        overrides["experiment_workers"] = args.workers
     if args.backend is not None:
         overrides["experiment_backend"] = args.backend
-        if workers is None and args.backend != "serial":
+        if args.workers is None and args.backend != "serial":
             overrides["experiment_workers"] = os.cpu_count() or 1
     if args.manager is not None:
         overrides["manager_url"] = args.manager
@@ -758,25 +755,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Start the campaign manager (the service's central orchestrator)."""
-    from .service import ManagerCore, ManagerServer, create_fastapi_app
+    from .service import ManagerCore, ManagerServer
 
     core = ManagerCore(lease_ttl_s=args.lease_ttl)
-    impl = args.impl
-    if impl == "auto":
-        try:
-            import fastapi  # noqa: F401
-            import uvicorn  # noqa: F401
-
-            impl = "fastapi"
-        except ImportError:
-            impl = "stdlib"
-    if impl == "fastapi":
-        import uvicorn
-
-        app = create_fastapi_app(core)
-        print("repro manager (fastapi) on http://%s:%d" % (args.host, args.port))
-        uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
-        return 0
     server = ManagerServer(core, host=args.host, port=args.port, verbose=args.verbose)
     print("repro manager listening on %s" % server.url, flush=True)
     try:
@@ -974,10 +955,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         "--manager", default=None, metavar="URL",
         help="manager URL of a `repro serve` instance (required by "
         "--backend remote; see `repro serve`)",
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help=argparse.SUPPRESS,  # legacy alias of --workers (thread backend)
     )
 
 
@@ -1193,11 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl", type=float, default=15.0, metavar="S",
         help="agent lease duration in seconds: an agent silent for this "
         "long is expired and its leased tasks re-queued (default 15)",
-    )
-    serve.add_argument(
-        "--impl", choices=("auto", "stdlib", "fastapi"), default="stdlib",
-        help="HTTP implementation: the dependency-free stdlib server "
-        "(default), fastapi+uvicorn, or auto (fastapi when installed)",
     )
     serve.add_argument(
         "-v", "--verbose", action="store_true", help="log every HTTP request"

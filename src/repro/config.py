@@ -245,6 +245,14 @@ class CSnakeConfig:
             out[f.name] = value
         return out
 
+    def result_affecting(self) -> Dict[str, Any]:
+        """:meth:`to_dict` minus :data:`EXECUTION_ONLY_KNOBS` — what cache
+        keys, session verification and task digests compare."""
+        out = self.to_dict()
+        for knob in EXECUTION_ONLY_KNOBS:
+            del out[knob]
+        return out
+
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "CSnakeConfig":
         params = dict(obj)

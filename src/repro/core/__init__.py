@@ -1,13 +1,7 @@
 """CSnake's primary contribution: causal stitching of fault propagations.
 
-Public entry point::
-
-    from repro.core import CSnake
-    from repro.systems import get_system
-
-    report = CSnake(get_system("minihdfs2")).run()
-    for match in report.bug_matches:
-        print(match.bug.bug_id, match.detected)
+The algorithms live here; :class:`repro.pipeline.Pipeline` is the entry
+point that runs them as a campaign.
 """
 
 from .allocation import AllocationOutcome, ThreePhaseAllocator
@@ -20,19 +14,7 @@ from .fca import FaultCausalityAnalysis, FcaResult
 from .idf import IdfVectorizer, cosine_distance
 from .report import BugMatch, DetectionReport, build_report
 
-
-def __getattr__(name: str):
-    # CSnake wraps repro.pipeline, which itself imports repro.core —
-    # resolving the facade lazily keeps the packages import-order agnostic.
-    if name == "CSnake":
-        from .detector import CSnake
-
-        return CSnake
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 __all__ = [
-    "CSnake",
     "ExperimentDriver",
     "run_workload",
     "FaultCausalityAnalysis",

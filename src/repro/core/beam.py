@@ -25,8 +25,7 @@ Two engines implement that one contract:
   (``tests/property/test_beam_differential.py``) and as the fallback for
   edge sets the interning argument does not cover: duplicate ``key()``s
   (impossible for :class:`~repro.core.edges.EdgeDB` inputs, which dedup
-  by key) break the id-order ≡ key-order equivalence, and numpy may be
-  absent entirely.
+  by key) break the id-order ≡ key-order equivalence.
 
 Both engines produce byte-identical :class:`BeamSearchResult`\\ s: the same
 cycles in the same order (including which interior test combination
@@ -41,10 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..config import CSnakeConfig
 from ..types import CausalEdge, FaultKey, InjKind, states_compatible
@@ -251,11 +247,10 @@ class BeamSearch:
     def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
         edge_list = list(edges)
         keys = [e.key() for e in edge_list]
-        if _np is None or len(set(keys)) != len(keys):
+        if len(set(keys)) != len(keys):
             # Duplicate keys break the id-order ≡ key-order equivalence and
             # the membership-by-id argument (EdgeDB inputs are key-unique;
-            # hand-built test edge lists need not be), and numpy may be
-            # missing outright — either way the oracle takes over.
+            # hand-built test edge lists need not be): the oracle takes over.
             ref = ReferenceBeamSearch(self.config, self.sim_scores)
             result = ref.search(edge_list)
             self.compat = ref.compat

@@ -11,15 +11,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from ..types import FaultKey
 from .idf import cosine_distance
-
-try:
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import squareform
-except ImportError:  # pragma: no cover
-    linkage = None
 
 
 @dataclass
@@ -67,8 +63,7 @@ def cluster_faults(
     """Average-linkage hierarchical clustering on cosine distances.
 
     Faults are merged while their average cosine distance stays below
-    ``distance_threshold``.  Falls back to a simple agglomerative loop if
-    scipy is unavailable.
+    ``distance_threshold``.
     """
     if len(faults) != len(vectors):
         raise ValueError("faults and vectors must align")
@@ -78,17 +73,14 @@ def cluster_faults(
     if n == 1:
         return Clustering(clusters=[FaultCluster(0, [faults[0]])])
 
-    if linkage is not None:
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = cosine_distance(vectors[i], vectors[j])
-                dist[i, j] = dist[j, i] = d
-        condensed = squareform(dist, checks=False)
-        tree = linkage(condensed, method="average")
-        labels = fcluster(tree, t=distance_threshold, criterion="distance")
-    else:  # pragma: no cover - scipy is a declared dependency
-        labels = _greedy_agglomerate(vectors, distance_threshold)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = cosine_distance(vectors[i], vectors[j])
+            dist[i, j] = dist[j, i] = d
+    condensed = squareform(dist, checks=False)
+    tree = linkage(condensed, method="average")
+    labels = fcluster(tree, t=distance_threshold, criterion="distance")
 
     groups: Dict[int, List[FaultKey]] = {}
     for fault, label in zip(faults, labels):
@@ -97,25 +89,3 @@ def cluster_faults(
         FaultCluster(i, sorted(members)) for i, (_, members) in enumerate(sorted(groups.items()))
     ]
     return Clustering(clusters=clusters)
-
-
-def _greedy_agglomerate(vectors: Sequence[np.ndarray], threshold: float) -> List[int]:
-    """Fallback single-pass agglomeration (used only without scipy)."""
-    labels: List[int] = []
-    centroids: List[np.ndarray] = []
-    members: List[int] = []
-    for vec in vectors:
-        best, best_d = -1, threshold
-        for ci, centroid in enumerate(centroids):
-            d = cosine_distance(vec, centroid)
-            if d <= best_d:
-                best, best_d = ci, d
-        if best < 0:
-            labels.append(len(centroids))
-            centroids.append(vec.copy())
-            members.append(1)
-        else:
-            labels.append(best)
-            centroids[best] = (centroids[best] * members[best] + vec) / (members[best] + 1)
-            members[best] += 1
-    return labels

@@ -10,19 +10,11 @@ site.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import List, Sequence
 
-try:  # scipy is a declared dependency, but keep a pure fallback.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
-
-try:  # numpy powers the batched path; the fallback loops per site.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
+from scipy import stats as _scipy_stats
 
 
 def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> float:
@@ -44,26 +36,14 @@ def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> 
     vc = sum((x - mc) ** 2 for x in control) / (len(control) - 1)
     if vt == 0.0 and vc == 0.0:
         return 0.0 if mt > mc else 1.0
-    if _scipy_stats is not None:
-        with warnings.catch_warnings():
-            # Near-identical samples trigger a precision-loss RuntimeWarning;
-            # the resulting p-value is still on the right side of 0.1.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = _scipy_stats.ttest_ind(
-                list(treatment), list(control), equal_var=False, alternative="greater"
-            )
-        return float(result.pvalue)
-    return _welch_greater_pvalue(mt, mc, vt, vc, len(treatment), len(control))
-
-
-def _welch_greater_pvalue(mt: float, mc: float, vt: float, vc: float, nt: int, nc: int) -> float:
-    """Pure-python Welch t-test (normal approximation of the t CDF)."""
-    se = math.sqrt(vt / nt + vc / nc)
-    if se == 0.0:
-        return 0.0 if mt > mc else 1.0
-    t = (mt - mc) / se
-    # Normal approximation is adequate for a 0.1 significance screen.
-    return 0.5 * math.erfc(t / math.sqrt(2.0))
+    with warnings.catch_warnings():
+        # Near-identical samples trigger a precision-loss RuntimeWarning;
+        # the resulting p-value is still on the right side of 0.1.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = _scipy_stats.ttest_ind(
+            list(treatment), list(control), equal_var=False, alternative="greater"
+        )
+    return float(result.pvalue)
 
 
 def one_sided_t_pvalues(
@@ -80,8 +60,6 @@ def one_sided_t_pvalues(
     n_rows = len(treatments)
     if n_rows == 0:
         return []
-    if _np is None:
-        return [one_sided_t_pvalue(t, c) for t, c in zip(treatments, controls)]
     T = _np.asarray(treatments, dtype=float)
     C = _np.asarray(controls, dtype=float)
     out = _np.ones(n_rows)
@@ -95,17 +73,12 @@ def one_sided_t_pvalues(
     out[const & (mt > mc)] = 0.0
     live = ~const
     if live.any():
-        if _scipy_stats is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                result = _scipy_stats.ttest_ind(
-                    T[live], C[live], axis=1, equal_var=False, alternative="greater"
-                )
-            out[live] = result.pvalue
-        else:
-            se = _np.sqrt(vt[live] / T.shape[1] + vc[live] / C.shape[1])
-            t = (mt[live] - mc[live]) / se
-            out[live] = 0.5 * _np.vectorize(math.erfc)(t / math.sqrt(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = _scipy_stats.ttest_ind(
+                T[live], C[live], axis=1, equal_var=False, alternative="greater"
+            )
+        out[live] = result.pvalue
     return [float(p) for p in out]
 
 

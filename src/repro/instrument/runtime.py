@@ -104,12 +104,6 @@ class Runtime:
         self._delay_site = plan.site_id if kind is InjKind.DELAY else None
         self._negation_site = plan.site_id if kind is InjKind.NEGATION else None
         self._warmup_ms = plan.warmup_ms if plan is not None else 0.0
-        # Interned recording: resolve site ids to dense integers once and
-        # record into the trace's flat stores, avoiding per-event string
-        # hashing (the §8.5 overhead hot path).
-        self._index = registry.interner().mapping
-        if enabled:
-            self.trace.bind_interner(registry.interner())
         # Iteration states already recorded, keyed by the raw
         # (site, stack, branches) tuples: repeat states of a hot loop skip
         # LocalState construction and dataclass hashing entirely.
@@ -143,7 +137,7 @@ class Runtime:
     def _record_state(self, site_id: str, key: tuple) -> None:
         """Record an iteration state whose ``(site, stack, branches)`` key
         missed the memo."""
-        states = self.trace.states_bucket(site_id)
+        states = self.trace.loop_states.setdefault(site_id, set())
         if len(states) < MAX_STATES_PER_SITE:
             self._state_memo.add(key)
             states.add(LocalState(key[1], key[2]))
@@ -164,11 +158,7 @@ class Runtime:
         if not self.enabled:
             return outcome
         trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_reached.add(site_id)
-        else:
-            trace._reached_flags[idx] = 1
+        trace.reached.add(site_id)
         trace.branches_recorded += 1
         if self._frames:
             self._frames[-1].scopes[-1].branches.append((site_id, outcome))
@@ -187,12 +177,7 @@ class Runtime:
         delay = None
         if site_id == self._delay_site and self._now() >= self._warmup_ms:
             delay = self.plan.delay_ms
-        trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            counts, flags, key = trace._extra_counts, None, site_id
-        else:
-            counts, flags, key = trace._counts, trace._reached_flags, idx
+        counts, reached = self.trace.loop_counts, self.trace.reached
         if self._frames:
             frame = self._frames[-1]
             scopes, above = frame.scopes, frame.above
@@ -203,11 +188,8 @@ class Runtime:
         memo = self._state_memo
         no_branches = (site_id, above, ())
         for item in iterable:
-            counts[key] += 1
-            if flags is None:
-                trace._extra_reached.add(site_id)
-            else:
-                flags[key] = 1
+            counts[site_id] += 1
+            reached.add(site_id)
             if scopes is not None:
                 scopes.append(scope)
             if delay:
@@ -255,14 +237,8 @@ class Runtime:
                     break
         if not outcome:
             return False
-        trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_counts[site_id] += 1
-            trace._extra_reached.add(site_id)
-        else:
-            trace._counts[idx] += 1
-            trace._reached_flags[idx] = 1
+        self.trace.loop_counts[site_id] += 1
+        self.trace.reached.add(site_id)
         if scopes is not None:
             scopes.append(_Scope(site_id))
         if site_id == self._delay_site and self._now() >= self._warmup_ms:
@@ -288,11 +264,7 @@ class Runtime:
                 raise exc_cls("natural fault at %s" % site_id)
             return
         trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_reached.add(site_id)
-        else:
-            trace._reached_flags[idx] = 1
+        trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
@@ -318,11 +290,7 @@ class Runtime:
         if not self.enabled:
             return fn(*args, **kwargs)
         trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_reached.add(site_id)
-        else:
-            trace._reached_flags[idx] = 1
+        trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
@@ -349,11 +317,7 @@ class Runtime:
         if not self.enabled:
             return fn(*args, **kwargs)
         trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_reached.add(site_id)
-        else:
-            trace._reached_flags[idx] = 1
+        trace.reached.add(site_id)
         armed = site_id == self._exception_site and self._exception_due()
         try:
             result = fn(*args, **kwargs)
@@ -376,11 +340,7 @@ class Runtime:
         if not self.enabled:
             return result
         trace = self.trace
-        idx = self._index.get(site_id)
-        if idx is None:
-            trace._extra_reached.add(site_id)
-        else:
-            trace._reached_flags[idx] = 1
+        trace.reached.add(site_id)
         if (
             site_id == self._negation_site
             and self._now() >= self._warmup_ms

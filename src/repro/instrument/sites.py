@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import UnknownSite
 
@@ -63,54 +63,6 @@ class FaultSite:
         ]
 
 
-class SiteInterner:
-    """Frozen ``site_id`` <-> dense-integer mapping of one registry build.
-
-    The runtime agent and :class:`~repro.instrument.trace.RunTrace` record
-    against the integer indices (flat array stores, no per-event string
-    hashing); analysis and serialization translate back through
-    :meth:`name`.  Indices follow registry declaration order, which is
-    deterministic per system builder — traces recorded in different worker
-    processes of the same campaign agree on the mapping.
-    """
-
-    __slots__ = ("_names", "mapping")
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self._names = tuple(names)
-        #: Read-only view for hot paths (``mapping.get(site_id)``); callers
-        #: must never mutate it.
-        self.mapping: Dict[str, int] = {n: i for i, n in enumerate(self._names)}
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, site_id: str) -> bool:
-        return site_id in self.mapping
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SiteInterner) and self._names == other._names
-
-    def __hash__(self) -> int:
-        return hash(self._names)
-
-    def index(self, site_id: str) -> Optional[int]:
-        """Dense index of ``site_id``, or ``None`` for unregistered sites."""
-        return self.mapping.get(site_id)
-
-    def name(self, idx: int) -> str:
-        return self._names[idx]
-
-    def names(self) -> Tuple[str, ...]:
-        return self._names
-
-    def __getstate__(self) -> Tuple[str, ...]:
-        return self._names
-
-    def __setstate__(self, names: Tuple[str, ...]) -> None:
-        self.__init__(names)
-
-
 class SiteRegistry:
     """All instrumented sites of one target system.
 
@@ -122,7 +74,6 @@ class SiteRegistry:
     def __init__(self, system: str) -> None:
         self.system = system
         self._sites: Dict[str, FaultSite] = {}
-        self._interner: Optional[SiteInterner] = None
         self._slice_digests: Dict[str, str] = {}
         self._slice_unresolved: Dict[str, str] = {}
 
@@ -135,14 +86,7 @@ class SiteRegistry:
                 raise ValueError("conflicting redefinition of site %s" % site.site_id)
             return site.site_id
         self._sites[site.site_id] = site
-        self._interner = None  # adding a site invalidates the frozen mapping
         return site.site_id
-
-    def interner(self) -> SiteInterner:
-        """The frozen site-id interner of the current registry contents."""
-        if self._interner is None:
-            self._interner = SiteInterner(tuple(self._sites))
-        return self._interner
 
     def loop(
         self,

@@ -69,7 +69,7 @@ class ParallelExecutor(Executor):
     The pool is scoped to each :meth:`map` call — campaigns issue a handful
     of large batches (profile fan-out, one flush per 3PA phase), so per-call
     pool setup is noise, and nothing leaks threads when callers (the CLI,
-    the ``CSnake`` facade, benchmarks) drop the executor without closing it.
+    benchmarks) drop the executor without closing it.
     """
 
     def __init__(self, max_workers: int) -> None:

@@ -25,19 +25,13 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List
 
-from ..config import EXECUTION_ONLY_KNOBS, CSnakeConfig
+from ..config import CSnakeConfig
 from ..errors import SessionError, SessionMismatch
 from ..serialize import atomic_write_json
 from .artifacts import ARTIFACT_CODECS
 
 MANIFEST_NAME = "manifest.json"
 SCHEMA_VERSION = 1
-
-#: Config knobs a resume may override without invalidating the session:
-#: they change execution strategy (backends, workers, caching) but provably
-#: not results — parallel and cache-warm campaigns are bit-identical to
-#: serial cold ones.
-_EXECUTION_ONLY_KNOBS = EXECUTION_ONLY_KNOBS
 
 
 def _atomic_write(path: Path, payload: Dict[str, Any]) -> None:
@@ -116,10 +110,7 @@ class Session:
             raise SessionMismatch(
                 "session was created for system %r, not %r" % (self.system, system)
             )
-        stored, current = dict(self.manifest["config"]), config.to_dict()
-        for knob in _EXECUTION_ONLY_KNOBS:
-            stored.pop(knob, None)
-            current.pop(knob, None)
+        stored, current = self.config.result_affecting(), config.result_affecting()
         if stored != current:
             diff = sorted(
                 k for k in set(stored) | set(current) if stored.get(k) != current.get(k)

@@ -128,8 +128,8 @@ class ReportStage(Stage):
 
     name = "report"
     requires = ("allocation", "beam")
-    #: ``analysis`` is optional: a faults-override campaign (CSnake's
-    #: ``allocate_and_inject(faults=...)``) legitimately has none.
+    #: ``analysis`` is optional: a faults-override campaign
+    #: (``AllocationStage(faults=...)``) legitimately has none.
     uses = ("analysis",)
     provides = ("report",)
 

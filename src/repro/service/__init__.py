@@ -10,13 +10,12 @@ a network and the whole service runs on the standard library alone:
   :class:`~repro.pipeline.executor.Executor` backend (``--backend
   remote``), plus the transport seam (:class:`LocalTransport` in-process,
   :class:`~repro.service.http.HttpTransport` over the wire);
-* :mod:`repro.service.http` — stdlib ``http.server`` JSON API (FastAPI
-  app factory available when the package is installed);
+* :mod:`repro.service.http` — stdlib ``http.server`` JSON API;
 * :mod:`repro.service.agent` — the worker agent loop (``repro agent``).
 """
 
 from .agent import Agent, execute_wire_task
-from .http import HttpTransport, ManagerServer, create_fastapi_app
+from .http import HttpTransport, ManagerServer
 from .manager import ManagerCore, task_digest
 from .remote import LocalTransport, RemoteExecutor
 
@@ -27,7 +26,6 @@ __all__ = [
     "ManagerCore",
     "ManagerServer",
     "RemoteExecutor",
-    "create_fastapi_app",
     "execute_wire_task",
     "task_digest",
 ]

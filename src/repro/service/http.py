@@ -6,8 +6,6 @@ method each, so the in-process transport used by tests exercises the same
 state machine as the network.  The primary server is built on
 ``http.server.ThreadingHTTPServer`` — no dependency beyond the standard
 library, which is what keeps the tier-1 test suite runnable anywhere.
-When FastAPI *is* installed, :func:`create_fastapi_app` exposes the same
-routes as an ASGI app (``repro serve --impl fastapi``).
 
 Endpoints (all request/response bodies JSON):
 
@@ -356,130 +354,3 @@ class HttpTransport:
             "/api/campaigns/%s/events?after=%d&wait=%s" % (campaign_id, after, wait_s),
             wait_s=wait_s,
         )
-
-
-# ---------------------------------------------------------------- fastapi
-
-
-def create_fastapi_app(core: Optional[ManagerCore] = None) -> Any:
-    """The same API as an ASGI app, for deployments that have FastAPI.
-
-    Raises :class:`ReproError` when FastAPI is not installed — the stdlib
-    :class:`ManagerServer` is the dependency-free default and the tier-1
-    suite never needs this path.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse, StreamingResponse
-    except ImportError as exc:  # pragma: no cover - exercised only sans fastapi
-        raise ReproError(
-            "FastAPI is not installed; `repro serve` uses the stdlib HTTP "
-            "server by default (pass --impl stdlib or install fastapi+uvicorn)"
-        ) from exc
-
-    core = core or ManagerCore()
-    app = FastAPI(title="repro manager", version="1")
-    app.state.core = core
-
-    def guard(fn: Callable[[], Dict[str, Any]]) -> Any:
-        try:
-            return fn()
-        except ReproError as exc:
-            return JSONResponse({"error": str(exc)}, status_code=400)
-
-    @app.get("/api/health")
-    def health() -> Any:
-        return guard(core.stats)
-
-    @app.post("/api/agents/register")
-    async def register(request: Request) -> Any:
-        body = await request.json()
-        return guard(
-            lambda: core.register_agent(
-                name=body.get("name", ""), workers=int(body.get("workers", 1))
-            )
-        )
-
-    @app.post("/api/agents/heartbeat")
-    async def heartbeat(request: Request) -> Any:
-        body = await request.json()
-        return guard(lambda: core.heartbeat(body["agent"], cache=body.get("cache")))
-
-    @app.post("/api/agents/lease")
-    async def lease(request: Request) -> Any:
-        body = await request.json()
-        return guard(
-            lambda: core.lease(
-                body["agent"],
-                max_tasks=int(body.get("max_tasks", 1)),
-                wait_s=float(body.get("wait_s", 0.0)),
-            )
-        )
-
-    @app.post("/api/agents/complete")
-    async def complete(request: Request) -> Any:
-        body = await request.json()
-        return guard(
-            lambda: core.complete(
-                body["agent"],
-                body["id"],
-                result=body.get("result"),
-                error=body.get("error"),
-                cache=body.get("cache"),
-            )
-        )
-
-    @app.post("/api/tasks")
-    async def tasks(request: Request) -> Any:
-        body = await request.json()
-        return guard(lambda: core.submit_tasks(body["tasks"], campaign=body.get("campaign")))
-
-    @app.post("/api/results")
-    async def results(request: Request) -> Any:
-        body = await request.json()
-        return guard(
-            lambda: core.poll_results(body["ids"], wait_s=float(body.get("wait_s", 0.0)))
-        )
-
-    @app.post("/api/campaigns")
-    async def submit_campaign(request: Request) -> Any:
-        body = await request.json()
-        return guard(
-            lambda: core.start_campaign(
-                body["system"], body["config"], label=body.get("label", "")
-            )
-        )
-
-    @app.get("/api/campaigns")
-    def campaigns() -> Any:
-        return guard(core.list_campaigns)
-
-    @app.get("/api/campaigns/{campaign_id}")
-    def campaign_status(campaign_id: str) -> Any:
-        return guard(lambda: core.campaign_status(campaign_id))
-
-    @app.get("/api/campaigns/{campaign_id}/report")
-    def campaign_report(campaign_id: str) -> Any:
-        return guard(lambda: {"report": core.campaign_report(campaign_id)})
-
-    @app.get("/api/campaigns/{campaign_id}/events")
-    def campaign_events(campaign_id: str, after: int = 0, wait: float = 0.0) -> Any:
-        return guard(lambda: core.campaign_events(campaign_id, after=after, wait_s=wait))
-
-    @app.get("/api/campaigns/{campaign_id}/stream")
-    def campaign_stream(campaign_id: str, after: int = 0) -> Any:
-        core.campaign_status(campaign_id)  # raise early on unknown id
-
-        def generate() -> Any:
-            cursor = after
-            while True:
-                reply = core.campaign_events(campaign_id, after=cursor, wait_s=10.0)
-                for event in reply["events"]:
-                    yield "data: %s\n\n" % json.dumps(event, sort_keys=True)
-                cursor = reply["next"]
-                if reply["state"] != "running" and not reply["events"]:
-                    return
-
-        return StreamingResponse(generate(), media_type="text/event-stream")
-
-    return app

@@ -32,7 +32,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
-from ..config import EXECUTION_ONLY_KNOBS
+from ..config import CSnakeConfig
 from ..errors import ReproError
 
 #: Default lease duration granted to agents; renewed by any agent call.
@@ -50,9 +50,7 @@ def task_digest(task_obj: Dict[str, Any]) -> str:
     produce different results for this task must collide here, whatever
     machine or cache layout each runs with.
     """
-    config = json.loads(task_obj["config_json"])
-    for knob in EXECUTION_ONLY_KNOBS:
-        config.pop(knob, None)
+    config = CSnakeConfig.from_dict(json.loads(task_obj["config_json"])).result_affecting()
     identity = {
         "system": task_obj["system"],
         "test_id": task_obj["test_id"],
@@ -388,7 +386,6 @@ class ManagerCore:
         transport; its progress (stage events + per-task completions)
         streams into the campaign's event ring.
         """
-        from ..config import CSnakeConfig  # deferred: keep import-time light
         from ..systems import get_system
 
         spec = get_system(system)  # raises UnknownSystem before thread start

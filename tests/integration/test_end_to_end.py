@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.core import CSnake
+from repro.pipeline import Pipeline
 from repro.systems import get_system
 
 FAST = dict(repeats=3, delay_values_ms=(500.0, 2000.0, 8000.0), seed=7)
@@ -11,9 +11,8 @@ FAST = dict(repeats=3, delay_values_ms=(500.0, 2000.0, 8000.0), seed=7)
 
 @pytest.fixture(scope="module")
 def toy_run():
-    detector = CSnake(get_system("toy"), CSnakeConfig(**FAST))
-    report = detector.run()
-    return detector, report
+    ctx = Pipeline(get_system("toy"), CSnakeConfig(**FAST)).run()
+    return ctx, ctx.require("report")
 
 
 def test_detects_both_toy_bugs(toy_run):
@@ -30,9 +29,9 @@ def test_toy1_requires_multi_test_stitching(toy_run):
 
 
 def test_budget_respected(toy_run):
-    detector, report = toy_run
-    faults = len(detector.analysis.faults)
-    assert report.budget_used <= detector.config.budget_per_fault * faults
+    ctx, report = toy_run
+    faults = len(ctx.require("analysis").faults)
+    assert report.budget_used <= ctx.config.budget_per_fault * faults
 
 
 def test_report_summary_consistent(toy_run):
@@ -53,19 +52,11 @@ def test_cycle_signatures_match_ground_truth(toy_run):
 
 
 def test_compat_check_reduces_cycles(toy_run):
-    detector, report = toy_run
+    ctx, report = toy_run
     from repro.core.beam import BeamSearch
 
     cfg = CSnakeConfig(compat_check=False, **FAST)
-    unchecked = BeamSearch(cfg, detector.allocation.fault_scores).search(
-        detector.driver.edges.all_edges()
+    unchecked = BeamSearch(cfg, ctx.require("allocation").outcome.fault_scores).search(
+        ctx.driver.edges.all_edges()
     )
     assert len(unchecked.cycles) >= len(report.cycles)
-
-
-def test_pipeline_stages_guarded():
-    detector = CSnake(get_system("toy"), CSnakeConfig(**FAST))
-    with pytest.raises(RuntimeError):
-        detector.detect_cycles()
-    with pytest.raises(RuntimeError):
-        detector.report()

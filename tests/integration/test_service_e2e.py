@@ -1,10 +1,8 @@
 """Integration tests for campaign-as-a-service (manager + agents).
 
-Everything here uses the **stdlib** HTTP server and transport (or the
-in-process :class:`LocalTransport`): FastAPI must not be required for
-any of it, because the acceptance contract is that the service works on
-a bare Python install.  The invariant under test throughout is the one
-the executor contract promises: a remote campaign's digest is
+Everything here uses the stdlib HTTP server and transport (or the
+in-process :class:`LocalTransport`).  The invariant under test throughout
+is the one the executor contract promises: a remote campaign's digest is
 bit-identical to a serial one — cold, warm, and across an agent death
 mid-run.
 """
@@ -15,7 +13,6 @@ import pytest
 
 from repro.config import CSnakeConfig
 from repro.pipeline import Pipeline
-from repro.pipeline.executor import make_executor
 from repro.service.agent import Agent
 from repro.service.http import HttpTransport, ManagerServer
 from repro.service.manager import ManagerCore, campaign_digest

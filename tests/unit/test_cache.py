@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cache import CACHE_SCHEMA, ExperimentCache, result_affecting_config
+from repro.cache import CACHE_SCHEMA, ExperimentCache
 from repro.cli import _cache_dir
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.instrument.plan import InjectionPlan
@@ -78,7 +78,7 @@ def test_execution_only_knobs_do_not_change_keys(tmp_path):
     assert base.experiment_key("t", FAULT, PLANS) == tweaked.experiment_key("t", FAULT, PLANS)
     assert base.profile_key("t") == tweaked.profile_key("t")
     for knob in EXECUTION_ONLY_KNOBS:
-        assert knob not in result_affecting_config(CSnakeConfig())
+        assert knob not in CSnakeConfig().result_affecting()
 
 
 def test_result_affecting_changes_miss(tmp_path):

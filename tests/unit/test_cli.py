@@ -40,14 +40,14 @@ def test_config_defaults_to_paper_delay_sweep():
     """The CLI must not silently shadow CSnakeConfig defaults."""
     import argparse
 
-    args = argparse.Namespace(budget=None, seed=None, repeats=None, delays=None, parallel=None)
+    args = argparse.Namespace(budget=None, seed=None, repeats=None, delays=None, workers=None)
     assert _config(args).delay_values_ms == DELAY_VALUES_MS
 
 
 def test_config_applies_flags():
     import argparse
 
-    args = argparse.Namespace(budget=3, seed=11, repeats=4, delays="250,8000", parallel=2)
+    args = argparse.Namespace(budget=3, seed=11, repeats=4, delays="250,8000", workers=2)
     cfg = _config(args)
     assert cfg.budget_per_fault == 3
     assert cfg.seed == 11
@@ -150,7 +150,7 @@ def test_run_parallel_matches_serial(tmp_path, capsys):
             "--delays", "2000", "--json"]
     main(args)
     serial = json.loads(capsys.readouterr().out)
-    main(args + ["--parallel", "3"])
+    main(args + ["--workers", "3"])
     parallel = json.loads(capsys.readouterr().out)
     assert serial == parallel
 

@@ -123,6 +123,22 @@ class TestLoop:
                 i += 1
         assert trace.loop_counts["toy.outer"] == 4
 
+    def test_unregistered_site_records_like_a_registered_one(self, registry):
+        rt, trace = make_rt(registry)
+        i = 0
+        with rt.function("Toy.run"):
+            for _ in rt.loop("toy.outer", range(3)):
+                rt.branch("adhoc.cond", True)
+            for _ in rt.loop("adhoc.for", range(3)):
+                rt.branch("adhoc.cond", True)
+            while rt.loop_guard("adhoc.while", i < 2):
+                i += 1
+        assert "adhoc.for" not in registry
+        assert trace.loop_counts == {"toy.outer": 3, "adhoc.for": 3, "adhoc.while": 2}
+        assert trace.loop_states["adhoc.for"] == trace.loop_states["toy.outer"]
+        assert len(trace.loop_states["adhoc.while"]) == 1
+        assert trace.reached == {"toy.outer", "adhoc.for", "adhoc.while", "adhoc.cond"}
+
     def test_nested_loop_states_have_distinct_scopes(self, registry):
         rt, trace = make_rt(registry)
         with rt.function("Toy.caller"):

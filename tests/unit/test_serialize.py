@@ -84,6 +84,58 @@ def test_trace_roundtrip():
     assert back.saturated and back.virtual_end_ms == 99.5
 
 
+def test_round_trip_from_obj():
+    """Several events, a stateless loop site, and a site reached without a
+    count all survive, and the round-tripped trace serializes identically."""
+    trace = run_trace(
+        test_id="t1",
+        events=[
+            FaultEvent(exc("t.ioe"), 10.0, state(), injected=False),
+            FaultEvent(exc("t.ioe"), 20.0, state(("g1", "g0")), injected=True),
+        ],
+        loop_counts={"t.outer": 5, "t.inner": 6, "t.bare": 1},
+        loop_states={
+            "t.outer": [state(branches=(("t.cond", True),))],
+            "t.inner": [state()],
+        },
+    )
+    trace.reached.add("t.check")
+    trace.branches_recorded = 7
+    back = trace_from_obj(trace_to_obj(trace))
+    assert back == trace
+    assert trace_to_obj(back) == trace_to_obj(trace)
+
+
+def _toy_workload_trace():
+    from repro.core.driver import _seed_for, run_workload
+    from repro.systems import get_system
+
+    spec = get_system("toy")
+    test_id = spec.workload_ids()[0]
+    return run_workload(spec, spec.workloads[test_id], None, _seed_for(test_id, 0, 7))
+
+
+def test_workload_trace_round_trip():
+    """A real simulated run must survive serialize round-trip unchanged."""
+    trace = _toy_workload_trace()
+    back = trace_from_obj(trace_to_obj(trace))
+    assert back == trace
+    assert back.natural_faults() == trace.natural_faults()
+    assert sorted(back.loop_counts.items()) == sorted(trace.loop_counts.items())
+    assert back.reached == trace.reached
+    assert json.dumps(trace_to_obj(back), sort_keys=True) == json.dumps(
+        trace_to_obj(trace), sort_keys=True
+    )
+
+
+def test_workload_trace_pickles():
+    """Profile run groups cross the process/remote boundary pickled."""
+    import pickle
+
+    trace = _toy_workload_trace()
+    assert pickle.loads(pickle.dumps(trace)) == trace
+
+
 def test_group_roundtrip_preserves_statistics():
     g = group(
         "t1",
@@ -142,13 +194,13 @@ def test_cycle_roundtrip_keeps_identity():
 
 def test_detection_report_dict_roundtrip_on_real_campaign():
     from repro.config import CSnakeConfig
-    from repro.core import CSnake
+    from repro.pipeline import Pipeline
     from repro.systems import get_system
 
-    report = CSnake(
+    report = Pipeline(
         get_system("toy"),
         CSnakeConfig(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2),
-    ).run()
+    ).run().require("report")
     obj = _via_json(report.to_dict())
     back = DetectionReport.from_dict(obj)
     assert back.to_dict() == report.to_dict()

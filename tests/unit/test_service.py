@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentTask
 from repro.errors import ReproError
 from repro.instrument.plan import InjectionPlan
