@@ -16,7 +16,6 @@ from .errors import ConfigError
 EXECUTION_ONLY_KNOBS: Tuple[str, ...] = (
     "experiment_workers",
     "experiment_backend",
-    "beam_workers",
     "cache_dir",
     "manager_url",
 )
@@ -127,8 +126,6 @@ class CSnakeConfig:
     #: p-values.  Reallocation is decided only from committed results in
     #: schedule order, so serial ≡ thread ≡ process parity survives.
     adaptive_budget: bool = False
-    #: Number of worker threads for the parallel beam search (1 = serial).
-    beam_workers: int = 1
     #: Number of workers for profile and injection experiments
     #: (1 = serial).  Parallel campaigns are bit-identical to serial ones:
     #: experiment *scheduling* is decided before execution and results are
@@ -167,8 +164,8 @@ class CSnakeConfig:
             raise ConfigError("beam_width must be positive")
         if self.max_chain_len < 2:
             raise ConfigError("cycles need at least 2 edges")
-        if self.beam_workers < 1 or self.experiment_workers < 1:
-            raise ConfigError("worker counts must be at least 1")
+        if self.experiment_workers < 1:
+            raise ConfigError("experiment_workers must be at least 1")
         if self.experiment_backend not in ("serial", "thread", "process", "remote"):
             raise ConfigError(
                 "experiment_backend must be serial, thread, process, or remote, got %r"
@@ -256,6 +253,9 @@ class CSnakeConfig:
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "CSnakeConfig":
         params = dict(obj)
+        # Sessions and manager payloads written while the (execution-only)
+        # knob existed still carry it.
+        params.pop("beam_workers", None)
         for name in (
             "delay_values_ms",
             "fault_kinds",

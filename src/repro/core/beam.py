@@ -19,7 +19,11 @@ Two engines implement that one contract:
   for closure membership), chain scores and delay counts are carried
   incrementally, and per-level ranking is an ``argpartition``-based
   top-``B`` selection instead of a full sort.  Each beam level is a
-  handful of numpy array operations over the whole frontier.
+  handful of numpy array operations over the whole frontier.  Closing
+  chains are reported per level as integer id rows — one row kept per
+  fault-level class — and :class:`Cycle` objects are built at the end,
+  for the kept rows only; the level that reaches ``max_chain_len`` stops
+  after its closure check and builds no frontier.
 * :class:`ReferenceBeamSearch` — the original chain-at-a-time
   implementation, kept as the differential-testing oracle
   (``tests/property/test_beam_differential.py``) and as the fallback for
@@ -36,7 +40,6 @@ counters.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,13 +74,7 @@ class BeamSearchResult:
 
 
 class ReferenceBeamSearch:
-    """Chain-at-a-time cycle detector: the oracle the kernel is held to.
-
-    With ``beam_workers > 1`` levels fan out over a thread pool; each
-    chunk matches against a worker-local :class:`CompatChecker` whose
-    counters are folded back in chunk order, so parallel counters are
-    deterministic and equal to a serial run's.
-    """
+    """Chain-at-a-time cycle detector: the oracle the kernel is held to."""
 
     def __init__(
         self,
@@ -89,7 +86,6 @@ class ReferenceBeamSearch:
         #: (maximally unconditional, hence ranked last).
         self.sim_scores = sim_scores or {}
         self.compat = CompatChecker(enabled=self.config.compat_check)
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -------------------------------------------------------------- scoring
 
@@ -110,21 +106,6 @@ class ReferenceBeamSearch:
     # --------------------------------------------------------------- search
 
     def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
-        # One worker pool for the whole search: levels reuse it instead of
-        # paying pool construction/teardown at every beam level.
-        self._pool = (
-            ThreadPoolExecutor(max_workers=self.config.beam_workers)
-            if self.config.beam_workers > 1
-            else None
-        )
-        try:
-            return self._search(edges)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def _search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
         result = BeamSearchResult(compat=self.compat)
         edge_list = list(edges)
         # Index edges by source fault: a chain ending in fault f can only be
@@ -147,7 +128,7 @@ class ReferenceBeamSearch:
 
         while queue and result.levels < self.config.max_chain_len - 1:
             result.levels += 1
-            extensions = self._extend_level(queue, edge_list, seen_cycles, result)
+            extensions = self._extend_level(queue, seen_cycles, result)
             # Exact chain deduplication: future extension depends only on the
             # last edge, closure only on the first, and ranking only on the
             # fault-level signature — interior test combinations are
@@ -170,52 +151,25 @@ class ReferenceBeamSearch:
     def _extend_level(
         self,
         queue: List[_Chain],
-        edge_list: List[CausalEdge],
         seen_cycles: Dict[Tuple, Cycle],
         result: BeamSearchResult,
     ) -> List[_Chain]:
-        if self._pool is not None and len(queue) > 64:
-            chunk = (len(queue) + self.config.beam_workers - 1) // self.config.beam_workers
-            parts = [queue[i : i + chunk] for i in range(0, len(queue), chunk)]
-            outs = list(self._pool.map(self._extend_chains, parts))
-        else:
-            outs = [self._extend_chains(queue)]
         extensions: List[_Chain] = []
-        closed: List[Tuple[CausalEdge, ...]] = []
-        # Fold worker-local compat counters in chunk order: totals are
-        # deterministic and identical to a serial run's, because the chunks
-        # partition the queue and each candidate is matched exactly once.
-        for ext, cyc, checker in outs:
-            extensions.extend(ext)
-            closed.extend(cyc)
-            self.compat.absorb(checker)
-        for edges in closed:
-            self._report(edges, seen_cycles)
-        result.chains_explored += len(extensions)
-        return extensions
-
-    def _extend_chains(
-        self, chains: List[_Chain]
-    ) -> Tuple[List[_Chain], List[Tuple[CausalEdge, ...]], CompatChecker]:
-        # A worker-local checker: bare int increments on the shared checker
-        # would race (and drop counts) across ThreadPoolExecutor workers.
-        compat = CompatChecker(enabled=self.compat.enabled)
-        extensions: List[_Chain] = []
-        closed: List[Tuple[CausalEdge, ...]] = []
-        for chain in chains:
+        for chain in queue:
             for edge in self._by_src.get(chain.last.dst, ()):
                 if edge in chain.edges:
                     continue  # chains never reuse an edge
-                if not compat.match(chain.last, edge):
+                if not self.compat.match(chain.last, edge):
                     continue
                 new_edges = chain.edges + (edge,)
                 if self._exceeds_delay_cap(new_edges):
                     continue
-                if compat.match(edge, chain.first):
-                    closed.append(new_edges)
+                if self.compat.match(edge, chain.first):
+                    self._report(new_edges, seen_cycles)
                 else:
                     extensions.append(_Chain(new_edges, self._chain_score(new_edges)))
-        return extensions, closed, compat
+        result.chains_explored += len(extensions)
+        return extensions
 
     def _exceeds_delay_cap(self, edges: Tuple[CausalEdge, ...]) -> bool:
         cap = self.config.max_delay_faults
@@ -230,9 +184,10 @@ class BeamSearch:
     """Cycle detector over a causal-edge set (vectorized kernel).
 
     Drop-in replacement for :class:`ReferenceBeamSearch` with identical
-    results and counters; ``config.beam_workers`` is accepted but unused
-    (the kernel's array operations replace the thread-level parallelism,
-    and the knob is execution-only so results never depend on it).
+    results and counters.  Key-unique input (every
+    :class:`~repro.core.edges.EdgeDB`) runs on the interned kernel, which
+    constructs one :class:`Cycle` per reported cycle; duplicate keys go
+    to the reference.
     """
 
     def __init__(
@@ -263,14 +218,17 @@ class BeamSearch:
 class _VectorizedKernel:
     """One search over one interned edge set.
 
-    Bit-identity with the reference rests on four invariants (argued in
+    Bit-identity with the reference rests on five invariants (argued in
     DESIGN.md): edge ids are assigned by stable sort of unique ``key()``s,
     so comparing id sequences ≡ comparing key lists; CSR rows preserve the
     reference's insertion-order buckets, so flat candidate order ≡ the
     reference's (chain, bucket-position) generation order, which is what
     picks each dedup class's surviving representative; incremental score
-    sums add the same IEEE terms in the same left-to-right order; and the
-    argpartition top-``B`` keeps exactly the stable-sort prefix.
+    sums add the same IEEE terms in the same left-to-right order; the
+    argpartition top-``B`` keeps exactly the stable-sort prefix; and
+    triple ids are handed out while walking edges in that same key order,
+    whose prefix is ``(src, dst, etype.value)``, so comparing triple-id
+    rows ≡ comparing the triple lists ``Cycle.key()`` is made of.
     """
 
     def __init__(
@@ -384,9 +342,29 @@ class _VectorizedKernel:
         idx[idx == self.match_codes.shape[0]] = 0
         return self.match_codes[idx] == codes
 
-    def _report(self, ids: Sequence[int], seen: Dict[Tuple, Cycle]) -> None:
-        cycle = Cycle(tuple(self.edges[int(i)] for i in ids)).canonical()
-        seen.setdefault(cycle.key(), cycle)
+    def _report(self, rows: "_np.ndarray", seen: Dict[Tuple[int, ...], List[int]]) -> None:
+        """Record one level's closing chains (id rows, in report order).
+
+        A row's fault-level class is the least rotation of its triple-id
+        row (≡ ``Cycle.key()``: triple ids ascend with the triples); the
+        first row of each class is kept, which is the reference's
+        ``seen.setdefault``.
+        """
+        if rows.shape[0] == 0:
+            return
+        triples = self.triple[rows]
+        best = triples.copy()
+        index = _np.arange(rows.shape[0])
+        for shift in range(1, rows.shape[1]):
+            rot = _np.roll(triples, -shift, axis=1)
+            differs = rot != best
+            col = differs.argmax(axis=1)
+            # Equal rows have ``col`` 0 and compare equal there: not less.
+            less = rot[index, col] < best[index, col]
+            best[less] = rot[less]
+        classes, firsts = _np.unique(best, axis=0, return_index=True)
+        for cls, pos in zip(classes.tolist(), firsts.tolist()):
+            seen.setdefault(tuple(cls), rows[pos].tolist())
 
     # ---------------------------------------------------------------- levels
 
@@ -394,7 +372,9 @@ class _VectorizedKernel:
         result = BeamSearchResult(compat=self.compat)
         if self.n == 0:
             return result
-        seen: Dict[Tuple, Cycle] = {}
+        #: Fault-level class (least triple-id rotation) -> first id row
+        #: reported for it; ``Cycle`` objects are built for these only.
+        seen: Dict[Tuple[int, ...], List[int]] = {}
 
         # Level 0: every edge is a length-1 chain, in input order (the
         # reference leaves the initial queue unsorted).
@@ -411,8 +391,7 @@ class _VectorizedKernel:
         self._rej_fault += kept - int(fault_ok.sum())
         self_ok = self._is_match(ids, ids)
         self._rej_state += int((fault_ok & ~self_ok).sum())
-        for pos in _np.flatnonzero(self_ok):
-            self._report((int(ids[pos]),), seen)
+        self._report(ids[self_ok][:, None], seen)
 
         queue = ids[:, None]
         sums = self.score_term[ids].copy()
@@ -428,7 +407,15 @@ class _VectorizedKernel:
         self.compat.checks += self._checks
         self.compat.rejected_fault += self._rej_fault
         self.compat.rejected_state += self._rej_state
-        result.cycles = [seen[k] for k in sorted(seen)]
+        # Integer class order ≡ ``sorted`` over ``Cycle.key()``s; within a
+        # chain ids are distinct, so the least id rotation (≡
+        # ``Cycle.canonical()``) is the one that starts at the smallest id.
+        for cls in sorted(seen):
+            row = seen[cls]
+            start = row.index(min(row))
+            result.cycles.append(
+                Cycle(tuple(self.edges[i] for i in row[start:] + row[:start]))
+            )
         return result
 
     def _extend_level(
@@ -437,7 +424,7 @@ class _VectorizedKernel:
         sums: "_np.ndarray",
         cnts: "_np.ndarray",
         delays: "_np.ndarray",
-        seen: Dict[Tuple, Cycle],
+        seen: Dict[Tuple[int, ...], List[int]],
         result: BeamSearchResult,
     ) -> Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]:
         length = queue.shape[1]
@@ -487,12 +474,16 @@ class _VectorizedKernel:
         self._rej_fault += int((alive & ~fault_ok).sum())
         closes = self._is_match(cand, first)
         self._rej_state += int((alive & fault_ok & ~closes).sum())
-        for pos in _np.flatnonzero(alive & closes):
-            self._report(list(queue[parent[pos]]) + [int(cand[pos])], seen)
+        cpos = _np.flatnonzero(alive & closes)
+        self._report(
+            _np.concatenate([queue[parent[cpos]], cand[cpos][:, None]], axis=1), seen
+        )
 
         epos = _np.flatnonzero(alive & ~closes)
         result.chains_explored += int(epos.shape[0])
-        if epos.shape[0] == 0:
+        # The last level extends nothing: every counter is settled above,
+        # and the frontier it would build is never read.
+        if epos.shape[0] == 0 or result.levels == self.config.max_chain_len - 1:
             return _empty_level()
         eparent = parent[epos]
         ecand = cand[epos]

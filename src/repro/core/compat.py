@@ -43,18 +43,6 @@ class CompatChecker:
             return False
         return True
 
-    def absorb(self, other: "CompatChecker") -> None:
-        """Fold a worker-local checker's counters into this one.
-
-        The parallel beam matches each chunk against its own checker and
-        absorbs the counters in chunk order — bare int increments on a
-        shared checker would race (and silently drop counts) across
-        ``ThreadPoolExecutor`` workers.
-        """
-        self.checks += other.checks
-        self.rejected_state += other.rejected_state
-        self.rejected_fault += other.rejected_fault
-
     @property
     def state_rejection_rate(self) -> float:
         considered = self.checks - self.rejected_fault

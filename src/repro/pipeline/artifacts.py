@@ -10,11 +10,12 @@ registering its codec here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
 from ..core.allocation import AllocationOutcome, AllocationRecord
 from ..core.beam import BeamSearchResult
+from ..core.compat import CompatChecker
 from ..core.report import DetectionReport
 from ..instrument.trace import RunGroup
 from ..serialize import (
@@ -132,14 +133,18 @@ def _beam_dump(result: BeamSearchResult) -> Dict[str, Any]:
         "cycles": [cycle_to_obj(c) for c in result.cycles],
         "chains_explored": result.chains_explored,
         "levels": result.levels,
+        "compat": asdict(result.compat) if result.compat is not None else None,
     }
 
 
 def _beam_load(obj: Dict[str, Any]) -> BeamSearchResult:
+    # ``compat`` is absent from beam.json files written before it was kept.
+    compat = obj.get("compat")
     return BeamSearchResult(
         cycles=[cycle_from_obj(c) for c in obj["cycles"]],
         chains_explored=obj["chains_explored"],
         levels=obj["levels"],
+        compat=CompatChecker(**compat) if compat is not None else None,
     )
 
 

@@ -9,6 +9,7 @@ drawn with unique ``key()``s (the kernel's precondition, guaranteed by
 ``EdgeDB`` in production); duplicate-key inputs exercise the fallback.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +73,7 @@ def assert_identical(edge_list, config, scores=None):
     assert vec.compat.checks == ref.compat.checks
     assert vec.compat.rejected_fault == ref.compat.rejected_fault
     assert vec.compat.rejected_state == ref.compat.rejected_state
+    return expected
 
 
 @given(st.lists(edges, max_size=14), configs, sim_scores)
@@ -98,20 +100,68 @@ def test_narrow_beam_tie_breaks(edge_list, scores):
     assert_identical(_unique_by_key(edge_list), config, scores)
 
 
-@given(st.lists(edges, min_size=65, max_size=90), configs)
-@settings(max_examples=20, deadline=None)
-def test_parallel_reference_counters_are_deterministic(edge_list, config):
-    # The per-chunk checker fix: a threaded reference search must produce
-    # exactly the serial reference's counters (the queue is partitioned, so
-    # each candidate match is counted once, and absorb() folds in order).
-    # >64 queued chains is the threshold above which levels actually fan out.
-    edge_list = _unique_by_key(edge_list)
-    import dataclasses
+# Dense: three faults, two relationship types, three tests — 54 possible
+# keys, of which an edge set holds 30-45.  Every triple is seen under
+# several tests and every fault reaches every other, so each level closes
+# many chains onto few fault-level classes and cycles of lengths 1..5 mix
+# in one result: "first row per class", the triple-id order behind the
+# class and the final integer sort all decide something.
+dense_faults = st.sampled_from(
+    [
+        FaultKey("a", InjKind.EXCEPTION),
+        FaultKey("b", InjKind.EXCEPTION),
+        FaultKey("c", InjKind.DELAY),
+    ]
+)
+dense_edges = st.lists(
+    st.builds(
+        CausalEdge,
+        src=dense_faults,
+        dst=dense_faults,
+        etype=st.sampled_from([EdgeType.E_I, EdgeType.ICFG]),
+        test_id=st.sampled_from(["t1", "t2", "t3"]),
+        src_states=states,
+        dst_states=states,
+    ),
+    min_size=30,
+    max_size=45,
+    unique_by=lambda e: e.key(),
+)
 
-    serial = ReferenceBeamSearch(config)
-    serial.search(edge_list)
-    threaded = ReferenceBeamSearch(dataclasses.replace(config, beam_workers=3))
-    threaded.search(edge_list)
-    assert threaded.compat.checks == serial.compat.checks
-    assert threaded.compat.rejected_fault == serial.compat.rejected_fault
-    assert threaded.compat.rejected_state == serial.compat.rejected_state
+
+@given(
+    dense_edges,
+    st.sampled_from([7, 400]),
+    st.sampled_from([None, 1]),
+    st.booleans(),
+    st.dictionaries(dense_faults, st.sampled_from([0.0, 0.5, 1.0]), max_size=3),
+)
+@settings(max_examples=25, deadline=None)
+def test_dense_closures_onto_few_classes(edge_list, width, delay_cap, compat, scores):
+    config = CSnakeConfig(
+        beam_width=width, max_chain_len=5, max_delay_faults=delay_cap, compat_check=compat
+    )
+    assert_identical(edge_list, config, scores)
+
+
+@pytest.mark.parametrize("max_chain_len", [1, 2, 3])
+def test_last_level_counts_without_building_a_frontier(max_chain_len):
+    # The level that reaches max_chain_len reports closures and counts its
+    # extensions but builds no frontier; here that frontier (every fault
+    # reaches every other, two tests each: 32 / 192 / 24 chains explored
+    # at levels 0 / 1 / 2) would be wider than the beam.
+    names = ["a", "b", "c", "d"]
+    s = frozenset({LocalState(call_stack=("f", "h"), branch_trace=())})
+    edge_list = [
+        CausalEdge(
+            FaultKey(x, InjKind.EXCEPTION), FaultKey(y, InjKind.EXCEPTION),
+            EdgeType.E_I, test_id, s, s,
+        )
+        for x in names
+        for y in names
+        for test_id in ("t1", "t2")
+    ]
+    config = CSnakeConfig(beam_width=4)
+    config.max_chain_len = max_chain_len  # 1 is refused at construction
+    expected = assert_identical(edge_list, config)
+    assert expected.levels == max_chain_len - 1

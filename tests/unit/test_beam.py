@@ -168,15 +168,6 @@ def test_chain_ranking_prefers_low_simscore():
     assert len(wide.cycles) == 2  # with enough width both close
 
 
-def test_parallel_workers_find_same_cycles():
-    edges = [
-        e(exc("a%d" % i), exc("a%d" % ((i + 1) % 5)), test_id="t%d" % i) for i in range(5)
-    ]
-    serial = search(edges)
-    parallel = search(edges, beam_workers=4)
-    assert {c.key() for c in serial.cycles} == {c.key() for c in parallel.cycles}
-
-
 def test_edges_never_reused_within_chain():
     # Single edge a->a plus a->b: the self-cycle must come out once and the
     # walk must not loop the self-edge forever.

@@ -71,7 +71,6 @@ def test_execution_only_knobs_do_not_change_keys(tmp_path):
             seed=1,
             experiment_workers=8,
             experiment_backend="process",
-            beam_workers=4,
             cache_dir=str(tmp_path),
         ),
     )

@@ -83,21 +83,3 @@ class TestCompatChecker:
         e1 = edge(exc("a"), exc("b"))
         e2 = edge(neg("b"), exc("c"))  # same site, different fault kind
         assert not checker.match(e1, e2)
-
-
-def test_absorb_folds_counters():
-    a = CompatChecker()
-    a.match(edge(exc("x"), exc("y")), edge(exc("y"), exc("z")))  # pass
-    a.match(edge(exc("x"), exc("y")), edge(exc("q"), exc("z")))  # fault reject
-    b = CompatChecker()
-    s1, s2 = state(("f1", "f0")), state(("g1", "g0"))
-    b.match(
-        edge(exc("x"), exc("y"), dst_states=[s1]),
-        edge(exc("y"), exc("z"), src_states=[s2]),
-    )  # state reject
-    a.absorb(b)
-    assert a.checks == 3
-    assert a.rejected_fault == 1
-    assert a.rejected_state == 1
-    # the absorbed worker-local checker is unchanged
-    assert (b.checks, b.rejected_fault, b.rejected_state) == (1, 0, 1)

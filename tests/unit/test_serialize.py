@@ -192,6 +192,22 @@ def test_cycle_roundtrip_keeps_identity():
     assert back.signature() == cycle.signature()
 
 
+def test_beam_artifact_roundtrip_keeps_compat_counters():
+    from repro.core.beam import BeamSearchResult
+    from repro.core.compat import CompatChecker
+    from repro.pipeline import ARTIFACT_CODECS
+
+    dump, load = ARTIFACT_CODECS["beam"]
+    cycle = Cycle((edge(exc("a"), exc("a")),))
+    compat = CompatChecker(enabled=False, checks=19, rejected_state=3, rejected_fault=10)
+    result = BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3, compat=compat)
+    obj = _via_json(dump(result))
+    assert load(obj) == result
+    # A beam.json written before the counters were persisted still loads.
+    del obj["compat"]
+    assert load(obj) == BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3)
+
+
 def test_detection_report_dict_roundtrip_on_real_campaign():
     from repro.config import CSnakeConfig
     from repro.pipeline import Pipeline
