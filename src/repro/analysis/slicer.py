@@ -77,7 +77,7 @@ class SliceAnalysis:
         return any(r in self.reachable for r in roots)
 
     def stats(self) -> Dict[str, object]:
-        """Scalar summary for ``repro bench`` / BENCH_campaign.json."""
+        """Scalar summary (``repro analyze``; ``analysis.*`` in campaign_bench)."""
         out: Dict[str, object] = {
             "modules": len(self.modules),
             "functions": len(self.graph.functions),

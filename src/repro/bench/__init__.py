@@ -1,11 +1,6 @@
-"""Shared evaluation harness used by the benchmark suite and EXPERIMENTS.md."""
+"""Campaign runners and table formatting shared by the paper-table scripts
+under ``benchmarks/`` (the repo's own benchmark is ``benchmarks/campaign_bench``)."""
 
-from .campaign import (
-    bench_campaign,
-    check_regression,
-    measure_agent_overhead,
-    write_bench_json,
-)
 from .runners import (
     CampaignResult,
     bench_config,
@@ -19,10 +14,6 @@ from .tables import format_table
 __all__ = [
     "CampaignResult",
     "bench_config",
-    "bench_campaign",
-    "check_regression",
-    "measure_agent_overhead",
-    "write_bench_json",
     "run_campaign",
     "run_random_campaign",
     "table3_rows",

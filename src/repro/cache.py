@@ -11,7 +11,7 @@ registry, a workload renamed, a bumped ``SystemSpec.version``, a different
 seed or delay sweep — changes the digest and misses cleanly.  Knobs listed
 in :data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
 cache directory itself) are excluded from the key, so a warm cache written
-by a serial campaign serves thread- and process-backed ones.
+by a serial campaign serves process- and agent-backed ones.
 
 Layout (all writes atomic, safe for concurrent worker processes)::
 
@@ -20,8 +20,8 @@ Layout (all writes atomic, safe for concurrent worker processes)::
 
 Entries embed the full key material for debuggability; unreadable or
 mismatching entries are treated as misses.  Hit/miss/store counters are
-kept per :class:`ExperimentCache` instance and surfaced by the CLI and by
-``repro bench`` JSON.
+kept per :class:`ExperimentCache` instance and surfaced by the CLI
+(stderr), by agents to their manager, and by ``benchmarks/campaign_bench``.
 """
 
 from __future__ import annotations

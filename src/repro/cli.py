@@ -7,9 +7,8 @@ Examples::
     python -m repro.cli run toy --backend process --workers 4 --out report.json
     python -m repro.cli run minihdfs2 --budget 10 --seed 7 --stages analyze,profile
     python -m repro.cli run miniraft --cache-dir /tmp/raft-cache
-    python -m repro.cli resume /tmp/s --backend thread --workers 2
+    python -m repro.cli resume /tmp/s --backend process --workers 2
     python -m repro.cli inject minihbase hm.assign.rpc:exception hbase.rs_fault_tolerance
-    python -m repro.cli bench --smoke --out BENCH_campaign.json
 
 See docs/cli.md for the full flag-by-flag reference.
 """
@@ -599,160 +598,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench_campaign, check_regression, write_bench_json
-
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        raise SystemExit(
-            "unknown backend(s) %s; choose from %s"
-            % (", ".join(unknown), ", ".join(BACKENDS))
-        )
-    if "remote" in backends:
-        # The remote backend needs a live manager + agent fleet; the bench
-        # suite self-hosts one in its dedicated remote_campaign section.
-        raise SystemExit(
-            "--backends remote is not benchable directly; `repro bench` "
-            "self-hosts a manager + agents in its remote_campaign section"
-        )
-    result = bench_campaign(
-        system=args.system,
-        workers=args.workers,
-        backends=backends,
-        smoke=args.smoke,
-        overhead=not args.no_overhead,
-        cache_dir=_cache_dir(args),
-        fault_kinds=_parse_fault_kinds(args.fault_kinds) if args.fault_kinds else None,
-        sweep_overrides=_parse_sweeps(args.sweep) if args.sweep else None,
-        schedules=_parse_schedules(args.schedules) if args.schedules else None,
-        adaptive_budget=args.adaptive_budget,
-        profile=args.profile,
-    )
-    write_bench_json(result, args.out)
-    for backend in backends:
-        entry = result["backends"][backend]
-        cache = entry.get("cache")
-        print(
-            "%-8s %7.3fs  %5.2fx vs serial  %s%s"
-            % (
-                backend,
-                entry["wall_s"],
-                entry["speedup_vs_serial"],
-                "identical" if entry["identical_to_serial"] else "DIVERGED",
-                "  cache %d/%d hit" % (cache["hits"], cache["hits"] + cache["misses"])
-                if cache
-                else "",
-            )
-        )
-    for system, entry in sorted(result.get("agent_overhead", {}).items()):
-        print(
-            "agent overhead %-10s %.1f%% (seed: %s%%)"
-            % (system, entry["overhead_pct"], entry.get("seed_overhead_pct", "?"))
-        )
-    analysis = result.get("analysis")
-    if analysis:
-        print(
-            "analysis: %d functions, %d call edges, %d sites resolved / "
-            "%d unresolved, %.3fs (parse %.3fs, call graph %.3fs, slice %.3fs)"
-            % (
-                analysis["functions"],
-                analysis["call_edges"],
-                analysis["sites_resolved"],
-                analysis["sites_unresolved"],
-                analysis["wall_total_s"],
-                analysis["wall_parse_s"],
-                analysis["wall_callgraph_s"],
-                analysis["wall_slice_s"],
-            )
-        )
-    schedule = result.get("schedule_campaign")
-    if schedule:
-        for backend in backends:
-            entry = schedule["backends"].get(backend)
-            if entry is None:
-                continue
-            print(
-                "schedule %-8s %7.3fs  %s"
-                % (
-                    backend,
-                    entry["wall_s"],
-                    "identical" if entry["identical_to_serial"] else "DIVERGED",
-                )
-            )
-    dfs = result.get("dfs_campaign")
-    if dfs:
-        for backend in backends:
-            entry = dfs["backends"].get(backend)
-            if entry is None:
-                continue
-            cache = entry.get("cache")
-            print(
-                "dfs      %-8s %7.3fs  %s%s"
-                % (
-                    backend,
-                    entry["wall_s"],
-                    "identical" if entry["identical_to_serial"] else "DIVERGED",
-                    "  cache %d/%d hit" % (cache["hits"], cache["hits"] + cache["misses"])
-                    if cache
-                    else "",
-                )
-            )
-    remote = result.get("remote_campaign")
-    if remote:
-        for backend in ("serial", "remote"):
-            entry = remote["backends"][backend]
-            print(
-                "remote   %-8s %7.3fs  %s"
-                % (
-                    backend,
-                    entry["wall_s"],
-                    "identical" if entry["identical_to_serial"] else "DIVERGED",
-                )
-            )
-        for agent in remote["agents"]:
-            print(
-                "remote agent %-10s %d tasks, %.1f tasks/s"
-                % (agent["name"], agent["tasks_completed"], agent["tasks_per_s"])
-            )
-        print(
-            "remote queue wait: mean %.3fs, max %.3fs"
-            % (remote["queue_wait_s"]["mean"], remote["queue_wait_s"]["max"])
-        )
-    for phase, entry in sorted(result.get("profile", {}).items()):
-        print("profile %-9s %7.3fs (instrumented)" % (phase, entry["wall_s"]))
-        for row in entry["top"][:3]:
-            print(
-                "  %8.3fs cum  %8.3fs own  %7d calls  %s"
-                % (row["cumtime_s"], row["tottime_s"], row["ncalls"], row["function"])
-            )
-    print("wrote %s" % args.out)
-    diverged = any(not result["backends"][b]["identical_to_serial"] for b in backends)
-    if schedule:
-        diverged = diverged or any(
-            not e["identical_to_serial"] for e in schedule["backends"].values()
-        )
-    if dfs:
-        diverged = diverged or any(
-            not e["identical_to_serial"] for e in dfs["backends"].values()
-        )
-    if remote:
-        diverged = diverged or any(
-            not e["identical_to_serial"] for e in remote["backends"].values()
-        )
-    if diverged:
-        print("error: parallel backend diverged from serial", file=sys.stderr)
-        return 1
-    if args.check:
-        failures = check_regression(result, args.check, args.max_regression)
-        for failure in failures:
-            print("regression: %s" % failure, file=sys.stderr)
-        if failures:
-            return 1
-        print("no regression vs %s" % args.check)
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Start the campaign manager (the service's central orchestrator)."""
     from .service import ManagerCore, ManagerServer
@@ -918,9 +763,9 @@ def cmd_status(args: argparse.Namespace) -> int:
 def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None:
     """Experiment-cache selection shared by experiment subcommands.
 
-    ``bare=False`` omits the ``--cache`` shorthand: bench requires a fresh
-    store (its serial reference must run cold), so pointing it at the
-    persistent default location would fail on every reuse.
+    ``bare=False`` omits the ``--cache`` shorthand: diff-run has no session
+    directory to put a default store under and shares a temporary one
+    between its two campaigns unless ``--cache-dir`` names another.
     """
     if bare:
         parser.add_argument(
@@ -944,12 +789,12 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKENDS),
         default=None,
-        help="experiment executor: serial, thread, process, or remote "
+        help="experiment executor backend "
         "(results are bit-identical across backends; remote needs --manager)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker count for thread/process backends (default: all cores)",
+        help="worker count for the process backend (default: all cores)",
     )
     parser.add_argument(
         "--manager", default=None, metavar="URL",
@@ -974,7 +819,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    """Fault-kind selection and sweep grammar (run/resume/bench)."""
+    """Fault-kind selection and sweep grammar (the only experiment flags resume takes)."""
     parser.add_argument(
         "--fault-kinds",
         default=None,
@@ -996,7 +841,7 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="reallocate a share of the phase-2/3 budget toward the "
         "(fault, test) pairs whose early p-values look promising "
-        "(deterministic: identical across serial/thread/process backends)",
+        "(deterministic: identical across serial/process/remote backends)",
     )
     parser.add_argument(
         "--sweep",
@@ -1108,49 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("fault", help="<site>:<delay|exception|negation>")
     inject.add_argument("test", help="workload/test id")
     _add_experiment_flags(inject)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark a campaign across executor backends"
-    )
-    bench.add_argument(
-        "--system", choices=available_systems(), default=None,
-        help="target system (default: minihdfs2, or toy with --smoke)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="reduced benchmark configuration for CI (seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--backends", default="serial,thread,process", metavar="B,B,...",
-        help="comma-separated executor backends to time (default: all)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for parallel backends (default: all cores)",
-    )
-    bench.add_argument(
-        "--no-overhead", action="store_true",
-        help="skip the instrumentation-overhead measurement",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="add one serial campaign with per-phase cProfile output "
-        "(top-N functions + collapsed flamegraph stacks in the JSON)",
-    )
-    _add_fault_flags(bench)
-    _add_cache_flags(bench, bare=False)
-    bench.add_argument(
-        "--out", default="BENCH_campaign.json", metavar="FILE",
-        help="where to write the benchmark JSON (default: BENCH_campaign.json)",
-    )
-    bench.add_argument(
-        "--check", default=None, metavar="FILE",
-        help="fail if serial wall time regresses vs this baseline JSON",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=2.0, metavar="X",
-        help="allowed serial slowdown factor for --check (default 2.0)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -1265,7 +1067,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": cmd_run,
         "resume": cmd_resume,
         "inject": cmd_inject,
-        "bench": cmd_bench,
         "serve": cmd_serve,
         "agent": cmd_agent,
         "submit": cmd_submit,

@@ -20,6 +20,12 @@ EXECUTION_ONLY_KNOBS: Tuple[str, ...] = (
     "manager_url",
 )
 
+#: The executor backends ``experiment_backend`` (and the CLI) accept;
+#: :func:`repro.pipeline.make_executor` builds them.  ``remote`` ships
+#: task descriptors to a ``repro serve`` manager whose agent fleet
+#: executes them (:mod:`repro.service`).
+BACKENDS: Tuple[str, ...] = ("serial", "process", "remote")
+
 #: Delay sweep used for contention injection (§4.2): seven values between
 #: 100 ms and 8 s, in virtual milliseconds.
 DELAY_VALUES_MS: Tuple[float, ...] = (100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
@@ -124,20 +130,19 @@ class CSnakeConfig:
     #: budgets and reallocate it toward the faults whose committed FCA
     #: results show the most promising (lowest) loop-interference
     #: p-values.  Reallocation is decided only from committed results in
-    #: schedule order, so serial ≡ thread ≡ process parity survives.
+    #: schedule order, so serial ≡ process ≡ remote parity survives.
     adaptive_budget: bool = False
     #: Number of workers for profile and injection experiments
     #: (1 = serial).  Parallel campaigns are bit-identical to serial ones:
     #: experiment *scheduling* is decided before execution and results are
     #: committed in schedule order.
     experiment_workers: int = 1
-    #: Executor backend for experiment fan-out: ``"thread"`` (default,
-    #: shared-memory workers), ``"process"`` (true multicore via picklable
-    #: task descriptors), ``"remote"`` (ship task descriptors to a
-    #: ``repro serve`` manager's agent fleet; needs ``manager_url``), or
-    #: ``"serial"`` (force the reference backend regardless of
-    #: ``experiment_workers``).
-    experiment_backend: str = "thread"
+    #: Executor backend for experiment fan-out: ``"process"`` (default,
+    #: multicore via picklable task descriptors), ``"remote"`` (ship the
+    #: same descriptors to a ``repro serve`` manager's agent fleet; needs
+    #: ``manager_url``), or ``"serial"`` (force the reference backend
+    #: regardless of ``experiment_workers``).
+    experiment_backend: str = "process"
     #: Base URL of the campaign manager (``repro serve``) used by the
     #: ``remote`` backend; execution-only, like the backend choice itself.
     manager_url: "Optional[str]" = None
@@ -166,10 +171,10 @@ class CSnakeConfig:
             raise ConfigError("cycles need at least 2 edges")
         if self.experiment_workers < 1:
             raise ConfigError("experiment_workers must be at least 1")
-        if self.experiment_backend not in ("serial", "thread", "process", "remote"):
+        if self.experiment_backend not in BACKENDS:
             raise ConfigError(
-                "experiment_backend must be serial, thread, process, or remote, got %r"
-                % (self.experiment_backend,)
+                "experiment_backend must be one of %s, got %r"
+                % (", ".join(BACKENDS), self.experiment_backend)
             )
         if self.experiment_backend == "remote" and not self.manager_url:
             raise ConfigError(
@@ -253,9 +258,6 @@ class CSnakeConfig:
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "CSnakeConfig":
         params = dict(obj)
-        # Sessions and manager payloads written while the (execution-only)
-        # knob existed still carry it.
-        params.pop("beam_workers", None)
         for name in (
             "delay_values_ms",
             "fault_kinds",

@@ -25,8 +25,8 @@ on the faults whose committed experiments showed the most *promising*
 extra repeats.  To preserve the parity guarantee above, the promise
 ranking is computed only from already-flushed results, frozen before the
 pool is spent, and ties break on the fault sort order; no RNG draw and no
-mid-batch result ever feeds an adaptive decision, so serial, thread, and
-process campaigns still commit identical records.
+mid-batch result ever feeds an adaptive decision, so serial, process, and
+remote campaigns still commit identical records.
 """
 
 from __future__ import annotations

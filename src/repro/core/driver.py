@@ -22,8 +22,8 @@ results and profile run groups by key digest, and commits replayed
 results exactly like fresh ones — a warm campaign skips the simulation
 but leaves identical edge-DB contents, counters, and report JSON.
 
-Process-backed executors cannot ship the driver's closures across the
-process boundary, so work crosses it as a picklable
+Parallel backends (worker processes, or a manager's agent fleet) cannot
+run the driver's closures, so work always reaches them as a picklable
 :class:`ExperimentTask` *descriptor* — system **name**, test id, fault,
 injection-plan payload, and a config snapshot.  The worker resolves the
 name through the systems registry and keeps a per-process driver cache
@@ -152,10 +152,11 @@ class ExperimentDriver:
 
             self.cache = ExperimentCache(self.config.cache_dir, self.spec, self.config)
             # Resolve the code-slice analysis once, eagerly: cache keys
-            # embed slice digests, and thread-backend workers computing
-            # keys concurrently would otherwise race the spec's lazy
-            # memoization (benign — the analysis is deterministic — but
-            # needlessly repeated work).
+            # embed slice digests, and an agent's execution threads
+            # (which share one worker driver) computing keys concurrently
+            # would otherwise race the spec's lazy memoization (benign —
+            # the analysis is deterministic — but needlessly repeated
+            # work).
             self.spec.slice_analysis()
 
     # -------------------------------------------------------------- profiles
@@ -212,16 +213,14 @@ class ExperimentDriver:
         if to_run:
             if executor is None or executor.max_workers <= 1 or len(to_run) <= 1:
                 computed = [self._compute_profile(t) for t in to_run]
-            elif executor.requires_pickling:
+            else:
                 tasks = [self._profile_task(t) for t in to_run]
                 computed = executor.map(execute_experiment_task, tasks)
-            else:
-                computed = executor.map(self._compute_profile, to_run)
             for test_id, group in zip(to_run, computed):
                 groups[test_id] = group
                 if self.cache is not None:
-                    # Process-backend workers (which rebuild this driver,
-                    # cache included) may already have stored the group;
+                    # Workers (which rebuild this driver, cache
+                    # included) may already have stored the group;
                     # re-writing identical bytes is cheap and keeps the
                     # parent's miss==store counters uniform across backends.
                     self.cache.store_profile(keys[test_id], test_id, group)
@@ -280,9 +279,9 @@ class ExperimentDriver:
         Memoized per fault: each experiment derives the same sweep three
         times (cache key, task descriptor, execution), and plans are pure
         functions of (fault, config, registry) — all fixed for the
-        driver's lifetime.  Threaded campaigns may race the memo
-        benignly: plan derivation is deterministic, so losers overwrite
-        winners with identical content.
+        driver's lifetime.  An agent's execution threads may race the
+        memo benignly: plan derivation is deterministic, so losers
+        overwrite winners with identical content.
         """
         plans = self._plans.get(fault)
         if plans is None:
@@ -333,7 +332,7 @@ class ExperimentDriver:
         combined.interference = sorted(interference)
         return combined, runs
 
-    # ----------------------------------------------- process-backend tasks
+    # ------------------------------------------------------ worker tasks
 
     def _config_json(self) -> str:
         """Cached canonical config snapshot shipped with task descriptors."""
@@ -350,9 +349,9 @@ class ExperimentDriver:
         name = self.spec.name
         if name not in available_systems():
             raise ReproError(
-                "the process backend needs a system registered under "
-                "repro.systems to rebuild %r inside workers; use the thread "
-                "or serial backend for ad-hoc specs" % (name,)
+                "parallel backends need a system registered under "
+                "repro.systems to rebuild %r inside workers; use the serial "
+                "backend for ad-hoc specs" % (name,)
             )
         return name
 
@@ -425,11 +424,8 @@ class ExperimentDriver:
                     by_index[i] = hit
             to_run = [i for i in range(len(pairs)) if i not in by_index]
         if to_run:
-            if executor.requires_pickling:
-                tasks = [self._experiment_task(*pairs[i]) for i in to_run]
-                executed = executor.map(execute_experiment_task, tasks)
-            else:
-                executed = executor.map(lambda i: self.execute_experiment(*pairs[i]), to_run)
+            tasks = [self._experiment_task(*pairs[i]) for i in to_run]
+            executed = executor.map(execute_experiment_task, tasks)
             for i, (result, runs) in zip(to_run, executed):
                 by_index[i] = (result, runs)
                 if self.cache is not None:

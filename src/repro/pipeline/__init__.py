@@ -26,7 +26,6 @@ from .events import (
 from .executor import (
     BACKENDS,
     Executor,
-    ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
@@ -57,7 +56,6 @@ __all__ = [
     "ReportStage",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
     "BACKENDS",
     "make_executor",

@@ -3,19 +3,16 @@
 An :class:`Executor` maps a function over a batch of independent items and
 returns the results **in input order** — that ordering contract is what
 lets the driver and the 3PA allocator commit parallel results
-deterministically.  Three backends ship by default:
+deterministically.  Two local backends ship here:
 
 * :class:`SerialExecutor` — plain in-order loop (the reference semantics);
-* :class:`ParallelExecutor` — ``ThreadPoolExecutor``-backed fan-out over
-  worker threads.  Workload runs build their own ``SimEnv`` and ``Runtime``
-  per run and share no mutable state, so they are thread-safe; on
-  free-threaded CPython builds this scales with cores, on GIL builds it
-  still overlaps the numpy/scipy portions of FCA and clustering;
 * :class:`ProcessExecutor` — ``ProcessPoolExecutor``-backed fan-out over
-  worker *processes*, sidestepping the GIL entirely.  It advertises
-  ``requires_pickling``, and callers that fan out closures (the driver, the
-  profile stage) respond by sending picklable by-name task descriptors
-  (see :mod:`repro.core.driver`) instead of bound methods.
+  worker *processes*, sidestepping the GIL.
+
+Work handed to a parallel backend crosses a process (or, for the remote
+backend in :mod:`repro.service`, a machine) boundary, so the driver and
+the profile stage always fan out module-level callables over picklable
+by-name task descriptors (see :mod:`repro.core.driver`), never closures.
 """
 
 from __future__ import annotations
@@ -23,14 +20,10 @@ from __future__ import annotations
 import concurrent.futures
 from typing import Callable, Iterable, List, Optional, TypeVar
 
+from ..config import BACKENDS
+
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: The executor backends accepted by :func:`make_executor` and the CLI.
-#: ``remote`` is the distributed one: it ships task descriptors to a
-#: ``repro serve`` manager whose agent fleet executes them
-#: (:mod:`repro.service`).
-BACKENDS = ("serial", "thread", "process", "remote")
 
 
 class Executor:
@@ -38,10 +31,6 @@ class Executor:
 
     #: Degree of parallelism; callers may skip fan-out entirely when 1.
     max_workers: int = 1
-
-    #: True when work items cross a process boundary: callers must submit
-    #: picklable module-level callables and task descriptors, not closures.
-    requires_pickling: bool = False
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         raise NotImplementedError
@@ -63,41 +52,16 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class ParallelExecutor(Executor):
-    """``concurrent.futures`` thread-pool execution, results in input order.
-
-    The pool is scoped to each :meth:`map` call — campaigns issue a handful
-    of large batches (profile fan-out, one flush per 3PA phase), so per-call
-    pool setup is noise, and nothing leaks threads when callers (the CLI,
-    benchmarks) drop the executor without closing it.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = max_workers
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-exp"
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            # Collect in submission order; re-raises the first worker error.
-            return [f.result() for f in futures]
-
-
 class ProcessExecutor(Executor):
     """``concurrent.futures`` process-pool execution, results in input order.
 
-    Unlike the thread backend, worker processes are expensive to start and
-    warm per-process caches (target-system specs, profile run groups), so
-    the pool persists across :meth:`map` calls and is released by
-    :meth:`close` — one pool serves a whole campaign (profile fan-out plus
-    the three 3PA flushes).  The pool is created lazily, so a closed
-    executor transparently re-opens on its next ``map``.
+    Worker processes are expensive to start and warm per-process caches
+    (target-system specs, profile run groups), so the pool persists across
+    :meth:`map` calls and is released by :meth:`close` — one pool serves a
+    whole campaign (profile fan-out plus the three 3PA flushes).  The pool
+    is created lazily, so a closed executor transparently re-opens on its
+    next ``map``.
     """
-
-    requires_pickling = True
 
     def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
@@ -127,7 +91,7 @@ class ProcessExecutor(Executor):
 
 
 def make_executor(
-    workers: int, backend: str = "thread", manager_url: Optional[str] = None
+    workers: int, backend: str = "process", manager_url: Optional[str] = None
 ) -> Executor:
     """Build the backend named by ``backend`` with ``workers`` workers.
 
@@ -148,6 +112,4 @@ def make_executor(
         return RemoteExecutor(HttpTransport(manager_url), max_workers=max(2, workers))
     if workers <= 1 or backend == "serial":
         return SerialExecutor()
-    if backend == "process":
-        return ProcessExecutor(workers)
-    return ParallelExecutor(workers)
+    return ProcessExecutor(workers)

@@ -42,25 +42,16 @@ class Pipeline:
         executor: Optional[Executor] = None,
         observers: Sequence[PipelineObserver] = (),
         session: Optional[Session] = None,
-        ctx: Optional[PipelineContext] = None,
     ) -> None:
         self.spec = spec
-        self.config = config or (ctx.config if ctx is not None else CSnakeConfig())
-        self._owns_executor = executor is None and ctx is None
-        if ctx is not None:
-            # Stages always execute on ctx.executor — reconcile rather than
-            # letting an explicit executor argument silently diverge from it.
-            if executor is not None:
-                ctx.executor = executor
-            self.ctx = ctx
-            self.executor = ctx.executor
-        else:
-            self.executor = executor or make_executor(
-                self.config.experiment_workers,
-                self.config.experiment_backend,
-                self.config.manager_url,
-            )
-            self.ctx = PipelineContext(spec, self.config, self.executor)
+        self.config = config or CSnakeConfig()
+        self._owns_executor = executor is None
+        self.executor = executor or make_executor(
+            self.config.experiment_workers,
+            self.config.experiment_backend,
+            self.config.manager_url,
+        )
+        self.ctx = PipelineContext(spec, self.config, self.executor)
         self.stages: List[Stage] = list(stages) if stages is not None else default_stages()
         self.observers = list(observers)
         self.session = session

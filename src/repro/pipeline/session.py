@@ -31,7 +31,7 @@ from ..serialize import atomic_write_json
 from .artifacts import ARTIFACT_CODECS
 
 MANIFEST_NAME = "manifest.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _atomic_write(path: Path, payload: Dict[str, Any]) -> None:

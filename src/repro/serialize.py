@@ -316,15 +316,10 @@ def analysis_to_obj(analysis: AnalysisResult) -> Dict[str, Any]:
 
 
 def analysis_from_obj(obj: Dict[str, Any]) -> AnalysisResult:
-    # Schema ≤ 2 sessions stored one reason string per site; wrap those
-    # into the multi-reason list form.
-    excluded = {
-        k: [v] if isinstance(v, str) else list(v) for k, v in obj["excluded"].items()
-    }
     return AnalysisResult(
         system=obj["system"],
         faults=[fault_from_obj(f) for f in obj["faults"]],
-        excluded=excluded,
+        excluded={k: list(v) for k, v in obj["excluded"].items()},
         counts=dict(obj["counts"]),
     )
 

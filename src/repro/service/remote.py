@@ -1,16 +1,16 @@
 """``--backend remote``: the Executor that ships tasks to the manager.
 
-:class:`RemoteExecutor` is the fourth
-:class:`~repro.pipeline.executor.Executor` backend.  It advertises
-``requires_pickling`` exactly like the process backend, so the driver
-already hands it picklable :class:`~repro.core.driver.ExperimentTask`
-descriptors and a module-level entry point — the executor serializes each
-descriptor to its wire form, submits the batch to the manager queue, and
-blocks until every result (possibly computed out of order, by several
-agents, with mid-batch agent deaths and re-queues) is resolved.  Results
-return **in input order**, and the driver keeps committing in submission
-order, so a remote campaign's digest is bit-identical to a serial one by
-the same argument that covers the thread and process backends.
+:class:`RemoteExecutor` is the distributed
+:class:`~repro.pipeline.executor.Executor` backend.  The driver hands it
+what it hands the process backend — picklable
+:class:`~repro.core.driver.ExperimentTask` descriptors and a module-level
+entry point — and the executor serializes each descriptor to its wire
+form, submits the batch to the manager queue, and blocks until every
+result (possibly computed out of order, by several agents, with mid-batch
+agent deaths and re-queues) is resolved.  Results return **in input
+order**, and the driver keeps committing in submission order, so a remote
+campaign's digest is bit-identical to a serial one by the same argument
+that covers the process backend.
 
 The transport is a seam: :class:`LocalTransport` calls a
 :class:`~repro.service.manager.ManagerCore` in-process (used by tests and
@@ -70,8 +70,6 @@ class RemoteExecutor(Executor):
     clock, so slow-but-alive fleets are never killed mid-batch.
     """
 
-    requires_pickling = True
-
     def __init__(
         self,
         transport: Transport,
@@ -95,7 +93,7 @@ class RemoteExecutor(Executor):
         if fn is not execute_experiment_task:
             raise ReproError(
                 "the remote backend executes ExperimentTask descriptors only "
-                "(got %r); use the thread or serial backend for ad-hoc callables"
+                "(got %r); use the serial backend for ad-hoc callables"
                 % (getattr(fn, "__name__", fn),)
             )
         tasks: List["ExperimentTask"] = list(items)

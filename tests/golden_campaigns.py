@@ -1,0 +1,91 @@
+"""Golden campaign digests: the end-to-end bit-identity contract.
+
+Three full campaigns are run through the default pipeline and digested
+the way ``benchmarks/campaign_bench/run.py`` digests a rep: sha256 over
+``{"report": report.to_dict(), "edges": [edge_to_obj(e) ...]}`` with
+sorted keys.  The two benchmark-scale campaigns are the configurations
+of the ``hdfs2_*`` and ``dfs_env_*`` workloads
+(``benchmarks/campaign_bench/workloads.py``); the third is the
+evaluation configuration of the paper-table scripts
+(``repro.bench.bench_config("minihdfs2")``).  The checked-in
+``golden_campaign_digests.json`` was recorded on commit ``377cc61`` —
+the commit *before* the single-shot bench verb and the thread backend
+were removed; every later commit must reproduce it unless it intends to
+change what a campaign reports.
+
+Check all three (the evaluation campaign takes ~20 s; CI runs this)::
+
+    PYTHONPATH=src python tests/golden_campaigns.py --check
+
+Regenerate (only for an intended change of campaign results)::
+
+    PYTHONPATH=src python tests/golden_campaigns.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Tuple
+
+from repro.bench import bench_config
+from repro.config import CSnakeConfig
+from repro.faults import expand_kinds, registered_schedules
+from repro.pipeline import Pipeline, PipelineContext
+from repro.serialize import edge_to_obj
+from repro.systems import get_system
+
+FIXTURE = Path(__file__).with_name("golden_campaign_digests.json")
+
+#: The benchmark-scale campaigns; tier-1 checks these (~6 s together).
+BENCHMARK_SCALE = ("minihdfs2_benchmark", "minidfs_benchmark")
+
+
+#: Campaign name -> (system, config).
+CAMPAIGNS: Dict[str, Tuple[str, CSnakeConfig]] = {
+    "minihdfs2_benchmark": (
+        "minihdfs2",
+        CSnakeConfig(
+            seed=7, repeats=2, delay_values_ms=(8000.0,), budget_per_fault=4,
+            beam_width=30_000, max_chain_len=5,
+        ),
+    ),
+    "minidfs_benchmark": (
+        "minidfs",
+        CSnakeConfig(
+            seed=7, repeats=2, delay_values_ms=(8000.0,), budget_per_fault=4,
+            fault_kinds=expand_kinds("all"),
+            schedules=tuple(registered_schedules()),
+            adaptive_budget=True,
+        ),
+    ),
+    "minihdfs2_evaluation": ("minihdfs2", bench_config("minihdfs2")),
+}
+
+
+def context_digest(ctx: PipelineContext) -> str:
+    """What a finished campaign produced: its report and its causal edges."""
+    payload = {
+        "report": ctx.require("report").to_dict(),
+        "edges": [edge_to_obj(e) for e in ctx.driver.edges.all_edges()],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def campaign_digest(name: str) -> str:
+    system, config = CAMPAIGNS[name]
+    return context_digest(Pipeline.default(get_system(system), config).run())
+
+
+if __name__ == "__main__":
+    digests = {name: campaign_digest(name) for name in sorted(CAMPAIGNS)}
+    if sys.argv[1:] == ["--check"]:
+        golden = json.loads(FIXTURE.read_text())
+        for name in sorted(set(golden) | set(digests)):
+            same = golden.get(name) == digests.get(name)
+            print("%-22s %s" % (name, "ok" if same else "MISMATCH: %s" % digests.get(name)))
+        sys.exit(0 if digests == golden else 1)
+    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print("wrote %s" % FIXTURE)

@@ -11,9 +11,6 @@ separates the fault models sharply: classic-only detects nothing,
 ``--schedules`` campaign detects all four.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.config import CSnakeConfig
@@ -22,9 +19,10 @@ from repro.core.driver import ExperimentDriver
 from repro.core.report import match_bugs
 from repro.faults import expand_kinds, registered_schedules
 from repro.pipeline import Pipeline
-from repro.serialize import edge_to_obj
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind
+
+from tests.golden_campaigns import context_digest
 
 SMOKE = dict(repeats=2, delay_values_ms=(500.0, 8000.0), seed=7, budget_per_fault=2)
 
@@ -139,14 +137,6 @@ def test_env_campaign_without_schedules_misses_dfs3():
     assert "DFS-4" in report.detected_bugs
 
 
-def _digest(ctx):
-    payload = {
-        "report": ctx.get("report").to_dict(),
-        "edges": [edge_to_obj(e) for e in ctx.driver.edges.all_edges()],
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def _scheduled_config(**overrides):
     base = dict(
         fault_kinds=expand_kinds("all"),
@@ -159,7 +149,7 @@ def _scheduled_config(**overrides):
 
 
 def test_campaign_parity_across_backends_and_cache_temperature(tmp_path):
-    """Serial cold ≡ thread warm ≡ process warm on the minidfs campaign
+    """Serial cold ≡ process warm on the minidfs campaign
     with schedules and adaptive budget on — determinism-under-adaptivity
     must hold for the new system exactly as for the existing targets."""
     cache_dir = str(tmp_path / "cache")
@@ -167,17 +157,8 @@ def test_campaign_parity_across_backends_and_cache_temperature(tmp_path):
         get_system("minidfs"),
         _scheduled_config(experiment_backend="serial", cache_dir=cache_dir),
     ).run()
-    warm = Pipeline.default(
-        get_system("minidfs"),
-        _scheduled_config(
-            experiment_backend="thread", experiment_workers=3, cache_dir=cache_dir
-        ),
-    ).run()
-    assert serial.driver.cache.misses > 0 and serial.driver.cache.hits == 0
-    assert warm.driver.cache.hits > 0 and warm.driver.cache.misses == 0
-    assert _digest(serial) == _digest(warm)
     try:
-        proc = Pipeline.default(
+        warm = Pipeline.default(
             get_system("minidfs"),
             _scheduled_config(
                 experiment_backend="process", experiment_workers=2, cache_dir=cache_dir
@@ -185,4 +166,6 @@ def test_campaign_parity_across_backends_and_cache_temperature(tmp_path):
         ).run()
     except (ImportError, OSError, PermissionError) as exc:
         pytest.skip("process backend unavailable: %s" % exc)
-    assert _digest(serial) == _digest(proc)
+    assert serial.driver.cache.misses > 0 and serial.driver.cache.hits == 0
+    assert warm.driver.cache.hits > 0 and warm.driver.cache.misses == 0
+    assert context_digest(serial) == context_digest(warm)

@@ -5,7 +5,7 @@ injection site's *slice digest*, so editing one handler re-runs only the
 experiments whose reachable slice contains the edit — everything else is
 a warm hit.  The edit used here is the shared ``examples/diffrun``
 behaviour-neutral one-liner in ``RaftNode.install_snapshot`` (the same
-edit CI's bench-smoke job drives through the CLI).
+edit CI's bench job drives through the CLI).
 
 The warm campaign runs in-process against the *edited tree's* analysis
 (``SystemSpec.attach_slice_analysis``): cache keys see the edited

@@ -93,3 +93,18 @@ def test_completed_session_resumes_without_rerunning(tmp_path, straight_report):
 def test_open_missing_session_raises(tmp_path):
     with pytest.raises(SessionError, match="manifest"):
         Session.open(tmp_path / "nope")
+
+
+def test_session_of_an_older_schema_is_refused_by_name(tmp_path):
+    """A schema-1 session may carry ``experiment_backend: "thread"``; it is
+    refused up front instead of failing config validation mid-resume."""
+    import json
+
+    Session.attach(tmp_path, "toy", CSnakeConfig(**FAST))
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema"] = 1
+    manifest["config"]["experiment_backend"] = "thread"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SessionError, match="session schema 1 is not the supported 2"):
+        Session.open(tmp_path)

@@ -11,7 +11,6 @@ it; a ``--schedules`` campaign must detect it while RAFT-1..5 results
 stay bit-identical.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -25,6 +24,8 @@ from repro.pipeline import Pipeline
 from repro.serialize import edge_to_obj
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind
+
+from tests.golden_campaigns import context_digest
 
 CFG = dict(repeats=3, delay_values_ms=(250.0, 1000.0, 8000.0), seed=1234)
 
@@ -102,14 +103,6 @@ def test_single_env_faults_do_not_form_the_trigger_edge():
     assert "RAFT-6" not in [m.bug.bug_id for m in matches if m.detected]
 
 
-def _digest(ctx):
-    payload = {
-        "report": ctx.get("report").to_dict(),
-        "edges": [edge_to_obj(e) for e in ctx.driver.edges.all_edges()],
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def _scheduled_config(**overrides):
     base = dict(
         fault_kinds=expand_kinds("all"),
@@ -122,7 +115,7 @@ def _scheduled_config(**overrides):
 
 
 def test_scheduled_adaptive_campaign_parity_and_warm_cache(tmp_path):
-    """Serial cold ≡ thread warm ≡ process warm with schedules enabled
+    """Serial cold ≡ process warm with schedules enabled
     *and* adaptive budget on — the determinism-under-adaptivity rule,
     end to end, across cache temperature."""
     cache_dir = str(tmp_path / "cache")
@@ -130,17 +123,8 @@ def test_scheduled_adaptive_campaign_parity_and_warm_cache(tmp_path):
         get_system("miniraft"),
         _scheduled_config(experiment_backend="serial", cache_dir=cache_dir),
     ).run()
-    warm = Pipeline.default(
-        get_system("miniraft"),
-        _scheduled_config(
-            experiment_backend="thread", experiment_workers=3, cache_dir=cache_dir
-        ),
-    ).run()
-    assert serial.driver.cache.misses > 0 and serial.driver.cache.hits == 0
-    assert warm.driver.cache.hits > 0 and warm.driver.cache.misses == 0
-    assert _digest(serial) == _digest(warm)
     try:
-        proc = Pipeline.default(
+        warm = Pipeline.default(
             get_system("miniraft"),
             _scheduled_config(
                 experiment_backend="process", experiment_workers=2, cache_dir=cache_dir
@@ -148,7 +132,9 @@ def test_scheduled_adaptive_campaign_parity_and_warm_cache(tmp_path):
         ).run()
     except (ImportError, OSError, PermissionError) as exc:
         pytest.skip("process backend unavailable: %s" % exc)
-    assert _digest(serial) == _digest(proc)
+    assert serial.driver.cache.misses > 0 and serial.driver.cache.hits == 0
+    assert warm.driver.cache.hits > 0 and warm.driver.cache.misses == 0
+    assert context_digest(serial) == context_digest(warm)
 
 
 def test_schedules_leave_single_fault_results_bit_identical():

@@ -136,20 +136,6 @@ def test_workload_sim_config_participates_in_digest(tmp_path):
     assert tweaked_cache.experiment_key(second, FAULT, PLANS) == other_key
 
 
-def test_bench_refuses_prepopulated_cache_dir(tmp_path):
-    """The serial bench reference must run cold: a warm store would void
-    the speedup columns and the --check regression gate."""
-    from repro.bench.campaign import bench_campaign
-    from repro.errors import ReproError
-
-    root = tmp_path / "bench-cache"
-    entry = root / "ab"
-    entry.mkdir(parents=True)
-    (entry / "ab123.json").write_text("{}")
-    with pytest.raises(ReproError):
-        bench_campaign(smoke=True, backends=("serial",), cache_dir=str(root))
-
-
 def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     spec = get_system("toy")
     cache = ExperimentCache(tmp_path, spec, CSnakeConfig(seed=1))

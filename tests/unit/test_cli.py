@@ -150,9 +150,17 @@ def test_run_parallel_matches_serial(tmp_path, capsys):
             "--delays", "2000", "--json"]
     main(args)
     serial = json.loads(capsys.readouterr().out)
-    main(args + ["--workers", "3"])
+    main(args + ["--workers", "3"])  # no --backend: the process backend
     parallel = json.loads(capsys.readouterr().out)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("argv", (["run", "toy", "--backend", "thread"], ["bench"]))
+def test_removed_thread_backend_and_bench_verb_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_analyze_command_text(capsys):

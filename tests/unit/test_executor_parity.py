@@ -1,12 +1,12 @@
-"""Serial, thread, and process campaigns must be bit-identical.
+"""Serial and process campaigns must be bit-identical.
 
 A parallel executor only changes *where* experiments execute, never
 which experiments run or in which order their results commit — so the
 edge DB (including merged local-state sets), every counter, and the final
-report must match exactly across all three backends.  The process backend
-additionally exercises the picklable task-descriptor path: work items are
-rebuilt by name inside worker processes, and profile groups are
-recomputed there, which must not change a single bit of the output.
+report must match exactly, whatever the worker count (three workers and
+two are both compared with serial).  Work items are rebuilt by name
+inside worker processes, and profile groups are recomputed there, which
+must not change a single bit of the output.
 """
 
 import pytest
@@ -18,26 +18,26 @@ from repro.systems import get_system
 FAST = dict(repeats=2, delay_values_ms=(500.0, 8000.0), seed=7, budget_per_fault=2)
 
 
-def _campaign(workers, backend="thread"):
+def _campaign(workers, backend="process"):
     cfg = CSnakeConfig(
         experiment_workers=workers, experiment_backend=backend, **FAST
     )
-    return Pipeline.default(get_system("toy"), cfg).run()
-
-
-@pytest.fixture(scope="module")
-def campaigns():
-    return _campaign(1, "serial"), _campaign(3, "thread")
-
-
-@pytest.fixture(scope="module")
-def process_campaign():
     try:
-        return _campaign(2, "process")
+        return Pipeline.default(get_system("toy"), cfg).run()
     except (ImportError, OSError, PermissionError) as exc:
         # Sandboxes without working process pools (no /dev/shm, seccomp)
         # skip rather than fail: the contract is tested where it can run.
         pytest.skip("process backend unavailable: %s" % exc)
+
+
+@pytest.fixture(scope="module")
+def campaigns():
+    return _campaign(1, "serial"), _campaign(3)
+
+
+@pytest.fixture(scope="module")
+def process_campaign():
+    return _campaign(2)
 
 
 def _edge_view(ctx):
@@ -91,27 +91,28 @@ def test_process_report_identical(campaigns, process_campaign):
 
 
 def test_process_backend_rejects_unregistered_spec():
-    from repro.core.driver import ExperimentDriver
-    from repro.errors import ReproError
-    from repro.systems.base import SystemSpec
-    from repro.instrument.sites import SiteRegistry
+    """Workers rebuild the system by registry name, so an ad-hoc spec
+    fails fast — before any worker starts — once workers > 1."""
+    import dataclasses
 
-    spec = SystemSpec(name="not-registered", registry=SiteRegistry("x"))
-    driver = ExperimentDriver(spec, CSnakeConfig(**FAST))
-    with pytest.raises(ReproError):
-        driver._task_system_name()
+    from repro.errors import ReproError
+
+    spec = dataclasses.replace(get_system("toy"), name="not-registered")
+    with pytest.raises(ReproError, match="use the serial backend"):
+        Pipeline.default(spec, CSnakeConfig(experiment_workers=2, **FAST)).run()
+    assert Pipeline.default(spec, CSnakeConfig(**FAST)).run().get("report") is not None
 
 
 def test_parallel_profile_cache_identical():
     from repro.core.driver import ExperimentDriver
-    from repro.pipeline import ParallelExecutor
+    from repro.pipeline import ProcessExecutor
 
     spec = get_system("toy")
     cfg = CSnakeConfig(**FAST)
     serial = ExperimentDriver(spec, cfg)
     serial.profile_all()
     parallel = ExperimentDriver(spec, cfg)
-    with ParallelExecutor(4) as pool:
+    with ProcessExecutor(4) as pool:
         parallel.profile_all(pool)
     assert serial.runs_executed == parallel.runs_executed
     for test_id, group in serial.profiles().items():

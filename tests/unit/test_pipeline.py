@@ -7,9 +7,9 @@ from repro.config import CSnakeConfig
 from repro.errors import MissingArtifact, SessionMismatch, StageDependencyError
 from repro.pipeline import (
     EventRecorder,
-    ParallelExecutor,
     Pipeline,
     PipelineContext,
+    ProcessExecutor,
     SerialExecutor,
     Session,
     Stage,
@@ -118,27 +118,42 @@ def test_context_require_raises_missing_artifact():
 
 def test_make_executor_picks_backend():
     assert isinstance(make_executor(1), SerialExecutor)
+    assert isinstance(make_executor(3, "serial"), SerialExecutor)
     parallel = make_executor(3)
-    assert isinstance(parallel, ParallelExecutor)
+    assert isinstance(parallel, ProcessExecutor)
     parallel.close()
+
+
+def test_removed_thread_backend_is_an_unknown_backend():
+    from repro.errors import ConfigError
+
+    with pytest.raises(ValueError, match="unknown executor backend 'thread'"):
+        make_executor(2, "thread")
+    with pytest.raises(ConfigError, match="experiment_backend must be"):
+        fast_config(experiment_backend="thread")
+
+
+# Worker processes import what they run by name: module-level callables only.
+def _square(x):
+    return x * x
+
+
+def _boom(x):
+    raise ValueError("worker %d" % x)
 
 
 def test_executors_preserve_input_order():
     items = list(range(20))
-    fn = lambda x: x * x  # noqa: E731
-    serial = SerialExecutor().map(fn, items)
-    with ParallelExecutor(4) as pool:
-        threaded = pool.map(fn, items)
-    assert serial == threaded == [x * x for x in items]
+    serial = SerialExecutor().map(_square, items)
+    with ProcessExecutor(4) as pool:
+        parallel = pool.map(_square, items)
+    assert serial == parallel == [x * x for x in items]
 
 
 def test_parallel_executor_propagates_worker_errors():
-    def boom(x):
-        raise ValueError("worker %d" % x)
-
-    with ParallelExecutor(2) as pool:
-        with pytest.raises(ValueError):
-            pool.map(boom, [1, 2, 3])
+    with ProcessExecutor(2) as pool:
+        with pytest.raises(ValueError, match="worker 1"):
+            pool.map(_boom, [1, 2, 3])
 
 
 # -------------------------------------------------------------------- events
@@ -154,12 +169,12 @@ def test_stage_events_emitted_in_order():
 
 def test_already_computed_artifacts_skip_the_stage():
     recorder = EventRecorder()
-    ctx = PipelineContext(get_system("toy"), fast_config())
-    ctx.put("a", "precomputed")
     stages = [_Produce("one", provides=("a",))]
-    Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder], ctx=ctx).run()
+    pipeline = Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder])
+    pipeline.ctx.put("a", "precomputed")
+    pipeline.run()
     assert recorder.kinds("one") == [STAGE_CACHED]
-    assert ctx.get("a") == "precomputed"
+    assert pipeline.ctx.get("a") == "precomputed"
 
 
 # ------------------------------------------------------------------ sessions
@@ -220,31 +235,9 @@ def test_filtered_stage_list_continues_a_session(tmp_path):
     assert report.n_edges == len(ctx.driver.edges)
 
 
-def test_pipeline_reconciles_executor_with_supplied_ctx():
-    """An explicit executor must be the one stages actually run on."""
-    ctx = PipelineContext(get_system("toy"), fast_config())
-    with ParallelExecutor(2) as pool:
-        pipeline = Pipeline(get_system("toy"), fast_config(), executor=pool, ctx=ctx)
-        assert pipeline.executor is pool
-        assert ctx.executor is pool
-    # Without an explicit executor, the ctx's executor wins.
-    ctx2 = PipelineContext(get_system("toy"), fast_config())
-    pipeline2 = Pipeline(get_system("toy"), fast_config(experiment_workers=4), ctx=ctx2)
-    assert pipeline2.executor is ctx2.executor
-
-
 def test_config_rejects_bad_delay_values():
     from repro.errors import ConfigError
 
     for bad in ((float("nan"),), (-100.0,), (0.0,), (250.0, float("inf"))):
         with pytest.raises(ConfigError):
             fast_config(delay_values_ms=bad)
-
-
-def test_parallel_executor_leaves_no_worker_threads():
-    import threading
-
-    before = threading.active_count()
-    pool = ParallelExecutor(4)
-    assert pool.map(lambda x: x + 1, list(range(8))) == list(range(1, 9))
-    assert threading.active_count() == before

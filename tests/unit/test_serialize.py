@@ -164,16 +164,6 @@ def test_analysis_roundtrip():
     assert back.counts == analysis.counts
 
 
-def test_analysis_from_obj_reads_legacy_scalar_reasons():
-    """Pre-slice sessions stored one reason string per excluded site."""
-    analysis = AnalysisResult(
-        system="toy", faults=[exc("a")], excluded={"c": ["test-only"]}, counts={}
-    )
-    obj = _via_json(analysis_to_obj(analysis))
-    obj["excluded"] = {"c": "test-only"}
-    assert analysis_from_obj(obj).excluded == {"c": ["test-only"]}
-
-
 def test_clustering_roundtrip():
     clustering = Clustering(
         clusters=[FaultCluster(0, [exc("a")]), FaultCluster(1, [dly("b"), neg("c")])]

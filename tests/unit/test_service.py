@@ -146,9 +146,6 @@ def test_task_digest_strips_execution_only_knobs():
         ("manager_url", "http://other:1"),
     ):
         assert task_digest(_task_obj(**{knob: value})) == task_digest(base), knob
-    # A payload written while the removed ``beam_workers`` knob existed
-    # still loads, under the digest it always had.
-    assert task_digest(_task_obj(beam_workers=3)) == task_digest(base)
     assert task_digest(_task_obj(seed=8)) != task_digest(base)
     assert task_digest(_task_obj(fault=None)) != task_digest(base)
     assert task_digest(_task_obj(test_id="t2")) != task_digest(base)
