@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.driver import _seed_for
+from repro.core.driver import seed_for
 from repro.instrument.runtime import Runtime
 from repro.instrument.trace import RunTrace
 from repro.sim import SimEnv
@@ -21,7 +21,7 @@ SYSTEMS = ["minihdfs2", "minihbase", "miniozone"]
 
 def run_profile(spec, test_id, enabled: bool) -> float:
     workload = spec.workloads[test_id]
-    seed = _seed_for(test_id, 0, 99)
+    seed = seed_for(test_id, 0, 99)
     trace = RunTrace(test_id=test_id)
     runtime = Runtime(spec.registry, trace=trace, enabled=enabled)
     env = SimEnv(workload.sim_config, seed=seed)

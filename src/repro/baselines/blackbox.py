@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..config import CSnakeConfig
-from ..core.driver import _seed_for
+from ..core.driver import seed_for
 from ..instrument.runtime import Runtime
 from ..instrument.trace import RunTrace
 from ..sim import SimEnv
@@ -77,7 +77,7 @@ class BlackboxFuzzer:
         for test_id in self.spec.workload_ids():
             workload = self.spec.workloads[test_id]
             for i in range(self.runs_per_workload):
-                seed = _seed_for(test_id, 1000 + i, self.config.seed)
+                seed = seed_for(test_id, 1000 + i, self.config.seed)
                 rng = random.Random(seed)
                 trace = RunTrace(test_id=test_id, injection=None, seed=seed)
                 runtime = Runtime(self.spec.registry, trace=trace)

@@ -135,22 +135,35 @@ def _config(args: argparse.Namespace) -> CSnakeConfig:
         params["adaptive_budget"] = True
     if getattr(args, "sweep", None):
         params["sweep_overrides"] = _parse_sweeps(args.sweep)
+    params.update(_execution_overrides(args))
+    return CSnakeConfig(**params)
+
+
+def _execution_overrides(args: argparse.Namespace) -> dict:
+    """The execution-only config fields the flags name — backend, workers,
+    manager, cache directory.  They never change results, only where (and
+    whether) experiments execute, so ``run`` builds its config with them
+    and ``resume`` lays them over the session's."""
+    overrides = {}
     workers = getattr(args, "workers", None)
     backend = getattr(args, "backend", None)
     if backend is not None:
-        params["experiment_backend"] = backend
+        overrides["experiment_backend"] = backend
         if workers is None and backend != "serial":
             # A parallel backend without an explicit worker count means
             # "use the machine": one worker per core.
             workers = os.cpu_count() or 1
     if workers is not None:
-        params["experiment_workers"] = workers
+        overrides["experiment_workers"] = workers
     if getattr(args, "manager", None) is not None:
-        params["manager_url"] = args.manager
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None:
-        params["cache_dir"] = cache_dir
-    return CSnakeConfig(**params)
+        overrides["manager_url"] = args.manager
+    if getattr(args, "no_cache", False):
+        overrides["cache_dir"] = None
+    else:
+        cache_dir = _cache_dir(args)
+        if cache_dir is not None:
+            overrides["cache_dir"] = cache_dir
+    return overrides
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
@@ -342,26 +355,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_resume(args: argparse.Namespace) -> int:
     session = Session.open(args.session_dir)
-    config = session.config
-    overrides = {}
-    if args.workers is not None:
-        overrides["experiment_workers"] = args.workers
-    if args.backend is not None:
-        overrides["experiment_backend"] = args.backend
-        if args.workers is None and args.backend != "serial":
-            overrides["experiment_workers"] = os.cpu_count() or 1
-    if args.manager is not None:
-        overrides["manager_url"] = args.manager
-    if args.no_cache:
-        overrides["cache_dir"] = None
-    else:
-        cache_dir = _cache_dir(args)
-        if cache_dir is not None:
-            overrides["cache_dir"] = cache_dir
-    if overrides:
-        # Backend/worker/cache overrides never change results, only where
-        # (and whether) the remaining experiments execute.
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(session.config, **_execution_overrides(args))
     result_overrides = {}
     if getattr(args, "fault_kinds", None) is not None:
         result_overrides["fault_kinds"] = _parse_fault_kinds(args.fault_kinds)
@@ -513,6 +507,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
         spec.registry,
         _parse_fault_kinds(args.fault_kinds) if args.fault_kinds else None,
         slices=new_slices,
+        schedules=_parse_schedules(args.schedules) if args.schedules else None,
     )
     invalidated, reusable = sdiff.partition_faults(analysis.faults)
 
@@ -950,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inject = sub.add_parser("inject", help="run one fault injection experiment")
     inject.add_argument("system", choices=available_systems())
-    inject.add_argument("fault", help="<site>:<delay|exception|negation>")
+    inject.add_argument("fault", help="<site>:<%s>" % "|".join(registered_kinds()))
     inject.add_argument("test", help="workload/test id")
     _add_experiment_flags(inject)
 

@@ -122,7 +122,9 @@ class CSnakeConfig:
     #: Virtual warmup before armed injections may fire: one-time faults
     #: injected into a cold system reach empty queues and exercise nothing.
     injection_warmup_ms: float = 20_000.0
-    #: Base random seed; repetition ``i`` of any run uses ``seed + i``.
+    #: Base random seed; repetition ``i`` of a test's runs (profile and
+    #: injection alike) is seeded by SHA-256 of ``test_id#i#seed``
+    #: (``repro.core.driver.seed_for``).
     seed: int = 1234
     #: Whether stitching applies the local compatibility check (§6.2).
     compat_check: bool = True

@@ -13,10 +13,11 @@ clusters per §5.2.
 Within one phase, allocation *decisions* depend only on the seeded RNG and
 on which (fault, test) combinations were already scheduled — never on the
 outcome of an experiment; results only feed the clustering and SimScore
-steps *between* phases.  The allocator exploits this: with an executor it
-schedules a whole phase first, then flushes the scheduled experiments as
-one parallel batch, committing results in schedule order.  A parallel
-allocation is therefore bit-identical to a serial one.
+steps *between* phases.  The allocator exploits this: it schedules a whole
+phase first, then flushes the scheduled experiments as one batch through
+``driver.run_experiments`` (parallel when the executor has workers),
+committing results in schedule order.  A parallel allocation is therefore
+bit-identical to a serial one.
 
 **Adaptive budget** (``CSnakeConfig.adaptive_budget``): a quarter of the
 phase-two and phase-three quotas is carved into a reallocation pool spent
@@ -52,7 +53,7 @@ class AllocationRecord:
     """One consumed budget unit: a (fault, test) injection experiment.
 
     ``result`` is ``None`` only transiently, while the experiment is
-    scheduled but not yet flushed (deferred batch execution).
+    scheduled but not yet flushed.
     """
 
     phase: int
@@ -111,22 +112,16 @@ class ThreePhaseAllocator:
         return [t for t in self._reaching_tests(fault) if t not in used]
 
     def _run(self, phase: int, fault: FaultKey, test_id: str) -> AllocationRecord:
-        """Schedule one budget unit; execution may be deferred to `_flush`."""
+        """Schedule one budget unit; `_flush` executes it."""
         self._used_tests[fault].add(test_id)
-        if self.executor is None:
-            result = self.driver.run_experiment(fault, test_id)
-            record = AllocationRecord(phase=phase, fault=fault, test_id=test_id, result=result)
-        else:
-            record = AllocationRecord(phase=phase, fault=fault, test_id=test_id, result=None)
-            self._scheduled.append(record)
+        record = AllocationRecord(phase=phase, fault=fault, test_id=test_id, result=None)
+        self._scheduled.append(record)
         self.outcome.records.append(record)
         self.outcome.budget_used += 1
         return record
 
     def _flush(self) -> None:
-        """Execute all scheduled experiments as one (parallel) batch."""
-        if not self._scheduled:
-            return
+        """Execute all scheduled experiments as one batch, in schedule order."""
         pairs = [(r.fault, r.test_id) for r in self._scheduled]
         results = self.driver.run_experiments(pairs, self.executor)
         for record, result in zip(self._scheduled, results):
@@ -188,10 +183,9 @@ class ThreePhaseAllocator:
         """Spend the carved pool on the most promising faults.
 
         The ranking is frozen from committed (flushed) results before the
-        first unit is spent — a serial backend's eagerly-available results
-        must not feed decisions a deferred batch cannot see — and spending
-        walks the ranking round-robin (one extra repeat per fault per
-        round) until the pool or the unused reaching tests run out.
+        first unit is spent, and spending walks the ranking round-robin (one
+        extra repeat per fault per round) until the pool or the unused
+        reaching tests run out.
         Returns the unspendable remainder.
         """
         if pool <= 0:

@@ -8,29 +8,31 @@ form of the paper's profile/injection comparison.  Delay injections sweep
 the configured delay values (§4.2), one FCA per value, interferences
 unioned; the sweep counts as a single budget unit.
 
-Experiment execution is split into a pure *execute* step (run the seeded
-workload repetitions and FCA — no driver state touched) and an ordered
-*commit* step (edge DB, result log, counters).  ``run_experiments`` fans
-the execute steps out over a :class:`~repro.pipeline.executor.Executor`
-and commits in submission order, so a parallel campaign produces the
-exact same ``EdgeDB`` contents and counters as a serial one.
+Every experiment and every profile group runs through one path:
+**resolve** (each item of a batch looked up once in the content-addressed
+cache, :mod:`repro.cache`), **execute** only the misses (pure: seeded
+workload repetitions and FCA, no driver state touched), **store** each
+result as it arrives, then **commit** in submission order (edge DB,
+result log, counters).  ``run_experiments`` is that path over (fault,
+test) pairs, ``run_experiment`` a batch of one, ``profile`` /
+``profile_all`` the same shape over tests without a commit step.  A
+replayed result commits exactly like a fresh one, so warm ≡ cold, and
+commit order is input order, so parallel ≡ serial.
 
-The same split is what makes the content-addressed experiment cache
-(:mod:`repro.cache`, enabled via ``CSnakeConfig.cache_dir``) safe: before
-dispatching to any backend, the driver resolves cached (fault, test)
-results and profile run groups by key digest, and commits replayed
-results exactly like fresh ones — a warm campaign skips the simulation
-but leaves identical edge-DB contents, counters, and report JSON.
-
-Parallel backends (worker processes, or a manager's agent fleet) cannot
-run the driver's closures, so work always reaches them as a picklable
-:class:`ExperimentTask` *descriptor* — system **name**, test id, fault,
-injection-plan payload, and a config snapshot.  The worker resolves the
-name through the systems registry and keeps a per-process driver cache
-(:func:`execute_experiment_task`), so each worker builds its system spec
-once and recomputes each test's profile group at most once.  Profile and
-injection runs are pure functions of (spec, config, seeds), which is what
-makes the worker-side recomputation bit-identical to the parent's.
+Only *where the misses execute* differs between backends: in this
+process, one after the other, through :meth:`ExperimentDriver.execute_experiment`
+(each finished experiment is on disk before the next starts); or on
+workers — pool processes, a manager's agent fleet — which cannot run the
+driver's closures and so receive picklable :class:`ExperimentTask`
+*descriptors* (system **name**, test id, fault, injection-plan payload,
+config snapshot) through ``executor.map(execute_experiment_task, tasks)``.
+:func:`execute_experiment_task` is the one worker entry point: it finds
+this process's driver for the task (:func:`worker_driver`: each worker
+builds its spec once and computes each profile group at most once) and
+resolves the task through that driver's own resolve → execute → store.
+Runs are pure functions of (spec, config, seeds), which is what makes a
+worker's result — or a re-queued task's re-execution on another worker —
+bit-identical to the parent's.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline.executor import Executor
@@ -57,7 +59,7 @@ from .edges import EdgeDB
 from .fca import FaultCausalityAnalysis, FcaResult
 
 
-def _seed_for(test_id: str, rep: int, base: int) -> int:
+def seed_for(test_id: str, rep: int, base: int) -> int:
     """Stable per-(test, repetition) seed shared by profile and injection."""
     digest = hashlib.sha256(("%s#%d#%d" % (test_id, rep, base)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -110,24 +112,28 @@ class ExperimentTask:
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
 
 
-def _worker_driver(system_name: str, config_json: str) -> "ExperimentDriver":
-    key = (system_name, config_json)
+def worker_driver(task: ExperimentTask) -> "ExperimentDriver":
+    """This process's driver for the task's (system, config snapshot)."""
+    key = (task.system_name, task.config_json)
     driver = _WORKER_DRIVERS.get(key)
     if driver is None:
         from ..systems import get_system  # deferred: systems import core
 
-        config = CSnakeConfig.from_dict(json.loads(config_json))
-        driver = ExperimentDriver(get_system(system_name), config)
+        config = CSnakeConfig.from_dict(json.loads(task.config_json))
+        driver = ExperimentDriver(get_system(task.system_name), config)
         _WORKER_DRIVERS[key] = driver
     return driver
 
 
 def execute_experiment_task(task: ExperimentTask) -> Union[RunGroup, Tuple[FcaResult, int]]:
-    """Worker-process entry point: run one :class:`ExperimentTask`."""
-    driver = _worker_driver(task.system_name, task.config_json)
-    if task.fault is None:
-        return driver.profile(task.test_id)
-    return driver._execute_plans(task.fault, task.test_id, list(task.plans))
+    """The one worker entry point (pool process or agent thread alike)."""
+    return worker_driver(task).execute_task(task)
+
+
+def _fans_out(executor: Optional["Executor"], misses: Sequence[object]) -> bool:
+    """Whether a batch's misses go to the executor's workers; a single miss
+    (or a serial executor) runs in this process instead."""
+    return executor is not None and executor.max_workers > 1 and len(misses) > 1
 
 
 @dataclass
@@ -141,6 +147,8 @@ class ExperimentDriver:
         self._profiles: Dict[str, RunGroup] = {}
         self._profile_lock = threading.Lock()
         self._plans: Dict[FaultKey, List[InjectionPlan]] = {}
+        #: Canonical config snapshot shipped with every task descriptor.
+        self._config_json = json.dumps(self.config.to_dict(), sort_keys=True)
         self.fca = FaultCausalityAnalysis(self.spec.registry, self.config)
         self.edges = EdgeDB()
         self.results: List[FcaResult] = []
@@ -166,29 +174,54 @@ class ExperimentDriver:
         workload = self.spec.workloads[test_id]
         group = RunGroup(test_id=test_id, injection=None)
         for rep in range(self.config.repeats):
-            seed = _seed_for(test_id, rep, self.config.seed)
+            seed = seed_for(test_id, rep, self.config.seed)
             group.add(run_workload(self.spec, workload, None, seed))
         return group
 
-    def _cached_profile(self, test_id: str) -> RunGroup:
-        """Profile group via the experiment cache (compute + store on miss)."""
-        if self.cache is None:
-            return self._compute_profile(test_id)
-        key = self.cache.profile_key(test_id)
-        group = self.cache.lookup_profile(key)
-        if group is None:
-            group = self._compute_profile(test_id)
-            self.cache.store_profile(key, test_id, group)
-        return group
+    def _resolve_profiles(
+        self, test_ids: Sequence[str], executor: Optional["Executor"] = None
+    ) -> List[RunGroup]:
+        """Profile groups of distinct tests, in input order: each looked up
+        in the experiment cache once, only the misses simulated (in this
+        process, or fanned out as profile tasks), each stored as it
+        arrives."""
+        groups: Dict[str, RunGroup] = {}
+        keys: Dict[str, str] = {}
+        if self.cache is not None:
+            for test_id in test_ids:
+                keys[test_id] = self.cache.profile_key(test_id)
+                hit = self.cache.lookup_profile(keys[test_id])
+                if hit is not None:
+                    groups[test_id] = hit
+        misses = [t for t in test_ids if t not in groups]
+        if _fans_out(executor, misses):
+            computed: Iterable[RunGroup] = executor.map(
+                execute_experiment_task, [self._task(t) for t in misses]
+            )
+        else:
+            computed = map(self._compute_profile, misses)
+        for test_id, group in zip(misses, computed):
+            groups[test_id] = group
+            if self.cache is not None:
+                self.cache.store_profile(keys[test_id], test_id, group)
+        return [groups[t] for t in test_ids]
+
+    def _ensure_profiles(
+        self, test_ids: Iterable[str], executor: Optional["Executor"] = None
+    ) -> None:
+        """Fill the in-memory profile table for ``test_ids``, in that order."""
+        with self._profile_lock:
+            pending = [t for t in test_ids if t not in self._profiles]
+            for group in self._resolve_profiles(pending, executor):
+                self._profiles[group.test_id] = group
+                self.runs_executed += len(group)
 
     def profile(self, test_id: str) -> RunGroup:
         """Profile (fault-free) run group of a test; cached."""
-        with self._profile_lock:
-            group = self._profiles.get(test_id)
-            if group is None:
-                group = self._cached_profile(test_id)
-                self._profiles[test_id] = group
-                self.runs_executed += len(group)
+        group = self._profiles.get(test_id)
+        if group is None:
+            self._ensure_profiles([test_id])
+            group = self._profiles[test_id]
         return group
 
     def profile_all(self, executor: Optional["Executor"] = None) -> None:
@@ -197,38 +230,9 @@ class ExperimentDriver:
         Profile runs of different tests are fully independent, so they can
         execute concurrently; with an experiment cache attached only the
         cache-missing tests are simulated, and either way the in-memory
-        cache is filled in workload-id order with identical counters.
+        table is filled in workload-id order with identical counters.
         """
-        pending = [t for t in self.spec.workload_ids() if t not in self._profiles]
-        groups: Dict[str, RunGroup] = {}
-        to_run = pending
-        keys: Dict[str, str] = {}
-        if self.cache is not None:
-            for test_id in pending:
-                keys[test_id] = self.cache.profile_key(test_id)
-                hit = self.cache.lookup_profile(keys[test_id])
-                if hit is not None:
-                    groups[test_id] = hit
-            to_run = [t for t in pending if t not in groups]
-        if to_run:
-            if executor is None or executor.max_workers <= 1 or len(to_run) <= 1:
-                computed = [self._compute_profile(t) for t in to_run]
-            else:
-                tasks = [self._profile_task(t) for t in to_run]
-                computed = executor.map(execute_experiment_task, tasks)
-            for test_id, group in zip(to_run, computed):
-                groups[test_id] = group
-                if self.cache is not None:
-                    # Workers (which rebuild this driver, cache
-                    # included) may already have stored the group;
-                    # re-writing identical bytes is cheap and keeps the
-                    # parent's miss==store counters uniform across backends.
-                    self.cache.store_profile(keys[test_id], test_id, group)
-        with self._profile_lock:
-            for test_id in pending:
-                if test_id not in self._profiles:
-                    self._profiles[test_id] = groups[test_id]
-                    self.runs_executed += len(groups[test_id])
+        self._ensure_profiles(self.spec.workload_ids(), executor)
 
     def profiles(self) -> Dict[str, RunGroup]:
         """Snapshot of the profile cache (test id -> run group)."""
@@ -297,11 +301,6 @@ class ExperimentDriver:
         Touches no driver state beyond the (lock-protected) profile cache,
         so executions of distinct (fault, test) pairs may run concurrently.
         """
-        return self._execute_plans(fault, test_id, self._plans_for(fault))
-
-    def _execute_plans(
-        self, fault: FaultKey, test_id: str, plans: List[InjectionPlan]
-    ) -> Tuple[FcaResult, int]:
         if fault.site_id not in self.spec.registry:
             raise UnknownSite(fault.site_id)
         workload = self.spec.workloads[test_id]
@@ -309,10 +308,10 @@ class ExperimentDriver:
         combined = FcaResult(fault=fault, test_id=test_id)
         interference: Set[FaultKey] = set()
         runs = 0
-        for plan in plans:
+        for plan in self._plans_for(fault):
             group = RunGroup(test_id=test_id, injection=plan)
             for rep in range(self.config.repeats):
-                seed = _seed_for(test_id, rep, self.config.seed)
+                seed = seed_for(test_id, rep, self.config.seed)
                 trace = run_workload(self.spec, workload, plan, seed)
                 group.add(trace)
                 runs += 1
@@ -332,44 +331,72 @@ class ExperimentDriver:
         combined.interference = sorted(interference)
         return combined, runs
 
+    def _resolve_experiments(
+        self,
+        pairs: Sequence[Tuple[FaultKey, str]],
+        executor: Optional["Executor"] = None,
+    ) -> List[Tuple[FcaResult, int]]:
+        """``(result, runs)`` of each (fault, test) pair, in input order:
+        each looked up in the experiment cache once, only the misses
+        executed (in this process through :meth:`execute_experiment`, or
+        fanned out as experiment tasks), each stored as it arrives — so a
+        serial batch has every finished experiment on disk before the
+        next one starts.  Commits nothing."""
+        resolved: Dict[int, Tuple[FcaResult, int]] = {}
+        keys: Dict[int, str] = {}
+        if self.cache is not None:
+            for i, (fault, test_id) in enumerate(pairs):
+                keys[i] = self.cache.experiment_key(test_id, fault, self._plans_for(fault))
+                hit = self.cache.lookup_experiment(keys[i])
+                if hit is not None:
+                    resolved[i] = hit
+        misses = [i for i in range(len(pairs)) if i not in resolved]
+        if _fans_out(executor, misses):
+            executed: Iterable[Tuple[FcaResult, int]] = executor.map(
+                execute_experiment_task, [self._task(pairs[i][1], pairs[i][0]) for i in misses]
+            )
+        else:
+            executed = (self.execute_experiment(*pairs[i]) for i in misses)
+        for i, (result, runs) in zip(misses, executed):
+            resolved[i] = (result, runs)
+            if self.cache is not None:
+                fault, test_id = pairs[i]
+                self.cache.store_experiment(keys[i], test_id, fault, result, runs)
+        return [resolved[i] for i in range(len(pairs))]
+
     # ------------------------------------------------------ worker tasks
 
-    def _config_json(self) -> str:
-        """Cached canonical config snapshot shipped with task descriptors."""
-        snapshot = getattr(self, "_config_json_cache", None)
-        if snapshot is None:
-            snapshot = json.dumps(self.config.to_dict(), sort_keys=True)
-            self._config_json_cache = snapshot
-        return snapshot
-
-    def _task_system_name(self) -> str:
-        """The registry name workers resolve; fails fast for ad-hoc specs."""
+    def _task(self, test_id: str, fault: Optional[FaultKey] = None) -> ExperimentTask:
+        """Descriptor of one miss: a profile task, or with ``fault`` an
+        experiment task carrying its plan sweep.  Fails fast for ad-hoc
+        specs, which workers could not rebuild by name."""
         from ..systems import available_systems  # deferred: systems import core
 
-        name = self.spec.name
-        if name not in available_systems():
+        if self.spec.name not in available_systems():
             raise ReproError(
                 "parallel backends need a system registered under "
                 "repro.systems to rebuild %r inside workers; use the serial "
-                "backend for ad-hoc specs" % (name,)
+                "backend for ad-hoc specs" % (self.spec.name,)
             )
-        return name
-
-    def _experiment_task(self, fault: FaultKey, test_id: str) -> ExperimentTask:
         return ExperimentTask(
-            system_name=self._task_system_name(),
+            system_name=self.spec.name,
             test_id=test_id,
-            config_json=self._config_json(),
+            config_json=self._config_json,
             fault=fault,
-            plans=tuple(self._plans_for(fault)),
+            plans=() if fault is None else tuple(self._plans_for(fault)),
         )
 
-    def _profile_task(self, test_id: str) -> ExperimentTask:
-        return ExperimentTask(
-            system_name=self._task_system_name(),
-            test_id=test_id,
-            config_json=self._config_json(),
-        )
+    def execute_task(self, task: ExperimentTask) -> Union[RunGroup, Tuple[FcaResult, int]]:
+        """Worker side of a fanned-out miss: resolve the task through this
+        driver's own cache, run it on a miss, store, and return what the
+        submitting driver will commit.  The shipped plan sweep is what
+        gets keyed and executed."""
+        if task.fault is None:
+            return self.profile(task.test_id)
+        self._plans.setdefault(task.fault, list(task.plans))
+        return self._resolve_experiments([(task.fault, task.test_id)])[0]
+
+    # ---------------------------------------------------------------- commit
 
     def commit_result(self, result: FcaResult, runs: int = 0) -> FcaResult:
         """Fold an executed experiment into the edge DB and counters."""
@@ -380,22 +407,8 @@ class ExperimentDriver:
         return result
 
     def run_experiment(self, fault: FaultKey, test_id: str) -> FcaResult:
-        """One budget unit: inject ``fault`` into ``test_id`` and run FCA.
-
-        With an experiment cache attached, the cache is consulted first
-        and a replayed result commits exactly like a fresh one (including
-        the runs counter), so cache-warm campaigns stay bit-identical.
-        """
-        key = None
-        if self.cache is not None:
-            key = self.cache.experiment_key(test_id, fault, self._plans_for(fault))
-            hit = self.cache.lookup_experiment(key)
-            if hit is not None:
-                return self.commit_result(*hit)
-        result, runs = self.execute_experiment(fault, test_id)
-        if key is not None:
-            self.cache.store_experiment(key, test_id, fault, result, runs)
-        return self.commit_result(result, runs)
+        """One budget unit: inject ``fault`` into ``test_id`` and run FCA."""
+        return self.run_experiments([(fault, test_id)])[0]
 
     def run_experiments(
         self,
@@ -404,31 +417,14 @@ class ExperimentDriver:
     ) -> List[FcaResult]:
         """Run a batch of independent (fault, test) experiments.
 
-        With an executor, executions fan out across its workers while
-        commits happen in ``pairs`` order — the hot path of every campaign,
-        and bit-identical to running the batch serially.  With an
-        experiment cache attached, cached experiments are resolved before
-        dispatch and only the misses reach the backend.
+        Resolve the batch (cache lookups, then only the misses execute —
+        across the executor's workers when it has any), then commit in
+        ``pairs`` order: the hot path of every campaign, bit-identical
+        across backends and between cold and warm caches, because a
+        replayed result commits exactly like a fresh one (runs counter
+        included).
         """
-        pairs = list(pairs)
-        if executor is None or executor.max_workers <= 1 or len(pairs) <= 1:
-            return [self.run_experiment(fault, test_id) for fault, test_id in pairs]
-        by_index: Dict[int, Tuple[FcaResult, int]] = {}
-        keys: Dict[int, str] = {}
-        to_run = list(range(len(pairs)))
-        if self.cache is not None:
-            for i, (fault, test_id) in enumerate(pairs):
-                keys[i] = self.cache.experiment_key(test_id, fault, self._plans_for(fault))
-                hit = self.cache.lookup_experiment(keys[i])
-                if hit is not None:
-                    by_index[i] = hit
-            to_run = [i for i in range(len(pairs)) if i not in by_index]
-        if to_run:
-            tasks = [self._experiment_task(*pairs[i]) for i in to_run]
-            executed = executor.map(execute_experiment_task, tasks)
-            for i, (result, runs) in zip(to_run, executed):
-                by_index[i] = (result, runs)
-                if self.cache is not None:
-                    fault, test_id = pairs[i]
-                    self.cache.store_experiment(keys[i], test_id, fault, result, runs)
-        return [self.commit_result(*by_index[i]) for i in range(len(pairs))]
+        return [
+            self.commit_result(result, runs)
+            for result, runs in self._resolve_experiments(list(pairs), executor)
+        ]

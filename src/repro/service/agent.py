@@ -1,13 +1,15 @@
 """The worker agent: leases task batches and executes them locally.
 
-An agent is the remote twin of a :class:`ProcessExecutor` worker process:
-it resolves task descriptors through the systems registry, keeps a
-per-(system, config) driver cache so each spec is built and each profile
-group computed at most once, and — when the task's config names a cache
-directory — consults and populates the shared content-addressed
-experiment cache before and after simulating.  Its cache hit/miss/store
-counters travel back to the manager with every completion, so the fleet's
-dedup behaviour is observable from ``repro status``.
+An agent is the remote twin of a :class:`ProcessExecutor` worker process,
+and runs each leased task through the same function that worker does:
+:func:`~repro.core.driver.execute_experiment_task` resolves the
+descriptor to this process's per-(system, config) driver — spec built
+once, each profile group computed at most once — and that driver looks
+the task up in the shared content-addressed cache (when the task's
+config names a cache directory), simulates only on a miss, and stores the
+result.  All the agent adds is the wire codec and the cache counters that
+travel back to the manager with every completion, so the fleet's dedup
+behaviour is observable from ``repro status``.
 
 Execution is a pure function of the descriptor, which is what makes the
 lease discipline safe: an agent that dies mid-lease is simply reaped, its
@@ -22,46 +24,22 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from ..core.driver import _worker_driver
+from ..core.driver import execute_experiment_task, worker_driver
 from ..serialize import task_from_obj, task_result_to_obj
 
 #: Default long-poll duration of one lease request.
 LEASE_WAIT_S = 5.0
 
 
-def execute_wire_task(obj: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one wire-form task; returns the wire-form result envelope.
-
-    Profile tasks flow through :meth:`ExperimentDriver.profile` (already
-    cache-aware); experiment tasks get an explicit cache lookup/store
-    around the pure execution, mirroring what the submitting driver does
-    for local backends — so a warm shared cache short-circuits agent-side
-    simulation too.
-    """
+def execute_wire_task(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """Decode one wire-form task, run it through the worker entry point,
+    encode: ``(result envelope, the executing driver's cache counters)``."""
     task = task_from_obj(obj)
-    driver = _worker_driver(task.system_name, task.config_json)
-    if task.fault is None:
-        return task_result_to_obj(driver.profile(task.test_id))
-    plans = list(task.plans)
-    key = None
-    if driver.cache is not None:
-        key = driver.cache.experiment_key(task.test_id, task.fault, plans)
-        hit = driver.cache.lookup_experiment(key)
-        if hit is not None:
-            return task_result_to_obj(hit)
-    result, runs = driver._execute_plans(task.fault, task.test_id, plans)
-    if key is not None:
-        driver.cache.store_experiment(key, task.test_id, task.fault, result, runs)
-    return task_result_to_obj((result, runs))
-
-
-def agent_cache_stats(obj: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Cache counters of the driver that executed ``obj``, if any."""
-    task = task_from_obj(obj)
-    driver = _worker_driver(task.system_name, task.config_json)
-    return None if driver.cache is None else driver.cache.stats()
+    envelope = task_result_to_obj(execute_experiment_task(task))
+    cache = worker_driver(task).cache
+    return envelope, None if cache is None else cache.stats()
 
 
 class Agent:
@@ -124,15 +102,13 @@ class Agent:
         self._heartbeat_thread.start()
 
     def _execute_one(self, entry: Dict[str, Any]) -> None:
-        obj = entry["task"]
+        cache = None
         try:
-            result = execute_wire_task(obj)
+            result, cache = execute_wire_task(entry["task"])
             outcome: Dict[str, Any] = {"result": result}
         except Exception as exc:  # noqa: BLE001 - report, don't crash the fleet
             outcome = {"error": "%s: %s" % (type(exc).__name__, exc)}
-        self.transport.complete(
-            self.agent_id, entry["id"], cache=agent_cache_stats(obj), **outcome
-        )
+        self.transport.complete(self.agent_id, entry["id"], cache=cache, **outcome)
         with self._count_lock:
             self.tasks_completed += 1
 

@@ -74,7 +74,7 @@ def system_digests(system: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     reached: Dict[str, set] = {}
     for test_id in spec.workload_ids():
-        seed = driver_mod._seed_for(test_id, 0, config.seed)
+        seed = driver_mod.seed_for(test_id, 0, config.seed)
         trace, out["profile/%s" % test_id] = _digest(spec, test_id, None, seed)
         reached[test_id] = trace.reached
 
@@ -101,7 +101,7 @@ def system_digests(system: str) -> Dict[str, str]:
         # The highest-coverage reaching test, as phase one would pick.
         test_id = max(tests, key=lambda t: (len(reached[t]), t))
         plan = model.plans_for_spec(fault, config, spec.registry)[-1]
-        seed = driver_mod._seed_for(test_id, 0, config.seed)
+        seed = driver_mod.seed_for(test_id, 0, config.seed)
         _, out["inject/%s/%s@%s" % (kind, fault.site_id, test_id)] = _digest(
             spec, test_id, plan, seed
         )

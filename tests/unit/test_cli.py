@@ -222,6 +222,58 @@ def test_diff_run_static_only_identical_sides(tmp_path, capsys):
     assert set(obj["experiments"]["invalidated"]) <= {"E@raft.sec.cert_check"}
 
 
+def test_diff_run_partitions_the_fault_space_analyze_reports(capsys):
+    """``diff-run --schedules`` must partition the same fault space the
+    campaigns it launches run: env kinds and schedule faults included."""
+    from repro.serialize import fault_from_obj
+
+    space = ["--fault-kinds", "all", "--schedules", "all", "--json"]
+    assert main(["analyze", "minidfs"] + space) == 0
+    analyzed = json.loads(capsys.readouterr().out)["analysis"]["faults"]
+    assert main(["diff-run", ".", ".", "--system", "minidfs", "--static-only"] + space) == 0
+    experiments = json.loads(capsys.readouterr().out)["experiments"]
+    partitioned = experiments["invalidated"] + experiments["reusable"]
+    assert sorted(partitioned) == sorted(str(fault_from_obj(f)) for f in analyzed)
+    classic = len(partitioned)
+    assert main(["diff-run", ".", ".", "--system", "minidfs", "--static-only", "--json"]) == 0
+    experiments = json.loads(capsys.readouterr().out)["experiments"]
+    assert len(experiments["invalidated"] + experiments["reusable"]) < classic
+
+
+def test_resume_resolves_execution_flags_like_run(tmp_path):
+    """``run`` and ``resume`` share one execution-override helper: same
+    flags, same backend / workers / manager / cache-dir fields."""
+    import os
+
+    from repro.cli import _config, _execution_overrides, build_parser
+
+    parser = build_parser()
+    sdir = str(tmp_path / "s")
+    for flags in (
+        ["--backend", "process"],
+        ["--backend", "serial"],
+        ["--workers", "3"],
+        ["--backend", "remote", "--manager", "http://127.0.0.1:1", "--workers", "2"],
+        ["--cache"],
+        ["--cache-dir", str(tmp_path / "c")],
+        ["--cache", "--no-cache"],
+        [],
+    ):
+        run_args = parser.parse_args(["run", "toy", "--session-dir", sdir] + flags)
+        resume_args = parser.parse_args(["resume", sdir] + flags)
+        overrides = _execution_overrides(resume_args)
+        assert overrides == _execution_overrides(run_args), flags
+        config = _config(run_args)
+        for name, value in overrides.items():
+            assert getattr(config, name) == value, (flags, name)
+    assert _execution_overrides(parser.parse_args(["resume", sdir, "--backend", "process"]))[
+        "experiment_workers"
+    ] == (os.cpu_count() or 1)
+    assert _execution_overrides(parser.parse_args(["resume", sdir, "--no-cache"])) == {
+        "cache_dir": None
+    }
+
+
 def test_diff_run_rejects_unresolvable_operand(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["diff-run", "no-such-ref-xyz", ".", "--system", "miniraft",

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.core.driver import ExperimentDriver, _seed_for, run_workload
+from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.errors import UnknownSite
 from repro.serialize import trace_to_obj
 from repro.systems.toy import build_system
@@ -25,10 +25,10 @@ def driver(spec):
 
 
 def test_seed_is_stable_and_distinct():
-    assert _seed_for("t1", 0, 1) == _seed_for("t1", 0, 1)
-    assert _seed_for("t1", 0, 1) != _seed_for("t1", 1, 1)
-    assert _seed_for("t1", 0, 1) != _seed_for("t2", 0, 1)
-    assert _seed_for("t1", 0, 1) != _seed_for("t1", 0, 2)
+    assert seed_for("t1", 0, 1) == seed_for("t1", 0, 1)
+    assert seed_for("t1", 0, 1) != seed_for("t1", 1, 1)
+    assert seed_for("t1", 0, 1) != seed_for("t2", 0, 1)
+    assert seed_for("t1", 0, 1) != seed_for("t1", 0, 2)
 
 
 def test_run_workload_is_deterministic(spec):

@@ -7,7 +7,7 @@ from repro.faults.environment import ENV_STATE
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.sim import Node, SimEnv
 from repro.systems import get_system
-from repro.core.driver import _seed_for, run_workload
+from repro.core.driver import seed_for, run_workload
 from repro.types import FaultKey, InjKind
 
 
@@ -18,7 +18,7 @@ def spec():
 
 def _run(spec, test_id, plan, seed=None):
     if seed is None:
-        seed = _seed_for(test_id, 0, 99)
+        seed = seed_for(test_id, 0, 99)
     return run_workload(spec, spec.workloads[test_id], plan, seed)
 
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.core.driver import _seed_for, run_workload
+from repro.core.driver import seed_for, run_workload
 from repro.systems import get_system
 from tests.golden_traces import CAMPAIGN_SEED, events_processed_log
 
@@ -26,7 +26,7 @@ MEASURED = {
 
 def calls_per_event(system: str, test_id: str) -> float:
     spec = get_system(system)
-    seed = _seed_for(test_id, 0, CAMPAIGN_SEED)
+    seed = seed_for(test_id, 0, CAMPAIGN_SEED)
     calls = 0
 
     def count(frame, event, arg):

@@ -1,0 +1,69 @@
+"""Layering guard: modules of ``repro`` talk through public names.
+
+Two rules, checked on the AST of every module under ``src/repro``:
+
+* no ``from <another repro module> import _name`` — a leading underscore
+  means "private to the module that defines it";
+* no ``driver._x`` / ``cache._x`` attribute access (nor ``something.driver._x``)
+  — the experiment driver and the experiment cache are the seams every
+  backend shares, so their internals are reached through ``self`` only.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+GUARDED_RECEIVERS = ("driver", "cache")
+
+
+def _receiver_name(node):
+    """``driver`` for ``driver._x`` and for ``ctx.driver._x``; else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _violations(source, where):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            inside_repro = node.level > 0 or (node.module or "").split(".")[0] == "repro"
+            for alias in node.names:
+                if inside_repro and alias.name.startswith("_"):
+                    yield "%s:%d imports private %r from %s" % (
+                        where, node.lineno, alias.name, "." * node.level + (node.module or ""),
+                    )
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            dunder = node.attr.startswith("__") and node.attr.endswith("__")
+            if not dunder and _receiver_name(node.value) in GUARDED_RECEIVERS:
+                yield "%s:%d reads %s.%s" % (
+                    where, node.lineno, _receiver_name(node.value), node.attr,
+                )
+
+
+def test_no_module_reaches_into_anothers_private_names():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 50, "src/repro not found where expected"
+    found = [
+        v
+        for path in modules
+        for v in _violations(path.read_text(encoding="utf-8"), path.relative_to(SRC.parent))
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_the_guard_sees_both_kinds_of_violation():
+    """The walker itself: a private import and a private driver / cache
+    read are reported; ``self._x``, public reads and imports from outside
+    ``repro`` are not."""
+    probe = (
+        "from ..core.driver import _worker_driver, ExperimentDriver\n"
+        "from os.path import _get_sep\n"
+        "def f(self, driver, ctx):\n"
+        "    self._plans = driver.cache\n"
+        "    driver._execute_plans()\n"
+        "    return ctx.driver.cache._load\n"
+    )
+    found = sorted(_violations(probe, "probe.py"))
+    assert [v.split(" ", 1)[0] for v in found] == ["probe.py:1", "probe.py:5", "probe.py:6"], found

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.core.driver import ExperimentDriver, _seed_for, run_workload
+from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.instrument.analyzer import analyze
 from repro.pipeline import Pipeline
 from repro.systems import get_system
@@ -66,8 +66,8 @@ def test_profiles_deterministic_and_fault_free(spec):
         bug_faults |= set(bug.core_faults)
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        a = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
-        b = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
+        a = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
+        b = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
         assert a.loop_counts == b.loop_counts, test_id
         assert not a.saturated, test_id
         assert not (a.natural_faults() & bug_faults), test_id
@@ -110,7 +110,7 @@ def test_scripted_drills_have_expected_natural_faults(spec):
     always = {FaultKey("dn.conf.is_cached", InjKind.NEGATION)}
     for test_id, want in expected.items():
         wl = spec.workloads[test_id]
-        trace = run_workload(spec, wl, None, _seed_for(test_id, 0, 7))
+        trace = run_workload(spec, wl, None, seed_for(test_id, 0, 7))
         assert trace.natural_faults() - always == want, test_id
 
 
@@ -118,7 +118,7 @@ def test_bug_core_faults_reachable_somewhere(spec):
     reached = set()
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        reached |= run_workload(spec, wl, None, _seed_for(test_id, 0, 7)).reached
+        reached |= run_workload(spec, wl, None, seed_for(test_id, 0, 7)).reached
     for bug in spec.known_bugs:
         for fault in bug.core_faults:
             assert fault.site_id in reached, (bug.bug_id, fault.site_id)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.core.driver import ExperimentDriver, _seed_for, run_workload
+from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.instrument.analyzer import analyze
 from repro.pipeline import Pipeline
 from repro.systems import get_system
@@ -67,8 +67,8 @@ def test_profiles_deterministic_and_fault_free(spec):
     }
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        a = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
-        b = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
+        a = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
+        b = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
         assert a.loop_counts == b.loop_counts, test_id
         assert not a.saturated, test_id
         unexpected = (a.natural_faults() & bug_faults) - allowed.get(test_id, set())
@@ -79,7 +79,7 @@ def test_bug_core_faults_reachable_somewhere(spec):
     reached = set()
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        reached |= run_workload(spec, wl, None, _seed_for(test_id, 0, 7)).reached
+        reached |= run_workload(spec, wl, None, seed_for(test_id, 0, 7)).reached
     for bug in spec.known_bugs:
         for fault in bug.core_faults:
             assert fault.site_id in reached, (bug.bug_id, fault.site_id)
@@ -89,7 +89,7 @@ def test_scripted_handover_elects_node1(spec):
     """The elections workload's scripted hand-over reaches the vote path in
     profile runs without tripping the election-timeout detector."""
     trace = run_workload(
-        spec, spec.workloads["raft.elections"], None, _seed_for("raft.elections", 0, 7)
+        spec, spec.workloads["raft.elections"], None, seed_for("raft.elections", 0, 7)
     )
     assert "cand.vote.requests" in trace.reached
     assert "cand.vote.rpc" in trace.reached

@@ -107,12 +107,12 @@ def test_round_trip_from_obj():
 
 
 def _toy_workload_trace():
-    from repro.core.driver import _seed_for, run_workload
+    from repro.core.driver import seed_for, run_workload
     from repro.systems import get_system
 
     spec = get_system("toy")
     test_id = spec.workload_ids()[0]
-    return run_workload(spec, spec.workloads[test_id], None, _seed_for(test_id, 0, 7))
+    return run_workload(spec, spec.workloads[test_id], None, seed_for(test_id, 0, 7))
 
 
 def test_workload_trace_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.driver import _seed_for, run_workload
+from repro.core.driver import seed_for, run_workload
 from repro.instrument.analyzer import analyze
 from repro.systems import available_systems, evaluation_systems, get_system
 from repro.types import SiteKind
@@ -91,8 +91,8 @@ def test_profile_runs_are_deterministic_and_bounded(specs, name):
     spec = specs[name]
     test_id = spec.workload_ids()[0]
     wl = spec.workloads[test_id]
-    a = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
-    b = run_workload(spec, wl, None, _seed_for(test_id, 0, 99))
+    a = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
+    b = run_workload(spec, wl, None, seed_for(test_id, 0, 99))
     assert a.loop_counts == b.loop_counts
     assert not a.saturated
     assert sum(a.loop_counts.values()) > 0
@@ -103,7 +103,7 @@ def test_all_workloads_execute_cleanly(specs, name):
     spec = specs[name]
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        trace = run_workload(spec, wl, None, _seed_for(test_id, 0, 42))
+        trace = run_workload(spec, wl, None, seed_for(test_id, 0, 42))
         assert not trace.saturated, "%s profile saturated" % test_id
         assert trace.reached, test_id
 
@@ -115,7 +115,7 @@ def test_bug_core_faults_reachable_somewhere(specs, name):
     reached = set()
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        trace = run_workload(spec, wl, None, _seed_for(test_id, 0, 7))
+        trace = run_workload(spec, wl, None, seed_for(test_id, 0, 7))
         reached |= trace.reached
     for bug in spec.known_bugs:
         for fault in bug.core_faults:

@@ -10,7 +10,7 @@ unique coverage maximum, and which sites are error-path-only.
 
 import pytest
 
-from repro.core.driver import _seed_for, run_workload
+from repro.core.driver import seed_for, run_workload
 from repro.systems import get_system
 
 #: Sites every workload reaches: client traffic, the write pipeline, the
@@ -49,7 +49,7 @@ def reached():
     out = {}
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
-        out[test_id] = run_workload(spec, wl, None, _seed_for(test_id, 0, 7)).reached
+        out[test_id] = run_workload(spec, wl, None, seed_for(test_id, 0, 7)).reached
     return out
 
 
