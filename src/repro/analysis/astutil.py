@@ -20,10 +20,9 @@ must be invalidated when the closure changes.
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 # Runtime hook methods whose first positional argument is a site-id
 # string literal (see repro.instrument.runtime.Runtime).
@@ -72,34 +71,49 @@ class ModuleInfo:
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
 
 
-def strip_docstrings(node: ast.AST) -> ast.AST:
-    """Remove docstring statements (string-constant first statements) from
-    every function, class, and module body under ``node``, in place."""
+def _docstring_bodies(node: ast.AST) -> Iterator[List[ast.stmt]]:
+    """Every function, class and module body under ``node`` whose first
+    statement is a docstring (a bare string constant)."""
     for sub in ast.walk(node):
-        body = getattr(sub, "body", None)
         if not isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if not body:
-            continue
-        first = body[0]
+        first = sub.body[0] if sub.body else None
         if (
             isinstance(first, ast.Expr)
             and isinstance(first.value, ast.Constant)
             and isinstance(first.value.value, str)
         ):
-            if len(body) == 1:
-                # Keep the body non-empty so the tree stays valid.
-                body[0] = ast.Pass()
-            else:
-                del body[0]
+            yield sub.body
+
+
+def _without_docstring(body: List[ast.stmt]) -> List[ast.stmt]:
+    # A docstring-only body keeps a placeholder so the tree stays valid.
+    return body[1:] if len(body) > 1 else [ast.Pass()]
+
+
+def strip_docstrings(node: ast.AST) -> ast.AST:
+    """Remove docstring statements (string-constant first statements) from
+    every function, class, and module body under ``node``, in place."""
+    for body in _docstring_bodies(node):
+        body[:] = _without_docstring(body)
     return node
 
 
 def normalized_dump(node: ast.AST) -> str:
     """``ast.dump`` of ``node`` with docstrings stripped and location
-    attributes dropped — the canonical text digests are taken over."""
-    clean = strip_docstrings(copy.deepcopy(node))
-    return ast.dump(clean, include_attributes=False)
+    attributes dropped — the canonical text digests are taken over.
+
+    The docstrings are taken out of ``node`` for the dump and put back
+    after it, so the caller's tree is unchanged and nothing is copied
+    (copying every function's AST used to be half of an analysis)."""
+    held = [(body, list(body)) for body in _docstring_bodies(node)]
+    for body, _ in held:
+        body[:] = _without_docstring(body)
+    try:
+        return ast.dump(node, include_attributes=False)
+    finally:
+        for body, original in held:
+            body[:] = original
 
 
 def digest_node(node: ast.AST) -> str:

@@ -108,8 +108,7 @@ def diff_slices(old: SliceAnalysis, new: SliceAnalysis) -> SliceDiff:
     diff.changed_entries = tuple(entries_changed)
     diff.unchanged_entries = tuple(entries_unchanged)
 
-    old_fns = {k: f.digest for k, f in old.graph.functions.items()}
-    new_fns = {k: f.digest for k, f in new.graph.functions.items()}
+    old_fns, new_fns = old.function_digests, new.function_digests
     diff.changed_functions = tuple(
         sorted(k for k in old_fns.keys() & new_fns.keys() if old_fns[k] != new_fns[k])
     )

@@ -47,12 +47,17 @@ ENV_KINDS = (SiteKind.ENV_NODE, SiteKind.ENV_LINK)
 
 @dataclass
 class SliceAnalysis:
-    """Result of slicing one system's source."""
+    """Result of slicing one system's source: plain data only (digests,
+    function keys, counts), so it round-trips through the experiment
+    cache (``repro.serialize.slices_to_obj``) and pins no parsed module."""
 
     system: str
     modules: Tuple[str, ...]
-    graph: CallGraph
-    source_digest: str  # digest over all normalized module dumps
+    source_digest: str  # digest over every function's normalized body digest
+    function_digests: Dict[str, str] = field(default_factory=dict)  # fn key -> body digest
+    # call_edges / calls_seen / calls_resolved of the call graph and
+    # cfg_blocks / cfg_edges / dead_blocks of the per-function CFGs.
+    counts: Dict[str, int] = field(default_factory=dict)
     # site -> enclosing function key(s); usually one, several when the same
     # literal is legitimately instrumented at more than one code location
     # (the slice is then the union of the closures).
@@ -66,7 +71,9 @@ class SliceAnalysis:
     unresolved_entries: Dict[str, str] = field(default_factory=dict)
     reachable: Set[str] = field(default_factory=set)
     reachability_trusted: bool = False
-    timings: Dict[str, float] = field(default_factory=dict)
+    # Wall seconds per phase of the pass that computed this record: empty
+    # on one replayed from the cache, and not part of its identity.
+    timings: Dict[str, float] = field(default_factory=dict, compare=False)
 
     def is_reachable(self, site_id: str) -> bool:
         """True unless the site's enclosing function(s) are *known* to be
@@ -80,10 +87,7 @@ class SliceAnalysis:
         """Scalar summary (``repro analyze``; ``analysis.*`` in campaign_bench)."""
         out: Dict[str, object] = {
             "modules": len(self.modules),
-            "functions": len(self.graph.functions),
-            "call_edges": self.graph.n_edges,
-            "calls_seen": self.graph.calls_seen,
-            "calls_resolved": self.graph.calls_resolved,
+            "functions": len(self.function_digests),
             "sites_resolved": len(self.site_roots),
             "sites_env": len(self.env_sites),
             "sites_unresolved": len(self.unresolved),
@@ -92,14 +96,14 @@ class SliceAnalysis:
             "reachable_functions": len(self.reachable),
             "reachability_trusted": self.reachability_trusted,
         }
-        out.update(cfg_stats(self.graph.cfgs))
+        out.update(self.counts)
         for phase, wall in sorted(self.timings.items()):
             out["wall_%s_s" % phase] = round(wall, 6)
         return out
 
 
-def _slice_digest(keys: Sequence[str], graph: CallGraph) -> str:
-    pairs = [[k, graph.functions[k].digest] for k in sorted(keys)]
+def _slice_digest(keys: Sequence[str], function_digests: Dict[str, str]) -> str:
+    pairs = [[k, function_digests[k]] for k in sorted(keys)]
     blob = json.dumps(pairs, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -160,17 +164,21 @@ def analyze_sources(
     graph = build_call_graph(modules)
     t2 = time.perf_counter()
 
+    function_digests = {k: fn.digest for k, fn in sorted(graph.functions.items())}
     source_digest = digest_text(
-        json.dumps(
-            [[k, fn.digest] for k, fn in sorted(graph.functions.items())],
-            separators=(",", ":"),
-        )
+        json.dumps([[k, d] for k, d in function_digests.items()], separators=(",", ":"))
     )
     analysis = SliceAnalysis(
         system=system,
         modules=tuple(sorted(sources)),
-        graph=graph,
         source_digest=source_digest,
+        function_digests=function_digests,
+        counts={
+            "call_edges": graph.n_edges,
+            "calls_seen": graph.calls_seen,
+            "calls_resolved": graph.calls_resolved,
+            **cfg_stats(graph.cfgs),
+        },
     )
 
     code_sites = [s for s in sites if s.kind not in ENV_KINDS]
@@ -182,7 +190,7 @@ def analyze_sources(
     def slice_of(roots: Tuple[str, ...]) -> Tuple[Tuple[str, ...], str]:
         if roots not in slice_cache:
             keys = tuple(sorted(graph.reachable_from(roots)))
-            slice_cache[roots] = (keys, _slice_digest(keys, graph))
+            slice_cache[roots] = (keys, _slice_digest(keys, function_digests))
         return slice_cache[roots]
 
     for site_id in sorted(analysis.site_roots):
@@ -220,7 +228,11 @@ def entry_key(setup: object) -> str:
     )
 
 
+def workload_entries(spec: "SystemSpec") -> Dict[str, str]:
+    """Test id -> entry-point key of every workload the spec declares."""
+    return {wl.test_id: entry_key(wl.setup) for wl in spec.workloads.values()}
+
+
 def analyze_system(spec: "SystemSpec", sources: Dict[str, str]) -> SliceAnalysis:
     """Slice a built system spec against the given module sources."""
-    entries = {wl.test_id: entry_key(wl.setup) for wl in spec.workloads.values()}
-    return analyze_sources(spec.name, sources, list(spec.registry), entries)
+    return analyze_sources(spec.name, sources, list(spec.registry), workload_entries(spec))

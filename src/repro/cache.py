@@ -8,7 +8,11 @@ campaigns: results are stored on disk under a SHA-256 **key digest** of
 exactly that tuple, so a repeated campaign replays byte-identical results
 instead of re-simulating, and *any* relevant change — a site added to the
 registry, a workload renamed, a bumped ``SystemSpec.version``, a different
-seed or delay sweep — changes the digest and misses cleanly.  Knobs listed
+seed or delay sweep — changes the digest and misses cleanly.  The
+code-slice analysis those keys embed is as pure a function of the target's
+source files, so it is the third kind of entry (``slices``): a campaign
+with a cache directory slices a system's source once, not once per
+campaign.  Knobs listed
 in :data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
 cache directory itself) are excluded from the key, so a warm cache written
 by a serial campaign serves process- and agent-backed ones.
@@ -18,10 +22,13 @@ Layout (all writes atomic, safe for concurrent worker processes)::
     <cache-dir>/
         <digest[:2]>/<digest>.json   # {"schema": N, "kind": ..., "key": ..., "data": ...}
 
-Entries embed the full key material for debuggability; unreadable or
-mismatching entries are treated as misses.  Hit/miss/store counters are
-kept per :class:`ExperimentCache` instance and surfaced by the CLI
-(stderr), by agents to their manager, and by ``benchmarks/campaign_bench``.
+Entries embed key material for debuggability; unreadable, malformed or
+mismatching entries are treated as misses (and overwritten by the
+recompute).  Hit/miss/store counters — of ``profile`` and ``experiment``
+entries only; the one ``slices`` lookup is reported as ``replayed`` or
+``recomputed`` — are kept per :class:`ExperimentCache` instance and
+surfaced by the CLI (stderr), by agents to their manager, and by
+``benchmarks/campaign_bench``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
+from .analysis.slicer import workload_entries
+from .analysis.source import analyzer_digest
 from .config import CSnakeConfig
 from .core.fca import FcaResult
 from .faults import fault_models_digest, model_for, schedules_digest
@@ -45,12 +55,16 @@ from .serialize import (
     group_from_obj,
     group_to_obj,
     plan_to_obj,
+    slices_from_obj,
+    slices_to_obj,
 )
 from .systems.base import SystemSpec
 from .types import FaultKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .analysis import SliceAnalysis
+
+_T = TypeVar("_T")
 
 #: Bump when the entry layout or any codec changes incompatibly; old
 #: entries then read as misses instead of corrupt results.
@@ -73,6 +87,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #:       (``FaultModel.plan_sites``) — a composed schedule's entry goes
 #:       stale when any of its constituent sites' code changes, not just
 #:       the anchor site's.
+#:
+#: The ``slices`` entry kind was added without a bump: it changes no
+#: existing key or codec, so a schema-4 cache written before it replays
+#: fully warm and merely gains the one entry.
 CACHE_SCHEMA = 4
 
 
@@ -82,7 +100,8 @@ class ExperimentCache:
     One instance serves one ``(system, config)`` campaign: the spec digest
     and the result-affecting config snapshot are folded into every key at
     construction.  ``hits``/``misses``/``stores`` count this instance's
-    lookups only.
+    profile and experiment lookups only; ``slices`` says what became of
+    its one code-slice lookup.
     """
 
     def __init__(self, root: "os.PathLike[str]", spec: SystemSpec, config: CSnakeConfig) -> None:
@@ -95,16 +114,28 @@ class ExperimentCache:
         self.models_digest = fault_models_digest()
         self.schedules_digest = schedules_digest()
         self.config_snapshot = config.result_affecting()
+        # What a stored slice analysis additionally depends on: the
+        # analyzer's own source (a smarter call graph must never replay a
+        # stale slice, also not across the two trees of ``repro diff-run``,
+        # which share one cache directory) and the interpreter's
+        # (major, minor), because the digests are over ``ast.dump``.
+        self.analyzer_digest = analyzer_digest()
+        self.python = sys.version_info[:2]
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: ``"replayed"`` / ``"recomputed"`` once the slice analysis went
+        #: through this cache; ``None`` when it never did (the spec carried
+        #: one already, or declares no source modules).
+        self.slices: Optional[str] = None
 
     # ---------------------------------------------------------------- keys
 
     def _slices(self) -> Optional["SliceAnalysis"]:
-        """The spec's code-slice analysis (lazy: worker processes rebuild
-        the cache from a pickled task, and the analysis is a deterministic
-        function of the source files, so they re-derive identical keys)."""
+        """The spec's code-slice analysis: the one the driver attached
+        (replayed from this cache or freshly computed), else sliced
+        lazily — either way a deterministic function of the source files,
+        so every process derives identical keys."""
         return self.spec.slice_analysis()
 
     def _site_slice(self, site_id: str) -> Dict[str, Any]:
@@ -182,24 +213,56 @@ class ExperimentCache:
             test_id=test_id,
         )
 
+    def slices_key(self, sources: Dict[str, str]) -> str:
+        """Key of the code-slice analysis of ``sources`` (module name ->
+        source text) against this spec's sites and workloads: everything
+        the analysis is a function of — and no campaign config, so every
+        campaign over one system shares the entry."""
+        material = {
+            "schema": CACHE_SCHEMA,
+            "kind": "slices",
+            "system": self.system,
+            "sources": [
+                [module, hashlib.sha256(text.encode("utf-8")).hexdigest()]
+                for module, text in sorted(sources.items())
+            ],
+            # The site rows the slicer binds, and the entry points it
+            # closes over.
+            "sites": sorted([s.site_id, s.kind.value, s.function] for s in self.spec.registry),
+            "entries": workload_entries(self.spec),
+            "analyzer": self.analyzer_digest,
+            "python": list(self.python),
+        }
+        return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
 
     # -------------------------------------------------------------- lookup
 
-    def _load(self, key: str, kind: str) -> Optional[Any]:
-        path = self._path(key)
+    def _load(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
+        """The decoded entry under ``key``, or ``None`` for anything that
+        is not a well-formed entry of this kind and schema: a missing or
+        truncated file, JSON that is not an object, a missing field, data
+        the codec rejects."""
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self._path(key), encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
+            if payload["schema"] != CACHE_SCHEMA or payload["kind"] != kind:
+                return None
+            return decode(payload["data"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA or payload.get("kind") != kind:
+
+    def _lookup(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
+        """:meth:`_load`, counted: a hit once the entry has decoded,
+        everything else a miss."""
+        value = self._load(key, kind, decode)
+        if value is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return payload["data"]
+        else:
+            self.hits += 1
+        return value
 
     def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
         path = self._path(key)
@@ -218,32 +281,18 @@ class ExperimentCache:
             },
             unique_tmp=True,
         )
-        self.stores += 1
 
     def lookup_profile(self, key: str) -> Optional[RunGroup]:
-        data = self._load(key, "profile")
-        if data is None:
-            return None
-        try:
-            return group_from_obj(data)
-        except (KeyError, TypeError, ValueError):
-            self.hits -= 1  # corrupt entry: count it as the miss it is
-            self.misses += 1
-            return None
+        return self._lookup(key, "profile", group_from_obj)
 
     def store_profile(self, key: str, test_id: str, group: RunGroup) -> None:
         self._store(key, "profile", {"test_id": test_id}, group_to_obj(group))
+        self.stores += 1
 
     def lookup_experiment(self, key: str) -> Optional[Tuple[FcaResult, int]]:
-        data = self._load(key, "experiment")
-        if data is None:
-            return None
-        try:
-            return fca_from_obj(data["result"]), int(data["runs"])
-        except (KeyError, TypeError, ValueError):
-            self.hits -= 1
-            self.misses += 1
-            return None
+        return self._lookup(
+            key, "experiment", lambda data: (fca_from_obj(data["result"]), int(data["runs"]))
+        )
 
     def store_experiment(
         self, key: str, test_id: str, fault: FaultKey, result: FcaResult, runs: int
@@ -254,6 +303,22 @@ class ExperimentCache:
             {"test_id": test_id, "fault": fault_to_obj(fault)},
             {"result": fca_to_obj(result), "runs": runs},
         )
+        self.stores += 1
+
+    def lookup_slices(self, key: str) -> Optional["SliceAnalysis"]:
+        slices = self._load(key, "slices", slices_from_obj)
+        if slices is not None:
+            self.slices = "replayed"
+        return slices
+
+    def store_slices(self, key: str, slices: "SliceAnalysis") -> None:
+        self._store(
+            key,
+            "slices",
+            {"analyzer": self.analyzer_digest, "python": list(self.python)},
+            slices_to_obj(slices),
+        )
+        self.slices = "recomputed"
 
     # ------------------------------------------------------------- queries
 
@@ -267,4 +332,5 @@ class ExperimentCache:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
+            "slices": self.slices,
         }

@@ -250,10 +250,18 @@ def _print_cache_stats(ctx) -> None:
         return
     stats = cache.stats()
     print(
-        "cache: %d hits, %d misses, %d stored (%s)"
-        % (stats["hits"], stats["misses"], stats["stores"], stats["dir"]),
+        "cache: %d hits, %d misses, %d stored%s (%s)"
+        % (stats["hits"], stats["misses"], stats["stores"], _slices_note(stats), stats["dir"]),
         file=sys.stderr,
     )
+
+
+def _slices_note(cache_stats) -> str:
+    """``; slices replayed`` / ``; slices recomputed``: whether the
+    code-slice analysis came out of the cache or was sliced afresh (and
+    stored); empty when it never went through the cache."""
+    slices = cache_stats.get("slices")
+    return "; slices %s" % slices if slices else ""
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -717,7 +725,10 @@ def cmd_status(args: argparse.Namespace) -> int:
                 "  agent %-12s %d workers, %d completed%s"
                 % (
                     agent["name"], agent["workers"], agent["completed"],
-                    "  cache %s/%s hit" % (cache.get("hits"), cache.get("hits", 0) + cache.get("misses", 0))
+                    "  cache %s/%s hit%s" % (
+                        cache.get("hits"), cache.get("hits", 0) + cache.get("misses", 0),
+                        _slices_note(cache),
+                    )
                     if cache else "",
                 )
             )

@@ -110,6 +110,13 @@ class ExperimentTask:
 #: Per-process cache of (system name, config) -> driver, so one worker
 #: builds each system spec once and computes each profile group once.
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
+#: One slice resolve per process at a time.  An agent's execution threads
+#: build their worker drivers side by side, and on a cold cache each would
+#: slice the source (``ast.parse`` is not safe to run on two threads of
+#: every supported interpreter) and write the ``slices`` entry through
+#: the same pid-named temp file; behind the lock the second finds the
+#: entry the first stored.
+_SLICES_LOCK = threading.Lock()
 
 
 def worker_driver(task: ExperimentTask) -> "ExperimentDriver":
@@ -159,13 +166,32 @@ class ExperimentDriver:
             from ..cache import ExperimentCache  # deferred: avoids an import cycle
 
             self.cache = ExperimentCache(self.config.cache_dir, self.spec, self.config)
-            # Resolve the code-slice analysis once, eagerly: cache keys
-            # embed slice digests, and an agent's execution threads
-            # (which share one worker driver) computing keys concurrently
-            # would otherwise race the spec's lazy memoization (benign —
-            # the analysis is deterministic — but needlessly repeated
-            # work).
-            self.spec.slice_analysis()
+            self._resolve_slices()
+
+    def _resolve_slices(self) -> None:
+        """Attach the spec's code-slice analysis before the first cache
+        key is computed (keys embed slice digests): looked up in the
+        cache under the digest of the source files, sliced and stored on
+        a miss — so a system is sliced once per source edit, not once per
+        campaign, worker or agent.  A spec that already carries an
+        analysis (tests and ``repro diff-run`` key on other source text)
+        is left alone."""
+        spec = self.spec
+        if spec.attached_slice_analysis is not None or not spec.source_modules:
+            return
+        # Deferred: importing the driver does not load the analysis
+        # package, and ``analyze_system`` is looked up through it at call
+        # time.
+        from .. import analysis
+
+        sources = analysis.live_sources(spec.source_modules)
+        key = self.cache.slices_key(sources)
+        with _SLICES_LOCK:
+            slices = self.cache.lookup_slices(key)
+            if slices is None:
+                slices = analysis.analyze_system(spec, sources)
+                self.cache.store_slices(key, slices)
+        spec.attach_slice_analysis(slices)
 
     # -------------------------------------------------------------- profiles
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .analysis.slicer import SliceAnalysis
     from .core.driver import ExperimentTask
 
 from .core.clustering import Clustering, FaultCluster
@@ -321,6 +322,55 @@ def analysis_from_obj(obj: Dict[str, Any]) -> AnalysisResult:
         faults=[fault_from_obj(f) for f in obj["faults"]],
         excluded={k: list(v) for k, v in obj["excluded"].items()},
         counts=dict(obj["counts"]),
+    )
+
+
+# ------------------------------------------------------ code-slice analysis
+
+
+def slices_to_obj(slices: "SliceAnalysis") -> Dict[str, Any]:
+    """Everything but ``timings``, which describe the pass that computed
+    the record rather than the record (and would make two writers of one
+    cache entry disagree on its bytes)."""
+    return {
+        "system": slices.system,
+        "modules": list(slices.modules),
+        "source_digest": slices.source_digest,
+        "function_digests": slices.function_digests,
+        "counts": slices.counts,
+        "site_roots": {site: list(roots) for site, roots in slices.site_roots.items()},
+        "site_digests": slices.site_digests,
+        "site_slices": {site: list(keys) for site, keys in slices.site_slices.items()},
+        "env_sites": list(slices.env_sites),
+        "unresolved": slices.unresolved,
+        "entry_function": slices.entry_function,
+        "entry_digests": slices.entry_digests,
+        "unresolved_entries": slices.unresolved_entries,
+        "reachable": sorted(slices.reachable),
+        "reachability_trusted": slices.reachability_trusted,
+    }
+
+
+def slices_from_obj(obj: Dict[str, Any]) -> "SliceAnalysis":
+    # deferred: a cache-less campaign never loads the analysis package
+    from .analysis.slicer import SliceAnalysis
+
+    return SliceAnalysis(
+        system=obj["system"],
+        modules=tuple(obj["modules"]),
+        source_digest=obj["source_digest"],
+        function_digests=dict(obj["function_digests"]),
+        counts=dict(obj["counts"]),
+        site_roots={site: tuple(roots) for site, roots in obj["site_roots"].items()},
+        site_digests=dict(obj["site_digests"]),
+        site_slices={site: tuple(keys) for site, keys in obj["site_slices"].items()},
+        env_sites=tuple(obj["env_sites"]),
+        unresolved=dict(obj["unresolved"]),
+        entry_function=dict(obj["entry_function"]),
+        entry_digests=dict(obj["entry_digests"]),
+        unresolved_entries=dict(obj["unresolved_entries"]),
+        reachable=set(obj["reachable"]),
+        reachability_trusted=bool(obj["reachability_trusted"]),
     )
 
 

@@ -96,25 +96,37 @@ class SystemSpec:
             self.env_port.register_sites(self.registry)
 
     def slice_analysis(self) -> Optional["SliceAnalysis"]:
-        """Slice this system's :attr:`source_modules` (memoized per spec).
+        """This system's code-slice analysis: the attached one when there
+        is one, else a fresh slice of the live :attr:`source_modules`
+        (then kept for this spec object); ``None`` for a system that
+        declares no source modules.
 
-        The analysis is a pure function of the source files and the
-        registry, so worker processes recomputing it from a pickled
-        :class:`~repro.core.driver.ExperimentTask` arrive at bit-identical
-        slice digests — and therefore identical cache keys.
+        The fresh path serves whoever holds a spec and no cache
+        directory — ``repro analyze``, the analyze stage of a cache-less
+        campaign, tests.  A campaign *with* a cache directory never
+        reaches it: its :class:`~repro.core.driver.ExperimentDriver`
+        attaches the analysis (replayed from the cache, or computed and
+        stored) before anything asks.
         """
         if self._slices is None and self.source_modules:
             from ..analysis import analyze_system
             from ..analysis.source import live_sources
 
-            self._slices = analyze_system(self, live_sources(self.source_modules))
-            self.registry.attach_slice_digests(self._slices)
+            self.attach_slice_analysis(analyze_system(self, live_sources(self.source_modules)))
+        return self._slices
+
+    @property
+    def attached_slice_analysis(self) -> Optional["SliceAnalysis"]:
+        """The analysis this spec already carries, if any (never slices)."""
         return self._slices
 
     def attach_slice_analysis(self, slices: "SliceAnalysis") -> None:
-        """Inject a pre-computed analysis (tests and ``repro diff-run``
-        slice *other* source text — a patched tree, a git ref — against
-        this spec's registry and workloads)."""
+        """Make ``slices`` this spec's analysis.  Called by the experiment
+        driver with the cache's or a fresh analysis of the live source,
+        and by tests and ``repro diff-run`` with an analysis of *other*
+        source text — a patched tree, a git ref — sliced against this
+        spec's registry and workloads; the driver leaves a spec that
+        already carries one alone."""
         self._slices = slices
         self.registry.attach_slice_digests(slices)
 

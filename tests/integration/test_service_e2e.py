@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.config import CSnakeConfig
+from repro.core.driver import ExperimentDriver
 from repro.pipeline import Pipeline
 from repro.service.agent import Agent
 from repro.service.http import HttpTransport, ManagerServer
@@ -55,6 +56,12 @@ def test_remote_backend_over_stdlib_http_matches_serial(serial_digest, tmp_path)
                 cache_dir=cache_dir,
                 **CFG,
             )
+            # The profiles are already in the shared cache (an earlier
+            # local campaign over the same config put them there), so the
+            # agent replays them when it executes the cold experiments.
+            ExperimentDriver(
+                get_system("toy"), CSnakeConfig(cache_dir=cache_dir, **CFG)
+            ).profile_all()
             cold = Pipeline.default(get_system("toy"), config).run()
             assert campaign_digest(cold) == serial_digest
             warm = Pipeline.default(get_system("toy"), config).run()
@@ -62,12 +69,14 @@ def test_remote_backend_over_stdlib_http_matches_serial(serial_digest, tmp_path)
         finally:
             agent.stop()
             thread.join(timeout=10.0)
-        # The agent executed the cold run and reported warm-cache hits on
-        # the second: its counters travel back with every completion.
+        # The agent executed the cold run's experiments over replayed
+        # profiles and a replayed slice analysis: its counters travel back
+        # with every completion.
         stats = server.core.stats()
         fleet = {a["name"]: a["cache"] for a in stats["agents"]}
         assert fleet["it-a"]["stores"] > 0
         assert fleet["it-a"]["hits"] > 0
+        assert fleet["it-a"]["slices"] == "replayed"
     assert stats["tasks"]["executed"] == stats["tasks"]["total"]
     assert stats["tasks"]["queued"] == stats["tasks"]["leased"] == 0
 

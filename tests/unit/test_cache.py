@@ -43,18 +43,29 @@ def test_cold_campaign_fills_warm_campaign_replays(tmp_path, monkeypatch):
     assert stats["hits"] == 0
     assert stats["misses"] > 0
     assert stats["stores"] == stats["misses"]
-    assert len(cold.driver.cache) == stats["stores"]
+    # One entry per counted store, plus the uncounted ``slices`` entry.
+    assert len(cold.driver.cache) == stats["stores"] + 1
+    assert stats["slices"] == "recomputed"
 
-    # The warm campaign must never simulate: every profile group and every
-    # experiment comes out of the store.
+    # The warm campaign must never simulate, and never parse the target's
+    # source: every profile group, every experiment and the code-slice
+    # analysis come out of the store.
+    import ast
+
     import repro.core.driver as driver_mod
 
     def _boom(*_a, **_k):  # pragma: no cover - failure path
         raise AssertionError("simulated a run despite a fully warm cache")
 
+    def _no_parse(*_a, **_k):  # pragma: no cover - failure path
+        raise AssertionError("parsed source despite a stored slice analysis")
+
     monkeypatch.setattr(driver_mod, "run_workload", _boom)
-    warm = _campaign(root)
+    with monkeypatch.context() as patch:
+        patch.setattr(ast, "parse", _no_parse)
+        warm = _campaign(root)
     warm_stats = warm.driver.cache.stats()
+    assert warm_stats["slices"] == "replayed"
     assert warm_stats["hits"] == stats["stores"]
     assert warm_stats["misses"] == 0
     assert warm_stats["stores"] == 0
@@ -136,6 +147,19 @@ def test_workload_sim_config_participates_in_digest(tmp_path):
     assert tweaked_cache.experiment_key(second, FAULT, PLANS) == other_key
 
 
+def _malformed(valid_entry):
+    """Ways an entry file can be wrong: not an object, no ``data``, ``data``
+    the codec rejects, cut off mid-write."""
+    entry = json.loads(valid_entry)
+    return {
+        "a list": "[]",
+        "a string": '"x"',
+        "no data": json.dumps({k: v for k, v in entry.items() if k != "data"}),
+        "data of the wrong shape": json.dumps(dict(entry, data=[1, 2])),
+        "truncated": valid_entry[: len(valid_entry) // 2],
+    }
+
+
 def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     spec = get_system("toy")
     cache = ExperimentCache(tmp_path, spec, CSnakeConfig(seed=1))
@@ -161,6 +185,55 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     payload["schema"] = CACHE_SCHEMA + 1
     path.write_text(json.dumps(payload))
     assert cache.lookup_profile(key) is None
+
+    # Every way of being malformed, for all three kinds, with exact counters.
+    from repro.analysis.source import live_sources
+    from repro.core.fca import FcaResult
+
+    cache = ExperimentCache(tmp_path / "kinds", spec, CSnakeConfig(seed=1))
+    sources = live_sources(spec.source_modules)
+    slices = spec.slice_analysis()
+    keys = {
+        "profile": cache.profile_key("t"),
+        "experiment": cache.experiment_key("t", FAULT, PLANS),
+        "slices": cache.slices_key(sources),
+    }
+    store = {
+        "profile": lambda: cache.store_profile(keys["profile"], "t", group),
+        "experiment": lambda: cache.store_experiment(
+            keys["experiment"], "t", FAULT, FcaResult(fault=FAULT, test_id="t"), runs=2
+        ),
+        "slices": lambda: cache.store_slices(keys["slices"], slices),
+    }
+    lookup = {
+        "profile": cache.lookup_profile,
+        "experiment": cache.lookup_experiment,
+        "slices": cache.lookup_slices,
+    }
+    for kind in ("profile", "experiment", "slices"):
+        store[kind]()
+        path = cache._path(keys[kind])
+        valid = path.read_text()
+        for what, text in _malformed(valid).items():
+            path.write_text(text)
+            cache.slices = None
+            before = (cache.hits, cache.misses, cache.stores)
+            assert lookup[kind](keys[kind]) is None, (kind, what)
+            # The slices lookup is reported on its own and never counted.
+            missed = 0 if kind == "slices" else 1
+            assert (cache.hits, cache.misses, cache.stores) == (
+                before[0], before[1] + missed, before[2],
+            ), (kind, what)
+            assert cache.slices is None
+        # The recompute overwrites the bad file and the entry reads again.
+        store[kind]()
+        assert path.read_text() == valid
+        before = (cache.hits, cache.misses)
+        assert lookup[kind](keys[kind]) is not None
+        hit = 0 if kind == "slices" else 1
+        assert (cache.hits, cache.misses) == (before[0] + hit, before[1])
+    assert cache.stores == 4  # profile and experiment, twice each; never slices
+    assert cache.slices == "replayed"
 
 
 def test_experiment_roundtrip_preserves_runs_counter(tmp_path):

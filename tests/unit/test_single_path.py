@@ -35,7 +35,8 @@ PAIRS = [
 
 
 def _entries(root):
-    """Relative path -> bytes of every cache entry under ``root``."""
+    """Relative path -> bytes of every cache entry under ``root``
+    (profile, experiment and the one ``slices`` entry alike)."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.glob("*/*.json"))}
 
 
@@ -95,17 +96,24 @@ def test_parent_counters_entries_and_digest_equal_across_backends(
     reference, reference_entries = serial_reference
     assert runs == reference
     assert entries == reference_entries  # same keys, same bytes
+    # The counters are of profile and experiment entries; whichever
+    # process sliced first also wrote the one ``slices`` entry.
+    assert _kinds(tmp_path / "cache").count("slices") == 1
+    counted = len(entries) - 1
     cold, warm = runs["cold"][0], runs["warm"][0]
-    assert cold["hits"] == 0 and cold["stores"] == cold["misses"] == len(entries)
-    assert warm == {"hits": len(entries), "misses": 0, "stores": 0}
+    assert cold["hits"] == 0 and cold["stores"] == cold["misses"] == counted
+    assert warm == {"hits": counted, "misses": 0, "stores": 0}
     assert runs["cold"][1] == runs["warm"][1]
 
 
 def test_run_experiment_is_a_batch_of_one(tmp_path):
-    spec = get_system("toy")
     fault, test_id = PAIRS[0]
 
     def drive(root, call):
+        # A spec of its own per driver: the first driver to see a spec
+        # attaches the slice analysis to it and writes the ``slices``
+        # entry, which a second driver on the same spec would not repeat.
+        spec = get_system("toy")
         driver = ExperimentDriver(spec, CSnakeConfig(cache_dir=str(root), **SMOKE))
         call(driver)
         return (
@@ -168,7 +176,7 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
     assert envelope == task_result_to_obj(worker_result)
     assert envelope["kind"] == "experiment"
     assert _entries(tmp_path / "agent") == _entries(tmp_path / "worker")
-    assert _kinds(tmp_path / "agent") == ["experiment", "profile"]
+    assert _kinds(tmp_path / "agent") == ["experiment", "profile", "slices"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 2)
     # Re-executing the task (a re-queued lease) replays the stored entry.
     again, cache = execute_wire_task(task_to_obj(task(tmp_path / "agent")))
