@@ -10,6 +10,8 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy"],
+    # scipy: the oracle the in-house Welch-test and average-linkage kernels
+    # are compared with (tests skip without it); nothing under src imports it.
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
 )

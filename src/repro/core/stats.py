@@ -2,25 +2,85 @@
 
 The paper uses a one-sided t-test with p = 0.1 to decide whether a loop's
 iteration count *statistically increased* in injection runs relative to
-profile runs (§4.3).  :func:`one_sided_t_pvalues` is the batched form FCA
-uses on its hot path: all candidate loop sites of a run group are tested
-in one vectorized numpy/scipy call instead of one python-level t-test per
-site.
+profile runs (§4.3).  :func:`one_sided_t_pvalues` is the form FCA uses on
+its hot path: all candidate loop sites of a run group are tested in one
+call — means, variances and Welch's statistic in numpy over the whole
+matrix, then the Student-t tail of each non-degenerate row from
+:func:`student_t_sf`, written here on the stdlib so that a campaign
+process needs no statistics library.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from typing import List, Sequence
 
 import numpy as _np
-from scipy import stats as _scipy_stats
+
+_EPS = 1e-15  # the continued fraction stops when a term moves it by less
+_TINY = 1e-300  # stands in for a zero denominator (Lentz)
 
 
-def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> float:
-    """P-value for ``mean(treatment) > mean(control)`` (Welch one-sided).
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz);
+    converges in a few dozen terms for ``x < (a + 1) / (a + b + 2)``."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        for numerator in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            break
+    return h
 
-    Degenerate cases are resolved the way the analysis needs them:
+
+def student_t_sf(t: float, df: float) -> float:
+    """``P(T > t)`` for Student's t with ``df`` (real, > 0) degrees of freedom.
+
+    ``P(|T| > |t|) = I_x(df/2, 1/2)`` with ``x = df / (df + t²)``.  The
+    continued fraction is evaluated on whichever of ``I_x(a, b)`` and
+    ``1 - I_{1-x}(b, a)`` converges fast, with ``1 - x`` formed as
+    ``t² / (df + t²)`` so that no precision is lost near ``t = 0``.
+    """
+    t2 = t * t
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    a, b = 0.5 * df, 0.5
+    if y <= 0.0:
+        two_sided = 1.0
+    elif x <= 0.0:
+        two_sided = 0.0
+    else:
+        log_front = (
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * math.log(x) + b * math.log(y)
+        )
+        if x < (a + 1.0) / (a + b + 2.0):
+            two_sided = math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
+        else:
+            two_sided = 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
+    return 0.5 * two_sided if t >= 0.0 else 1.0 - 0.5 * two_sided
+
+
+def one_sided_t_pvalues(
+    treatments: Sequence[Sequence[float]], controls: Sequence[Sequence[float]]
+) -> List[float]:
+    """P-values for ``mean(treatments[i]) > mean(controls[i])`` (Welch,
+    one-sided), one per row.
+
+    All rows of each matrix must have equal length (they come from the
+    repeated runs of one run group).  Degenerate cases are resolved the
+    way the analysis needs them:
 
     * fewer than two samples on either side → 1.0 (no evidence);
     * both sides constant and equal → 1.0;
@@ -28,58 +88,34 @@ def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> 
       increase is maximal evidence);
     * both sides constant, treatment lower → 1.0.
     """
-    if len(treatment) < 2 or len(control) < 2:
-        return 1.0
-    mt = sum(treatment) / len(treatment)
-    mc = sum(control) / len(control)
-    vt = sum((x - mt) ** 2 for x in treatment) / (len(treatment) - 1)
-    vc = sum((x - mc) ** 2 for x in control) / (len(control) - 1)
-    if vt == 0.0 and vc == 0.0:
-        return 0.0 if mt > mc else 1.0
-    with warnings.catch_warnings():
-        # Near-identical samples trigger a precision-loss RuntimeWarning;
-        # the resulting p-value is still on the right side of 0.1.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = _scipy_stats.ttest_ind(
-            list(treatment), list(control), equal_var=False, alternative="greater"
-        )
-    return float(result.pvalue)
-
-
-def one_sided_t_pvalues(
-    treatments: Sequence[Sequence[float]], controls: Sequence[Sequence[float]]
-) -> List[float]:
-    """Row-wise batch of :func:`one_sided_t_pvalue`.
-
-    ``treatments[i]`` is tested against ``controls[i]``; all rows of each
-    matrix must have equal length (they come from the repeated runs of one
-    run group).  Decisions are identical to calling the scalar function
-    per row — the degenerate cases are resolved the same way, and the
-    non-degenerate rows go through the same Welch test, just vectorized.
-    """
     n_rows = len(treatments)
     if n_rows == 0:
         return []
     T = _np.asarray(treatments, dtype=float)
     C = _np.asarray(controls, dtype=float)
-    out = _np.ones(n_rows)
-    if T.shape[1] < 2 or C.shape[1] < 2:
-        return out.tolist()
-    mt = T.mean(axis=1)
-    mc = C.mean(axis=1)
-    vt = T.var(axis=1, ddof=1)
-    vc = C.var(axis=1, ddof=1)
-    const = (vt == 0.0) & (vc == 0.0)
-    out[const & (mt > mc)] = 0.0
-    live = ~const
-    if live.any():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = _scipy_stats.ttest_ind(
-                T[live], C[live], axis=1, equal_var=False, alternative="greater"
-            )
-        out[live] = result.pvalue
-    return [float(p) for p in out]
+    nt, nc = T.shape[1], C.shape[1]
+    if nt < 2 or nc < 2:
+        return [1.0] * n_rows
+    diff = T.mean(axis=1) - C.mean(axis=1)
+    vt = T.var(axis=1, ddof=1) / nt
+    vc = C.var(axis=1, ddof=1) / nc
+    total = vt + vc
+    # 0/0 on the rows where both sides are constant; never read below.
+    with _np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / _np.sqrt(total)
+        df = total**2 / (vt**2 / (nt - 1) + vc**2 / (nc - 1))
+    return [
+        student_t_sf(t_i, df_i) if var_i > 0.0 else (0.0 if diff_i > 0.0 else 1.0)
+        for diff_i, var_i, t_i, df_i in zip(
+            diff.tolist(), total.tolist(), t.tolist(), df.tolist()
+        )
+    ]
+
+
+def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> float:
+    """:func:`one_sided_t_pvalues` for one pair of samples (which, alone,
+    may differ in length)."""
+    return one_sided_t_pvalues([treatment], [control])[0]
 
 
 def significant_increase(

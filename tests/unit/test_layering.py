@@ -1,15 +1,21 @@
 """Layering guard: modules of ``repro`` talk through public names.
 
-Two rules, checked on the AST of every module under ``src/repro``:
+Three rules, checked on the AST of every module under ``src/repro``:
 
 * no ``from <another repro module> import _name`` — a leading underscore
   means "private to the module that defines it";
 * no ``driver._x`` / ``cache._x`` attribute access (nor ``something.driver._x``)
   — the experiment driver and the experiment cache are the seams every
-  backend shares, so their internals are reached through ``self`` only.
+  backend shares, so their internals are reached through ``self`` only;
+* no ``import scipy`` / ``from scipy ...`` — a campaign process runs on
+  the stdlib and numpy (SciPy is the test suite's oracle, not a
+  dependency), and ``test_a_campaign_loads_no_scipy_module`` checks the
+  same thing on a live process.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -27,6 +33,15 @@ def _receiver_name(node):
 
 def _violations(source, where):
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            absolute = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            absolute = [node.module]
+        else:
+            absolute = []
+        for name in absolute:
+            if name.split(".")[0] == "scipy":
+                yield "%s:%d imports %s" % (where, node.lineno, name)
         if isinstance(node, ast.ImportFrom):
             inside_repro = node.level > 0 or (node.module or "").split(".")[0] == "repro"
             for alias in node.names:
@@ -64,6 +79,30 @@ def test_the_guard_sees_both_kinds_of_violation():
         "    self._plans = driver.cache\n"
         "    driver._execute_plans()\n"
         "    return ctx.driver.cache._load\n"
+        "import numpy, scipy.stats as st\n"
+        "from scipy.cluster.hierarchy import linkage\n"
+        "from .scipy import shim\n"
     )
     found = sorted(_violations(probe, "probe.py"))
-    assert [v.split(" ", 1)[0] for v in found] == ["probe.py:1", "probe.py:5", "probe.py:6"], found
+    assert [v.split(" ", 1)[0] for v in found] == [
+        "probe.py:1", "probe.py:5", "probe.py:6", "probe.py:7", "probe.py:8",
+    ], found
+
+
+def test_a_campaign_loads_no_scipy_module():
+    """A whole campaign through ``repro.cli`` — analysis, profiling, FCA's
+    Welch tests, 3PA clustering, beam search, report — in a fresh
+    interpreter, then the loaded-module table is read."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from repro.cli import main\n"
+        "code = main(['run', 'toy', '--repeats', '2', '--delays', '2000', '--budget', '2'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print('exit', code, 'scipy modules', loaded, file=sys.stderr)\n"
+        "sys.exit(1 if code or loaded else 0)\n"
+    ) % str(SRC.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
