@@ -5,6 +5,8 @@ Starts a real manager (``repro serve``) and two agents (``repro agent``)
 as subprocesses, then drives the miniraft environment-fault campaign
 through ``--backend remote`` and asserts the service contract end to end:
 
+0. a submitted campaign whose config is malformed is refused with HTTP 400
+   naming the field, and the same manager then serves everything below;
 1. a cold remote campaign produces the serial campaign digest;
 2. a warm rerun produces it again, and the agents report a nonzero
    cache hit rate back through the manager;
@@ -96,6 +98,15 @@ def main() -> int:
     agents = [_start_agent(url, "smoke-a"), _start_agent(url, "smoke-b")]
     doomed = None
     try:
+        try:
+            transport.start_campaign("miniraft", {"repeats": "3"})
+        except ReproError as exc:
+            assert "replied 400" in str(exc) and "repeats" in str(exc), exc
+        else:
+            raise AssertionError("a malformed campaign config was accepted")
+        assert transport.list_campaigns() == {"campaigns": []}
+        print("malformed config refused with 400")
+
         cold = _remote_run(url, cache_dir=cache_dir)
         assert cold == serial, "cold remote digest diverged: %s != %s" % (cold, serial)
         print("cold remote digest ok")

@@ -20,7 +20,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .config import CSnakeConfig
 from .core.driver import ExperimentDriver
@@ -58,28 +58,19 @@ def _parse_fault(text: str) -> FaultKey:
         )
 
 
-def _parse_delays(text: str) -> tuple:
+def _parse_floats(text: str, what: str) -> tuple:
+    """The sweep value grammar ``--delays`` and ``--sweep`` share."""
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise SystemExit("--delays must be comma-separated milliseconds, got %r" % text)
+        raise SystemExit("%s must be comma-separated numbers, got %r" % (what, text))
     if not values:
-        raise SystemExit("--delays needs at least one value")
+        raise SystemExit("%s needs at least one value" % what)
     return values
 
 
-def _parse_fault_kinds(text: str) -> tuple:
-    try:
-        return expand_kinds(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _parse_schedules(text: str) -> tuple:
-    try:
-        return expand_schedules(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+def _parse_delays(text: str) -> tuple:
+    return _parse_floats(text, "--delays")
 
 
 def _parse_sweeps(entries: List[str]) -> tuple:
@@ -94,13 +85,7 @@ def _parse_sweeps(entries: List[str]) -> tuple:
                 "--sweep must look like '<kind>=V1,V2,...' with kind one of %s, got %r"
                 % (", ".join(known), entry)
             )
-        try:
-            parsed = tuple(float(v) for v in values.split(",") if v.strip())
-        except ValueError:
-            raise SystemExit("--sweep %s values must be numbers, got %r" % (kind, values))
-        if not parsed:
-            raise SystemExit("--sweep %s needs at least one value" % kind)
-        overrides.append((kind, parsed))
+        overrides.append((kind, _parse_floats(values, "--sweep %s" % kind)))
     return tuple(overrides)
 
 
@@ -115,28 +100,75 @@ def _parse_stages(text: str) -> List[str]:
     return names
 
 
+#: Every config-bound flag, spelled here and nowhere else.  A row is
+#: (flag, ``CSnakeConfig`` field, flag value -> field value (``None``: as it
+#: is; a ``ValueError`` is a usage error), whether ``resume`` takes it,
+#: argparse kwargs); a row without ``help`` shows the field's own doc.
+_EXPERIMENT_FLAGS = (
+    ("--budget", "budget_per_fault", None, False, dict(type=int)),
+    ("--seed", "seed", None, False, dict(type=int)),
+    ("--repeats", "repeats", None, False, dict(type=int)),
+    ("--delays", "delay_values_ms", _parse_delays, False, dict(
+        metavar="MS,MS,...",
+        help="delay sweep in virtual ms (default: the paper's 7-point sweep); "
+        "shorthand for --sweep delay=MS,MS,...",
+    )),
+    ("--fault-kinds", "fault_kinds", expand_kinds, True, dict(metavar="K,K,...|all|classic")),
+    ("--schedules", "schedules", expand_schedules, True, dict(metavar="S,S,...|all")),
+    ("--adaptive-budget", "adaptive_budget", None, True, dict(action="store_true")),
+    ("--sweep", "sweep_overrides", _parse_sweeps, True, dict(
+        action="append", metavar="KIND=V1,V2,...",
+        help="override one fault kind's or schedule's parameter sweep "
+        "(repeatable), e.g. --sweep partition=10000,30000 --sweep "
+        "membership_churn=1,2",
+    )),
+)
+#: Executor-backend selection shared by experiment subcommands.
+_BACKEND_FLAGS = (
+    ("--backend", "experiment_backend", None, True, dict(choices=list(BACKENDS))),
+    ("--workers", "experiment_workers", None, True, dict(
+        type=int, metavar="N",
+        help="worker count for the process backend (default: all cores)",
+    )),
+    ("--manager", "manager_url", None, True, dict(metavar="URL")),
+)
+#: The same knob where a subcommand is a manager's client.
+_MANAGER_FLAG = ("--manager", "manager_url", None, False, dict(
+    required=True, metavar="URL", help="manager URL printed by `repro serve`",
+))
+#: The experiment flags ``resume`` takes, to re-assert and never to override.
+_RESUME_FLAGS = tuple(row for row in _EXPERIMENT_FLAGS if row[3])
+#: The flags that decide a fault space (all that ``analyze`` takes).
+_FAULT_SPACE_FLAGS = tuple(
+    row for row in _EXPERIMENT_FLAGS if row[0] in ("--fault-kinds", "--schedules")
+)
+
+
+def _passed(args: argparse.Namespace, flag: str) -> Any:
+    """The value ``flag`` was given; ``None`` when it was not passed or
+    ``args`` is of a subcommand without it."""
+    value = getattr(args, flag[2:].replace("-", "_"), None)
+    return None if value is False else value
+
+
+def _flag_params(args: argparse.Namespace, rows: Sequence[tuple]) -> Dict[str, Any]:
+    """``CSnakeConfig`` field -> value, for the flags of ``rows`` the user
+    actually passed."""
+    params = {}
+    for flag, field, parse, _resume, _kwargs in rows:
+        value = _passed(args, flag)
+        if value is not None:
+            try:
+                params[field] = parse(value) if parse else value
+            except ValueError as exc:
+                raise SystemExit(str(exc))
+    return params
+
+
 def _config(args: argparse.Namespace) -> CSnakeConfig:
     """Build a config from the experiment flags the user actually passed;
     everything else keeps the ``CSnakeConfig`` (paper) defaults."""
-    params = {}
-    if getattr(args, "budget", None) is not None:
-        params["budget_per_fault"] = args.budget
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    if getattr(args, "repeats", None) is not None:
-        params["repeats"] = args.repeats
-    if getattr(args, "delays", None) is not None:
-        params["delay_values_ms"] = _parse_delays(args.delays)
-    if getattr(args, "fault_kinds", None) is not None:
-        params["fault_kinds"] = _parse_fault_kinds(args.fault_kinds)
-    if getattr(args, "schedules", None) is not None:
-        params["schedules"] = _parse_schedules(args.schedules)
-    if getattr(args, "adaptive_budget", False):
-        params["adaptive_budget"] = True
-    if getattr(args, "sweep", None):
-        params["sweep_overrides"] = _parse_sweeps(args.sweep)
-    params.update(_execution_overrides(args))
-    return CSnakeConfig(**params)
+    return CSnakeConfig(**_flag_params(args, _EXPERIMENT_FLAGS), **_execution_overrides(args))
 
 
 def _execution_overrides(args: argparse.Namespace) -> dict:
@@ -144,25 +176,14 @@ def _execution_overrides(args: argparse.Namespace) -> dict:
     manager, cache directory.  They never change results, only where (and
     whether) experiments execute, so ``run`` builds its config with them
     and ``resume`` lays them over the session's."""
-    overrides = {}
-    workers = getattr(args, "workers", None)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        overrides["experiment_backend"] = backend
-        if workers is None and backend != "serial":
-            # A parallel backend without an explicit worker count means
-            # "use the machine": one worker per core.
-            workers = os.cpu_count() or 1
-    if workers is not None:
-        overrides["experiment_workers"] = workers
-    if getattr(args, "manager", None) is not None:
-        overrides["manager_url"] = args.manager
-    if getattr(args, "no_cache", False):
-        overrides["cache_dir"] = None
-    else:
-        cache_dir = _cache_dir(args)
-        if cache_dir is not None:
-            overrides["cache_dir"] = cache_dir
+    overrides = _flag_params(args, _BACKEND_FLAGS)
+    if overrides.get("experiment_backend", "serial") != "serial":
+        # A parallel backend without an explicit worker count means
+        # "use the machine": one worker per core.
+        overrides.setdefault("experiment_workers", os.cpu_count() or 1)
+    cache_dir = _cache_dir(args)
+    if cache_dir is not None or getattr(args, "no_cache", False):
+        overrides["cache_dir"] = cache_dir  # --no-cache: an explicit None
     return overrides
 
 
@@ -364,21 +385,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     session = Session.open(args.session_dir)
     config = dataclasses.replace(session.config, **_execution_overrides(args))
-    result_overrides = {}
-    if getattr(args, "fault_kinds", None) is not None:
-        result_overrides["fault_kinds"] = _parse_fault_kinds(args.fault_kinds)
-    if getattr(args, "schedules", None) is not None:
-        result_overrides["schedules"] = _parse_schedules(args.schedules)
-    if getattr(args, "adaptive_budget", False):
-        result_overrides["adaptive_budget"] = True
-    if getattr(args, "sweep", None):
-        result_overrides["sweep_overrides"] = _parse_sweeps(args.sweep)
-    if result_overrides:
+    verified = _flag_params(args, _RESUME_FLAGS)
+    if verified:
         # Fault kinds, schedules, adaptivity, and sweeps are
         # result-affecting: they must match what the session was created
         # with, or the stored artifacts would mix with a different
         # campaign — verify raises a clear mismatch error.
-        config = dataclasses.replace(config, **result_overrides)
+        config = dataclasses.replace(config, **verified)
         session.verify(session.system, config)
     return _run_pipeline(session.system, config, args, session, None)
 
@@ -391,9 +404,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     spec = get_system(args.system)
     slices = spec.slice_analysis()
-    kinds = _parse_fault_kinds(args.fault_kinds) if args.fault_kinds else None
-    schedules = _parse_schedules(args.schedules) if args.schedules else None
-    result = analyze(spec.registry, kinds, slices=slices, schedules=schedules)
+    result = analyze(spec.registry, slices=slices, **_flag_params(args, _FAULT_SPACE_FLAGS))
     if args.json:
         obj = {"analysis": analysis_to_obj(result), "slices": None}
         if slices is not None:
@@ -448,6 +459,20 @@ def _diffrun_side_root(provider, workdir, label):
     return provider.root
 
 
+def _diffrun_argv(args: argparse.Namespace, cache_dir: str) -> List[str]:
+    """One diff-run side's ``repro run ...`` arguments: every experiment
+    and backend flag the user passed, respelled."""
+    argv = ["run", args.system, "--json", "--cache-dir", cache_dir]
+    for flag, *_ in _EXPERIMENT_FLAGS + _BACKEND_FLAGS:
+        value = _passed(args, flag)
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            for item in value if isinstance(value, list) else [value]:
+                argv += [flag, str(item)]
+    return argv
+
+
 def _diffrun_campaign(root, args, cache_dir: str):
     """Run one side's campaign in a subprocess whose ``repro`` package is
     imported from that side's tree, sharing ``cache_dir`` across sides so
@@ -456,26 +481,7 @@ def _diffrun_campaign(root, args, cache_dir: str):
 
     src = root / "src"
     pythonpath = str(src if src.is_dir() else root)
-    cmd = [
-        sys.executable, "-m", "repro.cli", "run", args.system,
-        "--json", "--cache-dir", cache_dir,
-    ]
-    for flag, value in (
-        ("--budget", args.budget),
-        ("--seed", args.seed),
-        ("--repeats", args.repeats),
-        ("--delays", args.delays),
-        ("--fault-kinds", args.fault_kinds),
-        ("--schedules", args.schedules),
-        ("--backend", args.backend),
-        ("--workers", args.workers),
-    ):
-        if value is not None:
-            cmd += [flag, str(value)]
-    if getattr(args, "adaptive_budget", False):
-        cmd += ["--adaptive-budget"]
-    for entry in args.sweep or []:
-        cmd += ["--sweep", entry]
+    cmd = [sys.executable, "-m", "repro.cli"] + _diffrun_argv(args, cache_dir)
     env = dict(os.environ, PYTHONPATH=pythonpath)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1 just means "no bugs detected"
@@ -512,10 +518,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     new_slices = analyze_system(spec, new_provider.sources(spec.source_modules))
     sdiff = diff_slices(old_slices, new_slices)
     analysis = analyze(
-        spec.registry,
-        _parse_fault_kinds(args.fault_kinds) if args.fault_kinds else None,
-        slices=new_slices,
-        schedules=_parse_schedules(args.schedules) if args.schedules else None,
+        spec.registry, slices=new_slices, **_flag_params(args, _FAULT_SPACE_FLAGS)
     )
     invalidated, reusable = sdiff.partition_faults(analysis.faults)
 
@@ -789,75 +792,11 @@ def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None
     )
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    """Executor-backend selection shared by experiment subcommands."""
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="experiment executor backend "
-        "(results are bit-identical across backends; remote needs --manager)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for the process backend (default: all cores)",
-    )
-    parser.add_argument(
-        "--manager", default=None, metavar="URL",
-        help="manager URL of a `repro serve` instance (required by "
-        "--backend remote; see `repro serve`)",
-    )
-
-
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags meaningful only to experiment-running subcommands."""
-    parser.add_argument("--budget", type=int, default=None, help="budget per fault")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--delays",
-        default=None,
-        metavar="MS,MS,...",
-        help="delay sweep in virtual ms (default: the paper's 7-point sweep); "
-        "shorthand for --sweep delay=MS,MS,...",
-    )
-    _add_fault_flags(parser)
-
-
-def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    """Fault-kind selection and sweep grammar (the only experiment flags resume takes)."""
-    parser.add_argument(
-        "--fault-kinds",
-        default=None,
-        metavar="K,K,...|all|classic",
-        help="fault kinds to inject, by registered model id "
-        "(default: classic = exception,delay,negation; all additionally "
-        "enables the environment kinds — see 'repro faults')",
-    )
-    parser.add_argument(
-        "--schedules",
-        default=None,
-        metavar="S,S,...|all",
-        help="composed fault schedules to inject, by registered schedule "
-        "name (default: none; 'all' enables every registered schedule — "
-        "see 'repro faults')",
-    )
-    parser.add_argument(
-        "--adaptive-budget",
-        action="store_true",
-        help="reallocate a share of the phase-2/3 budget toward the "
-        "(fault, test) pairs whose early p-values look promising "
-        "(deterministic: identical across serial/process/remote backends)",
-    )
-    parser.add_argument(
-        "--sweep",
-        action="append",
-        default=None,
-        metavar="KIND=V1,V2,...",
-        help="override one fault kind's or schedule's parameter sweep "
-        "(repeatable), e.g. --sweep partition=10000,30000 --sweep "
-        "membership_churn=1,2",
-    )
+def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[tuple]) -> None:
+    """Declare ``rows`` of :data:`_EXPERIMENT_FLAGS` / :data:`_BACKEND_FLAGS`."""
+    docs = {f.name: f.metadata["doc"] for f in dataclasses.fields(CSnakeConfig)}
+    for flag, field, _parse, _resume, kwargs in rows:
+        parser.add_argument(flag, **dict({"help": docs[field]}, **kwargs))
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -892,19 +831,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME,NAME,...",
         help="run only these stages (of: %s)" % ", ".join(STAGE_NAMES),
     )
-    _add_backend_flags(run)
+    _add_flags(run, _BACKEND_FLAGS)
     run.add_argument(
         "--session-dir", default=None, metavar="DIR",
         help="persist per-stage artifacts under DIR (resumable)",
     )
-    _add_experiment_flags(run)
+    _add_flags(run, _EXPERIMENT_FLAGS)
     _add_cache_flags(run)
     _add_output_flags(run)
 
     resume = sub.add_parser("resume", help="resume an interrupted --session-dir run")
     resume.add_argument("session_dir", metavar="DIR")
-    _add_backend_flags(resume)
-    _add_fault_flags(resume)  # must match the session; verified, not overridden
+    _add_flags(resume, _BACKEND_FLAGS + _RESUME_FLAGS)
     _add_cache_flags(resume)
     _add_output_flags(resume)
 
@@ -914,18 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reasons, and code-slice resolution status",
     )
     analyze.add_argument("system", choices=available_systems())
-    analyze.add_argument(
-        "--fault-kinds",
-        default=None,
-        metavar="K,K,...|all|classic",
-        help="fault kinds to include in the reported fault space",
-    )
-    analyze.add_argument(
-        "--schedules",
-        default=None,
-        metavar="S,S,...|all",
-        help="composed fault schedules to include in the reported fault space",
-    )
+    _add_flags(analyze, _FAULT_SPACE_FLAGS)
     analyze.add_argument(
         "--json", action="store_true", help="print the analysis as JSON"
     )
@@ -949,8 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--static-only", action="store_true",
         help="stop after the slice diff and invalidation report (no campaigns)",
     )
-    _add_backend_flags(diff_run)
-    _add_experiment_flags(diff_run)
+    _add_flags(diff_run, _BACKEND_FLAGS + _EXPERIMENT_FLAGS)
     _add_cache_flags(diff_run, bare=False)
     _add_output_flags(diff_run)
 
@@ -958,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("system", choices=available_systems())
     inject.add_argument("fault", help="<site>:<%s>" % "|".join(registered_kinds()))
     inject.add_argument("test", help="workload/test id")
-    _add_experiment_flags(inject)
+    _add_flags(inject, _EXPERIMENT_FLAGS)
 
     serve = sub.add_parser(
         "serve",
@@ -988,10 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a worker agent: lease task batches from a manager, "
         "execute them locally, report results + cache counters",
     )
-    agent.add_argument(
-        "--manager", required=True, metavar="URL",
-        help="manager URL printed by `repro serve`",
-    )
+    _add_flags(agent, [_MANAGER_FLAG])
     agent.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="local execution threads (default: all cores)",
@@ -1020,10 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         "agent fleet); optionally wait for and print the report",
     )
     submit.add_argument("system", choices=available_systems())
-    submit.add_argument(
-        "--manager", required=True, metavar="URL",
-        help="manager URL printed by `repro serve`",
-    )
+    _add_flags(submit, [_MANAGER_FLAG])
     submit.add_argument(
         "--label", default=None, metavar="TEXT",
         help="free-form campaign label shown in `repro status`",
@@ -1036,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--follow", action="store_true",
         help="like --wait, streaming progress events to stderr meanwhile",
     )
-    _add_experiment_flags(submit)
+    _add_flags(submit, _EXPERIMENT_FLAGS)
     _add_cache_flags(submit)
     _add_output_flags(submit)
 
@@ -1049,10 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", nargs="?", default=None, metavar="CAMPAIGN",
         help="campaign id printed by `repro submit` (omit for the overview)",
     )
-    status.add_argument(
-        "--manager", required=True, metavar="URL",
-        help="manager URL printed by `repro serve`",
-    )
+    _add_flags(status, [_MANAGER_FLAG])
     status.add_argument(
         "--follow", action="store_true",
         help="stream the campaign's events until it finishes",

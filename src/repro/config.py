@@ -3,22 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from .errors import ConfigError
-
-#: Config knobs that change *how* a campaign executes but provably not its
-#: results (parallel campaigns are bit-identical to serial ones, and the
-#: experiment cache replays byte-identical results).  Sessions allow a
-#: resume to override them, and experiment-cache keys exclude them — a
-#: warm cache written by a serial run serves a process-backed one.
-EXECUTION_ONLY_KNOBS: Tuple[str, ...] = (
-    "experiment_workers",
-    "experiment_backend",
-    "cache_dir",
-    "manager_url",
-)
 
 #: The executor backends ``experiment_backend`` (and the CLI) accept;
 #: :func:`repro.pipeline.make_executor` builds them.  ``remote`` ships
@@ -37,26 +26,6 @@ DELAY_VALUES_MS: Tuple[float, ...] = (100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.
 #: select this (or any other) sweep explicitly.
 FAST_DELAY_VALUES_MS: Tuple[float, ...] = (250.0, 1000.0, 8000.0)
 
-#: Restart-delay sweep of the ``node_crash`` environment fault model:
-#: a quick crash-recover bounce and a long outage, in virtual ms.
-CRASH_RESTART_VALUES_MS: Tuple[float, ...] = (10_000.0, 40_000.0)
-
-#: Duration sweep of the ``partition`` environment fault model: one cut
-#: shorter and one longer than the reduced 10-20 s timeouts (§4.2).
-PARTITION_VALUES_MS: Tuple[float, ...] = (15_000.0, 45_000.0)
-
-#: Probability sweep of the ``msg_drop`` environment fault model.
-DROP_PROB_VALUES: Tuple[float, ...] = (0.3, 0.7)
-
-#: Number of repetitions of every profile and injection run (§4.3).
-DEFAULT_REPEATS = 5
-
-#: Significance level of the one-sided t-test on loop iteration counts.
-DEFAULT_PVALUE = 0.1
-
-#: Budget multiplier: total test budget is ``budget_per_fault * |F|`` (§5.2).
-DEFAULT_BUDGET_PER_FAULT = 4
-
 #: Phase split of the 3PA protocol (§5.2): 25% / 50% / 25%.
 PHASE_SPLIT: Tuple[float, float, float] = (0.25, 0.50, 0.25)
 
@@ -67,112 +36,216 @@ EPSILON_WEIGHT = 0.01
 #: scalability analysis unless they perform I/O (§4.1).
 LOOP_SIZE_PRUNE_FRAC = 0.10
 
+#: The bounds a knob may declare: keyword -> (comparison, how it reads).
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def knob(
+    default: Any,
+    kind: Any,
+    doc: str,
+    *,
+    execution_only: bool = False,
+    sweep_of: Optional[str] = None,
+    **bounds: float,
+) -> Any:
+    """One :class:`CSnakeConfig` field, declared once: validation,
+    :data:`EXECUTION_ONLY_KNOBS`, both codecs and the CLI's help derive
+    from it (DESIGN.md, "Knobs").
+
+    ``kind`` is ``int``, ``float`` (an ``int`` will do), ``bool`` (never an
+    ``int``) or ``str``; ``(kind,)`` is a tuple of any length of that kind,
+    a longer tuple one of exactly that shape.  It is declared because
+    Python 3.9 cannot evaluate an ``"int | None"`` annotation.  A ``None``
+    default makes ``None`` acceptable.  ``ge`` / ``gt`` / ``le`` / ``lt``
+    hold every number in the value to a finite range; an unbounded field's
+    range has another owner, which for fault model ``sweep_of``'s default
+    sweep is that model.  ``doc`` is one sentence fit for ``--help``.
+    """
+    limits = [(limit,) + _BOUNDS[key] for key, limit in bounds.items()]
+    metadata = dict(
+        kind=kind, doc=doc, execution_only=execution_only, sweep_of=sweep_of, bounds=limits
+    )
+    return field(default=default, metadata=metadata)
+
+
+def _check_kind(name: str, reads: str, value: Any, kind: Any) -> None:
+    """``ConfigError`` naming field ``name`` (annotated ``reads``) unless
+    ``value`` is a ``kind``.  Never coerces: ``8000`` and ``8000.0`` dump
+    differently, and dumps key every cache entry."""
+    if isinstance(kind, tuple):
+        ok = isinstance(value, tuple) and (len(kind) == 1 or len(value) == len(kind))
+        if ok:
+            for i, item in enumerate(value):
+                _check_kind(name, reads, item, kind[i if len(kind) > 1 else 0])
+    elif kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError("%s must be %s, got %r" % (name, reads, value))
+
+
+def _retyped(value: Any, old: type, new: type) -> Any:
+    """``value`` with every ``old`` sequence in it, at any depth, a ``new``
+    one: the JSON form has lists where a config has tuples."""
+    return new(_retyped(v, old, new) for v in value) if isinstance(value, old) else value
+
 
 @dataclass
 class CSnakeConfig:
     """Tunable knobs of the whole pipeline, defaulting to paper values."""
 
-    repeats: int = DEFAULT_REPEATS
-    p_value: float = DEFAULT_PVALUE
-    budget_per_fault: int = DEFAULT_BUDGET_PER_FAULT
-    delay_values_ms: Tuple[float, ...] = DELAY_VALUES_MS
-    #: Fault kinds this campaign injects, by registered fault-model id
-    #: (``repro.faults``).  Defaults to the paper's closed taxonomy;
-    #: ``--fault-kinds all`` additionally enables the environment kinds
-    #: (node_crash, partition, msg_drop) on systems that declare an
-    #: :class:`~repro.faults.EnvFaultPort`.
-    fault_kinds: Tuple[str, ...] = ("exception", "delay", "negation")
-    #: Fault *schedules* this campaign injects, by registered schedule
-    #: name (``repro.faults.schedule``).  Off by default: schedules are
-    #: k-fault compositions (a partition during a crash-restart,
-    #: membership churn waves) anchored at ``ENV_NODE`` sites, and a
-    #: campaign opts in per schedule via ``--schedules``.
-    schedules: Tuple[str, ...] = ()
-    #: Per-kind sweep overrides: ``(("partition", (10_000.0,)), ...)``
-    #: replaces the named fault model's default parameter sweep.  The
-    #: ``--delays`` flag is shorthand for overriding the ``delay`` sweep.
-    #: Schedule names are accepted too (they sweep a ``time_scale``).
-    sweep_overrides: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-    #: Default parameter sweeps of the environment fault models.
-    crash_restart_values_ms: Tuple[float, ...] = CRASH_RESTART_VALUES_MS
-    partition_values_ms: Tuple[float, ...] = PARTITION_VALUES_MS
-    drop_prob_values: Tuple[float, ...] = DROP_PROB_VALUES
+    #: §4.3; the t-test needs two samples a side.
+    repeats: int = knob(5, int, "repetitions of every profile and injection run", ge=2)
+    p_value: float = knob(
+        0.1, float, "significance level of the one-sided t-test on loop counts", gt=0.0, lt=1.0
+    )
+    #: The total test budget is ``budget_per_fault * |F|`` (§5.2).
+    budget_per_fault: int = knob(4, int, "budget per fault", ge=1)
+    delay_values_ms: Tuple[float, ...] = knob(
+        DELAY_VALUES_MS, (float,), "delay sweep of contention injection, in virtual ms", gt=0.0
+    )
+    #: Defaults to the paper's closed taxonomy; the environment kinds
+    #: (node_crash, partition, msg_drop) take effect on systems that
+    #: declare an :class:`~repro.faults.EnvFaultPort`.
+    fault_kinds: Tuple[str, ...] = knob(
+        ("exception", "delay", "negation"), (str,),
+        "fault kinds to inject, by registered model id (default: classic = "
+        "exception,delay,negation; all additionally enables the environment kinds — "
+        "see 'repro faults')",
+    )
+    #: Off by default: schedules are k-fault compositions (a partition
+    #: during a crash-restart, membership churn waves) anchored at
+    #: ``ENV_NODE`` sites (``repro.faults.schedule``).
+    schedules: Tuple[str, ...] = knob(
+        (), (str,), "composed fault schedules to inject, by registered schedule name "
+        "(default: none; 'all' enables every registered schedule — see 'repro faults')",
+    )
+    #: ``(("partition", (10_000.0,)), ...)`` replaces the named fault
+    #: model's default parameter sweep.  The ``--delays`` flag is shorthand
+    #: for overriding the ``delay`` sweep.  Schedule names are accepted too
+    #: (they sweep a ``time_scale``).
+    sweep_overrides: Tuple[Tuple[str, Tuple[float, ...]], ...] = knob(
+        (), ((str, (float,)),), "per-kind sweep overrides"
+    )
+    #: Default parameter sweeps of the environment fault models: a quick
+    #: crash-recover bounce and a long outage; one cut shorter and one
+    #: longer than the reduced 10-20 s timeouts (§4.2); two loss rates.
+    crash_restart_values_ms: Tuple[float, ...] = knob(
+        (10_000.0, 40_000.0), (float,), "node_crash restart delays, virtual ms",
+        sweep_of="node_crash",
+    )
+    partition_values_ms: Tuple[float, ...] = knob(
+        (15_000.0, 45_000.0), (float,), "partition durations, virtual ms", sweep_of="partition"
+    )
+    drop_prob_values: Tuple[float, ...] = knob(
+        (0.3, 0.7), (float,), "msg_drop probabilities", sweep_of="msg_drop"
+    )
     #: Fraction of injection runs in which a point fault (exception or
     #: negation) must appear — while appearing in no profile run — to count
     #: as an additional fault.  The paper uses "any additional fault" with
     #: 5 repetitions; 0.4 (2 of 5) damps scheduler noise.
-    point_event_min_frac: float = 0.4
+    point_event_min_frac: float = knob(
+        0.4, float, "share of injection runs a point fault must appear in", ge=0.0, le=1.0
+    )
     #: Hierarchical-clustering cut: faults closer than this cosine distance
     #: are considered causally equivalent.
-    cluster_distance: float = 0.5
-    #: Beam width.  The paper uses 5e6; our causal graphs are ~1e3 edges so
-    #: 10 000 is exhaustive at this scale.
-    beam_width: int = 10_000
-    #: Maximum number of edges in a propagation chain.
-    max_chain_len: int = 6
-    #: Cap on delay (contention) faults per reported cycle; ``None`` means
-    #: unlimited (Table 4 compares unlimited vs 1).
-    max_delay_faults: "int | None" = None
+    cluster_distance: float = knob(0.5, float, "clustering cut (cosine distance)", ge=0.0)
+    #: The paper uses 5e6; our causal graphs are ~1e3 edges so 10 000 is
+    #: exhaustive at this scale.
+    beam_width: int = knob(10_000, int, "beam width", ge=1)
+    #: Cycles need at least 2 edges.
+    max_chain_len: int = knob(6, int, "maximum number of edges in a propagation chain", ge=2)
+    #: ``None`` means unlimited (Table 4 compares unlimited vs 1).
+    max_delay_faults: Optional[int] = knob(
+        None, int, "cap on delay (contention) faults per reported cycle", ge=0
+    )
     #: One-shot negation by default (matching the one-time exception throw
     #: convention of §4.2): a sticky (stuck-detector) mode is available but
     #: negating a per-node detector for *every* node at once models a
     #: different, far larger fault than the single-component errors the
     #: paper injects.
-    sticky_negation: bool = False
-    #: Virtual warmup before armed injections may fire: one-time faults
-    #: injected into a cold system reach empty queues and exercise nothing.
-    injection_warmup_ms: float = 20_000.0
-    #: Base random seed; repetition ``i`` of a test's runs (profile and
-    #: injection alike) is seeded by SHA-256 of ``test_id#i#seed``
+    sticky_negation: bool = knob(False, bool, "negate a detector on every call, not once")
+    #: One-time faults injected into a cold system reach empty queues and
+    #: exercise nothing.
+    injection_warmup_ms: float = knob(
+        20_000.0, float, "virtual warmup before armed injections may fire", ge=0.0
+    )
+    #: Repetition ``i`` of a test's runs (profile and injection alike) is
+    #: seeded by SHA-256 of ``test_id#i#seed``
     #: (``repro.core.driver.seed_for``).
-    seed: int = 1234
-    #: Whether stitching applies the local compatibility check (§6.2).
-    compat_check: bool = True
-    #: Adaptive budget allocation: carve a pool out of the phase-2/3
-    #: budgets and reallocate it toward the faults whose committed FCA
-    #: results show the most promising (lowest) loop-interference
-    #: p-values.  Reallocation is decided only from committed results in
-    #: schedule order, so serial ≡ process ≡ remote parity survives.
-    adaptive_budget: bool = False
-    #: Number of workers for profile and injection experiments
-    #: (1 = serial).  Parallel campaigns are bit-identical to serial ones:
-    #: experiment *scheduling* is decided before execution and results are
-    #: committed in schedule order.
-    experiment_workers: int = 1
-    #: Executor backend for experiment fan-out: ``"process"`` (default,
-    #: multicore via picklable task descriptors), ``"remote"`` (ship the
-    #: same descriptors to a ``repro serve`` manager's agent fleet; needs
-    #: ``manager_url``), or ``"serial"`` (force the reference backend
-    #: regardless of ``experiment_workers``).
-    experiment_backend: str = "process"
-    #: Base URL of the campaign manager (``repro serve``) used by the
-    #: ``remote`` backend; execution-only, like the backend choice itself.
-    manager_url: "Optional[str]" = None
-    #: Root directory of the content-addressed experiment cache, or
-    #: ``None`` (default) to disable caching.  Cached profile run groups
-    #: and FCA results are keyed by a digest of (system digest, test id,
-    #: fault, injection plans, result-affecting config), so campaigns that
-    #: could produce different results never share entries.
-    cache_dir: "Optional[str]" = None
+    seed: int = knob(1234, int, "base random seed")
+    compat_check: bool = knob(True, bool, "apply the local compatibility check (§6.2)")
+    #: Carves a pool out of the phase-2/3 budgets and reallocates it toward
+    #: the faults whose committed FCA results show the lowest
+    #: loop-interference p-values.  Reallocation is decided only from
+    #: committed results in schedule order, so serial ≡ process ≡ remote
+    #: parity survives.
+    adaptive_budget: bool = knob(
+        False, bool, "reallocate a share of the phase-2/3 budget toward the (fault, test) "
+        "pairs whose early p-values look promising (deterministic: identical across "
+        "serial/process/remote backends)",
+    )
+    #: Parallel campaigns are bit-identical to serial ones: experiment
+    #: *scheduling* is decided before execution and results are committed
+    #: in schedule order.
+    experiment_workers: int = knob(
+        1, int, "workers for profile and injection experiments (1 = serial)",
+        ge=1, execution_only=True,
+    )
+    #: ``"process"`` (default, multicore via picklable task descriptors),
+    #: ``"remote"`` (ship the same descriptors to a ``repro serve``
+    #: manager's agent fleet; needs ``manager_url``), or ``"serial"`` (force
+    #: the reference backend regardless of ``experiment_workers``).
+    experiment_backend: str = knob(
+        "process", str, "experiment executor backend (results are bit-identical across "
+        "backends; remote needs a manager URL)", execution_only=True,
+    )
+    manager_url: Optional[str] = knob(
+        None, str, "manager URL of a `repro serve` instance (required by the remote backend)",
+        execution_only=True,
+    )
+    #: ``None`` (default) disables caching.  Cached profile run groups and
+    #: FCA results are keyed by a digest of (system digest, test id, fault,
+    #: injection plans, result-affecting config), so campaigns that could
+    #: produce different results never share entries.
+    cache_dir: Optional[str] = knob(
+        None, str, "root directory of the content-addressed experiment cache",
+        execution_only=True,
+    )
 
     def __post_init__(self) -> None:
-        if self.repeats < 2:
-            raise ConfigError("need at least 2 repeats for the t-test")
-        if not 0.0 < self.p_value < 1.0:
-            raise ConfigError("p_value must be in (0, 1)")
-        if self.budget_per_fault < 1:
-            raise ConfigError("budget_per_fault must be positive")
+        sweeps = []  # (field, fault kind, values): ranges a fault model owns
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None and f.default is None:
+                continue
+            _check_kind(f.name, f.type, value, meta["kind"])
+            if meta["sweep_of"]:
+                sweeps.append((f.name, meta["sweep_of"], value))
+            numbers = value if isinstance(value, tuple) else (value,)
+            for limit, holds, reads in meta["bounds"]:
+                for number in numbers:
+                    if number in (math.inf, -math.inf):
+                        raise ConfigError("%s must be finite, got %r" % (f.name, number))
+                    if not holds(number, limit):
+                        raise ConfigError(
+                            "%s must be %s %r, got %r" % (f.name, reads, limit, number)
+                        )
+        # What no field can say of itself: cross-field rules, then membership
+        # in the fault registry and the sweep ranges its models own.
         if not self.delay_values_ms:
             raise ConfigError("delay_values_ms must be non-empty")
-        if any(not math.isfinite(v) or v <= 0 for v in self.delay_values_ms):
-            raise ConfigError("delay values must be finite and positive (virtual ms)")
-        self._validate_fault_kinds()
-        if self.beam_width < 1:
-            raise ConfigError("beam_width must be positive")
-        if self.max_chain_len < 2:
-            raise ConfigError("cycles need at least 2 edges")
-        if self.experiment_workers < 1:
-            raise ConfigError("experiment_workers must be at least 1")
+        if not self.fault_kinds:
+            raise ConfigError("fault_kinds must name at least one fault kind")
         if self.experiment_backend not in BACKENDS:
             raise ConfigError(
                 "experiment_backend must be one of %s, got %r"
@@ -183,46 +256,34 @@ class CSnakeConfig:
                 "the remote backend needs manager_url (--manager URL of a "
                 "`repro serve` instance)"
             )
-
-    def _validate_fault_kinds(self) -> None:
-        if not self.fault_kinds:
-            raise ConfigError("fault_kinds must name at least one fault kind")
         from . import faults  # deferred: faults never imports config
 
-        registered = set(faults.registered_kinds())
-        unknown = [k for k in self.fault_kinds if k not in registered]
-        if unknown:
-            raise ConfigError(
-                "unknown fault kind(s) %s; registered: %s"
-                % (", ".join(unknown), ", ".join(sorted(registered)))
-            )
-        schedules = set(faults.registered_schedules())
-        unknown = [s for s in self.schedules if s not in schedules]
-        if unknown:
-            raise ConfigError(
-                "unknown fault schedule(s) %s; registered: %s"
-                % (", ".join(unknown), ", ".join(sorted(schedules)))
-            )
+        kinds, schedules = faults.registered_kinds(), faults.registered_schedules()
+        for what, named, known in (
+            ("fault kind(s)", self.fault_kinds, kinds),
+            ("fault schedule(s)", self.schedules, schedules),
+        ):
+            unknown = [n for n in named if n not in known]
+            if unknown:
+                raise ConfigError(
+                    "unknown %s %s; registered: %s"
+                    % (what, ", ".join(unknown), ", ".join(sorted(known)))
+                )
         for kind, values in self.sweep_overrides:
-            if kind not in registered and kind not in schedules:
+            if kind not in kinds and kind not in schedules:
                 raise ConfigError(
                     "sweep override names unknown fault kind or schedule %r" % (kind,)
                 )
             if not values:
                 raise ConfigError("sweep override for %r needs at least one value" % (kind,))
+            sweeps.append(("sweep_overrides", kind, values))
+        for name, kind, values in sweeps:
             try:
                 # Model-owned range rules (e.g. drop probabilities in
                 # (0, 1]): fail at config time, not mid-campaign.
-                faults.model_for(kind).validate_sweep(tuple(values))
+                faults.model_for(kind).validate_sweep(values)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for values in (
-            self.crash_restart_values_ms,
-            self.partition_values_ms,
-            self.drop_prob_values,
-        ):
-            if any(not math.isfinite(v) or v < 0 for v in values):
-                raise ConfigError("environment sweep values must be finite and >= 0")
+                raise ConfigError("%s: %s" % (name, exc)) from exc
 
     def sweep_for(self, kind_id: str, default: Tuple[float, ...]) -> Tuple[float, ...]:
         """The parameter sweep of fault kind ``kind_id``: its per-kind
@@ -239,42 +300,27 @@ class CSnakeConfig:
         compares equal to its own JSON round-trip — session-compatibility
         checks diff these dicts directly.
         """
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "sweep_overrides":
-                value = [[kind, list(values)] for kind, values in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {f.name: _retyped(getattr(self, f.name), tuple, list) for f in fields(self)}
 
     def result_affecting(self) -> Dict[str, Any]:
         """:meth:`to_dict` minus :data:`EXECUTION_ONLY_KNOBS` — what cache
         keys, session verification and task digests compare."""
         out = self.to_dict()
-        for knob in EXECUTION_ONLY_KNOBS:
-            del out[knob]
+        for name in EXECUTION_ONLY_KNOBS:
+            del out[name]
         return out
 
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "CSnakeConfig":
-        params = dict(obj)
-        for name in (
-            "delay_values_ms",
-            "fault_kinds",
-            "schedules",
-            "crash_restart_values_ms",
-            "partition_values_ms",
-            "drop_prob_values",
-        ):
-            if name in params:
-                params[name] = tuple(params[name])
-        if "sweep_overrides" in params:
-            params["sweep_overrides"] = tuple(
-                (kind, tuple(values)) for kind, values in params["sweep_overrides"]
-            )
-        return cls(**params)
+        """A config from (part of) a dump.  ``obj`` comes from outside the
+        program — a request body, a session manifest, a wire task — so
+        whatever is wrong with it is a :class:`ConfigError`."""
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object, got %r" % (obj,))
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError("unknown config field(s) %s" % ", ".join(unknown))
+        return cls(**{name: _retyped(value, list, tuple) for name, value in obj.items()})
 
     def phase_budgets(self, n_faults: int) -> Tuple[int, int, int]:
         """Split the total budget ``budget_per_fault * n_faults`` 25/50/25."""
@@ -283,6 +329,16 @@ class CSnakeConfig:
         p2 = round(total * PHASE_SPLIT[1])
         p3 = total - p1 - p2
         return (p1, p2, p3)
+
+
+#: Config knobs that change *how* a campaign executes but provably not its
+#: results (parallel campaigns are bit-identical to serial ones, and the
+#: experiment cache replays byte-identical results).  Sessions allow a
+#: resume to override them, and experiment-cache keys exclude them — a
+#: warm cache written by a serial run serves a process-backed one.
+EXECUTION_ONLY_KNOBS: Tuple[str, ...] = tuple(
+    f.name for f in fields(CSnakeConfig) if f.metadata["execution_only"]
+)
 
 
 @dataclass

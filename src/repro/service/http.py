@@ -28,9 +28,11 @@ Endpoints (all request/response bodies JSON):
 ========  ==================================  =====================================
 
 Failure semantics: a :class:`~repro.errors.ReproError` from the core maps
-to HTTP 400 with ``{"error": ...}``; anything else to 500.  Long-polling
-endpoints (``lease``, ``results``, ``events``) bound their own wait, so a
-client timeout only needs a small margin over the requested wait.
+to HTTP 400 with ``{"error": ...}``, as does a body or query that lacks or
+mistypes a field the route reads (the error names it); anything else to
+500.  Long-polling endpoints (``lease``, ``results``, ``events``) bound
+their own wait, so a client timeout only needs a small margin over the
+requested wait.
 """
 
 from __future__ import annotations
@@ -49,6 +51,22 @@ from .manager import ManagerCore
 
 #: Extra client-side slack over a long-poll's server-side wait bound.
 CLIENT_TIMEOUT_MARGIN_S = 30.0
+
+
+def _field(obj: Dict[str, Any], name: str, cast: Optional[Callable] = None, default: Any = None):
+    """Field ``name`` of a request body or query, required unless given a
+    ``default``; a :class:`ReproError` (HTTP 400) names it when it is
+    missing or not what ``cast`` takes."""
+    if name not in obj:
+        if default is None:
+            raise ReproError("bad request: field %r is missing" % name)
+        return default
+    try:
+        return obj[name] if cast is None else cast(obj[name])
+    except (TypeError, ValueError):
+        raise ReproError(
+            "bad request: field %r must be %s, got %r" % (name, cast.__name__, obj[name])
+        ) from None
 
 
 # ---------------------------------------------------------------- server
@@ -109,12 +127,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch(
                 lambda: self.core.campaign_events(
                     parts[2],
-                    after=int(query.get("after", 0)),
-                    wait_s=float(query.get("wait", 0.0)),
+                    after=_field(query, "after", int, 0),
+                    wait_s=_field(query, "wait", float, 0.0),
                 )
             )
         elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] and parts[3] == "stream":
-            self._stream(parts[2], after=int(query.get("after", 0)))
+            self._stream(parts[2], query)
         else:
             self._reply({"error": "no such endpoint: %s" % parsed.path}, status=404)
 
@@ -122,36 +140,38 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in urllib.parse.urlparse(self.path).path.split("/") if p]
         try:
             body = self._body()
+            if not isinstance(body, dict):
+                raise ValueError("expected a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply({"error": "bad request body: %s" % exc}, status=400)
             return
         routes: Dict[Tuple[str, ...], Callable[[], Dict[str, Any]]] = {
             ("api", "agents", "register"): lambda: self.core.register_agent(
-                name=body.get("name", ""), workers=int(body.get("workers", 1))
+                name=body.get("name", ""), workers=_field(body, "workers", int, 1)
             ),
             ("api", "agents", "heartbeat"): lambda: self.core.heartbeat(
-                body["agent"], cache=body.get("cache")
+                _field(body, "agent"), cache=body.get("cache")
             ),
             ("api", "agents", "lease"): lambda: self.core.lease(
-                body["agent"],
-                max_tasks=int(body.get("max_tasks", 1)),
-                wait_s=float(body.get("wait_s", 0.0)),
+                _field(body, "agent"),
+                max_tasks=_field(body, "max_tasks", int, 1),
+                wait_s=_field(body, "wait_s", float, 0.0),
             ),
             ("api", "agents", "complete"): lambda: self.core.complete(
-                body["agent"],
-                body["id"],
+                _field(body, "agent"),
+                _field(body, "id"),
                 result=body.get("result"),
                 error=body.get("error"),
                 cache=body.get("cache"),
             ),
             ("api", "tasks"): lambda: self.core.submit_tasks(
-                body["tasks"], campaign=body.get("campaign")
+                _field(body, "tasks", list), campaign=body.get("campaign")
             ),
             ("api", "results"): lambda: self.core.poll_results(
-                body["ids"], wait_s=float(body.get("wait_s", 0.0))
+                _field(body, "ids", list), wait_s=_field(body, "wait_s", float, 0.0)
             ),
             ("api", "campaigns"): lambda: self.core.start_campaign(
-                body["system"], body["config"], label=body.get("label", "")
+                _field(body, "system"), _field(body, "config"), label=body.get("label", "")
             ),
         }
         fn = routes.get(tuple(parts))
@@ -160,10 +180,11 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._dispatch(fn)
 
-    def _stream(self, campaign_id: str, after: int) -> None:
+    def _stream(self, campaign_id: str, query: Dict[str, str]) -> None:
         """Server-sent events: one ``data:`` line per campaign event,
         closing once the campaign leaves the running state."""
         try:
+            cursor = _field(query, "after", int, 0)
             self.core.campaign_status(campaign_id)  # 400 on unknown id
         except ReproError as exc:
             self._reply({"error": str(exc)}, status=400)
@@ -173,7 +194,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Cache-Control", "no-cache")
         self.send_header("Connection", "close")
         self.end_headers()
-        cursor = after
         try:
             while True:
                 reply = self.core.campaign_events(campaign_id, after=cursor, wait_s=10.0)
@@ -339,7 +359,7 @@ class HttpTransport:
         )
 
     def list_campaigns(self) -> Dict[str, Any]:
-        return self._call("/api/campaigns", {})
+        return self._call("/api/campaigns")
 
     def campaign_status(self, campaign_id: str) -> Dict[str, Any]:
         return self._call("/api/campaigns/%s" % campaign_id)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.cache import ExperimentCache
 from repro.config import CSnakeConfig
 from repro.core.fca import FcaResult
-from repro.faults import all_models, model_for
+from repro.faults import all_models, model_for, registered_kinds, registered_schedules
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
 from repro.serialize import (
@@ -127,6 +127,63 @@ def test_arbitrary_plan_parameters_roundtrip(warmup, restart, duration, drop_p, 
     ]
     for plan in plans:
         assert plan_from_obj(_via_json(plan_to_obj(plan))) == plan
+
+
+_positive = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6, allow_nan=False))
+_unit = st.floats(1e-3, 1.0, allow_nan=False)  # in every fault model's sweep range
+
+
+def _tuples(elements, **kwargs):
+    return st.lists(elements, **kwargs).map(tuple)
+
+
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional=dict(
+            repeats=st.integers(2, 9),
+            p_value=st.floats(1e-6, 0.999),
+            budget_per_fault=st.integers(1, 50),
+            delay_values_ms=_tuples(_positive, min_size=1, max_size=4),
+            fault_kinds=_tuples(st.sampled_from(registered_kinds()), min_size=1, unique=True),
+            schedules=_tuples(st.sampled_from(registered_schedules()), unique=True),
+            sweep_overrides=_tuples(
+                st.tuples(
+                    st.sampled_from(registered_kinds() + registered_schedules()),
+                    _tuples(_unit, min_size=1, max_size=3),
+                ),
+                max_size=3,
+            ),
+            crash_restart_values_ms=_tuples(st.one_of(st.just(0.0), _positive), max_size=3),
+            partition_values_ms=_tuples(_positive, max_size=3),
+            drop_prob_values=_tuples(_unit, max_size=3),
+            point_event_min_frac=st.floats(0.0, 1.0),
+            cluster_distance=st.one_of(st.integers(0, 2), st.floats(0.0, 2.0)),
+            beam_width=st.integers(1, 10**6),
+            max_chain_len=st.integers(2, 12),
+            max_delay_faults=st.one_of(st.none(), st.integers(0, 5)),
+            sticky_negation=st.booleans(),
+            injection_warmup_ms=st.one_of(st.integers(0, 10**5), st.floats(0.0, 1e6)),
+            seed=st.integers(-(2**63), 2**63),
+            compat_check=st.booleans(),
+            adaptive_budget=st.booleans(),
+            experiment_workers=st.integers(1, 64),
+            experiment_backend=st.sampled_from(["serial", "process"]),
+            manager_url=st.sampled_from([None, "http://127.0.0.1:8736"]),
+            cache_dir=st.sampled_from([None, "/tmp/c", "rel/cache dir"]),
+        ),
+    )
+)
+@settings(max_examples=150)
+def test_any_valid_config_roundtrips_through_json_unchanged(params):
+    """``from_dict`` inverts ``to_dict`` and neither coerces: a second dump
+    is the same bytes (an ``8000`` stays ``8000``, not ``8000.0``)."""
+    config = CSnakeConfig(**params)
+    dump = json.dumps(config.to_dict(), sort_keys=True)
+    again = CSnakeConfig.from_dict(json.loads(dump))
+    assert again == config
+    assert json.dumps(again.to_dict(), sort_keys=True) == dump
+    assert set(params) <= set(config.to_dict())
 
 
 # ------------------------------------------------------------- cache entries

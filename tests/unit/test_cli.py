@@ -278,3 +278,99 @@ def test_diff_run_rejects_unresolvable_operand(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["diff-run", "no-such-ref-xyz", ".", "--system", "miniraft",
               "--static-only"])
+
+
+# ------------------------------------------------- one declaration per flag
+
+EXPERIMENT_ARGV = [
+    "--budget", "3", "--seed", "11", "--repeats", "2", "--delays", "250,8000",
+    "--fault-kinds", "all", "--schedules", "all", "--adaptive-budget",
+    "--sweep", "partition=10000,30000", "--sweep", "membership_churn=1,2",
+]
+
+
+def test_experiment_flags_mean_the_same_on_every_subcommand():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    configs = [
+        _config(parser.parse_args(head + EXPERIMENT_ARGV)).result_affecting()
+        for head in (
+            ["run", "toy"],
+            ["inject", "toy", "toy.server.is_stale:negation", "toy.balancer"],
+            ["submit", "toy", "--manager", "http://127.0.0.1:1"],
+            ["diff-run", ".", ".", "--system", "toy"],
+        )
+    ]
+    assert all(c == configs[0] for c in configs)
+    assert configs[0]["sweep_overrides"] == [
+        ["partition", [10000.0, 30000.0]], ["membership_churn", [1.0, 2.0]],
+    ]
+    assert configs[0]["adaptive_budget"] is True and configs[0]["budget_per_fault"] == 3
+
+
+def test_every_flag_row_names_a_config_field_and_is_spelled_once():
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    from repro import cli
+    from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
+
+    fields = {f.name for f in dataclasses.fields(CSnakeConfig)}
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert len(cli._EXPERIMENT_FLAGS) == 8
+    for flag, field, _parse, _resume, _kwargs in cli._EXPERIMENT_FLAGS:
+        assert field in fields and field not in EXECUTION_ONLY_KNOBS, flag
+        # The table row is the only place the field is named ...
+        assert len(re.findall(r'"%s"' % field, source)) == 1, field
+        # ... and no add_argument call spells the flag by hand.
+        assert not re.search(r'add_argument\(\s*"%s"' % flag, source), flag
+    assert {field for _flag, field, *_ in cli._BACKEND_FLAGS} <= set(EXECUTION_ONLY_KNOBS)
+    assert [row[0] for row in cli._RESUME_FLAGS] == [
+        "--fault-kinds", "--schedules", "--adaptive-budget", "--sweep",
+    ]
+
+
+def test_diff_run_children_get_every_experiment_and_backend_flag():
+    """The child ``repro run`` must build the campaign diff-run was asked
+    for — ``--manager`` included, which a hand-kept list once dropped."""
+    from repro.cli import _diffrun_argv, build_parser
+
+    parser = build_parser()
+    backend = ["--backend", "remote", "--workers", "2", "--manager", "http://127.0.0.1:1"]
+    args = parser.parse_args(
+        ["diff-run", ".", ".", "--system", "miniraft"] + EXPERIMENT_ARGV + backend
+    )
+    child_argv = _diffrun_argv(args, "/tmp/shared-cache")
+    assert child_argv[:5] == ["run", "miniraft", "--json", "--cache-dir", "/tmp/shared-cache"]
+    child, asked = _config(parser.parse_args(child_argv)).to_dict(), _config(args).to_dict()
+    assert child.pop("cache_dir") == "/tmp/shared-cache" and asked.pop("cache_dir") is None
+    assert child == asked
+    assert child["manager_url"] == "http://127.0.0.1:1" and child["experiment_workers"] == 2
+    # Nothing passed, nothing forwarded.
+    bare = parser.parse_args(["diff-run", ".", ".", "--system", "miniraft"])
+    assert _diffrun_argv(bare, "c") == ["run", "miniraft", "--json", "--cache-dir", "c"]
+
+
+def test_bad_config_from_flags_is_exit_2_naming_the_field(capsys):
+    assert main(["run", "toy", "--repeats", "1"]) == 2
+    assert "error: repeats" in capsys.readouterr().err
+
+
+def test_resume_of_a_session_with_an_edited_config_is_exit_2(tmp_path, capsys):
+    sdir = tmp_path / "sess"
+    main(["run", "toy", "--session-dir", str(sdir), "--repeats", "2", "--budget", "2",
+          "--delays", "2000", "--stages", "analyze"])
+    manifest = json.loads((sdir / "manifest.json").read_text())
+    for edit, named in (
+        ({"repeats": "3"}, "repeats"),
+        ({"drop_prob_values": [5.0]}, "drop_prob_values"),
+        ({"no_such_knob": 1}, "no_such_knob"),
+    ):
+        edited = dict(manifest, config=dict(manifest["config"], **edit))
+        (sdir / "manifest.json").write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["resume", str(sdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err

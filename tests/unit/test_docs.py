@@ -47,6 +47,21 @@ def test_cli_doc_covers_every_subcommand_and_flag():
                 assert opt in text, "docs/cli.md misses %s of 'repro %s'" % (opt, name)
 
 
+def test_every_option_has_help_text():
+    for name, sub in _subcommands().items():
+        for action in sub._actions:
+            if action.option_strings:
+                assert action.help, "'repro %s' %s has no help" % (name, action.option_strings[-1])
+
+
+def test_cli_doc_names_no_flag_that_does_not_exist():
+    """The reverse of the coverage check: a removed flag must not linger."""
+    known = {opt for sub in _subcommands().values() for a in sub._actions for opt in a.option_strings}
+    text = (DOCS / "cli.md").read_text(encoding="utf-8")
+    for opt in sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", text))):
+        assert opt in known, "docs/cli.md mentions %s, which no subcommand takes" % opt
+
+
 def _markdown_files():
     return [REPO / "README.md", REPO / "DESIGN.md"] + sorted(DOCS.glob("*.md"))
 

@@ -240,3 +240,77 @@ def test_remote_executor_timeout_without_agents(monkeypatch):
     task = ExperimentTask("toy", "t1", '{"seed": 7}', None, ())
     with pytest.raises(ReproError, match="stalled"):
         executor.map(execute_experiment_task, [task])
+
+
+# -------------------------------------------------------------- HTTP framing
+#
+# Through a real ``ManagerServer`` on an ephemeral localhost port: what a
+# malformed request gets back is decided in the HTTP shim, not the core.
+
+
+@pytest.fixture()
+def http():
+    from repro.service.http import HttpTransport, ManagerServer
+
+    with ManagerServer(ManagerCore(), port=0) as server:
+        yield HttpTransport(server.url, timeout_s=5.0)
+
+
+def test_list_campaigns_is_the_get_the_route_table_documents(http):
+    assert http.list_campaigns() == {"campaigns": []}
+
+
+@pytest.mark.parametrize(
+    "path,payload,named",
+    [
+        ("/api/agents/lease", {}, "'agent'"),
+        ("/api/agents/heartbeat", {"cache": None}, "'agent'"),
+        ("/api/agents/lease", {"agent": "agent-1", "max_tasks": "many"}, "'max_tasks'"),
+        ("/api/results", {"ids": [], "wait_s": [1]}, "'wait_s'"),
+        ("/api/tasks", {"tasks": 5}, "'tasks'"),
+        ("/api/campaigns", {"system": "toy"}, "'config'"),
+        ("/api/campaigns/campaign-1/events?after=x", None, "'after'"),
+        ("/api/campaigns/campaign-1/stream?after=x", None, "'after'"),
+        ("/api/agents/lease", [1, 2], "JSON object"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payload, named):
+    with pytest.raises(ReproError, match="replied 400.*%s" % named):
+        http._call(path, payload)
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ({"no_such_knob": 1}, "no_such_knob"),
+        ({"repeats": "3"}, "repeats"),
+        ({"drop_prob_values": [5.0]}, "drop_prob_values"),
+        ([["repeats", 3]], "JSON object"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_malformed_campaign_config_is_a_400_and_registers_nothing(http, config, named):
+    with pytest.raises(ReproError, match="replied 400.*%s" % named):
+        http.start_campaign("toy", config)
+    assert http.health()["campaigns"] == [] and http.list_campaigns() == {"campaigns": []}
+
+
+def test_an_exception_inside_the_core_is_still_a_500(http, monkeypatch):
+    def boom(self):
+        raise KeyError("agent")  # looks like a missing field; is not one
+
+    monkeypatch.setattr(ManagerCore, "list_campaigns", boom)
+    with pytest.raises(ReproError, match="replied 500: KeyError"):
+        http.list_campaigns()
+
+
+def test_a_wire_task_with_a_malformed_config_is_a_named_error():
+    from repro.service.agent import execute_wire_task
+
+    for config_json, named in (('{"repeats": "3"}', "repeats"), ('{"no_such_knob": 1}', "no_such_knob")):
+        task = task_to_obj(ExperimentTask("toy", "toy.balancer", config_json, None, ()))
+        with pytest.raises(ReproError, match=named):
+            execute_wire_task(task)
+        with pytest.raises(ReproError, match=named):
+            task_digest(task)
