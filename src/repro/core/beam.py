@@ -16,14 +16,15 @@ Two engines implement that one contract:
   bit-for-bit (see DESIGN.md, "The interned beam kernel").  The pairwise
   ``CompatChecker.match`` relation depends only on the ordered edge pair,
   so it is precomputed into a CSR adjacency (+ a sorted pair-code array
-  for closure membership), chain scores and delay counts are carried
-  incrementally, and per-level ranking is an ``argpartition``-based
-  top-``B`` selection instead of a full sort.  Each beam level is a
-  handful of numpy array operations over the whole frontier.  Closing
-  chains are reported per level as integer id rows — one row kept per
-  fault-level class — and :class:`Cycle` objects are built at the end,
-  for the kept rows only; the level that reaches ``max_chain_len`` stops
-  after its closure check and builds no frontier.
+  for closure membership).  A level costs O(candidates), not
+  O(candidates × chain length): a frontier chain carries its score and
+  delay counts and two dense ids — its dedup class and the rank of its id
+  sequence — so a candidate is a (parent, edge) pair of integers, dedup
+  and top-``B`` ranking run on one-integer keys, and the candidate table
+  exists one fixed-size block at a time.  Id rows are built for the ``B``
+  survivors and for closing chains (one row kept per fault-level class,
+  its :class:`Cycle` built at the end); the level that reaches
+  ``max_chain_len`` stops after its closure check and builds no frontier.
 * :class:`ReferenceBeamSearch` — the original chain-at-a-time
   implementation, kept as the differential-testing oracle
   (``tests/property/test_beam_differential.py``) and as the fallback for
@@ -215,6 +216,14 @@ class BeamSearch:
         ).run()
 
 
+def _firsts(keys: "_np.ndarray") -> "_np.ndarray":
+    """Ascending positions of each distinct key's first occurrence — what a
+    dict filled by ``setdefault`` in array order would keep."""
+    firsts = _np.unique(keys, return_index=True)[1]
+    firsts.sort()
+    return firsts
+
+
 class _VectorizedKernel:
     """One search over one interned edge set.
 
@@ -225,7 +234,9 @@ class _VectorizedKernel:
     reference's (chain, bucket-position) generation order, which is what
     picks each dedup class's surviving representative; incremental score
     sums add the same IEEE terms in the same left-to-right order; the
-    argpartition top-``B`` keeps exactly the stable-sort prefix; and
+    carried ``group`` / ``rank`` ids make ``(group[parent], candidate)`` ≡
+    the dedup signature and ``(rank[parent], candidate)`` ≡ the id
+    sequence, and the partition top-``B`` keeps the stable-sort prefix; and
     triple ids are handed out while walking edges in that same key order,
     whose prefix is ``(src, dst, etype.value)``, so comparing triple-id
     rows ≡ comparing the triple lists ``Cycle.key()`` is made of.
@@ -251,9 +262,7 @@ class _VectorizedKernel:
         #: Edge objects by interned id (ascending key order).
         self.edges: List[CausalEdge] = [edge_list[i] for i in order]
         #: Edge id at each original input position (the level-0 queue).
-        self.input_ids = _np.empty(n, dtype=_np.int64)
-        for eid, pos in enumerate(order):
-            self.input_ids[pos] = eid
+        self.input_ids = _np.argsort(order)
 
         fault_ids: Dict[FaultKey, int] = {}
         triple_ids: Dict[Tuple[int, int, str], int] = {}
@@ -368,6 +377,10 @@ class _VectorizedKernel:
 
     # ---------------------------------------------------------------- levels
 
+    #: Candidates per block of a level's (chain, adjacent edge) table; the
+    #: table is cut on chain boundaries, so a chain is never split.
+    BLOCK = 1 << 15
+
     def run(self) -> BeamSearchResult:
         result = BeamSearchResult(compat=self.compat)
         if self.n == 0:
@@ -393,16 +406,15 @@ class _VectorizedKernel:
         self._rej_state += int((fault_ok & ~self_ok).sum())
         self._report(ids[self_ok][:, None], seen)
 
-        queue = ids[:, None]
-        sums = self.score_term[ids].copy()
-        cnts = self.inj[ids].copy()
-        delays = self.delay[ids].copy()
-
-        while queue.shape[0] and result.levels < self.config.max_chain_len - 1:
+        # A frontier is (id rows, score sums, injection counts, delay
+        # counts, group, rank): ``group`` is the id of a chain's (triple
+        # sequence, first edge) class and ``rank`` the rank of its id
+        # sequence within the frontier — both the edge id itself here.
+        carried = (self.score_term[ids], self.inj[ids], self.delay[ids])
+        frontier = (ids[:, None], *carried, ids, ids)
+        while frontier[0].shape[0] and result.levels < self.config.max_chain_len - 1:
             result.levels += 1
-            queue, sums, cnts, delays = self._extend_level(
-                queue, sums, cnts, delays, seen, result
-            )
+            frontier = self._extend_level(frontier, seen, result)
 
         self.compat.checks += self._checks
         self.compat.rejected_fault += self._rej_fault
@@ -413,122 +425,110 @@ class _VectorizedKernel:
         for cls in sorted(seen):
             row = seen[cls]
             start = row.index(min(row))
-            result.cycles.append(
-                Cycle(tuple(self.edges[i] for i in row[start:] + row[:start]))
-            )
+            result.cycles.append(Cycle(tuple(self.edges[i] for i in row[start:] + row[:start])))
         return result
 
     def _extend_level(
         self,
-        queue: "_np.ndarray",
-        sums: "_np.ndarray",
-        cnts: "_np.ndarray",
-        delays: "_np.ndarray",
+        frontier: Tuple["_np.ndarray", ...],
         seen: Dict[Tuple[int, ...], List[int]],
         result: BeamSearchResult,
-    ) -> Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]:
-        length = queue.shape[1]
-
-        def _empty_level() -> Tuple[
-            "_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"
-        ]:
-            return (
-                _np.empty((0, length + 1), dtype=_np.int64),
-                _np.empty(0, dtype=_np.float64),
-                _np.empty(0, dtype=_np.int64),
-                _np.empty(0, dtype=_np.int64),
-            )
-
-        # Flat candidate table: one row per (chain, adjacent edge), in
-        # (queue order, bucket order) — the reference's generation order.
-        last = queue[:, -1]
-        deg = self.adj_counts[last]
-        total = int(deg.sum())
-        if total == 0:
-            return _empty_level()
-        parent = _np.repeat(_np.arange(queue.shape[0], dtype=_np.int64), deg)
-        gpos = _np.repeat(self.adj_indptr[last], deg) + (
-            _np.arange(total, dtype=_np.int64) - _np.repeat(_np.cumsum(deg) - deg, deg)
-        )
-        cand = self.adj[gpos]
-
-        # match(chain.last, edge): candidates come from last.dst's bucket,
-        # so the fault leg always holds; only state rejection can fire.
-        # Chains never reuse an edge — membership is id equality because
-        # keys (hence edges) are unique.
-        alive = ~(queue[parent] == cand[:, None]).any(axis=1)
-        self._checks += int(alive.sum())
-        state_ok = self.adj_ok[gpos]
-        self._rej_state += int((alive & ~state_ok).sum())
-        alive &= state_ok
-
-        new_delays = delays[parent] + self.delay[cand]
+    ) -> Tuple["_np.ndarray", ...]:
+        queue, sums, cnts, delays, group, rank = frontier
         cap = self.config.max_delay_faults
-        if cap is not None:
-            alive &= new_delays <= cap
+        first, last = queue[:, 0], queue[:, -1]
+        deg = self.adj_counts[last]
+        ends = _np.cumsum(deg)
+        starts = ends - deg
+        # The last level settles every counter and counts its extensions;
+        # the frontier it would build is never read, so it keeps none.
+        final = result.levels == self.config.max_chain_len - 1
+        eparents, ecands = [last[:0]], [last[:0]]
 
-        # match(edge, chain.first): closure check on what survived the cap.
-        first = queue[parent, 0]
-        self._checks += int(alive.sum())
-        fault_ok = self.dst[cand] == self.src[first]
-        self._rej_fault += int((alive & ~fault_ok).sum())
-        closes = self._is_match(cand, first)
-        self._rej_state += int((alive & fault_ok & ~closes).sum())
-        cpos = _np.flatnonzero(alive & closes)
-        self._report(
-            _np.concatenate([queue[parent[cpos]], cand[cpos][:, None]], axis=1), seen
-        )
+        # The candidate table — one row per (chain, adjacent edge), in
+        # (queue order, bucket order), the reference's generation order —
+        # exists one block of chains ``lo:hi`` at a time, as 1-D columns;
+        # blocks run in queue order, so closures are reported in that order.
+        hi = 0
+        while hi < queue.shape[0]:
+            lo, base = hi, int(starts[hi])
+            hi = max(lo + 1, int(_np.searchsorted(ends, base + self.BLOCK, side="right")))
+            total = int(ends[hi - 1]) - base
+            parent = _np.repeat(_np.arange(lo, hi, dtype=_np.int64), deg[lo:hi])
+            gpos = _np.arange(total, dtype=_np.int64) + _np.repeat(
+                self.adj_indptr[last[lo:hi]] - (starts[lo:hi] - base), deg[lo:hi]
+            )
+            cand = self.adj[gpos]
 
-        epos = _np.flatnonzero(alive & ~closes)
-        result.chains_explored += int(epos.shape[0])
-        # The last level extends nothing: every counter is settled above,
-        # and the frontier it would build is never read.
-        if epos.shape[0] == 0 or result.levels == self.config.max_chain_len - 1:
-            return _empty_level()
-        eparent = parent[epos]
-        ecand = cand[epos]
-        new_q = _np.concatenate([queue[eparent], ecand[:, None]], axis=1)
-        new_sums = sums[eparent] + self.score_term[ecand]
-        new_cnts = cnts[eparent] + self.inj[ecand]
-        new_del = new_delays[epos]
+            # Chains never reuse an edge — membership is id equality
+            # because keys (hence edges) are unique.
+            alive = _np.ones(total, dtype=bool)
+            for col in range(queue.shape[1]):
+                alive &= queue[:, col][parent] != cand
+            # match(chain.last, edge): candidates come from last.dst's
+            # bucket, so the fault leg always holds; only state rejection
+            # can fire.
+            fresh = int(alive.sum())
+            alive &= self.adj_ok[gpos]
+            self._rej_state += fresh - int(alive.sum())
+            if cap is not None:
+                alive &= delays[parent] + self.delay[cand] <= cap
+
+            # match(edge, chain.first): closure check on what survived the
+            # cap.  A match implies the fault leg, so the pair-code probe
+            # runs only where that leg holds.
+            live = int(alive.sum())
+            head = first[parent]
+            fpos = _np.flatnonzero(alive & (self.dst[cand] == self.src[head]))
+            cpos = fpos[self._is_match(cand[fpos], head[fpos])]
+            self._checks += fresh + live
+            self._rej_fault += live - int(fpos.shape[0])
+            self._rej_state += int(fpos.shape[0] - cpos.shape[0])
+            self._report(_np.concatenate([queue[parent[cpos]], cand[cpos][:, None]], axis=1), seen)
+
+            alive[cpos] = False
+            epos = _np.flatnonzero(alive)
+            result.chains_explored += int(epos.shape[0])
+            if not final:
+                # Dedup inside the block first: what is kept across blocks
+                # is then O(distinct signatures), not O(extensions).
+                epos = epos[_firsts(group[parent[epos]] * self.n + cand[epos])]
+                eparents.append(parent[epos])
+                ecands.append(cand[epos])
 
         # Dedup by (triple sequence, first key, last key), keeping the first
-        # occurrence in generation order: lexsort is stable, so within each
-        # equal-signature group original positions stay ascending and the
-        # group head is the surviving representative.
-        sig = _np.empty((epos.shape[0], length + 3), dtype=_np.int64)
-        sig[:, : length + 1] = self.triple[new_q]
-        sig[:, length + 1] = new_q[:, 0]
-        sig[:, length + 2] = new_q[:, -1]
-        order = _np.lexsort(sig.T[::-1])
-        srows = sig[order]
-        head = _np.empty(order.shape[0], dtype=bool)
-        head[0] = True
-        head[1:] = (srows[1:] != srows[:-1]).any(axis=1)
-        keep = _np.sort(order[head])
-        new_q, new_sums, new_cnts, new_del = (
-            new_q[keep],
-            new_sums[keep],
-            new_cnts[keep],
-            new_del[keep],
-        )
+        # occurrence in generation order: ``group[parent]`` stands for the
+        # parent's (triple sequence, first edge) and the candidate fixes the
+        # appended triple and the last edge, so the signature is one integer.
+        eparent, ecand = _np.concatenate(eparents), _np.concatenate(ecands)
+        keep = _firsts(group[eparent] * self.n + ecand)
+        eparent, ecand = eparent[keep], ecand[keep]
 
         # Rank by (score, id sequence) and keep the stable top B.  Scores
         # divide once at compare time, exactly like the reference's
-        # total/len; id-sequence comparison ≡ the reference's key-list
-        # comparison because ids were assigned in sorted-key order.
+        # total/len; id sequences are unique after dedup and compare like
+        # (rank[parent], candidate), which — ids being assigned in
+        # sorted-key order — is the reference's key-list comparison.
+        new_sums = sums[eparent] + self.score_term[ecand]
+        new_cnts = cnts[eparent] + self.inj[ecand]
         scores = _np.where(new_cnts > 0, new_sums / _np.maximum(new_cnts, 1), 1.0)
         width = self.config.beam_width
-        count = scores.shape[0]
-        if count > width:
+        if scores.shape[0] > width:
             # Everything strictly above the B-th smallest score sorts after
             # at least B chains, so restricting the sort to ``scores <=
             # kth`` provably reproduces full-sort[:B].
             kth = _np.partition(scores, width - 1)[width - 1]
             pool = _np.flatnonzero(scores <= kth)
         else:
-            pool = _np.arange(count)
-        keys = [new_q[pool, col] for col in range(length, -1, -1)]
-        keys.append(scores[pool])
-        top = pool[_np.lexsort(keys)][:width]
-        return new_q[top], new_sums[top], new_cnts[top], new_del[top]
+            pool = _np.arange(scores.shape[0])
+        order = _np.lexsort((rank[eparent[pool]] * self.n + ecand[pool], scores[pool]))
+        top = pool[order][:width]
+        tparent, tcand = eparent[top], ecand[top]
+        # Id rows, classes and ranks exist for the <= B survivors only; the
+        # latter two are renumbered densely so next level's keys stay small.
+        classes = group[tparent] * self.n + self.triple[tcand]
+        new_queue = _np.concatenate([queue[tparent], tcand[:, None]], axis=1)
+        new_delays = delays[tparent] + self.delay[tcand]
+        new_group = _np.unique(classes, return_inverse=True)[1]
+        new_rank = _np.argsort(_np.argsort(rank[tparent] * self.n + tcand))
+        return new_queue, new_sums[top], new_cnts[top], new_delays, new_group, new_rank

@@ -82,7 +82,14 @@ class ProcessExecutor(Executor):
             return []
         pool = self._ensure_pool()
         futures = [pool.submit(fn, item) for item in items]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            # A task that raises fails its batch: what has not started yet
+            # must not run (and be waited for by ``close``) before the
+            # caller sees the error.  Cancelling a finished future is a no-op.
+            for f in futures:
+                f.cancel()
 
     def close(self) -> None:
         if self._pool is not None:

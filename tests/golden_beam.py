@@ -9,6 +9,14 @@ edges (``key()`` and state sets) in result order, ``chains_explored``,
 reporting moved onto interned ids; a change to ``repro.core.beam`` must
 reproduce it.
 
+The file's ``"campaigns"`` block pins the search at campaign scale: the
+edge, cycle and chain counts, ``levels`` and the three checker counters of
+the three golden campaigns' own ``search`` stage, recorded on the commit
+*before* the kernel stopped holding per-candidate rows.  It belongs to
+``tests/golden_campaigns.py`` (which runs those campaigns anyway, checks
+the block beside the digests and re-records it); this script carries it
+over untouched.
+
 Regenerate (only for an intended change of what the search reports)::
 
     PYTHONPATH=src python tests/golden_beam.py
@@ -16,10 +24,11 @@ Regenerate (only for an intended change of what the search reports)::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
@@ -31,8 +40,13 @@ from repro.pipeline import (
 )
 from repro.serialize import cycle_to_obj
 from repro.systems import get_system
+from repro.types import CausalEdge, FaultKey
 
 FIXTURE = Path(__file__).with_name("golden_beam.json")
+
+#: Key of the campaign-scale block (see the module docstring); every other
+#: top-level key of the fixture is a system of :data:`SEARCHES`.
+CAMPAIGNS_KEY = "campaigns"
 
 _CAMPAIGN = dict(repeats=2, delay_values_ms=(2000.0,), budget_per_fault=4, seed=7)
 
@@ -52,13 +66,18 @@ SEARCHES: Dict[str, Dict[str, Dict[str, Any]]] = {
 }
 
 
-def system_results(system: str) -> Dict[str, Dict[str, Any]]:
-    """Case name -> digested search result for one system's edge set."""
+@functools.lru_cache(maxsize=None)
+def _edge_set(system: str) -> Tuple[List[CausalEdge], Dict[FaultKey, float]]:
+    """One system's causal edges and fault scores (one campaign per process)."""
     ctx = PipelineContext(get_system(system), CSnakeConfig(**_CAMPAIGN))
     for stage in (StaticAnalysisStage(), ProfileStage(), AllocationStage()):
         stage.run(ctx)
-    edges = ctx.driver.edges.all_edges()
-    scores = ctx.require("allocation").outcome.fault_scores
+    return ctx.driver.edges.all_edges(), ctx.require("allocation").outcome.fault_scores
+
+
+def system_results(system: str) -> Dict[str, Dict[str, Any]]:
+    """Case name -> digested search result for one system's edge set."""
+    edges, scores = _edge_set(system)
     out: Dict[str, Dict[str, Any]] = {}
     for case, settings in sorted(SEARCHES[system].items()):
         beam = BeamSearch(CSnakeConfig(**_CAMPAIGN, **settings), scores)
@@ -79,5 +98,6 @@ def system_results(system: str) -> Dict[str, Dict[str, Any]]:
 
 if __name__ == "__main__":
     results = {system: system_results(system) for system in sorted(SEARCHES)}
+    results[CAMPAIGNS_KEY] = json.loads(FIXTURE.read_text())[CAMPAIGNS_KEY]
     FIXTURE.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print("wrote %s" % FIXTURE)

@@ -13,6 +13,13 @@ the commit *before* the single-shot bench verb and the thread backend
 were removed; every later commit must reproduce it unless it intends to
 change what a campaign reports.
 
+The digests cover cycles and edges but not how the search got there, so
+the same contexts also pin the ``search`` stage at campaign scale: edge,
+cycle and chain counts, ``levels`` and the three ``CompatChecker``
+counters, in the ``"campaigns"`` block of ``golden_beam.json`` (recorded
+on commit ``762a35c`` — the commit *before* the beam kernel stopped
+holding per-candidate rows).
+
 Check all three (the evaluation campaign takes ~20 s; CI runs this)::
 
     PYTHONPATH=src python tests/golden_campaigns.py --check
@@ -28,7 +35,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.bench import bench_config
 from repro.config import CSnakeConfig
@@ -38,6 +45,9 @@ from repro.serialize import edge_to_obj
 from repro.systems import get_system
 
 FIXTURE = Path(__file__).with_name("golden_campaign_digests.json")
+#: The beam fixture and the block of it this module owns.
+BEAM_FIXTURE = Path(__file__).with_name("golden_beam.json")
+SEARCHES_KEY = "campaigns"
 
 #: The benchmark-scale campaigns; tier-1 checks these (~6 s together).
 BENCHMARK_SCALE = ("minihdfs2_benchmark", "minidfs_benchmark")
@@ -74,18 +84,42 @@ def context_digest(ctx: PipelineContext) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def campaign_digest(name: str) -> str:
+def search_counters(ctx: PipelineContext) -> Dict[str, int]:
+    """What a finished campaign's ``search`` stage did, as exact counts."""
+    beam = ctx.require("beam")
+    return {
+        "edges_in": len(ctx.driver.edges),
+        "cycles": len(beam.cycles),
+        "chains_explored": beam.chains_explored,
+        "levels": beam.levels,
+        "checks": beam.compat.checks,
+        "rejected_fault": beam.compat.rejected_fault,
+        "rejected_state": beam.compat.rejected_state,
+    }
+
+
+def campaign_context(name: str) -> PipelineContext:
     system, config = CAMPAIGNS[name]
-    return context_digest(Pipeline.default(get_system(system), config).run())
+    return Pipeline.default(get_system(system), config).run()
 
 
 if __name__ == "__main__":
-    digests = {name: campaign_digest(name) for name in sorted(CAMPAIGNS)}
+    digests: Dict[str, str] = {}
+    searches: Dict[str, Any] = {}
+    for name in sorted(CAMPAIGNS):
+        ctx = campaign_context(name)
+        digests[name], searches[name] = context_digest(ctx), search_counters(ctx)
+    beam_golden = json.loads(BEAM_FIXTURE.read_text())
     if sys.argv[1:] == ["--check"]:
         golden = json.loads(FIXTURE.read_text())
+        golden_searches = beam_golden[SEARCHES_KEY]
         for name in sorted(set(golden) | set(digests)):
             same = golden.get(name) == digests.get(name)
             print("%-22s %s" % (name, "ok" if same else "MISMATCH: %s" % digests.get(name)))
-        sys.exit(0 if digests == golden else 1)
+            if searches.get(name) != golden_searches.get(name):
+                print("%-22s search MISMATCH: %s" % (name, searches.get(name)))
+        sys.exit(0 if digests == golden and searches == golden_searches else 1)
     FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print("wrote %s" % FIXTURE)
+    beam_golden[SEARCHES_KEY] = searches
+    BEAM_FIXTURE.write_text(json.dumps(beam_golden, indent=1, sort_keys=True) + "\n")
+    print("wrote %s and the campaigns block of %s" % (FIXTURE, BEAM_FIXTURE))

@@ -2,11 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+import contextlib
+from typing import Iterable, Iterator, Optional, Tuple
 
+from repro.core import beam
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+
+
+#: The kernel's own candidate-table block size.
+DEFAULT_KERNEL_BLOCK = beam._VectorizedKernel.BLOCK
+
+
+@contextlib.contextmanager
+def kernel_block_size(size: int) -> Iterator[None]:
+    """Run the body with the beam kernel's candidate table cut into blocks
+    of ``size`` candidates (a private class constant, not a setting: what a
+    search returns must not depend on it)."""
+    kernel = beam._VectorizedKernel
+    previous, kernel.BLOCK = kernel.BLOCK, size
+    try:
+        yield
+    finally:
+        kernel.BLOCK = previous
 
 
 def state(stack: Tuple[str, str] = ("f1", "f0"), branches: Tuple = ()) -> LocalState:

@@ -7,6 +7,9 @@ the ``tests`` column of the final report), same ``chains_explored`` and
 ``levels``, and same :class:`CompatChecker` counters.  Edge sets are
 drawn with unique ``key()``s (the kernel's precondition, guaranteed by
 ``EdgeDB`` in production); duplicate-key inputs exercise the fallback.
+Every kernel example also draws the size of the blocks the kernel cuts a
+level's candidate table into — one chain per block, a few candidates, or
+the kernel's own — because block boundaries must be invisible.
 """
 
 import pytest
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch, ReferenceBeamSearch
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+
+from tests.helpers import DEFAULT_KERNEL_BLOCK, kernel_block_size
 
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
@@ -49,6 +54,7 @@ configs = st.builds(
     max_delay_faults=st.sampled_from([None, 0, 1]),
     compat_check=st.booleans(),
 )
+blocks = st.sampled_from([1, 3, DEFAULT_KERNEL_BLOCK])
 
 
 def _unique_by_key(edge_list):
@@ -59,11 +65,12 @@ def _unique_by_key(edge_list):
     return list(seen.values())
 
 
-def assert_identical(edge_list, config, scores=None):
+def assert_identical(edge_list, config, scores=None, block=DEFAULT_KERNEL_BLOCK):
     ref = ReferenceBeamSearch(config, scores)
     vec = BeamSearch(config, scores)
     expected = ref.search(edge_list)
-    got = vec.search(edge_list)
+    with kernel_block_size(block):
+        got = vec.search(edge_list)
     # Cycles: same edge tuples, same canonical order — dataclass equality
     # covers edges, states, and test ids (the report's ``tests`` column).
     assert got.cycles == expected.cycles
@@ -76,10 +83,10 @@ def assert_identical(edge_list, config, scores=None):
     return expected
 
 
-@given(st.lists(edges, max_size=14), configs, sim_scores)
+@given(st.lists(edges, max_size=14), configs, sim_scores, blocks)
 @settings(max_examples=120, deadline=None)
-def test_kernel_matches_reference(edge_list, config, scores):
-    assert_identical(_unique_by_key(edge_list), config, scores)
+def test_kernel_matches_reference(edge_list, config, scores, block):
+    assert_identical(_unique_by_key(edge_list), config, scores, block)
 
 
 @given(st.lists(edges, max_size=14), configs)
@@ -90,14 +97,14 @@ def test_kernel_matches_reference_on_duplicate_keys(edge_list, config):
     assert_identical(edge_list, config)
 
 
-@given(st.lists(edges, max_size=12), sim_scores)
+@given(st.lists(edges, max_size=12), sim_scores, blocks)
 @settings(max_examples=40, deadline=None)
-def test_narrow_beam_tie_breaks(edge_list, scores):
+def test_narrow_beam_tie_breaks(edge_list, scores, block):
     # beam_width=1 makes every level a pure tie-break decision: any
     # divergence between integer-id ordering and key-list ordering would
     # change which single chain survives.
     config = CSnakeConfig(beam_width=1, max_chain_len=5)
-    assert_identical(_unique_by_key(edge_list), config, scores)
+    assert_identical(_unique_by_key(edge_list), config, scores, block)
 
 
 # Dense: three faults, two relationship types, three tests — 54 possible
@@ -135,13 +142,14 @@ dense_edges = st.lists(
     st.sampled_from([None, 1]),
     st.booleans(),
     st.dictionaries(dense_faults, st.sampled_from([0.0, 0.5, 1.0]), max_size=3),
+    blocks,
 )
 @settings(max_examples=25, deadline=None)
-def test_dense_closures_onto_few_classes(edge_list, width, delay_cap, compat, scores):
+def test_dense_closures_onto_few_classes(edge_list, width, delay_cap, compat, scores, block):
     config = CSnakeConfig(
         beam_width=width, max_chain_len=5, max_delay_faults=delay_cap, compat_check=compat
     )
-    assert_identical(edge_list, config, scores)
+    assert_identical(edge_list, config, scores, block)
 
 
 @pytest.mark.parametrize("max_chain_len", [1, 2, 3])
@@ -163,5 +171,6 @@ def test_last_level_counts_without_building_a_frontier(max_chain_len):
     ]
     config = CSnakeConfig(beam_width=4)
     config.max_chain_len = max_chain_len  # 1 is refused at construction
-    expected = assert_identical(edge_list, config)
-    assert expected.levels == max_chain_len - 1
+    for block in (1, 3, DEFAULT_KERNEL_BLOCK):
+        expected = assert_identical(edge_list, config, block=block)
+        assert expected.levels == max_chain_len - 1

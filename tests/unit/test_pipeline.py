@@ -1,6 +1,8 @@
 """Unit tests for the pipeline framework: stage DAG validation, context,
 executors, events, and session round-trips."""
 
+import time
+
 import pytest
 
 from repro.config import CSnakeConfig
@@ -154,6 +156,26 @@ def test_parallel_executor_propagates_worker_errors():
     with ProcessExecutor(2) as pool:
         with pytest.raises(ValueError, match="worker 1"):
             pool.map(_boom, [1, 2, 3])
+
+
+def _boom_on_zero_else_sleep(x):
+    if x == 0:
+        raise ValueError("task %d" % x)
+    time.sleep(0.25)
+    return x
+
+
+def test_a_failing_task_cancels_the_rest_of_its_batch():
+    with ProcessExecutor(2) as pool:
+        pool.map(_square, [1, 2])  # worker start-up is not what is timed
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="task 0"):
+            pool.map(_boom_on_zero_else_sleep, range(21))
+        # The same pool serves the next batch, and without first working
+        # through the failed one: the 20 queued sleeps are 2.5 s over two
+        # workers, and only the few already handed to a worker may still run.
+        assert pool.map(_square, [3, 4, 5]) == [9, 16, 25]
+        assert time.perf_counter() - started < 1.25
 
 
 # -------------------------------------------------------------------- events
