@@ -60,7 +60,8 @@ class ProcessExecutor(Executor):
     :meth:`map` calls and is released by :meth:`close` — one pool serves a
     whole campaign (profile fan-out plus the three 3PA flushes).  The pool
     is created lazily, so a closed executor transparently re-opens on its
-    next ``map``.
+    next ``map`` — and so does one whose pool a dying worker broke (the
+    batch that saw it still raises ``BrokenProcessPool``).
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -81,9 +82,15 @@ class ProcessExecutor(Executor):
         if not items:
             return []
         pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
+        futures: List[concurrent.futures.Future] = []
         try:
+            futures.extend(pool.submit(fn, item) for item in items)
             return [f.result() for f in futures]
+        except concurrent.futures.BrokenExecutor:
+            # A worker died (``os._exit``, an OOM kill): the pool fails every
+            # later submit too, so the next ``map`` must open a new one.
+            self.close()
+            raise
         finally:
             # A task that raises fails its batch: what has not started yet
             # must not run (and be waited for by ``close``) before the

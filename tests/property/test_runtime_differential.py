@@ -1,0 +1,256 @@
+"""Differential test: the runtime agent vs the allocating oracle.
+
+``repro.instrument.runtime.Runtime`` keeps its frames as calling-context
+tree nodes and pushes a ``for`` loop's scope once; ``tests/
+reference_runtime.py`` is the implementation it replaced, which constructs
+a frame per call and pushes the scope per iteration.  Every trace must be
+*bit-identical* between the two, quirks included, so hypothesis draws
+small hook programs — the shapes target-system code has and the ones it
+could have — times an injection plan and a per-site state cap, runs each
+program against both runtimes and compares the serialized trace, the
+environment clock and the injected-iteration count.
+
+A program is a few procedures (blocks of ops, see ``_Interpreter.step``)
+and a schedule of handlers, each one procedure run on an empty stack; a
+procedure calls the others — and itself — as frameless helpers, so the
+same code runs many times under the same and under different call chains,
+as target-system code does.  Sites come from pools of two on purpose:
+reuse is what makes recursion, the same loop or guard site nested inside
+itself in one frame, and a guard site that is also a ``for`` site occur.
+Generators an op left suspended are closed after the last handler — an
+iteration the oracle counted at its start is counted by the runtime when
+its generator finishes.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import IOEx, SimFault
+from repro.instrument import InjectionPlan, Runtime, SiteRegistry
+from repro.instrument import runtime as runtime_module
+from repro.instrument.trace import RunTrace
+from repro.serialize import trace_to_obj
+from repro.types import FaultKey, InjKind
+
+from tests import reference_runtime
+
+FUNCTIONS = ["F.a", "F.b"]
+LOOPS = ["l.0", "l.1"]  # shared by ``for`` loops and ``while`` guards
+BRANCHES = ["b.0", "b.1"]
+THROWS = ["t.0", "t.1"]
+DETECTORS = ["d.true", "d.false", "d.unregistered"]
+PROCEDURES = 3
+#: Helper calls nest this deep, and a program stops calling after this many.
+MAX_CALL_DEPTH = 4
+MAX_CALLS = 60
+
+
+def make_registry() -> SiteRegistry:
+    registry = SiteRegistry("diff")
+    registry.detector("d.true", "F.a", error_value=True)
+    registry.detector("d.false", "F.b", error_value=False)
+    return registry
+
+
+class FakeEnv:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def spin(self, ms: float) -> None:
+        self.now += ms
+
+
+class _Interpreter:
+    """Runs one program against one runtime.  ``break`` / ``continue`` are
+    real ``break`` / ``continue`` statements of the enclosing Python loop
+    (they travel up through ``with`` and ``try`` blocks as a return value),
+    so a broken-out-of ``rt.loop`` generator is finalised by the
+    interpreter exactly as in target-system code."""
+
+    def __init__(self, rt, env: FakeEnv, procedures) -> None:
+        self.rt = rt
+        self.env = env
+        self.procedures = procedures
+        self.suspended = []
+        self.depth = 0
+        self.calls = 0
+
+    def run(self, handlers) -> None:
+        for index in handlers:
+            try:
+                self.call(index)
+            except SimFault:
+                pass
+            self.env.now += 1.0
+        for generator in self.suspended:
+            generator.close()
+
+    def call(self, index: int) -> None:
+        """A frameless helper: a ``break`` inside it is just its return."""
+        if self.depth == MAX_CALL_DEPTH or self.calls == MAX_CALLS:
+            return
+        self.calls += 1
+        self.depth += 1
+        try:
+            self.block(self.procedures[index])
+        finally:
+            self.depth -= 1
+
+    def block(self, ops):
+        for op in ops:
+            signal = self.step(op)
+            if signal is not None:
+                return signal
+        return None
+
+    def step(self, op):
+        rt, kind = self.rt, op[0]
+        if kind == "function":
+            with rt.function(op[1]):
+                return self.block(op[2])
+        elif kind == "for":
+            for _ in rt.loop(op[1], range(op[2])):
+                if self.block(op[3]) == "break":
+                    break
+        elif kind == "while":
+            i = 0
+            while rt.loop_guard(op[1], i < op[2]):
+                i += 1
+                if self.block(op[3]) == "break":
+                    break
+        elif kind == "try":
+            try:
+                return self.block(op[1])
+            except SimFault:
+                pass
+        elif kind == "call":
+            self.call(op[1])
+        elif kind == "branch":
+            rt.branch(op[1], op[2])
+        elif kind == "throw":
+            rt.throw_point(op[1], IOEx, natural=op[2])
+        elif kind == "detector":
+            rt.detector(op[1], op[2])
+        elif kind == "tick":
+            self.env.now += op[1]
+        elif kind == "suspend":
+            generator = rt.loop(op[1], range(op[2]))
+            next(generator, None)
+            self.suspended.append(generator)
+        elif kind == "close":
+            if self.suspended:
+                self.suspended.pop(0).close()
+        else:
+            return kind  # "break" / "continue"
+        return None
+
+
+branch_op = st.tuples(st.just("branch"), st.sampled_from(BRANCHES), st.booleans())
+# Weighted by repetition: local states are made of branches, and an op that
+# ends the block early (a natural throw, ``break``) must not be the norm.
+leaf_ops = st.one_of(
+    branch_op,
+    branch_op,
+    branch_op,
+    st.tuples(st.just("throw"), st.sampled_from(THROWS), st.just(False)),
+    st.tuples(st.just("throw"), st.sampled_from(THROWS), st.booleans()),
+    st.tuples(st.just("detector"), st.sampled_from(DETECTORS), st.booleans()),
+    st.tuples(st.just("call"), st.integers(0, PROCEDURES - 1)),
+    st.tuples(st.just("call"), st.integers(0, PROCEDURES - 1)),
+    st.tuples(st.just("tick"), st.sampled_from([0.5, 2.0])),
+    st.tuples(st.just("suspend"), st.sampled_from(LOOPS), st.integers(0, 2)),
+    st.just(("close",)),
+    st.sampled_from([("break",), ("continue",)]),
+)
+
+
+def blocks(depth: int):
+    if depth == 0:
+        return st.lists(leaf_ops, min_size=1, max_size=4)
+    inner = blocks(depth - 1)
+    loop_shape = st.tuples(st.sampled_from(LOOPS), st.integers(1, 3), inner)
+    compound = st.one_of(
+        st.tuples(st.just("function"), st.sampled_from(FUNCTIONS), inner),
+        st.tuples(st.just("function"), st.sampled_from(FUNCTIONS), inner),
+        loop_shape.map(lambda shape: ("for",) + shape),
+        loop_shape.map(lambda shape: ("for",) + shape),
+        loop_shape.map(lambda shape: ("while",) + shape),
+        st.tuples(st.just("try"), inner),
+    )
+    return st.lists(st.one_of(leaf_ops, compound, compound), min_size=1, max_size=4)
+
+
+#: (procedures, the handlers' procedure indices)
+programs = st.tuples(
+    st.lists(blocks(3), min_size=PROCEDURES, max_size=PROCEDURES),
+    st.lists(st.integers(0, PROCEDURES - 1), min_size=2, max_size=6),
+)
+warmups = st.sampled_from([0.0, 2.5])  # a handler takes at least 1.0 ms
+plans = st.one_of(
+    st.none(),
+    st.builds(
+        InjectionPlan,
+        st.builds(FaultKey, st.sampled_from(LOOPS), st.just(InjKind.DELAY)),
+        delay_ms=st.sampled_from([0.25, 40.0]),
+        warmup_ms=warmups,
+    ),
+    st.builds(
+        InjectionPlan,
+        st.builds(FaultKey, st.sampled_from(THROWS), st.just(InjKind.EXCEPTION)),
+        warmup_ms=warmups,
+    ),
+    st.builds(
+        InjectionPlan,
+        st.builds(FaultKey, st.sampled_from(DETECTORS), st.just(InjKind.NEGATION)),
+        sticky=st.booleans(),
+        warmup_ms=warmups,
+    ),
+)
+#: States kept per loop site: tiny caps make "which state got in first" matter.
+caps = st.sampled_from([1, 2, runtime_module.MAX_STATES_PER_SITE])
+
+
+def observe(module, program, plan, cap):
+    """What one run of ``program`` leaves behind under ``module``'s runtime."""
+    previous, module.MAX_STATES_PER_SITE = module.MAX_STATES_PER_SITE, cap
+    try:
+        env = FakeEnv()
+        trace = RunTrace(test_id="diff", injection=plan)
+        rt = module.Runtime(make_registry(), trace=trace, plan=plan, env=env)
+        procedures, handlers = program
+        _Interpreter(rt, env, procedures).run(handlers)
+    finally:
+        module.MAX_STATES_PER_SITE = previous
+    return trace_to_obj(trace), env.now, rt._injected_delay_iters
+
+
+def assert_same_as_the_oracle(program, plan, cap) -> None:
+    expected = observe(reference_runtime, program, plan, cap)
+    got = observe(runtime_module, program, plan, cap)
+    assert got == expected
+
+
+def test_the_oracle_is_not_the_runtime_under_test():
+    assert reference_runtime.Runtime is not Runtime
+    assert reference_runtime.Runtime.loop.__code__ is not Runtime.loop.__code__
+
+
+# ``derandomize``: tier-1 runs the same slice of the program space every
+# time; explore further with ``assert_same_as_the_oracle`` under a larger
+# ``settings(max_examples=...)``.
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(programs, plans, caps)
+def test_every_hook_program_leaves_the_oracles_trace(program, plan, cap):
+    assert_same_as_the_oracle(program, plan, cap)
+
+
+def test_guard_site_owning_an_enclosing_scope_truncates_the_active_for_scope():
+    """The one hazard of pushing a loop's scope once: the inner guard shares
+    its site with the outer one, so its truncation removes the ``for``
+    scope between them — which a per-iteration push restored by itself."""
+    body = [("branch", "b.0", True), ("while", "l.0", 1, [("branch", "b.1", True)])]
+    loops = ("while", "l.0", 2, [("for", "l.1", 3, body + [("branch", "b.1", False)])])
+    program = ([[("function", "F.a", [loops])]], [0])
+    assert_same_as_the_oracle(program, None, runtime_module.MAX_STATES_PER_SITE)
+    trace, _, _ = observe(runtime_module, program, None, runtime_module.MAX_STATES_PER_SITE)
+    assert trace["loop_counts"] == {"l.0": 8, "l.1": 6}

@@ -1,33 +1,25 @@
-"""Runtime agent: fault injection hooks and trace recording.
+"""The allocating runtime agent, kept as the tests' oracle.
 
-Mini-system code calls these hooks at its declared sites:
-
-* ``with rt.function("Cls.method"):`` — call-stack frame (2-call-site
-  sensitivity for local states);
-* ``if rt.branch("site", cond):`` — monitor point, records the outcome
-  locally (within the enclosing loop iteration or function);
-* ``for x in rt.loop("site", items):`` / ``while rt.loop_guard("site", c):``
-  — iteration counting, per-iteration local states, delay injection;
-* ``rt.throw_point("site", ExcCls, natural=cond)`` — throw point: raises
-  when the guard is naturally true or when an exception injection is armed;
-* ``value = rt.detector("site", value)`` — error detector: records natural
-  error returns and applies negation injection.
-
-The runtime is deliberately cheap when ``enabled=False`` so the §8.5
-overhead experiment can compare instrumented vs bare execution.
+This is ``src/repro/instrument/runtime.py`` as it stood on the commit
+before frames became calling-context-tree nodes and a loop's scope was
+pushed once (``_Scope`` / ``_Frame`` / ``Runtime`` verbatim, imports made
+absolute): every ``rt.function`` constructs a frame, every ``for``
+iteration pushes and pops its scope.  ``tests/property/
+test_runtime_differential.py`` holds the runtime in ``src`` to it, trace
+for trace.  Do not "fix" or speed it up — its quirks are the contract.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Type
+from typing import Any, ContextManager, Iterable, Iterator, List, Optional, Type
 
-from ..config import MAX_STATES_PER_SITE
-from ..errors import SimFault, UnknownSite
-from ..types import FaultKey, InjKind, LocalState
-from .plan import InjectionPlan
-from .sites import SiteRegistry
-from .trace import FaultEvent, RunTrace
+from repro.config import MAX_STATES_PER_SITE
+from repro.errors import SimFault, UnknownSite
+from repro.types import FaultKey, InjKind, LocalState
+from repro.instrument.plan import InjectionPlan
+from repro.instrument.sites import SiteRegistry
+from repro.instrument.trace import FaultEvent, RunTrace
 
 _ROOT = "<root>"
 _NO_STACK = (_ROOT, _ROOT)
@@ -37,9 +29,9 @@ class _Scope:
     """A local branch-recording scope: a function body or loop iteration.
 
     ``owner`` is ``None`` for a function-body scope and the loop site id for
-    an iteration scope.  A ``for`` loop's scope serves all its iterations
-    (emptied as each one closes) and, kept in its frame's ``loops`` table,
-    the later entries of the loop too.
+    an iteration scope.  A ``for`` loop reuses one scope for all of its
+    iterations (emptied as each one closes), so ``branches`` is allocated
+    per loop, not per iteration.
     """
 
     __slots__ = ("owner", "branches")
@@ -50,44 +42,26 @@ class _Scope:
 
 
 class _Frame:
-    """A node of the run's calling-context tree: one chain of call sites,
-    serving every invocation along it.  Entering pushes it; leaving pops
-    it and empties what the body recorded.
+    """One function invocation on the instrumented call stack; entering
+    it pushes it, leaving pops it."""
 
-    A node is only ever pushed on top of its caller's node (the root's
-    callees on an empty stack), so a chain is on the stack at most once at
-    a time and a site called under itself extends the chain to another
-    node: no two live invocations share ``scopes``.
-    """
+    __slots__ = ("site", "scopes", "above", "_stack")
 
-    __slots__ = ("site", "scopes", "above", "callees", "loops", "_stack")
-
-    def __init__(self, stack: List["_Frame"], site: str, above: tuple) -> None:
+    def __init__(self, stack: List["_Frame"], site: str) -> None:
         self._stack = stack
         self.site = site
         #: ``scopes[0]`` is the function body and is never removed.
         self.scopes: List[_Scope] = [_Scope(None)]
         #: The two call-stack levels above this frame (2-call-site
-        #: sensitivity) — a property of the chain, computed once.
-        self.above = above
-        self.callees: Dict[str, "_Frame"] = {}
-        #: The idle iteration scope of each ``for`` loop site of the body
-        #: (a running loop holds its scope, so a nested or still-suspended
-        #: loop at the same site gets a fresh one).
-        self.loops: Dict[str, _Scope] = {}
+        #: sensitivity) — fixed for the frame's lifetime, so local-state
+        #: recording reads it instead of re-walking the stack.
+        self.above = (stack[-1].site, stack[-1].above[0]) if stack else _NO_STACK
 
     def __enter__(self) -> None:
         self._stack.append(self)
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self._stack.pop()
-        # The next invocation starts as a new frame would: no scope an
-        # abandoned ``while`` left behind, no branch of this body.
-        scopes = self.scopes
-        if len(scopes) > 1:
-            del scopes[1:]
-        if scopes[0].branches:
-            del scopes[0].branches[:]
 
 
 _DISABLED_FRAME = nullcontext()
@@ -110,9 +84,6 @@ class Runtime:
         self.env = env
         self.enabled = enabled
         self._frames: List[_Frame] = []
-        #: Caller of the entry frames and holder of the scopes of loops run
-        #: on an empty stack; never pushed, so ``branch`` never records here.
-        self._root = _Frame(self._frames, _ROOT, _NO_STACK)
         self._exception_fired = False
         self._negation_fired = False
         self._injected_delay_iters = 0
@@ -169,14 +140,7 @@ class Runtime:
         """An instrumented function frame, pushed for the ``with`` body."""
         if not self.enabled:
             return _DISABLED_FRAME
-        frames = self._frames
-        caller = frames[-1] if frames else self._root
-        try:
-            return caller.callees[site_id]
-        except KeyError:
-            frame = _Frame(frames, site_id, (caller.site, caller.above[0]))
-            caller.callees[site_id] = frame
-            return frame
+        return _Frame(self._frames, site_id)
 
     # -------------------------------------------------------------- branches
 
@@ -205,63 +169,43 @@ class Runtime:
         delay = None
         if site_id == self._delay_site and self._now() >= self._warmup_ms:
             delay = self.plan.delay_ms
-        frames = self._frames
-        frame = frames[-1] if frames else self._root
-        scopes, above = frame.scopes, frame.above
-        scope = frame.loops.pop(site_id, None)
-        if scope is None:
-            scope = _Scope(site_id)
+        counts, reached = self.trace.loop_counts, self.trace.reached
+        if self._frames:
+            frame = self._frames[-1]
+            scopes, above = frame.scopes, frame.above
+        else:
+            scopes, above = None, _NO_STACK
+        scope = _Scope(site_id)
         branches = scope.branches
         memo = self._state_memo
-        # Once the branch-free state was offered to the trace, offering it
-        # again changes nothing: it was recorded, or the site's cap is hit.
-        offer = True
-        count = 0
-        # The scope stays pushed from the first item to the end of the loop
-        # (so the iterable's own ``next()`` runs under it).
-        scopes.append(scope)
-        try:
-            for item in iterable:
-                count += 1
-                if delay:
-                    self._spin(delay)
-                    self._injected_delay_iters += 1
-                try:
-                    yield item
-                finally:
-                    if scopes[-1] is not scope:
-                        if scope in scopes:
-                            # Inner scopes a ``break`` or exception abandoned.
-                            del scopes[scopes.index(scope) + 1:]
-                        else:
-                            # A ``loop_guard`` truncated below this scope (its
-                            # site owns an enclosing scope too, or this
-                            # iterator was suspended): the next iteration
-                            # records here again, a closing one pops it below.
-                            scopes.append(scope)
-                    if branches:
-                        state = (site_id, above, tuple(branches))
-                        del branches[:]
-                        if state not in memo:
-                            self._record_state(site_id, state)
-                    elif offer:
-                        offer = False
-                        state = (site_id, above, ())
-                        if state not in memo:
-                            self._record_state(site_id, state)
-        finally:
-            # Exhausted, closed by ``break`` / an unwinding exception, or
-            # closed late: a scope someone else removed is left alone.
-            if scopes[-1] is scope:
-                scopes.pop()
-            elif scope in scopes:
-                del scopes[scopes.index(scope):]
-            if branches:  # of the iterable's exhausting ``next()``: no iteration
-                del branches[:]
-            frame.loops[site_id] = scope
-            if count:
-                self.trace.loop_counts[site_id] += count
-                self.trace.reached.add(site_id)
+        no_branches = (site_id, above, ())
+        for item in iterable:
+            counts[site_id] += 1
+            reached.add(site_id)
+            if scopes is not None:
+                scopes.append(scope)
+            if delay:
+                self._spin(delay)
+                self._injected_delay_iters += 1
+            try:
+                yield item
+            finally:
+                if scopes is not None:
+                    # Close this iteration, and with it any inner scope a
+                    # ``break`` or exception abandoned above it.  A scope an
+                    # enclosing ``loop_guard`` already removed (this
+                    # iterator was still suspended then) is left alone.
+                    if scopes[-1] is scope:
+                        scopes.pop()
+                    elif scope in scopes:
+                        del scopes[scopes.index(scope):]
+                if branches:
+                    state = (site_id, above, tuple(branches))
+                    del branches[:]
+                else:
+                    state = no_branches
+                if state not in memo:
+                    self._record_state(site_id, state)
 
     def loop_guard(self, site_id: str, cond: Any) -> bool:
         """Instrumented ``while`` guard.
@@ -411,9 +355,3 @@ class Runtime:
             trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
         return result
 
-
-class NullRuntime(Runtime):
-    """A disabled runtime with the same interface (overhead baseline)."""
-
-    def __init__(self, registry: SiteRegistry) -> None:
-        super().__init__(registry, trace=None, plan=None, env=None, enabled=False)

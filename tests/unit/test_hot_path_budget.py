@@ -5,34 +5,46 @@ A timing gate would flake; a call count does not.  ``sys.setprofile``
 calls) are counted over one profile run, divided by the events the run
 simulated.  The ceilings sit 10 % above the values measured when the
 per-event path was made cheap (DESIGN.md §5, "Cost of one simulated
-event"; before that change the two runs below read 73.2 and 46.3), so
+event"; the two runs below read 73.2 and 46.3 before that change, and
+39.2 and 21.3 until frames and loop scopes stopped being allocated), so
 re-adding a generator or a helper call per hook fails here.
+
+The same profile run counts ``_Frame`` constructions against ``_Frame``
+entries: a frame is a calling-context-tree node that serves every
+invocation along its chain, so a run constructs a few dozen of them
+however many calls it makes (17 for 796 entries and 19 for 487 on the two
+runs below, the root node included; one per entry when every
+``rt.function`` allocated its frame).
 """
 
+import functools
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.core.driver import seed_for, run_workload
+from repro.instrument.runtime import _Frame
 from repro.systems import get_system
 from tests.golden_traces import CAMPAIGN_SEED, events_processed_log
 
 #: (system, workload) -> calls per simulated event when the budget was set.
 MEASURED = {
-    ("minihdfs2", "hdfs2.cache_small"): 39.2,
-    ("minidfs", "dfs.churn"): 21.3,
+    ("minihdfs2", "hdfs2.cache_small"): 35.2,
+    ("minidfs", "dfs.churn"): 18.7,
 }
 
 
-def calls_per_event(system: str, test_id: str) -> float:
+@functools.lru_cache(maxsize=None)
+def profile_run(system: str, test_id: str):
+    """``(calls by code object, simulated events)`` of one profile run."""
     spec = get_system(system)
     seed = seed_for(test_id, 0, CAMPAIGN_SEED)
-    calls = 0
+    calls: Counter = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            calls[frame.f_code] += 1
 
     previous = sys.getprofile()
     with events_processed_log() as events:
@@ -41,7 +53,12 @@ def calls_per_event(system: str, test_id: str) -> float:
             run_workload(spec, spec.workloads[test_id], None, seed)
         finally:
             sys.setprofile(previous)
-    return calls / events[0]
+    return calls, events[0]
+
+
+def calls_per_event(system: str, test_id: str) -> float:
+    calls, events = profile_run(system, test_id)
+    return sum(calls.values()) / events
 
 
 @pytest.mark.parametrize("system,test_id", sorted(MEASURED))
@@ -51,4 +68,17 @@ def test_calls_per_simulated_event_stay_under_budget(system, test_id):
     assert got <= measured * 1.10, (
         "%s/%s: %.1f Python-level calls per simulated event, budget %.1f (measured %.1f + 10%%)"
         % (system, test_id, got, measured * 1.10, measured)
+    )
+
+
+@pytest.mark.parametrize("system,test_id", sorted(MEASURED))
+def test_frames_are_constructed_per_call_chain_not_per_call(system, test_id):
+    calls, _ = profile_run(system, test_id)
+    constructed = calls[_Frame.__init__.__code__]
+    entered = calls[_Frame.__enter__.__code__]
+    assert entered > 100, "the run no longer crosses rt.function: pick another"
+    assert constructed <= 0.05 * entered, (
+        "%s/%s: %d frames constructed for %d entered; a frame is a node of the "
+        "calling-context tree and must serve every invocation of its chain"
+        % (system, test_id, constructed, entered)
     )

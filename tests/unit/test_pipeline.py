@@ -1,7 +1,9 @@
 """Unit tests for the pipeline framework: stage DAG validation, context,
 executors, events, and session round-trips."""
 
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -176,6 +178,19 @@ def test_a_failing_task_cancels_the_rest_of_its_batch():
         # workers, and only the few already handed to a worker may still run.
         assert pool.map(_square, [3, 4, 5]) == [9, 16, 25]
         assert time.perf_counter() - started < 1.25
+
+
+def _die(x):
+    os._exit(1)
+
+
+def test_a_dead_worker_breaks_its_batch_not_the_executor():
+    with ProcessExecutor(2) as pool:
+        with pytest.raises(BrokenProcessPool):
+            pool.map(_die, [1])
+        # ``BrokenProcessPool`` is for good on a pool; the executor opens
+        # another one (it used to raise here again, and on every later map).
+        assert pool.map(_square, [3, 4, 5]) == [9, 16, 25]
 
 
 # -------------------------------------------------------------------- events

@@ -176,6 +176,178 @@ class TestLoop:
         }
 
 
+class TestChainReuse:
+    """A frame is a node of the run's calling-context tree and serves every
+    invocation along its chain; a ``for`` loop's scope is pushed once and
+    kept by the node for the loop's next entry.  What one invocation
+    recorded must never be visible to the next."""
+
+    @staticmethod
+    def stale(trace):
+        """``(call_stack, branch_trace)`` of every natural detector event."""
+        return [(e.state.call_stack, e.state.branch_trace) for e in trace.events]
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returned", "raised"])
+    def test_next_invocation_of_a_chain_starts_empty(self, registry, raises):
+        rt, trace = make_rt(registry)
+
+        def level(sites, first):
+            with rt.function(sites[0]):
+                if first:
+                    rt.branch("toy.b1", True)
+                    while rt.loop_guard("toy.outer", True):
+                        rt.branch("toy.b_iter", False)
+                        break  # abandons the guard's scope
+                else:
+                    rt.detector("toy.is_stale", True)
+                if sites[1:]:
+                    level(sites[1:], first)
+                elif first and raises:
+                    rt.throw_point("toy.ioe", IOEx, natural=True)
+
+        chain = ["Toy.a", "Toy.b", "Toy.step"]
+        if raises:
+            with pytest.raises(IOEx):
+                level(chain, first=True)
+            del trace.events[:]
+        else:
+            level(chain, first=True)
+        level(chain, first=False)
+        assert self.stale(trace) == [
+            (("<root>", "<root>"), ()),
+            (("Toy.a", "<root>"), ()),
+            (("Toy.b", "Toy.a"), ()),
+        ]
+        assert rt._frames == []
+
+    def test_site_called_under_itself_gets_its_own_frame(self, registry):
+        rt, trace = make_rt(registry)
+        with rt.function("Toy.run"):
+            rt.branch("toy.b1", True)
+            with rt.function("Toy.run"):
+                rt.branch("toy.b2", False)
+                for _ in rt.loop("toy.outer", range(2)):
+                    with rt.function("Toy.run"):
+                        rt.detector("toy.is_stale", True)
+                        assert len({id(frame) for frame in rt._frames}) == 3
+                rt.detector("toy.is_stale", True)
+            rt.detector("toy.is_stale", True)
+        assert self.stale(trace) == [
+            (("Toy.run", "Toy.run"), ()),
+            (("Toy.run", "Toy.run"), ()),
+            (("Toy.run", "<root>"), (("toy.b2", False),)),
+            (("<root>", "<root>"), (("toy.b1", True),)),
+        ]
+        assert {s.call_stack for s in trace.loop_states["toy.outer"]} == {("Toy.run", "<root>")}
+
+    def test_counts_and_reach_are_visible_once_the_loop_statement_is_left(self, registry):
+        """Iterations are added when the generator finishes or is closed —
+        which the interpreter does on ``break`` and while unwinding, before
+        any handler of the exception runs."""
+        rt, trace = make_rt(registry)
+
+        def visible(site):
+            return trace.loop_counts.get(site), site in trace.reached
+
+        def callee():
+            with rt.function("Toy.step"):
+                for _ in rt.loop("toy.callee", range(5)):
+                    rt.throw_point("toy.ioe", IOEx, natural=True)
+
+        with rt.function("Toy.run"):
+            for _ in rt.loop("toy.outer", range(3)):
+                pass
+            assert visible("toy.outer") == (3, True)
+            for i in rt.loop("toy.inner", range(5)):
+                if i == 1:
+                    break
+            assert visible("toy.inner") == (2, True)
+            try:
+                for _ in rt.loop("toy.caught", range(5)):
+                    rt.throw_point("toy.ioe", IOEx, natural=True)
+            except IOEx:
+                assert visible("toy.caught") == (1, True)
+            try:
+                callee()
+            except IOEx:
+                assert visible("toy.callee") == (1, True)
+            for _ in rt.loop("toy.empty", []):
+                pass
+            assert visible("toy.empty") == (None, False)
+        assert "toy.empty" not in trace.loop_counts
+
+    def test_generator_held_past_its_frames_exit_closes_harmlessly(self, registry):
+        rt, trace = make_rt(registry)
+        with rt.function("Toy.run"):
+            held = rt.loop("toy.outer", [1, 2])
+            next(held)
+            rt.branch("toy.b1", True)
+        with rt.function("Toy.run"):  # the same chain: the same frame
+            for _ in rt.loop("toy.outer", [1]):
+                rt.branch("toy.b2", False)
+                held.close()
+                rt.branch("toy.b3", True)
+                rt.detector("toy.is_stale", True)
+            rt.detector("toy.is_stale", True)
+        assert [branches for _, branches in self.stale(trace)] == [
+            (("toy.b2", False), ("toy.b3", True)),
+            (),
+        ]
+        assert {s.branch_trace for s in trace.loop_states["toy.outer"]} == {
+            (("toy.b1", True),),
+            (("toy.b2", False), ("toy.b3", True)),
+        }
+        assert trace.loop_counts["toy.outer"] == 2
+
+    def test_loop_site_active_twice_in_one_frame_gets_two_scopes(self, registry):
+        rt, trace = make_rt(registry)
+
+        def helper(depth):
+            for _ in rt.loop("toy.outer", range(2)):
+                rt.branch("toy.b1", depth == 0)
+                if depth < 2:
+                    helper(depth + 1)
+                rt.branch("toy.b2", True)
+
+        with rt.function("Toy.run"):
+            helper(0)
+        assert {s.branch_trace for s in trace.loop_states["toy.outer"]} == {
+            (("toy.b1", True), ("toy.b2", True)),
+            (("toy.b1", False), ("toy.b2", True)),
+        }
+        assert trace.loop_counts["toy.outer"] == 2 + 4 + 8
+
+    def test_hooked_iterable_records_inside_the_iteration_it_feeds(self, registry):
+        """The scope is pushed before the first item, so the iterable's own
+        ``next()`` runs under it (DESIGN.md §5, invariant 4): its branches
+        open the state of the iteration they produce the item for, and what
+        the exhausting ``next()`` leaves behind goes with the scope."""
+        rt, trace = make_rt(registry)
+
+        def items():
+            for i in range(2):
+                rt.branch("toy.gen", i == 0)
+                yield i
+            rt.branch("toy.gen_done", True)
+            while rt.loop_guard("toy.inner", True):
+                break  # an abandoned guard scope above the loop's
+
+        with rt.function("Toy.run"):
+            for _ in rt.loop("toy.outer", items()):
+                rt.branch("toy.b1", True)
+            rt.branch("toy.b2", True)
+            rt.detector("toy.is_stale", True)
+            for _ in rt.loop("toy.outer", [0]):
+                pass
+        assert self.stale(trace) == [(("<root>", "<root>"), (("toy.b2", True),))]
+        assert {s.branch_trace for s in trace.loop_states["toy.outer"]} == {
+            (("toy.gen", True), ("toy.b1", True)),
+            (("toy.gen", False), ("toy.b1", True)),
+            (),
+        }
+        assert trace.loop_counts == {"toy.outer": 3, "toy.inner": 1}
+
+
 class TestLocalState:
     def test_call_stack_excludes_enclosing_function(self, registry):
         rt, trace = make_rt(registry)
