@@ -91,6 +91,8 @@ def _parse_sweeps(entries: List[str]) -> tuple:
 
 def _parse_stages(text: str) -> List[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise SystemExit("--stages names no stage; choose from %s" % ", ".join(STAGE_NAMES))
     unknown = [n for n in names if n not in STAGE_NAMES]
     if unknown:
         raise SystemExit(
@@ -369,7 +371,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
-    stage_names = _parse_stages(args.stages) if args.stages else None
+    stage_names = _parse_stages(args.stages) if args.stages is not None else None
     if stage_names is not None and "report" not in stage_names and (args.json or args.out):
         # A partial run produces no report; don't let --json emit non-JSON
         # text or --out silently write nothing.

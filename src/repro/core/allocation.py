@@ -128,13 +128,6 @@ class ThreePhaseAllocator:
             record.result = result
         self._scheduled = []
 
-    def _cluster_combos(self, cluster) -> List[Tuple[FaultKey, str]]:
-        combos = []
-        for fault in cluster:
-            for test_id in self._unused_tests(fault):
-                combos.append((fault, test_id))
-        return combos
-
     def _draw_from_cluster(self, cluster, phase: int) -> Optional[AllocationRecord]:
         """Random fault from the cluster into a random new workload."""
         candidates = [f for f in cluster if self._unused_tests(f)]

@@ -8,35 +8,30 @@ interference similarity score of the injected faults in the chain — chains
 built from faults with *conditional* consequences (low SimScore) are kept,
 as they most resemble the error-handling tangles developers overlook.
 
-Two engines implement that one contract:
+The search runs on one kernel.  The edge set is interned once into integer
+arrays with ids assigned in sorted-``key()`` order, so integer comparisons
+reproduce the lexicographic tie-breaks of a chain-at-a-time search over
+edge tuples bit-for-bit (see DESIGN.md, "The interned beam kernel").
+Algorithm 1's pairwise ``match`` relation depends only on the ordered edge
+pair, so it is precomputed into a CSR adjacency (+ a sorted pair-code
+array for closure membership).  A level costs O(candidates), not
+O(candidates × chain length): a frontier chain carries its score and delay
+counts and two dense ids — its dedup class and the rank of its id
+sequence — so a candidate is a (parent, edge) pair of integers, dedup and
+top-``B`` ranking run on one-integer keys, and the candidate table exists
+one fixed-size block at a time.  Id rows are built for the ``B`` survivors
+and for closing chains (one row kept per fault-level class, its
+:class:`Cycle` built at the end); the level that reaches ``max_chain_len``
+stops after its closure check and builds no frontier.
 
-* :class:`BeamSearch` — the production kernel.  The edge set is interned
-  once into integer arrays with ids assigned in sorted-``key()`` order, so
-  integer comparisons reproduce the reference's lexicographic tie-breaks
-  bit-for-bit (see DESIGN.md, "The interned beam kernel").  The pairwise
-  ``CompatChecker.match`` relation depends only on the ordered edge pair,
-  so it is precomputed into a CSR adjacency (+ a sorted pair-code array
-  for closure membership).  A level costs O(candidates), not
-  O(candidates × chain length): a frontier chain carries its score and
-  delay counts and two dense ids — its dedup class and the rank of its id
-  sequence — so a candidate is a (parent, edge) pair of integers, dedup
-  and top-``B`` ranking run on one-integer keys, and the candidate table
-  exists one fixed-size block at a time.  Id rows are built for the ``B``
-  survivors and for closing chains (one row kept per fault-level class,
-  its :class:`Cycle` built at the end); the level that reaches
-  ``max_chain_len`` stops after its closure check and builds no frontier.
-* :class:`ReferenceBeamSearch` — the original chain-at-a-time
-  implementation, kept as the differential-testing oracle
-  (``tests/property/test_beam_differential.py``) and as the fallback for
-  edge sets the interning argument does not cover: duplicate ``key()``s
-  (impossible for :class:`~repro.core.edges.EdgeDB` inputs, which dedup
-  by key) break the id-order ≡ key-order equivalence.
-
-Both engines produce byte-identical :class:`BeamSearchResult`\\ s: the same
-cycles in the same order (including which interior test combination
-represents each deduplicated chain class), the same ``chains_explored``
-and ``levels``, and the same :class:`~repro.core.compat.CompatChecker`
-counters.
+The chain-at-a-time search this kernel replaced is the tests' oracle
+(``tests/reference_beam.py``): the differential, memory and budget tests
+hold :class:`BeamSearch` to the same cycles in the same order (including
+which interior test combination represents each deduplicated chain
+class), the same ``chains_explored`` and ``levels``, and the same
+:class:`~repro.core.compat.CompatChecker` counters.  Interning needs edges
+with distinct ``key()``s — every :class:`~repro.core.edges.EdgeDB` dedups
+by key — and :meth:`BeamSearch.search` refuses any other input.
 """
 
 from __future__ import annotations
@@ -52,20 +47,6 @@ from .compat import CompatChecker
 from .cycles import INJECTION_EDGE_TYPES, Cycle
 
 
-@dataclass(frozen=True)
-class _Chain:
-    edges: Tuple[CausalEdge, ...]
-    score: float
-
-    @property
-    def last(self) -> CausalEdge:
-        return self.edges[-1]
-
-    @property
-    def first(self) -> CausalEdge:
-        return self.edges[0]
-
-
 @dataclass
 class BeamSearchResult:
     cycles: List[Cycle] = field(default_factory=list)
@@ -74,121 +55,12 @@ class BeamSearchResult:
     compat: Optional[CompatChecker] = None
 
 
-class ReferenceBeamSearch:
-    """Chain-at-a-time cycle detector: the oracle the kernel is held to."""
-
-    def __init__(
-        self,
-        config: Optional[CSnakeConfig] = None,
-        sim_scores: Optional[Dict[FaultKey, float]] = None,
-    ) -> None:
-        self.config = config or CSnakeConfig()
-        #: SimScore of each fault's cluster; unknown faults default to 1.0
-        #: (maximally unconditional, hence ranked last).
-        self.sim_scores = sim_scores or {}
-        self.compat = CompatChecker(enabled=self.config.compat_check)
-
-    # -------------------------------------------------------------- scoring
-
-    def _chain_score(self, edges: Tuple[CausalEdge, ...]) -> float:
-        injected = [e.src for e in edges if e.etype in INJECTION_EDGE_TYPES]
-        if not injected:
-            return 1.0
-        total = sum(self.sim_scores.get(f, 1.0) for f in injected)
-        return total / len(injected)
-
-    def _delay_count(self, edges: Tuple[CausalEdge, ...]) -> int:
-        return sum(
-            1
-            for e in edges
-            if e.etype in INJECTION_EDGE_TYPES and e.src.kind is InjKind.DELAY
-        )
-
-    # --------------------------------------------------------------- search
-
-    def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
-        result = BeamSearchResult(compat=self.compat)
-        edge_list = list(edges)
-        # Index edges by source fault: a chain ending in fault f can only be
-        # extended by edges injecting f, so candidate lookup is O(out-degree)
-        # instead of O(|E|).
-        self._by_src: Dict[FaultKey, List[CausalEdge]] = {}
-        for edge in edge_list:
-            self._by_src.setdefault(edge.src, []).append(edge)
-        seen_cycles: Dict[Tuple, Cycle] = {}
-        queue: List[_Chain] = []
-        for edge in edge_list:
-            chain = _Chain((edge,), self._chain_score((edge,)))
-            if self._exceeds_delay_cap(chain.edges):
-                continue
-            result.chains_explored += 1
-            # A self-edge (f causes f) is already a cycle of length one.
-            if self.compat.match(edge, edge):
-                self._report(chain.edges, seen_cycles)
-            queue.append(chain)
-
-        while queue and result.levels < self.config.max_chain_len - 1:
-            result.levels += 1
-            extensions = self._extend_level(queue, seen_cycles, result)
-            # Exact chain deduplication: future extension depends only on the
-            # last edge, closure only on the first, and ranking only on the
-            # fault-level signature — interior test combinations are
-            # interchangeable, so keep one representative per class.
-            unique: Dict[Tuple, _Chain] = {}
-            for chain in extensions:
-                sig = (
-                    tuple((e.src, e.dst, e.etype.value) for e in chain.edges),
-                    chain.first.key(),
-                    chain.last.key(),
-                )
-                unique.setdefault(sig, chain)
-            extensions = list(unique.values())
-            extensions.sort(key=lambda c: (c.score, [e.key() for e in c.edges]))
-            queue = extensions[: self.config.beam_width]
-
-        result.cycles = [seen_cycles[k] for k in sorted(seen_cycles)]
-        return result
-
-    def _extend_level(
-        self,
-        queue: List[_Chain],
-        seen_cycles: Dict[Tuple, Cycle],
-        result: BeamSearchResult,
-    ) -> List[_Chain]:
-        extensions: List[_Chain] = []
-        for chain in queue:
-            for edge in self._by_src.get(chain.last.dst, ()):
-                if edge in chain.edges:
-                    continue  # chains never reuse an edge
-                if not self.compat.match(chain.last, edge):
-                    continue
-                new_edges = chain.edges + (edge,)
-                if self._exceeds_delay_cap(new_edges):
-                    continue
-                if self.compat.match(edge, chain.first):
-                    self._report(new_edges, seen_cycles)
-                else:
-                    extensions.append(_Chain(new_edges, self._chain_score(new_edges)))
-        result.chains_explored += len(extensions)
-        return extensions
-
-    def _exceeds_delay_cap(self, edges: Tuple[CausalEdge, ...]) -> bool:
-        cap = self.config.max_delay_faults
-        return cap is not None and self._delay_count(edges) > cap
-
-    def _report(self, edges: Tuple[CausalEdge, ...], seen: Dict[Tuple, Cycle]) -> None:
-        cycle = Cycle(edges).canonical()
-        seen.setdefault(cycle.key(), cycle)
-
-
 class BeamSearch:
-    """Cycle detector over a causal-edge set (vectorized kernel).
+    """Cycle detector over a key-unique causal-edge set.
 
-    Drop-in replacement for :class:`ReferenceBeamSearch` with identical
-    results and counters.  Key-unique input (every
-    :class:`~repro.core.edges.EdgeDB`) runs on the interned kernel, which
-    constructs one :class:`Cycle` per reported cycle; duplicate keys go
-    to the reference.
+    Each :meth:`search` interns its edges into one :class:`_VectorizedKernel`
+    run, which fills ``compat``'s counters and constructs one
+    :class:`Cycle` per reported cycle.
     """
 
     def __init__(
@@ -205,12 +77,12 @@ class BeamSearch:
         keys = [e.key() for e in edge_list]
         if len(set(keys)) != len(keys):
             # Duplicate keys break the id-order ≡ key-order equivalence and
-            # the membership-by-id argument (EdgeDB inputs are key-unique;
-            # hand-built test edge lists need not be): the oracle takes over.
-            ref = ReferenceBeamSearch(self.config, self.sim_scores)
-            result = ref.search(edge_list)
-            self.compat = ref.compat
-            return result
+            # the membership-by-id argument the kernel rests on.
+            duplicate = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValueError(
+                "beam search needs key-unique edges (EdgeDB guarantees it); "
+                "duplicate key %r" % (duplicate,)
+            )
         return _VectorizedKernel(
             self.config, self.sim_scores, self.compat, edge_list, keys
         ).run()
@@ -340,7 +212,7 @@ class _VectorizedKernel:
     # ------------------------------------------------------------- plumbing
 
     def _is_match(self, left: "_np.ndarray", right: "_np.ndarray") -> "_np.ndarray":
-        """Vectorized ``CompatChecker.match`` verdict for ordered id pairs
+        """Vectorized Algorithm 1 ``match`` verdict for ordered id pairs
         (fault-compatible *and* state-compatible), without counters."""
         codes = left * self.n + right
         if self.match_codes.shape[0] == 0:
@@ -421,7 +293,8 @@ class _VectorizedKernel:
         self.compat.rejected_state += self._rej_state
         # Integer class order ≡ ``sorted`` over ``Cycle.key()``s; within a
         # chain ids are distinct, so the least id rotation (≡
-        # ``Cycle.canonical()``) is the one that starts at the smallest id.
+        # the reference's canonical rotation) is the one that starts at the
+        # smallest id.
         for cls in sorted(seen):
             row = seen[cls]
             start = row.index(min(row))

@@ -12,38 +12,28 @@ edges (``f1 → f2`` observed in test ``t1``, ``f2 → f3`` injected in test
    enough, because delay is injected into every iteration.
 
 Both are encoded in :class:`~repro.types.LocalState`; the check reduces to
-a state-set intersection.
+a state-set intersection (:func:`~repro.types.states_compatible`), which
+the beam kernel (:mod:`repro.core.beam`) evaluates over its whole edge set
+at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..types import CausalEdge, states_compatible
-
 
 @dataclass
 class CompatChecker:
-    """Stateful matcher with counters for the ablation benchmarks."""
+    """The beam kernel's counter record for Algorithm 1's ``match``.
+
+    ``enabled`` is whether the state leg is checked at all (the ablation
+    switch); the kernel adds every ``match`` it counts to ``checks`` and
+    the rejected ones to ``rejected_fault`` (the interference of the first
+    edge is not the injected fault of the second) or ``rejected_state``
+    (their local states are incompatible).  ``beam.json`` persists it.
+    """
 
     enabled: bool = True
     checks: int = 0
     rejected_state: int = 0
     rejected_fault: int = 0
-
-    def match(self, first: CausalEdge, second: CausalEdge) -> bool:
-        """Algorithm 1's ``match``: the interference of ``first`` is the
-        injected fault of ``second`` and their local states are compatible."""
-        self.checks += 1
-        if first.dst != second.src:
-            self.rejected_fault += 1
-            return False
-        if self.enabled and not states_compatible(first.dst_states, second.src_states):
-            self.rejected_state += 1
-            return False
-        return True
-
-    @property
-    def state_rejection_rate(self) -> float:
-        considered = self.checks - self.rejected_fault
-        return self.rejected_state / considered if considered > 0 else 0.0

@@ -28,13 +28,6 @@ class Cycle:
 
     # ------------------------------------------------------------ identity
 
-    def canonical(self) -> "Cycle":
-        """Rotation-invariant canonical form (cycles have no start)."""
-        n = len(self.edges)
-        rotations = [tuple(self.edges[i:] + self.edges[:i]) for i in range(n)]
-        best = min(rotations, key=lambda rot: [e.key() for e in rot])
-        return Cycle(best)
-
     def key(self) -> Tuple:
         """Fault-level identity: two cycles traversing the same faults via
         the same relationship types are the same cascading failure, no
@@ -49,12 +42,6 @@ class Cycle:
     def injected_faults(self) -> List[FaultKey]:
         """Faults injected along the cycle (derived edges excluded)."""
         return [e.src for e in self.edges if e.etype in INJECTION_EDGE_TYPES]
-
-    def all_faults(self) -> List[FaultKey]:
-        out = []
-        for e in self.edges:
-            out.append(e.src)
-        return out
 
     def fault_set(self) -> frozenset:
         faults = set()

@@ -47,10 +47,6 @@ class FcaResult:
     #: and were stopped early instead of raising (runaway schedules).
     aborted: int = 0
 
-    @property
-    def conditional_ready(self) -> bool:
-        return bool(self.interference)
-
 
 class FaultCausalityAnalysis:
     """Compares profile and injection run groups to derive causal edges."""

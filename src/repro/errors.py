@@ -18,10 +18,6 @@ class ConfigError(ReproError):
     """Invalid configuration passed to a framework component."""
 
 
-class BudgetExhausted(ReproError):
-    """The 3PA protocol attempted to run past its test budget."""
-
-
 class UnknownSite(ReproError):
     """A site id was used that is not present in the site registry."""
 
@@ -50,29 +46,12 @@ class SimFault(Exception):
     """Base class for fault effects raised inside simulated systems."""
 
 
-class InjectedFault(SimFault):
-    """A fault raised because an injection hook fired (not a natural one).
-
-    Carries the site id so traces can distinguish the injected occurrence
-    from natural occurrences of the same fault.
-    """
-
-    def __init__(self, site_id: str, wrapped: "SimFault") -> None:
-        super().__init__("injected %s at %s" % (type(wrapped).__name__, site_id))
-        self.site_id = site_id
-        self.wrapped = wrapped
-
-
 class IOEx(SimFault):
     """Analogue of ``java.io.IOException``."""
 
 
 class RpcTimeout(IOEx):
     """An RPC did not complete within its timeout."""
-
-
-class RpcFailure(IOEx):
-    """An RPC failed because the callee raised or was unreachable."""
 
 
 class NodeCrashed(SimFault):

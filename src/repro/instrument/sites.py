@@ -75,7 +75,6 @@ class SiteRegistry:
         self.system = system
         self._sites: Dict[str, FaultSite] = {}
         self._slice_digests: Dict[str, str] = {}
-        self._slice_unresolved: Dict[str, str] = {}
 
     # -------------------------------------------------------- declaration
 
@@ -199,17 +198,11 @@ class SiteRegistry:
         toy system shares one module-level registry across spec builds,
         and re-attaching the same deterministic analysis is a no-op."""
         self._slice_digests = dict(slices.site_digests)
-        self._slice_unresolved = dict(slices.unresolved)
 
     def slice_digest(self, site_id: str) -> Optional[str]:
         """Slice digest of ``site_id``, or ``None`` when no analysis is
         attached or the slicer could not resolve the site."""
         return self._slice_digests.get(site_id)
-
-    def slice_unresolved_reason(self, site_id: str) -> Optional[str]:
-        """Why the attached analysis could not resolve ``site_id`` (only
-        meaningful when :meth:`slice_digest` returns ``None``)."""
-        return self._slice_unresolved.get(site_id)
 
     def counts(self) -> Dict[str, int]:
         """Site counts per kind, for the Table 2 reproduction."""

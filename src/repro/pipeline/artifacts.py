@@ -138,8 +138,7 @@ def _beam_dump(result: BeamSearchResult) -> Dict[str, Any]:
 
 
 def _beam_load(obj: Dict[str, Any]) -> BeamSearchResult:
-    # ``compat`` is absent from beam.json files written before it was kept.
-    compat = obj.get("compat")
+    compat = obj["compat"]
     return BeamSearchResult(
         cycles=[cycle_from_obj(c) for c in obj["cycles"]],
         chains_explored=obj["chains_explored"],

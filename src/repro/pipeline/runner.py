@@ -99,7 +99,7 @@ class Pipeline:
         """
         if self.session is None:
             return
-        for name in stage.requires + stage.uses:
+        for name in stage.requires:
             if self.ctx.has(name) or not self.session.has_artifact(name):
                 continue
             value = self.session.load_artifact(name)

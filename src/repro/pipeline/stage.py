@@ -28,9 +28,6 @@ class Stage:
     name: str = ""
     #: Artifact names this stage reads from the context.
     requires: Tuple[str, ...] = ()
-    #: Artifact names this stage reads *if present* (not validated; loaded
-    #: from a session when available so resumed runs stay faithful).
-    uses: Tuple[str, ...] = ()
     #: Artifact names this stage publishes to the context.
     provides: Tuple[str, ...] = ()
 

@@ -15,13 +15,12 @@ into cycles; ``report`` matches them against ground truth.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..core.allocation import ThreePhaseAllocator
 from ..core.beam import BeamSearch
 from ..core.report import build_report
 from ..instrument.analyzer import analyze
-from ..types import FaultKey
 from .artifacts import AllocationArtifact, ProfilesArtifact
 from .context import PipelineContext
 from .stage import Stage
@@ -78,15 +77,9 @@ class AllocationStage(Stage):
     requires = ("analysis", "profiles")
     provides = ("allocation",)
 
-    def __init__(self, faults: Optional[Sequence[FaultKey]] = None) -> None:
-        #: Optional override of the fault space (defaults to the analysis).
-        self.faults = list(faults) if faults is not None else None
-
     def run(self, ctx: PipelineContext) -> None:
-        faults = self.faults if self.faults is not None else list(ctx.require("analysis").faults)
-        allocator = ThreePhaseAllocator(
-            ctx.driver, faults, ctx.config, executor=ctx.executor
-        )
+        faults = list(ctx.require("analysis").faults)
+        allocator = ThreePhaseAllocator(ctx.driver, faults, ctx.config, executor=ctx.executor)
         outcome = allocator.run()
         ctx.put(
             "allocation",
@@ -127,23 +120,19 @@ class ReportStage(Stage):
     """Final stage: cycle clustering and ground-truth matching."""
 
     name = "report"
-    requires = ("allocation", "beam")
-    #: ``analysis`` is optional: a faults-override campaign
-    #: (``AllocationStage(faults=...)``) legitimately has none.
-    uses = ("analysis",)
+    requires = ("analysis", "allocation", "beam")
     provides = ("report",)
 
     def run(self, ctx: PipelineContext) -> None:
         allocation = ctx.require("allocation").outcome
         beam = ctx.require("beam")
-        analysis = ctx.get("analysis")
         ctx.put(
             "report",
             build_report(
                 ctx.spec,
                 beam.cycles,
                 allocation.clustering,
-                n_faults=len(analysis.faults) if analysis else 0,
+                n_faults=len(ctx.require("analysis").faults),
                 budget_used=allocation.budget_used,
                 runs_executed=ctx.driver.runs_executed,
                 n_edges=len(ctx.driver.edges),

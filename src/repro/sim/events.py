@@ -205,9 +205,6 @@ class SimEnv:
     def heal(self, a: Any, b: Any) -> None:
         self._partitions.discard(frozenset((a.name, b.name)))
 
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
     def partition_names(self, a: str, b: str) -> None:
         """Name-based :meth:`partition` (environment fault models hold
         node names, not node objects)."""
@@ -231,9 +228,6 @@ class SimEnv:
         and jitter stream shared with the fault-free counterfactual run.
         """
         self._drop_rules[frozenset((a, b))] = (drop_p, random.Random(seed))
-
-    def clear_drop_rules(self) -> None:
-        self._drop_rules.clear()
 
     def reachable(self, src: Any, dst: Any) -> bool:
         if getattr(dst, "crashed", False) or getattr(src, "crashed", False):

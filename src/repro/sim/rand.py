@@ -15,8 +15,3 @@ def jittered(rng: random.Random, base: float, frac: float = 0.1) -> float:
     if frac <= 0.0:
         return base
     return base * rng.uniform(1.0 - frac, 1.0 + frac)
-
-
-def jittered_int(rng: random.Random, base: int, spread: int = 1) -> int:
-    """``base`` plus a uniform integer in ``[-spread, +spread]``, floored at 1."""
-    return max(1, base + rng.randint(-spread, spread))

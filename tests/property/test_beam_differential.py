@@ -1,12 +1,13 @@
 """Differential tests: the vectorized beam kernel vs the reference oracle.
 
-The vectorized :class:`BeamSearch` must be *bit-identical* to
-:class:`ReferenceBeamSearch` — same cycles in the same order (down to
-which interior-test representative survives chain dedup, which decides
-the ``tests`` column of the final report), same ``chains_explored`` and
-``levels``, and same :class:`CompatChecker` counters.  Edge sets are
+The vectorized :class:`BeamSearch` must be *bit-identical* to the oracle,
+``tests/reference_beam.py``'s :class:`ReferenceBeamSearch` — same cycles
+in the same order (down to which interior-test representative survives
+chain dedup, which decides the ``tests`` column of the final report), same
+``chains_explored`` and ``levels``, and same :class:`CompatChecker`
+counters.  Edge sets are
 drawn with unique ``key()``s (the kernel's precondition, guaranteed by
-``EdgeDB`` in production); duplicate-key inputs exercise the fallback.
+``EdgeDB`` in production; ``BeamSearch`` refuses any other input).
 Every kernel example also draws the size of the blocks the kernel cuts a
 level's candidate table into — one chain per block, a few candidates, or
 the kernel's own — because block boundaries must be invisible.
@@ -17,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CSnakeConfig
-from repro.core.beam import BeamSearch, ReferenceBeamSearch
+from repro.core.beam import BeamSearch
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
 
 from tests.helpers import DEFAULT_KERNEL_BLOCK, kernel_block_size
+from tests.reference_beam import ReferenceBeamSearch
 
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
@@ -87,14 +89,6 @@ def assert_identical(edge_list, config, scores=None, block=DEFAULT_KERNEL_BLOCK)
 @settings(max_examples=120, deadline=None)
 def test_kernel_matches_reference(edge_list, config, scores, block):
     assert_identical(_unique_by_key(edge_list), config, scores, block)
-
-
-@given(st.lists(edges, max_size=14), configs)
-@settings(max_examples=60, deadline=None)
-def test_kernel_matches_reference_on_duplicate_keys(edge_list, config):
-    # No key dedup: duplicate keys route BeamSearch through the fallback,
-    # which must (trivially but verifiably) agree with the oracle too.
-    assert_identical(edge_list, config)
 
 
 @given(st.lists(edges, max_size=12), sim_scores, blocks)

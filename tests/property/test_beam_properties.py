@@ -1,4 +1,8 @@
-"""Property-based tests: beam-search results are always *valid* cycles."""
+"""Property-based tests: beam-search results are always *valid* cycles.
+
+Edge lists are drawn key-unique, like every ``EdgeDB``: ``BeamSearch``
+refuses duplicate keys.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +10,10 @@ from hypothesis import strategies as st
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.cycles import INJECTION_EDGE_TYPES
+from repro.core.compat import CompatChecker
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+
+from tests.reference_beam import match
 
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
@@ -31,25 +38,27 @@ edges = st.builds(
 )
 
 
-@given(st.lists(edges, max_size=12), st.booleans())
+def edge_lists(max_size):
+    return st.lists(edges, max_size=max_size, unique_by=lambda e: e.key())
+
+
+@given(edge_lists(12), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_reported_cycles_are_sound(edge_list, compat):
     config = CSnakeConfig(
         beam_width=500, max_chain_len=4, compat_check=compat
     )
     result = BeamSearch(config).search(edge_list)
-    from repro.core.compat import CompatChecker
-
     checker = CompatChecker(enabled=compat)
     for cycle in result.cycles:
         ring = list(cycle.edges)
         for e1, e2 in zip(ring, ring[1:] + ring[:1]):
-            assert checker.match(e1, e2), (cycle, e1, e2)
+            assert match(checker, e1, e2), (cycle, e1, e2)
         # No edge is used twice within one cycle.
         assert len({id(e) for e in ring}) == len(ring)
 
 
-@given(st.lists(edges, max_size=12))
+@given(edge_lists(12))
 @settings(max_examples=40, deadline=None)
 def test_delay_cap_is_respected(edge_list):
     config = CSnakeConfig(beam_width=500, max_chain_len=4, max_delay_faults=1)
@@ -63,7 +72,7 @@ def test_delay_cap_is_respected(edge_list):
         assert delays <= 1
 
 
-@given(st.lists(edges, max_size=10))
+@given(edge_lists(10))
 @settings(max_examples=40, deadline=None)
 def test_wider_beam_never_finds_fewer_cycles(edge_list):
     narrow = BeamSearch(CSnakeConfig(beam_width=2, max_chain_len=4)).search(edge_list)

@@ -1,5 +1,7 @@
 """Unit tests for the beam search cycle detector (Algorithm 1)."""
 
+import pytest
+
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.types import EdgeType
@@ -180,3 +182,14 @@ def test_chains_explored_counter():
     edges = [e(exc("a"), exc("b")), e(exc("b"), exc("a"))]
     result = search(edges)
     assert result.chains_explored >= 2
+
+
+def test_duplicate_key_input_is_refused():
+    # Same key (src, dst, type, test), different states: an EdgeDB would
+    # have merged these two into one edge.
+    first = e(exc("a"), exc("b"))
+    again = e(exc("a"), exc("b"), s=state(("g1", "g0")))
+    edges = [e(exc("b"), exc("a")), first, again]
+    with pytest.raises(ValueError, match="key-unique") as refused:
+        search(edges)
+    assert repr(first.key()) in str(refused.value)

@@ -4,27 +4,28 @@ Counts, not clocks (the style of ``test_hot_path_budget.py``).  On a dense
 edge set most closing chains are another test combination or rotation of
 a cycle already seen, so what the kernel does *per closure* is the cost
 that scales: it must build one :class:`Cycle` per cycle it reports, call
-``CausalEdge.key`` only for the interning sort, and leave
-``Cycle.canonical``/``Cycle.key`` (all rotations of Python key lists) to
-the reference.  Before reporting moved onto interned ids this search
-built two ``Cycle``s per closure.
+``CausalEdge.key`` only for the interning sort, and leave ``canonical``
+and ``Cycle.key`` (all rotations of Python key lists) to the reference
+(``tests/reference_beam.py``).  Before reporting moved onto interned ids
+this search built two ``Cycle``s per closure.
 """
 
 import sys
 from collections import Counter
 
 from repro.config import CSnakeConfig
-from repro.core.beam import BeamSearch, ReferenceBeamSearch
+from repro.core.beam import BeamSearch
 from repro.core.cycles import Cycle
 from repro.types import CausalEdge, EdgeType
 
 from tests.helpers import edge, exc, state
+from tests.reference_beam import ReferenceBeamSearch, canonical
 
 COUNTED = {
     f.__code__: name
     for name, f in {
         "Cycle": Cycle.__post_init__,
-        "Cycle.canonical": Cycle.canonical,
+        "canonical": canonical,
         "Cycle.key": Cycle.key,
         "CausalEdge.key": CausalEdge.key,
         "closures": ReferenceBeamSearch._report,
@@ -65,5 +66,4 @@ def test_objects_built_per_cycle_not_per_closure():
     assert ref_calls["closures"] >= 50 * len(result.cycles)  # 8016 : 77
     assert calls["Cycle"] == len(result.cycles)
     assert calls["CausalEdge.key"] <= 2 * len(edges)
-    assert calls["Cycle.canonical"] == calls["Cycle.key"] == 0
-    assert calls["closures"] == 0  # the kernel ran, not the duplicate-key fallback
+    assert calls["canonical"] == calls["Cycle.key"] == 0

@@ -13,10 +13,11 @@ first search below peaked at 75.1 MB.
 import tracemalloc
 
 from repro.config import CSnakeConfig
-from repro.core.beam import BeamSearch, ReferenceBeamSearch
+from repro.core.beam import BeamSearch
 from repro.types import EdgeType
 
 from tests.helpers import edge, exc, state
+from tests.reference_beam import ReferenceBeamSearch
 
 MB = 1e6
 

@@ -36,6 +36,13 @@ def test_parse_stages():
         _parse_stages("analyze,banana")
 
 
+@pytest.mark.parametrize("stages", [",", "", " , "])
+def test_run_with_no_stage_named_is_a_usage_error(stages, capsys):
+    with pytest.raises(SystemExit, match="names no stage; choose from analyze"):
+        main(["run", "toy", "--stages", stages])
+    assert "completed stages" not in capsys.readouterr().out
+
+
 def test_config_defaults_to_paper_delay_sweep():
     """The CLI must not silently shadow CSnakeConfig defaults."""
     import argparse

@@ -193,9 +193,9 @@ def test_beam_artifact_roundtrip_keeps_compat_counters():
     result = BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3, compat=compat)
     obj = _via_json(dump(result))
     assert load(obj) == result
-    # A beam.json written before the counters were persisted still loads.
-    del obj["compat"]
-    assert load(obj) == BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3)
+    # A result without counters round-trips through ``"compat": null``.
+    bare = BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3)
+    assert load(_via_json(dump(bare))) == bare
 
 
 def test_detection_report_dict_roundtrip_on_real_campaign():
