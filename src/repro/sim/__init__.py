@@ -13,8 +13,7 @@ injected delay into the timeouts and error-handler activations that
 self-sustaining cascades feed on.
 """
 
-from .events import Event, SimEnv
+from .events import SimEnv
 from .node import Node
-from .rand import jittered
 
-__all__ = ["Event", "SimEnv", "Node", "jittered"]
+__all__ = ["SimEnv", "Node"]

@@ -1,4 +1,4 @@
-"""Event loop and activity model of the virtual-time substrate."""
+"""Event loop and time model of the virtual-time substrate."""
 
 from __future__ import annotations
 
@@ -9,37 +9,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..config import SimConfig
 from ..errors import NodeCrashed, RpcTimeout, SimFault
 
-
-class Event:
-    """A scheduled handler invocation; cancellable.
-
-    The heap holds ``(time, seq, event)`` tuples, so ordering is decided
-    by C tuple comparison on ``(time, seq)`` — ``seq`` is unique per event,
-    the event object itself is never compared.
-    """
-
-    __slots__ = ("time", "seq", "node", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, node: "Any", fn: Callable, args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.node = node
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _Activity:
-    """One handler execution: a time cursor charged to a node."""
-
-    __slots__ = ("node", "cursor")
-
-    def __init__(self, node: "Any", cursor: float) -> None:
-        self.node = node
-        self.cursor = cursor
+#: A heap entry: ``(time, seq, node, fn, args, period)``.  Ordering is
+#: decided by C tuple comparison on ``(time, seq)`` — ``seq`` is unique per
+#: entry, so nothing after it is ever compared.  ``period`` is ``None`` for
+#: a one-shot handler and ``(interval, jitter)`` for an :meth:`SimEnv.every`
+#: chain, which :meth:`SimEnv.run` re-pushes after each firing.
+_Entry = Tuple[float, int, Any, Callable, tuple, Optional[Tuple[float, float]]]
 
 
 class SimEnv:
@@ -57,11 +32,15 @@ class SimEnv:
     def __init__(self, sim_config: Optional[SimConfig] = None, seed: int = 0) -> None:
         self.cfg = sim_config or SimConfig()
         self.rng = random.Random(seed)
-        #: ``(time, seq, event)`` entries; see :class:`Event`.
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[_Entry] = []
         self._seq = 0
-        self._loop_time = 0.0
-        self._activities: List[_Activity] = []
+        #: Current virtual time: the running handler's (or ``rpc`` callee's)
+        #: cursor, which :meth:`spin` and :meth:`rpc` advance; the loop time
+        #: when no handler runs.
+        self.now = 0.0
+        #: Nodes of the running handler and its nested ``rpc`` callees,
+        #: innermost last; empty outside a handler.
+        self._running: List[Any] = []
         self.nodes: List[Any] = []
         self.saturated = False
         self.events_processed = 0
@@ -76,45 +55,31 @@ class SimEnv:
         #: msg_drop fault model; empty in fault-free runs, so ``send``
         #: never draws from it (profile runs stay untouched).
         self._drop_rules: dict = {}
-        #: Hook the instrumentation runtime installs to observe spins.
+        #: The run's instrumentation runtime, for whoever holds only the
+        #: environment; the environment itself never reads it.
         self.runtime: Any = None
 
     # ------------------------------------------------------------------ time
 
-    @property
-    def now(self) -> float:
-        """Current virtual time: the active handler's cursor, else loop time."""
-        activities = self._activities
-        return activities[-1].cursor if activities else self._loop_time
-
-    @property
-    def current_node(self) -> Optional[Any]:
-        return self._activities[-1].node if self._activities else None
-
     def spin(self, ms: float) -> None:
-        """Charge ``ms`` of processing cost to the current activity's node."""
+        """Charge ``ms`` of processing cost to the running node (outside
+        any handler: advance the world clock)."""
         if ms < 0:
             raise ValueError("cannot spin a negative duration")
-        activities = self._activities
-        if activities:
-            activities[-1].cursor += ms
-        else:  # outside any handler: advance the world clock
-            self._loop_time += ms
+        self.now += ms
 
     # ------------------------------------------------------------- scheduling
 
-    def schedule_at(self, at: float, node: Any, fn: Callable, *args: Any) -> Event:
+    def schedule_at(self, at: float, node: Any, fn: Callable, *args: Any) -> None:
         if at < 0.0:
             at = 0.0
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(at, seq, node, fn, args)
-        heapq.heappush(self._heap, (at, seq, ev))
-        return ev
+        heapq.heappush(self._heap, (at, seq, node, fn, args, None))
 
-    def after(self, node: Any, delay_ms: float, fn: Callable, *args: Any) -> Event:
+    def after(self, node: Any, delay_ms: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn`` on ``node`` at ``now + delay_ms``."""
-        return self.schedule_at(self.now + delay_ms, node, fn, *args)
+        self.schedule_at(self.now + delay_ms, node, fn, *args)
 
     def cancel_events_for(self, node: Any) -> None:
         """Cancel every pending event targeting ``node`` (crash semantics:
@@ -128,24 +93,19 @@ class SimEnv:
         """
         self._dropped_before[node] = self._seq
 
-    def every(self, node: Any, interval_ms: float, fn: Callable, jitter_ms: float = 0.0) -> Event:
+    def every(self, node: Any, interval_ms: float, fn: Callable, jitter_ms: float = 0.0) -> None:
         """Fixed-delay periodic handler: the next firing is scheduled
-        ``interval`` after the previous one *finishes*, so a busy node's
-        period genuinely stretches (heartbeats fall behind under load)."""
-        activities = self._activities
-
-        def tick() -> None:
-            fn()
-            delay = interval_ms
-            if jitter_ms:
-                # ``rng.uniform(0.0, jitter_ms)`` minus the call: the same
-                # draw from the seeded stream and the same float.
-                delay += jitter_ms * self.rng.random()
-            if not getattr(node, "crashed", False):
-                now = activities[-1].cursor if activities else self._loop_time
-                self.schedule_at(now + delay, node, tick)
-
-        return self.after(node, interval_ms, tick)
+        ``interval`` (plus a ``jitter * rng.random()`` draw) after the
+        previous one *finishes*, so a busy node's period genuinely
+        stretches (heartbeats fall behind under load).  The chain ends
+        when ``fn`` raises a :class:`SimFault` or leaves ``node`` crashed.
+        """
+        at = self.now + interval_ms
+        if at < 0.0:
+            at = 0.0
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (at, seq, node, fn, (), (interval_ms, jitter_ms)))
 
     # -------------------------------------------------------------- execution
 
@@ -153,49 +113,66 @@ class SimEnv:
         """Process events in time order until the heap drains or ``until_ms``."""
         horizon = until_ms if until_ms is not None else self.cfg.run_duration_ms
         heap = self._heap
-        activities = self._activities
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        running = self._running
         dropped = self._dropped_before
         max_events = self.MAX_EVENTS
-        while heap:
-            if self.events_processed >= max_events:
-                self.saturated = True
-                break
-            entry = heapq.heappop(heap)
-            time, seq, ev = entry
-            node = ev.node
-            if ev.cancelled or (dropped and seq < dropped.get(node, 0)):
-                continue
-            if time > horizon:
-                # Leave it for a later run() call with a larger horizon.
-                heapq.heappush(heap, entry)
-                break
-            if time > self._loop_time:
-                self._loop_time = time
-            if getattr(node, "crashed", False):
-                continue
-            busy = getattr(node, "busy_until", 0.0)
-            if busy > time + 1e-9:
-                # The node is still busy: defer the handler in the heap so
-                # world time stays consistent (running it "late" from here
-                # would reserve other nodes' idle time out of order).
-                ev.time = busy
-                heapq.heappush(heap, (busy, seq, ev))
-                continue
-            self.events_processed += 1
-            act = _Activity(node, busy if busy > time else time)
-            activities.append(act)
-            try:
-                ev.fn(*ev.args)
-            except SimFault:
-                # An unhandled fault terminates the handler, nothing more: the
-                # mini-systems model their own error handling explicitly.
-                pass
-            finally:
-                activities.pop()
-                if node is not None:
-                    node.busy_until = act.cursor if act.cursor > busy else busy
-        if not heap and horizon > self._loop_time:
-            self._loop_time = horizon
+        loop_time = self.now
+        try:
+            while heap:
+                if self.events_processed >= max_events:
+                    self.saturated = True
+                    break
+                entry = heappop(heap)
+                time, seq, node, fn, args, period = entry
+                if dropped and seq < dropped.get(node, 0):
+                    continue
+                if time > horizon:
+                    # Leave it for a later run() call with a larger horizon.
+                    heappush(heap, entry)
+                    break
+                if time > loop_time:
+                    loop_time = time
+                if getattr(node, "crashed", False):
+                    continue
+                busy = getattr(node, "busy_until", 0.0)
+                if busy > time + 1e-9:
+                    # The node is still busy: defer the handler in the heap so
+                    # world time stays consistent (running it "late" from here
+                    # would reserve other nodes' idle time out of order).
+                    heappush(heap, (busy, seq, node, fn, args, period))
+                    continue
+                self.events_processed += 1
+                self.now = busy if busy > time else time
+                running.append(node)
+                try:
+                    fn(*args)
+                    if period is not None:
+                        interval, jitter = period
+                        if jitter:
+                            # ``rng.uniform(0.0, jitter)`` minus the call:
+                            # the same draw from the seeded stream and the
+                            # same float.
+                            interval += jitter * self.rng.random()
+                        if not getattr(node, "crashed", False):
+                            seq = self._seq
+                            self._seq = seq + 1
+                            heappush(heap, (self.now + interval, seq, node, fn, args, period))
+                except SimFault:
+                    # An unhandled fault terminates the handler (and ends a
+                    # periodic chain), nothing more: the mini-systems model
+                    # their own error handling explicitly.
+                    pass
+                finally:
+                    running.pop()
+                    if node is not None:
+                        end = self.now
+                        node.busy_until = end if end > busy else busy
+            if not heap and horizon > loop_time:
+                loop_time = horizon
+        finally:
+            self.now = loop_time
 
     # ---------------------------------------------------------------- network
 
@@ -236,7 +213,8 @@ class SimEnv:
 
     def send(self, dst: Any, fn: Callable, *args: Any) -> None:
         """One-way message: schedule ``fn`` on ``dst`` after network latency."""
-        src = self.current_node
+        running = self._running
+        src = running[-1] if running else None
         if src is not None and not self.reachable(src, dst):
             return  # silently dropped, like a partitioned datagram
         if self._drop_rules and src is not None:
@@ -256,7 +234,10 @@ class SimEnv:
         cursor jumps to the accounted reply time.  If the accounted round
         trip exceeds the timeout the caller sees :class:`RpcTimeout` — the
         callee's work still happened (it was merely too slow), which is the
-        overload behaviour cascading failures exploit.
+        overload behaviour cascading failures exploit.  A callee that
+        raises :class:`NodeCrashed` (a node the call depends on died under
+        it) never replies: the caller is charged the full timeout, as for
+        an unreachable callee.
 
         Both latency legs draw ``latency + jitter * rng.random()`` — the
         draw and the float of ``rng.uniform(0.0, jitter)`` without the call,
@@ -264,46 +245,46 @@ class SimEnv:
         """
         cfg = self.cfg
         timeout = timeout_ms if timeout_ms is not None else cfg.rpc_timeout_ms
-        activities = self._activities
-        if not activities:
+        running = self._running
+        if not running:
             raise RuntimeError("rpc() must be called from inside a handler")
-        caller = activities[-1]
-        t_call = caller.cursor
-        src = caller.node
+        t_call = self.now
+        src = running[-1]
         if (
             getattr(dst, "crashed", False)
             or getattr(src, "crashed", False)
             or (self._partitions and frozenset((src.name, dst.name)) in self._partitions)
         ):
-            caller.cursor = t_call + timeout
+            self.now = t_call + timeout
             raise RpcTimeout("%s -> %s unreachable" % (src.name, dst.name))
         latency = cfg.network_latency_ms
         jitter = cfg.network_jitter_ms
-        draw = self.rng.random
-        arrival = t_call + (latency + jitter * draw() if jitter else latency)
+        rng = self.rng
+        arrival = t_call + (latency + jitter * rng.random() if jitter else latency)
         busy = getattr(dst, "busy_until", 0.0)
-        dst_start = busy if busy > arrival else arrival
-        act = _Activity(dst, dst_start)
-        activities.append(act)
+        self.now = busy if busy > arrival else arrival
+        running.append(dst)
         error: Optional[SimFault] = None
         result: Any = None
         try:
             result = fn(*args)
-        except NodeCrashed:
-            error = None  # handled below as a timeout
-            act.cursor = dst_start
         except SimFault as exc:
             error = exc
         finally:
-            activities.pop()
-            dst.busy_until = act.cursor if act.cursor > busy else busy
-        reply_at = act.cursor + (latency + jitter * draw() if jitter else latency)
+            end = self.now
+            self.now = t_call
+            running.pop()
+            dst.busy_until = end if end > busy else busy
+        if error is not None and isinstance(error, NodeCrashed):
+            self.now = t_call + timeout
+            raise RpcTimeout("rpc %s -> %s: %s" % (src.name, dst.name, error))
+        reply_at = end + (latency + jitter * rng.random() if jitter else latency)
         if reply_at - t_call > timeout:
-            caller.cursor = t_call + timeout
+            self.now = t_call + timeout
             raise RpcTimeout(
                 "rpc %s -> %s took %.0fms (> %.0fms)" % (src.name, dst.name, reply_at - t_call, timeout)
             )
-        caller.cursor = reply_at
+        self.now = reply_at
         if error is not None:
             raise error
         return result

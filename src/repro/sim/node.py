@@ -28,11 +28,12 @@ class Node:
     def crash(self) -> None:
         """Stop executing handlers; pending events for this node are dropped.
 
-        Dropping is eager (the heap entries are cancelled now), not a
-        pop-time filter: a periodic chain's next tick may be scheduled
-        *beyond* a later restart, and letting it survive the outage would
+        The crash leaves a ``seq`` watermark (:meth:`SimEnv.cancel_events_for`)
+        and :meth:`SimEnv.run` drops every entry scheduled before it when it
+        pops one — so also a periodic chain's next firing that falls
+        *beyond* a later restart.  Letting that survive the outage would
         leave the old chain running alongside the one ``on_restart``
-        re-registers — double-rate ticking after recovery.
+        re-registers: double-rate ticking after recovery.
         """
         self.crashed = True
         self.env.cancel_events_for(self)

@@ -1,12 +1,15 @@
 """Property-based tests on the virtual-time simulation substrate."""
 
+import functools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
+from repro.errors import IOEx, NodeCrashed, RpcTimeout, SimFault
 from repro.sim import Node, SimEnv
 
 
@@ -67,8 +70,6 @@ def test_same_seed_same_execution(seed):
 @given(st.floats(1.0, 50.0), st.floats(0.1, 200.0))
 @settings(max_examples=50)
 def test_rpc_round_trip_time_accounting(latency, service):
-    from repro.errors import RpcTimeout
-
     env = SimEnv(SimConfig(network_latency_ms=latency, network_jitter_ms=0.0), seed=1)
     a, b = Node(env, "a"), Node(env, "b")
     out = {}
@@ -110,36 +111,83 @@ def test_crashed_node_never_executes(delay):
 class _ListEnv:
     """Reference event loop the heap must agree with: pending events in a
     list re-sorted (stably) by ``(time, seq)`` before every pop, a crash
-    cancelling by scanning that list.  No heap, no tuples, no watermark."""
+    cancelling by scanning that list, a periodic handler a closure that
+    re-schedules itself through :meth:`schedule_at`, and every running
+    handler or ``rpc`` callee an activity with its own time cursor.  No
+    heap, no tuples, no watermark, no clock attribute."""
 
-    def __init__(self):
+    def __init__(self, cfg, seed):
+        self.cfg = cfg
+        self.rng = random.Random(seed)
         self.pending = []
         self.nodes = []
         self.seq = 0
         self.loop_time = 0.0
-        self.cursor = None
+        self.activities = []  # [node, cursor] pairs, innermost last
         self.events_processed = 0
 
     @property
     def now(self):
-        return self.loop_time if self.cursor is None else self.cursor
+        return self.activities[-1][1] if self.activities else self.loop_time
 
     def spin(self, ms):
-        self.cursor += ms
+        self.activities[-1][1] += ms
 
     def schedule_at(self, at, node, fn, *args):
-        ev = SimpleNamespace(
-            time=max(at, 0.0), seq=self.seq, node=node, fn=fn, args=args, cancelled=False
-        )
-        ev.cancel = lambda: setattr(ev, "cancelled", True)
+        ev = SimpleNamespace(time=max(at, 0.0), seq=self.seq, node=node, fn=fn, args=args)
+        ev.cancelled = False
         self.seq += 1
         self.pending.append(ev)
-        return ev
+
+    def every(self, node, interval_ms, fn, jitter_ms=0.0):
+        def tick():
+            fn()
+            delay = interval_ms
+            if jitter_ms:
+                delay += self.rng.uniform(0.0, jitter_ms)
+            if not node.crashed:
+                self.schedule_at(self.now + delay, node, tick)
+
+        self.schedule_at(self.now + interval_ms, node, tick)
 
     def cancel_events_for(self, node):
         for ev in self.pending:
             if ev.node is node:
                 ev.cancelled = True
+
+    def _leg(self):
+        jitter = self.cfg.network_jitter_ms
+        return self.cfg.network_latency_ms + (self.rng.uniform(0.0, jitter) if jitter else 0.0)
+
+    def rpc(self, dst, fn, *args, timeout_ms):
+        caller = self.activities[-1]
+        src, t_call = caller
+        if dst.crashed or src.crashed:
+            caller[1] = t_call + timeout_ms
+            raise RpcTimeout("unreachable")
+        arrival = t_call + self._leg()
+        busy = dst.busy_until
+        callee = [dst, max(arrival, busy)]
+        self.activities.append(callee)
+        error = result = None
+        try:
+            result = fn(*args)
+        except SimFault as exc:
+            error = exc
+        finally:
+            self.activities.pop()
+            dst.busy_until = max(busy, callee[1])
+        if isinstance(error, NodeCrashed):
+            caller[1] = t_call + timeout_ms
+            raise RpcTimeout("crashed mid-call")
+        reply_at = callee[1] + self._leg()
+        if reply_at - t_call > timeout_ms:
+            caller[1] = t_call + timeout_ms
+            raise RpcTimeout("slow")
+        caller[1] = reply_at
+        if error is not None:
+            raise error
+        return result
 
     def run(self, horizon):
         while self.pending:
@@ -154,71 +202,123 @@ class _ListEnv:
             node = ev.node
             if node.crashed:
                 continue
-            if node.busy_until > ev.time + 1e-9:
-                ev.time = node.busy_until  # busy-deferral keeps the seq
+            busy = node.busy_until
+            if busy > ev.time + 1e-9:
+                ev.time = busy  # busy-deferral keeps the seq
                 self.pending.append(ev)
                 continue
             self.events_processed += 1
-            self.cursor = max(ev.time, node.busy_until)
-            ev.fn(*ev.args)
-            node.busy_until = max(node.busy_until, self.cursor)
-            self.cursor = None
+            act = [node, max(ev.time, busy)]
+            self.activities.append(act)
+            try:
+                ev.fn(*ev.args)
+            except SimFault:
+                pass
+            self.activities.pop()
+            node.busy_until = max(busy, act[1])
         if not self.pending:
             self.loop_time = max(self.loop_time, horizon)
 
 
-_ACTIONS = ("none", "spawn", "cancel", "crash", "restart")
+_ACTIONS = ("none", "spawn", "crash", "restart", "every", "rpc", "probe")
 _SCENARIO = st.lists(
     st.tuples(
         st.floats(0.0, 100.0),  # fire time
         st.integers(0, 2),  # node
         st.sampled_from((0.0, 0.0, 3.0, 17.5, 40.0)),  # spin: idle or busy enough to defer
         st.sampled_from(_ACTIONS),
-        st.integers(0, 30),  # the action's target (node or event handle)
-        st.sampled_from((0.0, 1.0, 12.5, 60.0)),  # the spawned event's delay
+        st.integers(0, 30),  # the action's target node, and its variant
+        st.sampled_from((0.0, 1.0, 12.5, 60.0)),  # the spawned event's delay / the period
     ),
     min_size=1,
     max_size=25,
 )
+#: Latency jitter on, so ``rpc`` legs and periodic jitter share one stream.
+_SCENARIO_SIM = SimConfig(network_latency_ms=1.0, network_jitter_ms=0.5)
 
 
 def _play(env, scenario, horizons):
-    """Run ``scenario`` on ``env``; the log of (event, start time)."""
+    """Run ``scenario`` on ``env``: the log of (what, virtual time), the
+    event count, the final clock, every node's ``busy_until`` and the next
+    draw of the seeded stream."""
     nodes = [Node(env, "n%d" % i) for i in range(3)]
-    log, handles = [], []
+    log = []
+    ticks = Counter()
+
+    def periodic(name, cost, limit, node):
+        log.append((name, env.now))
+        env.spin(cost)
+        ticks[name] += 1
+        if ticks[name] == limit:
+            if limit % 2:
+                raise IOEx("the chain ends here")
+            node.crash()  # ends it too, after the jitter draw
+
+    def inner(name, target):
+        log.append((name + ">>", env.now))
+        env.spin(2.5)
+        nodes[(target + 2) % 3].check_alive()
+        return "inner"
+
+    def callee(name, cost, target):
+        log.append((name + ">", env.now))
+        env.spin(cost / 2)
+        variant = target // 3 % 4
+        if variant == 1:  # a nested rpc
+            try:
+                got = env.rpc(nodes[(target + 1) % 3], inner, name, target, timeout_ms=20.0)
+            except RpcTimeout:
+                got = "inner timeout"
+            log.append((name + " " + got, env.now))
+        elif variant == 2:
+            nodes[(target + 2) % 3].check_alive()
+        elif variant == 3:
+            raise IOEx("callee fault")
+        return "reply"
 
     def handler(name, cost, action, target, delay):
         log.append((name, env.now))
         env.spin(cost)
         if action == "spawn":
             node = nodes[target % 3]
-            handles.append(
-                env.schedule_at(env.now + delay, node, handler, name + "'", cost, "none", 0, 0.0)
-            )
-        elif action == "cancel":
-            handles[target % len(handles)].cancel()
+            env.schedule_at(env.now + delay, node, handler, name + "'", cost, "none", 0, 0.0)
         elif action == "crash":
             nodes[target % 3].crash()
         elif action == "restart":
             nodes[target % 3].restart()
+        elif action == "every":
+            node = nodes[target % 3]
+            tick = functools.partial(periodic, name + "*", cost, 1 + target % 4, node)
+            env.every(node, delay, tick, jitter_ms=7.5 if target // 4 % 2 else 0.0)
+        elif action == "rpc":
+            try:
+                got = env.rpc(nodes[target % 3], callee, name, cost, target, timeout_ms=30.0)
+            except SimFault as exc:
+                got = type(exc).__name__
+            log.append((name + " " + got, env.now))
+        elif action == "probe":
+            nodes[target % 3].check_alive()
+            log.append((name + " alive", env.now))
 
     for i, (at, node, cost, action, target, delay) in enumerate(scenario):
-        handles.append(
-            env.schedule_at(at, nodes[node], handler, "e%d" % i, cost, action, target, delay)
-        )
+        env.schedule_at(at, nodes[node], handler, "e%d" % i, cost, action, target, delay)
     for horizon in horizons:
         env.run(horizon)
-    return log, env.events_processed, env.now
+    busy = [node.busy_until for node in nodes]
+    return log, env.events_processed, env.now, busy, env.rng.random()
 
 
 @given(_SCENARIO, st.lists(st.floats(0.0, 400.0), max_size=2))
 @settings(max_examples=200)
 def test_firing_order_is_the_stable_sort_by_time_and_seq(scenario, partial_horizons):
-    """Schedule / cancel / busy-deferral / crash / restart interleavings
-    fire in exactly the order, and at exactly the times, of a stable sort
-    by ``(time, seq)`` — also across ``run()`` calls that stop early."""
+    """Schedule / busy-deferral / crash / restart / periodic (with and
+    without jitter, ended by a fault or a crash) / nested-``rpc``
+    interleavings fire in exactly the order, at exactly the times and with
+    exactly the clock readings of the reference — also across ``run()``
+    calls that stop early."""
     horizons = sorted(partial_horizons) + [1e9]
-    assert _play(make_env(), scenario, horizons) == _play(_ListEnv(), scenario, horizons)
+    got = _play(SimEnv(_SCENARIO_SIM, seed=5), scenario, horizons)
+    assert got == _play(_ListEnv(_SCENARIO_SIM, seed=5), scenario, horizons)
 
 
 @given(

@@ -5,9 +5,11 @@ A timing gate would flake; a call count does not.  ``sys.setprofile``
 calls) are counted over one profile run, divided by the events the run
 simulated.  The ceilings sit 10 % above the values measured when the
 per-event path was made cheap (DESIGN.md §5, "Cost of one simulated
-event"; the two runs below read 73.2 and 46.3 before that change, and
-39.2 and 21.3 until frames and loop scopes stopped being allocated), so
-re-adding a generator or a helper call per hook fails here.
+event"; the two runs below read 73.2 and 46.3 before that change, 39.2
+and 21.3 until frames and loop scopes stopped being allocated, and 35.2
+and 18.7 until a periodic handler became its own heap entry and the
+clock a plain attribute), so re-adding a generator, a helper call per
+hook or a closure frame per periodic firing fails here.
 
 The same profile run counts ``_Frame`` constructions against ``_Frame``
 entries: a frame is a calling-context-tree node that serves every
@@ -30,8 +32,8 @@ from tests.golden_traces import CAMPAIGN_SEED, events_processed_log
 
 #: (system, workload) -> calls per simulated event when the budget was set.
 MEASURED = {
-    ("minihdfs2", "hdfs2.cache_small"): 35.2,
-    ("minidfs", "dfs.churn"): 18.7,
+    ("minihdfs2", "hdfs2.cache_small"): 26.1,
+    ("minidfs", "dfs.churn"): 12.7,
 }
 
 

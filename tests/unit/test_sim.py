@@ -37,15 +37,6 @@ class TestScheduling:
         env.run(100.0)
         assert times == [pytest.approx(10.0)]
 
-    def test_cancelled_event_does_not_fire(self):
-        env = make_env()
-        node = Node(env, "n1")
-        fired = []
-        ev = env.schedule_at(5.0, node, lambda: fired.append(1))
-        ev.cancel()
-        env.run(100.0)
-        assert fired == []
-
     def test_every_reschedules_with_fixed_delay(self):
         env = make_env()
         node = Node(env, "n1")
@@ -252,6 +243,51 @@ class TestRpc:
         env.schedule_at(1.0, a, caller)
         env.run(100.0)
         assert out["r"] == "timeout"
+
+    def test_crash_discovered_inside_the_callee_is_a_timeout(self):
+        """A callee that runs into a crashed node never replies: the caller
+        sees ``RpcTimeout`` at call time + timeout, not ``None`` back."""
+        env = make_env()
+        a, b, c = Node(env, "a"), Node(env, "b"), Node(env, "c")
+        c.crash()
+        out = {}
+
+        def callee():
+            env.spin(3.0)
+            c.check_alive()
+            return "reply"
+
+        def caller():
+            try:
+                out["r"] = env.rpc(b, callee, timeout_ms=30.0)
+            except RpcTimeout:
+                out["r"] = "timeout"
+            out["t"] = env.now
+
+        env.schedule_at(1.0, a, caller)
+        env.run(100.0)
+        assert out == {"r": "timeout", "t": pytest.approx(31.0)}
+        assert b.busy_until == pytest.approx(5.0)  # arrived at 2, spun 3
+
+    def test_non_fault_exception_leaves_the_caller_clock_at_call_time(self):
+        env = make_env()
+        a, b = Node(env, "a"), Node(env, "b")
+        out = {}
+
+        def callee():
+            env.spin(4.0)
+            raise KeyError("bug")
+
+        def caller():
+            try:
+                env.rpc(b, callee)
+            except KeyError:
+                out["t"] = env.now
+
+        env.schedule_at(1.0, a, caller)
+        env.run(100.0)
+        assert out["t"] == pytest.approx(1.0)
+        assert b.busy_until == pytest.approx(6.0)
 
 
 class TestSendAndSaturation:
