@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Pipeline API tour: parallel, observable, resumable campaigns.
+"""Pipeline API tour: parallel, observable, cached campaigns.
 
-Runs the toy campaign twice — serial and with four workers — through the
-staged pipeline API, shows stage progress events, persists a session, and
-demonstrates that parallel execution and session resume are bit-identical
-to the straight-through serial run.
+Runs the toy campaign through the staged pipeline API three times: once
+serially without a cache, with stage progress events, as the reference;
+then over one experiment cache — cold and serial, filling it, then warm
+with four workers, replaying it.  Both cached runs are bit-identical to
+the reference.  The warm run is also how an interrupted campaign is
+recovered: run it again over the same cache.
 
     python examples/pipeline_parallel.py
 """
@@ -12,45 +14,32 @@ to the straight-through serial run.
 import tempfile
 
 from repro.config import CSnakeConfig
-from repro.pipeline import Pipeline, ProgressPrinter, Session
+from repro.pipeline import Pipeline, ProgressPrinter
 from repro.systems import get_system
 
 CONFIG = dict(repeats=3, delay_values_ms=(500.0, 2000.0, 8000.0), seed=7)
 
 
 def main() -> None:
-    spec = get_system("toy")
-
     print("— serial campaign, with progress events —")
-    serial_cfg = CSnakeConfig(**CONFIG)
     serial = Pipeline.default(
-        get_system("toy"), serial_cfg, observers=[ProgressPrinter()]
-    ).run()
+        get_system("toy"), CSnakeConfig(**CONFIG), observers=[ProgressPrinter()]
+    ).run().get("report")
 
-    print("\n— same campaign, four workers, persisted to a session —")
-    parallel_cfg = CSnakeConfig(experiment_workers=4, **CONFIG)
-    session_dir = tempfile.mkdtemp(prefix="csnake-session-")
-    session = Session.attach(session_dir, spec.name, parallel_cfg)
-    parallel = Pipeline.default(
-        get_system("toy"), parallel_cfg, session=session
-    ).run()
+    cache_dir = tempfile.mkdtemp(prefix="csnake-cache-")
+    for label, workers in (("cold, serial", 1), ("warm, four workers", 4)):
+        print("\n— %s, over the cache —" % label)
+        ctx = Pipeline.default(
+            get_system("toy"),
+            CSnakeConfig(experiment_workers=workers, cache_dir=cache_dir, **CONFIG),
+        ).run()
+        stats = ctx.driver.cache.stats()
+        print("cache: {hits} hits, {misses} misses, {stores} stored".format(**stats))
+        print("%s == serial:" % label, ctx.get("report").to_dict() == serial.to_dict())
+    print("cache entries under", cache_dir)
 
-    a, b = serial.get("report"), parallel.get("report")
-    print("parallel == serial:", a.to_dict() == b.to_dict())
-
-    print("\n— resume from the session: every stage loads, nothing re-runs —")
-    reopened = Session.open(session_dir)
-    resumed = Pipeline.default(
-        get_system(reopened.system),
-        reopened.config,
-        session=reopened,
-        observers=[ProgressPrinter()],
-    ).run()
-    print("resumed == serial:", resumed.get("report").to_dict() == a.to_dict())
-    print("session files under", session_dir)
-
-    print("\nreport:", a.summary())
-    for bug_id in a.detected_bugs:
+    print("\nreport:", serial.summary())
+    for bug_id in serial.detected_bugs:
         print("  detected:", bug_id)
 
 

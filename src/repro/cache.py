@@ -267,8 +267,8 @@ class ExperimentCache:
     def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # unique_tmp: worker processes racing on one entry write identical
-        # bytes, but must not share a temp-file name while doing so.
+        # Writers racing on one entry write identical bytes, each through
+        # its own temp file.
         atomic_write_json(
             path,
             {
@@ -279,7 +279,6 @@ class ExperimentCache:
                 "key": key_material,
                 "data": data,
             },
-            unique_tmp=True,
         )
 
     def lookup_profile(self, key: str) -> Optional[RunGroup]:

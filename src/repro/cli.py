@@ -5,9 +5,7 @@ Examples::
     python -m repro.cli list
     python -m repro.cli run toy
     python -m repro.cli run toy --backend process --workers 4 --out report.json
-    python -m repro.cli run minihdfs2 --budget 10 --seed 7 --stages analyze,profile
     python -m repro.cli run miniraft --cache-dir /tmp/raft-cache
-    python -m repro.cli resume /tmp/s --backend process --workers 2
     python -m repro.cli inject minihbase hm.assign.rpc:exception hbase.rs_fault_tolerance
 
 See docs/cli.md for the full flag-by-flag reference.
@@ -35,14 +33,7 @@ from .faults import (
     registered_schedules,
     schedule_model_for,
 )
-from .pipeline import (
-    BACKENDS,
-    STAGE_NAMES,
-    Pipeline,
-    ProgressPrinter,
-    Session,
-    default_stages,
-)
+from .pipeline import BACKENDS, Pipeline, ProgressPrinter
 from .systems import available_systems, get_system
 from .types import FaultKey, InjKind
 
@@ -89,36 +80,23 @@ def _parse_sweeps(entries: List[str]) -> tuple:
     return tuple(overrides)
 
 
-def _parse_stages(text: str) -> List[str]:
-    names = [n.strip() for n in text.split(",") if n.strip()]
-    if not names:
-        raise SystemExit("--stages names no stage; choose from %s" % ", ".join(STAGE_NAMES))
-    unknown = [n for n in names if n not in STAGE_NAMES]
-    if unknown:
-        raise SystemExit(
-            "unknown stage(s) %s; choose from %s"
-            % (", ".join(unknown), ", ".join(STAGE_NAMES))
-        )
-    return names
-
-
 #: Every config-bound flag, spelled here and nowhere else.  A row is
 #: (flag, ``CSnakeConfig`` field, flag value -> field value (``None``: as it
-#: is; a ``ValueError`` is a usage error), whether ``resume`` takes it,
-#: argparse kwargs); a row without ``help`` shows the field's own doc.
+#: is; a ``ValueError`` is a usage error), argparse kwargs); a row without
+#: ``help`` shows the field's own doc.
 _EXPERIMENT_FLAGS = (
-    ("--budget", "budget_per_fault", None, False, dict(type=int)),
-    ("--seed", "seed", None, False, dict(type=int)),
-    ("--repeats", "repeats", None, False, dict(type=int)),
-    ("--delays", "delay_values_ms", _parse_delays, False, dict(
+    ("--budget", "budget_per_fault", None, dict(type=int)),
+    ("--seed", "seed", None, dict(type=int)),
+    ("--repeats", "repeats", None, dict(type=int)),
+    ("--delays", "delay_values_ms", _parse_delays, dict(
         metavar="MS,MS,...",
         help="delay sweep in virtual ms (default: the paper's 7-point sweep); "
         "shorthand for --sweep delay=MS,MS,...",
     )),
-    ("--fault-kinds", "fault_kinds", expand_kinds, True, dict(metavar="K,K,...|all|classic")),
-    ("--schedules", "schedules", expand_schedules, True, dict(metavar="S,S,...|all")),
-    ("--adaptive-budget", "adaptive_budget", None, True, dict(action="store_true")),
-    ("--sweep", "sweep_overrides", _parse_sweeps, True, dict(
+    ("--fault-kinds", "fault_kinds", expand_kinds, dict(metavar="K,K,...|all|classic")),
+    ("--schedules", "schedules", expand_schedules, dict(metavar="S,S,...|all")),
+    ("--adaptive-budget", "adaptive_budget", None, dict(action="store_true")),
+    ("--sweep", "sweep_overrides", _parse_sweeps, dict(
         action="append", metavar="KIND=V1,V2,...",
         help="override one fault kind's or schedule's parameter sweep "
         "(repeatable), e.g. --sweep partition=10000,30000 --sweep "
@@ -127,19 +105,17 @@ _EXPERIMENT_FLAGS = (
 )
 #: Executor-backend selection shared by experiment subcommands.
 _BACKEND_FLAGS = (
-    ("--backend", "experiment_backend", None, True, dict(choices=list(BACKENDS))),
-    ("--workers", "experiment_workers", None, True, dict(
+    ("--backend", "experiment_backend", None, dict(choices=list(BACKENDS))),
+    ("--workers", "experiment_workers", None, dict(
         type=int, metavar="N",
         help="worker count for the process backend (default: all cores)",
     )),
-    ("--manager", "manager_url", None, True, dict(metavar="URL")),
+    ("--manager", "manager_url", None, dict(metavar="URL")),
 )
 #: The same knob where a subcommand is a manager's client.
-_MANAGER_FLAG = ("--manager", "manager_url", None, False, dict(
+_MANAGER_FLAG = ("--manager", "manager_url", None, dict(
     required=True, metavar="URL", help="manager URL printed by `repro serve`",
 ))
-#: The experiment flags ``resume`` takes, to re-assert and never to override.
-_RESUME_FLAGS = tuple(row for row in _EXPERIMENT_FLAGS if row[3])
 #: The flags that decide a fault space (all that ``analyze`` takes).
 _FAULT_SPACE_FLAGS = tuple(
     row for row in _EXPERIMENT_FLAGS if row[0] in ("--fault-kinds", "--schedules")
@@ -157,7 +133,7 @@ def _flag_params(args: argparse.Namespace, rows: Sequence[tuple]) -> Dict[str, A
     """``CSnakeConfig`` field -> value, for the flags of ``rows`` the user
     actually passed."""
     params = {}
-    for flag, field, parse, _resume, _kwargs in rows:
+    for flag, field, parse, _kwargs in rows:
         value = _passed(args, flag)
         if value is not None:
             try:
@@ -176,8 +152,7 @@ def _config(args: argparse.Namespace) -> CSnakeConfig:
 def _execution_overrides(args: argparse.Namespace) -> dict:
     """The execution-only config fields the flags name — backend, workers,
     manager, cache directory.  They never change results, only where (and
-    whether) experiments execute, so ``run`` builds its config with them
-    and ``resume`` lays them over the session's."""
+    whether) experiments execute."""
     overrides = _flag_params(args, _BACKEND_FLAGS)
     if overrides.get("experiment_backend", "serial") != "serial":
         # A parallel backend without an explicit worker count means
@@ -193,8 +168,7 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     """Resolve the --cache/--no-cache/--cache-dir flags to a directory.
 
     ``--no-cache`` wins over everything; ``--cache-dir DIR`` selects DIR;
-    bare ``--cache`` uses ``<session-dir>/cache`` when a session directory
-    is given and ``.repro-cache`` otherwise.
+    bare ``--cache`` uses ``.repro-cache``.
     """
     if getattr(args, "no_cache", False):
         return None
@@ -202,9 +176,6 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     if explicit:
         return explicit
     if getattr(args, "cache", False):
-        session_dir = getattr(args, "session_dir", None)
-        if session_dir:
-            return os.path.join(session_dir, "cache")
         return ".repro-cache"
     return None
 
@@ -228,40 +199,6 @@ def _print_report(report: DetectionReport, args: argparse.Namespace) -> None:
             cycle = match.best_cycle
             line += "  %s via %d tests" % (cycle.signature(), len(cycle.tests()))
         print(line)
-
-
-def _run_pipeline(
-    spec_name: str,
-    config: CSnakeConfig,
-    args: argparse.Namespace,
-    session: Optional[Session],
-    stage_names: Optional[List[str]],
-) -> int:
-    spec = get_system(spec_name)
-    stages = default_stages()
-    if stage_names is not None:
-        stages = [s for s in stages if s.name in stage_names]
-    observers = [ProgressPrinter()] if args.verbose else []
-    # The pipeline builds its executor from config (and closes it when the
-    # run finishes — process pools must not outlive the campaign).
-    pipeline = Pipeline(
-        spec,
-        config,
-        stages=stages,
-        observers=observers,
-        session=session,
-    )
-    ctx = pipeline.run()
-    report = ctx.get("report")
-    if report is None:
-        # Partial --stages run: report which artifacts were produced.
-        print("completed stages: %s" % ", ".join(s.name for s in stages))
-        print("artifacts: %s" % ", ".join(ctx.names()))
-        _print_cache_stats(ctx)
-        return 0
-    _print_report(report, args)
-    _print_cache_stats(ctx)
-    return 0 if report.detected_bugs else 1
 
 
 def _print_cache_stats(ctx) -> None:
@@ -370,32 +307,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config(args)
-    stage_names = _parse_stages(args.stages) if args.stages is not None else None
-    if stage_names is not None and "report" not in stage_names and (args.json or args.out):
-        # A partial run produces no report; don't let --json emit non-JSON
-        # text or --out silently write nothing.
-        raise SystemExit(
-            "--json/--out need the report stage; add it to --stages or drop the flag"
-        )
-    session = None
-    if args.session_dir:
-        session = Session.attach(args.session_dir, args.system, config)
-    return _run_pipeline(args.system, config, args, session, stage_names)
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    session = Session.open(args.session_dir)
-    config = dataclasses.replace(session.config, **_execution_overrides(args))
-    verified = _flag_params(args, _RESUME_FLAGS)
-    if verified:
-        # Fault kinds, schedules, adaptivity, and sweeps are
-        # result-affecting: they must match what the session was created
-        # with, or the stored artifacts would mix with a different
-        # campaign — verify raises a clear mismatch error.
-        config = dataclasses.replace(config, **verified)
-        session.verify(session.system, config)
-    return _run_pipeline(session.system, config, args, session, None)
+    observers = [ProgressPrinter()] if args.verbose else []
+    # The pipeline builds its executor from config (and closes it when the
+    # run finishes — process pools must not outlive the campaign).
+    ctx = Pipeline.default(get_system(args.system), _config(args), observers=observers).run()
+    report = ctx.get("report")
+    _print_report(report, args)
+    _print_cache_stats(ctx)
+    return 0 if report.detected_bugs else 1
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -774,15 +693,14 @@ def cmd_status(args: argparse.Namespace) -> int:
 def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None:
     """Experiment-cache selection shared by experiment subcommands.
 
-    ``bare=False`` omits the ``--cache`` shorthand: diff-run has no session
-    directory to put a default store under and shares a temporary one
-    between its two campaigns unless ``--cache-dir`` names another.
+    ``bare=False`` omits the ``--cache`` shorthand: diff-run shares a
+    temporary store between its two campaigns unless ``--cache-dir`` names
+    another.
     """
     if bare:
         parser.add_argument(
             "--cache", action="store_true",
-            help="enable the content-addressed experiment cache "
-            "(under <session-dir>/cache, or .repro-cache without a session)",
+            help="enable the content-addressed experiment cache under .repro-cache",
         )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -797,7 +715,7 @@ def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None
 def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[tuple]) -> None:
     """Declare ``rows`` of :data:`_EXPERIMENT_FLAGS` / :data:`_BACKEND_FLAGS`."""
     docs = {f.name: f.metadata["doc"] for f in dataclasses.fields(CSnakeConfig)}
-    for flag, field, _parse, _resume, kwargs in rows:
+    for flag, field, _parse, kwargs in rows:
         parser.add_argument(flag, **dict({"help": docs[field]}, **kwargs))
 
 
@@ -827,26 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the detection pipeline")
     run.add_argument("system", choices=available_systems())
-    run.add_argument(
-        "--stages",
-        default=None,
-        metavar="NAME,NAME,...",
-        help="run only these stages (of: %s)" % ", ".join(STAGE_NAMES),
-    )
-    _add_flags(run, _BACKEND_FLAGS)
-    run.add_argument(
-        "--session-dir", default=None, metavar="DIR",
-        help="persist per-stage artifacts under DIR (resumable)",
-    )
-    _add_flags(run, _EXPERIMENT_FLAGS)
+    _add_flags(run, _BACKEND_FLAGS + _EXPERIMENT_FLAGS)
     _add_cache_flags(run)
     _add_output_flags(run)
-
-    resume = sub.add_parser("resume", help="resume an interrupted --session-dir run")
-    resume.add_argument("session_dir", metavar="DIR")
-    _add_flags(resume, _BACKEND_FLAGS + _RESUME_FLAGS)
-    _add_cache_flags(resume)
-    _add_output_flags(resume)
 
     analyze = sub.add_parser(
         "analyze",
@@ -990,7 +891,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "analyze": cmd_analyze,
         "diff-run": cmd_diff_run,
         "run": cmd_run,
-        "resume": cmd_resume,
         "inject": cmd_inject,
         "serve": cmd_serve,
         "agent": cmd_agent,

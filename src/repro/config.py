@@ -297,14 +297,13 @@ class CSnakeConfig:
         """JSON-compatible dump, inverse of :meth:`from_dict`.
 
         Deeply normalized (tuples become lists at every level) so a dump
-        compares equal to its own JSON round-trip — session-compatibility
-        checks diff these dicts directly.
+        compares equal to its own JSON round-trip.
         """
         return {f.name: _retyped(getattr(self, f.name), tuple, list) for f in fields(self)}
 
     def result_affecting(self) -> Dict[str, Any]:
         """:meth:`to_dict` minus :data:`EXECUTION_ONLY_KNOBS` — what cache
-        keys, session verification and task digests compare."""
+        keys and task digests compare."""
         out = self.to_dict()
         for name in EXECUTION_ONLY_KNOBS:
             del out[name]
@@ -313,8 +312,8 @@ class CSnakeConfig:
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "CSnakeConfig":
         """A config from (part of) a dump.  ``obj`` comes from outside the
-        program — a request body, a session manifest, a wire task — so
-        whatever is wrong with it is a :class:`ConfigError`."""
+        program — a request body, a wire task — so whatever is wrong with
+        it is a :class:`ConfigError`."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object, got %r" % (obj,))
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
@@ -333,9 +332,10 @@ class CSnakeConfig:
 
 #: Config knobs that change *how* a campaign executes but provably not its
 #: results (parallel campaigns are bit-identical to serial ones, and the
-#: experiment cache replays byte-identical results).  Sessions allow a
-#: resume to override them, and experiment-cache keys exclude them — a
-#: warm cache written by a serial run serves a process-backed one.
+#: experiment cache replays byte-identical results).  Experiment-cache
+#: keys exclude them, so a warm cache written by a serial run serves a
+#: process-backed one, and a killed campaign may be re-run with other
+#: workers.
 EXECUTION_ONLY_KNOBS: Tuple[str, ...] = tuple(
     f.name for f in fields(CSnakeConfig) if f.metadata["execution_only"]
 )

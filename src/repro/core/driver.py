@@ -112,10 +112,9 @@ class ExperimentTask:
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
 #: One slice resolve per process at a time.  An agent's execution threads
 #: build their worker drivers side by side, and on a cold cache each would
-#: slice the source (``ast.parse`` is not safe to run on two threads of
-#: every supported interpreter) and write the ``slices`` entry through
-#: the same pid-named temp file; behind the lock the second finds the
-#: entry the first stored.
+#: slice the source, but ``ast.parse`` is not safe to run on two threads of
+#: every supported interpreter; behind the lock the second finds the entry
+#: the first stored, and slices nothing.
 _SLICES_LOCK = threading.Lock()
 
 
@@ -264,11 +263,6 @@ class ExperimentDriver:
         """Snapshot of the profile cache (test id -> run group)."""
         with self._profile_lock:
             return dict(self._profiles)
-
-    def install_profiles(self, groups: Dict[str, RunGroup]) -> None:
-        """Seed the profile cache from persisted run groups (session resume)."""
-        with self._profile_lock:
-            self._profiles.update(groups)
 
     # -------------------------------------------------------------- coverage
 

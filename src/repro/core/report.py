@@ -120,7 +120,7 @@ class DetectionReport:
     # -------------------------------------------------------- serialization
 
     def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable dump (``--json`` / ``--out`` / session files);
+        """Machine-readable dump (``--json`` / ``--out`` / a manager's report);
         :meth:`from_dict` reconstructs an equivalent report."""
         from ..serialize import cycle_to_obj
 

@@ -34,14 +34,6 @@ class MissingArtifact(PipelineError):
     """A stage asked the context for an artifact no stage has produced."""
 
 
-class SessionError(PipelineError):
-    """A session directory is unusable (absent, corrupt, or half-written)."""
-
-
-class SessionMismatch(SessionError):
-    """A session was created under a different system or configuration."""
-
-
 class SimFault(Exception):
     """Base class for fault effects raised inside simulated systems."""
 

@@ -1,4 +1,4 @@
-"""Composable, parallel, resumable campaign pipeline.
+"""Composable, parallel campaign pipeline.
 
 The top-level API of the reproduction::
 
@@ -10,12 +10,11 @@ The top-level API of the reproduction::
 
 Stages declare ``requires``/``provides`` artifact names and are validated
 as a DAG before anything runs; independent injection experiments fan out
-over a pluggable :class:`Executor`; attaching a :class:`Session` persists
-each stage's artifact as JSON so an interrupted campaign resumes exactly
-where it stopped.  See DESIGN.md for the stage graph and session layout.
+over a pluggable :class:`Executor`.  With ``cache_dir`` set, every
+finished experiment is on disk, so an interrupted campaign is recovered
+by running it again.  See DESIGN.md for the stage graph.
 """
 
-from .artifacts import ARTIFACT_CODECS, AllocationArtifact, ProfilesArtifact
 from .context import PipelineContext
 from .events import (
     EventRecorder,
@@ -31,10 +30,8 @@ from .executor import (
     make_executor,
 )
 from .runner import Pipeline
-from .session import Session
 from .stage import Stage
 from .stages import (
-    STAGE_NAMES,
     AllocationStage,
     BeamSearchStage,
     ProfileStage,
@@ -48,7 +45,6 @@ __all__ = [
     "PipelineContext",
     "Stage",
     "default_stages",
-    "STAGE_NAMES",
     "StaticAnalysisStage",
     "ProfileStage",
     "AllocationStage",
@@ -59,12 +55,8 @@ __all__ = [
     "ProcessExecutor",
     "BACKENDS",
     "make_executor",
-    "Session",
     "PipelineEvent",
     "PipelineObserver",
     "ProgressPrinter",
     "EventRecorder",
-    "ProfilesArtifact",
-    "AllocationArtifact",
-    "ARTIFACT_CODECS",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..config import CSnakeConfig
 from ..core.driver import ExperimentDriver
@@ -52,6 +52,3 @@ class PipelineContext:
             raise MissingArtifact(
                 "artifact %r has not been produced; run its stage first" % name
             ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._artifacts)

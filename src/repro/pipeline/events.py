@@ -17,7 +17,6 @@ from typing import Any, Dict, Optional, TextIO
 PIPELINE_STARTED = "pipeline_started"
 STAGE_STARTED = "stage_started"
 STAGE_FINISHED = "stage_finished"
-STAGE_RESUMED = "stage_resumed"  # artifacts loaded from a session, not run
 STAGE_CACHED = "stage_cached"  # artifacts already present in the context
 PIPELINE_FINISHED = "pipeline_finished"
 
@@ -50,8 +49,6 @@ class ProgressPrinter(PipelineObserver):
             line = "[pipeline] %s ..." % event.stage
         elif event.kind == STAGE_FINISHED:
             line = "[pipeline] %s done in %.2fs" % (event.stage, event.seconds)
-        elif event.kind == STAGE_RESUMED:
-            line = "[pipeline] %s resumed from session" % event.stage
         elif event.kind == STAGE_CACHED:
             line = "[pipeline] %s already computed, skipping" % event.stage
         elif event.kind == PIPELINE_FINISHED:

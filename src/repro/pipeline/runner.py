@@ -1,4 +1,4 @@
-"""The pipeline runner: validated stage DAG, events, session persistence."""
+"""The pipeline runner: validated stage DAG and lifecycle events."""
 
 from __future__ import annotations
 
@@ -14,24 +14,21 @@ from .events import (
     PIPELINE_STARTED,
     STAGE_CACHED,
     STAGE_FINISHED,
-    STAGE_RESUMED,
     STAGE_STARTED,
     PipelineEvent,
     PipelineObserver,
 )
 from .executor import Executor, make_executor
-from .session import Session
 from .stage import Stage
-from .stages import default_stages, producer_of
+from .stages import default_stages
 
 
 class Pipeline:
     """Composable staged campaign over one target system.
 
     The stage list is validated up front: every stage's ``requires`` must
-    be provided by an earlier stage, already present in the context, or
-    restorable from the attached session — ordering mistakes fail before
-    any experiment runs, not three stages in.
+    be provided by an earlier stage — ordering mistakes fail before any
+    experiment runs, not three stages in.
     """
 
     def __init__(
@@ -41,7 +38,6 @@ class Pipeline:
         stages: Optional[Sequence[Stage]] = None,
         executor: Optional[Executor] = None,
         observers: Sequence[PipelineObserver] = (),
-        session: Optional[Session] = None,
     ) -> None:
         self.spec = spec
         self.config = config or CSnakeConfig()
@@ -54,7 +50,6 @@ class Pipeline:
         self.ctx = PipelineContext(spec, self.config, self.executor)
         self.stages: List[Stage] = list(stages) if stages is not None else default_stages()
         self.observers = list(observers)
-        self.session = session
         self.validate()
 
     # ------------------------------------------------------------ wiring
@@ -67,9 +62,7 @@ class Pipeline:
     def validate(self) -> None:
         """Check stage-name uniqueness and requires/provides satisfiability."""
         seen_names = set()
-        available = set(self.ctx.names())
-        if self.session is not None:
-            available |= {n for n in self.session.completed if self.session.has_artifact(n)}
+        available = set()
         for stage in self.stages:
             if not stage.name:
                 raise StageDependencyError("stage %r has no name" % stage)
@@ -89,35 +82,15 @@ class Pipeline:
         for observer in self.observers:
             observer.on_event(event)
 
-    def _load_requirements(self, stage: Stage) -> None:
-        """Restore a live stage's missing requirements from the session.
-
-        A filtered stage list (``--stages allocate`` continuing an earlier
-        ``--stages analyze,profile`` session) runs a stage whose producers
-        are absent; their persisted artifacts are loaded and hydrated via
-        the default producer so shared driver state is rewired too.
-        """
-        if self.session is None:
-            return
-        for name in stage.requires:
-            if self.ctx.has(name) or not self.session.has_artifact(name):
-                continue
-            value = self.session.load_artifact(name)
-            self.ctx.put(name, value)
-            producer = producer_of(name)
-            if producer is not None:
-                producer.hydrate(self.ctx, {name: value})
-                self._emit(STAGE_RESUMED, producer.name)
-
     # -------------------------------------------------------------- running
 
     def run(self) -> PipelineContext:
-        """Run (or resume) the pipeline; returns the final context.
+        """Run the pipeline; returns the final context.
 
-        With a session attached, the longest prefix of stages whose
-        artifacts are already persisted is *loaded* instead of run
-        (``stage_resumed`` events); every stage that does run live has its
-        artifacts persisted on completion.
+        A stage whose artifacts are all already in the context is skipped
+        (``stage_cached``).  An interrupted campaign is recovered by running
+        it again over the same ``cache_dir``: every experiment it finished
+        replays from the experiment cache.
         """
         started = time.perf_counter()
         self._emit(PIPELINE_STARTED)
@@ -133,22 +106,10 @@ class Pipeline:
         return self.ctx
 
     def _run_stages(self) -> None:
-        resuming = self.session is not None
         for stage in self.stages:
             if all(self.ctx.has(name) for name in stage.provides):
                 self._emit(STAGE_CACHED, stage.name)
                 continue
-            if resuming and all(self.session.has_artifact(n) for n in stage.provides):
-                loaded = {n: self.session.load_artifact(n) for n in stage.provides}
-                for name, value in loaded.items():
-                    self.ctx.put(name, value)
-                stage.hydrate(self.ctx, loaded)
-                self._emit(STAGE_RESUMED, stage.name)
-                continue
-            # Once one stage runs live, later artifacts on disk are stale
-            # relative to the in-memory driver state — rerun them too.
-            resuming = False
-            self._load_requirements(stage)
             self._emit(STAGE_STARTED, stage.name)
             t0 = time.perf_counter()
             stage.run(self.ctx)
@@ -158,10 +119,4 @@ class Pipeline:
                     "stage %r finished without providing %s"
                     % (stage.name, ", ".join(repr(m) for m in missing))
                 )
-            seconds = time.perf_counter() - t0
-            if self.session is not None:
-                names = self.session.persistable(stage.provides)
-                self.session.save_artifacts(
-                    stage.name, {n: self.ctx.get(n) for n in names}
-                )
-            self._emit(STAGE_FINISHED, stage.name, seconds)
+            self._emit(STAGE_FINISHED, stage.name, time.perf_counter() - t0)

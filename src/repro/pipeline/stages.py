@@ -15,15 +15,23 @@ into cycles; ``report`` matches them against ground truth.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
-from ..core.allocation import ThreePhaseAllocator
+from ..core.allocation import AllocationOutcome, ThreePhaseAllocator
 from ..core.beam import BeamSearch
 from ..core.report import build_report
 from ..instrument.analyzer import analyze
-from .artifacts import AllocationArtifact, ProfilesArtifact
 from .context import PipelineContext
 from .stage import Stage
+
+
+@dataclass
+class AllocationArtifact:
+    """The ``allocation`` artifact: the 3PA outcome.  The edge DB and the
+    run counters it fed live on the context's driver."""
+
+    outcome: AllocationOutcome
 
 
 class StaticAnalysisStage(Stage):
@@ -54,15 +62,7 @@ class ProfileStage(Stage):
 
     def run(self, ctx: PipelineContext) -> None:
         ctx.driver.profile_all(ctx.executor)
-        ctx.put(
-            "profiles",
-            ProfilesArtifact(groups=ctx.driver.profiles(), runs_executed=ctx.driver.runs_executed),
-        )
-
-    def hydrate(self, ctx: PipelineContext, artifacts: Dict[str, Any]) -> None:
-        profiles: ProfilesArtifact = artifacts["profiles"]
-        ctx.driver.install_profiles(profiles.groups)
-        ctx.driver.runs_executed = profiles.runs_executed
+        ctx.put("profiles", ctx.driver.profiles())
 
 
 class AllocationStage(Stage):
@@ -80,27 +80,7 @@ class AllocationStage(Stage):
     def run(self, ctx: PipelineContext) -> None:
         faults = list(ctx.require("analysis").faults)
         allocator = ThreePhaseAllocator(ctx.driver, faults, ctx.config, executor=ctx.executor)
-        outcome = allocator.run()
-        ctx.put(
-            "allocation",
-            AllocationArtifact(
-                outcome=outcome,
-                experiments_run=ctx.driver.experiments_run,
-                runs_executed=ctx.driver.runs_executed,
-            ),
-        )
-
-    def hydrate(self, ctx: PipelineContext, artifacts: Dict[str, Any]) -> None:
-        allocation: AllocationArtifact = artifacts["allocation"]
-        # Replaying each record's edges in record order rebuilds the edge DB
-        # exactly as the live run left it (insertion order, merged states).
-        for record in allocation.outcome.records:
-            if record.result is None:
-                continue
-            ctx.driver.edges.add_all(record.result.edges)
-            ctx.driver.results.append(record.result)
-        ctx.driver.experiments_run = allocation.experiments_run
-        ctx.driver.runs_executed = allocation.runs_executed
+        ctx.put("allocation", AllocationArtifact(outcome=allocator.run()))
 
 
 class BeamSearchStage(Stage):
@@ -156,19 +136,3 @@ def default_stages() -> List[Stage]:
         ReportStage(),
     ]
 
-
-#: Stage names accepted by ``--stages``, in canonical order.
-STAGE_NAMES = tuple(s.name for s in default_stages())
-
-
-def producer_of(artifact: str) -> Optional[Stage]:
-    """The default stage that provides ``artifact`` (None if not standard).
-
-    Used when resuming a *filtered* stage list: a live stage's requirement
-    may have to be loaded from the session even though its producing stage
-    is absent, and hydration logic lives on the producer.
-    """
-    for stage in default_stages():
-        if artifact in stage.provides:
-            return stage
-    return None

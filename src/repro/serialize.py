@@ -1,17 +1,19 @@
 """JSON codecs for the framework's value types.
 
-One round-trippable ``*_to_obj`` / ``*_from_obj`` pair per domain type,
-shared by session persistence (``repro.pipeline.session``) and the
-machine-readable report output (``DetectionReport.to_dict``).  All
+One ``*_to_obj`` / ``*_from_obj`` pair per domain type that is read
+back, shared by the experiment cache, the wire form of experiment tasks
+and the machine-readable report output (``DetectionReport.to_dict``);
+``analysis_to_obj`` is write-only (``repro analyze --json``).  All
 ``to_obj`` functions emit plain JSON-compatible values (dicts, lists,
 strings, numbers, bools) with deterministic ordering, so dumping the same
-artifact twice yields byte-identical files.
+value twice yields byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
@@ -20,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .analysis.slicer import SliceAnalysis
     from .core.driver import ExperimentTask
 
-from .core.clustering import Clustering, FaultCluster
 from .core.cycles import Cycle
 from .core.fca import FcaResult
 from .faults import model_for  # also interns every registered fault kind
@@ -32,26 +33,17 @@ from .types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState, StateSet
 # ------------------------------------------------------------ atomic writes
 
 
-def atomic_write_json(
-    path: "os.PathLike[str]",
-    payload: Any,
-    indent: Optional[int] = None,
-    unique_tmp: bool = False,
-) -> None:
+def atomic_write_json(path: "os.PathLike[str]", payload: Any) -> None:
     """Write ``payload`` as sorted JSON via temp file + ``os.replace``.
 
-    The single atomic-write implementation shared by session persistence
-    and the experiment cache.  ``unique_tmp`` makes the temp name
-    pid-unique so concurrent writers of the same entry (cache-sharing
-    worker processes) cannot clobber each other's half-written temp.
+    The temp file is named per writer (process id and thread id), so
+    concurrent writers of one entry — cache-sharing worker processes, an
+    agent's execution threads — never open, or move, each other's temp.
     """
     path = Path(path)
-    if unique_tmp:
-        tmp = path.with_suffix(".tmp.%d" % os.getpid())
-    else:
-        tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = path.with_suffix(".tmp.%d.%d" % (os.getpid(), threading.get_ident()))
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=indent, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -292,8 +284,8 @@ def fca_to_obj(result: FcaResult) -> Dict[str, Any]:
 
 
 def fca_from_obj(obj: Dict[str, Any]) -> FcaResult:
-    # ``min_p``/``aborted`` were added with fault schedules; sessions and
-    # cache entries written before then simply lack them.
+    # ``min_p``/``aborted`` were added with fault schedules; cache entries
+    # written before then simply lack them.
     return FcaResult(
         fault=fault_from_obj(obj["fault"]),
         test_id=obj["test_id"],
@@ -314,15 +306,6 @@ def analysis_to_obj(analysis: AnalysisResult) -> Dict[str, Any]:
         "excluded": {k: list(v) for k, v in sorted(analysis.excluded.items())},
         "counts": dict(sorted(analysis.counts.items())),
     }
-
-
-def analysis_from_obj(obj: Dict[str, Any]) -> AnalysisResult:
-    return AnalysisResult(
-        system=obj["system"],
-        faults=[fault_from_obj(f) for f in obj["faults"]],
-        excluded={k: list(v) for k, v in obj["excluded"].items()},
-        counts=dict(obj["counts"]),
-    )
 
 
 # ------------------------------------------------------ code-slice analysis
@@ -384,26 +367,3 @@ def cycle_to_obj(cycle: Cycle) -> Dict[str, Any]:
 def cycle_from_obj(obj: Dict[str, Any]) -> Cycle:
     return Cycle(tuple(edge_from_obj(e) for e in obj["edges"]))
 
-
-# -------------------------------------------------------- fault clustering
-
-
-def clustering_to_obj(clustering: Optional[Clustering]) -> Optional[Dict[str, Any]]:
-    if clustering is None:
-        return None
-    return {
-        "clusters": [
-            {"cluster_id": c.cluster_id, "faults": [fault_to_obj(f) for f in c.faults]}
-            for c in clustering.clusters
-        ]
-    }
-
-
-def clustering_from_obj(obj: Optional[Dict[str, Any]]) -> Optional[Clustering]:
-    if obj is None:
-        return None
-    clusters = [
-        FaultCluster(c["cluster_id"], [fault_from_obj(f) for f in c["faults"]])
-        for c in obj["clusters"]
-    ]
-    return Clustering(clusters=clusters)

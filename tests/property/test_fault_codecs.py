@@ -3,7 +3,7 @@
 For **every registered fault model** — including the environment kinds —
 ``plan_to_obj``/``plan_from_obj`` and the experiment-cache entry
 encode/decode must be exact inverses, through a real JSON round-trip
-(the session and cache files are JSON on disk).
+(cache entries are JSON on disk).
 """
 
 import json

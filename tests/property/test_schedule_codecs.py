@@ -3,7 +3,7 @@
 A schedule plan's ``events`` payload — concrete ``(site, kind, offset,
 params)`` tuples — must survive ``plan_to_obj``/``plan_from_obj`` and the
 ``params_to_obj``/``params_from_obj`` codec exactly, through a real JSON
-round-trip (session and cache files are JSON on disk), for *arbitrary*
+round-trip (cache entries are JSON on disk), for *arbitrary*
 event tuples, not just the bundled compositions.
 """
 
@@ -78,7 +78,7 @@ def test_params_codec_exact_inverse(events):
 @pytest.mark.parametrize("name", registered_schedules())
 def test_bundled_schedule_plans_roundtrip_concretely(name):
     """The real resolved compositions (churn wave, partition-during-
-    restart) round-trip through the session plan codec."""
+    restart) round-trip through the plan codec."""
     registry = get_system("miniraft").registry
     model = schedule_model_for(name)
     for anchor in ("env.node.raft0", "env.node.raft1", "env.node.raft2"):

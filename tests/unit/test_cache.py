@@ -2,8 +2,8 @@
 
 import argparse
 import json
-
-import pytest
+import os
+import threading
 
 from repro.cache import CACHE_SCHEMA, ExperimentCache
 from repro.cli import _cache_dir
@@ -252,27 +252,48 @@ def test_experiment_roundtrip_preserves_runs_counter(tmp_path):
 
 def test_cli_cache_dir_resolution():
     def ns(**kw):
-        base = dict(cache=False, cache_dir=None, no_cache=False, session_dir=None)
+        base = dict(cache=False, cache_dir=None, no_cache=False)
         base.update(kw)
         return argparse.Namespace(**base)
 
     assert _cache_dir(ns()) is None
     assert _cache_dir(ns(cache_dir="/x")) == "/x"
     assert _cache_dir(ns(cache=True)) == ".repro-cache"
-    assert _cache_dir(ns(cache=True, session_dir="/s")).endswith("cache")
     assert _cache_dir(ns(cache=True, cache_dir="/x", no_cache=True)) is None
 
 
-def test_resume_may_override_cache_dir(tmp_path):
-    """cache_dir is an execution-only knob: attaching a session with a
-    different cache location must not raise a session mismatch."""
-    from repro.pipeline import Session
+def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monkeypatch):
+    """An agent runs experiments on threads, so two threads of one process
+    may store the same entry.  Neither may open or move the other's temp
+    file: here both temps are written before either is moved into place,
+    and both moves must succeed."""
+    cache = ExperimentCache(tmp_path, get_system("toy"), CSnakeConfig(seed=1))
+    group = RunGroup(test_id="t", injection=None)
+    group.add(RunTrace(test_id="t", seed=3))
+    key = cache.profile_key("t")
+    both_written = threading.Barrier(2, timeout=10)
+    replace = os.replace
 
-    config = CSnakeConfig(cache_dir=str(tmp_path / "a"), **SMOKE)
-    Session.attach(tmp_path / "s", "toy", config)
-    reopened = Session.attach(
-        tmp_path / "s", "toy", CSnakeConfig(cache_dir=str(tmp_path / "b"), **SMOKE)
-    )
-    assert reopened.system == "toy"
-    with pytest.raises(Exception):
-        Session.attach(tmp_path / "s", "toy", CSnakeConfig(seed=999, **{k: v for k, v in SMOKE.items() if k != "seed"}))
+    def replace_once_both_are_written(src, dst):
+        both_written.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_once_both_are_written)
+    errors = []
+
+    def store():
+        try:
+            cache.store_profile(key, "t", group)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=store) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+    assert errors == []
+    assert cache.lookup_profile(key) == group
+    # Nothing but the entry is left behind.
+    assert [p.name for p in cache._path(key).parent.iterdir()] == [key + ".json"]

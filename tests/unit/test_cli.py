@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import _config, _parse_delays, _parse_fault, _parse_stages, main
+from repro.cli import _config, _parse_delays, _parse_fault, main
 from repro.config import DELAY_VALUES_MS
 from repro.types import FaultKey, InjKind
 
@@ -28,19 +28,6 @@ def test_parse_delays():
         _parse_delays("fast,slow")
     with pytest.raises(SystemExit):
         _parse_delays(",")
-
-
-def test_parse_stages():
-    assert _parse_stages("analyze,profile") == ["analyze", "profile"]
-    with pytest.raises(SystemExit):
-        _parse_stages("analyze,banana")
-
-
-@pytest.mark.parametrize("stages", [",", "", " , "])
-def test_run_with_no_stage_named_is_a_usage_error(stages, capsys):
-    with pytest.raises(SystemExit, match="names no stage; choose from analyze"):
-        main(["run", "toy", "--stages", stages])
-    assert "completed stages" not in capsys.readouterr().out
 
 
 def test_config_defaults_to_paper_delay_sweep():
@@ -118,38 +105,18 @@ def test_run_command_out_file(tmp_path, capsys):
     assert obj["system"] == "toy"
 
 
-def test_run_partial_stages_reject_json_and_out(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["run", "toy", "--stages", "analyze", "--json"])
-    with pytest.raises(SystemExit):
-        main(["run", "toy", "--stages", "analyze", "--out", str(tmp_path / "r.json")])
-
-
-def test_run_partial_stages(capsys):
-    rc = main([
-        "run", "toy", "--repeats", "2", "--delays", "2000",
-        "--stages", "analyze,profile",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "analysis" in out and "profiles" in out
-
-
-def test_run_session_then_resume(tmp_path, capsys):
-    sdir = tmp_path / "sess"
-    args = ["--repeats", "2", "--seed", "7", "--budget", "2", "--delays", "2000"]
-    rc_run = main(["run", "toy", "--session-dir", str(sdir)] + args)
-    first = capsys.readouterr().out
-    rc_resume = main(["resume", str(sdir)])
-    second = capsys.readouterr().out
-    assert rc_resume == rc_run
-    assert first == second  # fully persisted session replays the same report
-
-
-def test_resume_without_session_errors(tmp_path, capsys):
-    rc = main(["resume", str(tmp_path / "missing")])
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+def test_run_again_over_one_cache_dir_prints_the_same_report(tmp_path, capsys):
+    """Re-running a campaign with its cache directory is how an
+    interrupted one is recovered: same report, nothing simulated twice."""
+    args = ["run", "toy", "--repeats", "2", "--seed", "7", "--budget", "2",
+            "--delays", "2000", "--cache-dir", str(tmp_path / "c")]
+    rc_first = main(args)
+    first = capsys.readouterr()
+    rc_again = main(args + ["--workers", "2"])
+    again = capsys.readouterr()
+    assert rc_again == rc_first
+    assert again.out == first.out
+    assert " 0 misses, 0 stored; slices replayed" in again.err
 
 
 def test_run_parallel_matches_serial(tmp_path, capsys):
@@ -168,6 +135,24 @@ def test_removed_thread_backend_and_bench_verb_are_argparse_errors(argv, capsys)
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", (
+    pytest.param(["resume", "s"], "invalid choice: 'resume'", id="resume"),
+    pytest.param(
+        ["run", "toy", "--session-dir", "s"], "unrecognized arguments: --session-dir",
+        id="session-dir",
+    ),
+    pytest.param(
+        ["run", "toy", "--stages", "analyze"], "unrecognized arguments: --stages",
+        id="stages",
+    ),
+))
+def test_removed_session_verb_and_flags_are_argparse_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_analyze_command_text(capsys):
@@ -247,15 +232,15 @@ def test_diff_run_partitions_the_fault_space_analyze_reports(capsys):
     assert len(experiments["invalidated"] + experiments["reusable"]) < classic
 
 
-def test_resume_resolves_execution_flags_like_run(tmp_path):
-    """``run`` and ``resume`` share one execution-override helper: same
-    flags, same backend / workers / manager / cache-dir fields."""
+def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
+    """Backend, workers, manager and cache flags set only execution-only
+    fields, and ``run``'s config carries exactly what they resolve to."""
     import os
 
     from repro.cli import _config, _execution_overrides, build_parser
+    from repro.config import EXECUTION_ONLY_KNOBS
 
     parser = build_parser()
-    sdir = str(tmp_path / "s")
     for flags in (
         ["--backend", "process"],
         ["--backend", "serial"],
@@ -266,19 +251,20 @@ def test_resume_resolves_execution_flags_like_run(tmp_path):
         ["--cache", "--no-cache"],
         [],
     ):
-        run_args = parser.parse_args(["run", "toy", "--session-dir", sdir] + flags)
-        resume_args = parser.parse_args(["resume", sdir] + flags)
-        overrides = _execution_overrides(resume_args)
-        assert overrides == _execution_overrides(run_args), flags
-        config = _config(run_args)
+        args = parser.parse_args(["run", "toy"] + flags)
+        overrides = _execution_overrides(args)
+        assert set(overrides) <= set(EXECUTION_ONLY_KNOBS), flags
+        config = _config(args)
         for name, value in overrides.items():
             assert getattr(config, name) == value, (flags, name)
-    assert _execution_overrides(parser.parse_args(["resume", sdir, "--backend", "process"]))[
+    run = ["run", "toy"]
+    assert _execution_overrides(parser.parse_args(run + ["--backend", "process"]))[
         "experiment_workers"
     ] == (os.cpu_count() or 1)
-    assert _execution_overrides(parser.parse_args(["resume", sdir, "--no-cache"])) == {
-        "cache_dir": None
+    assert _execution_overrides(parser.parse_args(run + ["--cache"])) == {
+        "cache_dir": ".repro-cache"
     }
+    assert _execution_overrides(parser.parse_args(run + ["--no-cache"])) == {"cache_dir": None}
 
 
 def test_diff_run_rejects_unresolvable_operand(tmp_path, capsys):
@@ -327,16 +313,13 @@ def test_every_flag_row_names_a_config_field_and_is_spelled_once():
     fields = {f.name for f in dataclasses.fields(CSnakeConfig)}
     source = Path(cli.__file__).read_text(encoding="utf-8")
     assert len(cli._EXPERIMENT_FLAGS) == 8
-    for flag, field, _parse, _resume, _kwargs in cli._EXPERIMENT_FLAGS:
+    for flag, field, _parse, _kwargs in cli._EXPERIMENT_FLAGS:
         assert field in fields and field not in EXECUTION_ONLY_KNOBS, flag
         # The table row is the only place the field is named ...
         assert len(re.findall(r'"%s"' % field, source)) == 1, field
         # ... and no add_argument call spells the flag by hand.
         assert not re.search(r'add_argument\(\s*"%s"' % flag, source), flag
     assert {field for _flag, field, *_ in cli._BACKEND_FLAGS} <= set(EXECUTION_ONLY_KNOBS)
-    assert [row[0] for row in cli._RESUME_FLAGS] == [
-        "--fault-kinds", "--schedules", "--adaptive-budget", "--sweep",
-    ]
 
 
 def test_diff_run_children_get_every_experiment_and_backend_flag():
@@ -363,21 +346,3 @@ def test_diff_run_children_get_every_experiment_and_backend_flag():
 def test_bad_config_from_flags_is_exit_2_naming_the_field(capsys):
     assert main(["run", "toy", "--repeats", "1"]) == 2
     assert "error: repeats" in capsys.readouterr().err
-
-
-def test_resume_of_a_session_with_an_edited_config_is_exit_2(tmp_path, capsys):
-    sdir = tmp_path / "sess"
-    main(["run", "toy", "--session-dir", str(sdir), "--repeats", "2", "--budget", "2",
-          "--delays", "2000", "--stages", "analyze"])
-    manifest = json.loads((sdir / "manifest.json").read_text())
-    for edit, named in (
-        ({"repeats": "3"}, "repeats"),
-        ({"drop_prob_values": [5.0]}, "drop_prob_values"),
-        ({"no_such_knob": 1}, "no_such_knob"),
-    ):
-        edited = dict(manifest, config=dict(manifest["config"], **edit))
-        (sdir / "manifest.json").write_text(json.dumps(edited))
-        capsys.readouterr()
-        assert main(["resume", str(sdir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err

@@ -3,8 +3,7 @@
 Table-driven from ``fields(CSnakeConfig)``: a field added later is covered
 by being declared.  The two dump strings at the bottom were recorded on
 the commit before the declarations replaced the ``__post_init__`` ladder;
-they are what keeps every cache key, task digest and session manifest
-where it is.
+they are what keeps every cache key and task digest where it is.
 """
 
 import dataclasses

@@ -1,5 +1,5 @@
 """Unit tests for the pipeline framework: stage DAG validation, context,
-executors, events, and session round-trips."""
+executors, and events."""
 
 import os
 import time
@@ -8,14 +8,13 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.errors import MissingArtifact, SessionMismatch, StageDependencyError
+from repro.errors import MissingArtifact, StageDependencyError
 from repro.pipeline import (
     EventRecorder,
     Pipeline,
     PipelineContext,
     ProcessExecutor,
     SerialExecutor,
-    Session,
     Stage,
     default_stages,
     make_executor,
@@ -23,7 +22,6 @@ from repro.pipeline import (
 from repro.pipeline.events import (
     STAGE_CACHED,
     STAGE_FINISHED,
-    STAGE_RESUMED,
     STAGE_STARTED,
 )
 from repro.systems import get_system
@@ -212,64 +210,6 @@ def test_already_computed_artifacts_skip_the_stage():
     pipeline.run()
     assert recorder.kinds("one") == [STAGE_CACHED]
     assert pipeline.ctx.get("a") == "precomputed"
-
-
-# ------------------------------------------------------------------ sessions
-
-
-def test_session_persists_and_resumes_stages(tmp_path):
-    cfg = fast_config()
-    session = Session.attach(tmp_path, "toy", cfg)
-    stages = [s for s in default_stages() if s.name in ("analyze", "profile")]
-    Pipeline(get_system("toy"), cfg, stages=stages, session=session).run()
-    assert sorted(Session.open(tmp_path).completed) == ["analysis", "profiles"]
-
-    recorder = EventRecorder()
-    session2 = Session.open(tmp_path)
-    ctx = Pipeline(
-        get_system("toy"), session2.config, session=session2, observers=[recorder]
-    ).run()
-    assert recorder.kinds("analyze") == [STAGE_RESUMED]
-    assert recorder.kinds("profile") == [STAGE_RESUMED]
-    assert recorder.kinds("allocate") == [STAGE_STARTED, STAGE_FINISHED]
-    assert ctx.get("report") is not None
-
-
-def test_session_rejects_mismatched_config(tmp_path):
-    Session.attach(tmp_path, "toy", fast_config())
-    with pytest.raises(SessionMismatch, match="seed"):
-        Session.attach(tmp_path, "toy", fast_config(seed=99))
-    with pytest.raises(SessionMismatch, match="system"):
-        Session.attach(tmp_path, "minihdfs2", fast_config())
-
-
-def test_session_allows_worker_count_changes(tmp_path):
-    Session.attach(tmp_path, "toy", fast_config())
-    Session.attach(tmp_path, "toy", fast_config(experiment_workers=8))
-
-
-def test_filtered_stage_list_continues_a_session(tmp_path):
-    """`--stages allocate` must load analyze/profile artifacts persisted by
-    an earlier `--stages analyze,profile` run of the same session."""
-    cfg = fast_config()
-    session = Session.attach(tmp_path, "toy", cfg)
-    first = [s for s in default_stages() if s.name in ("analyze", "profile")]
-    Pipeline(get_system("toy"), cfg, stages=first, session=session).run()
-
-    session2 = Session.open(tmp_path)
-    second = [s for s in default_stages() if s.name == "allocate"]
-    ctx = Pipeline(get_system("toy"), session2.config, stages=second, session=session2).run()
-    outcome = ctx.get("allocation").outcome
-    assert outcome.budget_used > 0
-    assert ctx.driver.runs_executed > 0  # profile artifacts were hydrated
-
-    # ... and the remaining stages can continue from the same session.
-    session3 = Session.open(tmp_path)
-    tail = [s for s in default_stages() if s.name in ("search", "report")]
-    ctx2 = Pipeline(get_system("toy"), session3.config, stages=tail, session=session3).run()
-    report = ctx2.get("report")
-    assert report is not None
-    assert report.n_edges == len(ctx.driver.edges)
 
 
 def test_config_rejects_bad_delay_values():

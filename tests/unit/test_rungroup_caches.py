@@ -72,7 +72,7 @@ def test_empty_group_queries():
 
 def test_group_equality_ignores_cache_state():
     # dataclass equality compares fields only — a queried group still
-    # equals its never-queried twin (session round-trips rely on this)
+    # equals its never-queried twin (cache round-trips rely on this)
     a, b = _group(), _group()
     a.natural_faults()
     a.reached()

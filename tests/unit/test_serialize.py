@@ -3,13 +3,8 @@
 import json
 
 from repro.core.report import DetectionReport
-from repro.instrument.analyzer import AnalysisResult
 from repro.instrument.plan import InjectionPlan
 from repro.serialize import (
-    analysis_from_obj,
-    analysis_to_obj,
-    clustering_from_obj,
-    clustering_to_obj,
     cycle_from_obj,
     cycle_to_obj,
     edge_from_obj,
@@ -21,7 +16,6 @@ from repro.serialize import (
     trace_from_obj,
     trace_to_obj,
 )
-from repro.core.clustering import Clustering, FaultCluster
 from repro.core.cycles import Cycle
 from repro.instrument.trace import FaultEvent
 from repro.types import EdgeType
@@ -150,52 +144,11 @@ def test_group_roundtrip_preserves_statistics():
     assert back.coverage() == g.coverage()
 
 
-def test_analysis_roundtrip():
-    analysis = AnalysisResult(
-        system="toy",
-        faults=[exc("a"), dly("b")],
-        excluded={"c": ["test-only", "statically unreachable from any workload entry point"]},
-        counts={"injectable": 2},
-    )
-    back = analysis_from_obj(_via_json(analysis_to_obj(analysis)))
-    assert back.system == "toy"
-    assert back.faults == analysis.faults
-    assert back.excluded == analysis.excluded
-    assert back.counts == analysis.counts
-
-
-def test_clustering_roundtrip():
-    clustering = Clustering(
-        clusters=[FaultCluster(0, [exc("a")]), FaultCluster(1, [dly("b"), neg("c")])]
-    )
-    back = clustering_from_obj(_via_json(clustering_to_obj(clustering)))
-    assert [c.faults for c in back.clusters] == [c.faults for c in clustering.clusters]
-    assert back.by_fault == clustering.by_fault
-    assert clustering_from_obj(None) is None
-    assert clustering_to_obj(None) is None
-
-
 def test_cycle_roundtrip_keeps_identity():
     cycle = Cycle((edge(exc("a"), dly("b")), edge(dly("b"), exc("a"), etype=EdgeType.SP_D)))
     back = cycle_from_obj(_via_json(cycle_to_obj(cycle)))
     assert back.key() == cycle.key()
     assert back.signature() == cycle.signature()
-
-
-def test_beam_artifact_roundtrip_keeps_compat_counters():
-    from repro.core.beam import BeamSearchResult
-    from repro.core.compat import CompatChecker
-    from repro.pipeline import ARTIFACT_CODECS
-
-    dump, load = ARTIFACT_CODECS["beam"]
-    cycle = Cycle((edge(exc("a"), exc("a")),))
-    compat = CompatChecker(enabled=False, checks=19, rejected_state=3, rejected_fault=10)
-    result = BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3, compat=compat)
-    obj = _via_json(dump(result))
-    assert load(obj) == result
-    # A result without counters round-trips through ``"compat": null``.
-    bare = BeamSearchResult(cycles=[cycle], chains_explored=10, levels=3)
-    assert load(_via_json(dump(bare))) == bare
 
 
 def test_detection_report_dict_roundtrip_on_real_campaign():
