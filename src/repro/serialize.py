@@ -43,7 +43,9 @@ def atomic_write_json(path: "os.PathLike[str]", payload: Any) -> None:
     path = Path(path)
     tmp = path.with_suffix(".tmp.%d.%d" % (os.getpid(), threading.get_ident()))
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # ``dumps`` encodes in C; ``dump`` to a file runs the pure-Python
+        # iterative encoder.  The bytes are the same.
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
     os.replace(tmp, path)
 

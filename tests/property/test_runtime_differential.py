@@ -1,9 +1,12 @@
 """Differential test: the runtime agent vs the allocating oracle.
 
 ``repro.instrument.runtime.Runtime`` keeps its frames as calling-context
-tree nodes and pushes a ``for`` loop's scope once; ``tests/
-reference_runtime.py`` is the implementation it replaced, which constructs
-a frame per call and pushes the scope per iteration.  Every trace must be
+tree nodes, pushes a ``for`` loop's scope once and records a scope's
+branches as a pointer into a per-run trie of paths, which the loop's scope
+offers to the trace once each; ``tests/reference_runtime.py`` is the
+implementation it replaced, which constructs a frame per call, pushes the
+scope per iteration, appends branches to a list and probes a run-wide memo
+of ``(site, stack, branches)`` tuples.  Every trace must be
 *bit-identical* between the two, quirks included, so hypothesis draws
 small hook programs — the shapes target-system code has and the ones it
 could have — times an injection plan and a per-site state cap, runs each
@@ -22,7 +25,7 @@ iteration the oracle counted at its start is counted by the runtime when
 its generator finishes.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IOEx, SimFault
@@ -235,13 +238,92 @@ def test_the_oracle_is_not_the_runtime_under_test():
     assert reference_runtime.Runtime.loop.__code__ is not Runtime.loop.__code__
 
 
+def handler(*ops):
+    """A program of one procedure, run once as a handler, inside ``F.a``."""
+    return ([[("function", "F.a", list(ops))]], [0])
+
+
+# Where a loop scope's own set of offered paths could disagree with the
+# oracle's run-wide memo of offered states.
+#: (a) The cap of one state is filled from a scope nested in an active one
+#: of the same site (so it is fresh); the outer scope's first offer comes
+#: at the cap, and the site's next loop reuses that scope.
+AT_CAP_FROM_A_FRESH_SCOPE = (
+    [
+        [("function", "F.a", [("call", 1), ("for", "l.0", 2, [("branch", "b.0", True)])])],
+        [("for", "l.0", 1, [("call", 2), ("branch", "b.0", True)])],
+        [("for", "l.0", 2, [("branch", "b.1", False)])],
+    ],
+    [0, 0],
+)
+#: (b) A ``while`` guard and ``for`` loops at one site in one frame: each
+#: offers the states the other recorded, and a ``for`` runs inside the guard.
+GUARD_AND_FOR_SHARE_A_SITE = handler(
+    ("while", "l.0", 2, [("branch", "b.0", True)]),
+    ("for", "l.0", 3, [("branch", "b.0", True)]),
+    ("while", "l.0", 2, [("for", "l.0", 2, [("branch", "b.0", True)]), ("branch", "b.1", False)]),
+    ("for", "l.0", 1, [("branch", "b.1", False)]),
+)
+#: (c) Events partway through a path: a detector and throw points read the
+#: path of the iteration, of the body around the loop and of a longer one.
+EVENTS_PARTWAY_THROUGH_A_PATH = handler(
+    ("branch", "b.1", True),
+    ("for", "l.0", 2, [
+        ("branch", "b.0", True),
+        ("detector", "d.true", True),
+        ("branch", "b.1", False),
+        ("try", [("throw", "t.0", False)]),
+        ("branch", "b.0", False),
+    ]),
+    ("detector", "d.false", False),
+    ("branch", "b.0", True),
+    ("throw", "t.1", True),
+)
+EXCEPTION_AT_T0 = InjectionPlan(FaultKey("t.0", InjKind.EXCEPTION))
+
+
 # ``derandomize``: tier-1 runs the same slice of the program space every
 # time; explore further with ``assert_same_as_the_oracle`` under a larger
 # ``settings(max_examples=...)``.
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(programs, plans, caps)
+@example(AT_CAP_FROM_A_FRESH_SCOPE, None, 1)
+@example(AT_CAP_FROM_A_FRESH_SCOPE, None, 2)
+@example(GUARD_AND_FOR_SHARE_A_SITE, None, 1)
+@example(GUARD_AND_FOR_SHARE_A_SITE, None, runtime_module.MAX_STATES_PER_SITE)
+@example(EVENTS_PARTWAY_THROUGH_A_PATH, None, runtime_module.MAX_STATES_PER_SITE)
+@example(EVENTS_PARTWAY_THROUGH_A_PATH, EXCEPTION_AT_T0, 1)
 def test_every_hook_program_leaves_the_oracles_trace(program, plan, cap):
     assert_same_as_the_oracle(program, plan, cap)
+
+
+def test_the_explicit_examples_take_the_paths_they_name():
+    """What the ``@example`` programs above are for, read off their traces."""
+    cap = runtime_module.MAX_STATES_PER_SITE
+
+    def branches(state):
+        return [tuple(pair) for pair in state["branches"]]
+
+    def states(trace):
+        return sorted(branches(state) for state in trace["loop_states"]["l.0"])
+
+    trace, _, _ = observe(runtime_module, AT_CAP_FROM_A_FRESH_SCOPE, None, 1)
+    assert states(trace) == [[("b.1", False)]]  # the inner scope's, first at the cap
+    trace, _, _ = observe(runtime_module, AT_CAP_FROM_A_FRESH_SCOPE, None, cap)
+    assert states(trace) == [[("b.0", True)], [("b.1", False)]]
+
+    trace, _, _ = observe(runtime_module, GUARD_AND_FOR_SHARE_A_SITE, None, cap)
+    assert states(trace) == [[("b.0", True)], [("b.1", False)]]
+    assert trace["loop_counts"] == {"l.0": 2 + 3 + 2 + 2 * 2 + 1}
+
+    trace, _, _ = observe(runtime_module, EVENTS_PARTWAY_THROUGH_A_PATH, EXCEPTION_AT_T0, cap)
+    assert [(e["fault"], e["injected"], branches(e["state"])) for e in trace["events"]] == [
+        ("d.true:negation", False, [("b.0", True)]),
+        ("t.0:exception", True, [("b.0", True), ("b.1", False)]),
+        ("d.true:negation", False, [("b.0", True)]),
+        ("d.false:negation", False, [("b.1", True)]),
+        ("t.1:exception", False, [("b.1", True), ("b.0", True)]),
+    ]
 
 
 def test_guard_site_owning_an_enclosing_scope_truncates_the_active_for_scope():

@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import threading
+import time
 
 from repro.cache import CACHE_SCHEMA, ExperimentCache
 from repro.cli import _cache_dir
@@ -13,6 +15,7 @@ from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind
+from tests.helpers import run_trace
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -297,3 +300,72 @@ def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monk
     assert cache.lookup_profile(key) == group
     # Nothing but the entry is left behind.
     assert [p.name for p in cache._path(key).parent.iterdir()] == [key + ".json"]
+
+
+def _writer_cache(root):
+    return ExperimentCache(root, get_system("toy"), CSnakeConfig(seed=1))
+
+
+def _writer_entries(cache):
+    """``(key, store, lookup)`` of the profile and the experiment entry every
+    writer process stores; the profile is a few hundred sites wide, so a
+    write takes long enough to be interleaved with the others."""
+    from repro.core.fca import FcaResult
+
+    group = RunGroup(test_id="t", injection=None)
+    for seed in range(3):
+        group.add(run_trace("t", loop_counts={"site.%d" % i: i + seed for i in range(300)}))
+    result = FcaResult(fault=FAULT, test_id="t", interference=[FAULT])
+    profile_key = cache.profile_key("t")
+    experiment_key = cache.experiment_key("t", FAULT, PLANS)
+    return [
+        (profile_key, lambda: cache.store_profile(profile_key, "t", group),
+         lambda: cache.lookup_profile(profile_key) == group),
+        (experiment_key, lambda: cache.store_experiment(experiment_key, "t", FAULT, result, runs=2),
+         lambda: cache.lookup_experiment(experiment_key)[1] == 2),
+    ]
+
+
+def _store_in_a_writer_process(root, start, rounds):
+    cache = _writer_cache(root)
+    entries = _writer_entries(cache)
+    start.wait()
+    for _ in range(rounds):
+        for _, store, _ in entries:
+            store()
+
+
+def test_writer_processes_storing_the_same_entries_leave_each_whole(tmp_path):
+    """Worker processes sharing a cache directory may store one entry at
+    the same time.  More writer processes than processors (so the scheduler
+    also switches them mid-write) store the same profile and experiment
+    entries, again and again: none may fail, each entry must read back as a
+    hit, and no temp file may be left behind."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    writers = max(3, min((nproc or 1) + 1, 8))
+    context = multiprocessing.get_context("spawn")  # no fork of a threaded test process
+    start = context.Barrier(writers, timeout=60)
+    processes = [
+        context.Process(target=_store_in_a_writer_process, args=(str(tmp_path), start, 20))
+        for _ in range(writers)
+    ]
+    for process in processes:
+        process.start()
+    deadline = time.monotonic() + 120
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+    hung = [process for process in processes if process.is_alive()]
+    for process in hung:
+        process.kill()
+        process.join()
+    assert not hung, "%d of %d writer processes still running after 120 s" % (len(hung), writers)
+    # A writer that raised exits 1 (its traceback is on stderr).
+    assert [process.exitcode for process in processes] == [0] * writers
+
+    cache = _writer_cache(tmp_path)
+    entries = _writer_entries(cache)
+    assert all(lookup() for _, _, lookup in entries)
+    assert (cache.hits, cache.misses) == (2, 0)
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(
+        cache._path(key) for key, _, _ in entries
+    )

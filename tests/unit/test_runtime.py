@@ -1,11 +1,15 @@
 """Unit tests for the instrumentation runtime agent."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.driver import run_workload, seed_for
 from repro.errors import IOEx
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
 from repro.instrument.runtime import NullRuntime
-from repro.instrument.trace import RunTrace
+from repro.instrument.trace import RunGroup, RunTrace
+from repro.systems import get_system
 from repro.types import FaultKey, InjKind
 
 
@@ -138,6 +142,34 @@ class TestLoop:
         assert trace.loop_states["adhoc.for"] == trace.loop_states["toy.outer"]
         assert len(trace.loop_states["adhoc.while"]) == 1
         assert trace.reached == {"toy.outer", "adhoc.for", "adhoc.while", "adhoc.cond"}
+
+    def test_counts_stay_a_counter_that_reads_zero_for_a_site_never_iterated(self, registry):
+        """The hooks store counts through ``dict``'s own methods; the trace
+        keeps its ``Counter``, which FCA reads as 0 for a site that never
+        iterated in a run."""
+        rt, trace = make_rt(registry)
+        i = 0
+        with rt.function("Toy.run"):
+            for _ in rt.loop("toy.outer", range(3)):
+                pass
+            for _ in rt.loop("toy.outer", [1]):
+                pass
+            for _ in rt.loop("toy.empty", []):
+                pass
+            while rt.loop_guard("toy.inner", i < 2):
+                i += 1
+        assert type(trace.loop_counts) is Counter
+        assert trace.loop_counts == {"toy.outer": 4, "toy.inner": 2}
+        assert trace.loop_counts["toy.empty"] == 0
+        group = RunGroup(test_id="t1", injection=None)
+        group.add(trace)
+        assert group.loop_count_rows(["toy.outer", "toy.empty"]) == [[4], [0]]
+
+        spec = get_system("toy")
+        test_id = spec.workload_ids()[0]
+        run = run_workload(spec, spec.workloads[test_id], None, seed_for(test_id, 0, 7))
+        assert type(run.loop_counts) is Counter and run.loop_counts
+        assert run.loop_counts["never.iterated"] == 0
 
     def test_nested_loop_states_have_distinct_scopes(self, registry):
         rt, trace = make_rt(registry)
@@ -377,6 +409,27 @@ class TestLocalState:
                     rt.throw_point("toy.ioe", IOEx, natural=True)
         state = trace.events[0].state
         assert state.branch_trace == (("toy.b1", True), ("toy.b2", False))
+
+    def test_long_branch_trace_is_read_whole_at_every_point(self, registry):
+        """A path's tuple is built when first read, from the nearest node
+        read before it: reads mid-way, at the end and of a prefix taken
+        again must all give the branches recorded, in order."""
+        rt, trace = make_rt(registry)
+        expected = [("toy.b%d" % (i % 3), i % 5 == 0) for i in range(3000)]
+        with rt.function("Toy.run"):
+            for invocation in range(2):
+                with rt.function("Toy.step"):
+                    for i, (site, outcome) in enumerate(expected):
+                        rt.branch(site, outcome)
+                        if i in (1499, 2999) or (invocation and i == 9):
+                            rt.detector("toy.is_stale", True)
+        assert [e.state.branch_trace for e in trace.events] == [
+            tuple(expected[:1500]),
+            tuple(expected),
+            tuple(expected[:10]),
+            tuple(expected[:1500]),
+            tuple(expected),
+        ]
 
     def test_branch_trace_is_local_to_loop_iteration(self, registry):
         rt, trace = make_rt(registry)
