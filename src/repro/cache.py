@@ -87,11 +87,19 @@ _T = TypeVar("_T")
 #:       (``FaultModel.plan_sites``) — a composed schedule's entry goes
 #:       stale when any of its constituent sites' code changes, not just
 #:       the anchor site's.
+#:   5 — configs, plans and traces hold only what something reads: six
+#:       never-set config knobs left every key's ``config`` component
+#:       (``crash_restart_values_ms``, ``partition_values_ms``,
+#:       ``drop_prob_values``, ``cluster_distance``,
+#:       ``injection_warmup_ms``, ``sticky_negation``), plans lost their
+#:       ``sticky`` key, traces ``branches_recorded`` and
+#:       ``virtual_end_ms``, fault events their ``time``; FCA results
+#:       must carry ``min_p`` and ``aborted``.
 #:
 #: The ``slices`` entry kind was added without a bump: it changes no
 #: existing key or codec, so a schema-4 cache written before it replays
 #: fully warm and merely gains the one entry.
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 
 class ExperimentCache:

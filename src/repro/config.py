@@ -32,6 +32,10 @@ PHASE_SPLIT: Tuple[float, float, float] = (0.25, 0.50, 0.25)
 #: Minimum allocation weight for a fault cluster in phase three (§A.4).
 EPSILON_WEIGHT = 0.01
 
+#: Hierarchical-clustering cut of phase one: faults closer than this
+#: cosine distance are considered causally equivalent.
+CLUSTER_DISTANCE = 0.5
+
 #: Fraction of lowest-ranked loops (by body size) excluded by the loop
 #: scalability analysis unless they perform I/O (§4.1).
 LOOP_SIZE_PRUNE_FRAC = 0.10
@@ -51,7 +55,6 @@ def knob(
     doc: str,
     *,
     execution_only: bool = False,
-    sweep_of: Optional[str] = None,
     **bounds: float,
 ) -> Any:
     """One :class:`CSnakeConfig` field, declared once: validation,
@@ -64,13 +67,11 @@ def knob(
     Python 3.9 cannot evaluate an ``"int | None"`` annotation.  A ``None``
     default makes ``None`` acceptable.  ``ge`` / ``gt`` / ``le`` / ``lt``
     hold every number in the value to a finite range; an unbounded field's
-    range has another owner, which for fault model ``sweep_of``'s default
-    sweep is that model.  ``doc`` is one sentence fit for ``--help``.
+    range has another owner, which for a ``sweep_overrides`` entry is its
+    fault model.  ``doc`` is one sentence fit for ``--help``.
     """
     limits = [(limit,) + _BOUNDS[key] for key, limit in bounds.items()]
-    metadata = dict(
-        kind=kind, doc=doc, execution_only=execution_only, sweep_of=sweep_of, bounds=limits
-    )
+    metadata = dict(kind=kind, doc=doc, execution_only=execution_only, bounds=limits)
     return field(default=default, metadata=metadata)
 
 
@@ -136,19 +137,6 @@ class CSnakeConfig:
     sweep_overrides: Tuple[Tuple[str, Tuple[float, ...]], ...] = knob(
         (), ((str, (float,)),), "per-kind sweep overrides"
     )
-    #: Default parameter sweeps of the environment fault models: a quick
-    #: crash-recover bounce and a long outage; one cut shorter and one
-    #: longer than the reduced 10-20 s timeouts (§4.2); two loss rates.
-    crash_restart_values_ms: Tuple[float, ...] = knob(
-        (10_000.0, 40_000.0), (float,), "node_crash restart delays, virtual ms",
-        sweep_of="node_crash",
-    )
-    partition_values_ms: Tuple[float, ...] = knob(
-        (15_000.0, 45_000.0), (float,), "partition durations, virtual ms", sweep_of="partition"
-    )
-    drop_prob_values: Tuple[float, ...] = knob(
-        (0.3, 0.7), (float,), "msg_drop probabilities", sweep_of="msg_drop"
-    )
     #: Fraction of injection runs in which a point fault (exception or
     #: negation) must appear — while appearing in no profile run — to count
     #: as an additional fault.  The paper uses "any additional fault" with
@@ -156,9 +144,6 @@ class CSnakeConfig:
     point_event_min_frac: float = knob(
         0.4, float, "share of injection runs a point fault must appear in", ge=0.0, le=1.0
     )
-    #: Hierarchical-clustering cut: faults closer than this cosine distance
-    #: are considered causally equivalent.
-    cluster_distance: float = knob(0.5, float, "clustering cut (cosine distance)", ge=0.0)
     #: The paper uses 5e6; our causal graphs are ~1e3 edges so 10 000 is
     #: exhaustive at this scale.
     beam_width: int = knob(10_000, int, "beam width", ge=1)
@@ -167,17 +152,6 @@ class CSnakeConfig:
     #: ``None`` means unlimited (Table 4 compares unlimited vs 1).
     max_delay_faults: Optional[int] = knob(
         None, int, "cap on delay (contention) faults per reported cycle", ge=0
-    )
-    #: One-shot negation by default (matching the one-time exception throw
-    #: convention of §4.2): a sticky (stuck-detector) mode is available but
-    #: negating a per-node detector for *every* node at once models a
-    #: different, far larger fault than the single-component errors the
-    #: paper injects.
-    sticky_negation: bool = knob(False, bool, "negate a detector on every call, not once")
-    #: One-time faults injected into a cold system reach empty queues and
-    #: exercise nothing.
-    injection_warmup_ms: float = knob(
-        20_000.0, float, "virtual warmup before armed injections may fire", ge=0.0
     )
     #: Repetition ``i`` of a test's runs (profile and injection alike) is
     #: seeded by SHA-256 of ``test_id#i#seed``
@@ -223,14 +197,11 @@ class CSnakeConfig:
     )
 
     def __post_init__(self) -> None:
-        sweeps = []  # (field, fault kind, values): ranges a fault model owns
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if value is None and f.default is None:
                 continue
             _check_kind(f.name, f.type, value, meta["kind"])
-            if meta["sweep_of"]:
-                sweeps.append((f.name, meta["sweep_of"], value))
             numbers = value if isinstance(value, tuple) else (value,)
             for limit, holds, reads in meta["bounds"]:
                 for number in numbers:
@@ -276,14 +247,12 @@ class CSnakeConfig:
                 )
             if not values:
                 raise ConfigError("sweep override for %r needs at least one value" % (kind,))
-            sweeps.append(("sweep_overrides", kind, values))
-        for name, kind, values in sweeps:
             try:
                 # Model-owned range rules (e.g. drop probabilities in
                 # (0, 1]): fail at config time, not mid-campaign.
                 faults.model_for(kind).validate_sweep(values)
             except ValueError as exc:
-                raise ConfigError("%s: %s" % (name, exc)) from exc
+                raise ConfigError("sweep_overrides: %s" % (exc,)) from exc
 
     def sweep_for(self, kind_id: str, default: Tuple[float, ...]) -> Tuple[float, ...]:
         """The parameter sweep of fault kind ``kind_id``: its per-kind

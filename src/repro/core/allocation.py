@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline.executor import Executor
 
-from ..config import CSnakeConfig
+from ..config import CLUSTER_DISTANCE, CSnakeConfig
 from ..types import FaultKey
 from .clustering import Clustering, cluster_faults
 from .driver import ExperimentDriver
@@ -220,7 +220,7 @@ class ThreePhaseAllocator:
         faults = [r.fault for r in observed]
         vectorizer = IdfVectorizer(self.faults).fit([r.result.interference for r in observed])
         vectors = [vectorizer.vectorize(r.result.interference) for r in observed]
-        return cluster_faults(faults, vectors, self.config.cluster_distance)
+        return cluster_faults(faults, vectors, CLUSTER_DISTANCE)
 
     def _phase_two(self, budget: int, clustering: Clustering) -> int:
         """Round-robin quota over clusters; leftover moves to larger clusters."""

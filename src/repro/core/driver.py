@@ -85,7 +85,6 @@ def run_workload(
     workload.setup(env, runtime)
     env.run(workload.duration_ms)
     trace.saturated = env.saturated
-    trace.virtual_end_ms = env.now
     return trace
 
 

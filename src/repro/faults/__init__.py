@@ -27,7 +27,7 @@ import json
 from typing import Dict, Iterable, List, Tuple, Union
 
 from ..types import InjKind, SiteKind, register_primary_kind
-from .base import EnvFaultPort, FaultModel
+from .base import INJECTION_WARMUP_MS, EnvFaultPort, FaultModel
 from .classic import DelayFault, ExceptionFault, NegationFault
 from .environment import ENV_STATE, MsgDropFault, NodeCrashFault, PartitionFault
 
@@ -162,6 +162,7 @@ __all__ = [
     "FaultModel",
     "EnvFaultPort",
     "ENV_STATE",
+    "INJECTION_WARMUP_MS",
     "CLASSIC_FAULT_KINDS",
     "register",
     "model_for",

@@ -9,8 +9,8 @@ one kind of injectable fault:
 * **target sites** — which :class:`~repro.types.SiteKind` values host it,
   and whether it is the *primary* kind of those site kinds;
 * **parameter sweep** — the plan sweep one budget unit expands to
-  (:meth:`plans_for`), driven by :class:`~repro.config.CSnakeConfig`
-  sweep values and overridable per kind via ``--sweep``;
+  (:meth:`plans_for`): the model's default sweep (``delay``'s is
+  ``CSnakeConfig.delay_values_ms``), overridable per kind via ``--sweep``;
 * **arm/fire semantics** — code-level kinds are armed by the runtime
   agent's hooks; environment-level kinds override :meth:`arm` to schedule
   their disturbance against the simulated world;
@@ -33,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports (cycle guard)
     from ..config import CSnakeConfig
     from ..instrument.plan import InjectionPlan
     from ..instrument.sites import SiteRegistry
+
+#: Virtual time every planned injection stays dormant for: one-time faults
+#: injected into a cold system reach empty queues and exercise nothing
+#: (§2's "different time points" — we pick a warmed-up one).
+INJECTION_WARMUP_MS = 20_000.0
 
 
 class FaultModel:
@@ -91,8 +96,11 @@ class FaultModel:
         return {}
 
     def plans_for(self, fault: FaultKey, config: "CSnakeConfig") -> List["InjectionPlan"]:
-        """The plan sweep of one budget unit for ``fault``."""
-        raise NotImplementedError
+        """The plan sweep of one budget unit for ``fault``: by default a
+        single plan without parameters."""
+        from ..instrument.plan import InjectionPlan
+
+        return [InjectionPlan(fault, warmup_ms=INJECTION_WARMUP_MS)]
 
     def plans_for_spec(
         self, fault: FaultKey, config: "CSnakeConfig", registry: "SiteRegistry"

@@ -1,17 +1,11 @@
-"""The paper's three fault kinds, ported onto the FaultModel registry.
-
-Behaviour is bit-identical to the pre-registry enum branches: the plan
-shapes (including the ``sticky`` flag sourced from ``sticky_negation`` and
-the warmup), the sweep expansion, and the serialization layout are exactly
-what ``driver._plans_for`` and ``serialize.plan_to_obj`` hardcoded before.
-"""
+"""The paper's three fault kinds, ported onto the FaultModel registry."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
 from ..types import FaultKey, SiteKind
-from .base import FaultModel
+from .base import INJECTION_WARMUP_MS, FaultModel
 
 
 class ExceptionFault(FaultModel):
@@ -21,17 +15,6 @@ class ExceptionFault(FaultModel):
     char = "E"
     site_kinds = (SiteKind.THROW, SiteKind.LIB_CALL)
     primary_site_kinds = (SiteKind.THROW, SiteKind.LIB_CALL)
-
-    def plans_for(self, fault: FaultKey, config) -> List:
-        from ..instrument.plan import InjectionPlan
-
-        return [
-            InjectionPlan(
-                fault,
-                sticky=config.sticky_negation,
-                warmup_ms=config.injection_warmup_ms,
-            )
-        ]
 
 
 class DelayFault(FaultModel):
@@ -51,7 +34,7 @@ class DelayFault(FaultModel):
         from ..instrument.plan import InjectionPlan
 
         return [
-            InjectionPlan(fault, delay_ms=value, warmup_ms=config.injection_warmup_ms)
+            InjectionPlan(fault, delay_ms=value, warmup_ms=INJECTION_WARMUP_MS)
             for value in self.sweep_spec(config)["delay_ms"]
         ]
 
@@ -64,21 +47,10 @@ class DelayFault(FaultModel):
 
 
 class NegationFault(FaultModel):
-    """Negated return value at a DETECTOR site — once by default, on every
-    call while armed when ``sticky_negation`` is configured."""
+    """Negated return value at a DETECTOR site, once — like the one-time
+    exception of §4.2."""
 
     kind_id = "negation"
     char = "N"
     site_kinds = (SiteKind.DETECTOR,)
     primary_site_kinds = (SiteKind.DETECTOR,)
-
-    def plans_for(self, fault: FaultKey, config) -> List:
-        from ..instrument.plan import InjectionPlan
-
-        return [
-            InjectionPlan(
-                fault,
-                sticky=config.sticky_negation,
-                warmup_ms=config.injection_warmup_ms,
-            )
-        ]

@@ -26,7 +26,7 @@ import hashlib
 from typing import Any, Dict, List, Tuple
 
 from ..types import EnvMeta, FaultKey, LocalState, SiteKind
-from .base import FaultModel
+from .base import INJECTION_WARMUP_MS, FaultModel
 
 #: Local state attached to environment fault firings (there is no call
 #: stack to record — the environment acted, not the program).
@@ -40,9 +40,24 @@ def _drop_seed(site_id: str, drop_p: float, run_seed: int) -> int:
 
 
 class EnvironmentFaultModel(FaultModel):
-    """Shared arm/fire plumbing of the environment kinds."""
+    """Shared plan/arm/fire plumbing of the environment kinds: one plan per
+    value of the kind's one parameter ``param_names[0]``, swept over
+    ``default_sweep`` unless ``--sweep`` overrides it."""
 
     environment = True
+    default_sweep: Tuple[float, ...] = ()
+
+    def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
+        return {self.param_names[0]: config.sweep_for(self.kind_id, self.default_sweep)}
+
+    def plans_for(self, fault: FaultKey, config) -> List:
+        from ..instrument.plan import InjectionPlan
+
+        name = self.param_names[0]
+        return [
+            InjectionPlan(fault, warmup_ms=INJECTION_WARMUP_MS, params=((name, value),))
+            for value in self.sweep_spec(config)[name]
+        ]
 
     def arm(self, env: Any, runtime: Any, plan) -> None:
         meta = runtime.registry.get(plan.fault.site_id).env
@@ -56,7 +71,7 @@ class EnvironmentFaultModel(FaultModel):
     def _record(self, env: Any, trace: Any, plan) -> None:
         from ..instrument.trace import FaultEvent  # deferred: trace imports plan
 
-        trace.record_event(FaultEvent(plan.fault, env.now, ENV_STATE, injected=True))
+        trace.record_event(FaultEvent(plan.fault, ENV_STATE, injected=True))
 
     def _fire(self, env: Any, trace: Any, plan, meta: EnvMeta) -> None:
         raise NotImplementedError
@@ -76,21 +91,8 @@ class NodeCrashFault(EnvironmentFaultModel):
     site_kinds = (SiteKind.ENV_NODE,)
     primary_site_kinds = (SiteKind.ENV_NODE,)
     param_names = ("restart_ms",)
-
-    def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
-        return {"restart_ms": config.sweep_for("node_crash", config.crash_restart_values_ms)}
-
-    def plans_for(self, fault: FaultKey, config) -> List:
-        from ..instrument.plan import InjectionPlan, make_params
-
-        return [
-            InjectionPlan(
-                fault,
-                warmup_ms=config.injection_warmup_ms,
-                params=make_params(restart_ms=value),
-            )
-            for value in self.sweep_spec(config)["restart_ms"]
-        ]
+    #: A quick crash-recover bounce and a long outage.
+    default_sweep = (10_000.0, 40_000.0)
 
     def validate_plan(self, plan) -> None:
         super().validate_plan(plan)
@@ -126,21 +128,9 @@ class PartitionFault(EnvironmentFaultModel):
     site_kinds = (SiteKind.ENV_LINK,)
     primary_site_kinds = (SiteKind.ENV_LINK,)
     param_names = ("duration_ms",)
-
-    def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
-        return {"duration_ms": config.sweep_for("partition", config.partition_values_ms)}
-
-    def plans_for(self, fault: FaultKey, config) -> List:
-        from ..instrument.plan import InjectionPlan, make_params
-
-        return [
-            InjectionPlan(
-                fault,
-                warmup_ms=config.injection_warmup_ms,
-                params=make_params(duration_ms=value),
-            )
-            for value in self.sweep_spec(config)["duration_ms"]
-        ]
+    #: One cut shorter and one longer than the reduced 10-20 s timeouts
+    #: (§4.2).
+    default_sweep = (15_000.0, 45_000.0)
 
     def validate_plan(self, plan) -> None:
         super().validate_plan(plan)
@@ -165,21 +155,7 @@ class MsgDropFault(EnvironmentFaultModel):
     char = "X"
     site_kinds = (SiteKind.ENV_LINK,)
     param_names = ("drop_p",)
-
-    def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
-        return {"drop_p": config.sweep_for("msg_drop", config.drop_prob_values)}
-
-    def plans_for(self, fault: FaultKey, config) -> List:
-        from ..instrument.plan import InjectionPlan, make_params
-
-        return [
-            InjectionPlan(
-                fault,
-                warmup_ms=config.injection_warmup_ms,
-                params=make_params(drop_p=value),
-            )
-            for value in self.sweep_spec(config)["drop_p"]
-        ]
+    default_sweep = (0.3, 0.7)
 
     def validate_plan(self, plan) -> None:
         super().validate_plan(plan)

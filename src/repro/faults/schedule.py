@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from ..types import FaultKey, InjKind, SiteKind
-from .base import FaultModel
+from .base import INJECTION_WARMUP_MS, FaultModel
 
 if TYPE_CHECKING:
     from ..config import CSnakeConfig
@@ -219,7 +219,7 @@ class ScheduleFaultModel(FaultModel):
         return [
             InjectionPlan(
                 fault,
-                warmup_ms=config.injection_warmup_ms,
+                warmup_ms=INJECTION_WARMUP_MS,
                 params=make_params(
                     events=self.resolve_events(fault.site_id, registry, scale)
                 ),

@@ -9,8 +9,8 @@ from ..types import FaultKey, InjKind
 
 #: Generic per-model parameters of a plan, as a sorted, hashable tuple of
 #: (name, value) pairs — e.g. ``(("duration_ms", 15000.0),)`` for a
-#: partition fault.  The classic kinds keep their dedicated fields
-#: (``delay_ms``, ``sticky``) for ergonomics and serialization stability.
+#: partition fault.  The delay kind keeps its dedicated ``delay_ms`` field
+#: for ergonomics and serialization stability.
 PlanParams = Tuple[Tuple[str, Any], ...]
 
 
@@ -27,8 +27,8 @@ class InjectionPlan:
       if-statement (throw point) or library call site is reached.
     * ``DELAY``: ``delay_ms`` of spinning added to **every** iteration of
       the target loop.
-    * ``NEGATION``: the detector's return value is negated — on every call
-      while armed if ``sticky`` (default, a stuck error detector), else once.
+    * ``NEGATION``: the detector's return value is negated once, like the
+      one-time exception.
     * environment kinds (``node_crash`` / ``partition`` / ``msg_drop``):
       armed against the simulation environment instead of a code hook,
       with their model-specific knobs carried in ``params``.
@@ -40,10 +40,8 @@ class InjectionPlan:
 
     fault: FaultKey
     delay_ms: Optional[float] = None
-    sticky: bool = True
-    #: Injections stay dormant until this virtual time: firing the one-time
-    #: fault into a cold, empty system exercises nothing (§2's "different
-    #: time points" — we pick a warmed-up one).
+    #: Injections stay dormant until this virtual time (planned ones:
+    #: ``repro.faults.INJECTION_WARMUP_MS``).
     warmup_ms: float = 0.0
     #: Model-specific parameters (sorted (name, value) pairs).
     params: PlanParams = ()

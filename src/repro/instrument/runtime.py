@@ -233,7 +233,6 @@ class Runtime:
         if not self.enabled:
             return outcome
         trace = self.trace
-        trace.branches_recorded += 1
         frames = self._frames
         if not frames:
             trace.reached.add(site_id)
@@ -382,14 +381,14 @@ class Runtime:
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             # Raise the *same* exception type the site naturally throws so
             # the system's own handlers catch it (software-implemented fault
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise exc_cls("natural fault at %s" % site_id)
 
     def lib_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -408,13 +407,13 @@ class Runtime:
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected fault at %s" % site_id)
         try:
             return fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
 
     def rpc_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -437,12 +436,12 @@ class Runtime:
             result = fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
         if armed:
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected response loss at %s" % site_id)
         return result
 
@@ -457,12 +456,12 @@ class Runtime:
         trace.reached.add(site_id)
         if (
             site_id == self._negation_site
+            and not self._negation_fired
             and self._now() >= self._warmup_ms
-            and (self.plan.sticky or not self._negation_fired)
         ):
             self._negation_fired = True
             key = FaultKey(site_id, InjKind.NEGATION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             return not result
         error_value = self._detector_meta.get(site_id)
         if error_value is None:
@@ -474,7 +473,7 @@ class Runtime:
             self._detector_meta[site_id] = error_value
         if result == error_value:
             key = FaultKey(site_id, InjKind.NEGATION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
         return result
 
 

@@ -26,7 +26,6 @@ class FaultEvent:
     """One occurrence of a fault (natural or injected) during a run."""
 
     fault: FaultKey
-    time: float
     state: LocalState
     injected: bool = False
 
@@ -39,9 +38,7 @@ class RunTrace:
     injection: Optional[InjectionPlan] = None
     seed: int = 0
     events: List[FaultEvent] = field(default_factory=list)
-    branches_recorded: int = 0
     saturated: bool = False
-    virtual_end_ms: float = 0.0
     #: Per-site iteration counts.
     loop_counts: Counter = field(default_factory=Counter)
     #: Per-site local iteration states.

@@ -123,7 +123,6 @@ def plan_to_obj(plan: Optional[InjectionPlan]) -> Optional[Dict[str, Any]]:
     out = {
         "fault": fault_to_obj(fault),
         "delay_ms": plan.delay_ms,
-        "sticky": plan.sticky,
         "warmup_ms": plan.warmup_ms,
     }
     params = model_for(fault.kind).params_to_obj(plan)
@@ -140,7 +139,6 @@ def plan_from_obj(obj: Optional[Dict[str, Any]]) -> Optional[InjectionPlan]:
     return InjectionPlan(
         fault=fault,
         delay_ms=obj["delay_ms"],
-        sticky=obj["sticky"],
         warmup_ms=obj["warmup_ms"],
         params=model_for(fault.kind).params_from_obj(obj.get("params", {})),
     )
@@ -157,7 +155,6 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
         "events": [
             {
                 "fault": fault_to_obj(e.fault),
-                "time": e.time,
                 "state": state_to_obj(e.state),
                 "injected": e.injected,
             }
@@ -169,15 +166,11 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
             for site, states in sorted(trace.loop_states.items())
         },
         "reached": sorted(trace.reached),
-        "branches_recorded": trace.branches_recorded,
         "saturated": trace.saturated,
-        "virtual_end_ms": trace.virtual_end_ms,
     }
 
 
 def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
-    # Entries written before host time left the trace also carry a
-    # ``wall_time_s`` key; it is ignored.
     trace = RunTrace(
         test_id=obj["test_id"],
         injection=plan_from_obj(obj["injection"]),
@@ -186,7 +179,6 @@ def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
     trace.events = [
         FaultEvent(
             fault=fault_from_obj(e["fault"]),
-            time=e["time"],
             state=state_from_obj(e["state"]),
             injected=e["injected"],
         )
@@ -197,9 +189,7 @@ def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
         site: set(states_from_obj(states)) for site, states in obj["loop_states"].items()
     }
     trace.reached = set(obj["reached"])
-    trace.branches_recorded = obj["branches_recorded"]
     trace.saturated = obj["saturated"]
-    trace.virtual_end_ms = obj["virtual_end_ms"]
     return trace
 
 
@@ -286,15 +276,13 @@ def fca_to_obj(result: FcaResult) -> Dict[str, Any]:
 
 
 def fca_from_obj(obj: Dict[str, Any]) -> FcaResult:
-    # ``min_p``/``aborted`` were added with fault schedules; cache entries
-    # written before then simply lack them.
     return FcaResult(
         fault=fault_from_obj(obj["fault"]),
         test_id=obj["test_id"],
         edges=[edge_from_obj(e) for e in obj["edges"]],
         interference=[fault_from_obj(f) for f in obj["interference"]],
-        min_p=obj.get("min_p"),
-        aborted=obj.get("aborted", 0),
+        min_p=obj["min_p"],
+        aborted=obj["aborted"],
     )
 
 

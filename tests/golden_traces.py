@@ -4,10 +4,11 @@ For every registered system this runs each workload fault-free and one
 injection run per fault kind (and schedule) the system's fault space
 offers, and digests everything a run leaves behind — the serialized
 :class:`RunTrace` (events with their local states, ``loop_counts``,
-``loop_states``, ``reached``, ``branches_recorded``, ``virtual_end_ms``,
-``saturated``) plus ``SimEnv.events_processed``.  The checked-in
-``golden_trace_digests.json`` was generated on the commit *before* the
-sim core / instrumentation runtime hot-path rewrite; a change to
+``loop_states``, ``reached``, ``saturated``) plus
+``SimEnv.events_processed``.  The checked-in ``golden_trace_digests.json``
+was generated on the commit *before* the sim core / instrumentation
+runtime hot-path rewrite and re-recorded once, with ``CACHE_SCHEMA`` 5,
+from that commit's traces minus the fields schema 5 deleted; a change to
 ``repro.sim`` or ``repro.instrument`` must reproduce every digest.
 
 Regenerate (only for an intended behaviour change of a target system)::
@@ -57,7 +58,6 @@ def _digest(spec, test_id, plan, seed):
     with events_processed_log() as log:
         trace = driver_mod.run_workload(spec, spec.workloads[test_id], plan, seed)
     obj = trace_to_obj(trace)
-    obj.pop("wall_time_s", None)  # host time, never part of the contract
     obj["events_processed"] = log
     blob = json.dumps(obj, sort_keys=True).encode()
     return trace, hashlib.sha256(blob).hexdigest()

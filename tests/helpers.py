@@ -91,5 +91,5 @@ def group(
     return g
 
 
-def event(fault: FaultKey, at: float = 1.0, st: Optional[LocalState] = None, injected: bool = False) -> FaultEvent:
-    return FaultEvent(fault, at, st if st is not None else state(), injected=injected)
+def event(fault: FaultKey, st: Optional[LocalState] = None, injected: bool = False) -> FaultEvent:
+    return FaultEvent(fault, st if st is not None else state(), injected=injected)

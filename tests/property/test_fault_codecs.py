@@ -86,7 +86,7 @@ def test_trace_with_injection_roundtrips(model):
     plan = model.plans_for(fault, CONFIG)[0]
     trace = RunTrace(test_id="t1", injection=plan, seed=99)
     trace.record_event(
-        FaultEvent(fault, 21_000.0, LocalState(("<env>", "<env>"), ()), injected=True)
+        FaultEvent(fault, LocalState(("<env>", "<env>"), ()), injected=True)
     )
     trace.loop_counts["sys.a.loop"] = 7
     trace.reached.add("sys.a.loop")
@@ -154,16 +154,10 @@ def _tuples(elements, **kwargs):
                 ),
                 max_size=3,
             ),
-            crash_restart_values_ms=_tuples(st.one_of(st.just(0.0), _positive), max_size=3),
-            partition_values_ms=_tuples(_positive, max_size=3),
-            drop_prob_values=_tuples(_unit, max_size=3),
-            point_event_min_frac=st.floats(0.0, 1.0),
-            cluster_distance=st.one_of(st.integers(0, 2), st.floats(0.0, 2.0)),
+            point_event_min_frac=st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)),
             beam_width=st.integers(1, 10**6),
             max_chain_len=st.integers(2, 12),
             max_delay_faults=st.one_of(st.none(), st.integers(0, 5)),
-            sticky_negation=st.booleans(),
-            injection_warmup_ms=st.one_of(st.integers(0, 10**5), st.floats(0.0, 1e6)),
             seed=st.integers(-(2**63), 2**63),
             compat_check=st.booleans(),
             adaptive_budget=st.booleans(),

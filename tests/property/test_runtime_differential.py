@@ -205,7 +205,6 @@ plans = st.one_of(
     st.builds(
         InjectionPlan,
         st.builds(FaultKey, st.sampled_from(DETECTORS), st.just(InjKind.NEGATION)),
-        sticky=st.booleans(),
         warmup_ms=warmups,
     ),
 )

@@ -151,7 +151,6 @@ class Runtime:
             return outcome
         trace = self.trace
         trace.reached.add(site_id)
-        trace.branches_recorded += 1
         if self._frames:
             self._frames[-1].scopes[-1].branches.append((site_id, outcome))
         return outcome
@@ -260,14 +259,14 @@ class Runtime:
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             # Raise the *same* exception type the site naturally throws so
             # the system's own handlers catch it (software-implemented fault
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise exc_cls("natural fault at %s" % site_id)
 
     def lib_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -286,13 +285,13 @@ class Runtime:
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected fault at %s" % site_id)
         try:
             return fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
 
     def rpc_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -315,12 +314,12 @@ class Runtime:
             result = fn(*args, **kwargs)
         except exc_cls:
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
         if armed:
             self._exception_fired = True
             key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected response loss at %s" % site_id)
         return result
 
@@ -336,11 +335,11 @@ class Runtime:
         if (
             site_id == self._negation_site
             and self._now() >= self._warmup_ms
-            and (self.plan.sticky or not self._negation_fired)
+            and not self._negation_fired
         ):
             self._negation_fired = True
             key = FaultKey(site_id, InjKind.NEGATION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=True))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             return not result
         error_value = self._detector_meta.get(site_id)
         if error_value is None:
@@ -352,6 +351,6 @@ class Runtime:
             self._detector_meta[site_id] = error_value
         if result == error_value:
             key = FaultKey(site_id, InjKind.NEGATION)
-            trace.record_event(FaultEvent(key, self._now(), self._local_state(), injected=False))
+            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
         return result
 

@@ -1,9 +1,9 @@
 """Contract of the knob declarations in ``repro.config``.
 
 Table-driven from ``fields(CSnakeConfig)``: a field added later is covered
-by being declared.  The two dump strings at the bottom were recorded on
-the commit before the declarations replaced the ``__post_init__`` ladder;
-they are what keeps every cache key and task digest where it is.
+by being declared.  The two dump strings at the bottom were re-pinned with
+``CACHE_SCHEMA`` 5, which deleted six never-set knobs; they are what keeps
+every cache key and task digest where it is.
 """
 
 import dataclasses
@@ -13,8 +13,10 @@ import timeit
 import pytest
 
 from repro.bench.runners import bench_config
+from repro.cli import main
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.errors import ConfigError
+from repro.faults import all_models, registered_schedules, schedule_model_for
 
 FIELDS = dataclasses.fields(CSnakeConfig)
 
@@ -54,9 +56,9 @@ def _wrong_typed(f):
 
 def test_defaults_validate_and_every_field_is_a_knob():
     CSnakeConfig()
-    assert len(FIELDS) == 24
+    assert len(FIELDS) == 18
     for f in FIELDS:
-        assert set(f.metadata) == {"kind", "doc", "execution_only", "sweep_of", "bounds"}
+        assert set(f.metadata) == {"kind", "doc", "execution_only", "bounds"}
         assert f.metadata["doc"] and "%" not in f.metadata["doc"], f.name  # argparse help
 
 
@@ -84,17 +86,15 @@ def test_wrong_typed_values_are_rejected_never_coerced(f):
 
 
 def test_an_int_will_do_for_a_float_and_stays_an_int():
-    config = CSnakeConfig(p_value=0.5, injection_warmup_ms=5, delay_values_ms=(2000, 8000.0))
+    config = CSnakeConfig(p_value=0.5, point_event_min_frac=1, delay_values_ms=(2000, 8000.0))
     assert config.to_dict()["delay_values_ms"] == [2000, 8000.0]
-    assert json.dumps(config.to_dict()["injection_warmup_ms"]) == "5"  # not "5.0"
+    assert json.dumps(config.to_dict()["point_event_min_frac"]) == "1"  # not "1.0"
 
 
 @pytest.mark.parametrize(
     "probe",
     [
         dict(point_event_min_frac=-1),
-        dict(cluster_distance=-3),
-        dict(injection_warmup_ms=float("nan")),
         dict(max_delay_faults=-2),
         dict(repeats=2.5),
         dict(repeats=True),
@@ -111,29 +111,35 @@ def test_execution_only_set_and_result_affecting_keys():
         "experiment_workers", "experiment_backend", "cache_dir", "manager_url",
     }
     assert sorted(CSnakeConfig().result_affecting()) == [
-        "adaptive_budget", "beam_width", "budget_per_fault", "cluster_distance",
-        "compat_check", "crash_restart_values_ms", "delay_values_ms", "drop_prob_values",
-        "fault_kinds", "injection_warmup_ms", "max_chain_len", "max_delay_faults",
-        "p_value", "partition_values_ms", "point_event_min_frac", "repeats", "schedules",
-        "seed", "sticky_negation", "sweep_overrides",
+        "adaptive_budget", "beam_width", "budget_per_fault", "compat_check",
+        "delay_values_ms", "fault_kinds", "max_chain_len", "max_delay_faults", "p_value",
+        "point_event_min_frac", "repeats", "schedules", "seed", "sweep_overrides",
     ]
 
 
-def test_default_sweeps_are_held_to_their_fault_models_range():
-    """One owner for sweep ranges: a default-sweep field fails exactly as a
-    ``sweep_overrides`` entry for the same kind does."""
-    for name, kind, bad in (
-        ("drop_prob_values", "msg_drop", (5.0,)),
-        ("partition_values_ms", "partition", (0.0,)),
-        ("crash_restart_values_ms", "node_crash", (-1.0,)),
-        ("crash_restart_values_ms", "node_crash", (float("inf"),)),
-    ):
-        with pytest.raises(ConfigError) as as_field:
-            CSnakeConfig(**{name: bad})
-        with pytest.raises(ConfigError) as as_override:
-            CSnakeConfig(sweep_overrides=((kind, bad),))
-        assert str(as_field.value).split(": ", 1) == [name, str(as_override.value).split(": ", 1)[1]]
-    CSnakeConfig(crash_restart_values_ms=(0.0,))  # 0 = never restart: NodeCrashFault says so
+#: ``repro faults``' model table as the parent of ``CACHE_SCHEMA`` 5 printed
+#: it, when three of these sweeps were config knobs.
+FAULT_MODEL_TABLE = """registered fault models:
+  exception  E  sites: throw,lib_call     sweep single plan
+  delay      D  sites: loop               sweep delay_ms: 100,250,500,1000,2000,4000,8000
+  negation   N  sites: detector           sweep single plan
+  node_crash C  sites: env_node           sweep restart_ms: 10000,40000 [env]
+  partition  P  sites: env_link           sweep duration_ms: 15000,45000 [env]
+  msg_drop   X  sites: env_link           sweep drop_p: 0.3,0.7 [env]
+registered fault schedules:
+"""
+
+
+def test_default_sweeps_are_held_to_their_fault_models_range(capsys):
+    """One owner for sweep ranges: every registered model's and schedule's
+    default sweep passes the same ``validate_sweep`` that judges a
+    ``sweep_overrides`` entry of its kind, and the defaults are unchanged."""
+    schedules = [schedule_model_for(name) for name in registered_schedules()]
+    for model in all_models() + schedules:
+        for values in model.sweep_spec(CSnakeConfig()).values():
+            model.validate_sweep(values)
+    assert main(["faults"]) == 0
+    assert capsys.readouterr().out.startswith(FAULT_MODEL_TABLE)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +147,8 @@ def test_default_sweeps_are_held_to_their_fault_models_range():
     [
         ({"no_such_knob": 1}, "no_such_knob"),
         ({"repeats": "3"}, "repeats"),
-        ({"drop_prob_values": [5.0]}, "drop_prob_values"),
+        ({"drop_prob_values": [5.0]}, "drop_prob_values"),  # a deleted knob is unknown
+        ({"sweep_overrides": [["msg_drop", [5.0]]]}, "sweep_overrides: msg_drop"),
         ({"delay_values_ms": 5}, "delay_values_ms"),
         ({"sweep_overrides": [["delay"]]}, "sweep_overrides"),
         ({"sweep_overrides": [["delay", [1.0], "extra"]]}, "sweep_overrides"),
@@ -170,23 +177,23 @@ def test_one_construction_stays_cheap():
 
 DEFAULT_DUMP = (
     '{"adaptive_budget": false, "beam_width": 10000, "budget_per_fault": 4, "cache_dir": null, '
-    '"cluster_distance": 0.5, "compat_check": true, "crash_restart_values_ms": [10000.0, 40000.0], '
+    '"compat_check": true, '
     '"delay_values_ms": [100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0], '
-    '"drop_prob_values": [0.3, 0.7], "experiment_backend": "process", "experiment_workers": 1, '
-    '"fault_kinds": ["exception", "delay", "negation"], "injection_warmup_ms": 20000.0, '
+    '"experiment_backend": "process", "experiment_workers": 1, '
+    '"fault_kinds": ["exception", "delay", "negation"], '
     '"manager_url": null, "max_chain_len": 6, "max_delay_faults": null, "p_value": 0.1, '
-    '"partition_values_ms": [15000.0, 45000.0], "point_event_min_frac": 0.4, "repeats": 5, '
-    '"schedules": [], "seed": 1234, "sticky_negation": false, "sweep_overrides": []}'
+    '"point_event_min_frac": 0.4, "repeats": 5, '
+    '"schedules": [], "seed": 1234, "sweep_overrides": []}'
 )
 BENCH_HDFS2_DUMP = (
     '{"adaptive_budget": false, "beam_width": 30000, "budget_per_fault": 10, "cache_dir": null, '
-    '"cluster_distance": 0.5, "compat_check": true, "crash_restart_values_ms": [10000.0, 40000.0], '
-    '"delay_values_ms": [250.0, 1000.0, 8000.0], "drop_prob_values": [0.3, 0.7], '
+    '"compat_check": true, '
+    '"delay_values_ms": [250.0, 1000.0, 8000.0], '
     '"experiment_backend": "process", "experiment_workers": 1, '
-    '"fault_kinds": ["exception", "delay", "negation"], "injection_warmup_ms": 20000.0, '
+    '"fault_kinds": ["exception", "delay", "negation"], '
     '"manager_url": null, "max_chain_len": 5, "max_delay_faults": null, "p_value": 0.1, '
-    '"partition_values_ms": [15000.0, 45000.0], "point_event_min_frac": 0.4, "repeats": 3, '
-    '"schedules": [], "seed": 7, "sticky_negation": false, "sweep_overrides": []}'
+    '"point_event_min_frac": 0.4, "repeats": 3, '
+    '"schedules": [], "seed": 7, "sweep_overrides": []}'
 )
 
 

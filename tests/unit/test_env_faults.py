@@ -1,5 +1,7 @@
 """Semantics of the environment fault models against the sim substrate."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import model_for
@@ -35,12 +37,24 @@ def _crash_plan(node, restart_ms, warmup=30_000.0):
 
 def test_env_injection_records_one_injected_event(spec):
     plan = _crash_plan("raft1", restart_ms=20_000.0)
-    trace = _run(spec, "raft.steady", plan)
+    workload = spec.workloads["raft.steady"]
+    crashed = {}
+
+    def setup(env, rt):
+        workload.setup(env, rt)
+        for at in (plan.warmup_ms - 1.0, plan.warmup_ms + 1.0):
+            env.schedule_at(
+                at, None, lambda at=at: crashed.__setitem__(at, env.node_named("raft1").crashed)
+            )
+
+    probed = dataclasses.replace(workload, setup=setup)
+    trace = run_workload(spec, probed, plan, seed_for("raft.steady", 0, 99))
     injected = [e for e in trace.events if e.injected]
     assert len(injected) == 1
     assert injected[0].fault == plan.fault
     assert injected[0].state == ENV_STATE
-    assert injected[0].time >= plan.warmup_ms
+    # Dormant until the warm-up, fired at it.
+    assert crashed == {plan.warmup_ms - 1.0: False, plan.warmup_ms + 1.0: True}
     assert plan.fault.site_id in trace.reached
 
 
@@ -215,7 +229,6 @@ def test_arm_rejects_non_env_site(spec):
     object.__setattr__(bad, "warmup_ms", 0.0)
     object.__setattr__(bad, "params", plan.params)
     object.__setattr__(bad, "delay_ms", None)
-    object.__setattr__(bad, "sticky", True)
 
     class FakeRuntime:
         registry = spec.registry

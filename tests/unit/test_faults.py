@@ -9,6 +9,7 @@ from repro.config import CSnakeConfig
 from repro.errors import ConfigError
 from repro.faults import (
     CLASSIC_FAULT_KINDS,
+    INJECTION_WARMUP_MS,
     EnvFaultPort,
     FaultModel,
     expand_kinds,
@@ -163,10 +164,8 @@ def test_model_plan_sweeps_match_config():
     crash_plans = model_for("node_crash").plans_for(
         FaultKey("env.node.n", InjKind("node_crash")), config
     )
-    assert [p.param("restart_ms") for p in crash_plans] == list(
-        config.crash_restart_values_ms
-    )
-    assert all(p.warmup_ms == config.injection_warmup_ms for p in crash_plans)
+    assert [p.param("restart_ms") for p in crash_plans] == [10_000.0, 40_000.0]
+    assert all(p.warmup_ms == INJECTION_WARMUP_MS for p in crash_plans)
 
 
 def test_sweep_overrides_respected_by_models():
@@ -252,7 +251,7 @@ def test_registering_a_custom_model_is_self_contained():
             return [
                 InjectionPlan(
                     fault,
-                    warmup_ms=config.injection_warmup_ms,
+                    warmup_ms=INJECTION_WARMUP_MS,
                     params=make_params(period_ms=5_000.0),
                 )
             ]

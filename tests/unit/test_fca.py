@@ -222,7 +222,7 @@ def test_self_edge_allowed_for_natural_reoccurrence(registry, config):
             run_trace(
                 "t1",
                 plan,
-                events=[event(exc("X"), injected=True), event(exc("X"), at=2.0)],
+                events=[event(exc("X"), injected=True), event(exc("X"))],
             )
             for _ in range(3)
         ],

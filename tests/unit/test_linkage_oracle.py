@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CSnakeConfig
+from repro.config import CLUSTER_DISTANCE, CSnakeConfig
 from repro.core.clustering import average_linkage_labels, cluster_faults
 from repro.core.idf import IdfVectorizer, cosine_distance
 from repro.pipeline import AllocationStage, PipelineContext, ProfileStage, StaticAnalysisStage
@@ -79,6 +79,6 @@ def test_labels_match_scipy_on_campaign_phase_one_vectors(system):
     vectorizer = IdfVectorizer(list(ctx.require("analysis").faults)).fit(interferences)
     vectors = [vectorizer.vectorize(i) for i in interferences]
     # These are the vectors the allocator clustered.
-    clustering = cluster_faults([r.fault for r in observed], vectors, ctx.config.cluster_distance)
+    clustering = cluster_faults([r.fault for r in observed], vectors, CLUSTER_DISTANCE)
     assert clustering.by_fault == outcome.clustering.by_fault
     assert_labels_match_scipy(cosine_matrix(vectors))

@@ -81,18 +81,12 @@ class TestDetector:
         assert rt.detector("toy.is_stale", False) is False
         assert trace.events == []
 
-    def test_sticky_negation_flips_every_call(self, registry):
-        plan = InjectionPlan(FaultKey("toy.is_stale", InjKind.NEGATION), sticky=True)
+    def test_one_shot_negation_flips_once(self, registry):
+        plan = InjectionPlan(FaultKey("toy.is_stale", InjKind.NEGATION))
         rt, trace = make_rt(registry, plan)
         assert rt.detector("toy.is_stale", False) is True
-        assert rt.detector("toy.is_stale", False) is True
-        assert sum(1 for e in trace.events if e.injected) == 2
-
-    def test_one_shot_negation_flips_once(self, registry):
-        plan = InjectionPlan(FaultKey("toy.is_stale", InjKind.NEGATION), sticky=False)
-        rt, _ = make_rt(registry, plan)
-        assert rt.detector("toy.is_stale", False) is True
         assert rt.detector("toy.is_stale", False) is False
+        assert sum(1 for e in trace.events if e.injected) == 1
 
 
 class TestLoop:

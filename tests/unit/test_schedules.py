@@ -11,6 +11,7 @@ from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.core.report import build_report
 from repro.faults import (
+    INJECTION_WARMUP_MS,
     FaultSchedule,
     all_schedules,
     expand_kinds,
@@ -179,7 +180,7 @@ def test_plans_carry_concrete_events_and_sites(raft_registry):
     fault = FaultKey("env.node.raft1", InjKind("partition_during_restart"))
     plans = model.plans_for_spec(fault, CONFIG, raft_registry)
     assert len(plans) == 1  # default time_scale sweep: the composition as declared
-    assert plans[0].warmup_ms == CONFIG.injection_warmup_ms
+    assert plans[0].warmup_ms == INJECTION_WARMUP_MS
     assert model.plan_sites(plans[0]) == ["env.link.raft0~raft1", "env.node.raft1"]
     model.validate_plan(plans[0])
 

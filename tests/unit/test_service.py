@@ -285,7 +285,7 @@ def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payloa
     [
         ({"no_such_knob": 1}, "no_such_knob"),
         ({"repeats": "3"}, "repeats"),
-        ({"drop_prob_values": [5.0]}, "drop_prob_values"),
+        ({"sweep_overrides": [["msg_drop", [5.0]]]}, "sweep_overrides"),
         ([["repeats", 3]], "JSON object"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
