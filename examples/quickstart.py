@@ -10,14 +10,7 @@ then prints the detected cascades.
 """
 
 from repro.config import CSnakeConfig
-from repro.pipeline import (
-    AllocationStage,
-    BeamSearchStage,
-    PipelineContext,
-    ProfileStage,
-    ReportStage,
-    StaticAnalysisStage,
-)
+from repro.pipeline import STAGES, PipelineContext
 from repro.systems import get_system
 
 
@@ -27,18 +20,17 @@ def main() -> None:
         delay_values_ms=(500.0, 2000.0, 8000.0),  # contention sweep
         seed=7,
     )
-    # One stage at a time, to look at what each publishes;
-    # ``Pipeline(spec, config).run()`` runs the same five in one call.
+    # The stages by hand, to look at what they publish between
+    # ``allocate`` and ``search``; ``Pipeline(spec, config).run()`` runs
+    # the same five in one call.
     ctx = PipelineContext(get_system("toy"), config)
+    for _, stage in STAGES[:3]:  # analyze, profile, allocate
+        stage(ctx)
 
-    StaticAnalysisStage().run(ctx)
-    analysis = ctx.require("analysis")
+    analysis = ctx.get("analysis")
     print("fault space: %d injectable faults (%d sites filtered)" % (
         len(analysis.faults), len(analysis.excluded)))
-
-    ProfileStage().run(ctx)
-    AllocationStage().run(ctx)
-    allocation = ctx.require("allocation").outcome
+    allocation = ctx.get("allocation").outcome
     print("experiments: %d (budget %d), causal edges discovered: %d" % (
         allocation.budget_used,
         allocation.budget_total,
@@ -47,9 +39,9 @@ def main() -> None:
     for edge in ctx.driver.edges.all_edges():
         print("   ", edge)
 
-    BeamSearchStage().run(ctx)
-    ReportStage().run(ctx)
-    report = ctx.require("report")
+    for _, stage in STAGES[3:]:  # search, report
+        stage(ctx)
+    report = ctx.get("report")
     print("\ncycles: %d in %d clusters" % (len(report.cycles), len(report.cycle_clusters)))
     for match in report.bug_matches:
         status = "DETECTED" if match.detected else "missed"

@@ -66,7 +66,7 @@ class CampaignResult:
 
     @property
     def allocation(self) -> AllocationOutcome:
-        return self.ctx.require("allocation").outcome
+        return self.ctx.get("allocation").outcome
 
     def detection_phase(self, bug_id: str) -> Optional[int]:
         """3PA phase after which all of the bug's cycle edges were known
@@ -94,7 +94,7 @@ def run_campaign(system: str, config: Optional[CSnakeConfig] = None) -> Campaign
     t0 = time.perf_counter()
     ctx = Pipeline(get_system(system), config or bench_config(system)).run()
     return CampaignResult(
-        system=system, report=ctx.require("report"), ctx=ctx,
+        system=system, report=ctx.get("report"), ctx=ctx,
         wall_time_s=time.perf_counter() - t0,
     )
 

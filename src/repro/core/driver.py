@@ -292,12 +292,8 @@ class ExperimentDriver:
     # ----------------------------------------------------------- experiments
 
     def _plans_for(self, fault: FaultKey) -> List[InjectionPlan]:
-        """The fault's plan sweep, as declared by its registered model.
-
-        Planned through :meth:`FaultModel.plans_for_spec` so models that
-        resolve plan content against the system topology (fault
-        schedules) see the site registry; single-fault models fall back
-        to their plain ``plans_for``.
+        """The fault's plan sweep, as declared by its registered model's
+        :meth:`FaultModel.plans_for` against the system's site registry.
 
         Memoized per fault: each experiment derives the same sweep three
         times (cache key, task descriptor, execution), and plans are pure
@@ -308,9 +304,7 @@ class ExperimentDriver:
         """
         plans = self._plans.get(fault)
         if plans is None:
-            plans = model_for(fault.kind).plans_for_spec(
-                fault, self.config, self.spec.registry
-            )
+            plans = model_for(fault.kind).plans_for(fault, self.config, self.spec.registry)
             self._plans[fault] = plans
         return plans
 

@@ -22,18 +22,6 @@ class UnknownSite(ReproError):
     """A site id was used that is not present in the site registry."""
 
 
-class PipelineError(ReproError):
-    """Base class for errors of the staged pipeline API."""
-
-
-class StageDependencyError(PipelineError):
-    """A pipeline's stage list cannot satisfy some stage's ``requires``."""
-
-
-class MissingArtifact(PipelineError):
-    """A stage asked the context for an artifact no stage has produced."""
-
-
 class SimFault(Exception):
     """Base class for fault effects raised inside simulated systems."""
 

@@ -95,23 +95,19 @@ class FaultModel:
         """Parameter name -> swept values under ``config`` (CLI listing)."""
         return {}
 
-    def plans_for(self, fault: FaultKey, config: "CSnakeConfig") -> List["InjectionPlan"]:
+    def plans_for(
+        self, fault: FaultKey, config: "CSnakeConfig", registry: "SiteRegistry"
+    ) -> List["InjectionPlan"]:
         """The plan sweep of one budget unit for ``fault``: by default a
-        single plan without parameters."""
+        single plan without parameters.
+
+        ``registry`` is the target system's site registry; only models
+        that resolve plan content against the system topology (fault
+        schedules resolving site selectors) read it.
+        """
         from ..instrument.plan import InjectionPlan
 
         return [InjectionPlan(fault, warmup_ms=INJECTION_WARMUP_MS)]
-
-    def plans_for_spec(
-        self, fault: FaultKey, config: "CSnakeConfig", registry: "SiteRegistry"
-    ) -> List["InjectionPlan"]:
-        """Like :meth:`plans_for`, with the target system's site registry.
-
-        Most kinds plan from ``(fault, config)`` alone; models that must
-        resolve plan content against the system topology (fault schedules
-        resolving site selectors) override this instead.
-        """
-        return self.plans_for(fault, config)
 
     def plan_sites(self, plan: "InjectionPlan") -> List[str]:
         """Every site a plan touches (cache slice-invalidation surface).

@@ -30,7 +30,7 @@ class DelayFault(FaultModel):
     def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
         return {"delay_ms": config.sweep_for("delay", config.delay_values_ms)}
 
-    def plans_for(self, fault: FaultKey, config) -> List:
+    def plans_for(self, fault: FaultKey, config, registry) -> List:
         from ..instrument.plan import InjectionPlan
 
         return [

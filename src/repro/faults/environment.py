@@ -50,7 +50,7 @@ class EnvironmentFaultModel(FaultModel):
     def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
         return {self.param_names[0]: config.sweep_for(self.kind_id, self.default_sweep)}
 
-    def plans_for(self, fault: FaultKey, config) -> List:
+    def plans_for(self, fault: FaultKey, config, registry) -> List:
         from ..instrument.plan import InjectionPlan
 
         name = self.param_names[0]

@@ -205,13 +205,7 @@ class ScheduleFaultModel(FaultModel):
         compresses every event offset."""
         return {"time_scale": config.sweep_for(self.kind_id, (1.0,))}
 
-    def plans_for(self, fault: FaultKey, config: "CSnakeConfig") -> List["InjectionPlan"]:
-        raise NotImplementedError(
-            "schedule %r resolves site selectors against a registry; "
-            "plan through plans_for_spec(fault, config, registry)" % self.kind_id
-        )
-
-    def plans_for_spec(
+    def plans_for(
         self, fault: FaultKey, config: "CSnakeConfig", registry: "SiteRegistry"
     ) -> List["InjectionPlan"]:
         from ..instrument.plan import InjectionPlan, make_params

@@ -1,4 +1,4 @@
-"""Composable, parallel campaign pipeline.
+"""The campaign pipeline.
 
 The top-level API of the reproduction::
 
@@ -8,11 +8,11 @@ The top-level API of the reproduction::
     ctx = Pipeline.default(get_system("toy")).run()
     report = ctx.get("report")
 
-Stages declare ``requires``/``provides`` artifact names and are validated
-as a DAG before anything runs; independent injection experiments fan out
+A campaign is the five stage functions of :data:`STAGES` run in order on
+one :class:`PipelineContext`; independent injection experiments fan out
 over a pluggable :class:`Executor`.  With ``cache_dir`` set, every
 finished experiment is on disk, so an interrupted campaign is recovered
-by running it again.  See DESIGN.md for the stage graph.
+by running it again.  See DESIGN.md §4.
 """
 
 from .context import PipelineContext
@@ -30,26 +30,12 @@ from .executor import (
     make_executor,
 )
 from .runner import Pipeline
-from .stage import Stage
-from .stages import (
-    AllocationStage,
-    BeamSearchStage,
-    ProfileStage,
-    ReportStage,
-    StaticAnalysisStage,
-    default_stages,
-)
+from .stages import STAGES
 
 __all__ = [
     "Pipeline",
     "PipelineContext",
-    "Stage",
-    "default_stages",
-    "StaticAnalysisStage",
-    "ProfileStage",
-    "AllocationStage",
-    "BeamSearchStage",
-    "ReportStage",
+    "STAGES",
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",

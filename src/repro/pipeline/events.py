@@ -10,14 +10,13 @@ corrupting it silently.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, TextIO
+from dataclasses import dataclass
+from typing import Optional, TextIO
 
 #: Event kinds, in lifecycle order.
 PIPELINE_STARTED = "pipeline_started"
 STAGE_STARTED = "stage_started"
 STAGE_FINISHED = "stage_finished"
-STAGE_CACHED = "stage_cached"  # artifacts already present in the context
 PIPELINE_FINISHED = "pipeline_finished"
 
 
@@ -28,7 +27,6 @@ class PipelineEvent:
     kind: str
     stage: Optional[str] = None  # stage name, None for pipeline-level events
     seconds: float = 0.0  # wall time, for *_finished events
-    detail: Dict[str, Any] = field(default_factory=dict)
 
 
 class PipelineObserver:
@@ -49,8 +47,6 @@ class ProgressPrinter(PipelineObserver):
             line = "[pipeline] %s ..." % event.stage
         elif event.kind == STAGE_FINISHED:
             line = "[pipeline] %s done in %.2fs" % (event.stage, event.seconds)
-        elif event.kind == STAGE_CACHED:
-            line = "[pipeline] %s already computed, skipping" % event.stage
         elif event.kind == PIPELINE_FINISHED:
             line = "[pipeline] finished in %.2fs" % event.seconds
         else:

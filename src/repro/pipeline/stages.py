@@ -1,29 +1,26 @@
-"""The CSnake Figure-3 pipeline, ported to composable stages.
+"""The CSnake Figure-3 pipeline: five stage functions in a fixed order.
 
-Stage graph (artifact names on the edges)::
-
-    analyze ──analysis──┐
-                        ├─> allocate ──allocation──> search ──beam──┐
-    profile ──profiles──┘        │                                  ├─> report
-                                 └──────────(edge DB, counters)─────┘
-
-``analyze`` and ``profile`` are independent roots; ``allocate`` consumes
-both and runs the 3PA-scheduled injection experiments (fanning them out
-over the context's executor); ``search`` stitches the discovered edge DB
-into cycles; ``report`` matches them against ground truth.
+Each stage reads what earlier stages published on the context and
+publishes one artifact of its own: ``analyze`` selects the fault space
+(``analysis``), ``profile`` runs every workload fault-free
+(``profiles``), ``allocate`` runs the 3PA-scheduled injection
+experiments over the context's executor (``allocation``), ``search``
+stitches the discovered edge DB into cycles (``beam``) and ``report``
+matches them against ground truth (``report``).  :data:`STAGES` is the
+order; running a prefix of it is ``for _, stage in STAGES[:3]:
+stage(ctx)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Tuple
 
 from ..core.allocation import AllocationOutcome, ThreePhaseAllocator
 from ..core.beam import BeamSearch
 from ..core.report import build_report
 from ..instrument.analyzer import analyze
 from .context import PipelineContext
-from .stage import Stage
 
 
 @dataclass
@@ -34,105 +31,73 @@ class AllocationArtifact:
     outcome: AllocationOutcome
 
 
-class StaticAnalysisStage(Stage):
+def analyze_stage(ctx: PipelineContext) -> None:
     """Stage 1: static analyzer selects the injectable fault space F
     (restricted to the fault kinds the campaign's config enables, and
     pruned by code-slice reachability when the system is sliceable)."""
-
-    name = "analyze"
-    provides = ("analysis",)
-
-    def run(self, ctx: PipelineContext) -> None:
-        ctx.put(
-            "analysis",
-            analyze(
-                ctx.spec.registry,
-                ctx.config.fault_kinds,
-                slices=ctx.spec.slice_analysis(),
-                schedules=ctx.config.schedules,
-            ),
-        )
+    ctx.put(
+        "analysis",
+        analyze(
+            ctx.spec.registry,
+            ctx.config.fault_kinds,
+            slices=ctx.spec.slice_analysis(),
+            schedules=ctx.config.schedules,
+        ),
+    )
 
 
-class ProfileStage(Stage):
+def profile_stage(ctx: PipelineContext) -> None:
     """Stage 2: fault-free profile runs of every workload (parallel)."""
-
-    name = "profile"
-    provides = ("profiles",)
-
-    def run(self, ctx: PipelineContext) -> None:
-        ctx.driver.profile_all(ctx.executor)
-        ctx.put("profiles", ctx.driver.profiles())
+    ctx.driver.profile_all(ctx.executor)
+    ctx.put("profiles", ctx.driver.profiles())
 
 
-class AllocationStage(Stage):
+def allocate_stage(ctx: PipelineContext) -> None:
     """Stage 3: 3PA budget allocation driving the injection experiments.
 
     The (fault, test) experiments scheduled within each 3PA phase are
     independent, so they fan out over the context's executor — the hot
     path of every campaign.
     """
-
-    name = "allocate"
-    requires = ("analysis", "profiles")
-    provides = ("allocation",)
-
-    def run(self, ctx: PipelineContext) -> None:
-        faults = list(ctx.require("analysis").faults)
-        allocator = ThreePhaseAllocator(ctx.driver, faults, ctx.config, executor=ctx.executor)
-        ctx.put("allocation", AllocationArtifact(outcome=allocator.run()))
+    faults = list(ctx.get("analysis").faults)
+    allocator = ThreePhaseAllocator(ctx.driver, faults, ctx.config, executor=ctx.executor)
+    ctx.put("allocation", AllocationArtifact(outcome=allocator.run()))
 
 
-class BeamSearchStage(Stage):
+def search_stage(ctx: PipelineContext) -> None:
     """Stages 4-5: stitch compatible edges, beam-search for cycles."""
-
-    name = "search"
-    requires = ("allocation",)
-    provides = ("beam",)
-
-    def run(self, ctx: PipelineContext) -> None:
-        outcome = ctx.require("allocation").outcome
-        beam = BeamSearch(ctx.config, outcome.fault_scores)
-        ctx.put("beam", beam.search(ctx.driver.edges.all_edges()))
+    beam = BeamSearch(ctx.config, ctx.get("allocation").outcome.fault_scores)
+    ctx.put("beam", beam.search(ctx.driver.edges.all_edges()))
 
 
-class ReportStage(Stage):
+def report_stage(ctx: PipelineContext) -> None:
     """Final stage: cycle clustering and ground-truth matching."""
-
-    name = "report"
-    requires = ("analysis", "allocation", "beam")
-    provides = ("report",)
-
-    def run(self, ctx: PipelineContext) -> None:
-        allocation = ctx.require("allocation").outcome
-        beam = ctx.require("beam")
-        ctx.put(
-            "report",
-            build_report(
-                ctx.spec,
-                beam.cycles,
-                allocation.clustering,
-                n_faults=len(ctx.require("analysis").faults),
-                budget_used=allocation.budget_used,
-                runs_executed=ctx.driver.runs_executed,
-                n_edges=len(ctx.driver.edges),
-                # Trigger-gated bugs (env-fault ground truth) are matched
-                # against the campaign's discovered edge set.
-                edges=ctx.driver.edges.all_edges(),
-                # Runs that hit the sim step limit under a composed fault
-                # (graceful degradation: recorded, not raised).
-                aborted_step_limit=sum(r.aborted for r in ctx.driver.results),
-            ),
-        )
+    allocation = ctx.get("allocation").outcome
+    ctx.put(
+        "report",
+        build_report(
+            ctx.spec,
+            ctx.get("beam").cycles,
+            allocation.clustering,
+            n_faults=len(ctx.get("analysis").faults),
+            budget_used=allocation.budget_used,
+            runs_executed=ctx.driver.runs_executed,
+            n_edges=len(ctx.driver.edges),
+            # Trigger-gated bugs (env-fault ground truth) are matched
+            # against the campaign's discovered edge set.
+            edges=ctx.driver.edges.all_edges(),
+            # Runs that hit the sim step limit under a composed fault
+            # (graceful degradation: recorded, not raised).
+            aborted_step_limit=sum(r.aborted for r in ctx.driver.results),
+        ),
+    )
 
 
-def default_stages() -> List[Stage]:
-    """The standard five-stage CSnake pipeline, in dependency order."""
-    return [
-        StaticAnalysisStage(),
-        ProfileStage(),
-        AllocationStage(),
-        BeamSearchStage(),
-        ReportStage(),
-    ]
-
+#: The campaign, in order: (stage name for progress events, stage).
+STAGES: Tuple[Tuple[str, Callable[[PipelineContext], None]], ...] = (
+    ("analyze", analyze_stage),
+    ("profile", profile_stage),
+    ("allocate", allocate_stage),
+    ("search", search_stage),
+    ("report", report_stage),
+)

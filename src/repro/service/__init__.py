@@ -8,8 +8,8 @@ a network and the whole service runs on the standard library alone:
   injectable);
 * :mod:`repro.service.remote` — :class:`RemoteExecutor`, the fourth
   :class:`~repro.pipeline.executor.Executor` backend (``--backend
-  remote``), plus the transport seam (:class:`LocalTransport` in-process,
-  :class:`~repro.service.http.HttpTransport` over the wire);
+  remote``), which talks to a :class:`ManagerCore` directly in-process or
+  through :class:`~repro.service.http.HttpTransport` over the wire;
 * :mod:`repro.service.http` — stdlib ``http.server`` JSON API;
 * :mod:`repro.service.agent` — the worker agent loop (``repro agent``).
 """
@@ -17,12 +17,11 @@ a network and the whole service runs on the standard library alone:
 from .agent import Agent, execute_wire_task
 from .http import HttpTransport, ManagerServer
 from .manager import ManagerCore, task_digest
-from .remote import LocalTransport, RemoteExecutor
+from .remote import RemoteExecutor
 
 __all__ = [
     "Agent",
     "HttpTransport",
-    "LocalTransport",
     "ManagerCore",
     "ManagerServer",
     "RemoteExecutor",

@@ -409,7 +409,7 @@ class ManagerCore:
     def _run_campaign(self, campaign_id: str, spec: Any, config: Any) -> None:
         from ..pipeline import Pipeline
         from ..pipeline.events import PipelineObserver
-        from .remote import LocalTransport, RemoteExecutor
+        from .remote import RemoteExecutor
 
         core = self
 
@@ -424,7 +424,7 @@ class ManagerCore:
                         seconds=round(event.seconds, 6),
                     )
 
-        executor = RemoteExecutor(LocalTransport(self), campaign=campaign_id)
+        executor = RemoteExecutor(self, campaign=campaign_id)
         try:
             pipeline = Pipeline(
                 spec, config, executor=executor, observers=[_Stream()]

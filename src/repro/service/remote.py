@@ -11,11 +11,6 @@ agent deaths and re-queues) is resolved.  Results return **in input
 order**, and the driver keeps committing in submission order, so a remote
 campaign's digest is bit-identical to a serial one by the same argument
 that covers the process backend.
-
-The transport is a seam: :class:`LocalTransport` calls a
-:class:`~repro.service.manager.ManagerCore` in-process (used by tests and
-by manager-side campaigns, where HTTP to ``self`` would be silly);
-:class:`~repro.service.http.HttpTransport` speaks the JSON API.
 """
 
 from __future__ import annotations
@@ -28,42 +23,20 @@ from ..serialize import task_result_from_obj, task_to_obj
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.driver import ExperimentTask
-    from .manager import ManagerCore
 
 #: How long one result poll blocks manager-side before the executor
 #: re-checks for shutdown; purely an execution knob.
 POLL_WAIT_S = 2.0
 
 
-class Transport:
-    """Minimal manager client surface the executor needs."""
-
-    def submit_tasks(
-        self, tasks: List[Dict[str, Any]], campaign: Optional[str] = None
-    ) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def poll_results(self, ids: List[str], wait_s: float = 0.0) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-class LocalTransport(Transport):
-    """In-process transport: direct calls into a :class:`ManagerCore`."""
-
-    def __init__(self, core: "ManagerCore") -> None:
-        self.core = core
-
-    def submit_tasks(
-        self, tasks: List[Dict[str, Any]], campaign: Optional[str] = None
-    ) -> Dict[str, Any]:
-        return self.core.submit_tasks(tasks, campaign=campaign)
-
-    def poll_results(self, ids: List[str], wait_s: float = 0.0) -> Dict[str, Any]:
-        return self.core.poll_results(ids, wait_s=wait_s)
-
-
 class RemoteExecutor(Executor):
     """Ordered map over the manager's distributed task queue.
+
+    ``transport`` needs the executor-side manager surface
+    (``submit_tasks`` / ``poll_results``) — either an
+    :class:`~repro.service.http.HttpTransport` or a
+    :class:`~repro.service.manager.ManagerCore` directly (tests and
+    manager-side campaigns, where HTTP to ``self`` would be silly).
 
     ``timeout_s`` bounds how long one batch may sit with **no** task
     resolving (a fleet that never picks work up); any progress resets the
@@ -72,7 +45,7 @@ class RemoteExecutor(Executor):
 
     def __init__(
         self,
-        transport: Transport,
+        transport: Any,
         max_workers: int = 8,
         campaign: Optional[str] = None,
         timeout_s: Optional[float] = None,

@@ -32,12 +32,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
-from repro.pipeline import (
-    AllocationStage,
-    PipelineContext,
-    ProfileStage,
-    StaticAnalysisStage,
-)
+from repro.pipeline import STAGES, PipelineContext
 from repro.serialize import cycle_to_obj
 from repro.systems import get_system
 from repro.types import CausalEdge, FaultKey
@@ -70,9 +65,9 @@ SEARCHES: Dict[str, Dict[str, Dict[str, Any]]] = {
 def _edge_set(system: str) -> Tuple[List[CausalEdge], Dict[FaultKey, float]]:
     """One system's causal edges and fault scores (one campaign per process)."""
     ctx = PipelineContext(get_system(system), CSnakeConfig(**_CAMPAIGN))
-    for stage in (StaticAnalysisStage(), ProfileStage(), AllocationStage()):
-        stage.run(ctx)
-    return ctx.driver.edges.all_edges(), ctx.require("allocation").outcome.fault_scores
+    for _, stage in STAGES[:3]:
+        stage(ctx)
+    return ctx.driver.edges.all_edges(), ctx.get("allocation").outcome.fault_scores
 
 
 def system_results(system: str) -> Dict[str, Dict[str, Any]]:

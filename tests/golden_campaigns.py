@@ -78,7 +78,7 @@ CAMPAIGNS: Dict[str, Tuple[str, CSnakeConfig]] = {
 def context_digest(ctx: PipelineContext) -> str:
     """What a finished campaign produced: its report and its causal edges."""
     payload = {
-        "report": ctx.require("report").to_dict(),
+        "report": ctx.get("report").to_dict(),
         "edges": [edge_to_obj(e) for e in ctx.driver.edges.all_edges()],
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -86,7 +86,7 @@ def context_digest(ctx: PipelineContext) -> str:
 
 def search_counters(ctx: PipelineContext) -> Dict[str, int]:
     """What a finished campaign's ``search`` stage did, as exact counts."""
-    beam = ctx.require("beam")
+    beam = ctx.get("beam")
     return {
         "edges_in": len(ctx.driver.edges),
         "cycles": len(beam.cycles),

@@ -100,7 +100,7 @@ def system_digests(system: str) -> Dict[str, str]:
             continue
         # The highest-coverage reaching test, as phase one would pick.
         test_id = max(tests, key=lambda t: (len(reached[t]), t))
-        plan = model.plans_for_spec(fault, config, spec.registry)[-1]
+        plan = model.plans_for(fault, config, spec.registry)[-1]
         seed = driver_mod.seed_for(test_id, 0, config.seed)
         _, out["inject/%s/%s@%s" % (kind, fault.site_id, test_id)] = _digest(
             spec, test_id, plan, seed

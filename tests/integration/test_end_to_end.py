@@ -12,7 +12,7 @@ FAST = dict(repeats=3, delay_values_ms=(500.0, 2000.0, 8000.0), seed=7)
 @pytest.fixture(scope="module")
 def toy_run():
     ctx = Pipeline(get_system("toy"), CSnakeConfig(**FAST)).run()
-    return ctx, ctx.require("report")
+    return ctx, ctx.get("report")
 
 
 def test_detects_both_toy_bugs(toy_run):
@@ -30,7 +30,7 @@ def test_toy1_requires_multi_test_stitching(toy_run):
 
 def test_budget_respected(toy_run):
     ctx, report = toy_run
-    faults = len(ctx.require("analysis").faults)
+    faults = len(ctx.get("analysis").faults)
     assert report.budget_used <= ctx.config.budget_per_fault * faults
 
 
@@ -56,7 +56,7 @@ def test_compat_check_reduces_cycles(toy_run):
     from repro.core.beam import BeamSearch
 
     cfg = CSnakeConfig(compat_check=False, **FAST)
-    unchecked = BeamSearch(cfg, ctx.require("allocation").outcome.fault_scores).search(
+    unchecked = BeamSearch(cfg, ctx.get("allocation").outcome.fault_scores).search(
         ctx.driver.edges.all_edges()
     )
     assert len(unchecked.cycles) >= len(report.cycles)

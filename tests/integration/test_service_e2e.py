@@ -1,7 +1,7 @@
 """Integration tests for campaign-as-a-service (manager + agents).
 
-Everything here uses the stdlib HTTP server and transport (or the
-in-process :class:`LocalTransport`).  The invariant under test throughout
+Everything here uses the stdlib HTTP server and transport (or a
+:class:`ManagerCore` called in-process).  The invariant under test throughout
 is the one the executor contract promises: a remote campaign's digest is
 bit-identical to a serial one — cold, warm, and across an agent death
 mid-run.

@@ -59,7 +59,8 @@ def _all_plans():
     plans = []
     for model in all_models():
         for fault in _representative_faults(model):
-            plans.extend(model.plans_for(fault, CONFIG))
+            # Single-fault models plan without reading the registry.
+            plans.extend(model.plans_for(fault, CONFIG, None))
     return plans
 
 
@@ -83,7 +84,7 @@ def test_fault_key_roundtrip_per_model(model):
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind_id)
 def test_trace_with_injection_roundtrips(model):
     fault = _representative_faults(model)[0]
-    plan = model.plans_for(fault, CONFIG)[0]
+    plan = model.plans_for(fault, CONFIG, None)[0]
     trace = RunTrace(test_id="t1", injection=plan, seed=99)
     trace.record_event(
         FaultEvent(fault, LocalState(("<env>", "<env>"), ()), injected=True)
@@ -206,7 +207,7 @@ def test_cache_experiment_entry_roundtrip(model, raft_cache):
     else:
         site = next(s for s in spec.registry if s.kind in model.site_kinds)
         fault = FaultKey(site.site_id, model.kind)
-    plans = model.plans_for(fault, CONFIG)
+    plans = model.plans_for(fault, CONFIG, spec.registry)
     result = FcaResult(fault=fault, test_id="raft.steady")
     result.interference = [FaultKey("flw.append.apply", InjKind.DELAY)]
     key = cache.experiment_key("raft.steady", fault, plans)
@@ -222,7 +223,7 @@ def test_cache_experiment_entry_roundtrip(model, raft_cache):
 def test_cache_profile_entry_roundtrip_with_env_injected_group(raft_cache):
     spec, cache = raft_cache
     fault = _env_fault_for(spec, model_for("partition"))
-    plan = model_for("partition").plans_for(fault, CONFIG)[0]
+    plan = model_for("partition").plans_for(fault, CONFIG, spec.registry)[0]
     group = RunGroup(test_id="raft.steady", injection=plan)
     trace = RunTrace(test_id="raft.steady", injection=plan, seed=3)
     trace.loop_counts["flw.append.apply"] = 11

@@ -83,7 +83,7 @@ def test_bundled_schedule_plans_roundtrip_concretely(name):
     model = schedule_model_for(name)
     for anchor in ("env.node.raft0", "env.node.raft1", "env.node.raft2"):
         fault = FaultKey(anchor, model.kind)
-        for plan in model.plans_for_spec(fault, CONFIG, registry):
+        for plan in model.plans_for(fault, CONFIG, registry):
             clone = plan_from_obj(_via_json(plan_to_obj(plan)))
             assert clone == plan
             assert model.plan_sites(clone) == model.plan_sites(plan)

@@ -1,7 +1,7 @@
 """Docs anti-rot tests: the CLI reference must cover every argparse
 subcommand and flag, relative markdown links must resolve, the
 tutorial's sample output must match what ``repro list`` actually prints,
-and the fault-kind tutorial's code must run.
+and the fault-kind tutorial's code and the quickstart example must run.
 """
 
 import argparse
@@ -111,7 +111,7 @@ _TUTORIAL_DRIVE = textwrap.dedent(
 
     spec = get_system("miniraft")
     fault = FaultKey("env.node.raft1", InjKind("clock_skew"))
-    plans = model_for("clock_skew").plans_for_spec(fault, CSnakeConfig(), spec.registry)
+    plans = model_for("clock_skew").plans_for(fault, CSnakeConfig(), spec.registry)
     assert [p.param("skew_ms") for p in plans] == [2000.0, 10000.0], plans
     trace = run_workload(
         spec, spec.workloads["raft.steady"], plans[0], seed_for("raft.steady", 0, 7)
@@ -136,3 +136,15 @@ def test_fault_kind_tutorial_runs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
+
+
+def test_quickstart_example_runs():
+    """examples/quickstart.py runs the stages by hand and detects both
+    seeded toy bugs."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "examples" / "quickstart.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "[DETECTED] TOY-1" in done.stdout and "[DETECTED] TOY-2" in done.stdout, done.stdout

@@ -159,10 +159,11 @@ def test_plan_params_normalized_sorted():
 
 def test_model_plan_sweeps_match_config():
     config = CSnakeConfig(delay_values_ms=(100.0, 200.0))
-    delay_plans = model_for("delay").plans_for(FaultKey("l", InjKind.DELAY), config)
+    # Single-fault models plan without reading the registry.
+    delay_plans = model_for("delay").plans_for(FaultKey("l", InjKind.DELAY), config, None)
     assert [p.delay_ms for p in delay_plans] == [100.0, 200.0]
     crash_plans = model_for("node_crash").plans_for(
-        FaultKey("env.node.n", InjKind("node_crash")), config
+        FaultKey("env.node.n", InjKind("node_crash")), config, None
     )
     assert [p.param("restart_ms") for p in crash_plans] == [10_000.0, 40_000.0]
     assert all(p.warmup_ms == INJECTION_WARMUP_MS for p in crash_plans)
@@ -171,7 +172,7 @@ def test_model_plan_sweeps_match_config():
 def test_sweep_overrides_respected_by_models():
     config = CSnakeConfig(sweep_overrides=(("partition", (7_500.0,)),))
     plans = model_for("partition").plans_for(
-        FaultKey("env.link.a~b", InjKind("partition")), config
+        FaultKey("env.link.a~b", InjKind("partition")), config, None
     )
     assert [p.param("duration_ms") for p in plans] == [7_500.0]
 
@@ -247,7 +248,7 @@ def test_registering_a_custom_model_is_self_contained():
         site_kinds = (SiteKind.ENV_NODE,)
         param_names = ("period_ms",)
 
-        def plans_for(self, fault, config):
+        def plans_for(self, fault, config, registry):
             return [
                 InjectionPlan(
                     fault,
@@ -264,7 +265,7 @@ def test_registering_a_custom_model_is_self_contained():
         assert "test_restart_storm" in expand_kinds("all")
         assert fault_models_digest() != digest_before
         fault = FaultKey("env.node.n1", InjKind("test_restart_storm"))
-        plan = model_for("test_restart_storm").plans_for(fault, CSnakeConfig())[0]
+        plan = model_for("test_restart_storm").plans_for(fault, CSnakeConfig(), None)[0]
         assert plan.param("period_ms") == 5_000.0
     finally:
         from repro.faults import _MODELS

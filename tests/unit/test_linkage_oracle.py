@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.config import CLUSTER_DISTANCE, CSnakeConfig
 from repro.core.clustering import average_linkage_labels, cluster_faults
 from repro.core.idf import IdfVectorizer, cosine_distance
-from repro.pipeline import AllocationStage, PipelineContext, ProfileStage, StaticAnalysisStage
+from repro.pipeline import STAGES, PipelineContext
 from repro.systems import get_system
 
 hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
@@ -71,12 +71,12 @@ def test_labels_match_scipy_on_campaign_phase_one_vectors(system):
         get_system(system),
         CSnakeConfig(repeats=2, delay_values_ms=(2000.0,), budget_per_fault=4, seed=7),
     )
-    for stage in (StaticAnalysisStage(), ProfileStage(), AllocationStage()):
-        stage.run(ctx)
-    outcome = ctx.require("allocation").outcome
+    for _, stage in STAGES[:3]:
+        stage(ctx)
+    outcome = ctx.get("allocation").outcome
     observed = outcome.records_in_phase(1)
     interferences = [r.result.interference for r in observed]
-    vectorizer = IdfVectorizer(list(ctx.require("analysis").faults)).fit(interferences)
+    vectorizer = IdfVectorizer(list(ctx.get("analysis").faults)).fit(interferences)
     vectors = [vectorizer.vectorize(i) for i in interferences]
     # These are the vectors the allocator clustered.
     clustering = cluster_faults([r.fault for r in observed], vectors, CLUSTER_DISTANCE)

@@ -1,5 +1,5 @@
-"""Unit tests for the pipeline framework: stage DAG validation, context,
-executors, and events."""
+"""Unit tests for the pipeline framework: the runner, executors, and
+events."""
 
 import os
 import time
@@ -8,25 +8,27 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.config import CSnakeConfig
-from repro.errors import MissingArtifact, StageDependencyError
 from repro.pipeline import (
     EventRecorder,
     Pipeline,
-    PipelineContext,
     ProcessExecutor,
     SerialExecutor,
-    Stage,
-    default_stages,
     make_executor,
 )
 from repro.pipeline.events import (
-    STAGE_CACHED,
+    PIPELINE_FINISHED,
+    PIPELINE_STARTED,
     STAGE_FINISHED,
     STAGE_STARTED,
 )
+from repro.service.manager import campaign_digest
 from repro.systems import get_system
 
 FAST = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=1)
+
+#: The stage names progress events carry; the benchmark's
+#: ``pipeline.<stage>_s`` metrics are read by these names.
+STAGE_NAMES = ("analyze", "profile", "allocate", "search", "report")
 
 
 def fast_config(**overrides):
@@ -35,84 +37,19 @@ def fast_config(**overrides):
     return CSnakeConfig(**params)
 
 
-class _Produce(Stage):
-    def __init__(self, name, requires=(), provides=()):
-        self.name = name
-        self.requires = tuple(requires)
-        self.provides = tuple(provides)
-
-    def run(self, ctx):
-        for name in self.requires:
-            ctx.require(name)
-        for name in self.provides:
-            ctx.put(name, "value-of-%s" % name)
+# -------------------------------------------------------------------- runner
 
 
-# ---------------------------------------------------------------- validation
-
-
-def test_default_stage_graph_is_valid():
-    Pipeline(get_system("toy"), fast_config())  # validates in __init__
-
-
-def test_unsatisfied_requires_rejected_before_running():
-    stages = [_Produce("b", requires=("alpha",), provides=("beta",))]
-    with pytest.raises(StageDependencyError, match="alpha"):
-        Pipeline(get_system("toy"), fast_config(), stages=stages)
-
-
-def test_order_matters_for_requires():
-    bad = [
-        _Produce("late", requires=("early-out",), provides=("late-out",)),
-        _Produce("early", provides=("early-out",)),
-    ]
-    with pytest.raises(StageDependencyError):
-        Pipeline(get_system("toy"), fast_config(), stages=bad)
-    good = list(reversed(bad))
-    ctx = Pipeline(get_system("toy"), fast_config(), stages=good).run()
-    assert ctx.get("late-out") == "value-of-late-out"
-
-
-def test_duplicate_stage_names_rejected():
-    stages = [_Produce("x", provides=("a",)), _Produce("x", provides=("b",))]
-    with pytest.raises(StageDependencyError, match="duplicate"):
-        Pipeline(get_system("toy"), fast_config(), stages=stages)
-
-
-def test_stage_must_provide_what_it_promises():
-    class Liar(Stage):
-        name = "liar"
-        provides = ("thing",)
-
-        def run(self, ctx):
-            pass
-
-    with pytest.raises(StageDependencyError, match="without providing"):
-        Pipeline(get_system("toy"), fast_config(), stages=[Liar()]).run()
-
-
-def test_partial_stage_prefix_runs():
-    stages = [s for s in default_stages() if s.name in ("analyze", "profile")]
-    ctx = Pipeline(get_system("toy"), fast_config(), stages=stages).run()
-    assert ctx.has("analysis") and ctx.has("profiles")
-    assert not ctx.has("report")
-
-
-def test_beam_stage_alone_is_rejected():
-    stages = [s for s in default_stages() if s.name == "search"]
-    with pytest.raises(StageDependencyError, match="allocation"):
-        Pipeline(get_system("toy"), fast_config(), stages=stages)
-
-
-# ------------------------------------------------------------------- context
-
-
-def test_context_require_raises_missing_artifact():
-    ctx = PipelineContext(get_system("toy"), fast_config())
-    with pytest.raises(MissingArtifact, match="analysis"):
-        ctx.require("analysis")
-    ctx.put("analysis", object())
-    assert ctx.has("analysis")
+def test_running_one_pipeline_twice_runs_the_campaign_twice():
+    recorder = EventRecorder()
+    pipeline = Pipeline(get_system("toy"), fast_config(), observers=[recorder])
+    first = pipeline.run()
+    second = pipeline.run()
+    assert first is not second and first.driver is not second.driver
+    assert campaign_digest(first) == campaign_digest(second)
+    assert first.driver.experiments_run == second.driver.experiments_run > 0
+    assert first.driver.runs_executed == second.driver.runs_executed > 0
+    assert recorder.kinds().count(STAGE_FINISHED) == 2 * len(STAGE_NAMES)
 
 
 # ----------------------------------------------------------------- executors
@@ -196,20 +133,12 @@ def test_a_dead_worker_breaks_its_batch_not_the_executor():
 
 def test_stage_events_emitted_in_order():
     recorder = EventRecorder()
-    stages = [_Produce("one", provides=("a",)), _Produce("two", requires=("a",), provides=("b",))]
-    Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder]).run()
-    assert recorder.kinds("one") == [STAGE_STARTED, STAGE_FINISHED]
-    assert recorder.kinds("two") == [STAGE_STARTED, STAGE_FINISHED]
-
-
-def test_already_computed_artifacts_skip_the_stage():
-    recorder = EventRecorder()
-    stages = [_Produce("one", provides=("a",))]
-    pipeline = Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder])
-    pipeline.ctx.put("a", "precomputed")
-    pipeline.run()
-    assert recorder.kinds("one") == [STAGE_CACHED]
-    assert pipeline.ctx.get("a") == "precomputed"
+    Pipeline(get_system("toy"), fast_config(), observers=[recorder]).run()
+    expected = [(PIPELINE_STARTED, None)]
+    for name in STAGE_NAMES:
+        expected += [(STAGE_STARTED, name), (STAGE_FINISHED, name)]
+    expected.append((PIPELINE_FINISHED, None))
+    assert [(e.kind, e.stage) for e in recorder.events] == expected
 
 
 def test_config_rejects_bad_delay_values():

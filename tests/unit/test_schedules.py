@@ -178,17 +178,11 @@ def test_resolution_scales_with_time_scale(raft_registry):
 def test_plans_carry_concrete_events_and_sites(raft_registry):
     model = schedule_model_for("partition_during_restart")
     fault = FaultKey("env.node.raft1", InjKind("partition_during_restart"))
-    plans = model.plans_for_spec(fault, CONFIG, raft_registry)
+    plans = model.plans_for(fault, CONFIG, raft_registry)
     assert len(plans) == 1  # default time_scale sweep: the composition as declared
     assert plans[0].warmup_ms == INJECTION_WARMUP_MS
     assert model.plan_sites(plans[0]) == ["env.link.raft0~raft1", "env.node.raft1"]
     model.validate_plan(plans[0])
-
-
-def test_plans_for_requires_registry():
-    model = schedule_model_for("membership_churn")
-    with pytest.raises(NotImplementedError):
-        model.plans_for(FaultKey("env.node.raft0", model.kind), CONFIG)
 
 
 def test_anchor_must_be_an_env_node(raft_registry):

@@ -154,7 +154,7 @@ def test_detection_report_dict_roundtrip_on_real_campaign():
     report = Pipeline(
         get_system("toy"),
         CSnakeConfig(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2),
-    ).run().require("report")
+    ).run().get("report")
     obj = _via_json(report.to_dict())
     back = DetectionReport.from_dict(obj)
     assert back.to_dict() == report.to_dict()

@@ -2,9 +2,8 @@
 
 Everything here runs without sockets: :class:`ManagerCore` takes an
 injected clock, so lease-expiry and re-queue behaviour is tested by
-advancing a counter, never by sleeping; the executor tests speak to the
-core through :class:`LocalTransport`, the same in-process seam
-manager-side campaigns use.
+advancing a counter, never by sleeping; the executor tests hand the
+executor the core itself, as manager-side campaigns do.
 """
 
 import json
@@ -16,7 +15,7 @@ from repro.errors import ReproError
 from repro.instrument.plan import InjectionPlan
 from repro.serialize import task_from_obj, task_to_obj
 from repro.service.manager import ManagerCore, task_digest
-from repro.service.remote import LocalTransport, RemoteExecutor
+from repro.service.remote import RemoteExecutor
 from repro.types import FaultKey, InjKind
 
 
@@ -200,14 +199,14 @@ def test_task_wire_roundtrip(task):
 
 
 def test_remote_executor_rejects_adhoc_callables():
-    executor = RemoteExecutor(LocalTransport(ManagerCore()))
+    executor = RemoteExecutor(ManagerCore())
     with pytest.raises(ReproError, match="ExperimentTask descriptors only"):
         executor.map(len, [[1], [2]])
 
 
 def test_remote_executor_needs_real_fanout():
     with pytest.raises(ReproError):
-        RemoteExecutor(LocalTransport(ManagerCore()), max_workers=1)
+        RemoteExecutor(ManagerCore(), max_workers=1)
 
 
 def test_remote_executor_propagates_task_errors():
@@ -216,7 +215,7 @@ def test_remote_executor_propagates_task_errors():
     from repro.core.driver import execute_experiment_task
 
     live = ManagerCore()
-    executor = RemoteExecutor(LocalTransport(live), campaign=None)
+    executor = RemoteExecutor(live, campaign=None)
     task = ExperimentTask("toy", "t1", '{"seed": 7}', None, ())
 
     def serve_one_error():
@@ -236,7 +235,7 @@ def test_remote_executor_timeout_without_agents(monkeypatch):
     from repro.service import remote as remote_mod
 
     monkeypatch.setattr(remote_mod, "POLL_WAIT_S", 0.1)
-    executor = RemoteExecutor(LocalTransport(ManagerCore()), timeout_s=0.2)
+    executor = RemoteExecutor(ManagerCore(), timeout_s=0.2)
     task = ExperimentTask("toy", "t1", '{"seed": 7}', None, ())
     with pytest.raises(ReproError, match="stalled"):
         executor.map(execute_experiment_task, [task])

@@ -21,7 +21,7 @@ from repro.pipeline import Pipeline, ProcessExecutor, SerialExecutor
 from repro.serialize import edge_to_obj, task_result_to_obj, task_to_obj
 from repro.service.agent import Agent, execute_wire_task
 from repro.service.manager import ManagerCore, campaign_digest
-from repro.service.remote import LocalTransport, RemoteExecutor
+from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind
 
@@ -64,7 +64,7 @@ def _executor(backend):
         thread = threading.Thread(target=agent.run, kwargs={"idle_exit_s": 20.0}, daemon=True)
         thread.start()
         try:
-            yield RemoteExecutor(LocalTransport(core))
+            yield RemoteExecutor(core)
         finally:
             agent.stop()
             thread.join(timeout=10.0)
@@ -161,7 +161,7 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
 
     def task(root):
         config = CSnakeConfig(cache_dir=str(root), **SMOKE)
-        plans = model_for(fault.kind).plans_for_spec(fault, config, spec.registry)
+        plans = model_for(fault.kind).plans_for(fault, config, spec.registry)
         return ExperimentTask(
             "toy", test_id, json.dumps(config.to_dict(), sort_keys=True), fault, tuple(plans)
         )
