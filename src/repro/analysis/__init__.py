@@ -7,12 +7,10 @@ Python source with :mod:`ast`:
 * :mod:`repro.analysis.astutil` — source parsing, function collection
   (with qualified names), and normalized AST digests that are insensitive
   to comments, whitespace, and docstrings;
-* :mod:`repro.analysis.cfg` — per-function control-flow graphs, used to
-  keep statically dead statements out of the call graph;
-* :mod:`repro.analysis.callgraph` — the interprocedural call graph:
-  ``self.method`` calls, module-level calls, constructors, and callbacks
-  registered through the node/sim API (``env.every``, ``env.rpc``,
-  ``rt.rpc_call`` arguments);
+* :mod:`repro.analysis.callgraph` — the interprocedural call graph over
+  every call in each function body: ``self.method`` calls, module-level
+  calls, constructors, and callbacks registered through the node/sim API
+  (``env.every``, ``env.rpc``, ``rt.rpc_call`` arguments);
 * :mod:`repro.analysis.slicer` — per-:class:`~repro.instrument.sites.FaultSite`
   *reachable slices* (every function body transitively reachable from the
   site's enclosing function) and their content digests, plus workload

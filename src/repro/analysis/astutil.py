@@ -38,10 +38,8 @@ class FunctionInfo:
     key: str  # "module:QualName", globally unique
     module: str  # dotted module name
     qualname: str  # __qualname__-style, e.g. "RaftNode.handle_append"
-    name: str  # bare name
     cls: Optional[str]  # immediate enclosing class qualname, if any
     node: ast.AST  # the FunctionDef / AsyncFunctionDef node
-    lineno: int
     site_literals: Tuple[str, ...] = ()  # site ids passed to rt.* hooks here
     digest: str = ""  # normalized body digest (filled by collect_module)
 
@@ -63,7 +61,6 @@ class ModuleInfo:
     """Parse result for one module."""
 
     name: str
-    tree: ast.Module
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     # local alias -> (absolute module, attr-or-None); attr None for plain
@@ -89,14 +86,6 @@ def _docstring_bodies(node: ast.AST) -> Iterator[List[ast.stmt]]:
 def _without_docstring(body: List[ast.stmt]) -> List[ast.stmt]:
     # A docstring-only body keeps a placeholder so the tree stays valid.
     return body[1:] if len(body) > 1 else [ast.Pass()]
-
-
-def strip_docstrings(node: ast.AST) -> ast.AST:
-    """Remove docstring statements (string-constant first statements) from
-    every function, class, and module body under ``node``, in place."""
-    for body in _docstring_bodies(node):
-        body[:] = _without_docstring(body)
-    return node
 
 
 def normalized_dump(node: ast.AST) -> str:
@@ -212,10 +201,8 @@ class _Collector(ast.NodeVisitor):
             key="%s:%s" % (self.info.name, qual),
             module=self.info.name,
             qualname=qual,
-            name=name,
             cls=cls.qualname if cls else None,
             node=node,
-            lineno=getattr(node, "lineno", 0),
         )
         self.info.functions[fn.key] = fn
         if cls is not None and cls.qualname == _owner_qual(qual):
@@ -267,7 +254,7 @@ def _base_name(expr: ast.AST) -> str:
 def collect_module(name: str, source: str) -> ModuleInfo:
     """Parse ``source`` and collect its functions, classes, and imports."""
     tree = ast.parse(source, filename="%s.py" % name.replace(".", "/"))
-    info = ModuleInfo(name=name, tree=tree)
+    info = ModuleInfo(name=name)
     collector = _Collector(info)
     collector.visit(tree)
     collector.finalize()

@@ -1,7 +1,13 @@
 """Interprocedural call graph over collected modules.
 
-Resolution rules, applied in order to every call expression found in a
-CFG-reachable statement (see :mod:`repro.analysis.cfg`):
+Every call expression in a function's own body is harvested: the body
+of a nested ``def``/``class`` is left to that function (it runs only if
+called, and a reference to it adds its own edge), but the nested
+statement's decorators, defaults, bases and keywords count as the
+host's.  Nothing is pruned as dead code — a call after a ``return`` or
+under ``if False:`` still makes an edge, so a slice can only over-cover.
+
+Resolution rules, applied in order to every harvested call:
 
 1. **Nested functions** — ``g(...)`` where ``g`` is defined inside the
    calling function (``outer.<locals>.g``).
@@ -12,10 +18,7 @@ CFG-reachable statement (see :mod:`repro.analysis.cfg`):
 4. **``self.method(...)``** — resolved within the enclosing class, then
    its parsed base classes (breadth-first; unparsed framework bases such
    as ``repro.sim.Node`` are skipped).
-5. **Typed locals** — ``x.method(...)`` where ``x`` was assigned
-   ``ClassName(...)`` in the same function, or is a parameter annotated
-   with a parsed class.
-6. **Unique-method-name fallback (CHA-lite)** — any remaining
+5. **Unique-method-name fallback (CHA-lite)** — any remaining
    ``expr.method(...)`` resolves to *every* parsed class defining
    ``method``.  Over-approximate by design: a slice may include a
    function it cannot reach, never the reverse for these patterns.
@@ -33,41 +36,37 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from .astutil import ClassInfo, FunctionInfo, ModuleInfo
-from .cfg import FunctionCFG, build_cfg
 
 
-def stmt_exprs(stmt: ast.stmt) -> List[ast.expr]:
-    """Expressions evaluated *by this statement itself* — for compound
-    statements only the header (test/iter/items), since the body lives in
-    other CFG blocks; for ``def``/``class`` only decorators and defaults
-    (the body is a separate function / runs at call time)."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        defaults: List[ast.expr] = [d for d in stmt.args.defaults]
-        defaults.extend(d for d in stmt.args.kw_defaults if d is not None)
-        return list(stmt.decorator_list) + defaults
-    if isinstance(stmt, ast.ClassDef):
-        return list(stmt.decorator_list) + list(stmt.bases) + [kw.value for kw in stmt.keywords]
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.Try):
-        return [h.type for h in stmt.handlers if h.type is not None]
-    return [node for node in ast.iter_child_nodes(stmt) if isinstance(node, ast.expr)]
+def _body_calls(fn: ast.AST) -> Iterator[ast.Call]:
+    """Every call in a function's own body.  A nested ``def``/``class``
+    contributes only what its statement evaluates in the host —
+    decorators and defaults, or decorators, bases and keywords — never
+    its body."""
+    stack: List[ast.AST] = list(getattr(fn, "body", []))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            stack.extend(node.decorator_list)
+            stack.extend(node.bases)
+            stack.extend(kw.value for kw in node.keywords)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
 class CallGraph:
     functions: Dict[str, FunctionInfo]
-    classes: Dict[str, ClassInfo]
-    modules: Dict[str, ModuleInfo]
     edges: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    cfgs: Dict[str, FunctionCFG] = field(default_factory=dict)
     calls_seen: int = 0
     calls_resolved: int = 0
 
@@ -166,95 +165,42 @@ class _Resolver:
         out = self.method_in_class(cls, "__init__")
         return out
 
-    def resolve_attr(self, value: ast.expr, attr: str, fn: FunctionInfo,
-                     local_types: Dict[str, ClassInfo]) -> List[str]:
+    def resolve_attr(self, value: ast.expr, attr: str, fn: FunctionInfo) -> List[str]:
         """Resolve ``<value>.<attr>`` as a method reference."""
-        if isinstance(value, ast.Name):
-            if value.id == "self" and fn.cls is not None:
-                cls_key = "%s:%s" % (fn.module, fn.cls)
-                cls = self.classes.get(cls_key)
-                if cls is not None:
-                    return self.method_in_class(cls, attr)
-                return []
-            if value.id in local_types:
-                hit = self.method_in_class(local_types[value.id], attr)
-                if hit:
-                    return hit
+        if isinstance(value, ast.Name) and value.id == "self" and fn.cls is not None:
+            cls = self.classes.get("%s:%s" % (fn.module, fn.cls))
+            return self.method_in_class(cls, attr) if cls is not None else []
         # CHA-lite fallback: every parsed class defining this method.
         return list(self.methods_by_name.get(attr, []))
-
-    # -- per-function type hints --------------------------------------
-    def local_types(self, fn: FunctionInfo, stmts: Sequence[ast.stmt]) -> Dict[str, ClassInfo]:
-        """name -> parsed class, from annotated parameters and
-        single-target ``x = ClassName(...)`` assignments."""
-        types: Dict[str, ClassInfo] = {}
-        args = getattr(fn.node, "args", None)
-        if args is not None:
-            all_args = list(args.posonlyargs) if hasattr(args, "posonlyargs") else []
-            all_args.extend(args.args)
-            all_args.extend(args.kwonlyargs)
-            for a in all_args:
-                ann = a.annotation
-                name: Optional[str] = None
-                if isinstance(ann, ast.Name):
-                    name = ann.id
-                elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                    name = ann.value.split(".")[-1].strip()
-                if name:
-                    hits = self.class_named(name, fn.module)
-                    if len(hits) == 1:
-                        types[a.arg] = hits[0]
-        for stmt in stmts:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and isinstance(stmt.value.func, ast.Name)
-            ):
-                hits = self.class_named(stmt.value.func.id, fn.module)
-                if len(hits) == 1:
-                    types[stmt.targets[0].id] = hits[0]
-        return types
 
 
 def build_call_graph(modules: Dict[str, ModuleInfo]) -> CallGraph:
     resolver = _Resolver(modules)
-    graph = CallGraph(functions=resolver.functions, classes=resolver.classes, modules=modules)
+    graph = CallGraph(functions=resolver.functions)
     for key, fn in resolver.functions.items():
-        cfg = build_cfg(fn.node)
-        graph.cfgs[key] = cfg
-        stmts = cfg.reachable_statements()
-        local_types = resolver.local_types(fn, stmts)
         targets: Set[str] = set()
-        for stmt in stmts:
-            for expr in stmt_exprs(stmt):
-                for node in ast.walk(expr):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    graph.calls_seen += 1
-                    resolved = _resolve_call(node, fn, resolver, local_types)
-                    if resolved:
-                        graph.calls_resolved += 1
-                        targets.update(resolved)
-                    targets.update(_callback_refs(node, fn, resolver, local_types))
+        for node in _body_calls(fn.node):
+            graph.calls_seen += 1
+            resolved = _resolve_call(node, fn, resolver)
+            if resolved:
+                graph.calls_resolved += 1
+                targets.update(resolved)
+            targets.update(_callback_refs(node, fn, resolver))
         targets.discard(key)  # self-recursion adds nothing to a closure
         graph.edges[key] = tuple(sorted(targets))
     return graph
 
 
-def _resolve_call(node: ast.Call, fn: FunctionInfo, resolver: _Resolver,
-                  local_types: Dict[str, ClassInfo]) -> List[str]:
+def _resolve_call(node: ast.Call, fn: FunctionInfo, resolver: _Resolver) -> List[str]:
     func = node.func
     if isinstance(func, ast.Name):
         return resolver.resolve_name(func.id, fn, classes_ok=True)
     if isinstance(func, ast.Attribute):
-        return resolver.resolve_attr(func.value, func.attr, fn, local_types)
+        return resolver.resolve_attr(func.value, func.attr, fn)
     return []
 
 
-def _callback_refs(node: ast.Call, fn: FunctionInfo, resolver: _Resolver,
-                   local_types: Dict[str, ClassInfo]) -> List[str]:
+def _callback_refs(node: ast.Call, fn: FunctionInfo, resolver: _Resolver) -> List[str]:
     """Function references passed as arguments — callback registration."""
     out: List[str] = []
     args: List[ast.expr] = list(node.args)
@@ -263,5 +209,5 @@ def _callback_refs(node: ast.Call, fn: FunctionInfo, resolver: _Resolver,
         if isinstance(arg, ast.Name):
             out.extend(resolver.resolve_name(arg.id, fn, classes_ok=False))
         elif isinstance(arg, ast.Attribute):
-            out.extend(resolver.resolve_attr(arg.value, arg.attr, fn, local_types))
+            out.extend(resolver.resolve_attr(arg.value, arg.attr, fn))
     return out

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 from ..types import SiteKind
 from .astutil import ModuleInfo, collect_module, digest_text
 from .callgraph import CallGraph, build_call_graph
-from .cfg import cfg_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..instrument.sites import FaultSite
@@ -55,8 +54,7 @@ class SliceAnalysis:
     modules: Tuple[str, ...]
     source_digest: str  # digest over every function's normalized body digest
     function_digests: Dict[str, str] = field(default_factory=dict)  # fn key -> body digest
-    # call_edges / calls_seen / calls_resolved of the call graph and
-    # cfg_blocks / cfg_edges / dead_blocks of the per-function CFGs.
+    # call_edges / calls_seen / calls_resolved of the call graph.
     counts: Dict[str, int] = field(default_factory=dict)
     # site -> enclosing function key(s); usually one, several when the same
     # literal is legitimately instrumented at more than one code location
@@ -177,7 +175,6 @@ def analyze_sources(
             "call_edges": graph.n_edges,
             "calls_seen": graph.calls_seen,
             "calls_resolved": graph.calls_resolved,
-            **cfg_stats(graph.cfgs),
         },
     )
 

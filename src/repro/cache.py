@@ -146,26 +146,16 @@ class ExperimentCache:
         so every process derives identical keys."""
         return self.spec.slice_analysis()
 
-    def _site_slice(self, site_id: str) -> Dict[str, Any]:
-        """Slice component of an experiment key: the injected site's slice
-        digest, or — when the slicer could not bind the site to code, or
-        the system declares no source modules — the whole-spec digest
-        with an explicit fallback reason."""
+    def _slice(self, ident: str, *, entry: bool = False) -> Dict[str, Any]:
+        """Slice component of a key: the slice digest of an injected site
+        (of a test's workload entry point when ``entry``), or — when the
+        slicer could not bind it to code, or the system declares no
+        source modules — the whole-spec digest with an explicit fallback
+        reason."""
         slices = self._slices()
         if slices is None:
             return {"digest": None, "reason": "no_source_analysis", "spec": self.spec_digest}
-        digest = slices.site_digests.get(site_id)
-        if digest is None:
-            return {"digest": None, "reason": "slice_unresolved", "spec": self.spec_digest}
-        return {"digest": digest}
-
-    def _entry_slice(self, test_id: str) -> Dict[str, Any]:
-        """Slice component of a profile key: the closure from the test's
-        workload entry point."""
-        slices = self._slices()
-        if slices is None:
-            return {"digest": None, "reason": "no_source_analysis", "spec": self.spec_digest}
-        digest = slices.entry_digests.get(test_id)
+        digest = (slices.entry_digests if entry else slices.site_digests).get(ident)
         if digest is None:
             return {"digest": None, "reason": "slice_unresolved", "spec": self.spec_digest}
         return {"digest": digest}
@@ -197,7 +187,7 @@ class ExperimentCache:
         """Key of the fault-free profile run group of ``test_id``."""
         return self._digest(
             "profile",
-            {"test_id": test_id, "slice": self._entry_slice(test_id)},
+            {"test_id": test_id, "slice": self._slice(test_id, entry=True)},
             test_id=test_id,
         )
 
@@ -216,7 +206,7 @@ class ExperimentCache:
                 "plans": [plan_to_obj(p) for p in plans],
                 # Slice union over every site the plans touch: one entry
                 # per site so any constituent's code change misses.
-                "slices": [[site, self._site_slice(site)] for site in touched],
+                "slices": [[site, self._slice(site)] for site in touched],
             },
             test_id=test_id,
         )

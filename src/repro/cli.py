@@ -159,19 +159,16 @@ def _execution_overrides(args: argparse.Namespace) -> dict:
         # "use the machine": one worker per core.
         overrides.setdefault("experiment_workers", os.cpu_count() or 1)
     cache_dir = _cache_dir(args)
-    if cache_dir is not None or getattr(args, "no_cache", False):
-        overrides["cache_dir"] = cache_dir  # --no-cache: an explicit None
+    if cache_dir is not None:
+        overrides["cache_dir"] = cache_dir
     return overrides
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """Resolve the --cache/--no-cache/--cache-dir flags to a directory.
+    """Resolve the --cache/--cache-dir flags to a directory.
 
-    ``--no-cache`` wins over everything; ``--cache-dir DIR`` selects DIR;
-    bare ``--cache`` uses ``.repro-cache``.
+    ``--cache-dir DIR`` selects DIR; bare ``--cache`` uses ``.repro-cache``.
     """
-    if getattr(args, "no_cache", False):
-        return None
     explicit = getattr(args, "cache_dir", None)
     if explicit:
         return explicit
@@ -705,10 +702,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="enable the experiment cache rooted at DIR",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the experiment cache even if --cache/--cache-dir is set",
     )
 
 

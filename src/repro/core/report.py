@@ -33,8 +33,7 @@ def _bug_from_obj(obj: Dict[str, Any]) -> KnownBug:
         description=obj["description"],
         signature=obj["signature"],
         core_faults=frozenset(fault_from_obj(f) for f in obj["core_faults"]),
-        # .get: reports persisted before trigger faults existed stay readable.
-        trigger_faults=frozenset(fault_from_obj(f) for f in obj.get("trigger_faults", [])),
+        trigger_faults=frozenset(fault_from_obj(f) for f in obj["trigger_faults"]),
         alt_detectable=obj["alt_detectable"],
         jira=obj["jira"],
     )
@@ -162,8 +161,7 @@ class DetectionReport:
             budget_used=obj["budget_used"],
             runs_executed=obj["runs_executed"],
             n_edges=obj["n_edges"],
-            # .get: reports persisted before schedule support lack it.
-            aborted_step_limit=obj.get("aborted_step_limit", 0),
+            aborted_step_limit=obj["aborted_step_limit"],
             cycles=[cycle_from_obj(c) for c in obj["cycles"]],
             cycle_clusters=[
                 CycleCluster(

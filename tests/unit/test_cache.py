@@ -255,14 +255,13 @@ def test_experiment_roundtrip_preserves_runs_counter(tmp_path):
 
 def test_cli_cache_dir_resolution():
     def ns(**kw):
-        base = dict(cache=False, cache_dir=None, no_cache=False)
+        base = dict(cache=False, cache_dir=None)
         base.update(kw)
         return argparse.Namespace(**base)
 
     assert _cache_dir(ns()) is None
     assert _cache_dir(ns(cache_dir="/x")) == "/x"
     assert _cache_dir(ns(cache=True)) == ".repro-cache"
-    assert _cache_dir(ns(cache=True, cache_dir="/x", no_cache=True)) is None
 
 
 def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monkeypatch):

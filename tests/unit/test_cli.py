@@ -248,7 +248,6 @@ def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
         ["--backend", "remote", "--manager", "http://127.0.0.1:1", "--workers", "2"],
         ["--cache"],
         ["--cache-dir", str(tmp_path / "c")],
-        ["--cache", "--no-cache"],
         [],
     ):
         args = parser.parse_args(["run", "toy"] + flags)
@@ -264,7 +263,6 @@ def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
     assert _execution_overrides(parser.parse_args(run + ["--cache"])) == {
         "cache_dir": ".repro-cache"
     }
-    assert _execution_overrides(parser.parse_args(run + ["--no-cache"])) == {"cache_dir": None}
 
 
 def test_diff_run_rejects_unresolvable_operand(tmp_path, capsys):

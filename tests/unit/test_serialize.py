@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.report import DetectionReport
 from repro.instrument.plan import InjectionPlan
 from repro.serialize import (
@@ -168,3 +170,11 @@ def test_report_dict_has_stable_summary_block():
     obj = report.to_dict()
     assert obj["summary"]["bugs_total"] == 0
     assert DetectionReport.from_dict(obj).system == "toy"
+
+
+def test_report_dict_without_aborted_step_limit_is_rejected():
+    # reports are read back only by the version that wrote them: no defaults
+    obj = DetectionReport(system="toy").to_dict()
+    del obj["aborted_step_limit"]
+    with pytest.raises(KeyError, match="aborted_step_limit"):
+        DetectionReport.from_dict(obj)

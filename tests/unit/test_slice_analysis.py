@@ -14,9 +14,8 @@ from repro.analysis import (
     module_relpath,
     resolve_provider,
 )
-from repro.analysis.astutil import collect_module, digest_node, strip_docstrings
+from repro.analysis.astutil import collect_module, digest_node
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.cfg import build_cfg, cfg_stats
 from repro.instrument.sites import FaultSite
 from repro.types import FaultKey, InjKind, SiteKind
 
@@ -140,59 +139,11 @@ def test_digest_changes_on_executable_edit():
     assert digest_node(fn) != digest_node(fn2)
 
 
-def test_strip_docstrings_leaves_a_nonempty_body():
+def test_docstring_only_function_digests_like_pass():
+    # the stripped body keeps a placeholder rather than going empty
     fn = ast.parse("def f():\n    'only a docstring'\n").body[0]
-    stripped = strip_docstrings(fn)
-    assert len(stripped.body) == 1  # placeholder, not an empty (invalid) body
-
-
-# -------------------------------------------------------------------- cfg
-
-
-def _fn(source):
-    return ast.parse(source).body[0]
-
-
-def test_cfg_marks_code_after_return_dead():
-    cfg = build_cfg(_fn("def f():\n    return 1\n    helper()\n"))
-    dead = [
-        stmt
-        for block in cfg.blocks
-        if block.index not in cfg.reachable_blocks
-        for stmt in block.statements
-    ]
-    assert any(isinstance(s, ast.Expr) for s in dead)
-    live = cfg.reachable_statements()
-    assert all(not isinstance(s, ast.Expr) for s in live)
-
-
-def _live_stmts(cfg):
-    return cfg.reachable_statements()
-
-
-def test_cfg_loop_has_back_edge_and_exit_edge():
-    cfg = build_cfg(_fn("def f(xs):\n    for x in xs:\n        x + 1\n    return 0\n"))
-    # loop body and the statement after the loop are both live
-    assert len(_live_stmts(cfg)) == 3  # for, body expr, return
-    has_back_edge = any(
-        succ < block.index for block in cfg.blocks for succ in block.successors
-    )
-    assert has_back_edge
-
-
-def test_cfg_if_false_branch_still_live():
-    # no constant folding: ``if False:`` bodies still count as live
-    cfg = build_cfg(_fn("def f():\n    if False:\n        helper()\n    return 0\n"))
-    assert len(_live_stmts(cfg)) == 3  # if, call, return
-
-
-def test_cfg_stats_counts_dead_blocks():
-    cfgs = {
-        "k": build_cfg(_fn("def f():\n    return 1\n    helper()\n")),
-    }
-    stats = cfg_stats(cfgs)
-    assert stats["dead_blocks"] >= 1
-    assert stats["cfg_blocks"] > stats["dead_blocks"]
+    fn2 = ast.parse("def f():\n    pass\n").body[0]
+    assert digest_node(fn) == digest_node(fn2)
 
 
 # -------------------------------------------------------------- call graph
@@ -220,10 +171,53 @@ def test_call_graph_resolves_callback_arguments():
     assert "demo.a:Service.handle" in graph.edges["demo.a:register"]
 
 
-def test_call_graph_skips_statically_dead_calls():
-    # util(99) sits after an unconditional return
-    graph = _graph()
-    assert graph.edges["demo.a:Service.retired"] == ()
+HARVEST = """\
+def a():
+    return 1
+    after_return()
+
+
+def b():
+    if False:
+        under_if_false()
+
+
+def c(xs):
+    for x in xs:
+        in_loop(x)
+
+
+def d():
+    try:
+        pass
+    except ValueError:
+        in_handler()
+
+
+def e():
+    def inner(x=in_default()):
+        in_nested_body()
+
+
+def after_return(): pass
+def under_if_false(): pass
+def in_loop(x): pass
+def in_handler(): pass
+def in_default(): pass
+def in_nested_body(): pass
+"""
+
+
+def test_call_graph_harvests_every_call_in_a_function_body():
+    # no dead-code pruning: every call in the body makes an edge, and a
+    # nested def's default runs in its host while its body does not
+    graph = build_call_graph({"demo.h": collect_module("demo.h", HARVEST)})
+    assert graph.edges["demo.h:a"] == ("demo.h:after_return",)
+    assert graph.edges["demo.h:b"] == ("demo.h:under_if_false",)
+    assert graph.edges["demo.h:c"] == ("demo.h:in_loop",)
+    assert graph.edges["demo.h:d"] == ("demo.h:in_handler",)
+    assert graph.edges["demo.h:e"] == ("demo.h:in_default",)
+    assert graph.edges["demo.h:e.<locals>.inner"] == ("demo.h:in_nested_body",)
 
 
 def test_call_graph_resolves_nested_functions():
@@ -314,8 +308,7 @@ def test_slicer_digest_changes_only_for_affected_slices():
     edited["demo.b"] = MOD_B.replace("return x + 1", "return x + 2")
     base = analyze_sources("demo", SOURCES, SITES, ENTRIES)
     after = analyze_sources("demo", edited, SITES, ENTRIES)
-    # util is in handle's and step's slices but not in retired's closure
-    # (retired's call to util is statically dead) or shared_*'s
+    # util is in handle's and step's slices but not in shared_*'s
     assert after.site_digests["svc.handle.scan"] != base.site_digests["svc.handle.scan"]
     assert after.site_digests["svc.step.is_big"] != base.site_digests["svc.step.is_big"]
     assert after.site_digests["svc.shared.check"] == base.site_digests["svc.shared.check"]
@@ -482,9 +475,9 @@ def test_minihdfs_cache_entries_key_on_slice_digests(name, tmp_path):
 
     cache = ExperimentCache(tmp_path, spec, CSnakeConfig(cache_dir=str(tmp_path)))
     for site_id in sorted(selected):
-        component = cache._site_slice(site_id)
+        component = cache._slice(site_id)
         assert "reason" not in component, (site_id, component)
         assert component["digest"] == slices.site_digests[site_id]
     for test_id in spec.workload_ids():
-        component = cache._entry_slice(test_id)
+        component = cache._slice(test_id, entry=True)
         assert "reason" not in component, (test_id, component)
