@@ -84,15 +84,20 @@ class BlackboxFuzzer:
                 env = SimEnv(workload.sim_config, seed=seed)
                 runtime.bind_env(env)
                 env.runtime = runtime
-                workload.setup(env, runtime)
-                self._schedule_chaos(env, rng, result)
-                env.run(workload.duration_ms)
+                try:
+                    workload.setup(env, runtime)
+                    self._schedule_chaos(env, rng, result)
+                    env.run(workload.duration_ms)
+                    saturated = env.saturated
+                finally:
+                    env.close()
+                    runtime.close()
                 result.runs += 1
-                if env.saturated:
+                if saturated:
                     result.saturated_runs += 1
                 natural = trace.natural_faults()
                 for bug in self.spec.known_bugs:
-                    if bug.core_faults <= natural and env.saturated:
+                    if bug.core_faults <= natural and saturated:
                         triggered[bug.bug_id] = True
         result.detected_bugs = triggered
         return result

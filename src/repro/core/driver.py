@@ -77,14 +77,20 @@ def run_workload(
     env = SimEnv(workload.sim_config, seed=seed)
     env.runtime = runtime
     runtime.bind_env(env)
-    if plan is not None:
-        # Code-level kinds are armed by the runtime hooks; environment
-        # kinds schedule their disturbance on the sim here (a no-op arm
-        # for the classic models).
-        model_for(plan.fault.kind).arm(env, runtime, plan)
-    workload.setup(env, runtime)
-    env.run(workload.duration_ms)
-    trace.saturated = env.saturated
+    try:
+        if plan is not None:
+            # Code-level kinds are armed by the runtime hooks; environment
+            # kinds schedule their disturbance on the sim here (a no-op arm
+            # for the classic models).
+            model_for(plan.fault.kind).arm(env, runtime, plan)
+        workload.setup(env, runtime)
+        env.run(workload.duration_ms)
+        trace.saturated = env.saturated
+    finally:
+        # The world is cyclic garbage now; torn down, reference counting
+        # frees it and the cycle collector has nothing to find.
+        env.close()
+        runtime.close()
     return trace
 
 

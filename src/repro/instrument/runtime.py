@@ -179,6 +179,24 @@ class Runtime:
         """Attach the simulation environment (needed for delay injection)."""
         self.env = env
 
+    def close(self) -> None:
+        """Unlink the finished run's path trie and environment, so reference
+        counting frees them: each trie node holds its children and each
+        child its parent, and the environment holds this runtime back.
+
+        ``trace`` stays whole; it is what the run returns.  Use after close
+        is not checked here: hooks are reached through nodes, and every
+        node of a closed :class:`~repro.sim.SimEnv` raises
+        ``AttributeError`` when touched.
+        """
+        paths = [self._empty]
+        for node in paths:
+            paths.extend(node.taken.values())
+            paths.extend(node.not_taken.values())
+            node.taken.clear()
+            node.not_taken.clear()
+        self.env = None
+
     # ------------------------------------------------------------- internals
 
     def _now(self) -> float:

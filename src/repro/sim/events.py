@@ -174,6 +174,30 @@ class SimEnv:
         finally:
             self.now = loop_time
 
+    def close(self) -> None:
+        """Tear the finished run's world down so reference counting frees it.
+
+        Nodes hold the environment and each other (peers, clients, the
+        runtime), and pending heap entries hold handlers bound to them, so
+        a finished world is one big cycle.  Closing drops the heap, the
+        running stack, crash watermarks, partitions, drop rules and
+        ``runtime``, and empties every registered node.  What was read
+        before, ``saturated`` and ``events_processed``, stays.
+
+        Use after close is loud, not checked: reading any attribute of a
+        registered node (its ``name``, ``crashed``, its peers) raises
+        ``AttributeError``.  :meth:`run`, :meth:`schedule_at` and
+        :meth:`rpc` test for no "closed" state, so no event pays for this.
+        """
+        for node in self.nodes:
+            vars(node).clear()
+        self._heap.clear()
+        self._running.clear()
+        self._dropped_before.clear()
+        self._partitions.clear()
+        self._drop_rules.clear()
+        self.runtime = None
+
     # ---------------------------------------------------------------- network
 
     def partition(self, a: Any, b: Any) -> None:
@@ -264,27 +288,31 @@ class SimEnv:
         busy = getattr(dst, "busy_until", 0.0)
         self.now = busy if busy > arrival else arrival
         running.append(dst)
-        error: Optional[SimFault] = None
-        result: Any = None
         try:
-            result = fn(*args)
-        except SimFault as exc:
-            error = exc
-        finally:
-            end = self.now
-            self.now = t_call
-            running.pop()
-            dst.busy_until = end if end > busy else busy
-        if error is not None and isinstance(error, NodeCrashed):
+            try:
+                result = fn(*args)
+            finally:
+                end = self.now
+                self.now = t_call
+                running.pop()
+                dst.busy_until = end if end > busy else busy
+        except NodeCrashed as exc:
             self.now = t_call + timeout
-            raise RpcTimeout("rpc %s -> %s: %s" % (src.name, dst.name, error))
-        reply_at = end + (latency + jitter * rng.random() if jitter else latency)
-        if reply_at - t_call > timeout:
-            self.now = t_call + timeout
-            raise RpcTimeout(
-                "rpc %s -> %s took %.0fms (> %.0fms)" % (src.name, dst.name, reply_at - t_call, timeout)
-            )
-        self.now = reply_at
-        if error is not None:
-            raise error
-        return result
+            raise RpcTimeout("rpc %s -> %s: %s" % (src.name, dst.name, exc))
+        except SimFault:
+            # The fault travels back like a reply.  In time, it is re-raised
+            # bare from here: no local keeps it, so no exception ->
+            # traceback -> frame cycle outlives the call.
+            reply_at = end + (latency + jitter * rng.random() if jitter else latency)
+            if reply_at - t_call <= timeout:
+                self.now = reply_at
+                raise
+        else:
+            reply_at = end + (latency + jitter * rng.random() if jitter else latency)
+            if reply_at - t_call <= timeout:
+                self.now = reply_at
+                return result
+        self.now = t_call + timeout
+        raise RpcTimeout(
+            "rpc %s -> %s took %.0fms (> %.0fms)" % (src.name, dst.name, reply_at - t_call, timeout)
+        )

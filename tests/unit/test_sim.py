@@ -325,3 +325,24 @@ class TestSendAndSaturation:
         env = make_env()
         with pytest.raises(ValueError):
             env.spin(-1.0)
+
+
+class TestClose:
+    def test_a_node_of_a_closed_env_is_empty_and_loud(self):
+        env = make_env()
+        a, b = Node(env, "a"), Node(env, "b")
+        a.peer = b
+        env.schedule_at(1.0, a, a.crash)
+        env.schedule_at(50.0, b, lambda: None)
+        env.run(10.0)
+        env.close()
+        assert env.events_processed == 1 and not env.saturated
+        assert env.nodes == [a, b] and vars(a) == {} and vars(b) == {}
+        with pytest.raises(AttributeError):
+            a.name
+        with pytest.raises(AttributeError):
+            a.peer
+        with pytest.raises(AttributeError):
+            b.check_alive()
+        with pytest.raises(AttributeError):
+            env.node_named("a")
