@@ -44,7 +44,7 @@ from .analysis.slicer import workload_entries
 from .analysis.source import analyzer_digest
 from .config import CSnakeConfig
 from .core.fca import FcaResult
-from .faults import fault_models_digest, model_for, schedules_digest
+from .faults import fault_models_digest, model_for
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .serialize import (
@@ -99,6 +99,11 @@ _T = TypeVar("_T")
 #: The ``slices`` entry kind was added without a bump: it changes no
 #: existing key or codec, so a schema-4 cache written before it replays
 #: fully warm and merely gains the one entry.
+#:
+#: The ``schedules`` key component left without a bump when schedules
+#: joined the one fault-model registry: ``fault_models`` now covers them.
+#: Every key changed but no codec did, so a schema-5 cache written before
+#: reads as clean misses, never as corrupt or stale entries.
 CACHE_SCHEMA = 5
 
 
@@ -120,7 +125,6 @@ class ExperimentCache:
         self.spec_digest = spec.digest()
         self.sites_digest = spec.sites_digest()
         self.models_digest = fault_models_digest()
-        self.schedules_digest = schedules_digest()
         self.config_snapshot = config.result_affecting()
         # What a stored slice analysis additionally depends on: the
         # analyzer's own source (a smarter call graph must never replay a
@@ -172,11 +176,10 @@ class ExperimentCache:
             # This test's declared duration and sim config; *other*
             # workloads cannot affect this entry and are not keyed.
             "workload": self.spec.workload_row(test_id),
-            # Registry fingerprints: registering or revising a fault model
-            # or a fault schedule shifts every key, so results computed
+            # Registry fingerprint: registering or revising a fault model
+            # (a schedule is one) shifts every key, so results computed
             # under a different fault vocabulary can never replay as hits.
             "fault_models": self.models_digest,
-            "schedules": self.schedules_digest,
             "config": self.config_snapshot,
         }
         material.update(payload)

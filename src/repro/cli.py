@@ -24,15 +24,7 @@ from .config import CSnakeConfig
 from .core.driver import ExperimentDriver
 from .core.report import DetectionReport
 from .errors import ReproError
-from .faults import (
-    all_models,
-    all_schedules,
-    expand_kinds,
-    expand_schedules,
-    registered_kinds,
-    registered_schedules,
-    schedule_model_for,
-)
+from .faults import expand_kinds, model_for, registered_kinds, registered_schedules
 from .pipeline import BACKENDS, Pipeline, ProgressPrinter
 from .systems import available_systems, get_system
 from .types import FaultKey, InjKind
@@ -67,7 +59,7 @@ def _parse_delays(text: str) -> tuple:
 def _parse_sweeps(entries: List[str]) -> tuple:
     """``--sweep KIND=V1,V2,...`` entries -> config ``sweep_overrides``."""
     overrides = []
-    known = registered_kinds() + registered_schedules()
+    known = registered_kinds()
     for entry in entries:
         kind, eq, values = entry.partition("=")
         kind = kind.strip()
@@ -78,6 +70,12 @@ def _parse_sweeps(entries: List[str]) -> tuple:
             )
         overrides.append((kind, _parse_floats(values, "--sweep %s" % kind)))
     return tuple(overrides)
+
+
+def _parse_schedules(text: str) -> tuple:
+    """``--schedules``: ``all`` (every registered schedule) or a
+    comma-separated list of them."""
+    return tuple(registered_schedules()) if text == "all" else expand_kinds(text)
 
 
 #: Every config-bound flag, spelled here and nowhere else.  A row is
@@ -94,7 +92,7 @@ _EXPERIMENT_FLAGS = (
         "shorthand for --sweep delay=MS,MS,...",
     )),
     ("--fault-kinds", "fault_kinds", expand_kinds, dict(metavar="K,K,...|all|classic")),
-    ("--schedules", "schedules", expand_schedules, dict(metavar="S,S,...|all")),
+    ("--schedules", "schedules", _parse_schedules, dict(metavar="S,S,...|all")),
     ("--adaptive-budget", "adaptive_budget", None, dict(action="store_true")),
     ("--sweep", "sweep_overrides", _parse_sweeps, dict(
         action="append", metavar="KIND=V1,V2,...",
@@ -141,6 +139,13 @@ def _flag_params(args: argparse.Namespace, rows: Sequence[tuple]) -> Dict[str, A
             except ValueError as exc:
                 raise SystemExit(str(exc))
     return params
+
+
+def _fault_space_kinds(args: argparse.Namespace) -> tuple:
+    """The kinds ``analyze`` and ``diff-run`` select a fault space over:
+    the ``--fault-kinds`` and ``--schedules`` passed (else the defaults)."""
+    config = CSnakeConfig(**_flag_params(args, _FAULT_SPACE_FLAGS))
+    return config.fault_kinds + config.schedules
 
 
 def _config(args: argparse.Namespace) -> CSnakeConfig:
@@ -252,7 +257,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     """List registered fault models and per-system environment sites."""
     config = CSnakeConfig()
     print("registered fault models:")
-    for model in all_models():
+    for model in map(model_for, expand_kinds("all")):
         targets = ",".join(k.value for k in model.site_kinds)
         sweep = model.sweep_spec(config)
         if sweep:
@@ -268,7 +273,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             % (model.kind_id, model.char, targets, knobs, flags)
         )
     print("registered fault schedules:")
-    for schedule in all_schedules():
+    for schedule in (model_for(name).schedule for name in registered_schedules()):
         events = "; ".join(
             "%s@%s+%gms%s" % (
                 ev.kind_id,
@@ -294,8 +299,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for name in systems:
         spec = get_system(name)
         for schedule_name in registered_schedules():
-            model = schedule_model_for(schedule_name)
-            anchors = model.anchor_sites(spec.registry)
+            model = model_for(schedule_name)
+            anchors = [
+                s.site_id for s in spec.registry.env_sites()
+                if s.kind in model.site_kinds and model.injects_at(s.site_id, spec.registry)
+            ]
             print(
                 "  %-12s %-24s %s"
                 % (name, schedule_name, ", ".join(anchors) or "(none)")
@@ -322,7 +330,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     spec = get_system(args.system)
     slices = spec.slice_analysis()
-    result = analyze(spec.registry, slices=slices, **_flag_params(args, _FAULT_SPACE_FLAGS))
+    result = analyze(spec.registry, _fault_space_kinds(args), slices=slices)
     if args.json:
         obj = {"analysis": analysis_to_obj(result), "slices": None}
         if slices is not None:
@@ -435,9 +443,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     old_slices = analyze_system(spec, old_provider.sources(spec.source_modules))
     new_slices = analyze_system(spec, new_provider.sources(spec.source_modules))
     sdiff = diff_slices(old_slices, new_slices)
-    analysis = analyze(
-        spec.registry, slices=new_slices, **_flag_params(args, _FAULT_SPACE_FLAGS)
-    )
+    analysis = analyze(spec.registry, _fault_space_kinds(args), slices=new_slices)
     invalidated, reusable = sdiff.partition_faults(analysis.faults)
 
     payload = {

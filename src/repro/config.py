@@ -229,10 +229,9 @@ class CSnakeConfig:
             )
         from . import faults  # deferred: faults never imports config
 
-        kinds, schedules = faults.registered_kinds(), faults.registered_schedules()
         for what, named, known in (
-            ("fault kind(s)", self.fault_kinds, kinds),
-            ("fault schedule(s)", self.schedules, schedules),
+            ("fault kind(s)", self.fault_kinds, faults.expand_kinds("all")),
+            ("fault schedule(s)", self.schedules, faults.registered_schedules()),
         ):
             unknown = [n for n in named if n not in known]
             if unknown:
@@ -241,7 +240,7 @@ class CSnakeConfig:
                     % (what, ", ".join(unknown), ", ".join(sorted(known)))
                 )
         for kind, values in self.sweep_overrides:
-            if kind not in kinds and kind not in schedules:
+            if kind not in faults.registered_kinds():
                 raise ConfigError(
                     "sweep override names unknown fault kind or schedule %r" % (kind,)
                 )

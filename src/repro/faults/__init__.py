@@ -13,11 +13,19 @@ Bundled models:
   negation — bit-identical to their pre-registry behaviour;
 * three environment kinds (:mod:`repro.faults.environment`) —
   ``node_crash``, ``partition``, ``msg_drop`` — targeting the environment
-  sites a system declares via :class:`EnvFaultPort`.
+  sites a system declares via :class:`EnvFaultPort`;
+* two composed fault schedules (:mod:`repro.faults.schedule`) —
+  ``membership_churn``, ``partition_during_restart`` — each a
+  :class:`ScheduleFaultModel` anchored at ``ENV_NODE`` sites.
 
-:func:`fault_models_digest` fingerprints the registered models and is a
+One table, ``_MODELS``, holds them all: a schedule is a registered kind
+like any other, told apart only where the config keeps the two lists
+(``expand_kinds("all")`` is the single-fault kinds, ``CSnakeConfig.schedules``
+and :func:`registered_schedules` the composed ones).
+:func:`fault_models_digest` fingerprints every registered model and is a
 component of every experiment-cache key: registering, versioning, or
-changing a model invalidates cached results that could now differ.
+changing a model or a schedule invalidates cached results that could now
+differ.
 """
 
 from __future__ import annotations
@@ -26,10 +34,11 @@ import hashlib
 import json
 from typing import Dict, Iterable, List, Tuple, Union
 
-from ..types import InjKind, SiteKind, register_primary_kind
+from ..types import InjKind, SiteKind
 from .base import INJECTION_WARMUP_MS, EnvFaultPort, FaultModel
 from .classic import DelayFault, ExceptionFault, NegationFault
 from .environment import ENV_STATE, MsgDropFault, NodeCrashFault, PartitionFault
+from .schedule import FaultSchedule, ScheduleFaultModel, TimedFault, overlap, seq, stagger, timed
 
 #: Registered models by kind id, in registration order.
 _MODELS: Dict[str, FaultModel] = {}
@@ -39,51 +48,43 @@ CLASSIC_FAULT_KINDS: Tuple[str, ...] = ("exception", "delay", "negation")
 
 
 def register(model: FaultModel) -> FaultModel:
-    """Register a fault model, interning its kind handle.
-
-    Re-registering the same kind id replaces the model (supported for
-    tests); the interned :class:`InjKind` instance is stable either way.
-    """
+    """Register a fault model (a schedule is one too), interning its kind
+    handle.  A kind id names one model for good: registering a second
+    model under a registered id is a ``ValueError``."""
     if not model.kind_id:
         raise ValueError("a fault model needs a non-empty kind_id")
+    if model.kind_id in _MODELS:
+        raise ValueError("fault kind %r is already registered" % model.kind_id)
     InjKind._intern(model.kind_id)
-    for site_kind in model.primary_site_kinds:
-        register_primary_kind(site_kind, InjKind(model.kind_id))
     _MODELS[model.kind_id] = model
     return model
 
 
 def model_for(kind: Union[str, InjKind]) -> FaultModel:
-    """The registered model behind a kind id or :class:`InjKind` handle.
-
-    Falls back to the fault-*schedule* registry (``repro.faults.schedule``)
-    so a composed kind resolves everywhere a single-fault kind does —
-    plan validation, serialization codecs, FCA edge typing, signature
-    chars — without entering ``_MODELS`` (``expand_kinds("all")`` and
-    ``fault_models_digest()`` stay schedule-free).
-    """
+    """The registered model behind a kind id or :class:`InjKind` handle."""
     kind_id = kind.value if isinstance(kind, InjKind) else kind
-    model = _MODELS.get(kind_id)
-    if model is not None:
-        return model
-    from . import schedule as _schedule  # deferred: schedule imports this package
-
-    sched = _schedule._SCHEDULES.get(kind_id)
-    if sched is not None:
-        return sched
-    raise ValueError(
-        "no fault model registered for kind %r (known: %s)"
-        % (kind_id, ", ".join(list(_MODELS) + list(_schedule._SCHEDULES)))
-    )
+    try:
+        return _MODELS[kind_id]
+    except KeyError:
+        raise ValueError(
+            "no fault model registered for kind %r (known: %s)"
+            % (kind_id, ", ".join(_MODELS))
+        ) from None
 
 
 def all_models() -> List[FaultModel]:
-    """Every registered model, in registration order."""
+    """Every registered model, schedules included, in registration order."""
     return list(_MODELS.values())
 
 
 def registered_kinds() -> List[str]:
+    """Every registered kind id, schedules included, in registration order."""
     return list(_MODELS)
+
+
+def registered_schedules() -> List[str]:
+    """The registered kind ids that are composed schedules."""
+    return [k for k, m in _MODELS.items() if isinstance(m, ScheduleFaultModel)]
 
 
 def models_for_site_kind(site_kind: SiteKind) -> List[FaultModel]:
@@ -94,13 +95,15 @@ def models_for_site_kind(site_kind: SiteKind) -> List[FaultModel]:
 def expand_kinds(text: Union[str, Iterable[str]]) -> Tuple[str, ...]:
     """Resolve a ``--fault-kinds`` value to a tuple of kind ids.
 
-    Accepts ``"all"`` (every registered kind), ``"classic"`` (the paper's
-    three), a comma-separated string, or an iterable of ids.  Unknown ids
-    raise ``ValueError`` listing what is registered.
+    Accepts ``"all"`` (every registered single-fault kind — schedules are
+    opted into through ``CSnakeConfig.schedules``), ``"classic"`` (the
+    paper's three), a comma-separated string, or an iterable of ids.
+    Unknown ids raise ``ValueError`` listing what is registered.
     """
     if isinstance(text, str):
         if text == "all":
-            return tuple(_MODELS)
+            schedules = registered_schedules()
+            return tuple(k for k in _MODELS if k not in schedules)
         if text == "classic":
             return CLASSIC_FAULT_KINDS
         names = tuple(n.strip() for n in text.split(",") if n.strip())
@@ -122,7 +125,8 @@ def fault_models_digest() -> str:
 
     A component of every experiment-cache key (see ``repro.cache``): any
     change to the set of registered models or to a model's declared
-    semantics (its ``version``, targets, parameters) shifts this digest,
+    semantics (its ``version``, targets, parameters, a schedule's
+    composition) shifts this digest,
     so cached results produced under a different fault vocabulary read as
     clean misses instead of stale hits.
     """
@@ -130,32 +134,41 @@ def fault_models_digest() -> str:
     return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
 
-# Bundled models: the paper's three kinds, then the environment kinds.
+# Bundled models: the paper's three kinds, the environment kinds, then the
+# schedules composing them (``timed`` accepts registered single-fault kinds).
 register(ExceptionFault())
 register(DelayFault())
 register(NegationFault())
 register(NodeCrashFault())
 register(PartitionFault())
 register(MsgDropFault())
-
-# Compositional fault schedules live in their own registry; importing the
-# module (after the single-fault kinds exist — schedules compose them)
-# registers the bundled schedules and re-exports the combinator API.
-from .schedule import (  # noqa: E402  (models must register first)
-    FaultSchedule,
-    ScheduleFaultModel,
-    TimedFault,
-    all_schedules,
-    expand_schedules,
-    overlap,
-    register_schedule,
-    registered_schedules,
-    schedule_for,
-    schedule_model_for,
-    schedules_digest,
-    seq,
-    stagger,
-    timed,
+register(
+    ScheduleFaultModel(
+        FaultSchedule(
+            name="membership_churn",
+            char="M",
+            description="rolling crash/restart wave across every cluster node, "
+            "anchor node first",
+            events=stagger(
+                timed("node_crash", site="nodes", restart_ms=10_000.0), step_ms=15_000.0
+            ),
+        )
+    )
+)
+register(
+    ScheduleFaultModel(
+        FaultSchedule(
+            name="partition_during_restart",
+            char="R",
+            description="crash/restart the anchor node and cut its first link "
+            "while it recovers",
+            events=overlap(
+                timed("node_crash", site="primary", restart_ms=20_000.0),
+                timed("partition", site="adjacent_link", offset_ms=5_000.0,
+                      duration_ms=40_000.0),
+            ),
+        )
+    )
 )
 
 __all__ = [
@@ -168,6 +181,7 @@ __all__ = [
     "model_for",
     "all_models",
     "registered_kinds",
+    "registered_schedules",
     "models_for_site_kind",
     "expand_kinds",
     "fault_models_digest",
@@ -178,11 +192,4 @@ __all__ = [
     "seq",
     "overlap",
     "stagger",
-    "register_schedule",
-    "schedule_for",
-    "schedule_model_for",
-    "all_schedules",
-    "registered_schedules",
-    "expand_schedules",
-    "schedules_digest",
 ]

@@ -7,7 +7,7 @@ one kind of injectable fault:
   :class:`~repro.types.InjKind`) and ``char`` (its letter in cycle
   signatures like ``1D|1E|0N``);
 * **target sites** — which :class:`~repro.types.SiteKind` values host it,
-  and whether it is the *primary* kind of those site kinds;
+  and (:meth:`injects_at`) which sites of those kinds it can inject at;
 * **parameter sweep** — the plan sweep one budget unit expands to
   (:meth:`plans_for`): the model's default sweep (``delay``'s is
   ``CSnakeConfig.delay_values_ms``), overridable per kind via ``--sweep``;
@@ -54,9 +54,6 @@ class FaultModel:
     char: str = "?"
     #: Site kinds this model injects at.
     site_kinds: Tuple[SiteKind, ...] = ()
-    #: Site kinds for which this model is the *primary* kind (what
-    #: ``FaultSite.fault_key`` resolves to).  Subset of ``site_kinds``.
-    primary_site_kinds: Tuple[SiteKind, ...] = ()
     #: Table-1 source class: ``True`` puts this kind's edges in the
     #: delay family (``E(D)``/``S+(D)``), ``False`` in the instantaneous
     #: family (``E(I)``/``S+(I)``).
@@ -88,6 +85,12 @@ class FaultModel:
             self.environment,
             list(self.param_names),
         ]
+
+    def injects_at(self, site_id: str, registry: "SiteRegistry") -> bool:
+        """Whether this model can inject at ``site_id``, a site of one of
+        its ``site_kinds`` in ``registry``: yes, unless the model needs
+        more of the topology around the site than it has (schedules)."""
+        return True
 
     # ---------------------------------------------------------------- plans
 

@@ -14,7 +14,6 @@ class ExceptionFault(FaultModel):
     kind_id = "exception"
     char = "E"
     site_kinds = (SiteKind.THROW, SiteKind.LIB_CALL)
-    primary_site_kinds = (SiteKind.THROW, SiteKind.LIB_CALL)
 
 
 class DelayFault(FaultModel):
@@ -24,7 +23,6 @@ class DelayFault(FaultModel):
     kind_id = "delay"
     char = "D"
     site_kinds = (SiteKind.LOOP,)
-    primary_site_kinds = (SiteKind.LOOP,)
     delay_like = True
 
     def sweep_spec(self, config) -> Dict[str, Tuple[float, ...]]:
@@ -53,4 +51,3 @@ class NegationFault(FaultModel):
     kind_id = "negation"
     char = "N"
     site_kinds = (SiteKind.DETECTOR,)
-    primary_site_kinds = (SiteKind.DETECTOR,)

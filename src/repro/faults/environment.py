@@ -89,7 +89,6 @@ class NodeCrashFault(EnvironmentFaultModel):
     kind_id = "node_crash"
     char = "C"
     site_kinds = (SiteKind.ENV_NODE,)
-    primary_site_kinds = (SiteKind.ENV_NODE,)
     param_names = ("restart_ms",)
     #: A quick crash-recover bounce and a long outage.
     default_sweep = (10_000.0, 40_000.0)
@@ -126,7 +125,6 @@ class PartitionFault(EnvironmentFaultModel):
     kind_id = "partition"
     char = "P"
     site_kinds = (SiteKind.ENV_LINK,)
-    primary_site_kinds = (SiteKind.ENV_LINK,)
     param_names = ("duration_ms",)
     #: One cut shorter and one longer than the reduced 10-20 s timeouts
     #: (§4.2).

@@ -13,30 +13,29 @@ offset.  Compositions are built with three combinators:
   selector as a wave, successive occurrences ``step_ms`` apart
   (membership churn: rolling crash/restart over every cluster node).
 
-Schedules live in their own registry (:func:`register_schedule`), *not*
-in the single-fault model registry — ``expand_kinds("all")`` and
-``fault_models_digest()`` are unchanged by registering a schedule, and a
-campaign opts in per schedule via ``CSnakeConfig.schedules`` /
-``--schedules``.  Each registered schedule is wrapped in a
-:class:`ScheduleFaultModel` so the driver, serializer, FCA, and cycle
-signatures resolve schedule kinds through the ordinary
-:func:`~repro.faults.model_for` path.
+A schedule is registered like every other fault model:
+``register(ScheduleFaultModel(FaultSchedule(...)))`` puts it in the one
+kind table, so the driver, serializer, FCA, cycle signatures and the
+fault-model digest (every experiment-cache key) see it through
+:func:`~repro.faults.model_for`.  What sets it apart is only opt-in: a
+campaign enables schedules through ``CSnakeConfig.schedules`` /
+``--schedules``, not through ``fault_kinds``, and ``expand_kinds("all")``
+leaves them out.
 
 Site selectors are resolved against the *anchor* site (the ``ENV_NODE``
 site the schedule fault targets) at plan time, purely from the site
 registry's declaration order, so plans are deterministic and carry fully
 concrete ``(site, kind, offset, params)`` event tuples — worker processes
-arm them without re-planning.  :func:`schedules_digest` fingerprints the
-registry for the experiment-cache key (schema 4).
+arm them without re-planning.  The static analyzer keeps a schedule at
+the anchor sites where every selector resolves
+(:meth:`ScheduleFaultModel.injects_at`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..types import FaultKey, InjKind, SiteKind
 from .base import INJECTION_WARMUP_MS, FaultModel
@@ -91,12 +90,12 @@ def timed(
     kind_id: str, site: str = "primary", offset_ms: float = 0.0, **params: float
 ) -> TimedFault:
     """A :class:`TimedFault` with validated kind and selector."""
-    from . import registered_kinds  # deferred: package imports this module
+    from . import expand_kinds  # deferred: package imports this module
 
-    if kind_id not in registered_kinds():
+    if kind_id not in expand_kinds("all"):
         raise ValueError(
             "schedules compose registered single-fault kinds, got %r (known: %s)"
-            % (kind_id, ", ".join(registered_kinds()))
+            % (kind_id, ", ".join(expand_kinds("all")))
         )
     if site not in SITE_SELECTORS:
         raise ValueError(
@@ -183,9 +182,6 @@ class ScheduleFaultModel(FaultModel):
     environment = True
     delay_like = False
     site_kinds = (SiteKind.ENV_NODE,)
-    # Schedules never claim a site kind's primary fault (node_crash owns
-    # ENV_NODE); they are extra keys the analyzer adds when enabled.
-    primary_site_kinds: Tuple[SiteKind, ...] = ()
     param_names = ("events",)
 
     def __init__(self, schedule: FaultSchedule) -> None:
@@ -254,18 +250,15 @@ class ScheduleFaultModel(FaultModel):
                 resolved.append((target, ev.kind_id, offset, ev.params))
         return tuple(resolved)
 
-    def anchor_sites(self, registry: "SiteRegistry") -> List[str]:
-        """ENV_NODE site ids this schedule can anchor at, in declaration
-        order — sites whose selectors all resolve (a node with no adjacent
-        link cannot anchor a composition that needs one)."""
-        out: List[str] = []
-        for site in registry.by_kind(SiteKind.ENV_NODE):
-            try:
-                self.resolve_events(site.site_id, registry)
-            except ValueError:
-                continue
-            out.append(site.site_id)
-        return out
+    def injects_at(self, site_id: str, registry: "SiteRegistry") -> bool:
+        """Whether this schedule can anchor at ``site_id``: every selector
+        resolves there (a node with no adjacent link cannot anchor a
+        composition that needs one)."""
+        try:
+            self.resolve_events(site_id, registry)
+        except ValueError:
+            return False
+        return True
 
     def _targets(
         self,
@@ -353,117 +346,3 @@ class ScheduleFaultModel(FaultModel):
             for site_id, kind_id, offset_ms, params in obj.get("events", [])
         )
         return (("events", events),)
-
-
-# ---------------------------------------------------------------- registry
-
-#: Registered schedules by name, in registration order.
-_SCHEDULES: Dict[str, ScheduleFaultModel] = {}
-
-
-def register_schedule(schedule: FaultSchedule) -> FaultSchedule:
-    """Register a schedule, interning its kind handle.
-
-    Schedule names share the :class:`InjKind` namespace with single-fault
-    kinds (a ``FaultKey`` must resolve unambiguously), so a schedule may
-    not shadow a registered model id.
-    """
-    from . import registered_kinds
-
-    if schedule.name in registered_kinds():
-        raise ValueError(
-            "schedule name %r collides with a registered fault kind" % schedule.name
-        )
-    InjKind._intern(schedule.name)
-    _SCHEDULES[schedule.name] = ScheduleFaultModel(schedule)
-    return schedule
-
-
-def schedule_model_for(name: Union[str, InjKind]) -> ScheduleFaultModel:
-    """The :class:`ScheduleFaultModel` wrapper behind a schedule name."""
-    name_id = name.value if isinstance(name, InjKind) else name
-    try:
-        return _SCHEDULES[name_id]
-    except KeyError:
-        raise ValueError(
-            "no fault schedule registered as %r (known: %s)"
-            % (name_id, ", ".join(_SCHEDULES))
-        ) from None
-
-
-def schedule_for(name: Union[str, InjKind]) -> FaultSchedule:
-    return schedule_model_for(name).schedule
-
-
-def all_schedules() -> List[FaultSchedule]:
-    """Every registered schedule, in registration order."""
-    return [m.schedule for m in _SCHEDULES.values()]
-
-
-def registered_schedules() -> List[str]:
-    return list(_SCHEDULES)
-
-
-def expand_schedules(text: Union[str, Tuple[str, ...], List[str]]) -> Tuple[str, ...]:
-    """Resolve a ``--schedules`` value to a tuple of schedule names.
-
-    Accepts ``"all"``, a comma-separated string, or an iterable of names;
-    unknown names raise ``ValueError`` listing what is registered.
-    """
-    if isinstance(text, str):
-        if text == "all":
-            return tuple(_SCHEDULES)
-        names = tuple(n.strip() for n in text.split(",") if n.strip())
-    else:
-        names = tuple(text)
-    unknown = [n for n in names if n not in _SCHEDULES]
-    if unknown:
-        raise ValueError(
-            "unknown fault schedule(s) %s; registered: %s"
-            % (", ".join(unknown), ", ".join(_SCHEDULES))
-        )
-    if not names:
-        raise ValueError("schedules must name at least one registered schedule")
-    return names
-
-
-def schedules_digest() -> str:
-    """Content digest of the registered schedules (cache-key axis).
-
-    Like :func:`~repro.faults.fault_models_digest` but over the schedule
-    registry: registering, versioning, or recomposing a schedule shifts
-    this digest, so cached results produced under a different schedule
-    vocabulary read as clean misses.
-    """
-    material = [
-        m.schedule.descriptor()
-        for m in sorted(_SCHEDULES.values(), key=lambda m: m.kind_id)
-    ]
-    return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
-
-
-# Bundled schedules.
-register_schedule(
-    FaultSchedule(
-        name="membership_churn",
-        char="M",
-        description="rolling crash/restart wave across every cluster node, "
-        "anchor node first",
-        events=stagger(
-            timed("node_crash", site="nodes", restart_ms=10_000.0), step_ms=15_000.0
-        ),
-    )
-)
-register_schedule(
-    FaultSchedule(
-        name="partition_during_restart",
-        char="R",
-        description="crash/restart the anchor node and cut its first link "
-        "while it recovers",
-        events=overlap(
-            timed("node_crash", site="primary", restart_ms=20_000.0),
-            timed("partition", site="adjacent_link", offset_ms=5_000.0,
-                  duration_ms=40_000.0),
-        ),
-    )
-)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..config import LOOP_SIZE_PRUNE_FRAC
-from ..faults import CLASSIC_FAULT_KINDS, schedule_model_for
+from ..faults import CLASSIC_FAULT_KINDS, models_for_site_kind
 from ..types import FaultKey, InjKind, SiteKind
 from .sites import FaultSite, SiteRegistry
 
@@ -59,13 +59,11 @@ class StaticAnalyzer:
     """Rule-based fault selection over a declared site registry.
 
     ``fault_kinds`` names the registered fault models the campaign may
-    inject with (``CSnakeConfig.fault_kinds``); sites whose only models
-    are disabled are excluded with an explanatory reason, exactly like
-    the paper's static filters.  ``schedules`` names registered fault
-    *schedules* (``CSnakeConfig.schedules``): each enabled schedule adds
-    one composed fault per environment site it can anchor at.  ``slices``
-    (a :class:`repro.analysis.SliceAnalysis`) enables the reachability
-    rule.
+    inject with (``CSnakeConfig.fault_kinds`` plus
+    ``CSnakeConfig.schedules``); sites whose only models are disabled are
+    excluded with an explanatory reason, exactly like the paper's static
+    filters.  ``slices`` (a :class:`repro.analysis.SliceAnalysis`)
+    enables the reachability rule.
     """
 
     def __init__(
@@ -74,7 +72,6 @@ class StaticAnalyzer:
         loop_prune_frac: float = LOOP_SIZE_PRUNE_FRAC,
         fault_kinds: Optional[Sequence[str]] = None,
         slices: Optional["SliceAnalysis"] = None,
-        schedules: Optional[Sequence[str]] = None,
     ) -> None:
         self.registry = registry
         self.loop_prune_frac = loop_prune_frac
@@ -82,7 +79,6 @@ class StaticAnalyzer:
             tuple(fault_kinds) if fault_kinds is not None else CLASSIC_FAULT_KINDS
         )
         self.slices = slices
-        self.schedules = tuple(schedules) if schedules is not None else ()
 
     def _enabled(self, kind_id: str) -> bool:
         return kind_id in self.fault_kinds
@@ -108,7 +104,7 @@ class StaticAnalyzer:
             elif meta.test_only:
                 result.exclude(site.site_id, "only reachable from tests")
             else:
-                result.faults.append(site.fault_key)
+                result.faults.append(FaultKey(site.site_id, InjKind.EXCEPTION))
 
     def _select_loops(self, result: AnalysisResult) -> None:
         loops = self.registry.loops()
@@ -140,7 +136,7 @@ class StaticAnalyzer:
                 )
         for site in candidates:
             if site.site_id not in pruned_ids:
-                result.faults.append(site.fault_key)
+                result.faults.append(FaultKey(site.site_id, InjKind.DELAY))
 
     def _select_detectors(self, result: AnalysisResult) -> None:
         sites = self.registry.by_kind(SiteKind.DETECTOR)
@@ -159,30 +155,23 @@ class StaticAnalyzer:
             elif meta.primitive_only:
                 result.exclude(site.site_id, "primitive-only utility predicate")
             else:
-                result.faults.append(site.fault_key)
+                result.faults.append(FaultKey(site.site_id, InjKind.NEGATION))
 
     def _select_env(self, result: AnalysisResult) -> None:
-        """Environment sites: one fault key per enabled model targeting the
-        site kind (a link site hosts partition *and* msg_drop faults)."""
+        """Environment sites: one fault key per enabled model that can
+        inject at the site (a link site hosts partition *and* msg_drop
+        faults; a node site a crash and every schedule anchored there)."""
         for site in self.registry.env_sites():
-            keys = [k for k in site.fault_keys() if self._enabled(k.kind.value)]
+            keys = [
+                FaultKey(site.site_id, model.kind)
+                for model in models_for_site_kind(site.kind)
+                if self._enabled(model.kind_id)
+                and model.injects_at(site.site_id, self.registry)
+            ]
             if not keys:
                 result.exclude(site.site_id, "environment fault kinds not enabled")
                 continue
             result.faults.extend(keys)
-
-    def _select_schedules(self, result: AnalysisResult) -> None:
-        """Composed fault schedules: one fault per (schedule, anchor site).
-
-        A schedule anchors at the environment node sites where all of its
-        site selectors resolve (a node with no adjacent link cannot anchor
-        a composition that needs one); the other events are resolved
-        relative to that anchor at planning time.
-        """
-        for name in self.schedules:
-            model = schedule_model_for(name)
-            for site_id in model.anchor_sites(self.registry):
-                result.faults.append(FaultKey(site_id, InjKind(name)))
 
     def _prune_unreachable(self, result: AnalysisResult) -> int:
         """Reachability rule: drop faults at sites the slice analysis
@@ -216,7 +205,6 @@ class StaticAnalyzer:
         self._select_loops(result)
         self._select_detectors(result)
         self._select_env(result)
-        self._select_schedules(result)
         n_unreachable = self._prune_unreachable(result)
         result.faults.sort()
         result.counts = self.registry.counts()
@@ -233,10 +221,7 @@ def analyze(
     registry: SiteRegistry,
     fault_kinds: Optional[Sequence[str]] = None,
     slices: Optional["SliceAnalysis"] = None,
-    schedules: Optional[Sequence[str]] = None,
 ) -> AnalysisResult:
     """Convenience wrapper: run the static analyzer with default settings
     (``fault_kinds`` defaults to the paper's classic taxonomy)."""
-    return StaticAnalyzer(
-        registry, fault_kinds=fault_kinds, slices=slices, schedules=schedules
-    ).analyze()
+    return StaticAnalyzer(registry, fault_kinds=fault_kinds, slices=slices).analyze()

@@ -68,6 +68,10 @@ class InjectionPlan:
         if self.fault.kind is InjKind.DELAY:
             return "%s(%.0fms)" % (self.fault, self.delay_ms or 0.0)
         if self.params:
-            knobs = ",".join("%s=%g" % (k, v) for k, v in self.params)
+            # A schedule's one parameter is its tuple of events: count them.
+            knobs = ",".join(
+                "%s=%g" % (k, v) if isinstance(v, (int, float)) else "%s[%d]" % (k, len(v))
+                for k, v in self.params
+            )
             return "%s(%s)" % (self.fault, knobs)
         return str(self.fault)

@@ -9,15 +9,7 @@ from ..errors import UnknownSite
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
     from ..analysis.slicer import SliceAnalysis as SliceAnalysisLike
-from ..types import (
-    DetectorMeta,
-    EnvMeta,
-    FaultKey,
-    LoopMeta,
-    SiteKind,
-    ThrowMeta,
-    inj_kind_for_site,
-)
+from ..types import DetectorMeta, EnvMeta, LoopMeta, SiteKind, ThrowMeta
 
 
 @dataclass(frozen=True)
@@ -45,22 +37,6 @@ class FaultSite:
             object.__setattr__(self, "detector", DetectorMeta())
         if self.kind in (SiteKind.THROW, SiteKind.LIB_CALL) and self.throw is None:
             object.__setattr__(self, "throw", ThrowMeta())
-
-    @property
-    def fault_key(self) -> FaultKey:
-        """The site's *primary* fault key (see :meth:`fault_keys`)."""
-        return FaultKey(self.site_id, inj_kind_for_site(self.kind))
-
-    def fault_keys(self) -> List[FaultKey]:
-        """Every fault key injectable here, one per registered fault model
-        targeting this site kind — a link site, for example, hosts both
-        partition and message-drop faults."""
-        from ..faults import models_for_site_kind  # deferred: faults import plan
-
-        return [
-            FaultKey(self.site_id, model.kind)
-            for model in models_for_site_kind(self.kind)
-        ]
 
 
 class SiteRegistry:

@@ -113,34 +113,6 @@ class EdgeType(enum.Enum):
 DELAY_EDGE_TYPES = frozenset({EdgeType.SP_D, EdgeType.SP_I, EdgeType.ICFG, EdgeType.CFG})
 
 
-#: Primary fault kind injected at each site kind.  Seeded with the paper's
-#: three kinds; fault models registered through :mod:`repro.faults` extend
-#: it (a site kind may host several models — e.g. partition *and*
-#: message-drop faults on one link site — but exactly one is primary).
-_PRIMARY_KIND_FOR_SITE: Dict[SiteKind, InjKind] = {
-    SiteKind.THROW: InjKind.EXCEPTION,
-    SiteKind.LIB_CALL: InjKind.EXCEPTION,
-    SiteKind.LOOP: InjKind.DELAY,
-    SiteKind.DETECTOR: InjKind.NEGATION,
-}
-
-
-def register_primary_kind(site_kind: SiteKind, kind: InjKind) -> None:
-    """Declare ``kind`` the primary fault kind of ``site_kind`` (first
-    registration wins; called by the fault-model registry)."""
-    _PRIMARY_KIND_FOR_SITE.setdefault(site_kind, kind)
-
-
-def inj_kind_for_site(kind: SiteKind) -> InjKind:
-    """Map a site kind to the primary fault kind injected there."""
-    try:
-        return _PRIMARY_KIND_FOR_SITE[kind]
-    except KeyError:
-        raise ValueError(
-            "site kind %s is monitor-only and cannot be injected" % kind
-        ) from None
-
-
 @dataclass(frozen=True)
 class FaultKey:
     """Identity of a fault: an injectable site plus its manifestation kind.

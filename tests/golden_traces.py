@@ -79,8 +79,7 @@ def system_digests(system: str) -> Dict[str, str]:
         reached[test_id] = trace.reached
 
     space = analyze(
-        spec.registry, config.fault_kinds, slices=spec.slice_analysis(),
-        schedules=config.schedules,
+        spec.registry, config.fault_kinds + config.schedules, slices=spec.slice_analysis()
     )
     by_kind: Dict[str, list] = {}
     for fault in space.faults:

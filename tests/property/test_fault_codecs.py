@@ -1,6 +1,7 @@
 """Property-style round-trip tests for the fault-model codecs.
 
-For **every registered fault model** — including the environment kinds —
+For **every registered fault model** — including the environment kinds
+and the composed schedules, each planned against a site registry —
 ``plan_to_obj``/``plan_from_obj`` and the experiment-cache entry
 encode/decode must be exact inverses, through a real JSON round-trip
 (cache entries are JSON on disk).
@@ -15,8 +16,16 @@ from hypothesis import strategies as st
 from repro.cache import ExperimentCache
 from repro.config import CSnakeConfig
 from repro.core.fca import FcaResult
-from repro.faults import all_models, model_for, registered_kinds, registered_schedules
+from repro.faults import (
+    EnvFaultPort,
+    all_models,
+    expand_kinds,
+    model_for,
+    registered_kinds,
+    registered_schedules,
+)
 from repro.instrument.plan import InjectionPlan, make_params
+from repro.instrument.sites import SiteRegistry
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
 from repro.serialize import (
     fault_from_obj,
@@ -43,6 +52,15 @@ SITE_FOR_KIND = {
     "env_link": "env.link.a~b",
 }
 
+#: The registry every model plans against: the sites above, plus what a
+#: schedule anchored at ``n1`` resolves to (its peers and a link at it).
+REGISTRY = SiteRegistry("sys")
+REGISTRY.throw("sys.a.throw", "A.run")
+REGISTRY.lib_call("sys.a.rpc", "A.run")
+REGISTRY.loop("sys.a.loop", "A.run")
+REGISTRY.detector("sys.a.is_ok", "A.is_ok")
+EnvFaultPort(nodes=("n1", "a", "b"), links=(("a", "b"), ("a", "n1"))).register_sites(REGISTRY)
+
 
 def _via_json(obj):
     return json.loads(json.dumps(obj, sort_keys=True))
@@ -59,8 +77,7 @@ def _all_plans():
     plans = []
     for model in all_models():
         for fault in _representative_faults(model):
-            # Single-fault models plan without reading the registry.
-            plans.extend(model.plans_for(fault, CONFIG, None))
+            plans.extend(model.plans_for(fault, CONFIG, REGISTRY))
     return plans
 
 
@@ -84,7 +101,7 @@ def test_fault_key_roundtrip_per_model(model):
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind_id)
 def test_trace_with_injection_roundtrips(model):
     fault = _representative_faults(model)[0]
-    plan = model.plans_for(fault, CONFIG, None)[0]
+    plan = model.plans_for(fault, CONFIG, REGISTRY)[0]
     trace = RunTrace(test_id="t1", injection=plan, seed=99)
     trace.record_event(
         FaultEvent(fault, LocalState(("<env>", "<env>"), ()), injected=True)
@@ -146,11 +163,11 @@ def _tuples(elements, **kwargs):
             p_value=st.floats(1e-6, 0.999),
             budget_per_fault=st.integers(1, 50),
             delay_values_ms=_tuples(_positive, min_size=1, max_size=4),
-            fault_kinds=_tuples(st.sampled_from(registered_kinds()), min_size=1, unique=True),
+            fault_kinds=_tuples(st.sampled_from(expand_kinds("all")), min_size=1, unique=True),
             schedules=_tuples(st.sampled_from(registered_schedules()), unique=True),
             sweep_overrides=_tuples(
                 st.tuples(
-                    st.sampled_from(registered_kinds() + registered_schedules()),
+                    st.sampled_from(registered_kinds()),
                     _tuples(_unit, min_size=1, max_size=3),
                 ),
                 max_size=3,

@@ -4,23 +4,19 @@ A schedule plan's ``events`` payload — concrete ``(site, kind, offset,
 params)`` tuples — must survive ``plan_to_obj``/``plan_from_obj`` and the
 ``params_to_obj``/``params_from_obj`` codec exactly, through a real JSON
 round-trip (cache entries are JSON on disk), for *arbitrary*
-event tuples, not just the bundled compositions.
+event tuples; ``test_fault_codecs.py`` round-trips the bundled
+compositions as resolved on miniraft.
 """
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CSnakeConfig
-from repro.faults import registered_schedules, schedule_model_for
+from repro.faults import model_for
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.serialize import plan_from_obj, plan_to_obj
-from repro.systems import get_system
 from repro.types import FaultKey, InjKind
-
-CONFIG = CSnakeConfig()
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -65,7 +61,7 @@ def test_arbitrary_schedule_plans_roundtrip(name, events, warmup):
 @given(events=st.lists(_event, min_size=1, max_size=6).map(tuple))
 @settings(max_examples=80)
 def test_params_codec_exact_inverse(events):
-    model = schedule_model_for("membership_churn")
+    model = model_for("membership_churn")
     plan = InjectionPlan(
         FaultKey("env.node.raft0", model.kind),
         warmup_ms=1.0,
@@ -73,17 +69,3 @@ def test_params_codec_exact_inverse(events):
     )
     obj = _via_json(model.params_to_obj(plan))
     assert model.params_from_obj(obj) == (("events", events),)
-
-
-@pytest.mark.parametrize("name", registered_schedules())
-def test_bundled_schedule_plans_roundtrip_concretely(name):
-    """The real resolved compositions (churn wave, partition-during-
-    restart) round-trip through the plan codec."""
-    registry = get_system("miniraft").registry
-    model = schedule_model_for(name)
-    for anchor in ("env.node.raft0", "env.node.raft1", "env.node.raft2"):
-        fault = FaultKey(anchor, model.kind)
-        for plan in model.plans_for(fault, CONFIG, registry):
-            clone = plan_from_obj(_via_json(plan_to_obj(plan)))
-            assert clone == plan
-            assert model.plan_sites(clone) == model.plan_sites(plan)

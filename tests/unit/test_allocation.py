@@ -117,9 +117,7 @@ def _adaptive_run(backend=None, workers=3):
     spec = build_system()
     config = CSnakeConfig(**ADAPTIVE, **FAST)
     driver = ExperimentDriver(spec, config)
-    faults = analyze(
-        spec.registry, fault_kinds=config.fault_kinds, schedules=config.schedules
-    ).faults
+    faults = analyze(spec.registry, config.fault_kinds + config.schedules).faults
     if backend is None:
         return ThreePhaseAllocator(driver, faults, config).run()
     with make_executor(workers, backend) as executor:

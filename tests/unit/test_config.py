@@ -16,7 +16,7 @@ from repro.bench.runners import bench_config
 from repro.cli import main
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.errors import ConfigError
-from repro.faults import all_models, registered_schedules, schedule_model_for
+from repro.faults import all_models
 
 FIELDS = dataclasses.fields(CSnakeConfig)
 
@@ -134,8 +134,7 @@ def test_default_sweeps_are_held_to_their_fault_models_range(capsys):
     """One owner for sweep ranges: every registered model's and schedule's
     default sweep passes the same ``validate_sweep`` that judges a
     ``sweep_overrides`` entry of its kind, and the defaults are unchanged."""
-    schedules = [schedule_model_for(name) for name in registered_schedules()]
-    for model in all_models() + schedules:
+    for model in all_models():
         for values in model.sweep_spec(CSnakeConfig()).values():
             model.validate_sweep(values)
     assert main(["faults"]) == 0

@@ -19,9 +19,10 @@ from repro.faults import (
     registered_kinds,
     registered_schedules,
 )
+from repro.instrument.analyzer import analyze
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.instrument.sites import SiteRegistry
-from repro.types import FaultKey, InjKind, SiteKind, inj_kind_for_site
+from repro.types import FaultKey, InjKind, SiteKind
 
 
 # ------------------------------------------------------------------ registry
@@ -30,6 +31,7 @@ from repro.types import FaultKey, InjKind, SiteKind, inj_kind_for_site
 def test_bundled_models_registered_in_order():
     assert registered_kinds() == [
         "exception", "delay", "negation", "node_crash", "partition", "msg_drop",
+        "membership_churn", "partition_during_restart",
     ]
 
 
@@ -41,7 +43,7 @@ def test_model_for_accepts_ids_and_handles():
 
 def test_expand_kinds_grammar():
     assert expand_kinds("classic") == CLASSIC_FAULT_KINDS
-    assert expand_kinds("all") == tuple(registered_kinds())
+    assert expand_kinds("all") == tuple(registered_kinds()[:6])  # no schedules
     assert expand_kinds("delay, partition") == ("delay", "partition")
     with pytest.raises(ValueError, match="unknown fault kind"):
         expand_kinds("delay,nope")
@@ -79,9 +81,7 @@ def test_injkind_interning_identity_and_lookup():
 
 
 def test_injkind_iteration_covers_registered_kinds():
-    # Schedule names are interned InjKinds too (composed fault keys carry
-    # them), but live in the schedule registry, not the model registry.
-    assert [k.value for k in InjKind] == registered_kinds() + registered_schedules()
+    assert [k.value for k in InjKind] == registered_kinds()
 
 
 def test_injkind_survives_pickle_and_deepcopy():
@@ -91,13 +91,6 @@ def test_injkind_survives_pickle_and_deepcopy():
     key = FaultKey("env.node.n1", InjKind("node_crash"))
     clone = pickle.loads(pickle.dumps(key))
     assert clone == key and clone.kind is key.kind
-
-
-def test_primary_kind_for_env_site_kinds():
-    assert inj_kind_for_site(SiteKind.ENV_NODE) is InjKind("node_crash")
-    assert inj_kind_for_site(SiteKind.ENV_LINK) is InjKind("partition")
-    with pytest.raises(ValueError, match="monitor-only"):
-        inj_kind_for_site(SiteKind.BRANCH)
 
 
 # ----------------------------------------------------------- plan validation
@@ -227,8 +220,13 @@ def test_env_fault_port_registers_sites():
     assert node_site.kind is SiteKind.ENV_NODE and node_site.env.node == "n1"
     link_site = reg.get("env.link.a~b")  # pair is normalized sorted
     assert link_site.kind is SiteKind.ENV_LINK and link_site.env.link == ("a", "b")
-    assert {f.kind.value for f in link_site.fault_keys()} == {"partition", "msg_drop"}
-    assert node_site.fault_key == FaultKey("env.node.n1", InjKind("node_crash"))
+    # Every enabled model that can inject at a site puts one fault in F:
+    # both link kinds; the crash and the churn wave on the node, but not a
+    # partition during restart, which needs a link at the node.
+    space = analyze(reg, expand_kinds("all") + tuple(registered_schedules()))
+    assert [str(f) for f in space.faults] == [
+        "X@env.link.a~b", "P@env.link.a~b", "M@env.node.n1", "C@env.node.n1",
+    ]
 
 
 def test_env_fault_port_rejects_self_links():
@@ -271,3 +269,4 @@ def test_registering_a_custom_model_is_self_contained():
         from repro.faults import _MODELS
 
         _MODELS.pop("test_restart_storm", None)
+        InjKind._interned.pop("test_restart_storm", None)

@@ -1,8 +1,9 @@
 """Unit tests for the compositional fault-schedule API.
 
-Combinator semantics (timed/seq/overlap/stagger), the schedule registry
-and its digest, anchor-relative site resolution, plan validation, and
-the graceful-degradation counter a runaway composed injection feeds.
+Combinator semantics (timed/seq/overlap/stagger), schedules as entries
+of the one fault-model registry, anchor-relative site resolution, plan
+validation, and the graceful-degradation counter a runaway composed
+injection feeds.
 """
 
 import pytest
@@ -10,25 +11,24 @@ import pytest
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.core.report import build_report
+from repro.errors import ConfigError
+from repro.cli import _parse_schedules
 from repro.faults import (
     INJECTION_WARMUP_MS,
+    FaultModel,
     FaultSchedule,
-    all_schedules,
+    ScheduleFaultModel,
     expand_kinds,
-    expand_schedules,
+    fault_models_digest,
     model_for,
     overlap,
-    register_schedule,
+    register,
     registered_kinds,
     registered_schedules,
-    schedule_for,
-    schedule_model_for,
-    schedules_digest,
     seq,
     stagger,
     timed,
 )
-from repro.faults.schedule import _SCHEDULES
 from repro.sim import SimEnv
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind
@@ -88,56 +88,73 @@ def test_stagger_sets_wave_step():
 
 def test_bundled_schedules_registered():
     assert registered_schedules() == ["membership_churn", "partition_during_restart"]
-    assert [s.name for s in all_schedules()] == registered_schedules()
-    assert schedule_for("membership_churn").char == "M"
-    assert schedule_for("partition_during_restart").char == "R"
+    assert model_for("membership_churn").schedule.char == "M"
+    assert model_for("partition_during_restart").schedule.char == "R"
 
 
-def test_schedules_stay_out_of_the_single_fault_registry():
-    # expand_kinds("all") and the model registry are unchanged by
-    # schedule registration — campaigns opt in via config.schedules.
-    assert "membership_churn" not in registered_kinds()
+def test_schedules_are_registered_kinds_but_not_in_expand_kinds_all():
+    # One registry: a schedule resolves like any kind (driver/FCA/serializer
+    # path), but campaigns opt into schedules via config.schedules.
+    assert registered_kinds()[-2:] == registered_schedules()
     assert "membership_churn" not in expand_kinds("all")
-    # ...but model_for resolves schedule kinds (driver/FCA/serializer path).
-    assert model_for("membership_churn") is schedule_model_for("membership_churn")
+    assert isinstance(model_for("membership_churn"), ScheduleFaultModel)
     assert model_for(InjKind("partition_during_restart")).char == "R"
 
 
 def test_expand_schedules_grammar():
-    assert expand_schedules("all") == tuple(registered_schedules())
-    assert expand_schedules("membership_churn") == ("membership_churn",)
-    assert expand_schedules(" membership_churn , partition_during_restart ") == (
+    assert _parse_schedules("all") == tuple(registered_schedules())
+    assert _parse_schedules("membership_churn") == ("membership_churn",)
+    assert _parse_schedules(" membership_churn , partition_during_restart ") == (
         "membership_churn", "partition_during_restart",
     )
-    with pytest.raises(ValueError, match="unknown fault schedule"):
-        expand_schedules("quake")
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        _parse_schedules("quake")
     with pytest.raises(ValueError, match="at least one"):
-        expand_schedules("")
+        _parse_schedules("")
+    # A registered single-fault kind parses, and the config rejects it.
+    with pytest.raises(ConfigError, match="unknown fault schedule"):
+        CSnakeConfig(schedules=_parse_schedules("delay"))
 
 
 def test_schedule_may_not_shadow_a_fault_kind():
-    with pytest.raises(ValueError, match="collides"):
-        register_schedule(
-            FaultSchedule(name="delay", char="Z", description="bad",
-                          events=(timed("node_crash"),))
+    delay = model_for("delay")
+    with pytest.raises(ValueError, match="already registered"):
+        register(
+            ScheduleFaultModel(
+                FaultSchedule(name="delay", char="Z", description="bad",
+                              events=(timed("node_crash"),))
+            )
         )
 
+    class SecondPartition(FaultModel):
+        kind_id = "partition"
+        char = "Q"
 
-def test_registering_a_schedule_shifts_the_digest_only():
-    before = schedules_digest()
-    schedule = FaultSchedule(
-        name="test_tmp_wave", char="W", description="temporary",
-        events=(timed("node_crash", restart_ms=1.0),),
+    with pytest.raises(ValueError, match="already registered"):
+        register(SecondPartition())
+    assert model_for("delay") is delay and model_for("partition").char == "P"
+
+
+def test_registering_a_schedule_shifts_the_fault_model_digest():
+    from repro.faults import _MODELS
+
+    before = fault_models_digest()
+    register(
+        ScheduleFaultModel(
+            FaultSchedule(
+                name="test_tmp_wave", char="W", description="temporary",
+                events=(timed("node_crash", restart_ms=1.0),),
+            )
+        )
     )
-    register_schedule(schedule)
     try:
-        assert schedules_digest() != before
+        assert fault_models_digest() != before
         assert "test_tmp_wave" in registered_schedules()
-        assert "test_tmp_wave" not in registered_kinds()  # model registry untouched
+        assert "test_tmp_wave" not in expand_kinds("all")
     finally:
-        _SCHEDULES.pop("test_tmp_wave")
+        _MODELS.pop("test_tmp_wave")
         InjKind._interned.pop("test_tmp_wave")
-    assert schedules_digest() == before
+    assert fault_models_digest() == before
 
 
 # --------------------------------------------------------------- resolution
@@ -149,7 +166,7 @@ def raft_registry():
 
 
 def test_partition_during_restart_resolves_anchor_relative(raft_registry):
-    model = schedule_model_for("partition_during_restart")
+    model = model_for("partition_during_restart")
     events = model.resolve_events("env.node.raft1", raft_registry)
     assert events == (
         ("env.node.raft1", "node_crash", 0.0, (("restart_ms", 20_000.0),)),
@@ -158,7 +175,7 @@ def test_partition_during_restart_resolves_anchor_relative(raft_registry):
 
 
 def test_membership_churn_resolves_as_rotated_wave(raft_registry):
-    model = schedule_model_for("membership_churn")
+    model = model_for("membership_churn")
     events = model.resolve_events("env.node.raft1", raft_registry)
     # Anchor node first, then declaration order rotated; 15s stagger.
     assert [(site, off) for site, _, off, _ in events] == [
@@ -170,13 +187,13 @@ def test_membership_churn_resolves_as_rotated_wave(raft_registry):
 
 
 def test_resolution_scales_with_time_scale(raft_registry):
-    model = schedule_model_for("membership_churn")
+    model = model_for("membership_churn")
     events = model.resolve_events("env.node.raft0", raft_registry, scale=0.5)
     assert [off for _, _, off, _ in events] == [0.0, 7_500.0, 15_000.0]
 
 
 def test_plans_carry_concrete_events_and_sites(raft_registry):
-    model = schedule_model_for("partition_during_restart")
+    model = model_for("partition_during_restart")
     fault = FaultKey("env.node.raft1", InjKind("partition_during_restart"))
     plans = model.plans_for(fault, CONFIG, raft_registry)
     assert len(plans) == 1  # default time_scale sweep: the composition as declared
@@ -186,7 +203,7 @@ def test_plans_carry_concrete_events_and_sites(raft_registry):
 
 
 def test_anchor_must_be_an_env_node(raft_registry):
-    model = schedule_model_for("membership_churn")
+    model = model_for("membership_churn")
     with pytest.raises(ValueError, match="ENV_NODE"):
         model.resolve_events("env.link.raft0~raft1", raft_registry)
 
@@ -194,7 +211,7 @@ def test_anchor_must_be_an_env_node(raft_registry):
 def test_validate_plan_rejects_malformed_events(raft_registry):
     from repro.instrument.plan import InjectionPlan, make_params
 
-    model = schedule_model_for("membership_churn")
+    model = model_for("membership_churn")
     fault = FaultKey("env.node.raft0", model.kind)
     # InjectionPlan validates via the model at construction time.
     with pytest.raises(ValueError, match="no events"):
