@@ -174,6 +174,12 @@ class Runtime:
         self._negation_site = plan.site_id if kind is InjKind.NEGATION else None
         self._warmup_ms = plan.warmup_ms if plan is not None else 0.0
         self._detector_meta: dict = {}
+        # This run's natural fault events of each kind, keyed by what fixes
+        # the event's local state: the calling-context node, the path-trie
+        # node and the site.  Both trees are the run's own, so a key met
+        # again names an equal event, and the trace records that one again.
+        self._natural_exceptions: Dict[tuple, FaultEvent] = {}
+        self._natural_negations: Dict[tuple, FaultEvent] = {}
 
     def bind_env(self, env: Any) -> None:
         """Attach the simulation environment (needed for delay injection)."""
@@ -195,6 +201,8 @@ class Runtime:
             paths.extend(node.not_taken.values())
             node.taken.clear()
             node.not_taken.clear()
+        self._natural_exceptions.clear()
+        self._natural_negations.clear()
         self.env = None
 
     # ------------------------------------------------------------- internals
@@ -213,6 +221,25 @@ class Runtime:
         node = frames[-1].scopes[-1].node
         path = node.path
         return LocalState(frames[-1].above, path if path is not None else node.spell())
+
+    def _record_natural(self, events: Dict[tuple, FaultEvent], site_id: str, kind: InjKind) -> None:
+        """Record a natural occurrence of ``site_id``'s fault in the current
+        local state: a table probe, and the event is built the first time
+        the run meets its key.  On an empty stack the root frame and the
+        empty path stand for the no-stack state."""
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            node = frame.scopes[-1].node
+        else:
+            frame, node = self._root, self._empty
+        key = (frame, node, site_id)
+        event = events.get(key)
+        if event is None:
+            path = node.path
+            state = LocalState(frame.above, path if path is not None else node.spell())
+            event = events[key] = FaultEvent(FaultKey(site_id, kind), state, False)
+        self.trace.events.append(event)
 
     def _exception_due(self) -> bool:
         """Whether the one-time exception injection (already matched to
@@ -405,8 +432,7 @@ class Runtime:
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
+            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
             raise exc_cls("natural fault at %s" % site_id)
 
     def lib_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -430,8 +456,7 @@ class Runtime:
         try:
             return fn(*args, **kwargs)
         except exc_cls:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
+            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
             raise
 
     def rpc_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -453,8 +478,7 @@ class Runtime:
         try:
             result = fn(*args, **kwargs)
         except exc_cls:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
-            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
+            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
             raise
         if armed:
             self._exception_fired = True
@@ -490,8 +514,7 @@ class Runtime:
             error_value = meta.error_value if meta is not None else True
             self._detector_meta[site_id] = error_value
         if result == error_value:
-            key = FaultKey(site_id, InjKind.NEGATION)
-            trace.record_event(FaultEvent(key, self._local_state(), injected=False))
+            self._record_natural(self._natural_negations, site_id, InjKind.NEGATION)
         return result
 
 

@@ -1,12 +1,14 @@
 """Differential test: the runtime agent vs the allocating oracle.
 
 ``repro.instrument.runtime.Runtime`` keeps its frames as calling-context
-tree nodes, pushes a ``for`` loop's scope once and records a scope's
+tree nodes, pushes a ``for`` loop's scope once, records a scope's
 branches as a pointer into a per-run trie of paths, which the loop's scope
-offers to the trace once each; ``tests/reference_runtime.py`` is the
-implementation it replaced, which constructs a frame per call, pushes the
-scope per iteration, appends branches to a list and probes a run-wide memo
-of ``(site, stack, branches)`` tuples.  Every trace must be
+offers to the trace once each, and records a natural fault met again in
+the same (frame, path) as the event it built the first time;
+``tests/reference_runtime.py`` is the implementation it replaced, which
+constructs a frame per call, pushes the scope per iteration, appends
+branches to a list, probes a run-wide memo of ``(site, stack, branches)``
+tuples and builds an event per occurrence.  Every trace must be
 *bit-identical* between the two, quirks included, so hypothesis draws
 small hook programs — the shapes target-system code has and the ones it
 could have — times an injection plan and a per-site state cap, runs each
@@ -15,7 +17,8 @@ environment clock and the injected-iteration count.
 
 A program is a few procedures (blocks of ops, see ``_Interpreter.step``)
 and a schedule of handlers, each one procedure run on an empty stack; a
-procedure calls the others — and itself — as frameless helpers, so the
+procedure calls the others — and itself — as frameless helpers, and a
+library or remote call runs a block of ops as its callee, so the
 same code runs many times under the same and under different call chains,
 as target-system code does.  Sites come from pools of two on purpose:
 reuse is what makes recursion, the same loop or guard site nested inside
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from repro.errors import IOEx, SimFault
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
 from repro.instrument import runtime as runtime_module
-from repro.instrument.trace import RunTrace
+from repro.instrument.trace import FaultEvent, RunTrace
 from repro.serialize import trace_to_obj
 from repro.types import FaultKey, InjKind
 
@@ -41,6 +44,7 @@ FUNCTIONS = ["F.a", "F.b"]
 LOOPS = ["l.0", "l.1"]  # shared by ``for`` loops and ``while`` guards
 BRANCHES = ["b.0", "b.1"]
 THROWS = ["t.0", "t.1"]
+CALLS = ["c.0", "c.1"]  # library and RPC call sites
 DETECTORS = ["d.true", "d.false", "d.unregistered"]
 PROCEDURES = 3
 #: Helper calls nest this deep, and a program stops calling after this many.
@@ -99,6 +103,13 @@ class _Interpreter:
         finally:
             self.depth -= 1
 
+    def callee(self, natural, ops) -> None:
+        """The library or remote call: its ops run in the caller's frame
+        (a ``break`` inside ends it), then it raises if ``natural``."""
+        self.block(ops)
+        if natural:
+            raise IOEx("natural fault in the callee")
+
     def block(self, ops):
         for op in ops:
             signal = self.step(op)
@@ -132,6 +143,9 @@ class _Interpreter:
             rt.branch(op[1], op[2])
         elif kind == "throw":
             rt.throw_point(op[1], IOEx, natural=op[2])
+        elif kind in ("lib", "rpc"):
+            hook = rt.lib_call if kind == "lib" else rt.rpc_call
+            hook(op[1], IOEx, self.callee, op[2], op[3])
         elif kind == "detector":
             rt.detector(op[1], op[2])
         elif kind == "tick":
@@ -158,6 +172,7 @@ leaf_ops = st.one_of(
     st.tuples(st.just("throw"), st.sampled_from(THROWS), st.just(False)),
     st.tuples(st.just("throw"), st.sampled_from(THROWS), st.booleans()),
     st.tuples(st.just("detector"), st.sampled_from(DETECTORS), st.booleans()),
+    st.tuples(st.sampled_from(["lib", "rpc"]), st.sampled_from(CALLS), st.booleans(), st.just([])),
     st.tuples(st.just("call"), st.integers(0, PROCEDURES - 1)),
     st.tuples(st.just("call"), st.integers(0, PROCEDURES - 1)),
     st.tuples(st.just("tick"), st.sampled_from([0.5, 2.0])),
@@ -179,6 +194,7 @@ def blocks(depth: int):
         loop_shape.map(lambda shape: ("for",) + shape),
         loop_shape.map(lambda shape: ("while",) + shape),
         st.tuples(st.just("try"), inner),
+        st.tuples(st.sampled_from(["lib", "rpc"]), st.sampled_from(CALLS), st.booleans(), inner),
     )
     return st.lists(st.one_of(leaf_ops, compound, compound), min_size=1, max_size=4)
 
@@ -199,7 +215,7 @@ plans = st.one_of(
     ),
     st.builds(
         InjectionPlan,
-        st.builds(FaultKey, st.sampled_from(THROWS), st.just(InjKind.EXCEPTION)),
+        st.builds(FaultKey, st.sampled_from(THROWS + CALLS), st.just(InjKind.EXCEPTION)),
         warmup_ms=warmups,
     ),
     st.builds(
@@ -212,8 +228,8 @@ plans = st.one_of(
 caps = st.sampled_from([1, 2, runtime_module.MAX_STATES_PER_SITE])
 
 
-def observe(module, program, plan, cap):
-    """What one run of ``program`` leaves behind under ``module``'s runtime."""
+def execute(module, program, plan, cap):
+    """One run of ``program`` under ``module``'s runtime: ``(trace, env, rt)``."""
     previous, module.MAX_STATES_PER_SITE = module.MAX_STATES_PER_SITE, cap
     try:
         env = FakeEnv()
@@ -223,6 +239,12 @@ def observe(module, program, plan, cap):
         _Interpreter(rt, env, procedures).run(handlers)
     finally:
         module.MAX_STATES_PER_SITE = previous
+    return trace, env, rt
+
+
+def observe(module, program, plan, cap):
+    """What one run of ``program`` leaves behind under ``module``'s runtime."""
+    trace, env, rt = execute(module, program, plan, cap)
     return trace_to_obj(trace), env.now, rt._injected_delay_iters
 
 
@@ -279,6 +301,40 @@ EVENTS_PARTWAY_THROUGH_A_PATH = handler(
     ("throw", "t.1", True),
 )
 EXCEPTION_AT_T0 = InjectionPlan(FaultKey("t.0", InjKind.EXCEPTION))
+#: (d) One site's natural fault met again and again in one iteration, by
+#: every recording hook, with and without a branch in between: the
+#: runtime records the event it built the first time.
+ONE_SITE_REPEATED_IN_AN_ITERATION = handler(
+    ("for", "l.0", 2, [
+        ("detector", "d.true", True),
+        ("detector", "d.true", True),
+        ("try", [("throw", "t.0", True)]),
+        ("try", [("lib", "c.0", True, [])]),
+        ("try", [("rpc", "c.0", True, [])]),
+        ("branch", "b.0", True),
+        ("detector", "d.true", True),
+        ("try", [("throw", "t.0", True)]),
+        ("try", [("lib", "c.0", True, [("branch", "b.1", False)])]),
+        ("try", [("rpc", "c.0", True, [])]),
+    ]),
+)
+#: (e) The same path under two call chains: ``F.b`` called from ``F.a`` and
+#: from itself reaches procedure 2 with one path node and two
+#: calling-context nodes, and so two local states.
+SAME_PATH_UNDER_TWO_CALL_CHAINS = (
+    [
+        [("function", "F.a", [("function", "F.b", [("call", 2)])])],
+        [("function", "F.b", [("function", "F.b", [("call", 2)])])],
+        [
+            ("branch", "b.0", True),
+            ("detector", "d.true", True),
+            ("try", [("throw", "t.1", True)]),
+            ("try", [("rpc", "c.1", True, [])]),
+        ],
+    ],
+    [0, 1, 0, 1],
+)
+EXCEPTION_AT_C0 = InjectionPlan(FaultKey("c.0", InjKind.EXCEPTION))
 
 
 # ``derandomize``: tier-1 runs the same slice of the program space every
@@ -292,6 +348,9 @@ EXCEPTION_AT_T0 = InjectionPlan(FaultKey("t.0", InjKind.EXCEPTION))
 @example(GUARD_AND_FOR_SHARE_A_SITE, None, runtime_module.MAX_STATES_PER_SITE)
 @example(EVENTS_PARTWAY_THROUGH_A_PATH, None, runtime_module.MAX_STATES_PER_SITE)
 @example(EVENTS_PARTWAY_THROUGH_A_PATH, EXCEPTION_AT_T0, 1)
+@example(ONE_SITE_REPEATED_IN_AN_ITERATION, None, runtime_module.MAX_STATES_PER_SITE)
+@example(ONE_SITE_REPEATED_IN_AN_ITERATION, EXCEPTION_AT_C0, 1)
+@example(SAME_PATH_UNDER_TWO_CALL_CHAINS, None, runtime_module.MAX_STATES_PER_SITE)
 def test_every_hook_program_leaves_the_oracles_trace(program, plan, cap):
     assert_same_as_the_oracle(program, plan, cap)
 
@@ -323,6 +382,32 @@ def test_the_explicit_examples_take_the_paths_they_name():
         ("d.false:negation", False, [("b.1", True)]),
         ("t.1:exception", False, [("b.1", True), ("b.0", True)]),
     ]
+
+
+def test_a_natural_fault_met_again_is_the_event_built_first():
+    """What (d) and (e) are for: each distinct (fault, local state) is one
+    event object, however often the run meets it — and only then."""
+    cap = runtime_module.MAX_STATES_PER_SITE
+    trace, _, _ = execute(runtime_module, ONE_SITE_REPEATED_IN_AN_ITERATION, None, cap)
+    events = trace.events
+    assert len(events) == 18
+    assert len({id(event) for event in events}) == len(set(events)) == 6
+    # Every hook takes the hit path: a negation, a throw point, a library
+    # and a remote call each meet an event the run already holds.
+    assert events[1] is events[0] and events[10] is events[0]
+    assert events[4] is events[3] and events[11] is events[2] and events[12] is events[3]
+
+    trace, _, _ = execute(runtime_module, SAME_PATH_UNDER_TWO_CALL_CHAINS, None, cap)
+    events = trace.events
+    assert len(events) == 12 and len({id(event) for event in events}) == len(set(events)) == 6
+    assert events[0] == events[6] and events[0] != events[3]  # one path, two chains
+    assert events[0] is events[6] and events[3] is events[9]
+
+    trace, _, _ = execute(runtime_module, ONE_SITE_REPEATED_IN_AN_ITERATION, EXCEPTION_AT_C0, cap)
+    injected = [event for event in trace.events if event.injected]
+    assert len(injected) == 1 and injected[0] == FaultEvent(
+        FaultKey("c.0", InjKind.EXCEPTION), trace.events[2].state, injected=True
+    )
 
 
 def test_guard_site_owning_an_enclosing_scope_truncates_the_active_for_scope():

@@ -19,7 +19,11 @@ runs below, the root node included; one per entry when every
 ``rt.function`` allocated its frame).  It counts ``_Path`` constructions
 against ``branch`` calls the same way: a scope's branch trace is a node of
 the run's path trie, built once per distinct path (11 for 1 329 calls on
-``hdfs2.cache_small``, the empty path included).
+``hdfs2.cache_small``, the empty path included).  And it counts
+``FaultEvent`` constructions against the natural fault occurrences the
+trace records: an occurrence met again in the same calling-context node,
+path node and site is the event the run built the first time (5 for 89 on
+``dfs.churn``; one per occurrence when every hook built its event).
 """
 
 import functools
@@ -30,6 +34,7 @@ import pytest
 
 from repro.core.driver import seed_for, run_workload
 from repro.instrument.runtime import Runtime, _Frame, _Path
+from repro.instrument.trace import FaultEvent
 from repro.systems import get_system
 from tests.golden_traces import CAMPAIGN_SEED, events_processed_log
 
@@ -42,7 +47,7 @@ MEASURED = {
 
 @functools.lru_cache(maxsize=None)
 def profile_run(system: str, test_id: str):
-    """``(calls by code object, simulated events)`` of one profile run."""
+    """``(calls by code object, simulated events, trace)`` of one profile run."""
     spec = get_system(system)
     seed = seed_for(test_id, 0, CAMPAIGN_SEED)
     calls: Counter = Counter()
@@ -55,14 +60,14 @@ def profile_run(system: str, test_id: str):
     with events_processed_log() as events:
         sys.setprofile(count)
         try:
-            run_workload(spec, spec.workloads[test_id], None, seed)
+            trace = run_workload(spec, spec.workloads[test_id], None, seed)
         finally:
             sys.setprofile(previous)
-    return calls, events[0]
+    return calls, events[0], trace
 
 
 def calls_per_event(system: str, test_id: str) -> float:
-    calls, events = profile_run(system, test_id)
+    calls, events, _ = profile_run(system, test_id)
     return sum(calls.values()) / events
 
 
@@ -78,7 +83,7 @@ def test_calls_per_simulated_event_stay_under_budget(system, test_id):
 
 @pytest.mark.parametrize("system,test_id", sorted(MEASURED))
 def test_frames_are_constructed_per_call_chain_not_per_call(system, test_id):
-    calls, _ = profile_run(system, test_id)
+    calls, _, _ = profile_run(system, test_id)
     constructed = calls[_Frame.__init__.__code__]
     entered = calls[_Frame.__enter__.__code__]
     assert entered > 100, "the run no longer crosses rt.function: pick another"
@@ -91,11 +96,24 @@ def test_frames_are_constructed_per_call_chain_not_per_call(system, test_id):
 
 def test_branch_paths_are_built_per_distinct_path_not_per_branch():
     # minidfs records almost no branch outcome; minihdfs2's loops evaluate one.
-    calls, _ = profile_run("minihdfs2", "hdfs2.cache_small")
+    calls, _, _ = profile_run("minihdfs2", "hdfs2.cache_small")
     built = calls[_Path.__init__.__code__]
     branches = calls[Runtime.branch.__code__]
     assert branches > 100, "the run no longer crosses rt.branch: pick another"
     assert built <= 0.05 * branches, (
         "%d path nodes built for %d branch calls; a scope's branch trace is a "
         "node of the run's path trie, built once per distinct path" % (built, branches)
+    )
+
+
+def test_fault_events_are_built_per_distinct_event_not_per_occurrence():
+    # minidfs's block detectors return their error value on most calls.
+    calls, _, trace = profile_run("minidfs", "dfs.churn")
+    built = calls[FaultEvent.__init__.__code__]
+    occurrences = sum(1 for event in trace.events if not event.injected)
+    assert occurrences > 50, "the run no longer records natural faults: pick another"
+    assert built <= 0.1 * occurrences, (
+        "%d fault events built for %d natural occurrences of %d distinct events; an "
+        "occurrence met again in one (frame, path, site) is the event built first"
+        % (built, occurrences, len(set(trace.events)))
     )

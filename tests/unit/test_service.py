@@ -313,3 +313,54 @@ def test_a_wire_task_with_a_malformed_config_is_a_named_error():
             execute_wire_task(task)
         with pytest.raises(ReproError, match=named):
             task_digest(task)
+
+
+def raw_post(url: str, path: str, content_length: int, body: bytes = b"") -> tuple:
+    """``(status, JSON body)`` of a POST sent over a plain socket, the write
+    side shut after ``body`` whatever ``content_length`` declares."""
+    import socket
+    import urllib.parse
+
+    address = urllib.parse.urlparse(url)
+    with socket.create_connection((address.hostname, address.port), timeout=5.0) as sock:
+        head = (
+            "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"
+            "Content-Length: %d\r\nConnection: close\r\n\r\n"
+            % (path, address.netloc, content_length)
+        )
+        sock.sendall(head.encode("ascii") + body)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload.decode("utf-8"))
+
+
+def test_a_raw_request_within_the_limit_is_served(http):
+    body = json.dumps({"name": "raw", "workers": 1}).encode("utf-8")
+    status, reply = raw_post(http.url, "/api/agents/register", len(body), body)
+    assert status == 200 and reply["agent"]
+    assert [agent["name"] for agent in http.health()["agents"]] == ["raw"]
+
+
+def test_a_body_declared_over_the_limit_is_a_413_answered_unread(http):
+    from repro.service.http import MAX_REQUEST_BYTES
+
+    for declared in (MAX_REQUEST_BYTES + 1, 10**12):
+        status, reply = raw_post(http.url, "/api/agents/register", declared)
+        assert status == 413
+        limit = "%d bytes exceeds the %d-byte limit" % (declared, MAX_REQUEST_BYTES)
+        assert limit in reply["error"]
+    assert http.health()["agents"] == []
+
+
+def test_a_body_shorter_than_its_declared_length_is_a_400(http):
+    status, _ = raw_post(http.url, "/api/agents/register", 2 * 10**8, b"{}")
+    assert status == 413  # over the limit: refused before the short read
+    status, reply = raw_post(http.url, "/api/agents/register", 1000, b"{}")
+    assert status == 400 and "ended after 2 of 1000 bytes" in reply["error"]
+    assert http.health()["agents"] == []
