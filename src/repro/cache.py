@@ -20,12 +20,18 @@ by a serial campaign serves process- and agent-backed ones.
 Layout (all writes atomic, safe for concurrent worker processes)::
 
     <cache-dir>/
-        <digest[:2]>/<digest>.json   # {"schema": N, "kind": ..., "key": ..., "data": ...}
+        <digest[:2]>/<digest>.json   # {"data": ..., "key": ..., "kind": ...,
+                                     #  "schema": N, "sha256": ..., ...}
 
-Entries embed key material for debuggability; unreadable, malformed or
+An entry is one sorted-key JSON object, so ``data`` comes first and its
+bytes run from a fixed offset to wherever the JSON value ends;
+``sha256`` is the digest of exactly those bytes as written.  Entries
+embed key material for debuggability; unreadable, malformed or
 mismatching entries are treated as misses (and overwritten by the
-recompute).  Hit/miss/store counters — of ``profile`` and ``experiment``
-entries only; the one ``slices`` lookup is reported as ``replayed`` or
+recompute), and an entry whose data no longer hashes to its checksum —
+a value changed inside valid JSON — is a miss counted as ``corrupt``.
+Hit/miss/store counters — of ``profile`` and ``experiment`` entries
+only; the one ``slices`` lookup is reported as ``replayed`` or
 ``recomputed`` — are kept per :class:`ExperimentCache` instance and
 surfaced by the CLI (stderr), by agents to their manager, and by
 ``benchmarks/campaign_bench``.
@@ -48,7 +54,7 @@ from .faults import fault_models_digest, model_for
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .serialize import (
-    atomic_write_json,
+    atomic_write_text,
     fault_to_obj,
     fca_from_obj,
     fca_to_obj,
@@ -104,7 +110,17 @@ _T = TypeVar("_T")
 #: joined the one fault-model registry: ``fault_models`` now covers them.
 #: Every key changed but no codec did, so a schema-5 cache written before
 #: reads as clean misses, never as corrupt or stale entries.
-CACHE_SCHEMA = 5
+#:
+#:   6 — a profile entry holds its run group's columns (``n_runs``, a
+#:       count row per loop site, loop-state unions, per-fault natural
+#:       hits and state unions, injected states, ``reached``) instead of
+#:       one serialized trace per run, and every entry carries the
+#:       ``sha256`` of its data bytes, checked on each lookup.
+CACHE_SCHEMA = 6
+
+#: How every entry begins: sorted keys put ``data`` first.
+_DATA = '{"data": '
+_DECODER = json.JSONDecoder()
 
 
 class ExperimentCache:
@@ -136,6 +152,9 @@ class ExperimentCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Lookups of any kind whose entry failed its checksum (each is
+        #: also a miss, or a recomputed slice analysis).
+        self.corrupt = 0
         #: ``"replayed"`` / ``"recomputed"`` once the slice analysis went
         #: through this cache; ``None`` when it never did (the spec carried
         #: one already, or declares no source modules).
@@ -245,13 +264,24 @@ class ExperimentCache:
         """The decoded entry under ``key``, or ``None`` for anything that
         is not a well-formed entry of this kind and schema: a missing or
         truncated file, JSON that is not an object, a missing field, data
-        the codec rejects."""
+        that fails its checksum (counted in ``corrupt``), data the codec
+        rejects."""
         try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload["schema"] != CACHE_SCHEMA or payload["kind"] != kind:
+            with open(self._path(key), "rb") as fh:
+                raw = fh.read()
+            # Latin-1 maps each byte to one character, so the decoder's
+            # offsets are byte offsets into ``raw``.
+            text = raw.decode("latin-1")
+            if not text.startswith(_DATA):
                 return None
-            return decode(payload["data"])
+            data, end = _DECODER.raw_decode(text, len(_DATA))
+            header = json.loads("{" + text[end + 1 :])  # text[end:] is ', "key": ...}'
+            if header["schema"] != CACHE_SCHEMA or header["kind"] != kind:
+                return None
+            if hashlib.sha256(raw[len(_DATA) : end]).hexdigest() != header["sha256"]:
+                self.corrupt += 1
+                return None
+            return decode(data)
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
 
@@ -268,19 +298,23 @@ class ExperimentCache:
     def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Writers racing on one entry write identical bytes, each through
-        # its own temp file.
-        atomic_write_json(
-            path,
+        text = json.dumps(data, sort_keys=True)
+        header = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
                 "kind": kind,
                 "system": self.system,
                 "spec": self.spec_digest,
                 "key": key_material,
-                "data": data,
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
             },
+            sort_keys=True,
         )
+        # Every header key sorts after "data", so this is the sorted dump
+        # of the whole entry, with the data encoded once.  Writers racing
+        # on one entry write identical bytes, each through its own temp
+        # file.
+        atomic_write_text(path, "%s%s, %s\n" % (_DATA, text, header[1:]))
 
     def lookup_profile(self, key: str) -> Optional[RunGroup]:
         return self._lookup(key, "profile", group_from_obj)
@@ -332,5 +366,6 @@ class ExperimentCache:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
+            "corrupt": self.corrupt,
             "slices": self.slices,
         }

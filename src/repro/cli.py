@@ -211,9 +211,13 @@ def _print_cache_stats(ctx) -> None:
     if cache is None:
         return
     stats = cache.stats()
+    corrupt = " (%d corrupt)" % stats["corrupt"] if stats["corrupt"] else ""
     print(
-        "cache: %d hits, %d misses, %d stored%s (%s)"
-        % (stats["hits"], stats["misses"], stats["stores"], _slices_note(stats), stats["dir"]),
+        "cache: %d hits, %d misses%s, %d stored%s (%s)"
+        % (
+            stats["hits"], stats["misses"], corrupt, stats["stores"],
+            _slices_note(stats), stats["dir"],
+        ),
         file=sys.stderr,
     )
 

@@ -201,12 +201,15 @@ class ExperimentDriver:
 
     def _compute_profile(self, test_id: str) -> RunGroup:
         """Run the profile repetitions of a test (pure; no caching)."""
+        return RunGroup.of(test_id, None, self._run_repeats(test_id, None))
+
+    def _run_repeats(self, test_id: str, plan: Optional[InjectionPlan]) -> List[RunTrace]:
+        """The ``repeats`` seeded runs of a test, under ``plan`` or fault-free."""
         workload = self.spec.workloads[test_id]
-        group = RunGroup(test_id=test_id, injection=None)
-        for rep in range(self.config.repeats):
-            seed = seed_for(test_id, rep, self.config.seed)
-            group.add(run_workload(self.spec, workload, None, seed))
-        return group
+        return [
+            run_workload(self.spec, workload, plan, seed_for(test_id, rep, self.config.seed))
+            for rep in range(self.config.repeats)
+        ]
 
     def _resolve_profiles(
         self, test_ids: Sequence[str], executor: Optional["Executor"] = None
@@ -244,7 +247,7 @@ class ExperimentDriver:
             pending = [t for t in test_ids if t not in self._profiles]
             for group in self._resolve_profiles(pending, executor):
                 self._profiles[group.test_id] = group
-                self.runs_executed += len(group)
+                self.runs_executed += group.n_runs
 
     def profile(self, test_id: str) -> RunGroup:
         """Profile (fault-free) run group of a test; cached."""
@@ -281,12 +284,12 @@ class ExperimentDriver:
             return self.spec.workload_ids()
         out = []
         for test_id in self.spec.workload_ids():
-            if fault.site_id in self.profile(test_id).reached():
+            if fault.site_id in self.profile(test_id).reached:
                 out.append(test_id)
         return out
 
     def coverage_of(self, test_id: str) -> int:
-        return self.profile(test_id).coverage()
+        return len(self.profile(test_id).reached)
 
     def best_test_for(self, fault: FaultKey) -> Optional[str]:
         """Reaching test with the highest code coverage (phase one rule)."""
@@ -322,25 +325,19 @@ class ExperimentDriver:
         """
         if fault.site_id not in self.spec.registry:
             raise UnknownSite(fault.site_id)
-        workload = self.spec.workloads[test_id]
         profile = self.profile(test_id)
         combined = FcaResult(fault=fault, test_id=test_id)
         interference: Set[FaultKey] = set()
         runs = 0
         for plan in self._plans_for(fault):
-            group = RunGroup(test_id=test_id, injection=plan)
-            for rep in range(self.config.repeats):
-                seed = seed_for(test_id, rep, self.config.seed)
-                trace = run_workload(self.spec, workload, plan, seed)
-                group.add(trace)
-                runs += 1
-                if trace.saturated:
-                    # Graceful degradation: a runaway injection (e.g. a
-                    # composed schedule saturating the event loop) stops
-                    # at the sim step limit instead of raising; count the
-                    # aborted run and keep the campaign going.
-                    combined.aborted += 1
-            partial = self.fca.analyze(profile, group)
+            traces = self._run_repeats(test_id, plan)
+            runs += len(traces)
+            # Graceful degradation: a runaway injection (e.g. a composed
+            # schedule saturating the event loop) stops at the sim step
+            # limit instead of raising; count the aborted runs and keep
+            # the campaign going.
+            combined.aborted += sum(trace.saturated for trace in traces)
+            partial = self.fca.analyze(profile, RunGroup.of(test_id, plan, traces))
             combined.edges.extend(partial.edges)
             interference.update(partial.interference)
             if partial.min_p is not None and (

@@ -76,13 +76,12 @@ class FaultCausalityAnalysis:
         # Edge family by the *model's* declared source class (Table 1):
         # delay-like kinds produce E(D)/S+(D) edges, the rest E(I)/S+(I).
         etype = EdgeType.E_D if model_for(fault.kind).delay_like else EdgeType.E_I
-        src_states = injection.injected_states()
-        for candidate in sorted(injection.natural_faults()):
+        for candidate, hits in sorted(injection.natural_hits.items()):
             if candidate.kind is InjKind.DELAY:
                 continue  # loop faults handled statistically below
-            if profile.fault_occurrence_frac(candidate) > 0.0:
+            if profile.natural_hits.get(candidate):
                 continue  # not counterfactual: happens without the injection
-            if injection.fault_occurrence_frac(candidate) < self.config.point_event_min_frac:
+            if hits / injection.n_runs < self.config.point_event_min_frac:
                 continue  # too rare to attribute (noise damping)
             result.interference.append(candidate)
             result.edges.append(
@@ -91,8 +90,8 @@ class FaultCausalityAnalysis:
                     dst=candidate,
                     etype=etype,
                     test_id=injection.test_id,
-                    src_states=src_states,
-                    dst_states=injection.states_of(candidate),
+                    src_states=injection.injected_states,
+                    dst_states=injection.natural_states[candidate],
                 )
             )
 
@@ -106,13 +105,14 @@ class FaultCausalityAnalysis:
         site — the per-experiment hot path of FCA.
         """
         etype = EdgeType.SP_D if model_for(fault.kind).delay_like else EdgeType.SP_I
-        src_states = injection.injected_states()
-        loop_sites = sorted(injection.loop_sites())
+        loop_sites = sorted(injection.loop_counts)
         if not loop_sites:
             return
-        treatments = injection.loop_count_rows(loop_sites)
-        controls = profile.loop_count_rows(loop_sites)
-        pvalues = one_sided_t_pvalues(treatments, controls)
+        never = (0,) * profile.n_runs
+        pvalues = one_sided_t_pvalues(
+            [injection.loop_counts[site_id] for site_id in loop_sites],
+            [profile.loop_counts.get(site_id, never) for site_id in loop_sites],
+        )
         for site_id, p in zip(loop_sites, pvalues):
             p = float(p)
             if math.isfinite(p) and (result.min_p is None or p < result.min_p):
@@ -126,8 +126,8 @@ class FaultCausalityAnalysis:
                 dst=dst,
                 etype=etype,
                 test_id=injection.test_id,
-                src_states=src_states,
-                dst_states=injection.loop_states_of(site_id),
+                src_states=injection.injected_states,
+                dst_states=injection.loop_states.get(site_id, frozenset()),
             )
             result.edges.append(edge)
             self._expand_nested(injection, dst, result)
@@ -139,18 +139,19 @@ class FaultCausalityAnalysis:
             return
         parent_id = site.loop.parent
         parent = FaultKey(parent_id, InjKind.DELAY)
+        states = injection.loop_states
         result.edges.append(
             CausalEdge(
                 src=delayed,
                 dst=parent,
                 etype=EdgeType.ICFG,
                 test_id=injection.test_id,
-                src_states=injection.loop_states_of(delayed.site_id),
-                dst_states=injection.loop_states_of(parent_id),
+                src_states=states.get(delayed.site_id, frozenset()),
+                dst_states=states.get(parent_id, frozenset()),
             )
         )
         for sibling in self.registry.siblings_after(delayed.site_id):
-            if sibling.site_id not in injection.reached():
+            if sibling.site_id not in injection.reached:
                 continue
             result.edges.append(
                 CausalEdge(
@@ -158,7 +159,7 @@ class FaultCausalityAnalysis:
                     dst=FaultKey(sibling.site_id, InjKind.DELAY),
                     etype=EdgeType.CFG,
                     test_id=injection.test_id,
-                    src_states=injection.loop_states_of(parent_id),
-                    dst_states=injection.loop_states_of(sibling.site_id),
+                    src_states=states.get(parent_id, frozenset()),
+                    dst_states=states.get(sibling.site_id, frozenset()),
                 )
             )

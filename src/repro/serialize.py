@@ -3,7 +3,8 @@
 One ``*_to_obj`` / ``*_from_obj`` pair per domain type that is read
 back, shared by the experiment cache, the wire form of experiment tasks
 and the machine-readable report output (``DetectionReport.to_dict``);
-``analysis_to_obj`` is write-only (``repro analyze --json``).  All
+``analysis_to_obj`` (``repro analyze --json``) and ``trace_to_obj`` (what
+a run's golden digest is taken over) are write-only.  All
 ``to_obj`` functions emit plain JSON-compatible values (dicts, lists,
 strings, numbers, bools) with deterministic ordering, so dumping the same
 value twice yields byte-identical files.
@@ -11,10 +12,8 @@ value twice yields byte-identical files.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -27,27 +26,29 @@ from .core.fca import FcaResult
 from .faults import model_for  # also interns every registered fault kind
 from .instrument.analyzer import AnalysisResult
 from .instrument.plan import InjectionPlan
-from .instrument.trace import FaultEvent, RunGroup, RunTrace
+from .instrument.trace import RunGroup, RunTrace
 from .types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState, StateSet
 
 # ------------------------------------------------------------ atomic writes
 
 
-def atomic_write_json(path: "os.PathLike[str]", payload: Any) -> None:
-    """Write ``payload`` as sorted JSON via temp file + ``os.replace``.
+def atomic_write_text(path: "os.PathLike[str]", text: str) -> None:
+    """Write ``text`` via temp file + ``os.replace``.
 
     The temp file is named per writer (process id and thread id), so
     concurrent writers of one entry — cache-sharing worker processes, an
     agent's execution threads — never open, or move, each other's temp.
+    A write that fails removes its temp file.
     """
     path = Path(path)
     tmp = path.with_suffix(".tmp.%d.%d" % (os.getpid(), threading.get_ident()))
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # ``dumps`` encodes in C; ``dump`` to a file runs the pure-Python
-        # iterative encoder.  The bytes are the same.
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --------------------------------------------------------------- fault keys
@@ -170,42 +171,41 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
     }
 
 
-def trace_from_obj(obj: Dict[str, Any]) -> RunTrace:
-    trace = RunTrace(
-        test_id=obj["test_id"],
-        injection=plan_from_obj(obj["injection"]),
-        seed=obj["seed"],
-    )
-    trace.events = [
-        FaultEvent(
-            fault=fault_from_obj(e["fault"]),
-            state=state_from_obj(e["state"]),
-            injected=e["injected"],
-        )
-        for e in obj["events"]
-    ]
-    trace.loop_counts = Counter({site: count for site, count in obj["loop_counts"].items()})
-    trace.loop_states = {
-        site: set(states_from_obj(states)) for site, states in obj["loop_states"].items()
-    }
-    trace.reached = set(obj["reached"])
-    trace.saturated = obj["saturated"]
-    return trace
-
-
 def group_to_obj(group: RunGroup) -> Dict[str, Any]:
+    """A run group's columns; the runs it was built from are not kept."""
     return {
         "test_id": group.test_id,
         "injection": plan_to_obj(group.injection),
-        "runs": [trace_to_obj(t) for t in group.runs],
+        "n_runs": group.n_runs,
+        "loop_counts": {site: list(row) for site, row in sorted(group.loop_counts.items())},
+        "loop_states": {
+            site: states_to_obj(states) for site, states in sorted(group.loop_states.items())
+        },
+        "natural": {
+            fault_to_obj(fault): {
+                "hits": hits,
+                "states": states_to_obj(group.natural_states[fault]),
+            }
+            for fault, hits in sorted(group.natural_hits.items())
+        },
+        "injected_states": states_to_obj(group.injected_states),
+        "reached": sorted(group.reached),
     }
 
 
 def group_from_obj(obj: Dict[str, Any]) -> RunGroup:
-    group = RunGroup(test_id=obj["test_id"], injection=plan_from_obj(obj["injection"]))
-    for run in obj["runs"]:
-        group.add(trace_from_obj(run))
-    return group
+    natural = {fault_from_obj(fault): row for fault, row in obj["natural"].items()}
+    return RunGroup(
+        test_id=obj["test_id"],
+        injection=plan_from_obj(obj["injection"]),
+        n_runs=obj["n_runs"],
+        loop_counts={site: tuple(row) for site, row in obj["loop_counts"].items()},
+        loop_states={site: states_from_obj(states) for site, states in obj["loop_states"].items()},
+        natural_hits={fault: row["hits"] for fault, row in natural.items()},
+        natural_states={fault: states_from_obj(row["states"]) for fault, row in natural.items()},
+        injected_states=states_from_obj(obj["injected_states"]),
+        reached=frozenset(obj["reached"]),
+    )
 
 
 # ------------------------------------------------- experiment task descriptors

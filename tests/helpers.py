@@ -85,10 +85,7 @@ def group(
     injection: Optional[InjectionPlan],
     runs: Iterable[RunTrace],
 ) -> RunGroup:
-    g = RunGroup(test_id=test_id, injection=injection)
-    for run in runs:
-        g.add(run)
-    return g
+    return RunGroup.of(test_id, injection, list(runs))
 
 
 def event(fault: FaultKey, st: Optional[LocalState] = None, injected: bool = False) -> FaultEvent:

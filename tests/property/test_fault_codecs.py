@@ -34,8 +34,6 @@ from repro.serialize import (
     group_to_obj,
     plan_from_obj,
     plan_to_obj,
-    trace_from_obj,
-    trace_to_obj,
 )
 from repro.systems import get_system
 from repro.types import FaultKey, InjKind, LocalState
@@ -99,7 +97,7 @@ def test_fault_key_roundtrip_per_model(model):
 
 
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind_id)
-def test_trace_with_injection_roundtrips(model):
+def test_group_with_injection_roundtrips(model):
     fault = _representative_faults(model)[0]
     plan = model.plans_for(fault, CONFIG, REGISTRY)[0]
     trace = RunTrace(test_id="t1", injection=plan, seed=99)
@@ -108,8 +106,9 @@ def test_trace_with_injection_roundtrips(model):
     )
     trace.loop_counts["sys.a.loop"] = 7
     trace.reached.add("sys.a.loop")
-    clone = trace_from_obj(_via_json(trace_to_obj(trace)))
-    assert clone == trace
+    group = RunGroup.of("t1", plan, [trace])
+    clone = group_from_obj(_via_json(group_to_obj(group)))
+    assert clone == group
     assert clone.injection == plan
 
 
@@ -241,14 +240,13 @@ def test_cache_profile_entry_roundtrip_with_env_injected_group(raft_cache):
     spec, cache = raft_cache
     fault = _env_fault_for(spec, model_for("partition"))
     plan = model_for("partition").plans_for(fault, CONFIG, spec.registry)[0]
-    group = RunGroup(test_id="raft.steady", injection=plan)
     trace = RunTrace(test_id="raft.steady", injection=plan, seed=3)
     trace.loop_counts["flw.append.apply"] = 11
     trace.reached.add("flw.append.apply")
-    group.add(trace)
+    group = RunGroup.of("raft.steady", plan, [trace])
     clone = group_from_obj(_via_json(group_to_obj(group)))
     assert clone.injection == plan
-    assert clone.runs == group.runs
+    assert clone == group
 
 
 def test_plan_sweep_distinguishes_cache_keys(raft_cache):

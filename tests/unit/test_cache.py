@@ -7,6 +7,8 @@ import os
 import threading
 import time
 
+import pytest
+
 from repro.cache import CACHE_SCHEMA, ExperimentCache
 from repro.cli import _cache_dir
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
@@ -166,8 +168,7 @@ def _malformed(valid_entry):
 def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     spec = get_system("toy")
     cache = ExperimentCache(tmp_path, spec, CSnakeConfig(seed=1))
-    group = RunGroup(test_id="t", injection=None)
-    group.add(RunTrace(test_id="t", seed=3))
+    group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
     key = cache.profile_key("t")
     cache.store_profile(key, "t", group)
     assert cache.lookup_profile(key) == group
@@ -239,6 +240,79 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     assert cache.slices == "replayed"
 
 
+def test_a_value_changed_inside_a_valid_entry_is_a_corrupt_miss(tmp_path, monkeypatch):
+    """One digit of a loop count flipped inside a profile entry leaves
+    valid JSON of the right shape: without a checksum it would replay as a
+    hit and change FCA's controls.  It must be a miss counted ``corrupt``,
+    recomputed once, rewritten to the clean bytes, and the campaign must
+    report exactly what a clean run reports."""
+    import repro.core.driver as driver_mod
+
+    root = tmp_path / "cache"
+    clean = _campaign(root)
+    entries = {}
+    for path in root.glob("*/*.json"):
+        entry = json.loads(path.read_text())
+        if entry["kind"] == "profile" and entry["data"]["loop_counts"]:
+            entries[path] = entry
+    path, entry = sorted(entries.items())[0]
+    valid = path.read_text()
+    site, row = sorted(entry["data"]["loop_counts"].items())[0]
+    before = '"%s": [%d, ' % (site, row[0])
+    after = '"%s": [%d, ' % (site, row[0] - row[0] % 10 + (row[0] + 1) % 10)
+    assert valid.count(before) == 1
+    path.write_text(valid.replace(before, after))
+    assert json.loads(path.read_text())["data"] != entry["data"]
+
+    runs = []
+    run_workload = driver_mod.run_workload
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].test_id)
+        return run_workload(*args, **kwargs)
+
+    monkeypatch.setattr(driver_mod, "run_workload", counted)
+    healed = _campaign(root)
+    stats = healed.driver.cache.stats()
+    total = clean.driver.cache.stats()["stores"]
+    assert (stats["hits"], stats["misses"], stats["corrupt"], stats["stores"]) == (
+        total - 1, 1, 1, 1,
+    )
+    assert runs == [entry["key"]["test_id"]] * SMOKE["repeats"]
+    assert path.read_text() == valid
+    report = json.dumps(healed.get("report").to_dict(), sort_keys=True)
+    assert report == json.dumps(clean.get("report").to_dict(), sort_keys=True)
+    assert _fingerprint(healed) == _fingerprint(clean)
+
+
+def test_no_temp_file_survives_a_store_that_raises(tmp_path, monkeypatch):
+    """A store that fails while encoding, while writing or while moving
+    the temp file into place leaves the cache directory as it was."""
+    from repro.core.fca import FcaResult
+    from repro.serialize import atomic_write_text
+
+    cache = ExperimentCache(tmp_path, get_system("toy"), CSnakeConfig(seed=1))
+    key = cache.experiment_key("t", FAULT, PLANS)
+    unencodable = FcaResult(fault=FAULT, test_id="t", min_p=object())
+    with pytest.raises(TypeError):
+        cache.store_experiment(key, "t", FAULT, unencodable, runs=2)
+
+    # A lone surrogate has no UTF-8 encoding: the write itself raises.
+    target = cache._path(key)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "{}" * 10_000 + "\ud800")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cache.store_experiment(key, "t", FAULT, FcaResult(fault=FAULT, test_id="t"), runs=2)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert cache.stores == 0
+
+
 def test_experiment_roundtrip_preserves_runs_counter(tmp_path):
     from repro.core.fca import FcaResult
 
@@ -270,8 +344,7 @@ def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monk
     file: here both temps are written before either is moved into place,
     and both moves must succeed."""
     cache = ExperimentCache(tmp_path, get_system("toy"), CSnakeConfig(seed=1))
-    group = RunGroup(test_id="t", injection=None)
-    group.add(RunTrace(test_id="t", seed=3))
+    group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
     key = cache.profile_key("t")
     both_written = threading.Barrier(2, timeout=10)
     replace = os.replace
@@ -311,9 +384,11 @@ def _writer_entries(cache):
     write takes long enough to be interleaved with the others."""
     from repro.core.fca import FcaResult
 
-    group = RunGroup(test_id="t", injection=None)
-    for seed in range(3):
-        group.add(run_trace("t", loop_counts={"site.%d" % i: i + seed for i in range(300)}))
+    runs = [
+        run_trace("t", loop_counts={"site.%d" % i: i + seed for i in range(300)})
+        for seed in range(3)
+    ]
+    group = RunGroup.of("t", None, runs)
     result = FcaResult(fault=FAULT, test_id="t", interference=[FAULT])
     profile_key = cache.profile_key("t")
     experiment_key = cache.experiment_key("t", FAULT, PLANS)

@@ -59,7 +59,7 @@ def test_profile_is_cached(driver):
 
 def test_profile_repeats_match_config(driver):
     group = driver.profile("toy.idle")
-    assert len(group) == 2
+    assert group.n_runs == 2
 
 
 def test_tests_reaching_uses_profile_coverage(driver):

@@ -115,7 +115,4 @@ def test_parallel_profile_cache_identical():
     with ProcessExecutor(4) as pool:
         parallel.profile_all(pool)
     assert serial.runs_executed == parallel.runs_executed
-    for test_id, group in serial.profiles().items():
-        other = parallel.profiles()[test_id]
-        assert group.reached() == other.reached()
-        assert [r.loop_counts for r in group.runs] == [r.loop_counts for r in other.runs]
+    assert serial.profiles() == parallel.profiles()

@@ -139,8 +139,9 @@ class TestLoop:
 
     def test_counts_stay_a_counter_that_reads_zero_for_a_site_never_iterated(self, registry):
         """The hooks store counts through ``dict``'s own methods; the trace
-        keeps its ``Counter``, which FCA reads as 0 for a site that never
-        iterated in a run."""
+        keeps its ``Counter``, which reads 0 for a site that never iterated
+        in a run, and a group keeps a count row only for the sites some run
+        iterated (FCA reads a missing row as zeros)."""
         rt, trace = make_rt(registry)
         i = 0
         with rt.function("Toy.run"):
@@ -155,9 +156,8 @@ class TestLoop:
         assert type(trace.loop_counts) is Counter
         assert trace.loop_counts == {"toy.outer": 4, "toy.inner": 2}
         assert trace.loop_counts["toy.empty"] == 0
-        group = RunGroup(test_id="t1", injection=None)
-        group.add(trace)
-        assert group.loop_count_rows(["toy.outer", "toy.empty"]) == [[4], [0]]
+        group = RunGroup.of("t1", None, [trace])
+        assert group.loop_counts == {"toy.outer": (4,), "toy.inner": (2,)}
 
         spec = get_system("toy")
         test_id = spec.workload_ids()[0]

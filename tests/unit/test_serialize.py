@@ -15,8 +15,6 @@ from repro.serialize import (
     fault_to_obj,
     group_from_obj,
     group_to_obj,
-    trace_from_obj,
-    trace_to_obj,
 )
 from repro.core.cycles import Cycle
 from repro.instrument.trace import FaultEvent
@@ -55,30 +53,41 @@ def test_edge_roundtrip_preserves_states():
     assert back.dst_states == e.dst_states
 
 
-def test_trace_roundtrip():
-    plan = InjectionPlan(dly("loop.site"), delay_ms=500.0, warmup_ms=100.0)
-    trace = run_trace(
-        test_id="t1",
-        injection=plan,
-        events=[FaultEvent(fault=exc("a"), state=state(), injected=False)],
-        loop_counts={"loop.site": 17},
-        loop_states={"loop.site": [state(("l1", "l0"))]},
+def test_group_roundtrip():
+    """Every column of an injection group survives a JSON round-trip."""
+    plan = InjectionPlan(exc("a"), warmup_ms=100.0)
+    g = group(
+        "t1",
+        plan,
+        [
+            run_trace(
+                test_id="t1",
+                injection=plan,
+                events=[
+                    FaultEvent(fault=exc("a"), state=state(("i1", "i0")), injected=True),
+                    FaultEvent(fault=exc("b"), state=state(), injected=False),
+                ],
+                loop_counts={"loop.site": 17},
+                loop_states={"loop.site": [state(("l1", "l0"))]},
+            ),
+            run_trace("t1", injection=plan, loop_counts={"loop.other": 2}),
+        ],
     )
-    trace.saturated = True
-    back = trace_from_obj(_via_json(trace_to_obj(trace)))
-    assert back == trace
-    assert back.test_id == trace.test_id
+    back = group_from_obj(_via_json(group_to_obj(g)))
+    assert back == g
     assert back.injection == plan
-    assert back.events == trace.events
-    assert back.loop_counts == trace.loop_counts
-    assert back.loop_states == trace.loop_states
-    assert back.reached == trace.reached
-    assert back.saturated
+    assert back.n_runs == 2
+    assert back.loop_counts == {"loop.site": (17, 0), "loop.other": (0, 2)}
+    assert back.loop_states == {"loop.site": frozenset({state(("l1", "l0"))})}
+    assert back.natural_hits == {exc("b"): 1}
+    assert back.natural_states == {exc("b"): frozenset({state()})}
+    assert back.injected_states == frozenset({state(("i1", "i0"))})
+    assert back.reached == {"a", "b", "loop.site", "loop.other"}
 
 
 def test_round_trip_from_obj():
     """Several events, a stateless loop site, and a site reached without a
-    count all survive, and the round-tripped trace serializes identically."""
+    count all survive, and the round-tripped group serializes identically."""
     trace = run_trace(
         test_id="t1",
         events=[
@@ -92,9 +101,12 @@ def test_round_trip_from_obj():
         },
     )
     trace.reached.add("t.check")
-    back = trace_from_obj(trace_to_obj(trace))
-    assert back == trace
-    assert trace_to_obj(back) == trace_to_obj(trace)
+    g = group("t1", None, [trace])
+    back = group_from_obj(group_to_obj(g))
+    assert back == g
+    assert "t.check" in back.reached
+    assert back.injected_states == frozenset()  # no plan: nothing was injected
+    assert group_to_obj(back) == group_to_obj(g)
 
 
 def _toy_workload_trace():
@@ -106,25 +118,28 @@ def _toy_workload_trace():
     return run_workload(spec, spec.workloads[test_id], None, seed_for(test_id, 0, 7))
 
 
-def test_workload_trace_round_trip():
-    """A real simulated run must survive serialize round-trip unchanged."""
+def test_workload_group_round_trip():
+    """The group of a real simulated run must survive a round-trip unchanged."""
     trace = _toy_workload_trace()
-    back = trace_from_obj(trace_to_obj(trace))
-    assert back == trace
-    assert back.natural_faults() == trace.natural_faults()
-    assert sorted(back.loop_counts.items()) == sorted(trace.loop_counts.items())
+    g = group(trace.test_id, None, [trace])
+    back = group_from_obj(_via_json(group_to_obj(g)))
+    assert back == g
+    assert set(back.natural_hits) == trace.natural_faults()
     assert back.reached == trace.reached
-    assert json.dumps(trace_to_obj(back), sort_keys=True) == json.dumps(
-        trace_to_obj(trace), sort_keys=True
+    assert json.dumps(group_to_obj(back), sort_keys=True) == json.dumps(
+        group_to_obj(g), sort_keys=True
     )
 
 
 def test_workload_trace_pickles():
-    """Profile run groups cross the process/remote boundary pickled."""
+    """A simulated run's trace pickles (and its group, which crosses the
+    process boundary, does too)."""
     import pickle
 
     trace = _toy_workload_trace()
     assert pickle.loads(pickle.dumps(trace)) == trace
+    g = group(trace.test_id, None, [trace])
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_group_roundtrip_preserves_statistics():
@@ -137,8 +152,8 @@ def test_group_roundtrip_preserves_statistics():
         ],
     )
     back = group_from_obj(_via_json(group_to_obj(g)))
-    assert back.loop_samples("l") == g.loop_samples("l")
-    assert back.coverage() == g.coverage()
+    assert back.loop_counts["l"] == g.loop_counts["l"] == (3, 5)
+    assert back.reached == g.reached == {"l"}
 
 
 def test_cycle_roundtrip_keeps_identity():
