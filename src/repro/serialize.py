@@ -3,8 +3,7 @@
 One ``*_to_obj`` / ``*_from_obj`` pair per domain type that is read
 back, shared by the experiment cache, the wire form of experiment tasks
 and the machine-readable report output (``DetectionReport.to_dict``);
-``analysis_to_obj`` (``repro analyze --json``) and ``trace_to_obj`` (what
-a run's golden digest is taken over) are write-only.  All
+``analysis_to_obj`` (``repro analyze --json``) is write-only.  All
 ``to_obj`` functions emit plain JSON-compatible values (dicts, lists,
 strings, numbers, bools) with deterministic ordering, so dumping the same
 value twice yields byte-identical files.
@@ -26,7 +25,7 @@ from .core.fca import FcaResult
 from .faults import model_for  # also interns every registered fault kind
 from .instrument.analyzer import AnalysisResult
 from .instrument.plan import InjectionPlan
-from .instrument.trace import RunGroup, RunTrace
+from .instrument.trace import RunGroup
 from .types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState, StateSet
 
 # ------------------------------------------------------------ atomic writes
@@ -145,30 +144,7 @@ def plan_from_obj(obj: Optional[Dict[str, Any]]) -> Optional[InjectionPlan]:
     )
 
 
-# ------------------------------------------------------------------ traces
-
-
-def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
-    return {
-        "test_id": trace.test_id,
-        "injection": plan_to_obj(trace.injection),
-        "seed": trace.seed,
-        "events": [
-            {
-                "fault": fault_to_obj(e.fault),
-                "state": state_to_obj(e.state),
-                "injected": e.injected,
-            }
-            for e in trace.events
-        ],
-        "loop_counts": {site: count for site, count in sorted(trace.loop_counts.items())},
-        "loop_states": {
-            site: states_to_obj(frozenset(states))
-            for site, states in sorted(trace.loop_states.items())
-        },
-        "reached": sorted(trace.reached),
-        "saturated": trace.saturated,
-    }
+# -------------------------------------------------------------- run groups
 
 
 def group_to_obj(group: RunGroup) -> Dict[str, Any]:

@@ -9,17 +9,10 @@ edges (``key()`` and state sets) in result order, ``chains_explored``,
 reporting moved onto interned ids; a change to ``repro.core.beam`` must
 reproduce it.
 
-The file's ``"campaigns"`` block pins the search at campaign scale: the
-edge, cycle and chain counts, ``levels`` and the three checker counters of
-the three golden campaigns' own ``search`` stage, recorded on the commit
-*before* the kernel stopped holding per-candidate rows.  It belongs to
-``tests/golden_campaigns.py`` (which runs those campaigns anyway, checks
-the block beside the digests and re-records it); this script carries it
-over untouched.
-
-Regenerate (only for an intended change of what the search reports)::
-
-    PYTHONPATH=src python tests/golden_beam.py
+It is the ``beam`` entry of ``tests/golden.py``: one row per system of
+:data:`SEARCHES`.  The fixture's ``"campaigns"`` key is not this
+module's: it is the ``campaign_searches`` entry (``tests/golden_campaigns.py``),
+and recording either entry leaves the other's keys as they are.
 """
 
 from __future__ import annotations
@@ -27,7 +20,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from repro.config import CSnakeConfig
@@ -36,12 +28,6 @@ from repro.pipeline import STAGES, PipelineContext
 from repro.serialize import cycle_to_obj
 from repro.systems import get_system
 from repro.types import CausalEdge, FaultKey
-
-FIXTURE = Path(__file__).with_name("golden_beam.json")
-
-#: Key of the campaign-scale block (see the module docstring); every other
-#: top-level key of the fixture is a system of :data:`SEARCHES`.
-CAMPAIGNS_KEY = "campaigns"
 
 _CAMPAIGN = dict(repeats=2, delay_values_ms=(2000.0,), budget_per_fault=4, seed=7)
 
@@ -89,10 +75,3 @@ def system_results(system: str) -> Dict[str, Dict[str, Any]]:
             "rejected_state": beam.compat.rejected_state,
         }
     return out
-
-
-if __name__ == "__main__":
-    results = {system: system_results(system) for system in sorted(SEARCHES)}
-    results[CAMPAIGNS_KEY] = json.loads(FIXTURE.read_text())[CAMPAIGNS_KEY]
-    FIXTURE.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-    print("wrote %s" % FIXTURE)

@@ -20,22 +20,19 @@ counters, in the ``"campaigns"`` block of ``golden_beam.json`` (recorded
 on commit ``762a35c`` — the commit *before* the beam kernel stopped
 holding per-candidate rows).
 
-Check all three (the evaluation campaign takes ~20 s; CI runs this)::
-
-    PYTHONPATH=src python tests/golden_campaigns.py --check
-
-Regenerate (only for an intended change of campaign results)::
-
-    PYTHONPATH=src python tests/golden_campaigns.py
+They are two entries of ``tests/golden.py`` with one row per campaign:
+``campaigns`` (the digests) and ``campaign_searches`` (the counters).
+:func:`campaign_rows` runs each campaign once for both.  The test suite
+checks the two benchmark-scale campaigns (~6 s together); the
+evaluation-scale one (~20 s) only ``tests/golden.py`` checks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import sys
-from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.bench import bench_config
 from repro.config import CSnakeConfig
@@ -43,15 +40,6 @@ from repro.faults import expand_kinds, registered_schedules
 from repro.pipeline import Pipeline, PipelineContext
 from repro.serialize import edge_to_obj
 from repro.systems import get_system
-
-FIXTURE = Path(__file__).with_name("golden_campaign_digests.json")
-#: The beam fixture and the block of it this module owns.
-BEAM_FIXTURE = Path(__file__).with_name("golden_beam.json")
-SEARCHES_KEY = "campaigns"
-
-#: The benchmark-scale campaigns; tier-1 checks these (~6 s together).
-BENCHMARK_SCALE = ("minihdfs2_benchmark", "minidfs_benchmark")
-
 
 #: Campaign name -> (system, config).
 CAMPAIGNS: Dict[str, Tuple[str, CSnakeConfig]] = {
@@ -98,28 +86,9 @@ def search_counters(ctx: PipelineContext) -> Dict[str, int]:
     }
 
 
-def campaign_context(name: str) -> PipelineContext:
+@functools.lru_cache(maxsize=None)
+def campaign_rows(name: str) -> Tuple[str, Dict[str, int]]:
+    """One campaign's digest and search counters; the campaign runs once."""
     system, config = CAMPAIGNS[name]
-    return Pipeline.default(get_system(system), config).run()
-
-
-if __name__ == "__main__":
-    digests: Dict[str, str] = {}
-    searches: Dict[str, Any] = {}
-    for name in sorted(CAMPAIGNS):
-        ctx = campaign_context(name)
-        digests[name], searches[name] = context_digest(ctx), search_counters(ctx)
-    beam_golden = json.loads(BEAM_FIXTURE.read_text())
-    if sys.argv[1:] == ["--check"]:
-        golden = json.loads(FIXTURE.read_text())
-        golden_searches = beam_golden[SEARCHES_KEY]
-        for name in sorted(set(golden) | set(digests)):
-            same = golden.get(name) == digests.get(name)
-            print("%-22s %s" % (name, "ok" if same else "MISMATCH: %s" % digests.get(name)))
-            if searches.get(name) != golden_searches.get(name):
-                print("%-22s search MISMATCH: %s" % (name, searches.get(name)))
-        sys.exit(0 if digests == golden and searches == golden_searches else 1)
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    beam_golden[SEARCHES_KEY] = searches
-    BEAM_FIXTURE.write_text(json.dumps(beam_golden, indent=1, sort_keys=True) + "\n")
-    print("wrote %s and the campaigns block of %s" % (FIXTURE, BEAM_FIXTURE))
+    ctx = Pipeline.default(get_system(system), config).run()
+    return context_digest(ctx), search_counters(ctx)

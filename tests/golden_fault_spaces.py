@@ -10,24 +10,15 @@ they say why a site is *not* in F, not what is.
 ``golden_fault_spaces.json`` was recorded on the commit *before* fault
 schedules moved into the single fault-model registry; a change of the
 registry or the analyzer that keeps every digest keeps every campaign's
-fault space.  ``tests/unit/test_golden_fault_spaces.py`` checks it in
-tier-1.
+fault space.
 
-Check::
-
-    PYTHONPATH=src python tests/golden_fault_spaces.py --check
-
-Regenerate (only for an intended change of what a fault space holds)::
-
-    PYTHONPATH=src python tests/golden_fault_spaces.py
+It is the ``fault_spaces`` entry of ``tests/golden.py``: one row per
+system, holding all four flavours.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
-from pathlib import Path
 from typing import Any, Dict
 
 from repro.config import CSnakeConfig
@@ -35,9 +26,7 @@ from repro.faults import expand_kinds, registered_schedules
 from repro.instrument.analyzer import AnalysisResult
 from repro.pipeline import PipelineContext
 from repro.pipeline.stages import analyze_stage
-from repro.systems import available_systems, get_system
-
-FIXTURE = Path(__file__).with_name("golden_fault_spaces.json")
+from repro.systems import get_system
 
 
 def flavours() -> Dict[str, Dict[str, Any]]:
@@ -64,20 +53,6 @@ def fault_space_row(system: str, flavour: str) -> Dict[str, Any]:
     }
 
 
-def all_rows() -> Dict[str, Dict[str, Dict[str, Any]]]:
-    return {
-        system: {flavour: fault_space_row(system, flavour) for flavour in flavours()}
-        for system in available_systems()
-    }
-
-
-if __name__ == "__main__":
-    rows = all_rows()
-    if sys.argv[1:] == ["--check"]:
-        golden = json.loads(FIXTURE.read_text())
-        for name in sorted(set(golden) | set(rows)):
-            same = golden.get(name) == rows.get(name)
-            print("%-10s %s" % (name, "ok" if same else "MISMATCH: %s" % rows.get(name)))
-        sys.exit(0 if rows == golden else 1)
-    FIXTURE.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
-    print("wrote %s (%d systems)" % (FIXTURE, len(rows)))
+def system_rows(system: str) -> Dict[str, Dict[str, Any]]:
+    """Flavour name -> fault-space row, for one system."""
+    return {flavour: fault_space_row(system, flavour) for flavour in flavours()}

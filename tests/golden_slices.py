@@ -12,32 +12,20 @@ so one fixture serves every supported Python version.
 per-function CFG and typed-local resolution were deleted from
 ``repro.analysis``; a change of the slicer that keeps every digest
 keeps every call edge, slice and reachability verdict.
-``tests/unit/test_golden_slices.py`` checks it in tier-1.
 
-Check::
-
-    PYTHONPATH=src python tests/golden_slices.py --check
-
-Regenerate (only for an intended change of what the slicer resolves, or
-of a system's source)::
-
-    PYTHONPATH=src python tests/golden_slices.py
+It is the ``slices`` entry of ``tests/golden.py``: one row per system.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 from typing import Any, Dict
 
 from repro.analysis import analyze_system, live_sources
 from repro.analysis.astutil import collect_module
 from repro.analysis.callgraph import build_call_graph
-from repro.systems import available_systems, get_system
-
-FIXTURE = Path(__file__).with_name("golden_slices.json")
+from repro.systems import get_system
 
 
 def slice_payload(system: str) -> Dict[str, Any]:
@@ -64,15 +52,3 @@ def slice_payload(system: str) -> Dict[str, Any]:
 def slice_digest(system: str) -> str:
     blob = json.dumps(slice_payload(system), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-if __name__ == "__main__":
-    digests = {system: slice_digest(system) for system in available_systems()}
-    if sys.argv[1:] == ["--check"]:
-        golden = json.loads(FIXTURE.read_text())
-        for name in sorted(set(golden) | set(digests)):
-            same = golden.get(name) == digests.get(name)
-            print("%-10s %s" % (name, "ok" if same else "MISMATCH: %s" % digests.get(name)))
-        sys.exit(0 if digests == golden else 1)
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print("wrote %s (%d systems)" % (FIXTURE, len(digests)))

@@ -11,9 +11,7 @@ runtime hot-path rewrite and re-recorded once, with ``CACHE_SCHEMA`` 5,
 from that commit's traces minus the fields schema 5 deleted; a change to
 ``repro.sim`` or ``repro.instrument`` must reproduce every digest.
 
-Regenerate (only for an intended behaviour change of a target system)::
-
-    PYTHONPATH=src python tests/golden_traces.py
+It is the ``traces`` entry of ``tests/golden.py``: one row per system.
 """
 
 from __future__ import annotations
@@ -21,18 +19,16 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro import faults
 from repro.config import CSnakeConfig
 from repro.core import driver as driver_mod
 from repro.instrument.analyzer import analyze
-from repro.serialize import trace_to_obj
 from repro.sim import SimEnv
-from repro.systems import available_systems, get_system
+from repro.systems import get_system
 
-FIXTURE = Path(__file__).with_name("golden_trace_digests.json")
+from tests.helpers import trace_to_obj
 
 CAMPAIGN_SEED = 7
 
@@ -105,12 +101,3 @@ def system_digests(system: str) -> Dict[str, str]:
             spec, test_id, plan, seed
         )
     return out
-
-
-def all_digests() -> Dict[str, Dict[str, str]]:
-    return {system: system_digests(system) for system in available_systems()}
-
-
-if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(all_digests(), indent=1, sort_keys=True) + "\n")
-    print("wrote %s" % FIXTURE)

@@ -1,13 +1,15 @@
-"""Shared factories for synthetic traces, edges, and states in tests."""
+"""Shared factories for synthetic traces, edges, and states in tests, and
+the JSON form of a run's trace that trace-level comparisons are taken over."""
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core import beam
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
+from repro.serialize import fault_to_obj, plan_to_obj, state_to_obj, states_to_obj
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
 
 
@@ -90,3 +92,28 @@ def group(
 
 def event(fault: FaultKey, st: Optional[LocalState] = None, injected: bool = False) -> FaultEvent:
     return FaultEvent(fault, st if st is not None else state(), injected=injected)
+
+
+def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
+    """Everything a run leaves behind, as plain JSON values in a fixed order
+    (what a golden trace digest and the runtime differential compare)."""
+    return {
+        "test_id": trace.test_id,
+        "injection": plan_to_obj(trace.injection),
+        "seed": trace.seed,
+        "events": [
+            {
+                "fault": fault_to_obj(e.fault),
+                "state": state_to_obj(e.state),
+                "injected": e.injected,
+            }
+            for e in trace.events
+        ],
+        "loop_counts": {site: count for site, count in sorted(trace.loop_counts.items())},
+        "loop_states": {
+            site: states_to_obj(frozenset(states))
+            for site, states in sorted(trace.loop_states.items())
+        },
+        "reached": sorted(trace.reached),
+        "saturated": trace.saturated,
+    }

@@ -24,6 +24,8 @@ from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
 from tests.helpers import DEFAULT_KERNEL_BLOCK, kernel_block_size
 from tests.reference_beam import ReferenceBeamSearch
 
+pytestmark = pytest.mark.contract
+
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
 faults = st.builds(FaultKey, site_id=sites, kind=kinds)

@@ -15,6 +15,7 @@ profile and injection group of the minidfs benchmark golden campaign.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from repro.systems import get_system
 from tests.golden_campaigns import CAMPAIGNS
 from tests.helpers import dly, exc, neg, state
 from tests.reference_rungroup import ReferenceFaultCausalityAnalysis, ReferenceRunGroup
+
+pytestmark = pytest.mark.contract
 
 #: Loops ``s.a`` < ``s.b`` < ``s.c`` nest under ``s.outer`` (so a delayed
 #: ``s.a`` expands to ICFG and CFG edges); ``s.solo`` stands alone.

@@ -28,6 +28,7 @@ iteration the oracle counted at its start is counted by the runtime when
 its generator finishes.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,10 +36,12 @@ from repro.errors import IOEx, SimFault
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
 from repro.instrument import runtime as runtime_module
 from repro.instrument.trace import FaultEvent, RunTrace
-from repro.serialize import trace_to_obj
 from repro.types import FaultKey, InjKind
 
 from tests import reference_runtime
+from tests.helpers import trace_to_obj
+
+pytestmark = pytest.mark.contract
 
 FUNCTIONS = ["F.a", "F.b"]
 LOOPS = ["l.0", "l.1"]  # shared by ``for`` loops and ``while`` guards

@@ -5,12 +5,15 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.errors import IOEx, NodeCrashed, RpcTimeout, SimFault
 from repro.sim import Node, SimEnv
+
+pytestmark = pytest.mark.contract
 
 
 def make_env(seed=0):

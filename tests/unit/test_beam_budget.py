@@ -13,6 +13,8 @@ this search built two ``Cycle``s per closure.
 import sys
 from collections import Counter
 
+import pytest
+
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.cycles import Cycle
@@ -20,6 +22,8 @@ from repro.types import CausalEdge, EdgeType
 
 from tests.helpers import edge, exc, state
 from tests.reference_beam import ReferenceBeamSearch, canonical
+
+pytestmark = pytest.mark.contract
 
 COUNTED = {
     f.__code__: name

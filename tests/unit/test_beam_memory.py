@@ -12,12 +12,16 @@ first search below peaked at 75.1 MB.
 
 import tracemalloc
 
+import pytest
+
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.types import EdgeType
 
 from tests.helpers import edge, exc, state
 from tests.reference_beam import ReferenceBeamSearch
+
+pytestmark = pytest.mark.contract
 
 MB = 1e6
 

@@ -240,6 +240,7 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     assert cache.slices == "replayed"
 
 
+@pytest.mark.contract
 def test_a_value_changed_inside_a_valid_entry_is_a_corrupt_miss(tmp_path, monkeypatch):
     """One digit of a loop count flipped inside a profile entry leaves
     valid JSON of the right shape: without a checksum it would replay as a

@@ -18,6 +18,8 @@ from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.errors import ConfigError
 from repro.faults import all_models
 
+pytestmark = pytest.mark.contract
+
 FIELDS = dataclasses.fields(CSnakeConfig)
 
 

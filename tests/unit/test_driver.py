@@ -7,9 +7,10 @@ import pytest
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.errors import UnknownSite
-from repro.serialize import trace_to_obj
 from repro.systems.toy import build_system
 from repro.types import FaultKey, InjKind
+
+from tests.helpers import trace_to_obj
 
 FAST = dict(repeats=2, delay_values_ms=(2000.0,), seed=11)
 

@@ -1,20 +1,43 @@
 """What holds of the Welch and average-linkage kernels without SciPy
-installed: the answers SciPy gave on the parent commit for fixed inputs
-(tests/golden_stats.py), and that a call touches no process-global state
-— FCA runs concurrently on an agent's worker threads."""
+installed: the answers SciPy gave for fixed inputs, and that a call touches
+no process-global state — FCA runs concurrently on an agent's worker threads.
+
+``tests/golden_stats.json`` holds those inputs and the answers
+``one_sided_t_pvalues`` and ``cluster_faults`` gave on the commit *before*
+the two kernels were written in-house, when both still called SciPy
+(``scipy.stats.ttest_ind`` and ``scipy.cluster.hierarchy.linkage`` +
+``fcluster``).  It is an external oracle, compared within a tolerance, and
+not a self-recorded golden: today's kernels cannot regenerate it (they
+would record themselves), so it is not an entry of ``tests/golden.py``.
+The hypothesis oracles (``test_stats_oracle.py``, ``test_linkage_oracle.py``)
+compare with SciPy on fresh inputs where it is installed."""
 
 import json
 import sys
 import threading
 import warnings
+from pathlib import Path
+from typing import List
 
+import numpy as np
 import pytest
 
+from repro.core.clustering import cluster_faults
 from repro.core.stats import one_sided_t_pvalues
-from tests.golden_stats import FIXTURE, THRESHOLDS, linkage_labels
+from repro.types import FaultKey, InjKind
 
-GOLDEN = json.loads(FIXTURE.read_text())
+pytestmark = pytest.mark.contract
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "golden_stats.json").read_text())
 P_VALUE = 0.1
+THRESHOLDS = (0.2, 0.5, 0.9)
+
+
+def linkage_labels(vectors: List[List[float]], threshold: float) -> List[int]:
+    """Cluster id of each vector, in input order, through the public API."""
+    faults = [FaultKey(f"f{i:02d}", InjKind.EXCEPTION) for i in range(len(vectors))]
+    clustering = cluster_faults(faults, [np.array(v) for v in vectors], threshold)
+    return [clustering.by_fault[f] for f in faults]
 
 
 def test_fixture_has_every_shape_the_kernels_must_handle():

@@ -38,6 +38,8 @@ from repro.instrument.trace import FaultEvent
 from repro.systems import get_system
 from tests.golden_traces import CAMPAIGN_SEED, events_processed_log
 
+pytestmark = pytest.mark.contract
+
 #: (system, workload) -> calls per simulated event when the budget was set.
 MEASURED = {
     ("minihdfs2", "hdfs2.cache_small"): 26.1,

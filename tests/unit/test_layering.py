@@ -26,6 +26,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+pytestmark = pytest.mark.contract
+
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 GUARDED_RECEIVERS = ("driver", "cache")

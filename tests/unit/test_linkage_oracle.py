@@ -17,6 +17,8 @@ from repro.core.idf import IdfVectorizer, cosine_distance
 from repro.pipeline import STAGES, PipelineContext
 from repro.systems import get_system
 
+pytestmark = pytest.mark.contract
+
 hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
 squareform = pytest.importorskip("scipy.spatial.distance").squareform
 

@@ -5,7 +5,7 @@ runtime's path trie links parents and children, and a fault caught in
 ``SimEnv.rpc`` would hold the frame that caught it.  ``run_workload``
 tears the world down when the run ends (``SimEnv.close``,
 ``Runtime.close``), so reference counting frees all of it.  Here every
-run of the golden trace set (``tests/golden_traces.py``: each workload's
+run of the ``traces`` golden (``tests/golden_traces.py``: each workload's
 profile run and one injected run per fault kind and per schedule, on
 every registered system) is made with the collector off, and
 ``gc.collect()`` after it must find nothing.  Whatever a new system,
@@ -23,6 +23,8 @@ from repro.config import CSnakeConfig
 from repro.core import driver as driver_mod
 from repro.systems import available_systems, get_system
 from tests.golden_traces import system_digests
+
+pytestmark = pytest.mark.contract
 
 
 def unreachable_after(run: Callable[[], object]) -> int:

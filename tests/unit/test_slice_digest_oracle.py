@@ -22,6 +22,8 @@ from repro.analysis.astutil import collect_module
 from repro.analysis.source import live_sources
 from repro.systems import available_systems, get_system
 
+pytestmark = pytest.mark.contract
+
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -25,6 +25,8 @@ from repro.core.driver import ExperimentDriver
 from repro.systems import available_systems, get_system
 from repro.systems.base import SystemSpec
 
+pytestmark = pytest.mark.contract
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.stats import one_sided_t_pvalues
 
+pytestmark = pytest.mark.contract
+
 scipy_stats = pytest.importorskip("scipy.stats")
 
 REL_TOL = 1e-10
