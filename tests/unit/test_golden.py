@@ -19,8 +19,10 @@ from tests.helpers import kernel_block_size
 
 pytestmark = pytest.mark.contract
 
-# A fault-space row holds a system's four flavours; each flavour is checked
-# alone below, so a failure names the system and the flavour.
+# The one entry the generic row test leaves out: a fault-space row holds a
+# system's four flavours, and the two fault-space tests below check each
+# flavour alone (so a failure names it) and that every row holds exactly
+# the flavours ``flavours()`` declares.
 ROWS = [
     pytest.param(name, key, id="%s/%s" % (name, key))
     for name, entry in GOLDENS.items()
@@ -47,6 +49,12 @@ def test_beam_block_boundaries_are_invisible(system, block):
     # case, cycles digest and counters alike.
     with kernel_block_size(block):
         assert system_results(system) == recorded("beam")[system]
+
+
+def test_fixture_covers_every_registered_system_and_flavour():
+    rows = recorded("fault_spaces")
+    assert sorted(rows) == sorted(GOLDENS["fault_spaces"].keys)
+    assert all(sorted(flavour_rows) == sorted(flavours()) for flavour_rows in rows.values())
 
 
 @pytest.mark.parametrize("flavour", sorted(flavours()))
