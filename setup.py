@@ -13,5 +13,5 @@ setup(
     install_requires=["numpy"],
     # scipy: the oracle the in-house Welch-test and average-linkage kernels
     # are compared with (tests skip without it); nothing under src imports it.
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
+    extras_require={"test": ["pytest", "hypothesis", "scipy"]},
 )

@@ -19,13 +19,6 @@ BACKENDS: Tuple[str, ...] = ("serial", "process", "remote")
 #: 100 ms and 8 s, in virtual milliseconds.
 DELAY_VALUES_MS: Tuple[float, ...] = (100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
 
-#: Reduced three-point delay sweep used by the benchmark suite and CI smoke
-#: runs: one value per decade keeps campaigns tractable while still
-#: exercising the short/medium/long contention regimes.  CLI invocations
-#: default to the full :data:`DELAY_VALUES_MS` sweep; pass ``--delays`` to
-#: select this (or any other) sweep explicitly.
-FAST_DELAY_VALUES_MS: Tuple[float, ...] = (250.0, 1000.0, 8000.0)
-
 #: Phase split of the 3PA protocol (§5.2): 25% / 50% / 25%.
 PHASE_SPLIT: Tuple[float, float, float] = (0.25, 0.50, 0.25)
 

@@ -13,8 +13,8 @@ from .executor import Executor, SerialExecutor
 class PipelineContext:
     """Everything stages share: spec, config, driver, executor, artifacts.
 
-    Artifacts are keyed by name (``analysis``, ``profiles``,
-    ``allocation``, ``beam``, ``report``), each published by the stage of
+    Artifacts are keyed by name (``analysis``, ``allocation``, ``beam``,
+    ``report``), each published by the stage of
     :data:`~repro.pipeline.stages.STAGES` that computes it.
     """
 

@@ -1,14 +1,14 @@
 """The CSnake Figure-3 pipeline: five stage functions in a fixed order.
 
-Each stage reads what earlier stages published on the context and
-publishes one artifact of its own: ``analyze`` selects the fault space
-(``analysis``), ``profile`` runs every workload fault-free
-(``profiles``), ``allocate`` runs the 3PA-scheduled injection
-experiments over the context's executor (``allocation``), ``search``
-stitches the discovered edge DB into cycles (``beam``) and ``report``
-matches them against ground truth (``report``).  :data:`STAGES` is the
-order; running a prefix of it is ``for _, stage in STAGES[:3]:
-stage(ctx)``.
+Each stage reads what earlier stages published on the context, and
+every stage but ``profile`` publishes one artifact of its own:
+``analyze`` selects the fault space (``analysis``), ``profile`` runs
+every workload fault-free into the driver's profile cache, ``allocate``
+runs the 3PA-scheduled injection experiments over the context's
+executor (``allocation``), ``search`` stitches the discovered edge DB
+into cycles (``beam``) and ``report`` matches them against ground truth
+(``report``).  :data:`STAGES` is the order; running a prefix of it is
+``for _, stage in STAGES[:3]: stage(ctx)``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ def analyze_stage(ctx: PipelineContext) -> None:
 def profile_stage(ctx: PipelineContext) -> None:
     """Stage 2: fault-free profile runs of every workload (parallel)."""
     ctx.driver.profile_all(ctx.executor)
-    ctx.put("profiles", ctx.driver.profiles())
 
 
 def allocate_stage(ctx: PipelineContext) -> None:

@@ -6,8 +6,8 @@ the way ``benchmarks/campaign_bench/run.py`` digests a rep: sha256 over
 sorted keys.  The two benchmark-scale campaigns are the configurations
 of the ``hdfs2_*`` and ``dfs_env_*`` workloads
 (``benchmarks/campaign_bench/workloads.py``); the third is the
-evaluation configuration of the paper-table scripts
-(``repro.bench.bench_config("minihdfs2")``).  The checked-in
+evaluation configuration of the paper tables (``bench_config("minihdfs2")``
+in ``tests/paper_tables.py``).  The checked-in
 ``golden_campaign_digests.json`` was recorded on commit ``377cc61`` —
 the commit *before* the single-shot bench verb and the thread backend
 were removed; every later commit must reproduce it unless it intends to
@@ -34,12 +34,12 @@ import hashlib
 import json
 from typing import Dict, Tuple
 
-from repro.bench import bench_config
 from repro.config import CSnakeConfig
 from repro.faults import expand_kinds, registered_schedules
 from repro.pipeline import Pipeline, PipelineContext
 from repro.serialize import edge_to_obj
 from repro.systems import get_system
+from tests.paper_tables import bench_config
 
 #: Campaign name -> (system, config).
 CAMPAIGNS: Dict[str, Tuple[str, CSnakeConfig]] = {

@@ -1,12 +1,24 @@
-"""Integration tests for the three comparison baselines."""
+"""Integration tests for the three comparison baselines and the paper
+tables' helpers (``tests/paper_tables.py``)."""
 
 import pytest
 
-from repro.baselines import BlackboxFuzzer, NaiveSelfCausation, RandomAllocator
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.instrument.analyzer import analyze
+from repro.pipeline import PipelineContext
+from repro.pipeline.stages import analyze_stage
 from repro.systems import get_system
+from tests.paper_tables import (
+    BUDGET_PER_FAULT,
+    BlackboxFuzzer,
+    NaiveSelfCausation,
+    RandomAllocator,
+    bench_config,
+    campaign,
+    format_table,
+    random_allocate,
+)
 
 FAST = dict(repeats=2, delay_values_ms=(2000.0,), seed=11)
 
@@ -62,3 +74,49 @@ class TestBlackboxFuzzer:
         assert result.runs == 2 * len(get_system("toy").workloads)
         assert result.crashes_injected + result.partitions_injected > 0
         assert not any(result.detected_bugs.values())
+
+
+class TestSameFaultSpaceAs3PA:
+    """§8.1 compares allocations at the same budget, so a baseline works
+    over the 3PA campaign's fault space F: the ``analysis`` artifact, which
+    minidfs's code slices prune below the registry's injectable faults."""
+
+    CONFIG = CSnakeConfig(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=1)
+
+    @pytest.fixture(scope="class")
+    def faults(self):
+        ctx = PipelineContext(get_system("minidfs"), self.CONFIG)
+        analyze_stage(ctx)
+        faults = ctx.get("analysis").faults
+        assert len(faults) < analyze(ctx.spec.registry).counts["injectable"]
+        return faults
+
+    def test_random_campaign_allocates_over_the_3pa_fault_space(self, faults):
+        ctx = campaign("minidfs", self.CONFIG, allocate=random_allocate)
+        report = ctx.get("report")
+        assert report.n_faults == len(faults)
+        outcome = ctx.get("allocation").outcome
+        assert outcome.budget_total == self.CONFIG.budget_per_fault * report.n_faults
+
+    def test_naive_strategy_tries_the_3pa_fault_space(self, faults):
+        assert NaiveSelfCausation(get_system("minidfs"), self.CONFIG).faults == sorted(faults)
+
+
+def test_format_table_alignment():
+    out = format_table(["A", "Blong"], [["x", 1], ["yy", 22]])
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("A")
+    assert "-" in lines[1]
+
+
+def test_bench_config_overrides():
+    cfg = bench_config("minihdfs2", beam_width=5)
+    assert cfg.beam_width == 5
+    assert cfg.budget_per_fault == BUDGET_PER_FAULT["minihdfs2"]
+    assert cfg.repeats == 3
+
+
+def test_bench_config_default_budget():
+    cfg = bench_config("unknown-system")
+    assert cfg.budget_per_fault == 8

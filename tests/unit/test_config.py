@@ -12,11 +12,11 @@ import timeit
 
 import pytest
 
-from repro.bench.runners import bench_config
 from repro.cli import main
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.errors import ConfigError
 from repro.faults import all_models
+from tests.paper_tables import bench_config
 
 pytestmark = pytest.mark.contract
 

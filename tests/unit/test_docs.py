@@ -86,12 +86,15 @@ def test_relative_markdown_links_resolve():
             )
 
 
-TEST_PATH_RE = re.compile(r"(?<![\w/.-])tests/[\w/.-]*?\.(?:py|json)\b")
+TEST_PATH_RE = re.compile(
+    r"(?<![\w/.-])(?:tests|benchmarks|examples|src)/[\w/.-]*?\.(?:py|json)\b"
+)
 
 
 def test_every_named_test_file_exists():
-    """A script or fixture the docs name (a command to run, a golden to
-    read) must still be there under that name."""
+    """A script, fixture or module the docs name under ``tests/``,
+    ``benchmarks/``, ``examples/`` or ``src/`` (a command to run, a golden
+    to read) must still be there under that name."""
     for md in _markdown_files():
         for path in sorted(set(TEST_PATH_RE.findall(md.read_text(encoding="utf-8")))):
             assert (REPO / path).is_file(), "%s names missing %s" % (md.relative_to(REPO), path)

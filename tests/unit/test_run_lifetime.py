@@ -18,11 +18,11 @@ from typing import Callable
 
 import pytest
 
-from repro.baselines import BlackboxFuzzer
 from repro.config import CSnakeConfig
 from repro.core import driver as driver_mod
 from repro.systems import available_systems, get_system
 from tests.golden_traces import system_digests
+from tests.paper_tables import BlackboxFuzzer
 
 pytestmark = pytest.mark.contract
 
