@@ -2,14 +2,15 @@
 """CI smoke for campaign-as-a-service (docs/service.md).
 
 Starts a real manager (``repro serve``) and two agents (``repro agent``)
-as subprocesses, then drives the miniraft environment-fault campaign
-through ``--backend remote`` and asserts the service contract end to end:
+as subprocesses, then submits the miniraft environment-fault campaign to
+the manager and asserts the service contract end to end:
 
 0. a submitted campaign whose config is malformed is refused with HTTP 400
    naming the field, and the same manager then serves everything below;
-1. a cold remote campaign produces the serial campaign digest;
-2. a warm rerun produces it again, and the agents report a nonzero
-   cache hit rate back through the manager;
+1. a cold campaign produces the serial campaign digest;
+2. a warm rerun, submitted with ``repro submit ... --wait --out F``,
+   produces it again and writes the serial report to F, and the agents
+   report a nonzero cache hit rate back through the manager;
 3. a rerun with an extra agent that dies mid-run holding leased tasks
    (``--fail-after``) still completes with the identical digest — lease
    expiry and re-queue absorb the death.
@@ -17,6 +18,7 @@ through ``--backend remote`` and asserts the service contract end to end:
     PYTHONPATH=src python examples/service_smoke.py
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -29,7 +31,7 @@ from repro.errors import ReproError
 from repro.faults import expand_kinds
 from repro.pipeline import Pipeline
 from repro.service.http import HttpTransport
-from repro.service.manager import campaign_digest
+from repro.service.manager import campaign_digest, follow_campaign
 from repro.systems import get_system
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -42,6 +44,11 @@ ENV_CAMPAIGN = dict(
     seed=7,
     budget_per_fault=2,
     fault_kinds=expand_kinds("all"),
+)
+#: The same campaign as ``repro submit`` flags.
+ENV_CAMPAIGN_FLAGS = (
+    "--repeats", "2", "--delays", "2000", "--seed", "7", "--budget", "2",
+    "--fault-kinds", "all",
 )
 
 
@@ -79,20 +86,25 @@ def _start_agent(url, name, *extra):
     return _cli("agent", "--manager", url, "--workers", "2", "--name", name, *extra)
 
 
-def _remote_run(url, **overrides):
-    config = CSnakeConfig(
-        experiment_backend="remote", manager_url=url, **dict(ENV_CAMPAIGN, **overrides)
-    )
-    return campaign_digest(Pipeline.default(get_system("miniraft"), config).run())
+def _submitted_digest(transport, **overrides):
+    """Submit the campaign, wait for it, and return its digest."""
+    config = dict(ENV_CAMPAIGN, **overrides)
+    campaign = transport.start_campaign("miniraft", config)["campaign"]
+    for _ in follow_campaign(transport, campaign):
+        pass
+    status = transport.campaign_status(campaign)
+    assert status["state"] == "done", status
+    return status["digest"]
 
 
 def main() -> int:
-    serial = campaign_digest(
-        Pipeline.default(get_system("miniraft"), CSnakeConfig(**ENV_CAMPAIGN)).run()
-    )
+    serial_ctx = Pipeline.default(get_system("miniraft"), CSnakeConfig(**ENV_CAMPAIGN)).run()
+    serial = campaign_digest(serial_ctx)
+    serial_report = json.loads(json.dumps(serial_ctx.get("report").to_dict()))
     print("serial digest %s" % serial[:16])
 
-    cache_dir = os.path.join(tempfile.mkdtemp(prefix="service-smoke-"), "cache")
+    workdir = tempfile.mkdtemp(prefix="service-smoke-")
+    cache_dir = os.path.join(workdir, "cache")
     manager, url = _start_manager()
     transport = HttpTransport(url)
     agents = [_start_agent(url, "smoke-a"), _start_agent(url, "smoke-b")]
@@ -107,16 +119,27 @@ def main() -> int:
         assert transport.list_campaigns() == {"campaigns": []}
         print("malformed config refused with 400")
 
-        cold = _remote_run(url, cache_dir=cache_dir)
-        assert cold == serial, "cold remote digest diverged: %s != %s" % (cold, serial)
-        print("cold remote digest ok")
+        cold = _submitted_digest(transport, cache_dir=cache_dir)
+        assert cold == serial, "cold digest diverged: %s != %s" % (cold, serial)
+        print("cold digest ok")
 
-        warm = _remote_run(url, cache_dir=cache_dir)
-        assert warm == serial, "warm remote digest diverged: %s != %s" % (warm, serial)
+        report_path = os.path.join(workdir, "warm.json")
+        submit = _cli(
+            "submit", "miniraft", "--manager", url, *ENV_CAMPAIGN_FLAGS,
+            "--cache-dir", cache_dir, "--wait", "--out", report_path,
+            stdout=subprocess.PIPE, text=True,
+        )
+        out, _ = submit.communicate(timeout=300)
+        assert submit.returncode in (0, 1), "repro submit --wait failed"
+        campaign = out.splitlines()[0]  # the id, printed before the report
+        with open(report_path, encoding="utf-8") as fh:
+            assert json.load(fh) == serial_report, "repro submit's report != serial"
+        warm = transport.campaign_status(campaign)["digest"]
+        assert warm == serial, "warm digest diverged: %s != %s" % (warm, serial)
         fleet = {a["name"]: a.get("cache") or {} for a in transport.health()["agents"]}
         hits = sum(c.get("hits", 0) for c in fleet.values())
         assert hits > 0, "no warm-cache hits reported by any agent: %r" % fleet
-        print("warm remote digest ok, %d agent cache hits" % hits)
+        print("warm `repro submit --wait` report and digest ok, %d agent cache hits" % hits)
 
         # Kill-rejoin.  The manager memoizes finished tasks, so a rerun of
         # the same campaign would be served entirely from its result table
@@ -146,7 +169,7 @@ def main() -> int:
 
         def _kill_run():
             try:
-                outcome["digest"] = _remote_run(url, seed=11)
+                outcome["digest"] = _submitted_digest(transport, seed=11)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 outcome["error"] = exc
 
@@ -159,7 +182,7 @@ def main() -> int:
         if "error" in outcome:
             raise outcome["error"]
         assert outcome["digest"] == serial_kill, (
-            "post-kill remote digest diverged: %s != %s"
+            "post-kill digest diverged: %s != %s"
             % (outcome["digest"], serial_kill)
         )
         stats = transport.health()["tasks"]
@@ -178,7 +201,7 @@ def main() -> int:
         manager.terminate()
         for proc in agents + [manager]:
             proc.wait(timeout=10)
-    print("service smoke ok: 3 remote campaigns, all digests == serial")
+    print("service smoke ok: 3 submitted campaigns, all digests == serial")
     return 0
 
 

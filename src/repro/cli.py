@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .config import CSnakeConfig
 from .core.driver import ExperimentDriver
 from .core.report import DetectionReport
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .faults import expand_kinds, model_for, registered_kinds, registered_schedules
 from .pipeline import BACKENDS, Pipeline, ProgressPrinter
 from .systems import available_systems, get_system
@@ -108,12 +108,7 @@ _BACKEND_FLAGS = (
         type=int, metavar="N",
         help="worker count for the process backend (default: all cores)",
     )),
-    ("--manager", "manager_url", None, dict(metavar="URL")),
 )
-#: The same knob where a subcommand is a manager's client.
-_MANAGER_FLAG = ("--manager", "manager_url", None, dict(
-    required=True, metavar="URL", help="manager URL printed by `repro serve`",
-))
 #: The flags that decide a fault space (all that ``analyze`` takes).
 _FAULT_SPACE_FLAGS = tuple(
     row for row in _EXPERIMENT_FLAGS if row[0] in ("--fault-kinds", "--schedules")
@@ -151,12 +146,15 @@ def _fault_space_kinds(args: argparse.Namespace) -> tuple:
 def _config(args: argparse.Namespace) -> CSnakeConfig:
     """Build a config from the experiment flags the user actually passed;
     everything else keeps the ``CSnakeConfig`` (paper) defaults."""
-    return CSnakeConfig(**_flag_params(args, _EXPERIMENT_FLAGS), **_execution_overrides(args))
+    config = CSnakeConfig(**_flag_params(args, _EXPERIMENT_FLAGS), **_execution_overrides(args))
+    if _passed(args, "--delays") and "delay" in dict(config.sweep_overrides):
+        raise ConfigError("--delays and --sweep delay=... both set the delay sweep; pass one")
+    return config
 
 
 def _execution_overrides(args: argparse.Namespace) -> dict:
     """The execution-only config fields the flags name — backend, workers,
-    manager, cache directory.  They never change results, only where (and
+    cache directory.  They never change results, only where (and
     whether) experiments execute."""
     overrides = _flag_params(args, _BACKEND_FLAGS)
     if overrides.get("experiment_backend", "serial") != "serial":
@@ -572,22 +570,20 @@ def cmd_agent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _follow_campaign(transport, campaign_id: str, verbose: bool) -> dict:
-    """Stream a campaign's events (long-poll) until it finishes; returns
-    the final status."""
-    cursor = 0
-    while True:
-        reply = transport.campaign_events(campaign_id, after=cursor, wait_s=10.0)
-        for event in reply["events"]:
-            if verbose or event["kind"].startswith("campaign"):
-                detail = event["detail"]
-                line = ", ".join(
-                    "%s=%s" % (k, v) for k, v in sorted(detail.items()) if v not in (None, "")
-                )
-                print("[%s] %s %s" % (campaign_id, event["kind"], line), file=sys.stderr)
-        cursor = reply["next"]
-        if reply["state"] != "running" and not reply["events"]:
-            return transport.campaign_status(campaign_id)
+def _follow_campaign(transport, campaign_id: str, verbose: bool, quiet: bool = False) -> dict:
+    """Wait for a campaign to finish, printing its events to stderr (all
+    of them if ``verbose``, only ``campaign_*`` ones otherwise, none if
+    ``quiet``); returns the final status."""
+    from .service.manager import follow_campaign
+
+    for event in follow_campaign(transport, campaign_id):
+        if not quiet and (verbose or event["kind"].startswith("campaign")):
+            detail = event["detail"]
+            line = ", ".join(
+                "%s=%s" % (k, v) for k, v in sorted(detail.items()) if v not in (None, "")
+            )
+            print("[%s] %s %s" % (campaign_id, event["kind"], line), file=sys.stderr)
+    return transport.campaign_status(campaign_id)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -603,17 +599,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     print(campaign_id)
     if not (args.wait or args.follow or args.json or args.out):
         return 0
-    if args.follow:
-        status = _follow_campaign(transport, campaign_id, args.verbose)
-    else:
-        while True:
-            status = transport.campaign_status(campaign_id)
-            if status["state"] != "running":
-                break
-            reply = transport.campaign_events(
-                campaign_id, after=status["events"], wait_s=10.0
-            )
-            del reply
+    status = _follow_campaign(transport, campaign_id, args.verbose, quiet=not args.follow)
     if status["state"] == "failed":
         print("error: campaign failed: %s" % status["error"], file=sys.stderr)
         return 2
@@ -722,6 +708,12 @@ def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[tuple]) -> None:
         parser.add_argument(flag, **dict({"help": docs[field]}, **kwargs))
 
 
+def _add_manager_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--manager", required=True, metavar="URL", help="manager URL printed by `repro serve`"
+    )
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="print the report as JSON")
     parser.add_argument("--out", default=None, metavar="FILE", help="write report JSON to FILE")
@@ -820,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a worker agent: lease task batches from a manager, "
         "execute them locally, report results + cache counters",
     )
-    _add_flags(agent, [_MANAGER_FLAG])
+    _add_manager_flag(agent)
     agent.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="local execution threads (default: all cores)",
@@ -849,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         "agent fleet); optionally wait for and print the report",
     )
     submit.add_argument("system", choices=available_systems())
-    _add_flags(submit, [_MANAGER_FLAG])
+    _add_manager_flag(submit)
     submit.add_argument(
         "--label", default=None, metavar="TEXT",
         help="free-form campaign label shown in `repro status`",
@@ -875,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", nargs="?", default=None, metavar="CAMPAIGN",
         help="campaign id printed by `repro submit` (omit for the overview)",
     )
-    _add_flags(status, [_MANAGER_FLAG])
+    _add_manager_flag(status)
     status.add_argument(
         "--follow", action="store_true",
         help="stream the campaign's events until it finishes",

@@ -10,10 +10,10 @@ from typing import Any, Dict, Optional, Tuple
 from .errors import ConfigError
 
 #: The executor backends ``experiment_backend`` (and the CLI) accept;
-#: :func:`repro.pipeline.make_executor` builds them.  ``remote`` ships
-#: task descriptors to a ``repro serve`` manager whose agent fleet
-#: executes them (:mod:`repro.service`).
-BACKENDS: Tuple[str, ...] = ("serial", "process", "remote")
+#: :func:`repro.pipeline.make_executor` builds them.  A campaign on an
+#: agent fleet is submitted to the manager instead (``repro submit``,
+#: :mod:`repro.service`), which runs it over its own executor.
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 #: Delay sweep used for contention injection (§4.2): seven values between
 #: 100 ms and 8 s, in virtual milliseconds.
@@ -154,12 +154,12 @@ class CSnakeConfig:
     #: Carves a pool out of the phase-2/3 budgets and reallocates it toward
     #: the faults whose committed FCA results show the lowest
     #: loop-interference p-values.  Reallocation is decided only from
-    #: committed results in schedule order, so serial ≡ process ≡ remote
+    #: committed results in schedule order, so serial ≡ process ≡ fleet
     #: parity survives.
     adaptive_budget: bool = knob(
         False, bool, "reallocate a share of the phase-2/3 budget toward the (fault, test) "
         "pairs whose early p-values look promising (deterministic: identical across "
-        "serial/process/remote backends)",
+        "backends and on an agent fleet)",
     )
     #: Parallel campaigns are bit-identical to serial ones: experiment
     #: *scheduling* is decided before execution and results are committed
@@ -168,17 +168,12 @@ class CSnakeConfig:
         1, int, "workers for profile and injection experiments (1 = serial)",
         ge=1, execution_only=True,
     )
-    #: ``"process"`` (default, multicore via picklable task descriptors),
-    #: ``"remote"`` (ship the same descriptors to a ``repro serve``
-    #: manager's agent fleet; needs ``manager_url``), or ``"serial"`` (force
-    #: the reference backend regardless of ``experiment_workers``).
+    #: ``"process"`` (default, multicore via picklable task descriptors)
+    #: or ``"serial"`` (force the reference backend regardless of
+    #: ``experiment_workers``).
     experiment_backend: str = knob(
         "process", str, "experiment executor backend (results are bit-identical across "
-        "backends; remote needs a manager URL)", execution_only=True,
-    )
-    manager_url: Optional[str] = knob(
-        None, str, "manager URL of a `repro serve` instance (required by the remote backend)",
-        execution_only=True,
+        "backends)", execution_only=True,
     )
     #: ``None`` (default) disables caching.  Cached profile run groups and
     #: FCA results are keyed by a digest of (system digest, test id, fault,
@@ -215,11 +210,6 @@ class CSnakeConfig:
                 "experiment_backend must be one of %s, got %r"
                 % (", ".join(BACKENDS), self.experiment_backend)
             )
-        if self.experiment_backend == "remote" and not self.manager_url:
-            raise ConfigError(
-                "the remote backend needs manager_url (--manager URL of a "
-                "`repro serve` instance)"
-            )
         from . import faults  # deferred: faults never imports config
 
         for what, named, known in (
@@ -232,7 +222,11 @@ class CSnakeConfig:
                     "unknown %s %s; registered: %s"
                     % (what, ", ".join(unknown), ", ".join(sorted(known)))
                 )
+        seen = set()
         for kind, values in self.sweep_overrides:
+            if kind in seen:
+                raise ConfigError("sweep_overrides names %r twice" % (kind,))
+            seen.add(kind)
             if kind not in faults.registered_kinds():
                 raise ConfigError(
                     "sweep override names unknown fault kind or schedule %r" % (kind,)

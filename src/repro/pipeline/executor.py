@@ -9,10 +9,10 @@ deterministically.  Two local backends ship here:
 * :class:`ProcessExecutor` — ``ProcessPoolExecutor``-backed fan-out over
   worker *processes*, sidestepping the GIL.
 
-Work handed to a parallel backend crosses a process (or, for the remote
-backend in :mod:`repro.service`, a machine) boundary, so the driver and
-the profile stage always fan out module-level callables over picklable
-by-name task descriptors (see :mod:`repro.core.driver`), never closures.
+Work handed to a parallel backend crosses a process (or, for the
+manager's :class:`~repro.service.RemoteExecutor`, a machine) boundary,
+so the driver and the profile stage always fan out module-level
+callables over picklable by-name task descriptors (see :mod:`repro.core.driver`), never closures.
 """
 
 from __future__ import annotations
@@ -104,26 +104,16 @@ class ProcessExecutor(Executor):
             self._pool = None
 
 
-def make_executor(
-    workers: int, backend: str = "process", manager_url: Optional[str] = None
-) -> Executor:
+def make_executor(workers: int, backend: str = "process") -> Executor:
     """Build the backend named by ``backend`` with ``workers`` workers.
 
     ``workers <= 1`` (or ``backend="serial"``) always yields the serial
     reference backend — a one-worker pool adds overhead and nothing else.
-    The ``remote`` backend ignores the local worker count (its parallelism
-    is the agent fleet's) and requires ``manager_url``.
     """
     if backend not in BACKENDS:
         raise ValueError(
             "unknown executor backend %r (choose from %s)" % (backend, ", ".join(BACKENDS))
         )
-    if backend == "remote":
-        if not manager_url:
-            raise ValueError("the remote backend needs a manager URL (--manager)")
-        from ..service import HttpTransport, RemoteExecutor  # deferred: optional layer
-
-        return RemoteExecutor(HttpTransport(manager_url), max_workers=max(2, workers))
     if workers <= 1 or backend == "serial":
         return SerialExecutor()
     return ProcessExecutor(workers)

@@ -34,9 +34,7 @@ class Pipeline:
         self.config = config or CSnakeConfig()
         self._owns_executor = executor is None
         self.executor = executor or make_executor(
-            self.config.experiment_workers,
-            self.config.experiment_backend,
-            self.config.manager_url,
+            self.config.experiment_workers, self.config.experiment_backend
         )
         self.observers = list(observers)
 

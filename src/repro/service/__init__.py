@@ -6,10 +6,9 @@ a network and the whole service runs on the standard library alone:
 * :mod:`repro.service.manager` — :class:`ManagerCore`, the thread-safe
   lease-based work queue + campaign registry (pure state machine, clock
   injectable);
-* :mod:`repro.service.remote` — :class:`RemoteExecutor`, the fourth
-  :class:`~repro.pipeline.executor.Executor` backend (``--backend
-  remote``), which talks to a :class:`ManagerCore` directly in-process or
-  through :class:`~repro.service.http.HttpTransport` over the wire;
+* :mod:`repro.service.remote` — :class:`RemoteExecutor`, the
+  :class:`~repro.pipeline.executor.Executor` a submitted campaign runs
+  on manager-side, over the :class:`ManagerCore`'s own queue;
 * :mod:`repro.service.http` — stdlib ``http.server`` JSON API;
 * :mod:`repro.service.agent` — the worker agent loop (``repro agent``).
 """

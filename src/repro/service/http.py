@@ -17,8 +17,6 @@ Endpoints (all request/response bodies JSON):
  POST      ``/api/agents/heartbeat``           ``heartbeat(agent, cache)``
  POST      ``/api/agents/lease``               ``lease(agent, max_tasks, wait_s)``
  POST      ``/api/agents/complete``            ``complete(agent, id, result|error)``
- POST      ``/api/tasks``                      ``submit_tasks(tasks, campaign)``
- POST      ``/api/results``                    ``poll_results(ids, wait_s)``
  POST      ``/api/campaigns``                  ``start_campaign(system, config)``
  GET       ``/api/campaigns``                  ``list_campaigns()``
  GET       ``/api/campaigns/<id>``             ``campaign_status(id)``
@@ -32,7 +30,7 @@ to HTTP 400 with ``{"error": ...}``, as does a body or query that lacks or
 mistypes a field the route reads (the error names it) and a body shorter
 than its ``Content-Length``; a declared length over
 :data:`MAX_REQUEST_BYTES` is a 413, answered unread; anything else is a
-500.  Long-polling endpoints (``lease``, ``results``, ``events``) bound
+500.  Long-polling endpoints (``lease``, ``events``) bound
 their own wait, so a client timeout only needs a small margin over the
 requested wait.
 """
@@ -46,19 +44,18 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ReproError
-from .manager import ManagerCore
+from .manager import ManagerCore, follow_campaign
 
 #: Extra client-side slack over a long-poll's server-side wait bound.
 CLIENT_TIMEOUT_MARGIN_S = 30.0
 #: The longest request body the manager reads, in bytes; a longer declared
 #: ``Content-Length`` is answered 413 before any of it is read.  The largest
-#: body measured is a ``/api/tasks`` submission of a ``--backend remote``
-#: minidfs campaign: 93 953 bytes at the default config with every fault
-#: kind and schedule (65 886 at the benchmark's; 4 569 across
-#: ``test_service_e2e.py``).  16 MiB leaves a margin of over 170x.
+#: body measured is an ``/api/agents/complete`` of a submitted minidfs
+#: campaign: 26 326 bytes at the default config (24 879 with every fault
+#: kind and schedule).  16 MiB leaves a margin of over 600x.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
@@ -188,12 +185,6 @@ class _Handler(BaseHTTPRequestHandler):
                 error=body.get("error"),
                 cache=body.get("cache"),
             ),
-            ("api", "tasks"): lambda: self.core.submit_tasks(
-                _field(body, "tasks", list), campaign=body.get("campaign")
-            ),
-            ("api", "results"): lambda: self.core.poll_results(
-                _field(body, "ids", list), wait_s=_field(body, "wait_s", float, 0.0)
-            ),
             ("api", "campaigns"): lambda: self.core.start_campaign(
                 _field(body, "system"), _field(body, "config"), label=body.get("label", "")
             ),
@@ -219,15 +210,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         try:
-            while True:
-                reply = self.core.campaign_events(campaign_id, after=cursor, wait_s=10.0)
-                for event in reply["events"]:
-                    data = json.dumps(event, sort_keys=True)
-                    self.wfile.write(("data: %s\n\n" % data).encode("utf-8"))
+            for event in follow_campaign(self.core, campaign_id, after=cursor):
+                data = json.dumps(event, sort_keys=True)
+                self.wfile.write(("data: %s\n\n" % data).encode("utf-8"))
                 self.wfile.flush()
-                cursor = reply["next"]
-                if reply["state"] != "running" and not reply["events"]:
-                    break
         except (BrokenPipeError, ConnectionResetError):
             pass
 
@@ -292,10 +278,9 @@ class ManagerServer:
 class HttpTransport:
     """JSON client for the manager API (urllib; no dependencies).
 
-    Implements both the executor-side surface (``submit_tasks`` /
-    ``poll_results``) and the agent-side one (``register_agent`` /
-    ``heartbeat`` / ``lease`` / ``complete``), plus the campaign verbs
-    the CLI uses — one class is the entire protocol.
+    Implements the agent-side surface (``register_agent`` /
+    ``heartbeat`` / ``lease`` / ``complete``) and the campaign verbs the
+    CLI uses — one class is the entire protocol.
     """
 
     def __init__(self, url: str, timeout_s: float = CLIENT_TIMEOUT_MARGIN_S) -> None:
@@ -331,16 +316,6 @@ class HttpTransport:
             ) from exc
         except (urllib.error.URLError, socket.timeout, ConnectionError) as exc:
             raise ReproError("cannot reach manager at %s: %s" % (url, exc)) from exc
-
-    # executor-side -----------------------------------------------------
-
-    def submit_tasks(
-        self, tasks: List[Dict[str, Any]], campaign: Optional[str] = None
-    ) -> Dict[str, Any]:
-        return self._call("/api/tasks", {"tasks": tasks, "campaign": campaign})
-
-    def poll_results(self, ids: List[str], wait_s: float = 0.0) -> Dict[str, Any]:
-        return self._call("/api/results", {"ids": ids, "wait_s": wait_s}, wait_s=wait_s)
 
     # agent-side --------------------------------------------------------
 

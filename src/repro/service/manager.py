@@ -30,7 +30,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set
 
 from ..config import CSnakeConfig
 from ..errors import ReproError
@@ -45,8 +45,8 @@ MAX_CAMPAIGN_EVENTS = 4096
 def task_digest(task_obj: Dict[str, Any]) -> str:
     """Content address of a wire-form task: the dedup identity.
 
-    Execution-only config knobs (workers, backend, cache dir, manager
-    URL) are stripped before hashing — two campaigns that could not
+    Execution-only config knobs (workers, backend, cache dir) are
+    stripped before hashing — two campaigns that could not
     produce different results for this task must collide here, whatever
     machine or cache layout each runs with.
     """
@@ -164,7 +164,6 @@ class ManagerCore:
         self._queue: Deque[str] = deque()
         self._agents: Dict[str, _Agent] = {}
         self._campaigns: Dict[str, _Campaign] = {}
-        self._campaign_threads: Dict[str, threading.Thread] = {}
         self._next_agent = 0
         self._next_campaign = 0
         self._executed = 0  # tasks that ran on an agent (≠ dedup hits)
@@ -396,14 +395,12 @@ class ManagerCore:
             campaign = _Campaign(campaign_id, system, label, self._clock())
             self._campaigns[campaign_id] = campaign
             self._emit(campaign, "campaign_submitted", system=system, label=label)
-        thread = threading.Thread(
+        threading.Thread(
             target=self._run_campaign,
             args=(campaign_id, spec, config),
             name="repro-%s" % campaign_id,
             daemon=True,
-        )
-        self._campaign_threads[campaign_id] = thread
-        thread.start()
+        ).start()
         return {"campaign": campaign_id}
 
     def _run_campaign(self, campaign_id: str, spec: Any, config: Any) -> None:
@@ -566,6 +563,22 @@ class ManagerCore:
                 },
                 "campaigns": self.list_campaigns()["campaigns"],
             }
+
+
+def follow_campaign(transport: Any, campaign_id: str, after: int = 0) -> Iterator[Dict[str, Any]]:
+    """A campaign's events from ``seq >= after`` on, long-polling, until it
+    has left ``running`` and every event it emitted has been yielded.
+
+    ``transport`` is a :class:`ManagerCore` or an
+    :class:`~repro.service.http.HttpTransport`; both answer
+    ``campaign_events``.  An unknown campaign is a :class:`ReproError`.
+    """
+    while True:
+        reply = transport.campaign_events(campaign_id, after=after, wait_s=10.0)
+        yield from reply["events"]
+        after = reply["next"]
+        if reply["state"] != "running" and not reply["events"]:
+            return
 
 
 def campaign_digest(ctx: Any) -> str:

@@ -1,8 +1,10 @@
-"""``--backend remote``: the Executor that ships tasks to the manager.
+"""The Executor a submitted campaign runs on: tasks go to the manager queue.
 
 :class:`RemoteExecutor` is the distributed
-:class:`~repro.pipeline.executor.Executor` backend.  The driver hands it
-what it hands the process backend — picklable
+:class:`~repro.pipeline.executor.Executor` backend behind ``repro submit``:
+:meth:`~repro.service.manager.ManagerCore.start_campaign` runs the
+pipeline manager-side over one.  The driver hands it what it hands the
+process backend — picklable
 :class:`~repro.core.driver.ExperimentTask` descriptors and a module-level
 entry point — and the executor serializes each descriptor to its wire
 form, submits the batch to the manager queue, and blocks until every
@@ -32,11 +34,9 @@ POLL_WAIT_S = 2.0
 class RemoteExecutor(Executor):
     """Ordered map over the manager's distributed task queue.
 
-    ``transport`` needs the executor-side manager surface
-    (``submit_tasks`` / ``poll_results``) — either an
-    :class:`~repro.service.http.HttpTransport` or a
-    :class:`~repro.service.manager.ManagerCore` directly (tests and
-    manager-side campaigns, where HTTP to ``self`` would be silly).
+    ``transport`` needs ``submit_tasks`` / ``poll_results``: the
+    :class:`~repro.service.manager.ManagerCore` itself (manager-side
+    campaigns and tests).
 
     ``timeout_s`` bounds how long one batch may sit with **no** task
     resolving (a fleet that never picks work up); any progress resets the

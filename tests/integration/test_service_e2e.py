@@ -2,12 +2,14 @@
 
 Everything here uses the stdlib HTTP server and transport (or a
 :class:`ManagerCore` called in-process).  The invariant under test throughout
-is the one the executor contract promises: a remote campaign's digest is
+is the one the executor contract promises: a submitted campaign's digest is
 bit-identical to a serial one — cold, warm, and across an agent death
 mid-run.
 """
 
+import json
 import threading
+import urllib.request
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core.driver import ExperimentDriver
 from repro.pipeline import Pipeline
 from repro.service.agent import Agent
 from repro.service.http import HttpTransport, ManagerServer
-from repro.service.manager import ManagerCore, campaign_digest
+from repro.service.manager import ManagerCore, campaign_digest, follow_campaign
 from repro.systems import get_system
 
 #: Small but non-trivial toy campaign: a few dozen tasks, seconds to run.
@@ -41,31 +43,34 @@ def serial_digest():
     return campaign_digest(_serial())
 
 
-def test_remote_backend_over_stdlib_http_matches_serial(serial_digest, tmp_path):
-    """Cold and warm remote runs over real HTTP ≡ serial, and the shared
-    experiment cache short-circuits the warm run's agent-side work."""
+def _submitted(transport, **config):
+    """Submit the toy campaign over ``transport`` and wait for it; returns
+    its final status."""
+    campaign = transport.start_campaign("toy", dict(CFG, **config))["campaign"]
+    for _ in follow_campaign(transport, campaign):
+        pass
+    return transport.campaign_status(campaign)
+
+
+def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_path):
+    """Cold and warm submitted campaigns over real HTTP ≡ serial, and the
+    shared experiment cache short-circuits the warm run's agent-side work."""
     cache_dir = str(tmp_path / "cache")
     with ManagerServer(port=0) as server:
-        agent, thread = _agent_thread(
-            HttpTransport(server.url), workers=2, name="it-a"
-        )
+        transport = HttpTransport(server.url)
+        agent, thread = _agent_thread(transport, workers=2, name="it-a")
         try:
-            config = CSnakeConfig(
-                experiment_backend="remote",
-                manager_url=server.url,
-                cache_dir=cache_dir,
-                **CFG,
-            )
             # The profiles are already in the shared cache (an earlier
             # local campaign over the same config put them there), so the
             # agent replays them when it executes the cold experiments.
             ExperimentDriver(
                 get_system("toy"), CSnakeConfig(cache_dir=cache_dir, **CFG)
             ).profile_all()
-            cold = Pipeline.default(get_system("toy"), config).run()
-            assert campaign_digest(cold) == serial_digest
-            warm = Pipeline.default(get_system("toy"), config).run()
-            assert campaign_digest(warm) == serial_digest
+            cold = _submitted(transport, cache_dir=cache_dir)
+            assert cold["state"] == "done", cold
+            assert cold["digest"] == serial_digest
+            warm = _submitted(transport, cache_dir=cache_dir)
+            assert warm["digest"] == serial_digest
         finally:
             agent.stop()
             thread.join(timeout=10.0)
@@ -96,11 +101,9 @@ def test_agent_death_mid_run_is_absorbed(serial_digest):
             HttpTransport(server.url), workers=2, name="survivor"
         )
         try:
-            config = CSnakeConfig(
-                experiment_backend="remote", manager_url=server.url, **CFG
-            )
-            ctx = Pipeline.default(get_system("toy"), config).run()
-            assert campaign_digest(ctx) == serial_digest
+            status = _submitted(HttpTransport(server.url))
+            assert status["state"] == "done", status
+            assert status["digest"] == serial_digest
         finally:
             doomed.stop()
             survivor.stop()
@@ -171,6 +174,12 @@ def test_manager_side_campaign_matches_serial(serial_digest):
     dones = [e["detail"]["done"] for e in events if e["kind"] == "task_done"]
     assert dones == sorted(dones)
     assert status["tasks"]["done"] == status["tasks"]["total"] > 0
+    # The SSE stream of a finished campaign is exactly its event feed.
+    with ManagerServer(core=core, port=0) as server:
+        url = "%s/api/campaigns/%s/stream" % (server.url, campaign)
+        with urllib.request.urlopen(url, timeout=30.0) as resp:
+            body = resp.read().decode("utf-8")
+    assert body == "".join("data: %s\n\n" % json.dumps(e, sort_keys=True) for e in events)
 
 
 def test_http_error_surfaces_as_repro_error():

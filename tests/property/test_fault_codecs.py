@@ -170,6 +170,7 @@ def _tuples(elements, **kwargs):
                     _tuples(_unit, min_size=1, max_size=3),
                 ),
                 max_size=3,
+                unique_by=lambda entry: entry[0],  # a kind named twice is refused
             ),
             point_event_min_frac=st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)),
             beam_width=st.integers(1, 10**6),
@@ -180,7 +181,6 @@ def _tuples(elements, **kwargs):
             adaptive_budget=st.booleans(),
             experiment_workers=st.integers(1, 64),
             experiment_backend=st.sampled_from(["serial", "process"]),
-            manager_url=st.sampled_from([None, "http://127.0.0.1:8736"]),
             cache_dir=st.sampled_from([None, "/tmp/c", "rel/cache dir"]),
         ),
     )

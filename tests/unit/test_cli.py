@@ -214,6 +214,25 @@ def test_diff_run_static_only_identical_sides(tmp_path, capsys):
     assert set(obj["experiments"]["invalidated"]) <= {"E@raft.sec.cert_check"}
 
 
+DIFF_RUN = ["diff-run", ".", ".", "--system", "toy", "--budget", "1", "--repeats", "2",
+            "--delays", "2000", "--seed", "7", "--json"]
+
+
+def test_diff_run_runs_both_child_campaigns(capsys):
+    """Both sides run as ``python -m repro.cli run`` children, each on its
+    own tree; a fleet campaign is ``repro submit``'s, so neither child
+    can be pointed at a manager."""
+    assert main(DIFF_RUN) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert reports["identical"]
+    assert reports["old_summary"] == reports["new_summary"]
+    assert reports["old_summary"]["budget_used"] > 0
+    for extra in (["--backend", "remote"], ["--manager", "http://127.0.0.1:1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(DIFF_RUN + extra)
+        assert exc.value.code == 2, extra
+
+
 def test_diff_run_partitions_the_fault_space_analyze_reports(capsys):
     """``diff-run --schedules`` must partition the same fault space the
     campaigns it launches run: env kinds and schedule faults included."""
@@ -233,7 +252,7 @@ def test_diff_run_partitions_the_fault_space_analyze_reports(capsys):
 
 
 def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
-    """Backend, workers, manager and cache flags set only execution-only
+    """Backend, workers and cache flags set only execution-only
     fields, and ``run``'s config carries exactly what they resolve to."""
     import os
 
@@ -245,7 +264,7 @@ def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
         ["--backend", "process"],
         ["--backend", "serial"],
         ["--workers", "3"],
-        ["--backend", "remote", "--manager", "http://127.0.0.1:1", "--workers", "2"],
+        ["--backend", "process", "--workers", "2"],
         ["--cache"],
         ["--cache-dir", str(tmp_path / "c")],
         [],
@@ -322,11 +341,11 @@ def test_every_flag_row_names_a_config_field_and_is_spelled_once():
 
 def test_diff_run_children_get_every_experiment_and_backend_flag():
     """The child ``repro run`` must build the campaign diff-run was asked
-    for — ``--manager`` included, which a hand-kept list once dropped."""
+    for — backend flags included, which a hand-kept list once dropped."""
     from repro.cli import _diffrun_argv, build_parser
 
     parser = build_parser()
-    backend = ["--backend", "remote", "--workers", "2", "--manager", "http://127.0.0.1:1"]
+    backend = ["--backend", "process", "--workers", "2"]
     args = parser.parse_args(
         ["diff-run", ".", ".", "--system", "miniraft"] + EXPERIMENT_ARGV + backend
     )
@@ -335,7 +354,7 @@ def test_diff_run_children_get_every_experiment_and_backend_flag():
     child, asked = _config(parser.parse_args(child_argv)).to_dict(), _config(args).to_dict()
     assert child.pop("cache_dir") == "/tmp/shared-cache" and asked.pop("cache_dir") is None
     assert child == asked
-    assert child["manager_url"] == "http://127.0.0.1:1" and child["experiment_workers"] == 2
+    assert child["experiment_backend"] == "process" and child["experiment_workers"] == 2
     # Nothing passed, nothing forwarded.
     bare = parser.parse_args(["diff-run", ".", ".", "--system", "miniraft"])
     assert _diffrun_argv(bare, "c") == ["run", "miniraft", "--json", "--cache-dir", "c"]
@@ -344,3 +363,16 @@ def test_diff_run_children_get_every_experiment_and_backend_flag():
 def test_bad_config_from_flags_is_exit_2_naming_the_field(capsys):
     assert main(["run", "toy", "--repeats", "1"]) == 2
     assert "error: repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--sweep", "delay=1000", "--sweep", "delay=2000"], "'delay' twice"),
+        (["--delays", "5000", "--sweep", "delay=1000"], "--delays and --sweep delay"),
+    ],
+    ids=["sweep-twice", "delays-and-sweep"],
+)
+def test_one_sweep_named_twice_is_exit_2(capsys, flags, named):
+    assert main(["run", "toy", "--repeats", "2", "--budget", "1"] + flags) == 2
+    assert named in capsys.readouterr().err

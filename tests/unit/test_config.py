@@ -58,7 +58,7 @@ def _wrong_typed(f):
 
 def test_defaults_validate_and_every_field_is_a_knob():
     CSnakeConfig()
-    assert len(FIELDS) == 18
+    assert len(FIELDS) == 17
     for f in FIELDS:
         assert set(f.metadata) == {"kind", "doc", "execution_only", "bounds"}
         assert f.metadata["doc"] and "%" not in f.metadata["doc"], f.name  # argparse help
@@ -110,7 +110,7 @@ def test_values_the_ladder_let_through_are_config_errors(probe):
 
 def test_execution_only_set_and_result_affecting_keys():
     assert set(EXECUTION_ONLY_KNOBS) == {
-        "experiment_workers", "experiment_backend", "cache_dir", "manager_url",
+        "experiment_workers", "experiment_backend", "cache_dir",
     }
     assert sorted(CSnakeConfig().result_affecting()) == [
         "adaptive_budget", "beam_width", "budget_per_fault", "compat_check",
@@ -153,6 +153,7 @@ def test_default_sweeps_are_held_to_their_fault_models_range(capsys):
         ({"delay_values_ms": 5}, "delay_values_ms"),
         ({"sweep_overrides": [["delay"]]}, "sweep_overrides"),
         ({"sweep_overrides": [["delay", [1.0], "extra"]]}, "sweep_overrides"),
+        ({"sweep_overrides": [["delay", [1.0]], ["delay", [2.0]]]}, "names 'delay' twice"),
         ({"fault_kinds": "delay"}, "fault_kinds"),
         ([["repeats", 3]], "JSON object"),
         (None, "JSON object"),
@@ -182,7 +183,7 @@ DEFAULT_DUMP = (
     '"delay_values_ms": [100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0], '
     '"experiment_backend": "process", "experiment_workers": 1, '
     '"fault_kinds": ["exception", "delay", "negation"], '
-    '"manager_url": null, "max_chain_len": 6, "max_delay_faults": null, "p_value": 0.1, '
+    '"max_chain_len": 6, "max_delay_faults": null, "p_value": 0.1, '
     '"point_event_min_frac": 0.4, "repeats": 5, '
     '"schedules": [], "seed": 1234, "sweep_overrides": []}'
 )
@@ -192,7 +193,7 @@ BENCH_HDFS2_DUMP = (
     '"delay_values_ms": [250.0, 1000.0, 8000.0], '
     '"experiment_backend": "process", "experiment_workers": 1, '
     '"fault_kinds": ["exception", "delay", "negation"], '
-    '"manager_url": null, "max_chain_len": 5, "max_delay_faults": null, "p_value": 0.1, '
+    '"max_chain_len": 5, "max_delay_faults": null, "p_value": 0.1, '
     '"point_event_min_frac": 0.4, "repeats": 3, '
     '"schedules": [], "seed": 7, "sweep_overrides": []}'
 )

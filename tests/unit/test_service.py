@@ -142,7 +142,6 @@ def test_task_digest_strips_execution_only_knobs():
         ("experiment_workers", 7),
         ("experiment_backend", "process"),
         ("cache_dir", "/tmp/elsewhere"),
-        ("manager_url", "http://other:1"),
     ):
         assert task_digest(_task_obj(**{knob: value})) == task_digest(base), knob
     assert task_digest(_task_obj(seed=8)) != task_digest(base)
@@ -265,8 +264,6 @@ def test_list_campaigns_is_the_get_the_route_table_documents(http):
         ("/api/agents/lease", {}, "'agent'"),
         ("/api/agents/heartbeat", {"cache": None}, "'agent'"),
         ("/api/agents/lease", {"agent": "agent-1", "max_tasks": "many"}, "'max_tasks'"),
-        ("/api/results", {"ids": [], "wait_s": [1]}, "'wait_s'"),
-        ("/api/tasks", {"tasks": 5}, "'tasks'"),
         ("/api/campaigns", {"system": "toy"}, "'config'"),
         ("/api/campaigns/campaign-1/events?after=x", None, "'after'"),
         ("/api/campaigns/campaign-1/stream?after=x", None, "'after'"),
@@ -286,6 +283,7 @@ def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payloa
         ({"repeats": "3"}, "repeats"),
         ({"sweep_overrides": [["msg_drop", [5.0]]]}, "sweep_overrides"),
         ([["repeats", 3]], "JSON object"),
+        ({"sweep_overrides": [["delay", [1.0]], ["delay", [2.0]]]}, "'delay' twice"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
