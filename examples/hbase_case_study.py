@@ -17,14 +17,13 @@ from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.driver import ExperimentDriver
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
-D, E, N = InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION
 
 EXPERIMENTS = [
-    ("t1", FaultKey("rs.deploy.regions", D), "hbase.create_heavy"),
-    ("t2", FaultKey("hm.assign.rpc", E), "hbase.rs_fault_tolerance"),
-    ("t3", FaultKey("hm.balancer.can_place", N), "hbase.balancer_long"),
+    ("t1", FaultKey("rs.deploy.regions", DELAY), "hbase.create_heavy"),
+    ("t2", FaultKey("hm.assign.rpc", EXCEPTION), "hbase.rs_fault_tolerance"),
+    ("t3", FaultKey("hm.balancer.can_place", NEGATION), "hbase.balancer_long"),
 ]
 
 
@@ -42,7 +41,7 @@ def main() -> None:
     # The decoy: the same IOE injection in the five-server balancer test
     # does NOT break the balancer — the causal relationship is conditional
     # on the three-server cluster (the paper's key observation).
-    decoy = driver.run_experiment(FaultKey("hm.assign.rpc", E), "hbase.balancer_5rs")
+    decoy = driver.run_experiment(FaultKey("hm.assign.rpc", EXCEPTION), "hbase.balancer_5rs")
     breaks_balancer = any(f.site_id == "hm.balancer.can_place" for f in decoy.interference)
     print("decoy: same IOE on a 5-server cluster breaks the balancer? %s" % breaks_balancer)
 

@@ -21,9 +21,7 @@ from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.driver import ExperimentDriver
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
-
-D, E = InjKind.DELAY, InjKind.EXCEPTION
+from repro.types import DELAY, EXCEPTION, FaultKey
 
 
 def main() -> None:
@@ -32,17 +30,17 @@ def main() -> None:
     driver = ExperimentDriver(spec, config)
 
     print("t1: inject IBR-processing delay into the 'load balancer' test")
-    r1 = driver.run_experiment(FaultKey("nn.ibr.entries", D), "hdfs2.load_balancer")
+    r1 = driver.run_experiment(FaultKey("nn.ibr.entries", DELAY), "hdfs2.load_balancer")
     for f in r1.interference:
         print("      -> %s" % f)
 
     print("t1': inject the report RPC failure into the same test (control)")
-    r1c = driver.run_experiment(FaultKey("dn.ibr.rpc", E), "hdfs2.load_balancer")
+    r1c = driver.run_experiment(FaultKey("dn.ibr.rpc", EXCEPTION), "hdfs2.load_balancer")
     grows = any(f.site_id == "nn.ibr.entries" for f in r1c.interference)
     print("      report processing grows without throttling? %s" % grows)
 
     print("t2: inject the report RPC failure into the 'IBR interval' test")
-    r2 = driver.run_experiment(FaultKey("dn.ibr.rpc", E), "hdfs2.ibr_interval")
+    r2 = driver.run_experiment(FaultKey("dn.ibr.rpc", EXCEPTION), "hdfs2.ibr_interval")
     for f in r2.interference:
         print("      -> %s" % f)
 

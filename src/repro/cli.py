@@ -24,21 +24,27 @@ from .config import CSnakeConfig
 from .core.driver import ExperimentDriver
 from .core.report import DetectionReport
 from .errors import ConfigError, ReproError
-from .faults import expand_kinds, model_for, registered_kinds, registered_schedules
+from .faults import (
+    expand_kinds,
+    model_for,
+    models_for_site_kind,
+    registered_kinds,
+    registered_schedules,
+)
 from .pipeline import BACKENDS, Pipeline, ProgressPrinter
 from .systems import available_systems, get_system
-from .types import FaultKey, InjKind
+from .types import FaultKey
 
 
 def _parse_fault(text: str) -> FaultKey:
     try:
         site, kind = text.rsplit(":", 1)
-        return FaultKey(site, InjKind(kind))
+        return FaultKey(site, model_for(kind).kind_id)
     except ValueError:
-        raise SystemExit(
+        raise ReproError(
             "fault must look like '<site>:<kind>' with kind one of %s, got %r"
             % ("|".join(registered_kinds()), text)
-        )
+        ) from None
 
 
 def _parse_floats(text: str, what: str) -> tuple:
@@ -519,8 +525,24 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     spec = get_system(args.system)
-    driver = ExperimentDriver(spec, _config(args))
     fault = _parse_fault(args.fault)
+    if args.test not in spec.workloads:
+        raise ReproError(
+            "%s has no test %r; its tests: %s"
+            % (spec.name, args.test, ", ".join(spec.workloads))
+        )
+    site = spec.registry.get(fault.site_id)
+    hosted = [
+        m.kind_id
+        for m in models_for_site_kind(site.kind)
+        if m.injects_at(site.site_id, spec.registry)
+    ]
+    if fault.kind not in hosted:
+        raise ReproError(
+            "%s cannot be injected at %s (site kind %s); kinds it hosts: %s"
+            % (fault.kind, site.site_id, site.kind.value, ", ".join(hosted) or "none")
+        )
+    driver = ExperimentDriver(spec, _config(args))
     result = driver.run_experiment(fault, args.test)
     print("inject %s into %s:" % (fault, args.test))
     if not result.interference:

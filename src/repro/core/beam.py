@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..config import CSnakeConfig
-from ..types import CausalEdge, FaultKey, InjKind, states_compatible
+from ..types import DELAY, CausalEdge, FaultKey, states_compatible
 from .compat import CompatChecker
 from .cycles import INJECTION_EDGE_TYPES, Cycle
 
@@ -151,7 +151,7 @@ class _VectorizedKernel:
             dst[eid] = d
             if e.etype in INJECTION_EDGE_TYPES:
                 inj[eid] = 1
-                if e.src.kind is InjKind.DELAY:
+                if e.src.kind == DELAY:
                     delay[eid] = 1
                 score_term[eid] = sim_scores.get(e.src, 1.0)
             triple[eid] = triple_ids.setdefault((s, d, e.etype.value), len(triple_ids))

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..types import CausalEdge, EdgeType, FaultKey, InjKind
+from ..types import DELAY, EXCEPTION, NEGATION, CausalEdge, EdgeType, FaultKey
 from .clustering import Clustering
 
 #: Edge types that represent an actual fault-injection experiment (ICFG and
@@ -54,7 +54,7 @@ class Cycle:
         return sorted({e.test_id for e in self.edges})
 
     def delay_injections(self) -> int:
-        return sum(1 for f in self.injected_faults() if f.kind is InjKind.DELAY)
+        return sum(1 for f in self.injected_faults() if f.kind == DELAY)
 
     def signature(self) -> str:
         """Cycle composition in the paper's Table 3 notation, e.g. ``1D|2E|0N``.
@@ -65,9 +65,9 @@ class Cycle:
         """
         counts = Counter(f.kind for f in self.injected_faults())
         sig = "%dD|%dE|%dN" % (
-            counts.pop(InjKind.DELAY, 0),
-            counts.pop(InjKind.EXCEPTION, 0),
-            counts.pop(InjKind.NEGATION, 0),
+            counts.pop(DELAY, 0),
+            counts.pop(EXCEPTION, 0),
+            counts.pop(NEGATION, 0),
         )
         if counts:
             from ..faults import model_for  # deferred: faults imports plan
@@ -89,7 +89,7 @@ class Cycle:
             if clustering is not None and fault in clustering.by_fault:
                 ids.append(("G", clustering.by_fault[fault]))
             else:
-                ids.append(("f", fault.site_id, fault.kind.value))
+                ids.append(("f", fault.site_id, fault.kind))
         return tuple(sorted(ids))
 
     def __len__(self) -> int:

@@ -24,7 +24,7 @@ from ..config import CSnakeConfig
 from ..faults import model_for
 from ..instrument.sites import SiteRegistry
 from ..instrument.trace import RunGroup
-from ..types import CausalEdge, EdgeType, FaultKey, InjKind, SiteKind
+from ..types import DELAY, CausalEdge, EdgeType, FaultKey, SiteKind
 from .stats import one_sided_t_pvalues
 
 
@@ -77,7 +77,7 @@ class FaultCausalityAnalysis:
         # delay-like kinds produce E(D)/S+(D) edges, the rest E(I)/S+(I).
         etype = EdgeType.E_D if model_for(fault.kind).delay_like else EdgeType.E_I
         for candidate, hits in sorted(injection.natural_hits.items()):
-            if candidate.kind is InjKind.DELAY:
+            if candidate.kind == DELAY:
                 continue  # loop faults handled statistically below
             if profile.natural_hits.get(candidate):
                 continue  # not counterfactual: happens without the injection
@@ -119,7 +119,7 @@ class FaultCausalityAnalysis:
                 result.min_p = p
             if p >= self.config.p_value:
                 continue
-            dst = FaultKey(site_id, InjKind.DELAY)
+            dst = FaultKey(site_id, DELAY)
             result.interference.append(dst)
             edge = CausalEdge(
                 src=fault,
@@ -138,7 +138,7 @@ class FaultCausalityAnalysis:
         if site.kind is not SiteKind.LOOP or site.loop is None or site.loop.parent is None:
             return
         parent_id = site.loop.parent
-        parent = FaultKey(parent_id, InjKind.DELAY)
+        parent = FaultKey(parent_id, DELAY)
         states = injection.loop_states
         result.edges.append(
             CausalEdge(
@@ -156,7 +156,7 @@ class FaultCausalityAnalysis:
             result.edges.append(
                 CausalEdge(
                     src=parent,
-                    dst=FaultKey(sibling.site_id, InjKind.DELAY),
+                    dst=FaultKey(sibling.site_id, DELAY),
                     etype=EdgeType.CFG,
                     test_id=injection.test_id,
                     src_states=states.get(parent_id, frozenset()),

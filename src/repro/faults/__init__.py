@@ -34,7 +34,7 @@ import hashlib
 import json
 from typing import Dict, Iterable, List, Tuple, Union
 
-from ..types import InjKind, SiteKind
+from ..types import DELAY, EXCEPTION, NEGATION, SiteKind
 from .base import INJECTION_WARMUP_MS, EnvFaultPort, FaultModel
 from .classic import DelayFault, ExceptionFault, NegationFault
 from .environment import ENV_STATE, MsgDropFault, NodeCrashFault, PartitionFault
@@ -44,25 +44,24 @@ from .schedule import FaultSchedule, ScheduleFaultModel, TimedFault, overlap, se
 _MODELS: Dict[str, FaultModel] = {}
 
 #: The paper's taxonomy — the default ``CSnakeConfig.fault_kinds``.
-CLASSIC_FAULT_KINDS: Tuple[str, ...] = ("exception", "delay", "negation")
+CLASSIC_FAULT_KINDS: Tuple[str, ...] = (EXCEPTION, DELAY, NEGATION)
 
 
 def register(model: FaultModel) -> FaultModel:
-    """Register a fault model (a schedule is one too), interning its kind
-    handle.  A kind id names one model for good: registering a second
-    model under a registered id is a ``ValueError``."""
+    """Register a fault model (a schedule is one too) under its
+    ``kind_id``, the string every :class:`FaultKey` of the kind carries.
+    A kind id names one model for good: registering a second model under
+    a registered id is a ``ValueError``."""
     if not model.kind_id:
         raise ValueError("a fault model needs a non-empty kind_id")
     if model.kind_id in _MODELS:
         raise ValueError("fault kind %r is already registered" % model.kind_id)
-    InjKind._intern(model.kind_id)
     _MODELS[model.kind_id] = model
     return model
 
 
-def model_for(kind: Union[str, InjKind]) -> FaultModel:
-    """The registered model behind a kind id or :class:`InjKind` handle."""
-    kind_id = kind.value if isinstance(kind, InjKind) else kind
+def model_for(kind_id: str) -> FaultModel:
+    """The registered model behind a kind id; ``ValueError`` if none is."""
     try:
         return _MODELS[kind_id]
     except KeyError:

@@ -3,9 +3,9 @@
 A :class:`FaultModel` bundles everything the framework needs to know about
 one kind of injectable fault:
 
-* **identity** — ``kind_id`` (the wire format of the kind, interned into
-  :class:`~repro.types.InjKind`) and ``char`` (its letter in cycle
-  signatures like ``1D|1E|0N``);
+* **identity** — ``kind_id`` (the kind itself: the string a
+  :class:`~repro.types.FaultKey` carries, on the wire and in the cache)
+  and ``char`` (its letter in cycle signatures like ``1D|1E|0N``);
 * **target sites** — which :class:`~repro.types.SiteKind` values host it,
   and (:meth:`injects_at`) which sites of those kinds it can inject at;
 * **parameter sweep** — the plan sweep one budget unit expands to
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from ..types import FaultKey, InjKind, SiteKind
+from ..types import FaultKey, SiteKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports (cycle guard)
     from ..config import CSnakeConfig
@@ -69,10 +69,6 @@ class FaultModel:
     version: str = "1"
 
     # ------------------------------------------------------------- identity
-
-    @property
-    def kind(self) -> InjKind:
-        return InjKind(self.kind_id)
 
     def descriptor(self) -> List[Any]:
         """Digest material: everything result-affecting about the model."""

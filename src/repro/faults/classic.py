@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..types import FaultKey, SiteKind
+from ..types import DELAY, EXCEPTION, NEGATION, FaultKey, SiteKind
 from .base import INJECTION_WARMUP_MS, FaultModel
 
 
 class ExceptionFault(FaultModel):
     """One-time throw at a THROW/LIB_CALL site (§4.2)."""
 
-    kind_id = "exception"
+    kind_id = EXCEPTION
     char = "E"
     site_kinds = (SiteKind.THROW, SiteKind.LIB_CALL)
 
@@ -20,7 +20,7 @@ class DelayFault(FaultModel):
     """Per-iteration spinning delay at a LOOP site, swept over the
     configured delay values (§4.2) — one FCA per value, one budget unit."""
 
-    kind_id = "delay"
+    kind_id = DELAY
     char = "D"
     site_kinds = (SiteKind.LOOP,)
     delay_like = True
@@ -48,6 +48,6 @@ class NegationFault(FaultModel):
     """Negated return value at a DETECTOR site, once — like the one-time
     exception of §4.2."""
 
-    kind_id = "negation"
+    kind_id = NEGATION
     char = "N"
     site_kinds = (SiteKind.DETECTOR,)

@@ -37,7 +37,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from ..types import FaultKey, InjKind, SiteKind
+from ..types import FaultKey, SiteKind
 from .base import INJECTION_WARMUP_MS, FaultModel
 
 if TYPE_CHECKING:
@@ -314,7 +314,7 @@ class ScheduleFaultModel(FaultModel):
 
         for site_id, kind_id, offset_ms, params in plan.param("events", ()):
             sub_plan = InjectionPlan(
-                FaultKey(site_id, InjKind(kind_id)),
+                FaultKey(site_id, kind_id),
                 warmup_ms=plan.warmup_ms + offset_ms,
                 params=params,
             )

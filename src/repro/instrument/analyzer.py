@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..config import LOOP_SIZE_PRUNE_FRAC
 from ..faults import CLASSIC_FAULT_KINDS, models_for_site_kind
-from ..types import FaultKey, InjKind, SiteKind
+from ..types import DELAY, EXCEPTION, NEGATION, FaultKey, SiteKind
 from .sites import FaultSite, SiteRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
@@ -104,7 +104,7 @@ class StaticAnalyzer:
             elif meta.test_only:
                 result.exclude(site.site_id, "only reachable from tests")
             else:
-                result.faults.append(FaultKey(site.site_id, InjKind.EXCEPTION))
+                result.faults.append(FaultKey(site.site_id, EXCEPTION))
 
     def _select_loops(self, result: AnalysisResult) -> None:
         loops = self.registry.loops()
@@ -136,7 +136,7 @@ class StaticAnalyzer:
                 )
         for site in candidates:
             if site.site_id not in pruned_ids:
-                result.faults.append(FaultKey(site.site_id, InjKind.DELAY))
+                result.faults.append(FaultKey(site.site_id, DELAY))
 
     def _select_detectors(self, result: AnalysisResult) -> None:
         sites = self.registry.by_kind(SiteKind.DETECTOR)
@@ -155,7 +155,7 @@ class StaticAnalyzer:
             elif meta.primitive_only:
                 result.exclude(site.site_id, "primitive-only utility predicate")
             else:
-                result.faults.append(FaultKey(site.site_id, InjKind.NEGATION))
+                result.faults.append(FaultKey(site.site_id, NEGATION))
 
     def _select_env(self, result: AnalysisResult) -> None:
         """Environment sites: one fault key per enabled model that can
@@ -163,7 +163,7 @@ class StaticAnalyzer:
         faults; a node site a crash and every schedule anchored there)."""
         for site in self.registry.env_sites():
             keys = [
-                FaultKey(site.site_id, model.kind)
+                FaultKey(site.site_id, model.kind_id)
                 for model in models_for_site_kind(site.kind)
                 if self._enabled(model.kind_id)
                 and model.injects_at(site.site_id, self.registry)

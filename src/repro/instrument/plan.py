@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..types import FaultKey, InjKind
+from ..types import DELAY, FaultKey
 
 #: Generic per-model parameters of a plan, as a sorted, hashable tuple of
 #: (name, value) pairs — e.g. ``(("duration_ms", 15000.0),)`` for a
@@ -65,7 +65,7 @@ class InjectionPlan:
         return default
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.fault.kind is InjKind.DELAY:
+        if self.fault.kind == DELAY:
             return "%s(%.0fms)" % (self.fault, self.delay_ms or 0.0)
         if self.params:
             # A schedule's one parameter is its tuple of events: count them.

@@ -24,7 +24,7 @@ from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional
 
 from ..config import MAX_STATES_PER_SITE
 from ..errors import SimFault, UnknownSite
-from ..types import FaultKey, InjKind, LocalState
+from ..types import DELAY, EXCEPTION, NEGATION, FaultKey, LocalState
 from .plan import InjectionPlan
 from .sites import SiteRegistry
 from .trace import FaultEvent, RunTrace
@@ -169,9 +169,9 @@ class Runtime:
         # own kind (``None`` when the plan arms another kind, an environment
         # fault, or nothing) and every other site misses on that compare.
         kind = plan.fault.kind if plan is not None else None
-        self._exception_site = plan.site_id if kind is InjKind.EXCEPTION else None
-        self._delay_site = plan.site_id if kind is InjKind.DELAY else None
-        self._negation_site = plan.site_id if kind is InjKind.NEGATION else None
+        self._exception_site = plan.site_id if kind == EXCEPTION else None
+        self._delay_site = plan.site_id if kind == DELAY else None
+        self._negation_site = plan.site_id if kind == NEGATION else None
         self._warmup_ms = plan.warmup_ms if plan is not None else 0.0
         self._detector_meta: dict = {}
         # This run's natural fault events of each kind, keyed by what fixes
@@ -222,7 +222,7 @@ class Runtime:
         path = node.path
         return LocalState(frames[-1].above, path if path is not None else node.spell())
 
-    def _record_natural(self, events: Dict[tuple, FaultEvent], site_id: str, kind: InjKind) -> None:
+    def _record_natural(self, events: Dict[tuple, FaultEvent], site_id: str, kind: str) -> None:
         """Record a natural occurrence of ``site_id``'s fault in the current
         local state: a table probe, and the event is built the first time
         the run meets its key.  On an empty stack the root frame and the
@@ -425,14 +425,14 @@ class Runtime:
         trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             # Raise the *same* exception type the site naturally throws so
             # the system's own handlers catch it (software-implemented fault
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
-            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
+            self._record_natural(self._natural_exceptions, site_id, EXCEPTION)
             raise exc_cls("natural fault at %s" % site_id)
 
     def lib_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -450,13 +450,13 @@ class Runtime:
         trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected fault at %s" % site_id)
         try:
             return fn(*args, **kwargs)
         except exc_cls:
-            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
+            self._record_natural(self._natural_exceptions, site_id, EXCEPTION)
             raise
 
     def rpc_call(self, site_id: str, exc_cls: Type[SimFault], fn, *args, **kwargs):
@@ -478,11 +478,11 @@ class Runtime:
         try:
             result = fn(*args, **kwargs)
         except exc_cls:
-            self._record_natural(self._natural_exceptions, site_id, InjKind.EXCEPTION)
+            self._record_natural(self._natural_exceptions, site_id, EXCEPTION)
             raise
         if armed:
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected response loss at %s" % site_id)
         return result
@@ -502,7 +502,7 @@ class Runtime:
             and self._now() >= self._warmup_ms
         ):
             self._negation_fired = True
-            key = FaultKey(site_id, InjKind.NEGATION)
+            key = FaultKey(site_id, NEGATION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             return not result
         error_value = self._detector_meta.get(site_id)
@@ -514,12 +514,5 @@ class Runtime:
             error_value = meta.error_value if meta is not None else True
             self._detector_meta[site_id] = error_value
         if result == error_value:
-            self._record_natural(self._natural_negations, site_id, InjKind.NEGATION)
+            self._record_natural(self._natural_negations, site_id, NEGATION)
         return result
-
-
-class NullRuntime(Runtime):
-    """A disabled runtime with the same interface (overhead baseline)."""
-
-    def __init__(self, registry: SiteRegistry) -> None:
-        super().__init__(registry, trace=None, plan=None, env=None, enabled=False)

@@ -138,7 +138,7 @@ class SiteRegistry:
         try:
             return self._sites[site_id]
         except KeyError:
-            raise UnknownSite(site_id) from None
+            raise UnknownSite("%s has no site %r" % (self.system, site_id)) from None
 
     def by_kind(self, kind: SiteKind) -> List[FaultSite]:
         return [s for s in self._sites.values() if s.kind is kind]

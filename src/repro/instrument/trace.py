@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..types import FaultKey, InjKind, LocalState, StateSet
+from ..types import DELAY, FaultKey, LocalState, StateSet
 from .plan import InjectionPlan
 
 
@@ -118,7 +118,7 @@ class RunGroup:
             reached |= run.reached
         if injection is None:
             injected = set()
-        elif injection.fault.kind is InjKind.DELAY:
+        elif injection.fault.kind == DELAY:
             injected = loop_states.get(injection.site_id, set())
         return cls(
             test_id=test_id,

@@ -22,11 +22,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from .core.cycles import Cycle
 from .core.fca import FcaResult
-from .faults import model_for  # also interns every registered fault kind
+from .faults import model_for
 from .instrument.analyzer import AnalysisResult
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
-from .types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState, StateSet
+from .types import CausalEdge, EdgeType, FaultKey, LocalState, StateSet
 
 # ------------------------------------------------------------ atomic writes
 
@@ -54,12 +54,12 @@ def atomic_write_text(path: "os.PathLike[str]", text: str) -> None:
 
 
 def fault_to_obj(fault: FaultKey) -> str:
-    return "%s:%s" % (fault.site_id, fault.kind.value)
+    return "%s:%s" % (fault.site_id, fault.kind)
 
 
 def fault_from_obj(obj: str) -> FaultKey:
     site_id, kind = obj.rsplit(":", 1)
-    return FaultKey(site_id, InjKind(kind))
+    return FaultKey(site_id, model_for(kind).kind_id)  # unregistered: ValueError
 
 
 # ------------------------------------------------------------ local states

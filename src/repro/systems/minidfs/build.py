@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...faults import EnvFaultPort
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, NEGATION, FaultKey
 from ...workloads.dfs import dfs_workloads
 from ..base import KnownBug, SystemSpec
 from .sites import build_registry
@@ -43,13 +43,13 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("nn.report.blocks", InjKind.DELAY),
-                    FaultKey("dn.hb.rpc", InjKind.EXCEPTION),
+                    FaultKey("nn.report.blocks", DELAY),
+                    FaultKey("dn.hb.rpc", EXCEPTION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.node_site_id(n), InjKind("node_crash"))
+                    FaultKey(ENV_PORT.node_site_id(n), "node_crash")
                     for n in ENV_PORT.nodes
                 }
             ),
@@ -70,13 +70,13 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("fo.rebuild.entries", InjKind.DELAY),
-                    FaultKey("dn.master.is_down", InjKind.NEGATION),
+                    FaultKey("fo.rebuild.entries", DELAY),
+                    FaultKey("dn.master.is_down", NEGATION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.link_site_id(a, b), InjKind("partition"))
+                    FaultKey(ENV_PORT.link_site_id(a, b), "partition")
                     for a, b in ENV_PORT.links
                 }
             ),
@@ -99,13 +99,13 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("dn.pipe.recv", InjKind.DELAY),
-                    FaultKey("nn.rerepl.rpc", InjKind.EXCEPTION),
+                    FaultKey("dn.pipe.recv", DELAY),
+                    FaultKey("nn.rerepl.rpc", EXCEPTION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.node_site_id(n), InjKind("membership_churn"))
+                    FaultKey(ENV_PORT.node_site_id(n), "membership_churn")
                     for n in ENV_PORT.nodes
                 }
             ),
@@ -129,13 +129,13 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("dn.ack.build", InjKind.DELAY),
-                    FaultKey("nn.retry.rpc", InjKind.EXCEPTION),
+                    FaultKey("dn.ack.build", DELAY),
+                    FaultKey("nn.retry.rpc", EXCEPTION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.link_site_id("nn0", d), InjKind("msg_drop"))
+                    FaultKey(ENV_PORT.link_site_id("nn0", d), "msg_drop")
                     for d in ("dn0", "dn1", "dn2")
                 }
             ),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, FaultKey
 from ...workloads.flink import flink_workloads
 from ..base import KnownBug, SystemSpec
 from .sites import build_registry
@@ -28,9 +28,9 @@ def build_system() -> SystemSpec:
             signature="1D|2E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("tm.sink.process", InjKind.DELAY),
-                    FaultKey("tm.head.fail", InjKind.EXCEPTION),
-                    FaultKey("jm.sink.cancel", InjKind.EXCEPTION),
+                    FaultKey("tm.sink.process", DELAY),
+                    FaultKey("tm.head.fail", EXCEPTION),
+                    FaultKey("jm.sink.cancel", EXCEPTION),
                 }
             ),
             # Paper: Alt ✗; our restart-strategy test self-sustains once the
@@ -49,9 +49,9 @@ def build_system() -> SystemSpec:
             signature="1D|2E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("tm.agg.process", InjKind.DELAY),
-                    FaultKey("tm.barrier.fail", InjKind.EXCEPTION),
-                    FaultKey("tm.state.transition", InjKind.EXCEPTION),
+                    FaultKey("tm.agg.process", DELAY),
+                    FaultKey("tm.barrier.fail", EXCEPTION),
+                    FaultKey("tm.state.transition", EXCEPTION),
                 }
             ),
             alt_detectable=True,

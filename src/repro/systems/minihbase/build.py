@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, NEGATION, FaultKey
 from ...workloads.hbase import hbase_workloads
 from ..base import KnownBug, SystemSpec
 from .sites import build_registry
@@ -28,8 +28,8 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("rs.wal.roll", InjKind.DELAY),
-                    FaultKey("rs.wal.premature_eof", InjKind.NEGATION),
+                    FaultKey("rs.wal.roll", DELAY),
+                    FaultKey("rs.wal.premature_eof", NEGATION),
                 }
             ),
             alt_detectable=True,
@@ -46,9 +46,9 @@ def build_system() -> SystemSpec:
             signature="1D|1E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("rs.deploy.regions", InjKind.DELAY),
-                    FaultKey("hm.assign.rpc", InjKind.EXCEPTION),
-                    FaultKey("hm.balancer.can_place", InjKind.NEGATION),
+                    FaultKey("rs.deploy.regions", DELAY),
+                    FaultKey("hm.assign.rpc", EXCEPTION),
+                    FaultKey("hm.balancer.can_place", NEGATION),
                 }
             ),
             alt_detectable=False,

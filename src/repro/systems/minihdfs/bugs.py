@@ -10,20 +10,20 @@ from __future__ import annotations
 
 from typing import List
 
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, NEGATION, FaultKey
 from ..base import KnownBug
 
 
 def _d(site: str) -> FaultKey:
-    return FaultKey(site, InjKind.DELAY)
+    return FaultKey(site, DELAY)
 
 
 def _e(site: str) -> FaultKey:
-    return FaultKey(site, InjKind.EXCEPTION)
+    return FaultKey(site, EXCEPTION)
 
 
 def _n(site: str) -> FaultKey:
-    return FaultKey(site, InjKind.NEGATION)
+    return FaultKey(site, NEGATION)
 
 
 def hdfs2_bugs() -> List[KnownBug]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, NEGATION, FaultKey
 from ...workloads.ozone import ozone_workloads
 from ..base import KnownBug, SystemSpec
 from .sites import build_registry
@@ -28,8 +28,8 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("scm.eventq.dispatch", InjKind.DELAY),
-                    FaultKey("scm.eventq.dispatch_ok", InjKind.NEGATION),
+                    FaultKey("scm.eventq.dispatch", DELAY),
+                    FaultKey("scm.eventq.dispatch_ok", NEGATION),
                 }
             ),
             alt_detectable=False,
@@ -46,8 +46,8 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("scm.hb.updates", InjKind.DELAY),
-                    FaultKey("scm.pipeline.is_healthy", InjKind.NEGATION),
+                    FaultKey("scm.hb.updates", DELAY),
+                    FaultKey("scm.pipeline.is_healthy", NEGATION),
                 }
             ),
             alt_detectable=True,
@@ -64,9 +64,9 @@ def build_system() -> SystemSpec:
             signature="1D|2E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("dn.repl.handle", InjKind.DELAY),
-                    FaultKey("dn.repl.push", InjKind.EXCEPTION),
-                    FaultKey("scm.pipeline.create_ioe", InjKind.EXCEPTION),
+                    FaultKey("dn.repl.handle", DELAY),
+                    FaultKey("dn.repl.push", EXCEPTION),
+                    FaultKey("scm.pipeline.create_ioe", EXCEPTION),
                 }
             ),
             alt_detectable=False,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...faults import EnvFaultPort
-from ...types import FaultKey, InjKind
+from ...types import DELAY, EXCEPTION, NEGATION, FaultKey
 from ...workloads.raft import raft_workloads
 from ..base import KnownBug, SystemSpec
 from .sites import build_registry
@@ -35,8 +35,8 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("flw.append.apply", InjKind.DELAY),
-                    FaultKey("ldr.append.rpc", InjKind.EXCEPTION),
+                    FaultKey("flw.append.apply", DELAY),
+                    FaultKey("ldr.append.rpc", EXCEPTION),
                 }
             ),
             alt_detectable=True,
@@ -53,8 +53,8 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("flw.append.apply", InjKind.DELAY),
-                    FaultKey("flw.election.timed_out", InjKind.NEGATION),
+                    FaultKey("flw.append.apply", DELAY),
+                    FaultKey("flw.election.timed_out", NEGATION),
                 }
             ),
             alt_detectable=True,
@@ -70,8 +70,8 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("flw.append.apply", InjKind.DELAY),
-                    FaultKey("ldr.quorum.has", InjKind.NEGATION),
+                    FaultKey("flw.append.apply", DELAY),
+                    FaultKey("ldr.quorum.has", NEGATION),
                 }
             ),
             alt_detectable=True,
@@ -87,8 +87,8 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("flw.snap.chunks", InjKind.DELAY),
-                    FaultKey("ldr.snap.rpc", InjKind.EXCEPTION),
+                    FaultKey("flw.snap.chunks", DELAY),
+                    FaultKey("ldr.snap.rpc", EXCEPTION),
                 }
             ),
             alt_detectable=True,
@@ -109,13 +109,13 @@ def build_system() -> SystemSpec:
             signature="1D|0E|1N",
             core_faults=frozenset(
                 {
-                    FaultKey("ldr.reconnect.catchup", InjKind.DELAY),
-                    FaultKey("flw.election.timed_out", InjKind.NEGATION),
+                    FaultKey("ldr.reconnect.catchup", DELAY),
+                    FaultKey("flw.election.timed_out", NEGATION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.link_site_id(a, b), InjKind("partition"))
+                    FaultKey(ENV_PORT.link_site_id(a, b), "partition")
                     for a, b in ENV_PORT.links
                 }
             ),
@@ -137,13 +137,13 @@ def build_system() -> SystemSpec:
             signature="1D|1E|0N",
             core_faults=frozenset(
                 {
-                    FaultKey("ldr.probe.scan", InjKind.DELAY),
-                    FaultKey("flw.probe.rpc", InjKind.EXCEPTION),
+                    FaultKey("ldr.probe.scan", DELAY),
+                    FaultKey("flw.probe.rpc", EXCEPTION),
                 }
             ),
             trigger_faults=frozenset(
                 {
-                    FaultKey(ENV_PORT.node_site_id(n), InjKind("partition_during_restart"))
+                    FaultKey(ENV_PORT.node_site_id(n), "partition_during_restart")
                     for n in ENV_PORT.nodes
                 }
             ),

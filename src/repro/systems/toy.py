@@ -26,7 +26,7 @@ from ..faults import EnvFaultPort
 from ..instrument.runtime import Runtime
 from ..instrument.sites import SiteRegistry
 from ..sim import Node, SimEnv
-from ..types import FaultKey, InjKind
+from ..types import DELAY, EXCEPTION, NEGATION, FaultKey
 from .base import KnownBug, SystemSpec, WorkloadSpec
 
 SYSTEM = "toy"
@@ -266,14 +266,14 @@ def _wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 TOY1_FAULTS = frozenset(
     {
-        FaultKey("toy.client.send_loop", InjKind.DELAY),
-        FaultKey("toy.client.rpc_call", InjKind.EXCEPTION),
+        FaultKey("toy.client.send_loop", DELAY),
+        FaultKey("toy.client.rpc_call", EXCEPTION),
     }
 )
 TOY2_FAULTS = frozenset(
     {
-        FaultKey("toy.server.process_batch", InjKind.DELAY),
-        FaultKey("toy.server.is_stale", InjKind.NEGATION),
+        FaultKey("toy.server.process_batch", DELAY),
+        FaultKey("toy.server.is_stale", NEGATION),
     }
 )
 

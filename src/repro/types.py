@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 
 class SiteKind(enum.Enum):
@@ -24,78 +24,12 @@ class SiteKind(enum.Enum):
     ENV_LINK = "env_link"  # environment site: one severable node-pair link
 
 
-class _InjKindMeta(type):
-    """Iteration/len over the registered kinds, mirroring the old enum."""
-
-    def __iter__(cls):
-        return iter(cls._interned.values())
-
-    def __len__(cls) -> int:
-        return len(cls._interned)
-
-
-class InjKind(metaclass=_InjKindMeta):
-    """A fault kind: the manifestation a :class:`FaultKey` injects/observes.
-
-    Formerly a closed three-member enum; now an *open*, interned handle so
-    new fault models (``repro.faults``) can register kinds without editing
-    this module.  Interning preserves the enum ergonomics the rest of the
-    framework relies on: ``InjKind("delay") is InjKind.DELAY``, identity
-    comparisons, hashing, pickling across process boundaries, and
-    ``list(InjKind)`` iteration all behave as before.  ``InjKind(value)``
-    raises ``ValueError`` for unregistered kinds, exactly like the enum
-    did — deserializing a fault kind no registered model understands fails
-    loudly instead of fabricating a handle.
-    """
-
-    __slots__ = ("value",)
-
-    _interned: Dict[str, "InjKind"] = {}
-
-    def __new__(cls, value: "str | InjKind") -> "InjKind":
-        if isinstance(value, InjKind):
-            return value
-        try:
-            return cls._interned[value]
-        except KeyError:
-            raise ValueError(
-                "%r is not a registered fault kind (known: %s)"
-                % (value, ", ".join(cls._interned) or "-")
-            ) from None
-
-    @classmethod
-    def _intern(cls, value: str) -> "InjKind":
-        """Register (or fetch) the kind handle for ``value``.
-
-        Only :mod:`repro.faults` (and this module, for the three paper
-        kinds) should call this — a kind without a fault model behind it
-        cannot be planned, armed, or serialized.
-        """
-        inst = cls._interned.get(value)
-        if inst is None:
-            inst = object.__new__(cls)
-            inst.value = value
-            cls._interned[value] = inst
-        return inst
-
-    @property
-    def name(self) -> str:  # enum-compatible spelling
-        return self.value.upper()
-
-    def __reduce__(self):
-        # Unpickle to the interned instance so `is` comparisons survive
-        # process boundaries and deepcopies.
-        return (InjKind, (self.value,))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<InjKind.%s: %r>" % (self.name, self.value)
-
-
-#: The three paper kinds, interned eagerly so ``InjKind.EXCEPTION`` works
-#: without importing the fault-model registry.
-InjKind.EXCEPTION = InjKind._intern("exception")  # one-time throw at a THROW/LIB_CALL site
-InjKind.DELAY = InjKind._intern("delay")  # per-iteration spinning delay at a LOOP site
-InjKind.NEGATION = InjKind._intern("negation")  # negated return value at a DETECTOR site
+#: The three paper kinds (§4.1, Table 1).  A fault kind is the ``kind_id``
+#: of its registered model (``repro.faults``); these are the ids of the
+#: classic models, spelled once so code can compare ``kind == DELAY``.
+EXCEPTION = "exception"  # one-time throw at a THROW/LIB_CALL site
+DELAY = "delay"  # per-iteration spinning delay at a LOOP site
+NEGATION = "negation"  # negated return value at a DETECTOR site
 
 
 class EdgeType(enum.Enum):
@@ -113,22 +47,20 @@ class EdgeType(enum.Enum):
 DELAY_EDGE_TYPES = frozenset({EdgeType.SP_D, EdgeType.SP_I, EdgeType.ICFG, EdgeType.CFG})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FaultKey:
     """Identity of a fault: an injectable site plus its manifestation kind.
 
-    A loop site manifests as a :data:`InjKind.DELAY` fault, a throw site as
-    an :data:`InjKind.EXCEPTION`, a detector site as a
-    :data:`InjKind.NEGATION`.  The same key is used whether the fault is
-    injected or observed as an interference, which is what lets the beam
-    search stitch an observation in one test to an injection in another.
+    ``kind`` is the registered ``kind_id`` of a fault model: a loop site
+    manifests as a :data:`DELAY` fault, a throw site as an
+    :data:`EXCEPTION`, a detector site as a :data:`NEGATION`.  The same key
+    is used whether the fault is injected or observed as an interference,
+    which is what lets the beam search stitch an observation in one test to
+    an injection in another.  Keys sort by ``(site_id, kind)``.
     """
 
     site_id: str
-    kind: InjKind
-
-    def __lt__(self, other: "FaultKey") -> bool:
-        return (self.site_id, self.kind.value) < (other.site_id, other.kind.value)
+    kind: str
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         try:  # the model's signature letter (C/P/X for environment kinds)
@@ -136,7 +68,7 @@ class FaultKey:
 
             char = model_for(self.kind).char
         except Exception:
-            char = self.kind.value[0].upper()
+            char = self.kind[0].upper()
         return "%s@%s" % (char, self.site_id)
 
 

@@ -46,7 +46,7 @@ def fault_space(system: str, flavour: str) -> AnalysisResult:
 
 
 def fault_space_row(system: str, flavour: str) -> Dict[str, Any]:
-    keys = sorted("%s:%s" % (f.site_id, f.kind.value) for f in fault_space(system, flavour).faults)
+    keys = sorted("%s:%s" % (f.site_id, f.kind) for f in fault_space(system, flavour).faults)
     return {
         "faults": len(keys),
         "sha256": hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest(),

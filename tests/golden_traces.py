@@ -79,7 +79,7 @@ def system_digests(system: str) -> Dict[str, str]:
     )
     by_kind: Dict[str, list] = {}
     for fault in space.faults:
-        by_kind.setdefault(fault.kind.value, []).append(fault)
+        by_kind.setdefault(fault.kind, []).append(fault)
     for kind, kind_faults in sorted(by_kind.items()):
         model = faults.model_for(kind)
         # First fault of the kind some workload reaches (environment

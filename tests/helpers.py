@@ -10,7 +10,7 @@ from repro.core import beam
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
 from repro.serialize import fault_to_obj, plan_to_obj, state_to_obj, states_to_obj
-from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+from repro.types import DELAY, EXCEPTION, NEGATION, CausalEdge, EdgeType, FaultKey, LocalState
 
 
 #: The kernel's own candidate-table block size.
@@ -35,15 +35,15 @@ def state(stack: Tuple[str, str] = ("f1", "f0"), branches: Tuple = ()) -> LocalS
 
 
 def exc(name: str) -> FaultKey:
-    return FaultKey(name, InjKind.EXCEPTION)
+    return FaultKey(name, EXCEPTION)
 
 
 def neg(name: str) -> FaultKey:
-    return FaultKey(name, InjKind.NEGATION)
+    return FaultKey(name, NEGATION)
 
 
 def dly(name: str) -> FaultKey:
-    return FaultKey(name, InjKind.DELAY)
+    return FaultKey(name, DELAY)
 
 
 def edge(

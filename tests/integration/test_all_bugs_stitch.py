@@ -13,9 +13,9 @@ from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.driver import ExperimentDriver
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
-D, E, N = InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION
+D, E, N = DELAY, EXCEPTION, NEGATION
 CFG = dict(repeats=3, delay_values_ms=(250.0, 1000.0, 8000.0), seed=1234)
 
 #: bug id -> (system, [(site, kind, test), ...]) — the designated chain.

@@ -20,7 +20,7 @@ from repro.core.report import match_bugs
 from repro.faults import expand_kinds, registered_schedules
 from repro.pipeline import Pipeline
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 from tests.golden_campaigns import context_digest
 
@@ -31,31 +31,31 @@ SMOKE = dict(repeats=2, delay_values_ms=(500.0, 8000.0), seed=7, budget_per_faul
 CHAINS = {
     "DFS-1": (
         [
-            (FaultKey("nn.report.blocks", InjKind.DELAY), "dfs.hb_storm"),
-            (FaultKey("dn.hb.rpc", InjKind.EXCEPTION), "dfs.hb_storm"),
+            (FaultKey("nn.report.blocks", DELAY), "dfs.hb_storm"),
+            (FaultKey("dn.hb.rpc", EXCEPTION), "dfs.hb_storm"),
         ],
-        (FaultKey("env.node.nn0", InjKind("node_crash")), "dfs.hb_storm"),
+        (FaultKey("env.node.nn0", "node_crash"), "dfs.hb_storm"),
     ),
     "DFS-2": (
         [
-            (FaultKey("fo.rebuild.entries", InjKind.DELAY), "dfs.failover"),
-            (FaultKey("dn.master.is_down", InjKind.NEGATION), "dfs.failover"),
+            (FaultKey("fo.rebuild.entries", DELAY), "dfs.failover"),
+            (FaultKey("dn.master.is_down", NEGATION), "dfs.failover"),
         ],
-        (FaultKey("env.link.dn1~nn0", InjKind("partition")), "dfs.failover"),
+        (FaultKey("env.link.dn1~nn0", "partition"), "dfs.failover"),
     ),
     "DFS-3": (
         [
-            (FaultKey("dn.pipe.recv", InjKind.DELAY), "dfs.churn"),
-            (FaultKey("nn.rerepl.rpc", InjKind.EXCEPTION), "dfs.churn"),
+            (FaultKey("dn.pipe.recv", DELAY), "dfs.churn"),
+            (FaultKey("nn.rerepl.rpc", EXCEPTION), "dfs.churn"),
         ],
-        (FaultKey("env.node.dn0", InjKind("membership_churn")), "dfs.churn"),
+        (FaultKey("env.node.dn0", "membership_churn"), "dfs.churn"),
     ),
     "DFS-4": (
         [
-            (FaultKey("dn.ack.build", InjKind.DELAY), "dfs.churn"),
-            (FaultKey("nn.retry.rpc", InjKind.EXCEPTION), "dfs.churn"),
+            (FaultKey("dn.ack.build", DELAY), "dfs.churn"),
+            (FaultKey("nn.retry.rpc", EXCEPTION), "dfs.churn"),
         ],
-        (FaultKey("env.link.dn0~nn0", InjKind("msg_drop")), "dfs.churn"),
+        (FaultKey("env.link.dn0~nn0", "msg_drop"), "dfs.churn"),
     ),
 }
 

@@ -17,7 +17,7 @@ from repro.core.report import match_bugs
 from repro.faults import expand_kinds
 from repro.pipeline import Pipeline
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, NEGATION, FaultKey
 
 from tests.golden_campaigns import context_digest
 
@@ -25,10 +25,10 @@ CFG = dict(repeats=3, delay_values_ms=(250.0, 1000.0, 8000.0), seed=1234)
 
 #: The designated experiments of RAFT-5's propagation chain.
 RAFT5_CHAIN = [
-    (FaultKey("ldr.reconnect.catchup", InjKind.DELAY), "raft.partition"),
-    (FaultKey("flw.election.timed_out", InjKind.NEGATION), "raft.partition"),
+    (FaultKey("ldr.reconnect.catchup", DELAY), "raft.partition"),
+    (FaultKey("flw.election.timed_out", NEGATION), "raft.partition"),
 ]
-RAFT5_TRIGGER = (FaultKey("env.link.raft0~raft1", InjKind("partition")), "raft.partition")
+RAFT5_TRIGGER = (FaultKey("env.link.raft0~raft1", "partition"), "raft.partition")
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from repro.faults import expand_kinds, registered_schedules
 from repro.pipeline import Pipeline
 from repro.serialize import edge_to_obj
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 from tests.golden_campaigns import context_digest
 
@@ -31,11 +31,11 @@ CFG = dict(repeats=3, delay_values_ms=(250.0, 1000.0, 8000.0), seed=1234)
 
 #: The designated experiments of RAFT-6's propagation chain.
 RAFT6_CHAIN = [
-    (FaultKey("ldr.probe.scan", InjKind.DELAY), "raft.churn"),
-    (FaultKey("flw.probe.rpc", InjKind.EXCEPTION), "raft.churn"),
+    (FaultKey("ldr.probe.scan", DELAY), "raft.churn"),
+    (FaultKey("flw.probe.rpc", EXCEPTION), "raft.churn"),
 ]
 RAFT6_TRIGGER = (
-    FaultKey("env.node.raft1", InjKind("partition_during_restart")),
+    FaultKey("env.node.raft1", "partition_during_restart"),
     "raft.churn",
 )
 
@@ -97,7 +97,7 @@ def test_single_env_faults_do_not_form_the_trigger_edge():
         driver.run_experiment(fault, test)
     for site in ("env.node.raft1", "env.link.raft0~raft1"):
         kind = "node_crash" if "node" in site else "partition"
-        driver.run_experiment(FaultKey(site, InjKind(kind)), "raft.churn")
+        driver.run_experiment(FaultKey(site, kind), "raft.churn")
     bug, cycles = _raft6_cycles(driver)
     matches = match_bugs(driver.spec, cycles, driver.edges.all_edges())
     assert "RAFT-6" not in [m.bug.bug_id for m in matches if m.detected]
@@ -144,10 +144,10 @@ def test_schedules_leave_single_fault_results_bit_identical():
     allocations differ, since schedules add faults to the space — the
     invariant lives at the experiment level.)"""
     pairs = [
-        (FaultKey("ldr.reconnect.catchup", InjKind.DELAY), "raft.partition"),
-        (FaultKey("flw.election.timed_out", InjKind.NEGATION), "raft.partition"),
-        (FaultKey("env.link.raft0~raft1", InjKind("partition")), "raft.partition"),
-        (FaultKey("env.node.raft1", InjKind("node_crash")), "raft.churn"),
+        (FaultKey("ldr.reconnect.catchup", DELAY), "raft.partition"),
+        (FaultKey("flw.election.timed_out", NEGATION), "raft.partition"),
+        (FaultKey("env.link.raft0~raft1", "partition"), "raft.partition"),
+        (FaultKey("env.node.raft1", "node_crash"), "raft.churn"),
     ] + RAFT6_CHAIN
 
     def edges_with(config):

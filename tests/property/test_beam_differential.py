@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
-from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+from repro.types import DELAY, EXCEPTION, NEGATION, CausalEdge, EdgeType, FaultKey, LocalState
 
 from tests.helpers import DEFAULT_KERNEL_BLOCK, kernel_block_size
 from tests.reference_beam import ReferenceBeamSearch
@@ -27,7 +27,7 @@ from tests.reference_beam import ReferenceBeamSearch
 pytestmark = pytest.mark.contract
 
 sites = st.sampled_from(["a", "b", "c", "d"])
-kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
+kinds = st.sampled_from([DELAY, EXCEPTION, NEGATION])
 faults = st.builds(FaultKey, site_id=sites, kind=kinds)
 states = st.frozensets(
     st.builds(
@@ -111,9 +111,9 @@ def test_narrow_beam_tie_breaks(edge_list, scores, block):
 # class and the final integer sort all decide something.
 dense_faults = st.sampled_from(
     [
-        FaultKey("a", InjKind.EXCEPTION),
-        FaultKey("b", InjKind.EXCEPTION),
-        FaultKey("c", InjKind.DELAY),
+        FaultKey("a", EXCEPTION),
+        FaultKey("b", EXCEPTION),
+        FaultKey("c", DELAY),
     ]
 )
 dense_edges = st.lists(
@@ -158,7 +158,7 @@ def test_last_level_counts_without_building_a_frontier(max_chain_len):
     s = frozenset({LocalState(call_stack=("f", "h"), branch_trace=())})
     edge_list = [
         CausalEdge(
-            FaultKey(x, InjKind.EXCEPTION), FaultKey(y, InjKind.EXCEPTION),
+            FaultKey(x, EXCEPTION), FaultKey(y, EXCEPTION),
             EdgeType.E_I, test_id, s, s,
         )
         for x in names

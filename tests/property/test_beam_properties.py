@@ -11,12 +11,12 @@ from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearch
 from repro.core.cycles import INJECTION_EDGE_TYPES
 from repro.core.compat import CompatChecker
-from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+from repro.types import DELAY, EXCEPTION, NEGATION, CausalEdge, EdgeType, FaultKey, LocalState
 
 from tests.reference_beam import match
 
 sites = st.sampled_from(["a", "b", "c", "d"])
-kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
+kinds = st.sampled_from([DELAY, EXCEPTION, NEGATION])
 faults = st.builds(FaultKey, site_id=sites, kind=kinds)
 states = st.frozensets(
     st.builds(
@@ -67,7 +67,7 @@ def test_delay_cap_is_respected(edge_list):
         delays = sum(
             1
             for e in cycle.edges
-            if e.etype in INJECTION_EDGE_TYPES and e.src.kind is InjKind.DELAY
+            if e.etype in INJECTION_EDGE_TYPES and e.src.kind == DELAY
         )
         assert delays <= 1
 

@@ -36,7 +36,7 @@ from repro.serialize import (
     plan_to_obj,
 )
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind, LocalState
+from repro.types import DELAY, FaultKey, LocalState
 
 CONFIG = CSnakeConfig()
 
@@ -66,7 +66,7 @@ def _via_json(obj):
 
 def _representative_faults(model):
     return [
-        FaultKey(SITE_FOR_KIND[site_kind.value], model.kind)
+        FaultKey(SITE_FOR_KIND[site_kind.value], model.kind_id)
         for site_kind in model.site_kinds
     ]
 
@@ -81,7 +81,7 @@ def _all_plans():
 
 def test_every_registered_model_contributes_plans():
     plans = _all_plans()
-    kinds = {p.fault.kind.value for p in plans}
+    kinds = {p.fault.kind for p in plans}
     assert kinds == set(m.kind_id for m in all_models())
 
 
@@ -125,19 +125,19 @@ def test_group_with_injection_roundtrips(model):
 @settings(max_examples=60)
 def test_arbitrary_plan_parameters_roundtrip(warmup, restart, duration, drop_p, delay):
     plans = [
-        InjectionPlan(FaultKey("l", InjKind.DELAY), delay_ms=delay, warmup_ms=warmup),
+        InjectionPlan(FaultKey("l", DELAY), delay_ms=delay, warmup_ms=warmup),
         InjectionPlan(
-            FaultKey("env.node.n", InjKind("node_crash")),
+            FaultKey("env.node.n", "node_crash"),
             warmup_ms=warmup,
             params=make_params(restart_ms=restart),
         ),
         InjectionPlan(
-            FaultKey("env.link.a~b", InjKind("partition")),
+            FaultKey("env.link.a~b", "partition"),
             warmup_ms=warmup,
             params=make_params(duration_ms=duration),
         ),
         InjectionPlan(
-            FaultKey("env.link.a~b", InjKind("msg_drop")),
+            FaultKey("env.link.a~b", "msg_drop"),
             warmup_ms=warmup,
             params=make_params(drop_p=drop_p),
         ),
@@ -210,7 +210,7 @@ def _env_fault_for(spec, model):
     site = next(
         s for s in spec.registry.env_sites() if s.kind in model.site_kinds
     )
-    return FaultKey(site.site_id, model.kind)
+    return FaultKey(site.site_id, model.kind_id)
 
 
 @pytest.mark.parametrize(
@@ -222,10 +222,10 @@ def test_cache_experiment_entry_roundtrip(model, raft_cache):
         fault = _env_fault_for(spec, model)
     else:
         site = next(s for s in spec.registry if s.kind in model.site_kinds)
-        fault = FaultKey(site.site_id, model.kind)
+        fault = FaultKey(site.site_id, model.kind_id)
     plans = model.plans_for(fault, CONFIG, spec.registry)
     result = FcaResult(fault=fault, test_id="raft.steady")
-    result.interference = [FaultKey("flw.append.apply", InjKind.DELAY)]
+    result.interference = [FaultKey("flw.append.apply", DELAY)]
     key = cache.experiment_key("raft.steady", fault, plans)
     cache.store_experiment(key, "raft.steady", fault, result, runs=4)
     replayed = cache.lookup_experiment(key)

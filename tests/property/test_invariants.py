@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from repro.core.cycles import Cycle
 from repro.core.idf import IdfVectorizer, cosine_distance, mean_pairwise_distance
 from repro.core.stats import one_sided_t_pvalue
+from repro.faults import registered_kinds
 from repro.types import (
+    DELAY,
+    EXCEPTION,
     CausalEdge,
     EdgeType,
     FaultKey,
-    InjKind,
     LocalState,
     states_compatible,
 )
 
 fault_names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
-kinds = st.sampled_from(list(InjKind))
+kinds = st.sampled_from(registered_kinds())
 faults = st.builds(FaultKey, site_id=fault_names, kind=kinds)
 docs = st.lists(st.lists(faults, max_size=5), min_size=1, max_size=8)
 
@@ -29,7 +31,7 @@ docs = st.lists(st.lists(faults, max_size=5), min_size=1, max_size=8)
 
 @given(docs)
 def test_idf_vectors_are_unit_or_zero(interferences):
-    corpus = sorted({f for doc in interferences for f in doc}) or [FaultKey("a", InjKind.DELAY)]
+    corpus = sorted({f for doc in interferences for f in doc}) or [FaultKey("a", DELAY)]
     vec = IdfVectorizer(corpus).fit(interferences)
     for doc in interferences:
         v = vec.vectorize(doc)
@@ -131,8 +133,8 @@ def _edges_for_cycle(names):
         nxt = names[(i + 1) % len(names)]
         out.append(
             CausalEdge(
-                src=FaultKey(name, InjKind.EXCEPTION),
-                dst=FaultKey(nxt, InjKind.EXCEPTION),
+                src=FaultKey(name, EXCEPTION),
+                dst=FaultKey(nxt, EXCEPTION),
                 etype=EdgeType.E_I,
                 test_id="t%d" % i,
             )

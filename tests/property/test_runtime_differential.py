@@ -36,7 +36,7 @@ from repro.errors import IOEx, SimFault
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
 from repro.instrument import runtime as runtime_module
 from repro.instrument.trace import FaultEvent, RunTrace
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 from tests import reference_runtime
 from tests.helpers import trace_to_obj
@@ -212,18 +212,18 @@ plans = st.one_of(
     st.none(),
     st.builds(
         InjectionPlan,
-        st.builds(FaultKey, st.sampled_from(LOOPS), st.just(InjKind.DELAY)),
+        st.builds(FaultKey, st.sampled_from(LOOPS), st.just(DELAY)),
         delay_ms=st.sampled_from([0.25, 40.0]),
         warmup_ms=warmups,
     ),
     st.builds(
         InjectionPlan,
-        st.builds(FaultKey, st.sampled_from(THROWS + CALLS), st.just(InjKind.EXCEPTION)),
+        st.builds(FaultKey, st.sampled_from(THROWS + CALLS), st.just(EXCEPTION)),
         warmup_ms=warmups,
     ),
     st.builds(
         InjectionPlan,
-        st.builds(FaultKey, st.sampled_from(DETECTORS), st.just(InjKind.NEGATION)),
+        st.builds(FaultKey, st.sampled_from(DETECTORS), st.just(NEGATION)),
         warmup_ms=warmups,
     ),
 )
@@ -303,7 +303,7 @@ EVENTS_PARTWAY_THROUGH_A_PATH = handler(
     ("branch", "b.0", True),
     ("throw", "t.1", True),
 )
-EXCEPTION_AT_T0 = InjectionPlan(FaultKey("t.0", InjKind.EXCEPTION))
+EXCEPTION_AT_T0 = InjectionPlan(FaultKey("t.0", EXCEPTION))
 #: (d) One site's natural fault met again and again in one iteration, by
 #: every recording hook, with and without a branch in between: the
 #: runtime records the event it built the first time.
@@ -337,7 +337,7 @@ SAME_PATH_UNDER_TWO_CALL_CHAINS = (
     ],
     [0, 1, 0, 1],
 )
-EXCEPTION_AT_C0 = InjectionPlan(FaultKey("c.0", InjKind.EXCEPTION))
+EXCEPTION_AT_C0 = InjectionPlan(FaultKey("c.0", EXCEPTION))
 
 
 # ``derandomize``: tier-1 runs the same slice of the program space every
@@ -409,7 +409,7 @@ def test_a_natural_fault_met_again_is_the_event_built_first():
     trace, _, _ = execute(runtime_module, ONE_SITE_REPEATED_IN_AN_ITERATION, EXCEPTION_AT_C0, cap)
     injected = [event for event in trace.events if event.injected]
     assert len(injected) == 1 and injected[0] == FaultEvent(
-        FaultKey("c.0", InjKind.EXCEPTION), trace.events[2].state, injected=True
+        FaultKey("c.0", EXCEPTION), trace.events[2].state, injected=True
     )
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.faults import model_for
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.serialize import plan_from_obj, plan_to_obj
-from repro.types import FaultKey, InjKind
+from repro.types import FaultKey
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -49,7 +49,7 @@ def _via_json(obj):
 @settings(max_examples=80)
 def test_arbitrary_schedule_plans_roundtrip(name, events, warmup):
     plan = InjectionPlan(
-        FaultKey("env.node.raft1", InjKind(name)),
+        FaultKey("env.node.raft1", name),
         warmup_ms=warmup,
         params=make_params(events=events),
     )
@@ -63,7 +63,7 @@ def test_arbitrary_schedule_plans_roundtrip(name, events, warmup):
 def test_params_codec_exact_inverse(events):
     model = model_for("membership_churn")
     plan = InjectionPlan(
-        FaultKey("env.node.raft0", model.kind),
+        FaultKey("env.node.raft0", model.kind_id),
         warmup_ms=1.0,
         params=make_params(events=events),
     )

@@ -23,7 +23,7 @@ from repro.config import CSnakeConfig
 from repro.core.beam import BeamSearchResult
 from repro.core.compat import CompatChecker
 from repro.core.cycles import INJECTION_EDGE_TYPES, Cycle
-from repro.types import CausalEdge, FaultKey, InjKind, states_compatible
+from repro.types import DELAY, CausalEdge, FaultKey, states_compatible
 
 
 def canonical(cycle: Cycle) -> Cycle:
@@ -93,7 +93,7 @@ class ReferenceBeamSearch:
         return sum(
             1
             for e in edges
-            if e.etype in INJECTION_EDGE_TYPES and e.src.kind is InjKind.DELAY
+            if e.etype in INJECTION_EDGE_TYPES and e.src.kind == DELAY
         )
 
     # --------------------------------------------------------------- search

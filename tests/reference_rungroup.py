@@ -27,7 +27,7 @@ from repro.core.stats import one_sided_t_pvalues
 from repro.faults import model_for
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import RunTrace
-from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState, SiteKind, StateSet
+from repro.types import DELAY, CausalEdge, EdgeType, FaultKey, LocalState, SiteKind, StateSet
 
 # ----------------------------------------------- the RunTrace query helpers
 
@@ -53,7 +53,7 @@ def injected_states(run: RunTrace) -> StateSet:
     """Local states at which the armed injection actually fired."""
     if run.injection is None:
         return frozenset()
-    if run.injection.fault.kind is InjKind.DELAY:
+    if run.injection.fault.kind == DELAY:
         return frozenset(run.loop_states.get(run.injection.site_id, ()))
     return frozenset(e.state for e in run.events if e.injected)
 
@@ -201,7 +201,7 @@ class ReferenceFaultCausalityAnalysis(FaultCausalityAnalysis):
         etype = EdgeType.E_D if model_for(fault.kind).delay_like else EdgeType.E_I
         src_states = injection.injected_states()
         for candidate in sorted(injection.natural_faults()):
-            if candidate.kind is InjKind.DELAY:
+            if candidate.kind == DELAY:
                 continue  # loop faults handled statistically below
             if profile.fault_occurrence_frac(candidate) > 0.0:
                 continue  # not counterfactual: happens without the injection
@@ -246,7 +246,7 @@ class ReferenceFaultCausalityAnalysis(FaultCausalityAnalysis):
                 result.min_p = p
             if p >= self.config.p_value:
                 continue
-            dst = FaultKey(site_id, InjKind.DELAY)
+            dst = FaultKey(site_id, DELAY)
             result.interference.append(dst)
             edge = CausalEdge(
                 src=fault,
@@ -267,7 +267,7 @@ class ReferenceFaultCausalityAnalysis(FaultCausalityAnalysis):
         if site.kind is not SiteKind.LOOP or site.loop is None or site.loop.parent is None:
             return
         parent_id = site.loop.parent
-        parent = FaultKey(parent_id, InjKind.DELAY)
+        parent = FaultKey(parent_id, DELAY)
         result.edges.append(
             CausalEdge(
                 src=delayed,
@@ -284,7 +284,7 @@ class ReferenceFaultCausalityAnalysis(FaultCausalityAnalysis):
             result.edges.append(
                 CausalEdge(
                     src=parent,
-                    dst=FaultKey(sibling.site_id, InjKind.DELAY),
+                    dst=FaultKey(sibling.site_id, DELAY),
                     etype=EdgeType.CFG,
                     test_id=injection.test_id,
                     src_states=injection.loop_states_of(parent_id),

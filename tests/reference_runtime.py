@@ -16,7 +16,7 @@ from typing import Any, ContextManager, Iterable, Iterator, List, Optional, Type
 
 from repro.config import MAX_STATES_PER_SITE
 from repro.errors import SimFault, UnknownSite
-from repro.types import FaultKey, InjKind, LocalState
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey, LocalState
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.sites import SiteRegistry
 from repro.instrument.trace import FaultEvent, RunTrace
@@ -92,9 +92,9 @@ class Runtime:
         # own kind (``None`` when the plan arms another kind, an environment
         # fault, or nothing) and every other site misses on that compare.
         kind = plan.fault.kind if plan is not None else None
-        self._exception_site = plan.site_id if kind is InjKind.EXCEPTION else None
-        self._delay_site = plan.site_id if kind is InjKind.DELAY else None
-        self._negation_site = plan.site_id if kind is InjKind.NEGATION else None
+        self._exception_site = plan.site_id if kind == EXCEPTION else None
+        self._delay_site = plan.site_id if kind == DELAY else None
+        self._negation_site = plan.site_id if kind == NEGATION else None
         self._warmup_ms = plan.warmup_ms if plan is not None else 0.0
         # Iteration states already recorded, keyed by the raw
         # (site, stack, branches) tuples: repeat states of a hot loop skip
@@ -258,14 +258,14 @@ class Runtime:
         trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             # Raise the *same* exception type the site naturally throws so
             # the system's own handlers catch it (software-implemented fault
             # injection: we inject the effect, not a marker).
             raise exc_cls("injected fault at %s" % site_id)
         if natural:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise exc_cls("natural fault at %s" % site_id)
 
@@ -284,13 +284,13 @@ class Runtime:
         trace.reached.add(site_id)
         if site_id == self._exception_site and self._exception_due():
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected fault at %s" % site_id)
         try:
             return fn(*args, **kwargs)
         except exc_cls:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
 
@@ -313,12 +313,12 @@ class Runtime:
         try:
             result = fn(*args, **kwargs)
         except exc_cls:
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=False))
             raise
         if armed:
             self._exception_fired = True
-            key = FaultKey(site_id, InjKind.EXCEPTION)
+            key = FaultKey(site_id, EXCEPTION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             raise exc_cls("injected response loss at %s" % site_id)
         return result
@@ -338,7 +338,7 @@ class Runtime:
             and not self._negation_fired
         ):
             self._negation_fired = True
-            key = FaultKey(site_id, InjKind.NEGATION)
+            key = FaultKey(site_id, NEGATION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=True))
             return not result
         error_value = self._detector_meta.get(site_id)
@@ -350,7 +350,7 @@ class Runtime:
             error_value = meta.error_value if meta is not None else True
             self._detector_meta[site_id] = error_value
         if result == error_value:
-            key = FaultKey(site_id, InjKind.NEGATION)
+            key = FaultKey(site_id, NEGATION)
             trace.record_event(FaultEvent(key, self._local_state(), injected=False))
         return result
 

@@ -5,14 +5,14 @@ import pytest
 from repro.errors import UnknownSite
 from repro.instrument import SiteRegistry
 from repro.instrument.analyzer import StaticAnalyzer, analyze
-from repro.types import InjKind
+from repro.types import EXCEPTION
 
 
 def test_throw_sites_become_exception_faults():
     reg = SiteRegistry("s")
     reg.throw("s.t1", "F.a")
     result = analyze(reg)
-    assert [f.kind for f in result.faults] == [InjKind.EXCEPTION]
+    assert [f.kind for f in result.faults] == [EXCEPTION]
 
 
 def test_reflection_and_security_exceptions_excluded():

@@ -16,12 +16,12 @@ from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, FaultKey
 from tests.helpers import run_trace
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
-FAULT = FaultKey("toy.server.process_batch", InjKind.DELAY)
+FAULT = FaultKey("toy.server.process_batch", DELAY)
 PLANS = [InjectionPlan(FAULT, delay_ms=2000.0)]
 
 

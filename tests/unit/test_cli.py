@@ -1,23 +1,25 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import _config, _parse_delays, _parse_fault, main
 from repro.config import DELAY_VALUES_MS
-from repro.types import FaultKey, InjKind
+from repro.errors import ReproError
+from repro.types import DELAY, EXCEPTION, FaultKey
 
 
 def test_parse_fault():
-    assert _parse_fault("a.b:delay") == FaultKey("a.b", InjKind.DELAY)
-    assert _parse_fault("x:exception") == FaultKey("x", InjKind.EXCEPTION)
+    assert _parse_fault("a.b:delay") == FaultKey("a.b", DELAY)
+    assert _parse_fault("x:exception") == FaultKey("x", EXCEPTION)
 
 
 def test_parse_fault_rejects_garbage():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ReproError, match="must look like"):
         _parse_fault("nonsense")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ReproError, match=r"kind one of exception\|delay\|"):
         _parse_fault("site:banana")
 
 
@@ -71,6 +73,26 @@ def test_inject_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "inject" in out
+
+
+@pytest.mark.parametrize("fault, test, message", [
+    ("toy.client.send_loop:negation", "toy.idle",
+     "negation cannot be injected at toy.client.send_loop .*kinds it hosts: delay$"),
+    ("toy.client.send_loop:membership_churn", "toy.idle",
+     "membership_churn cannot be injected at toy.client.send_loop"),
+    ("env.node.worker-1:partition_during_restart", "toy.idle",
+     "hosts: node_crash, membership_churn$"),
+    ("toy.nope:delay", "toy.idle", "toy has no site 'toy.nope'$"),
+    ("toy.client.send_loop:delay", "no.such.test",
+     "toy has no test 'no.such.test'; its tests: toy.big_batches, "),
+    ("toy.client.send_loop:gamma_burst", "toy.idle",
+     r"kind one of exception\|delay\|.*got 'toy.client.send_loop:gamma_burst'$"),
+])
+def test_inject_rejects_a_fault_it_cannot_run(capsys, fault, test, message):
+    assert main(["inject", "toy", fault, test, "--repeats", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and re.search(message, captured.err)
 
 
 def test_run_command_on_toy(capsys):
@@ -321,7 +343,6 @@ def test_experiment_flags_mean_the_same_on_every_subcommand():
 
 def test_every_flag_row_names_a_config_field_and_is_spelled_once():
     import dataclasses
-    import re
     from pathlib import Path
 
     from repro import cli

@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.clustering import cluster_faults
 from repro.core.simscore import allocation_weight, cluster_sim_scores, fault_sim_scores, sim_score
-from repro.types import FaultKey, InjKind
+from repro.types import EXCEPTION, FaultKey
 
 
 def fk(name):
-    return FaultKey(name, InjKind.EXCEPTION)
+    return FaultKey(name, EXCEPTION)
 
 
 def test_identical_vectors_cluster_together():

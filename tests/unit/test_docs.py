@@ -121,10 +121,10 @@ _TUTORIAL_DRIVE = textwrap.dedent(
     from repro.core.driver import run_workload, seed_for
     from repro.faults import model_for
     from repro.systems import get_system
-    from repro.types import FaultKey, InjKind
+    from repro.types import FaultKey
 
     spec = get_system("miniraft")
-    fault = FaultKey("env.node.raft1", InjKind("clock_skew"))
+    fault = FaultKey("env.node.raft1", "clock_skew")
     plans = model_for("clock_skew").plans_for(fault, CSnakeConfig(), spec.registry)
     assert [p.param("skew_ms") for p in plans] == [2000.0, 10000.0], plans
     trace = run_workload(

@@ -8,7 +8,7 @@ from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.errors import UnknownSite
 from repro.systems.toy import build_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 from tests.helpers import trace_to_obj
 
@@ -65,13 +65,13 @@ def test_profile_repeats_match_config(driver):
 
 def test_tests_reaching_uses_profile_coverage(driver):
     # The retry branch site is only reached where clients enable retry.
-    reaching = driver.tests_reaching(FaultKey("toy.client.rpc_call", InjKind.EXCEPTION))
+    reaching = driver.tests_reaching(FaultKey("toy.client.rpc_call", EXCEPTION))
     assert "toy.big_batches" in reaching
     assert "toy.retry_clients" in reaching
 
 
 def test_best_test_prefers_high_coverage(driver):
-    fault = FaultKey("toy.server.process_batch", InjKind.DELAY)
+    fault = FaultKey("toy.server.process_batch", DELAY)
     best = driver.best_test_for(fault)
     assert best is not None
     best_cov = driver.coverage_of(best)
@@ -81,11 +81,11 @@ def test_best_test_prefers_high_coverage(driver):
 
 def test_unreachable_fault_has_no_best_test(spec):
     driver = ExperimentDriver(spec, CSnakeConfig(**FAST))
-    assert driver.best_test_for(FaultKey("toy.nonexistent.site", InjKind.DELAY)) is None
+    assert driver.best_test_for(FaultKey("toy.nonexistent.site", DELAY)) is None
 
 
 def test_experiment_counts_one_budget_unit(driver):
-    fault = FaultKey("toy.server.is_stale", InjKind.NEGATION)
+    fault = FaultKey("toy.server.is_stale", NEGATION)
     result = driver.run_experiment(fault, "toy.balancer")
     assert driver.experiments_run == 1
     assert result.fault == fault
@@ -100,7 +100,7 @@ def test_delay_experiment_sweeps_values(spec):
     driver.profile("toy.big_batches")
     runs_before = driver.runs_executed
     driver.run_experiment(
-        FaultKey("toy.server.process_batch", InjKind.DELAY), "toy.big_batches"
+        FaultKey("toy.server.process_batch", DELAY), "toy.big_batches"
     )
     # 2 delay values x 2 repeats.
     assert driver.runs_executed - runs_before == 4
@@ -109,20 +109,20 @@ def test_delay_experiment_sweeps_values(spec):
 
 def test_unknown_fault_site_rejected(driver):
     with pytest.raises(UnknownSite):
-        driver.run_experiment(FaultKey("toy.bogus", InjKind.EXCEPTION), "toy.idle")
+        driver.run_experiment(FaultKey("toy.bogus", EXCEPTION), "toy.idle")
 
 
 def test_edges_accumulate_in_db(driver):
-    driver.run_experiment(FaultKey("toy.server.is_stale", InjKind.NEGATION), "toy.balancer")
+    driver.run_experiment(FaultKey("toy.server.is_stale", NEGATION), "toy.balancer")
     assert len(driver.edges) >= 1
 
 
 def test_plans_for_is_memoized(driver):
-    fault = FaultKey("toy.server.process_batch", InjKind.DELAY)
+    fault = FaultKey("toy.server.process_batch", DELAY)
     first = driver._plans_for(fault)
     assert driver._plans_for(fault) is first  # same list: derived once
     # and the memo is per fault, not global
-    other = driver._plans_for(FaultKey("toy.server.is_stale", InjKind.NEGATION))
+    other = driver._plans_for(FaultKey("toy.server.is_stale", NEGATION))
     assert other is not first
     # memoized plans are what experiments execute: the sweep still runs
     driver.profile("toy.big_batches")

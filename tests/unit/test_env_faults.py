@@ -10,7 +10,7 @@ from repro.instrument.plan import InjectionPlan, make_params
 from repro.sim import Node, SimEnv
 from repro.systems import get_system
 from repro.core.driver import seed_for, run_workload
-from repro.types import FaultKey, InjKind
+from repro.types import EXCEPTION, FaultKey
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def _run(spec, test_id, plan, seed=None):
 
 def _crash_plan(node, restart_ms, warmup=30_000.0):
     return InjectionPlan(
-        FaultKey("env.node.%s" % node, InjKind("node_crash")),
+        FaultKey("env.node.%s" % node, "node_crash"),
         warmup_ms=warmup,
         params=make_params(restart_ms=restart_ms),
     )
@@ -75,7 +75,7 @@ def test_crash_without_restart_keeps_node_down(spec):
     plan = _crash_plan("raft1", restart_ms=0.0)
     trace = _run(spec, "raft.steady", plan)
     profile = _run(spec, "raft.steady", None)
-    rpc_fault = FaultKey("ldr.append.rpc", InjKind.EXCEPTION)
+    rpc_fault = FaultKey("ldr.append.rpc", EXCEPTION)
     assert rpc_fault not in profile.natural_faults()
     assert rpc_fault in trace.natural_faults()
 
@@ -145,13 +145,13 @@ def test_crash_cancels_ticks_scheduled_beyond_the_restart():
 
 
 def test_partition_is_timed_and_heals(spec):
-    fault = FaultKey("env.link.raft0~raft1", InjKind("partition"))
+    fault = FaultKey("env.link.raft0~raft1", "partition")
     plan = InjectionPlan(fault, warmup_ms=30_000.0, params=make_params(duration_ms=20_000.0))
     trace = _run(spec, "raft.steady", plan)
     profile = _run(spec, "raft.steady", None)
     # During the cut, appends to raft1 time out; after the heal the
     # follower catches back up, so it still applied entries overall.
-    assert FaultKey("ldr.append.rpc", InjKind.EXCEPTION) in trace.natural_faults()
+    assert FaultKey("ldr.append.rpc", EXCEPTION) in trace.natural_faults()
     assert trace.loop_counts["flw.append.apply"] > 0
     assert not profile.natural_faults()
 
@@ -221,11 +221,11 @@ def test_drop_rule_draws_from_its_own_rng():
 def test_arm_rejects_non_env_site(spec):
     model = model_for("partition")
     plan = InjectionPlan(
-        FaultKey("env.link.raft0~raft1", InjKind("partition")),
+        FaultKey("env.link.raft0~raft1", "partition"),
         params=make_params(duration_ms=1_000.0),
     )
     bad = InjectionPlan.__new__(InjectionPlan)  # bypass validation to fake a site
-    object.__setattr__(bad, "fault", FaultKey("ldr.append.peers", InjKind("partition")))
+    object.__setattr__(bad, "fault", FaultKey("ldr.append.peers", "partition"))
     object.__setattr__(bad, "warmup_ms", 0.0)
     object.__setattr__(bad, "params", plan.params)
     object.__setattr__(bad, "delay_ms", None)

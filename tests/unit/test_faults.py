@@ -1,6 +1,5 @@
 """Unit tests for the pluggable fault-model registry (repro.faults)."""
 
-import copy
 import pickle
 
 import pytest
@@ -22,7 +21,8 @@ from repro.faults import (
 from repro.instrument.analyzer import analyze
 from repro.instrument.plan import InjectionPlan, make_params
 from repro.instrument.sites import SiteRegistry
-from repro.types import FaultKey, InjKind, SiteKind
+from repro.serialize import fault_from_obj
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey, SiteKind
 
 
 # ------------------------------------------------------------------ registry
@@ -36,7 +36,9 @@ def test_bundled_models_registered_in_order():
 
 
 def test_model_for_accepts_ids_and_handles():
-    assert model_for("delay") is model_for(InjKind.DELAY)
+    assert [model_for(k).kind_id for k in (EXCEPTION, DELAY, NEGATION)] == [
+        "exception", "delay", "negation",
+    ]
     with pytest.raises(ValueError, match="no fault model registered"):
         model_for("cosmic_ray")
 
@@ -69,35 +71,38 @@ def test_fault_models_digest_stable_and_version_sensitive():
     assert fault_models_digest() == before
 
 
-# ------------------------------------------------------------------- InjKind
+# ---------------------------------------------------------------- fault keys
 
 
-def test_injkind_interning_identity_and_lookup():
-    assert InjKind("delay") is InjKind.DELAY
-    assert InjKind("partition") is InjKind("partition")
-    assert InjKind(InjKind.DELAY) is InjKind.DELAY
-    with pytest.raises(ValueError, match="not a registered fault kind"):
-        InjKind("gamma_burst")
+def test_unregistered_kind_is_a_value_error_at_fault_from_obj():
+    assert fault_from_obj("env.node.n1:node_crash") == FaultKey("env.node.n1", "node_crash")
+    with pytest.raises(ValueError, match="no fault model registered for kind 'gamma_burst'"):
+        fault_from_obj("env.node.n1:gamma_burst")
 
 
-def test_injkind_iteration_covers_registered_kinds():
-    assert [k.value for k in InjKind] == registered_kinds()
+def test_fault_key_of_a_registered_kind_pickles_and_sorts():
+    from repro.faults import _MODELS, register
 
+    class Burst(FaultModel):
+        kind_id = "test_burst"
+        site_kinds = (SiteKind.ENV_NODE,)
 
-def test_injkind_survives_pickle_and_deepcopy():
-    for kind in InjKind:
-        assert pickle.loads(pickle.dumps(kind)) is kind
-        assert copy.deepcopy(kind) is kind
-    key = FaultKey("env.node.n1", InjKind("node_crash"))
-    clone = pickle.loads(pickle.dumps(key))
-    assert clone == key and clone.kind is key.kind
+    try:
+        register(Burst())
+        key = FaultKey("env.node.n1", "test_burst")
+        assert pickle.loads(pickle.dumps(key)) == key
+        keys = [key, FaultKey("env.node.n0", "test_burst"), FaultKey("env.node.n1", DELAY)]
+        assert sorted(keys) == sorted(keys, key=lambda k: (k.site_id, k.kind))
+        assert sorted(keys)[-1] is key  # "delay" < "test_burst" at one site
+    finally:
+        _MODELS.pop("test_burst", None)
 
 
 # ----------------------------------------------------------- plan validation
 
 
 def test_delay_plan_requires_delay_ms_via_is_none_check():
-    fault = FaultKey("x.loop", InjKind.DELAY)
+    fault = FaultKey("x.loop", DELAY)
     with pytest.raises(ValueError, match="requires delay_ms"):
         InjectionPlan(fault)
     with pytest.raises(ValueError, match="positive"):
@@ -110,8 +115,8 @@ def test_non_delay_plan_rejects_zero_delay_ms():
     # 0.0 delay on exception/negation plans; `is None` validation rejects
     # every non-None value.
     for fault in (
-        FaultKey("a.throw", InjKind.EXCEPTION),
-        FaultKey("a.det", InjKind.NEGATION),
+        FaultKey("a.throw", EXCEPTION),
+        FaultKey("a.det", NEGATION),
     ):
         with pytest.raises(ValueError, match="only applies to delay"):
             InjectionPlan(fault, delay_ms=0.0)
@@ -121,7 +126,7 @@ def test_non_delay_plan_rejects_zero_delay_ms():
 
 
 def test_env_plan_param_validation():
-    crash = FaultKey("env.node.n1", InjKind("node_crash"))
+    crash = FaultKey("env.node.n1", "node_crash")
     with pytest.raises(ValueError, match="requires parameter"):
         InjectionPlan(crash)
     with pytest.raises(ValueError, match="does not take parameter"):
@@ -131,18 +136,18 @@ def test_env_plan_param_validation():
     plan = InjectionPlan(crash, params=make_params(restart_ms=0.0))
     assert plan.param("restart_ms") == 0.0
 
-    part = FaultKey("env.link.a~b", InjKind("partition"))
+    part = FaultKey("env.link.a~b", "partition")
     with pytest.raises(ValueError, match="positive"):
         InjectionPlan(part, params=make_params(duration_ms=0.0))
 
-    drop = FaultKey("env.link.a~b", InjKind("msg_drop"))
+    drop = FaultKey("env.link.a~b", "msg_drop")
     with pytest.raises(ValueError, match="in \\(0, 1\\]"):
         InjectionPlan(drop, params=make_params(drop_p=1.5))
     assert InjectionPlan(drop, params=make_params(drop_p=1.0)).param("drop_p") == 1.0
 
 
 def test_plan_params_normalized_sorted():
-    part = FaultKey("env.link.a~b", InjKind("partition"))
+    part = FaultKey("env.link.a~b", "partition")
     plan = InjectionPlan(part, params=(("duration_ms", 5.0),))
     assert plan.params == (("duration_ms", 5.0),)
 
@@ -153,10 +158,10 @@ def test_plan_params_normalized_sorted():
 def test_model_plan_sweeps_match_config():
     config = CSnakeConfig(delay_values_ms=(100.0, 200.0))
     # Single-fault models plan without reading the registry.
-    delay_plans = model_for("delay").plans_for(FaultKey("l", InjKind.DELAY), config, None)
+    delay_plans = model_for("delay").plans_for(FaultKey("l", DELAY), config, None)
     assert [p.delay_ms for p in delay_plans] == [100.0, 200.0]
     crash_plans = model_for("node_crash").plans_for(
-        FaultKey("env.node.n", InjKind("node_crash")), config, None
+        FaultKey("env.node.n", "node_crash"), config, None
     )
     assert [p.param("restart_ms") for p in crash_plans] == [10_000.0, 40_000.0]
     assert all(p.warmup_ms == INJECTION_WARMUP_MS for p in crash_plans)
@@ -165,7 +170,7 @@ def test_model_plan_sweeps_match_config():
 def test_sweep_overrides_respected_by_models():
     config = CSnakeConfig(sweep_overrides=(("partition", (7_500.0,)),))
     plans = model_for("partition").plans_for(
-        FaultKey("env.link.a~b", InjKind("partition")), config, None
+        FaultKey("env.link.a~b", "partition"), config, None
     )
     assert [p.param("duration_ms") for p in plans] == [7_500.0]
 
@@ -258,15 +263,13 @@ def test_registering_a_custom_model_is_self_contained():
     digest_before = fault_models_digest()
     try:
         register(RestartStorm())
-        assert InjKind("test_restart_storm").value == "test_restart_storm"
         assert model_for("test_restart_storm").char == "R"
         assert "test_restart_storm" in expand_kinds("all")
         assert fault_models_digest() != digest_before
-        fault = FaultKey("env.node.n1", InjKind("test_restart_storm"))
+        fault = FaultKey("env.node.n1", "test_restart_storm")
         plan = model_for("test_restart_storm").plans_for(fault, CSnakeConfig(), None)[0]
         assert plan.param("period_ms") == 5_000.0
     finally:
         from repro.faults import _MODELS
 
         _MODELS.pop("test_restart_storm", None)
-        InjKind._interned.pop("test_restart_storm", None)

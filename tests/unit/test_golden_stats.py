@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.clustering import cluster_faults
 from repro.core.stats import one_sided_t_pvalues
-from repro.types import FaultKey, InjKind
+from repro.types import EXCEPTION, FaultKey
 
 pytestmark = pytest.mark.contract
 
@@ -35,7 +35,7 @@ THRESHOLDS = (0.2, 0.5, 0.9)
 
 def linkage_labels(vectors: List[List[float]], threshold: float) -> List[int]:
     """Cluster id of each vector, in input order, through the public API."""
-    faults = [FaultKey(f"f{i:02d}", InjKind.EXCEPTION) for i in range(len(vectors))]
+    faults = [FaultKey(f"f{i:02d}", EXCEPTION) for i in range(len(vectors))]
     clustering = cluster_faults(faults, [np.array(v) for v in vectors], threshold)
     return [clustering.by_fault[f] for f in faults]
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.idf import IdfVectorizer, cosine_distance, mean_pairwise_distance
-from repro.types import FaultKey, InjKind
+from repro.types import EXCEPTION, FaultKey
 
 
 def fk(name):
-    return FaultKey(name, InjKind.EXCEPTION)
+    return FaultKey(name, EXCEPTION)
 
 
 CORPUS = [fk("a"), fk("b"), fk("c"), fk("d")]

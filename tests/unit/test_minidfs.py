@@ -8,7 +8,7 @@ from repro.instrument.analyzer import analyze
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.systems.minidfs.nodes import DfsConfig
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 #: Reduced configuration used by every campaign-shaped test here: the
 #: same knobs the designated-experiment probes and CI smoke use.
@@ -42,7 +42,7 @@ def test_registry_and_ground_truth(spec):
     for bug_id, kind in gates.items():
         bug = spec.bug(bug_id)
         assert bug.trigger_faults, bug_id
-        assert all(f.kind is InjKind(kind) for f in bug.trigger_faults), bug_id
+        assert all(f.kind == kind for f in bug.trigger_faults), bug_id
 
 
 def test_fault_space_excludes_filtered_sites(spec):
@@ -85,29 +85,29 @@ def test_scripted_drills_have_expected_natural_faults(spec):
         # dn2 stays crashed: pipeline writes into it fail until the
         # re-replication drill restores the factor.
         "dfs.replicate": {
-            FaultKey("cli.data.rpc", InjKind.EXCEPTION),
-            FaultKey("dn.pipe.rpc", InjKind.EXCEPTION),
-            FaultKey("nn.block.is_under", InjKind.NEGATION),
-            FaultKey("nn.dn.is_dead", InjKind.NEGATION),
+            FaultKey("cli.data.rpc", EXCEPTION),
+            FaultKey("dn.pipe.rpc", EXCEPTION),
+            FaultKey("nn.block.is_under", NEGATION),
+            FaultKey("nn.dn.is_dead", NEGATION),
         },
         # The handover demotes nn0: in-flight registrations and writes
         # against the old master are refused, and the demoted master's
         # stale liveness view expires its heartbeat table.
         "dfs.failover": {
-            FaultKey("dn.reg.rpc", InjKind.EXCEPTION),
-            FaultKey("nn.write.not_master", InjKind.EXCEPTION),
-            FaultKey("nn.dn.is_dead", InjKind.NEGATION),
+            FaultKey("dn.reg.rpc", EXCEPTION),
+            FaultKey("nn.write.not_master", EXCEPTION),
+            FaultKey("nn.dn.is_dead", NEGATION),
         },
         # dn1's crash window: pipeline writes into it fail until restart,
         # and the liveness scan queues its blocks for re-replication.
         "dfs.churn": {
-            FaultKey("cli.data.rpc", InjKind.EXCEPTION),
-            FaultKey("dn.pipe.rpc", InjKind.EXCEPTION),
-            FaultKey("nn.block.is_under", InjKind.NEGATION),
-            FaultKey("nn.dn.is_dead", InjKind.NEGATION),
+            FaultKey("cli.data.rpc", EXCEPTION),
+            FaultKey("dn.pipe.rpc", EXCEPTION),
+            FaultKey("nn.block.is_under", NEGATION),
+            FaultKey("nn.dn.is_dead", NEGATION),
         },
     }
-    always = {FaultKey("dn.conf.is_cached", InjKind.NEGATION)}
+    always = {FaultKey("dn.conf.is_cached", NEGATION)}
     for test_id, want in expected.items():
         wl = spec.workloads[test_id]
         trace = run_workload(spec, wl, None, seed_for(test_id, 0, 7))
@@ -225,44 +225,44 @@ def test_restart_resets_datanode_registration():
     [
         # DFS-1: slow block-report processing on the master -> heartbeat
         # RPC timeouts on the datanodes.
-        (FaultKey("nn.report.blocks", InjKind.DELAY), "dfs.hb_storm",
-         FaultKey("dn.hb.rpc", InjKind.EXCEPTION)),
+        (FaultKey("nn.report.blocks", DELAY), "dfs.hb_storm",
+         FaultKey("dn.hb.rpc", EXCEPTION)),
         # DFS-1: a lost heartbeat ack -> full re-registration -> block
         # report processing growth on the master.
-        (FaultKey("dn.hb.rpc", InjKind.EXCEPTION), "dfs.hb_storm",
-         FaultKey("nn.report.blocks", InjKind.DELAY)),
+        (FaultKey("dn.hb.rpc", EXCEPTION), "dfs.hb_storm",
+         FaultKey("nn.report.blocks", DELAY)),
         # DFS-2: a slow namespace rebuild keeps the new master too busy to
         # ack heartbeats -> the standby master-liveness detector trips.
-        (FaultKey("fo.rebuild.entries", InjKind.DELAY), "dfs.failover",
-         FaultKey("dn.master.is_down", InjKind.NEGATION)),
+        (FaultKey("fo.rebuild.entries", DELAY), "dfs.failover",
+         FaultKey("dn.master.is_down", NEGATION)),
         # DFS-2: a tripped liveness detector -> promotion -> namespace
         # rebuild growth.
-        (FaultKey("dn.master.is_down", InjKind.NEGATION), "dfs.failover",
-         FaultKey("fo.rebuild.entries", InjKind.DELAY)),
+        (FaultKey("dn.master.is_down", NEGATION), "dfs.failover",
+         FaultKey("fo.rebuild.entries", DELAY)),
         # DFS-2 trigger: a partition of a master-adjacent link starves a
         # standby of acked heartbeats past the liveness timeout.
-        (FaultKey("env.link.dn1~nn0", InjKind("partition")), "dfs.failover",
-         FaultKey("dn.master.is_down", InjKind.NEGATION)),
+        (FaultKey("env.link.dn1~nn0", "partition"), "dfs.failover",
+         FaultKey("dn.master.is_down", NEGATION)),
         # DFS-3: slow re-replication receives -> transfer RPC timeouts.
-        (FaultKey("dn.pipe.recv", InjKind.DELAY), "dfs.churn",
-         FaultKey("nn.rerepl.rpc", InjKind.EXCEPTION)),
+        (FaultKey("dn.pipe.recv", DELAY), "dfs.churn",
+         FaultKey("nn.rerepl.rpc", EXCEPTION)),
         # DFS-3: a failed transfer -> rescan-on-failure grows the pending
         # set -> more transfers into the surviving datanodes.
-        (FaultKey("nn.rerepl.rpc", InjKind.EXCEPTION), "dfs.churn",
-         FaultKey("dn.pipe.recv", InjKind.DELAY)),
+        (FaultKey("nn.rerepl.rpc", EXCEPTION), "dfs.churn",
+         FaultKey("dn.pipe.recv", DELAY)),
         # DFS-4: slow ack building keeps the flush behind the ack timeout
         # -> overdue-ack retry RPCs time out against the busy datanode.
-        (FaultKey("dn.ack.build", InjKind.DELAY), "dfs.churn",
-         FaultKey("nn.retry.rpc", InjKind.EXCEPTION)),
+        (FaultKey("dn.ack.build", DELAY), "dfs.churn",
+         FaultKey("nn.retry.rpc", EXCEPTION)),
         # DFS-4: a failed retry -> the ack channel is distrusted for a
         # window -> every scan retries every inflight transfer -> the
         # duplicate receives grow the ack-flush work.
-        (FaultKey("nn.retry.rpc", InjKind.EXCEPTION), "dfs.churn",
-         FaultKey("dn.ack.build", InjKind.DELAY)),
+        (FaultKey("nn.retry.rpc", EXCEPTION), "dfs.churn",
+         FaultKey("dn.ack.build", DELAY)),
         # DFS-4 trigger: datagram loss on a master-adjacent link eats ack
         # datagrams (never RPCs) -> sustained overdue-ack retry traffic.
-        (FaultKey("env.link.dn0~nn0", InjKind("msg_drop")), "dfs.churn",
-         FaultKey("dn.ack.build", InjKind.DELAY)),
+        (FaultKey("env.link.dn0~nn0", "msg_drop"), "dfs.churn",
+         FaultKey("dn.ack.build", DELAY)),
     ],
 )
 def test_seeded_feedback_paths_fire(spec, fault, test_id, expected):

@@ -7,7 +7,7 @@ from repro.core.driver import ExperimentDriver, seed_for, run_workload
 from repro.instrument.analyzer import analyze
 from repro.pipeline import Pipeline
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 #: Reduced configuration used by every campaign-shaped test here (and by
 #: CI's warm-cache smoke): seconds, not minutes.
@@ -31,11 +31,11 @@ def test_registry_and_ground_truth(spec):
             assert fault.site_id in spec.registry, bug.bug_id
     raft5 = spec.bug("RAFT-5")
     assert raft5.trigger_faults, "RAFT-5 is gated on environment trigger faults"
-    assert all(f.kind is InjKind("partition") for f in raft5.trigger_faults)
+    assert all(f.kind == "partition" for f in raft5.trigger_faults)
     raft6 = spec.bug("RAFT-6")
     assert raft6.trigger_faults, "RAFT-6 is gated on a composed fault schedule"
     assert all(
-        f.kind is InjKind("partition_during_restart") for f in raft6.trigger_faults
+        f.kind == "partition_during_restart" for f in raft6.trigger_faults
     )
 
 
@@ -62,8 +62,8 @@ def test_profiles_deterministic_and_fault_free(spec):
     # raft.churn's scripted crash drill does the same: appends to the
     # crashed follower time out until the restart lands.
     allowed = {
-        "raft.partition": {FaultKey("ldr.append.rpc", InjKind.EXCEPTION)},
-        "raft.churn": {FaultKey("ldr.append.rpc", InjKind.EXCEPTION)},
+        "raft.partition": {FaultKey("ldr.append.rpc", EXCEPTION)},
+        "raft.churn": {FaultKey("ldr.append.rpc", EXCEPTION)},
     }
     for test_id in spec.workload_ids():
         wl = spec.workloads[test_id]
@@ -93,34 +93,34 @@ def test_scripted_handover_elects_node1(spec):
     )
     assert "cand.vote.requests" in trace.reached
     assert "cand.vote.rpc" in trace.reached
-    assert FaultKey("flw.election.timed_out", InjKind.NEGATION) not in trace.natural_faults()
+    assert FaultKey("flw.election.timed_out", NEGATION) not in trace.natural_faults()
 
 
 @pytest.mark.parametrize(
     "fault,test_id,expected",
     [
         # RAFT-1: lost AppendEntries ack -> resend window -> apply growth.
-        (FaultKey("ldr.append.rpc", InjKind.EXCEPTION), "raft.resend",
-         FaultKey("flw.append.apply", InjKind.DELAY)),
+        (FaultKey("ldr.append.rpc", EXCEPTION), "raft.resend",
+         FaultKey("flw.append.apply", DELAY)),
         # RAFT-3: negated quorum detector -> resync storm -> apply growth.
-        (FaultKey("ldr.quorum.has", InjKind.NEGATION), "raft.quorum",
-         FaultKey("flw.append.apply", InjKind.DELAY)),
+        (FaultKey("ldr.quorum.has", NEGATION), "raft.quorum",
+         FaultKey("flw.append.apply", DELAY)),
         # RAFT-4: lost InstallSnapshot ack -> transfer restarts from chunk 0.
-        (FaultKey("ldr.snap.rpc", InjKind.EXCEPTION), "raft.snapshot",
-         FaultKey("flw.snap.chunks", InjKind.DELAY)),
+        (FaultKey("ldr.snap.rpc", EXCEPTION), "raft.snapshot",
+         FaultKey("flw.snap.chunks", DELAY)),
         # RAFT-5: delayed reconnect catch-up -> stalled heartbeats -> the
         # election-timeout detector trips.
-        (FaultKey("ldr.reconnect.catchup", InjKind.DELAY), "raft.partition",
-         FaultKey("flw.election.timed_out", InjKind.NEGATION)),
+        (FaultKey("ldr.reconnect.catchup", DELAY), "raft.partition",
+         FaultKey("flw.election.timed_out", NEGATION)),
         # RAFT-5: negated election timeout -> election -> every peer treated
         # as reconnecting -> catch-up loop growth.
-        (FaultKey("flw.election.timed_out", InjKind.NEGATION), "raft.partition",
-         FaultKey("ldr.reconnect.catchup", InjKind.DELAY)),
+        (FaultKey("flw.election.timed_out", NEGATION), "raft.partition",
+         FaultKey("ldr.reconnect.catchup", DELAY)),
         # RAFT-5 trigger: an injected partition (cut + heal) drives the
         # post-heal reconnect catch-up — the environment edge the bug's
         # trigger gate requires.
-        (FaultKey("env.link.raft0~raft1", InjKind("partition")), "raft.partition",
-         FaultKey("ldr.reconnect.catchup", InjKind.DELAY)),
+        (FaultKey("env.link.raft0~raft1", "partition"), "raft.partition",
+         FaultKey("ldr.reconnect.catchup", DELAY)),
     ],
 )
 def test_seeded_feedback_paths_fire(spec, fault, test_id, expected):

@@ -7,10 +7,9 @@ import pytest
 from repro.core.driver import run_workload, seed_for
 from repro.errors import IOEx
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
-from repro.instrument.runtime import NullRuntime
 from repro.instrument.trace import RunGroup, RunTrace
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 
 
 @pytest.fixture
@@ -42,11 +41,11 @@ class TestThrowPoint:
             rt.throw_point("toy.ioe", IOEx, natural=True)
         assert len(trace.events) == 1
         event = trace.events[0]
-        assert event.fault == FaultKey("toy.ioe", InjKind.EXCEPTION)
+        assert event.fault == FaultKey("toy.ioe", EXCEPTION)
         assert not event.injected
 
     def test_injection_fires_once(self, registry):
-        plan = InjectionPlan(FaultKey("toy.ioe", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("toy.ioe", EXCEPTION))
         rt, trace = make_rt(registry, plan)
         with pytest.raises(IOEx):
             rt.throw_point("toy.ioe", IOEx, natural=False)
@@ -56,13 +55,13 @@ class TestThrowPoint:
         assert len(injected) == 1
 
     def test_injection_raises_declared_type(self, registry):
-        plan = InjectionPlan(FaultKey("toy.ioe", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("toy.ioe", EXCEPTION))
         rt, _ = make_rt(registry, plan)
         with pytest.raises(IOEx):
             rt.throw_point("toy.ioe", IOEx)
 
     def test_injection_does_not_fire_at_other_sites(self, registry):
-        plan = InjectionPlan(FaultKey("toy.ioe", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("toy.ioe", EXCEPTION))
         rt, trace = make_rt(registry, plan)
         registry.throw("toy.other", "Toy.step2")
         rt.throw_point("toy.other", IOEx, natural=False)
@@ -74,7 +73,7 @@ class TestDetector:
         rt, trace = make_rt(registry)
         assert rt.detector("toy.is_stale", True) is True
         assert len(trace.events) == 1
-        assert trace.events[0].fault == FaultKey("toy.is_stale", InjKind.NEGATION)
+        assert trace.events[0].fault == FaultKey("toy.is_stale", NEGATION)
 
     def test_non_error_value_not_recorded(self, registry):
         rt, trace = make_rt(registry)
@@ -82,7 +81,7 @@ class TestDetector:
         assert trace.events == []
 
     def test_one_shot_negation_flips_once(self, registry):
-        plan = InjectionPlan(FaultKey("toy.is_stale", InjKind.NEGATION))
+        plan = InjectionPlan(FaultKey("toy.is_stale", NEGATION))
         rt, trace = make_rt(registry, plan)
         assert rt.detector("toy.is_stale", False) is True
         assert rt.detector("toy.is_stale", False) is False
@@ -105,7 +104,7 @@ class TestLoop:
             def spin(self, ms):
                 self.spun += ms
 
-        plan = InjectionPlan(FaultKey("toy.outer", InjKind.DELAY), delay_ms=100.0)
+        plan = InjectionPlan(FaultKey("toy.outer", DELAY), delay_ms=100.0)
         rt, _ = make_rt(registry, plan)
         env = FakeEnv()
         rt.bind_env(env)
@@ -441,7 +440,7 @@ class TestLocalState:
 
 class TestDisabledRuntime:
     def test_null_runtime_records_nothing(self, registry):
-        rt = NullRuntime(registry)
+        rt = Runtime(registry, enabled=False)
         for _ in rt.loop("toy.outer", range(10)):
             rt.branch("toy.b1", True)
         assert rt.detector("toy.is_stale", True) is True
@@ -450,6 +449,6 @@ class TestDisabledRuntime:
         assert rt.trace.events == []
 
     def test_null_runtime_still_raises_natural_faults(self, registry):
-        rt = NullRuntime(registry)
+        rt = Runtime(registry, enabled=False)
         with pytest.raises(IOEx):
             rt.throw_point("toy.ioe", IOEx, natural=True)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import IOEx, NotPrimary
 from repro.instrument import InjectionPlan, Runtime, SiteRegistry
 from repro.instrument.trace import RunTrace
-from repro.types import FaultKey, InjKind
+from repro.types import EXCEPTION, FaultKey
 
 
 class FakeEnv:
@@ -48,7 +48,7 @@ class TestLibCall:
 
         with pytest.raises(IOEx):
             rt.lib_call("t.lib", IOEx, boom)
-        assert trace.events[0].fault == FaultKey("t.lib", InjKind.EXCEPTION)
+        assert trace.events[0].fault == FaultKey("t.lib", EXCEPTION)
         assert not trace.events[0].injected
 
     def test_subclass_exception_recorded(self, registry):
@@ -72,7 +72,7 @@ class TestLibCall:
         assert trace.events == []
 
     def test_injection_replaces_the_call(self, registry):
-        plan = InjectionPlan(FaultKey("t.lib", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("t.lib", EXCEPTION))
         rt, trace = make_rt(registry, plan)
         called = []
         with pytest.raises(IOEx):
@@ -85,7 +85,7 @@ class TestRpcCall:
     def test_injection_executes_call_first(self, registry):
         """Response-loss semantics: the work happens, then the caller sees
         the timeout (this is what retry-duplication cascades feed on)."""
-        plan = InjectionPlan(FaultKey("t.rpc", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("t.rpc", EXCEPTION))
         rt, trace = make_rt(registry, plan)
         called = []
         with pytest.raises(IOEx):
@@ -94,14 +94,14 @@ class TestRpcCall:
         assert trace.events[0].injected
 
     def test_injection_fires_once(self, registry):
-        plan = InjectionPlan(FaultKey("t.rpc", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("t.rpc", EXCEPTION))
         rt, _ = make_rt(registry, plan)
         with pytest.raises(IOEx):
             rt.rpc_call("t.rpc", IOEx, lambda: None)
         assert rt.rpc_call("t.rpc", IOEx, lambda: "ok") == "ok"
 
     def test_natural_error_takes_precedence(self, registry):
-        plan = InjectionPlan(FaultKey("t.rpc", InjKind.EXCEPTION))
+        plan = InjectionPlan(FaultKey("t.rpc", EXCEPTION))
         rt, trace = make_rt(registry, plan)
 
         def boom():
@@ -117,13 +117,13 @@ class TestRpcCall:
 
 class TestWarmup:
     def test_injection_dormant_before_warmup(self, registry):
-        plan = InjectionPlan(FaultKey("t.lib", InjKind.EXCEPTION), warmup_ms=10_000.0)
+        plan = InjectionPlan(FaultKey("t.lib", EXCEPTION), warmup_ms=10_000.0)
         rt, trace = make_rt(registry, plan, now=5_000.0)
         assert rt.lib_call("t.lib", IOEx, lambda: "ok") == "ok"
         assert trace.events == []
 
     def test_injection_fires_after_warmup(self, registry):
-        plan = InjectionPlan(FaultKey("t.lib", InjKind.EXCEPTION), warmup_ms=10_000.0)
+        plan = InjectionPlan(FaultKey("t.lib", EXCEPTION), warmup_ms=10_000.0)
         rt, trace = make_rt(registry, plan, now=15_000.0)
         with pytest.raises(IOEx):
             rt.lib_call("t.lib", IOEx, lambda: "ok")

@@ -31,7 +31,7 @@ from repro.faults import (
 )
 from repro.sim import SimEnv
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import FaultKey
 
 CONFIG = CSnakeConfig()
 
@@ -98,7 +98,7 @@ def test_schedules_are_registered_kinds_but_not_in_expand_kinds_all():
     assert registered_kinds()[-2:] == registered_schedules()
     assert "membership_churn" not in expand_kinds("all")
     assert isinstance(model_for("membership_churn"), ScheduleFaultModel)
-    assert model_for(InjKind("partition_during_restart")).char == "R"
+    assert model_for("partition_during_restart").char == "R"
 
 
 def test_expand_schedules_grammar():
@@ -153,7 +153,6 @@ def test_registering_a_schedule_shifts_the_fault_model_digest():
         assert "test_tmp_wave" not in expand_kinds("all")
     finally:
         _MODELS.pop("test_tmp_wave")
-        InjKind._interned.pop("test_tmp_wave")
     assert fault_models_digest() == before
 
 
@@ -194,7 +193,7 @@ def test_resolution_scales_with_time_scale(raft_registry):
 
 def test_plans_carry_concrete_events_and_sites(raft_registry):
     model = model_for("partition_during_restart")
-    fault = FaultKey("env.node.raft1", InjKind("partition_during_restart"))
+    fault = FaultKey("env.node.raft1", "partition_during_restart")
     plans = model.plans_for(fault, CONFIG, raft_registry)
     assert len(plans) == 1  # default time_scale sweep: the composition as declared
     assert plans[0].warmup_ms == INJECTION_WARMUP_MS
@@ -212,7 +211,7 @@ def test_validate_plan_rejects_malformed_events(raft_registry):
     from repro.instrument.plan import InjectionPlan, make_params
 
     model = model_for("membership_churn")
-    fault = FaultKey("env.node.raft0", model.kind)
+    fault = FaultKey("env.node.raft0", model.kind_id)
     # InjectionPlan validates via the model at construction time.
     with pytest.raises(ValueError, match="no events"):
         InjectionPlan(fault, warmup_ms=1.0, params=make_params(events=()))
@@ -231,7 +230,7 @@ def test_saturated_runs_count_as_aborted_not_raise(monkeypatch):
     config = CSnakeConfig(repeats=2, delay_values_ms=(500.0,), seed=7,
                           schedules=("partition_during_restart",))
     driver = ExperimentDriver(spec, config)
-    fault = FaultKey("env.node.raft1", InjKind("partition_during_restart"))
+    fault = FaultKey("env.node.raft1", "partition_during_restart")
     monkeypatch.setattr(SimEnv, "MAX_EVENTS", 200)
     result, runs = driver.execute_experiment(fault, "raft.churn")
     assert runs == 2

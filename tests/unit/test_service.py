@@ -16,7 +16,7 @@ from repro.instrument.plan import InjectionPlan
 from repro.serialize import task_from_obj, task_to_obj
 from repro.service.manager import ManagerCore, task_digest
 from repro.service.remote import RemoteExecutor
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, FaultKey
 
 
 class FakeClock:
@@ -165,7 +165,7 @@ def test_identical_submissions_share_one_queue_entry(core):
 
 
 def _sample_tasks():
-    fault = FaultKey("svc.handle.scan", InjKind.DELAY)
+    fault = FaultKey("svc.handle.scan", DELAY)
     return [
         ExperimentTask("toy", "t1", '{"seed": 7}', None, ()),
         ExperimentTask(
@@ -174,9 +174,9 @@ def _sample_tasks():
         ),
         ExperimentTask(
             "toy", "t3", '{"seed": 9}',
-            FaultKey("env.link.a~b", InjKind("msg_drop")),
+            FaultKey("env.link.a~b", "msg_drop"),
             (InjectionPlan(
-                FaultKey("env.link.a~b", InjKind("msg_drop")),
+                FaultKey("env.link.a~b", "msg_drop"),
                 params=(("drop_p", 0.3),),
             ),),
         ),

@@ -23,14 +23,14 @@ from repro.service.agent import Agent, execute_wire_task
 from repro.service.manager import ManagerCore, campaign_digest
 from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
-from repro.types import FaultKey, InjKind
+from repro.types import DELAY, NEGATION, FaultKey
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
 PAIRS = [
-    (FaultKey("toy.server.process_batch", InjKind.DELAY), "toy.big_batches"),
-    (FaultKey("toy.server.is_stale", InjKind.NEGATION), "toy.balancer"),
-    (FaultKey("toy.server.process_batch", InjKind.DELAY), "toy.balancer"),
+    (FaultKey("toy.server.process_batch", DELAY), "toy.big_batches"),
+    (FaultKey("toy.server.is_stale", NEGATION), "toy.balancer"),
+    (FaultKey("toy.server.process_batch", DELAY), "toy.balancer"),
 ]
 
 

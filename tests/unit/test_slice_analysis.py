@@ -17,7 +17,7 @@ from repro.analysis import (
 from repro.analysis.astutil import collect_module, digest_node
 from repro.analysis.callgraph import build_call_graph
 from repro.instrument.sites import FaultSite
-from repro.types import FaultKey, InjKind, SiteKind
+from repro.types import NEGATION, FaultKey, SiteKind
 
 MOD_A = '''\
 from demo.b import Helper, util
@@ -410,9 +410,9 @@ def test_diff_partition_faults_conservatively_invalidates_unresolved():
     new = analyze_sources("demo", edited, SITES, ENTRIES)
     diff = diff_slices(old, new)
     faults = [
-        FaultKey("svc.step.is_big", InjKind.NEGATION),
-        FaultKey("svc.shared.check", InjKind.NEGATION),
-        FaultKey("svc.ghost", InjKind.NEGATION),
+        FaultKey("svc.step.is_big", NEGATION),
+        FaultKey("svc.shared.check", NEGATION),
+        FaultKey("svc.ghost", NEGATION),
     ]
     invalidated, reusable = diff.partition_faults(faults)
     assert {f.site_id for f in invalidated} == {"svc.step.is_big", "svc.ghost"}
