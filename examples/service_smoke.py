@@ -13,7 +13,10 @@ the manager and asserts the service contract end to end:
    report a nonzero cache hit rate back through the manager;
 3. a rerun with an extra agent that dies mid-run holding leased tasks
    (``--fail-after``) still completes with the identical digest — lease
-   expiry and re-queue absorb the death.
+   expiry and re-queue absorb the death;
+4. every other agent is still serving when it is retired, so one that
+   crashed (for one, on forking its worker processes after starting a
+   thread, an error in CI) fails the smoke.
 
     PYTHONPATH=src python examples/service_smoke.py
 """
@@ -84,6 +87,11 @@ def _start_manager():
 
 def _start_agent(url, name, *extra):
     return _cli("agent", "--manager", url, "--workers", "2", "--name", name, *extra)
+
+
+def _assert_serving(agents):
+    for proc in agents:
+        assert proc.poll() is None, "an agent exited with %s" % proc.returncode
 
 
 def _submitted_digest(transport, **overrides):
@@ -157,6 +165,7 @@ def main() -> int:
             ).run()
         )
         requeued_before = transport.health()["tasks"]["requeued"]
+        _assert_serving(agents)
         for proc in agents:
             proc.terminate()
         for proc in agents:
@@ -175,7 +184,8 @@ def main() -> int:
 
         runner = threading.Thread(target=_kill_run)
         runner.start()
-        doomed.wait(timeout=120)  # dies as soon as real work flows
+        # Dies as soon as real work flows, and exits cleanly doing so.
+        assert doomed.wait(timeout=120) == 0, "the doomed agent crashed"
         agents = [_start_agent(url, "smoke-survivor")]
         runner.join(timeout=300)
         assert not runner.is_alive(), "kill-rejoin campaign never finished"
@@ -195,6 +205,7 @@ def main() -> int:
 
         status = _cli("status", "--manager", url)
         assert status.wait(timeout=30) == 0, "repro status failed"
+        _assert_serving(agents)
     finally:
         for proc in agents + ([doomed] if doomed else []):
             proc.terminate()

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -580,9 +581,12 @@ def cmd_agent(args: argparse.Namespace) -> int:
         fail_after_tasks=args.fail_after,
     )
     print(
-        "agent serving %s with %d workers" % (args.manager, agent.workers),
+        "agent serving %s with %d worker processes" % (args.manager, agent.workers),
         file=sys.stderr,
     )
+    # SIGTERM stops the agent as Ctrl-C does, so its worker processes shut
+    # down with it instead of outliving it, blocked on their task queue.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         completed = agent.run(idle_exit_s=args.idle_exit)
     except KeyboardInterrupt:
@@ -837,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manager_flag(agent)
     agent.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="local execution threads (default: all cores)",
+        help="worker processes (default: all cores)",
     )
     agent.add_argument(
         "--name", default=None, metavar="NAME",

@@ -115,11 +115,11 @@ class ExperimentTask:
 #: Per-process cache of (system name, config) -> driver, so one worker
 #: builds each system spec once and computes each profile group once.
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
-#: One slice resolve per process at a time.  An agent's execution threads
-#: build their worker drivers side by side, and on a cold cache each would
-#: slice the source, but ``ast.parse`` is not safe to run on two threads of
-#: every supported interpreter; behind the lock the second finds the entry
-#: the first stored, and slices nothing.
+#: One slice resolve per process at a time.  A manager's campaign threads
+#: build their drivers side by side, and on a cold cache each would slice
+#: the source, but ``ast.parse`` is not safe to run on two threads of every
+#: supported interpreter; behind the lock the second finds the entry the
+#: first stored, and slices nothing.
 _SLICES_LOCK = threading.Lock()
 
 
@@ -137,7 +137,8 @@ def worker_driver(task: ExperimentTask) -> "ExperimentDriver":
 
 
 def execute_experiment_task(task: ExperimentTask) -> Union[RunGroup, Tuple[FcaResult, int]]:
-    """The one worker entry point (pool process or agent thread alike)."""
+    """The one worker entry point of every worker process (a campaign's
+    pool or an agent's)."""
     return worker_driver(task).execute_task(task)
 
 
@@ -156,7 +157,6 @@ class ExperimentDriver:
 
     def __post_init__(self) -> None:
         self._profiles: Dict[str, RunGroup] = {}
-        self._profile_lock = threading.Lock()
         self._plans: Dict[FaultKey, List[InjectionPlan]] = {}
         #: Canonical config snapshot shipped with every task descriptor.
         self._config_json = json.dumps(self.config.to_dict(), sort_keys=True)
@@ -243,11 +243,10 @@ class ExperimentDriver:
         self, test_ids: Iterable[str], executor: Optional["Executor"] = None
     ) -> None:
         """Fill the in-memory profile table for ``test_ids``, in that order."""
-        with self._profile_lock:
-            pending = [t for t in test_ids if t not in self._profiles]
-            for group in self._resolve_profiles(pending, executor):
-                self._profiles[group.test_id] = group
-                self.runs_executed += group.n_runs
+        pending = [t for t in test_ids if t not in self._profiles]
+        for group in self._resolve_profiles(pending, executor):
+            self._profiles[group.test_id] = group
+            self.runs_executed += group.n_runs
 
     def profile(self, test_id: str) -> RunGroup:
         """Profile (fault-free) run group of a test; cached."""
@@ -269,8 +268,7 @@ class ExperimentDriver:
 
     def profiles(self) -> Dict[str, RunGroup]:
         """Snapshot of the profile cache (test id -> run group)."""
-        with self._profile_lock:
-            return dict(self._profiles)
+        return dict(self._profiles)
 
     # -------------------------------------------------------------- coverage
 
@@ -307,9 +305,7 @@ class ExperimentDriver:
         Memoized per fault: each experiment derives the same sweep three
         times (cache key, task descriptor, execution), and plans are pure
         functions of (fault, config, registry) — all fixed for the
-        driver's lifetime.  An agent's execution threads may race the
-        memo benignly: plan derivation is deterministic, so losers
-        overwrite winners with identical content.
+        driver's lifetime.
         """
         plans = self._plans.get(fault)
         if plans is None:
@@ -320,8 +316,7 @@ class ExperimentDriver:
     def execute_experiment(self, fault: FaultKey, test_id: str) -> Tuple[FcaResult, int]:
         """Pure execution of one experiment: returns (FCA result, runs used).
 
-        Touches no driver state beyond the (lock-protected) profile cache,
-        so executions of distinct (fault, test) pairs may run concurrently.
+        Touches no driver state beyond the profile and plan memos.
         """
         if fault.site_id not in self.spec.registry:
             raise UnknownSite(fault.site_id)

@@ -35,8 +35,8 @@ def atomic_write_text(path: "os.PathLike[str]", text: str) -> None:
     """Write ``text`` via temp file + ``os.replace``.
 
     The temp file is named per writer (process id and thread id), so
-    concurrent writers of one entry — cache-sharing worker processes, an
-    agent's execution threads — never open, or move, each other's temp.
+    concurrent writers of one entry — cache-sharing worker processes, a
+    manager's campaign threads — never open, or move, each other's temp.
     A write that fails removes its temp file.
     """
     path = Path(path)

@@ -13,7 +13,7 @@ a network and the whole service runs on the standard library alone:
 * :mod:`repro.service.agent` — the worker agent loop (``repro agent``).
 """
 
-from .agent import Agent, execute_wire_task
+from .agent import Agent
 from .http import HttpTransport, ManagerServer
 from .manager import ManagerCore, task_digest
 from .remote import RemoteExecutor
@@ -24,6 +24,5 @@ __all__ = [
     "ManagerCore",
     "ManagerServer",
     "RemoteExecutor",
-    "execute_wire_task",
     "task_digest",
 ]

@@ -14,7 +14,7 @@ Endpoints (all request/response bodies JSON):
 ========  ==================================  =====================================
  GET       ``/api/health``                     ``stats()`` (plus protocol version)
  POST      ``/api/agents/register``            ``register_agent(name, workers)``
- POST      ``/api/agents/heartbeat``           ``heartbeat(agent, cache)``
+ POST      ``/api/agents/heartbeat``           ``heartbeat(agent)``
  POST      ``/api/agents/lease``               ``lease(agent, max_tasks, wait_s)``
  POST      ``/api/agents/complete``            ``complete(agent, id, result|error)``
  POST      ``/api/campaigns``                  ``start_campaign(system, config)``
@@ -170,9 +170,7 @@ class _Handler(BaseHTTPRequestHandler):
             ("api", "agents", "register"): lambda: self.core.register_agent(
                 name=body.get("name", ""), workers=_field(body, "workers", int, 1)
             ),
-            ("api", "agents", "heartbeat"): lambda: self.core.heartbeat(
-                _field(body, "agent"), cache=body.get("cache")
-            ),
+            ("api", "agents", "heartbeat"): lambda: self.core.heartbeat(_field(body, "agent")),
             ("api", "agents", "lease"): lambda: self.core.lease(
                 _field(body, "agent"),
                 max_tasks=_field(body, "max_tasks", int, 1),
@@ -322,8 +320,8 @@ class HttpTransport:
     def register_agent(self, name: str = "", workers: int = 1) -> Dict[str, Any]:
         return self._call("/api/agents/register", {"name": name, "workers": workers})
 
-    def heartbeat(self, agent: str, cache: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        return self._call("/api/agents/heartbeat", {"agent": agent, "cache": cache})
+    def heartbeat(self, agent: str) -> Dict[str, Any]:
+        return self._call("/api/agents/heartbeat", {"agent": agent})
 
     def lease(self, agent: str, max_tasks: int = 1, wait_s: float = 0.0) -> Dict[str, Any]:
         return self._call(

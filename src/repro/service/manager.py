@@ -69,11 +69,9 @@ class _Task:
         "agent",
         "result",
         "error",
-        "attempts",
         "campaigns",
         "enqueued_at",
         "leased_at",
-        "finished_at",
     )
 
     def __init__(self, digest: str, obj: Dict[str, Any], now: float) -> None:
@@ -83,24 +81,21 @@ class _Task:
         self.agent: Optional[str] = None
         self.result: Optional[Dict[str, Any]] = None
         self.error: Optional[str] = None
-        self.attempts = 0
         self.campaigns: Set[str] = set()
         self.enqueued_at = now
         self.leased_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
 
 
 class _Agent:
-    __slots__ = ("agent_id", "name", "workers", "deadline", "completed", "cache", "joined_at")
+    __slots__ = ("agent_id", "name", "workers", "deadline", "completed", "cache")
 
-    def __init__(self, agent_id: str, name: str, workers: int, deadline: float, now: float) -> None:
+    def __init__(self, agent_id: str, name: str, workers: int, deadline: float) -> None:
         self.agent_id = agent_id
         self.name = name
         self.workers = workers
         self.deadline = deadline
         self.completed = 0
         self.cache: Dict[str, Any] = {}
-        self.joined_at = now
 
 
 class _Campaign:
@@ -115,13 +110,11 @@ class _Campaign:
         "summary",
         "events",
         "next_seq",
-        "submitted_at",
-        "finished_at",
         "tasks_total",
         "tasks_done",
     )
 
-    def __init__(self, campaign_id: str, system: str, label: str, now: float) -> None:
+    def __init__(self, campaign_id: str, system: str, label: str) -> None:
         self.campaign_id = campaign_id
         self.system = system
         self.label = label
@@ -132,8 +125,6 @@ class _Campaign:
         self.summary: Optional[Dict[str, Any]] = None
         self.events: Deque[Dict[str, Any]] = deque(maxlen=MAX_CAMPAIGN_EVENTS)
         self.next_seq = 0
-        self.submitted_at = now
-        self.finished_at: Optional[float] = None
         self.tasks_total = 0
         self.tasks_done = 0
 
@@ -208,11 +199,11 @@ class ManagerCore:
             self._next_agent += 1
             agent_id = "agent-%d" % self._next_agent
             self._agents[agent_id] = _Agent(
-                agent_id, name or agent_id, max(1, int(workers)), now + self.lease_ttl_s, now
+                agent_id, name or agent_id, max(1, int(workers)), now + self.lease_ttl_s
             )
             return {"agent": agent_id, "lease_ttl_s": self.lease_ttl_s}
 
-    def heartbeat(self, agent_id: str, cache: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def heartbeat(self, agent_id: str) -> Dict[str, Any]:
         with self._cond:
             now = self._clock()
             self._reap(now)
@@ -220,8 +211,6 @@ class ManagerCore:
             if agent is None:
                 return {"ok": False}
             agent.deadline = now + self.lease_ttl_s
-            if cache:
-                agent.cache = dict(cache)
             return {"ok": True}
 
     def lease(self, agent_id: str, max_tasks: int = 1, wait_s: float = 0.0) -> Dict[str, Any]:
@@ -243,7 +232,6 @@ class ManagerCore:
                         continue  # completed by a still-working ex-leaseholder
                     task.state = "leased"
                     task.agent = agent.agent_id
-                    task.attempts += 1
                     task.leased_at = now
                     leased.append({"id": task.digest, "task": task.obj})
                 if leased or now >= deadline:
@@ -282,7 +270,6 @@ class ManagerCore:
             else:
                 task.state = "done"
                 task.result = result
-            task.finished_at = now
             self._executed += 1
             if agent is not None:
                 agent.completed += 1
@@ -392,7 +379,7 @@ class ManagerCore:
         with self._cond:
             self._next_campaign += 1
             campaign_id = "campaign-%d" % self._next_campaign
-            campaign = _Campaign(campaign_id, system, label, self._clock())
+            campaign = _Campaign(campaign_id, system, label)
             self._campaigns[campaign_id] = campaign
             self._emit(campaign, "campaign_submitted", system=system, label=label)
         threading.Thread(
@@ -435,7 +422,6 @@ class ManagerCore:
                 campaign.report = report
                 campaign.digest = digest
                 campaign.summary = dict(report.get("summary", {}))
-                campaign.finished_at = self._clock()
                 self._emit(
                     campaign, "campaign_done", digest=digest, summary=campaign.summary
                 )
@@ -444,7 +430,6 @@ class ManagerCore:
                 campaign = self._campaigns[campaign_id]
                 campaign.state = "failed"
                 campaign.error = "%s: %s" % (type(exc).__name__, exc)
-                campaign.finished_at = self._clock()
                 self._emit(campaign, "campaign_failed", error=campaign.error)
 
     def wait_campaign(self, campaign_id: str, timeout_s: Optional[float] = None) -> Dict[str, Any]:

@@ -1,15 +1,19 @@
-"""Shared factories for synthetic traces, edges, and states in tests, and
-the JSON form of a run's trace that trace-level comparisons are taken over."""
+"""Shared factories for synthetic traces, edges, and states in tests, the
+JSON form of a run's trace that trace-level comparisons are taken over, and
+an agent serving from a thread of the test process."""
 
 from __future__ import annotations
 
 import contextlib
+import threading
+import time
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core import beam
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
 from repro.serialize import fault_to_obj, plan_to_obj, state_to_obj, states_to_obj
+from repro.service.agent import Agent
 from repro.types import DELAY, EXCEPTION, NEGATION, CausalEdge, EdgeType, FaultKey, LocalState
 
 
@@ -117,3 +121,18 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
         "reached": sorted(trace.reached),
         "saturated": trace.saturated,
     }
+
+
+def agent_thread(transport: Any, **kwargs: Any) -> Tuple[Agent, threading.Thread]:
+    """An agent serving from a thread of this process, returned once it has
+    registered: its workers fork before that, and so must fork before the
+    test's own threads take a lock they would inherit held (slicing a cold
+    cache holds the driver's ``_SLICES_LOCK``)."""
+    agent = Agent(transport, **kwargs)
+    thread = threading.Thread(target=agent.run, kwargs={"idle_exit_s": 20.0}, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    while agent.agent_id is None and thread.is_alive():
+        assert time.monotonic() < deadline, "the agent never registered"
+        time.sleep(0.01)
+    return agent, thread

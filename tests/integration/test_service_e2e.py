@@ -7,19 +7,23 @@ bit-identical to a serial one — cold, warm, and across an agent death
 mid-run.
 """
 
+import functools
 import json
-import threading
+import os
 import urllib.request
+import uuid
 
 import pytest
 
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.pipeline import Pipeline
-from repro.service.agent import Agent
+from repro.service import agent as agent_module
+from repro.service.agent import execute_wire_task
 from repro.service.http import HttpTransport, ManagerServer
 from repro.service.manager import ManagerCore, campaign_digest, follow_campaign
 from repro.systems import get_system
+from tests.helpers import agent_thread
 
 #: Small but non-trivial toy campaign: a few dozen tasks, seconds to run.
 CFG = dict(repeats=2, delay_values_ms=(500.0,), seed=3, budget_per_fault=2)
@@ -29,18 +33,26 @@ def _serial(config=None):
     return Pipeline.default(get_system("toy"), config or CSnakeConfig(**CFG)).run()
 
 
-def _agent_thread(transport, **kwargs):
-    agent = Agent(transport, **kwargs)
-    thread = threading.Thread(
-        target=agent.run, kwargs={"idle_exit_s": 20.0}, daemon=True
-    )
-    thread.start()
-    return agent, thread
-
-
 @pytest.fixture(scope="module")
 def serial_digest():
     return campaign_digest(_serial())
+
+
+def _record_pid(directory, obj):
+    """``execute_wire_task`` that first leaves a file named for the
+    process executing it."""
+    open(os.path.join(directory, "%d.%s" % (os.getpid(), uuid.uuid4().hex)), "w").close()
+    return execute_wire_task(obj)
+
+
+def _die_once(marker, obj):
+    """``execute_wire_task`` whose first call, in whichever worker, exits
+    that worker; the marker it leaves lets every later call run."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return execute_wire_task(obj)
+    os._exit(1)
 
 
 def _submitted(transport, **config):
@@ -58,7 +70,7 @@ def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_p
     cache_dir = str(tmp_path / "cache")
     with ManagerServer(port=0) as server:
         transport = HttpTransport(server.url)
-        agent, thread = _agent_thread(transport, workers=2, name="it-a")
+        agent, thread = agent_thread(transport, workers=2, name="it-a")
         try:
             # The profiles are already in the shared cache (an earlier
             # local campaign over the same config put them there), so the
@@ -69,17 +81,21 @@ def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_p
             cold = _submitted(transport, cache_dir=cache_dir)
             assert cold["state"] == "done", cold
             assert cold["digest"] == serial_digest
+            executed = server.core.stats()["tasks"]["executed"]
             warm = _submitted(transport, cache_dir=cache_dir)
             assert warm["digest"] == serial_digest
         finally:
             agent.stop()
             thread.join(timeout=10.0)
         # The agent executed the cold run's experiments over replayed
-        # profiles and a replayed slice analysis: its counters travel back
-        # with every completion.
+        # profiles and a replayed slice analysis, each storing exactly one
+        # entry; the manager memoized them, so the warm run executed none.
+        # Its counters, summed over both workers, travel back with every
+        # completion.
         stats = server.core.stats()
         fleet = {a["name"]: a["cache"] for a in stats["agents"]}
-        assert fleet["it-a"]["stores"] > 0
+        assert stats["tasks"]["executed"] == executed > 0
+        assert fleet["it-a"]["stores"] == executed
         assert fleet["it-a"]["hits"] > 0
         assert fleet["it-a"]["slices"] == "replayed"
     assert stats["tasks"]["executed"] == stats["tasks"]["total"]
@@ -93,11 +109,11 @@ def test_agent_death_mid_run_is_absorbed(serial_digest):
     digest stays identical to serial."""
     core = ManagerCore(lease_ttl_s=1.5)
     with ManagerServer(core=core, port=0) as server:
-        doomed, doomed_thread = _agent_thread(
+        doomed, doomed_thread = agent_thread(
             HttpTransport(server.url), workers=2, name="doomed",
             fail_after_tasks=3,
         )
-        survivor, survivor_thread = _agent_thread(
+        survivor, survivor_thread = agent_thread(
             HttpTransport(server.url), workers=2, name="survivor"
         )
         try:
@@ -115,6 +131,50 @@ def test_agent_death_mid_run_is_absorbed(serial_digest):
         assert stats["tasks"]["queued"] == stats["tasks"]["leased"] == 0
 
 
+def test_an_agent_executes_its_tasks_on_its_worker_processes(serial_digest, tmp_path, monkeypatch):
+    """An agent with two workers runs its leased tasks on two worker
+    processes, never on its own; the digest stays serial's."""
+    monkeypatch.setattr(
+        agent_module, "execute_wire_task", functools.partial(_record_pid, str(tmp_path))
+    )
+    core = ManagerCore(lease_ttl_s=10.0)
+    agent, thread = agent_thread(core, workers=2, name="pids")
+    try:
+        status = _submitted(core)
+    finally:
+        agent.stop()
+        thread.join(timeout=10.0)
+    assert status["state"] == "done", status
+    assert status["digest"] == serial_digest
+    pids = [int(name.split(".")[0]) for name in os.listdir(tmp_path)]
+    assert len(pids) == core.stats()["tasks"]["executed"] > 0
+    assert len(set(pids)) >= 2
+    assert os.getpid() not in pids
+
+
+def test_a_worker_that_dies_mid_batch_does_not_end_the_agent(serial_digest, tmp_path, monkeypatch):
+    """A worker process exits mid-batch: the agent keeps serving on a fresh
+    pool, the reaper re-queues the batch it left uncompleted, and the
+    campaign still ends with serial's digest."""
+    marker = str(tmp_path / "died")
+    monkeypatch.setattr(agent_module, "execute_wire_task", functools.partial(_die_once, marker))
+    core = ManagerCore(lease_ttl_s=1.5)
+    agent, thread = agent_thread(core, workers=2, name="phoenix")
+    try:
+        status = _submitted(core)
+        assert thread.is_alive(), "the agent stopped serving"
+    finally:
+        agent.stop()
+        thread.join(timeout=10.0)
+    assert os.path.exists(marker), "no worker ever died"
+    assert status["state"] == "done", status
+    assert status["digest"] == serial_digest
+    assert not agent.died
+    stats = core.stats()["tasks"]
+    assert stats["requeued"] > 0, "the reaper never reclaimed the dead batch"
+    assert stats["queued"] == stats["leased"] == 0
+
+
 def test_concurrent_campaigns_share_the_queue_without_double_execution():
     """Two identical campaigns submitted to one manager dedup at the task
     queue: every (fault, test) pair executes exactly once, the second
@@ -124,7 +184,7 @@ def test_concurrent_campaigns_share_the_queue_without_double_execution():
     (``experiment_workers``) — result-affecting identity, not submitted
     config bytes, is what dedups."""
     core = ManagerCore(lease_ttl_s=10.0)
-    agent, thread = _agent_thread(core, workers=2, name="shared")
+    agent, thread = agent_thread(core, workers=2, name="shared")
     config_obj = dict(CFG)
     try:
         first = core.start_campaign("toy", config_obj, label="first")["campaign"]
@@ -156,7 +216,7 @@ def test_manager_side_campaign_matches_serial(serial_digest):
     """`repro submit` path: a campaign run manager-side over the in-process
     transport produces the serial digest and streams progress events."""
     core = ManagerCore(lease_ttl_s=10.0)
-    agent, thread = _agent_thread(core, workers=2, name="evt")
+    agent, thread = agent_thread(core, workers=2, name="evt")
     try:
         campaign = core.start_campaign("toy", dict(CFG), label="evt")["campaign"]
         status = core.wait_campaign(campaign, timeout_s=120.0)

@@ -340,7 +340,7 @@ def test_cli_cache_dir_resolution():
 
 
 def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monkeypatch):
-    """An agent runs experiments on threads, so two threads of one process
+    """A manager runs campaigns on threads, so two threads of one process
     may store the same entry.  Neither may open or move the other's temp
     file: here both temps are written before either is moved into place,
     and both moves must succeed."""

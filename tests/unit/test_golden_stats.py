@@ -1,6 +1,6 @@
 """What holds of the Welch and average-linkage kernels without SciPy
 installed: the answers SciPy gave for fixed inputs, and that a call touches
-no process-global state — FCA runs concurrently on an agent's worker threads.
+no process-global state — FCA runs concurrently on a manager's campaign threads.
 
 ``tests/golden_stats.json`` holds those inputs and the answers
 ``one_sided_t_pvalues`` and ``cluster_faults`` gave on the commit *before*

@@ -307,8 +307,9 @@ def test_a_wire_task_with_a_malformed_config_is_a_named_error():
 
     for config_json, named in (('{"repeats": "3"}', "repeats"), ('{"no_such_knob": 1}', "no_such_knob")):
         task = task_to_obj(ExperimentTask("toy", "toy.balancer", config_json, None, ()))
-        with pytest.raises(ReproError, match=named):
-            execute_wire_task(task)
+        outcome, cache = execute_wire_task(task)
+        assert outcome["error"].startswith("ConfigError: ") and named in outcome["error"]
+        assert cache is None
         with pytest.raises(ReproError, match=named):
             task_digest(task)
 

@@ -9,8 +9,6 @@ one worker entry point behind both the process pool and the agent.
 
 import contextlib
 import json
-import sys
-import threading
 
 import pytest
 
@@ -19,11 +17,12 @@ from repro.core.driver import ExperimentDriver, ExperimentTask, execute_experime
 from repro.faults import model_for
 from repro.pipeline import Pipeline, ProcessExecutor, SerialExecutor
 from repro.serialize import edge_to_obj, task_result_to_obj, task_to_obj
-from repro.service.agent import Agent, execute_wire_task
+from repro.service.agent import execute_wire_task
 from repro.service.manager import ManagerCore, campaign_digest
 from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
 from repro.types import DELAY, NEGATION, FaultKey
+from tests.helpers import agent_thread
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -52,7 +51,7 @@ def _counters(driver):
 @contextlib.contextmanager
 def _executor(backend):
     """One backend's executor; remote is an in-process manager core
-    served by an in-thread agent."""
+    served by an in-thread agent and its worker processes."""
     if backend == "serial":
         yield SerialExecutor()
     elif backend == "process":
@@ -60,9 +59,7 @@ def _executor(backend):
             yield executor
     else:
         core = ManagerCore(lease_ttl_s=10.0)
-        agent = Agent(core, workers=2, name="single-path")
-        thread = threading.Thread(target=agent.run, kwargs={"idle_exit_s": 20.0}, daemon=True)
-        thread.start()
+        agent, thread = agent_thread(core, workers=2, name="single-path")
         try:
             yield RemoteExecutor(core)
         finally:
@@ -171,42 +168,16 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
             (worker_result,) = pool.map(execute_experiment_task, [task(tmp_path / "worker")])
     except (ImportError, OSError, PermissionError) as exc:
         pytest.skip("process backend unavailable: %s" % exc)
-    envelope, cache = execute_wire_task(task_to_obj(task(tmp_path / "agent")))
+    outcome, cache = execute_wire_task(task_to_obj(task(tmp_path / "agent")))
 
+    envelope = outcome["result"]
     assert envelope == task_result_to_obj(worker_result)
     assert envelope["kind"] == "experiment"
     assert _entries(tmp_path / "agent") == _entries(tmp_path / "worker")
     assert _kinds(tmp_path / "agent") == ["experiment", "profile", "slices"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 2)
-    # Re-executing the task (a re-queued lease) replays the stored entry.
+    # Re-executing the task (a re-queued lease) replays the stored entry;
+    # the counters are each task's own change to them.
     again, cache = execute_wire_task(task_to_obj(task(tmp_path / "agent")))
-    assert again == envelope
-    assert (cache["hits"], cache["misses"], cache["stores"]) == (1, 2, 2)
-
-
-def test_concurrent_profile_requests_simulate_each_test_once():
-    """An agent's execution threads share one worker driver: racing
-    ``profile`` calls (lock-free fast path, resolve under the lock) must
-    compute each group once and hand every thread the same object."""
-    driver = ExperimentDriver(get_system("toy"), CSnakeConfig(**SMOKE))
-    tests = driver.spec.workload_ids()[:2]
-    got = []
-
-    def worker():
-        got.append([driver.profile(t) for t in tests])
-
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(got) == 8 and all(
-        a is b for groups in got for a, b in zip(groups, got[0])
-    )
-    assert driver.runs_executed == len(tests) * driver.config.repeats
+    assert again == outcome
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (1, 0, 0)

@@ -187,8 +187,8 @@ def test_the_driver_attaches_what_it_replayed_and_the_keys_agree(tmp_path):
 
 
 def test_racing_threads_of_one_process_slice_once(tmp_path):
-    """An agent's execution threads build their worker drivers side by
-    side; on a cold cache exactly one of them slices and stores, the
+    """A manager's campaign threads build their drivers side by side;
+    on a cold cache exactly one of them slices and stores, the
     rest replay its entry (two threads of one process must not parse
     concurrently, nor write the entry through one temp file)."""
     import sys
