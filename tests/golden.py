@@ -10,7 +10,8 @@ first recorded, and what a change must keep to reproduce it, is the
 docstring of the module its rows come from.
 
 Check (the default; ``ok`` / ``MISMATCH`` per golden and row, exit 1 on
-any mismatch; no name checks every golden)::
+any mismatch; no name checks every golden; a fixture not recorded yet
+holds no rows, so each of its golden's rows is a ``MISMATCH``)::
 
     python tests/golden.py [NAME ...]
 
@@ -53,7 +54,7 @@ class Golden:
 
 
 SYSTEMS = tuple(available_systems())
-CAMPAIGNS = tuple(sorted(golden_campaigns.CAMPAIGNS))
+DIGESTED = tuple(sorted(golden_campaigns.DIGESTED))
 
 GOLDENS: Dict[str, Golden] = {
     "traces": Golden(
@@ -64,14 +65,19 @@ GOLDENS: Dict[str, Golden] = {
         golden_beam.system_results,
     ),
     "campaigns": Golden(
-        HERE / "golden_campaign_digests.json", CAMPAIGNS,
-        lambda name: golden_campaigns.campaign_rows(name)[0],
+        HERE / "golden_campaign_digests.json", DIGESTED,
+        lambda name: golden_campaigns.campaign_rows(name).digest,
         slow=("minihdfs2_evaluation",),
     ),
     "campaign_searches": Golden(
-        HERE / "golden_beam.json", CAMPAIGNS,
-        lambda name: golden_campaigns.campaign_rows(name)[1],
+        HERE / "golden_beam.json", DIGESTED,
+        lambda name: golden_campaigns.campaign_rows(name).search,
         block="campaigns", slow=("minihdfs2_evaluation",),
+    ),
+    "detection": Golden(
+        HERE / "golden_detection.json", tuple(sorted(golden_campaigns.CAMPAIGNS)),
+        lambda name: golden_campaigns.campaign_rows(name).detection,
+        slow=("minihdfs2_evaluation",),
     ),
     "slices": Golden(HERE / "golden_slices.json", SYSTEMS, golden_slices.slice_digest),
     "fault_spaces": Golden(
@@ -80,12 +86,17 @@ GOLDENS: Dict[str, Golden] = {
 }
 
 
+def _read(fixture: Path) -> Dict[str, Any]:
+    """A fixture's JSON; one not yet recorded holds nothing."""
+    return json.loads(fixture.read_text()) if fixture.exists() else {}
+
+
 def recorded(name: str, goldens: Dict[str, Golden] = GOLDENS) -> Dict[str, Any]:
     """The rows of golden ``name`` as its fixture holds them."""
     golden = goldens[name]
-    data = json.loads(golden.fixture.read_text())
+    data = _read(golden.fixture)
     if golden.block is not None:
-        return data[golden.block]
+        return data.get(golden.block, {})
     return {k: v for k, v in data.items() if k not in _blocks(golden, goldens)}
 
 
@@ -110,14 +121,14 @@ def check(name: str, goldens: Dict[str, Golden] = GOLDENS) -> bool:
             else:
                 verdict = "MISMATCH: %s" % json.dumps(got, sort_keys=True)
         same = same and verdict == "ok"
-        print("%-18s %-22s %s" % (name, key, verdict))
+        print("%-18s %-40s %s" % (name, key, verdict))
     return same
 
 
 def record(name: str, goldens: Dict[str, Golden] = GOLDENS) -> None:
     golden = goldens[name]
     rows = {key: golden.row(key) for key in golden.keys}
-    data = json.loads(golden.fixture.read_text()) if golden.fixture.exists() else {}
+    data = _read(golden.fixture)
     if golden.block is not None:
         data[golden.block] = rows
     else:

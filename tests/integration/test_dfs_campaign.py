@@ -5,10 +5,13 @@ detection is gated on a discovered edge from a *different* disturbance
 class per bug: DFS-1 needs a node crash, DFS-2 a link partition, DFS-4
 datagram loss (``msg_drop``), and DFS-3 the composed
 ``membership_churn`` schedule — a rolling crash/restart wave no
-single-fault campaign can produce.  The campaign matrix therefore
-separates the fault models sharply: classic-only detects nothing,
-``--fault-kinds all`` detects DFS-1, DFS-2, and DFS-4, and only a
-``--schedules`` campaign detects all four.
+single-fault campaign can produce.  This module drives each bug's
+designated chain and trigger, and checks campaign parity across backends
+and cache temperature.  The campaign matrix that separates the fault
+models — classic-only detects nothing, ``--fault-kinds all`` detects
+DFS-1, DFS-2 and DFS-4, and only a ``--schedules`` campaign detects all
+four — is the ``minidfs/*/r5/s7`` rows of the ``detection`` golden
+(``tests/golden_campaigns.py``).
 """
 
 import pytest
@@ -96,45 +99,6 @@ def test_designated_chain_stitches_cycle_and_trigger_gates_detection(bug_id):
     driver.run_experiment(*trigger)
     with_trigger = match_bugs(driver.spec, cycles, driver.edges.all_edges())
     assert bug_id in [m.bug.bug_id for m in with_trigger if m.detected]
-
-
-def test_full_campaign_with_schedules_detects_all_four():
-    """The acceptance campaign: default budget and sweeps, all fault
-    kinds plus composed schedules, adaptive reallocation on."""
-    cfg = CSnakeConfig(
-        fault_kinds=expand_kinds("all"),
-        schedules=tuple(registered_schedules()),
-        adaptive_budget=True,
-        seed=7,
-    )
-    report = Pipeline.default(get_system("minidfs"), cfg).run().get("report")
-    assert report.detected_bugs == ["DFS-1", "DFS-2", "DFS-3", "DFS-4"]
-
-
-def test_classic_campaign_detects_none():
-    """Every seeded bug is environment-gated: the paper's classic
-    three-kind campaign must come back clean on minidfs."""
-    report = (
-        Pipeline.default(get_system("minidfs"), CSnakeConfig(seed=7))
-        .run()
-        .get("report")
-    )
-    assert report.detected_bugs == []
-
-
-def test_env_campaign_without_schedules_misses_dfs3():
-    """Single environment faults detect the crash-, partition-, and
-    drop-gated bugs but never the churn-gated one: DFS-3's trigger edge
-    needs the rolling crash/restart wave only the composed schedule
-    produces."""
-    cfg = CSnakeConfig(
-        fault_kinds=expand_kinds("all"), adaptive_budget=True, seed=7
-    )
-    report = Pipeline.default(get_system("minidfs"), cfg).run().get("report")
-    assert "DFS-3" not in report.detected_bugs
-    assert "DFS-1" in report.detected_bugs
-    assert "DFS-2" in report.detected_bugs
-    assert "DFS-4" in report.detected_bugs
 
 
 def _scheduled_config(**overrides):

@@ -1,9 +1,11 @@
 """The goldens of ``tests/golden.py``: every row reproduces its fixture, every
 fixture holds exactly the declared rows, and the checks that are not row
 equalities — the beam kernel's block size is invisible, a site is in the
-fault space or excluded, never both — plus the harness itself: a perturbed
-row fails the check by name, and recording one of the two goldens that
-share ``golden_beam.json`` leaves the other's keys as they are."""
+fault space or excluded, never both, the recorded detection rows keep the
+campaign matrix's contrasts — plus the harness itself: a perturbed row
+fails the check by name, a fixture not recorded yet fails every row and
+the check goes on, and recording one of the two goldens that share
+``golden_beam.json`` leaves the other's keys as they are."""
 
 import dataclasses
 import json
@@ -70,6 +72,31 @@ def test_a_site_is_in_the_fault_space_or_excluded_never_both(system, flavour):
     assert set(result.fault_sites()) & set(result.excluded) == set()
 
 
+def test_detection_rows_keep_the_campaign_matrix():
+    # What the campaign matrix shows, asserted on the recorded rows so that
+    # a re-recording cannot drop a contrast unnoticed.  Every minidfs bug is
+    # gated on an environment disturbance, DFS-3 on the composed
+    # ``membership_churn`` schedule; RAFT-6 is gated on the
+    # ``partition_during_restart`` schedule, which only the adaptive respend
+    # draws on the churn workload.
+    bugs = {key: set(row["detected"]) for key, row in recorded("detection").items()}
+    dfs_env, dfs_scheduled = (
+        bugs["minidfs/%s/r5/s7" % flavour] for flavour in ("all+adaptive", "all+schedules+adaptive")
+    )
+    raft_all, raft_scheduled, raft_adaptive = (
+        bugs["miniraft/%s/r5/s1234" % flavour]
+        for flavour in ("all", "all+schedules", "all+schedules+adaptive")
+    )
+    assert bugs["minidfs/classic/r5/s7"] == set()
+    assert "DFS-3" in dfs_scheduled - dfs_env
+    assert {"DFS-1", "DFS-2", "DFS-4"} <= dfs_scheduled & dfs_env
+    assert all(
+        {"RAFT-%d" % n for n in range(1, 6)} <= row
+        for row in (raft_all, raft_scheduled, raft_adaptive)
+    )
+    assert "RAFT-6" in raft_adaptive - raft_scheduled
+
+
 def _copied(tmp_path, names, **changes):
     """The registry with ``names`` reading (copies of) their fixtures under
     ``tmp_path``, each entry also given ``changes``."""
@@ -90,6 +117,21 @@ def test_a_perturbed_row_fails_the_check_naming_golden_and_row(tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:3] for line in lines] == [
         ["slices", "miniraft", "ok"], ["slices", "toy", "MISMATCH:"],
+    ]
+
+
+def test_a_missing_fixture_fails_every_row_and_the_check_goes_on(tmp_path, capsys):
+    goldens = _copied(tmp_path, ["slices"], keys=("toy",))
+    fixture = goldens["slices"].fixture
+    fixture.write_text(json.dumps({"toy": json.loads(fixture.read_text())["toy"]}))
+    goldens["unrecorded"] = dataclasses.replace(
+        GOLDENS["slices"], fixture=tmp_path / "unrecorded.json", keys=("miniraft", "toy")
+    )
+    assert golden.main(["unrecorded", "slices"], goldens) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        ["unrecorded", "miniraft", "MISMATCH:"], ["unrecorded", "toy", "MISMATCH:"],
+        ["slices", "toy", "ok"],
     ]
 
 

@@ -273,8 +273,9 @@ def test_seeded_feedback_paths_fire(spec, fault, test_id, expected):
 
 def test_smoke_campaign_detects_nothing_without_env_faults(spec):
     """Every seeded minidfs bug is gated on an environment disturbance, so
-    the classic three-kind campaign must come back empty — the contrast
-    the integration campaign test builds on."""
+    the classic three-kind campaign must come back empty — at smoke scale
+    here, and at the default config in the ``detection`` golden's
+    ``minidfs/classic/r5/s7`` row."""
     ctx = Pipeline.default(spec, CSnakeConfig(**SMOKE)).run()
     report = ctx.get("report")
     assert report.detected_bugs == []
