@@ -88,14 +88,6 @@ class BeamSearch:
         ).run()
 
 
-def _firsts(keys: "_np.ndarray") -> "_np.ndarray":
-    """Ascending positions of each distinct key's first occurrence — what a
-    dict filled by ``setdefault`` in array order would keep."""
-    firsts = _np.unique(keys, return_index=True)[1]
-    firsts.sort()
-    return firsts
-
-
 class _VectorizedKernel:
     """One search over one interned edge set.
 
@@ -111,7 +103,8 @@ class _VectorizedKernel:
     sequence, and the partition top-``B`` keeps the stable-sort prefix; and
     triple ids are handed out while walking edges in that same key order,
     whose prefix is ``(src, dst, etype.value)``, so comparing triple-id
-    rows ≡ comparing the triple lists ``Cycle.key()`` is made of.
+    rows — or their base-``radix`` codes, for rows of one length — ≡
+    comparing the triple lists ``Cycle.key()`` is made of.
     """
 
     def __init__(
@@ -130,7 +123,10 @@ class _VectorizedKernel:
         self._rej_state = 0
         if n == 0:
             return
-        order = sorted(range(n), key=keys.__getitem__)
+        # A FaultKey sorts as its (site_id, kind) pair, so the flat string
+        # tuples order like the keys without a dataclass comparison each.
+        flat = [(s.site_id, s.kind, d.site_id, d.kind, t, i) for s, d, t, i in keys]
+        order = sorted(range(n), key=flat.__getitem__)
         #: Edge objects by interned id (ascending key order).
         self.edges: List[CausalEdge] = [edge_list[i] for i in order]
         #: Edge id at each original input position (the level-0 queue).
@@ -157,6 +153,13 @@ class _VectorizedKernel:
             triple[eid] = triple_ids.setdefault((s, d, e.etype.value), len(triple_ids))
         self.src, self.dst, self.triple = src, dst, triple
         self.inj, self.delay, self.score_term = inj, delay, score_term
+        #: A closing row's class is coded as a base-``radix`` numeral of its
+        #: triple ids; rows hold at most ``max_chain_len`` ids, so the code
+        #: width is fixed here: int64 while every code fits, Python ints
+        #: (``object``) beyond.
+        self.radix = len(triple_ids)
+        fits = self.radix ** config.max_chain_len < 2**63
+        self.code_dtype = _np.int64 if fits else object
 
         # Source-fault buckets in *input* order — the reference builds
         # ``_by_src`` by appending over the input list, and bucket order
@@ -176,33 +179,28 @@ class _VectorizedKernel:
 
         # Precompute match(l, j) over the CSR entries, which enumerate
         # exactly the fault-compatible ordered pairs (dst[l] == src[j]).
-        # State compatibility is memoized per distinct state-set pair.
+        # State compatibility is decided once per distinct state-set pair:
+        # each entry's (dst_states id, src_states id) is one integer code.
         total = int(self.adj.shape[0])
         heads = _np.repeat(_np.arange(n, dtype=_np.int64), counts)
         ok = _np.ones(total, dtype=bool)
         if self.compat.enabled:
             set_ids: Dict[frozenset, int] = {}
-            sets: List[frozenset] = []
-
-            def _sid(states: frozenset) -> int:
-                sid = set_ids.get(states)
-                if sid is None:
-                    sid = set_ids[states] = len(sets)
-                    sets.append(states)
-                return sid
-
-            d_sid = [_sid(e.dst_states) for e in self.edges]
-            s_sid = [_sid(e.src_states) for e in self.edges]
-            pair_ok: Dict[Tuple[int, int], bool] = {}
-            adj = self.adj
-            for pos in range(total):
-                pair = (d_sid[int(heads[pos])], s_sid[int(adj[pos])])
-                verdict = pair_ok.get(pair)
-                if verdict is None:
-                    verdict = pair_ok[pair] = states_compatible(
-                        sets[pair[0]], sets[pair[1]]
-                    )
-                ok[pos] = verdict
+            d_sid = _np.array(
+                [set_ids.setdefault(e.dst_states, len(set_ids)) for e in self.edges]
+            )
+            s_sid = _np.array(
+                [set_ids.setdefault(e.src_states, len(set_ids)) for e in self.edges]
+            )
+            sets = list(set_ids)
+            width = len(sets)
+            pairs, inverse = _np.unique(
+                d_sid[heads] * width + s_sid[self.adj], return_inverse=True
+            )
+            verdicts = [
+                states_compatible(sets[p // width], sets[p % width]) for p in pairs.tolist()
+            ]
+            ok = _np.array(verdicts, dtype=bool)[inverse]
         self.adj_ok = ok
         #: Sorted ``l*n + j`` codes of every matching ordered pair — closure
         #: membership (does candidate c match first edge f?) is a
@@ -227,25 +225,31 @@ class _VectorizedKernel:
         """Record one level's closing chains (id rows, in report order).
 
         A row's fault-level class is the least rotation of its triple-id
-        row (≡ ``Cycle.key()``: triple ids ascend with the triples); the
-        first row of each class is kept, which is the reference's
-        ``seen.setdefault``.
+        row (≡ ``Cycle.key()``: triple ids ascend with the triples).  Rows
+        of one call have one length, so coding each rotation as a
+        base-``radix`` numeral makes numeric order the lexicographic one:
+        the class is the least rotation code.  The first row of each class
+        is kept, which is the reference's ``seen.setdefault``; only kept
+        classes are decoded back into triple-id tuples.
         """
         if rows.shape[0] == 0:
             return
-        triples = self.triple[rows]
-        best = triples.copy()
-        index = _np.arange(rows.shape[0])
-        for shift in range(1, rows.shape[1]):
-            rot = _np.roll(triples, -shift, axis=1)
-            differs = rot != best
-            col = differs.argmax(axis=1)
-            # Equal rows have ``col`` 0 and compare equal there: not less.
-            less = rot[index, col] < best[index, col]
-            best[less] = rot[less]
-        classes, firsts = _np.unique(best, axis=0, return_index=True)
-        for cls, pos in zip(classes.tolist(), firsts.tolist()):
-            seen.setdefault(tuple(cls), rows[pos].tolist())
+        radix, length = self.radix, rows.shape[1]
+        triples = self.triple[rows].astype(self.code_dtype)
+        code = triples[:, 0]
+        for col in range(1, length):
+            code = code * radix + triples[:, col]
+        # Rotating by one moves the leading digit to the end.
+        lead = radix ** (length - 1)
+        best = code
+        for col in range(length - 1):
+            code = (code - triples[:, col] * lead) * radix + triples[:, col]
+            best = _np.minimum(best, code)
+        classes, firsts = _np.unique(best, return_index=True)
+        powers = _np.array([radix**p for p in range(length - 1, -1, -1)], dtype=self.code_dtype)
+        digits = classes[:, None] // powers % radix
+        for cls, row in zip(digits.tolist(), rows[firsts].tolist()):
+            seen.setdefault(tuple(cls), row)
 
     # ---------------------------------------------------------------- levels
 
@@ -301,13 +305,17 @@ class _VectorizedKernel:
             result.cycles.append(Cycle(tuple(self.edges[i] for i in row[start:] + row[:start])))
         return result
 
-    def _extend_level(
+    def _extensions(
         self,
         frontier: Tuple["_np.ndarray", ...],
         seen: Dict[Tuple[int, ...], List[int]],
         result: BeamSearchResult,
-    ) -> Tuple["_np.ndarray", ...]:
-        queue, sums, cnts, delays, group, rank = frontier
+    ) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """One level's candidate table, block by block: counts its checks
+        and extensions, reports its closures, and returns the deduplicated
+        extensions as (parent, candidate) columns in generation order —
+        none on the level that reaches ``max_chain_len``."""
+        queue, _, _, delays, group, _ = frontier
         cap = self.config.max_delay_faults
         first, last = queue[:, 0], queue[:, -1]
         deg = self.adj_counts[last]
@@ -317,19 +325,37 @@ class _VectorizedKernel:
         # the frontier it would build is never read, so it keeps none.
         final = result.levels == self.config.max_chain_len - 1
         eparents, ecands = [last[:0]], [last[:0]]
+        if not final:
+            # Dedup by (triple sequence, first key, last key), keeping the
+            # first occurrence in generation order.  ``group[parent]`` stands
+            # for the parent's (triple sequence, first edge) and the
+            # candidate fixes the appended triple and the last edge.  Chains
+            # of one group end on one triple, hence on one fault, so they
+            # share one adjacency row: a signature is a slot, ``goff[group]``
+            # plus the candidate's offset in that row, and ``first_at[slot]``
+            # is the least generation position (over all blocks so far)
+            # that reached it.
+            gdeg = _np.zeros(int(group.max()) + 1, dtype=_np.int64)
+            gdeg[group] = deg
+            goff = _np.cumsum(gdeg) - gdeg
+            slot_shift = goff[group] - self.adj_indptr[last]
+            first_at = _np.full(int(gdeg.sum()), int(ends[-1]), dtype=_np.int64)
+        head_src = self.src[first]
 
         # The candidate table — one row per (chain, adjacent edge), in
         # (queue order, bucket order), the reference's generation order —
         # exists one block of chains ``lo:hi`` at a time, as 1-D columns;
         # blocks run in queue order, so closures are reported in that order.
+        # A per-chain column reaches the table by ``repeat`` over ``reps``.
         hi = 0
         while hi < queue.shape[0]:
             lo, base = hi, int(starts[hi])
             hi = max(lo + 1, int(_np.searchsorted(ends, base + self.BLOCK, side="right")))
             total = int(ends[hi - 1]) - base
-            parent = _np.repeat(_np.arange(lo, hi, dtype=_np.int64), deg[lo:hi])
+            reps = deg[lo:hi]
+            parent = _np.repeat(_np.arange(lo, hi, dtype=_np.int64), reps)
             gpos = _np.arange(total, dtype=_np.int64) + _np.repeat(
-                self.adj_indptr[last[lo:hi]] - (starts[lo:hi] - base), deg[lo:hi]
+                self.adj_indptr[last[lo:hi]] - (starts[lo:hi] - base), reps
             )
             cand = self.adj[gpos]
 
@@ -337,7 +363,7 @@ class _VectorizedKernel:
             # because keys (hence edges) are unique.
             alive = _np.ones(total, dtype=bool)
             for col in range(queue.shape[1]):
-                alive &= queue[:, col][parent] != cand
+                alive &= _np.repeat(queue[lo:hi, col], reps) != cand
             # match(chain.last, edge): candidates come from last.dst's
             # bucket, so the fault leg always holds; only state rejection
             # can fire.
@@ -345,38 +371,49 @@ class _VectorizedKernel:
             alive &= self.adj_ok[gpos]
             self._rej_state += fresh - int(alive.sum())
             if cap is not None:
-                alive &= delays[parent] + self.delay[cand] <= cap
+                alive &= _np.repeat(delays[lo:hi], reps) + self.delay[cand] <= cap
 
             # match(edge, chain.first): closure check on what survived the
             # cap.  A match implies the fault leg, so the pair-code probe
             # runs only where that leg holds.
             live = int(alive.sum())
-            head = first[parent]
-            fpos = _np.flatnonzero(alive & (self.dst[cand] == self.src[head]))
-            cpos = fpos[self._is_match(cand[fpos], head[fpos])]
+            fpos = _np.flatnonzero(alive & (self.dst[cand] == _np.repeat(head_src[lo:hi], reps)))
+            cpos = fpos[self._is_match(cand[fpos], first[parent[fpos]])]
             self._checks += fresh + live
             self._rej_fault += live - int(fpos.shape[0])
             self._rej_state += int(fpos.shape[0] - cpos.shape[0])
-            self._report(_np.concatenate([queue[parent[cpos]], cand[cpos][:, None]], axis=1), seen)
+            closing = _np.take(queue, parent[cpos], axis=0)
+            self._report(_np.concatenate([closing, cand[cpos][:, None]], axis=1), seen)
 
             alive[cpos] = False
             epos = _np.flatnonzero(alive)
             result.chains_explored += int(epos.shape[0])
             if not final:
-                # Dedup inside the block first: what is kept across blocks
-                # is then O(distinct signatures), not O(extensions).
-                epos = epos[_firsts(group[parent[epos]] * self.n + cand[epos])]
-                eparents.append(parent[epos])
-                ecands.append(cand[epos])
+                # A candidate is kept where it is its slot's first
+                # occurrence; blocks run in order, so what is kept across
+                # blocks is O(distinct signatures), not O(extensions).
+                eparent = parent[epos]
+                slot = gpos[epos] + slot_shift[eparent]
+                gen = base + epos
+                _np.minimum.at(first_at, slot, gen)
+                keep = first_at[slot] == gen
+                eparents.append(eparent[keep])
+                ecands.append(cand[epos[keep]])
+                del eparent, slot, gen, keep
+            # Free this block's columns before the next block allocates its
+            # own: a level holds one block at a time, not two.
+            del parent, gpos, cand, alive, fpos, cpos, closing, epos
 
-        # Dedup by (triple sequence, first key, last key), keeping the first
-        # occurrence in generation order: ``group[parent]`` stands for the
-        # parent's (triple sequence, first edge) and the candidate fixes the
-        # appended triple and the last edge, so the signature is one integer.
-        eparent, ecand = _np.concatenate(eparents), _np.concatenate(ecands)
-        keep = _firsts(group[eparent] * self.n + ecand)
-        eparent, ecand = eparent[keep], ecand[keep]
+        return _np.concatenate(eparents), _np.concatenate(ecands)
 
+    def _extend_level(
+        self,
+        frontier: Tuple["_np.ndarray", ...],
+        seen: Dict[Tuple[int, ...], List[int]],
+        result: BeamSearchResult,
+    ) -> Tuple["_np.ndarray", ...]:
+        queue, sums, cnts, delays, group, rank = frontier
+        eparent, ecand = self._extensions(frontier, seen, result)
         # Rank by (score, id sequence) and keep the stable top B.  Scores
         # divide once at compare time, exactly like the reference's
         # total/len; id sequences are unique after dedup and compare like
@@ -394,14 +431,18 @@ class _VectorizedKernel:
             pool = _np.flatnonzero(scores <= kth)
         else:
             pool = _np.arange(scores.shape[0])
-        order = _np.lexsort((rank[eparent[pool]] * self.n + ecand[pool], scores[pool]))
-        top = pool[order][:width]
+        # Sort by id sequence (unique keys: any sort), then stably by score.
+        pool = pool[_np.argsort(rank[eparent[pool]] * self.n + ecand[pool])]
+        top = pool[_np.argsort(scores[pool], kind="stable")][:width]
         tparent, tcand = eparent[top], ecand[top]
         # Id rows, classes and ranks exist for the <= B survivors only; the
         # latter two are renumbered densely so next level's keys stay small.
         classes = group[tparent] * self.n + self.triple[tcand]
-        new_queue = _np.concatenate([queue[tparent], tcand[:, None]], axis=1)
+        new_queue = _np.concatenate([_np.take(queue, tparent, axis=0), tcand[:, None]], axis=1)
         new_delays = delays[tparent] + self.delay[tcand]
         new_group = _np.unique(classes, return_inverse=True)[1]
-        new_rank = _np.argsort(_np.argsort(rank[tparent] * self.n + tcand))
+        # Id sequences are unique, so one sort ranks them: scatter each
+        # sorted position to the chain that holds it.
+        new_rank = _np.empty(top.shape[0], dtype=_np.int64)
+        new_rank[_np.argsort(rank[tparent] * self.n + tcand)] = _np.arange(top.shape[0])
         return new_queue, new_sums[top], new_cnts[top], new_delays, new_group, new_rank

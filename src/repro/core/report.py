@@ -181,16 +181,15 @@ class DetectionReport:
 
 
 def _trigger_satisfied(
-    bug: KnownBug, cycle: Cycle, edges: Optional[Sequence[CausalEdge]]
+    bug: KnownBug, targets: frozenset, edges: Optional[Sequence[CausalEdge]]
 ) -> bool:
     """A trigger-gated bug needs a discovered edge from one of its trigger
-    (environment) faults into the cycle's fault set: the disturbance must
-    actually have been observed feeding this cascade."""
+    (environment) faults into the cycle's fault set ``targets``: the
+    disturbance must actually have been observed feeding this cascade."""
     if not bug.trigger_faults:
         return True
     if not edges:
         return False
-    targets: frozenset = cycle.fault_set()
     return any(
         e.src in bug.trigger_faults and e.dst in targets for e in edges
     )
@@ -207,11 +206,12 @@ def match_bugs(
     declaring ``trigger_faults`` (without it, trigger-gated bugs read as
     undetected — e.g. when re-matching a deserialized report).
     """
+    fault_sets = [cycle.fault_set() for cycle in cycles]
     matches = []
     for bug in spec.known_bugs:
         match = BugMatch(bug=bug)
-        for cycle in cycles:
-            if bug.matches(cycle) and _trigger_satisfied(bug, cycle, edges):
+        for cycle, faults in zip(cycles, fault_sets):
+            if bug.matches(cycle, faults) and _trigger_satisfied(bug, faults, edges):
                 match.cycles.append(cycle)
         matches.append(match)
     return matches

@@ -56,11 +56,14 @@ class KnownBug:
     #: this" (e.g. miniraft's partition-seeded RAFT-5).
     trigger_faults: FrozenSet[FaultKey] = frozenset()
 
-    def matches(self, cycle: "Cycle") -> bool:
+    def matches(self, cycle: "Cycle", faults: Optional[FrozenSet[FaultKey]] = None) -> bool:
         """A reported cycle exposes this bug if it involves every core fault
         (the trigger-fault requirement is checked against the edge DB by
-        :func:`repro.core.report.match_bugs`)."""
-        return self.core_faults <= cycle.fault_set()
+        :func:`repro.core.report.match_bugs`).  ``faults`` is
+        ``cycle.fault_set()`` when the caller has it already."""
+        if faults is None:
+            faults = cycle.fault_set()
+        return self.core_faults <= faults
 
 
 @dataclass

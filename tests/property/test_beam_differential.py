@@ -170,3 +170,31 @@ def test_last_level_counts_without_building_a_frontier(max_chain_len):
     for block in (1, 3, DEFAULT_KERNEL_BLOCK):
         expected = assert_identical(edge_list, config, block=block)
         assert expected.levels == max_chain_len - 1
+
+
+@pytest.mark.parametrize("block", [1, 3, DEFAULT_KERNEL_BLOCK])
+def test_closure_classes_wider_than_int64(block):
+    # A closing row's class is a base-radix code of its triple ids (radix =
+    # distinct triples); past 2**63 the code needs Python ints.  Four
+    # faults that all reach each other under two relationship types give
+    # 32 triples, and a narrow beam over 16 levels closes chains whose
+    # code lengths cross that bound.
+    faults_ = [FaultKey("a", EXCEPTION), FaultKey("b", EXCEPTION),
+               FaultKey("c", NEGATION), FaultKey("d", DELAY)]
+    f = LocalState(call_stack=("f", "h"), branch_trace=())
+    g = LocalState(call_stack=("g", "h"), branch_trace=())
+    palette = [frozenset({f}), frozenset({g}), frozenset({f, g}), frozenset()]
+    edge_list = [
+        CausalEdge(x, y, etype, test_id, palette[(i + j) % 4], palette[(i * j + k) % 4])
+        for i, x in enumerate(faults_)
+        for j, y in enumerate(faults_)
+        for etype in (EdgeType.E_I, EdgeType.ICFG)
+        for k, test_id in enumerate(["t1", "t2"])
+    ]
+    config = CSnakeConfig(beam_width=3, max_chain_len=16)
+    radix = len({(e.src, e.dst, e.etype) for e in edge_list})
+    assert radix ** config.max_chain_len >= 2**63
+    scores = {faults_[0]: 0.5, faults_[1]: 0.5, faults_[2]: 0.0}
+    expected = assert_identical(edge_list, config, scores, block)
+    # Some reported class really was coded past int64.
+    assert radix ** max(len(c.edges) for c in expected.cycles) >= 2**63
