@@ -255,8 +255,10 @@ class ExperimentCache:
         }
         return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / (key + ".json")
+    def _path(self, key: str) -> str:
+        # A string, not two pathlib joins: a warm campaign looks up about
+        # a hundred entries.
+        return "%s/%s/%s.json" % (self.root, key[:2], key)
 
     # -------------------------------------------------------------- lookup
 
@@ -297,7 +299,7 @@ class ExperimentCache:
 
     def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         text = json.dumps(data, sort_keys=True)
         header = json.dumps(
             {

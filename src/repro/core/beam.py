@@ -21,8 +21,9 @@ sequence — so a candidate is a (parent, edge) pair of integers, dedup and
 top-``B`` ranking run on one-integer keys, and the candidate table exists
 one fixed-size block at a time.  Id rows are built for the ``B`` survivors
 and for closing chains (one row kept per fault-level class, its
-:class:`Cycle` built at the end); the level that reaches ``max_chain_len``
-stops after its closure check and builds no frontier.
+:class:`Cycle` built at the end).  The level that reaches
+``max_chain_len`` builds no frontier, so it is counted per chain from
+per-edge degree arrays and enumerates only the candidates that can close.
 
 The chain-at-a-time search this kernel replaced is the tests' oracle
 (``tests/reference_beam.py``): the differential, memory and budget tests
@@ -158,6 +159,7 @@ class _VectorizedKernel:
         #: width is fixed here: int64 while every code fits, Python ints
         #: (``object``) beyond.
         self.radix = len(triple_ids)
+        self.n_faults = len(fault_ids)
         fits = self.radix ** config.max_chain_len < 2**63
         self.code_dtype = _np.int64 if fits else object
 
@@ -170,6 +172,11 @@ class _VectorizedKernel:
             buckets.setdefault(int(src[eid]), []).append(eid)
         empty = _np.empty(0, dtype=_np.int64)
         by_src = {f: _np.asarray(ids, dtype=_np.int64) for f, ids in buckets.items()}
+        #: Each edge's offset in its source-fault bucket, hence in every
+        #: adjacency row it appears in.
+        self.bucket_pos = _np.empty(n, dtype=_np.int64)
+        for ids in by_src.values():
+            self.bucket_pos[ids] = _np.arange(ids.shape[0])
         rows = [by_src.get(int(dst[eid]), empty) for eid in range(n)]
         counts = _np.array([row.shape[0] for row in rows], dtype=_np.int64)
         self.adj_counts = counts
@@ -207,6 +214,19 @@ class _VectorizedKernel:
         #: ``searchsorted`` against this array.
         self.match_codes = _np.sort((heads * n + self.adj)[ok])
 
+        # The last level is counted per chain from its last edge's row, not
+        # enumerated.  ``ok_deg[l]`` is how many entries of row ``l`` match,
+        # ``ok_deg0[l]`` how many of those inject no delay (what a chain
+        # already at the delay cap may still append).
+        self.ok_deg = _np.bincount(heads[ok], minlength=n)
+        self.ok_deg0 = _np.bincount(heads[ok & (self.delay[self.adj] == 0)], minlength=n)
+        # Closing candidates of a chain lie in its last edge's row and lead
+        # back to its first edge's source: edges grouped by (source fault,
+        # destination fault), each group in bucket order.
+        pair = src * self.n_faults + dst
+        self.pair_edges = self.input_ids[_np.argsort(pair[self.input_ids], kind="stable")]
+        self.pair_codes = pair[self.pair_edges]
+
     # ------------------------------------------------------------- plumbing
 
     def _is_match(self, left: "_np.ndarray", right: "_np.ndarray") -> "_np.ndarray":
@@ -220,6 +240,11 @@ class _VectorizedKernel:
         # minimum code, which such probes can never equal.
         idx[idx == self.match_codes.shape[0]] = 0
         return self.match_codes[idx] == codes
+
+    def _row_ok(self, last: "_np.ndarray", cand: "_np.ndarray") -> "_np.ndarray":
+        """``match(last, cand)`` for edges ``cand`` in ``last``'s adjacency
+        row: the verdict stored at that CSR entry."""
+        return self.adj_ok[self.adj_indptr[last] + self.bucket_pos[cand]]
 
     def _report(self, rows: "_np.ndarray", seen: Dict[Tuple[int, ...], List[int]]) -> None:
         """Record one level's closing chains (id rows, in report order).
@@ -253,9 +278,32 @@ class _VectorizedKernel:
 
     # ---------------------------------------------------------------- levels
 
-    #: Candidates per block of a level's (chain, adjacent edge) table; the
-    #: table is cut on chain boundaries, so a chain is never split.
+    #: Entries per block of a level's (chain, edge) table; the table is cut
+    #: on chain boundaries, so a chain is never split.
     BLOCK = 1 << 15
+
+    def _blocks(self, counts: "_np.ndarray", row_starts: "_np.ndarray"):
+        """Cut a table of ``counts[k]`` entries per chain ``k`` — chain
+        ``k``'s entries being ``row_starts[k]`` onwards of a flat array —
+        into blocks of about :attr:`BLOCK` entries, in chain order.  Yields
+        ``(lo, hi, base, parent, pos)`` per block: chains ``lo:hi``, the
+        block's first table position, and per entry its chain and its
+        position in the flat array."""
+        ends = _np.cumsum(counts)
+        starts = ends - counts
+        hi = 0
+        while hi < counts.shape[0]:
+            lo, base = hi, int(starts[hi])
+            hi = max(lo + 1, int(_np.searchsorted(ends, base + self.BLOCK, side="right")))
+            reps = counts[lo:hi]
+            parent = _np.repeat(_np.arange(lo, hi, dtype=_np.int64), reps)
+            pos = _np.arange(int(ends[hi - 1]) - base, dtype=_np.int64) + _np.repeat(
+                row_starts[lo:hi] - (starts[lo:hi] - base), reps
+            )
+            yield lo, hi, base, parent, pos
+            # Drop this block's columns before the next block's are built
+            # (the caller drops its own names too).
+            del parent, pos
 
     def run(self) -> BeamSearchResult:
         result = BeamSearchResult(compat=self.compat)
@@ -288,9 +336,13 @@ class _VectorizedKernel:
         # sequence within the frontier — both the edge id itself here.
         carried = (self.score_term[ids], self.inj[ids], self.delay[ids])
         frontier = (ids[:, None], *carried, ids, ids)
-        while frontier[0].shape[0] and result.levels < self.config.max_chain_len - 1:
+        last_level = self.config.max_chain_len - 1
+        while frontier[0].shape[0] and result.levels < last_level - 1:
             result.levels += 1
             frontier = self._extend_level(frontier, seen, result)
+        if frontier[0].shape[0] and result.levels < last_level:
+            result.levels += 1
+            self._last_level(frontier, seen, result)
 
         self.compat.checks += self._checks
         self.compat.rejected_fault += self._rej_fault
@@ -313,55 +365,40 @@ class _VectorizedKernel:
     ) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """One level's candidate table, block by block: counts its checks
         and extensions, reports its closures, and returns the deduplicated
-        extensions as (parent, candidate) columns in generation order —
-        none on the level that reaches ``max_chain_len``."""
+        extensions as (parent, candidate) columns in generation order."""
         queue, _, _, delays, group, _ = frontier
         cap = self.config.max_delay_faults
         first, last = queue[:, 0], queue[:, -1]
         deg = self.adj_counts[last]
-        ends = _np.cumsum(deg)
-        starts = ends - deg
-        # The last level settles every counter and counts its extensions;
-        # the frontier it would build is never read, so it keeps none.
-        final = result.levels == self.config.max_chain_len - 1
-        eparents, ecands = [last[:0]], [last[:0]]
-        if not final:
-            # Dedup by (triple sequence, first key, last key), keeping the
-            # first occurrence in generation order.  ``group[parent]`` stands
-            # for the parent's (triple sequence, first edge) and the
-            # candidate fixes the appended triple and the last edge.  Chains
-            # of one group end on one triple, hence on one fault, so they
-            # share one adjacency row: a signature is a slot, ``goff[group]``
-            # plus the candidate's offset in that row, and ``first_at[slot]``
-            # is the least generation position (over all blocks so far)
-            # that reached it.
-            gdeg = _np.zeros(int(group.max()) + 1, dtype=_np.int64)
-            gdeg[group] = deg
-            goff = _np.cumsum(gdeg) - gdeg
-            slot_shift = goff[group] - self.adj_indptr[last]
-            first_at = _np.full(int(gdeg.sum()), int(ends[-1]), dtype=_np.int64)
+        # Dedup by (triple sequence, first key, last key), keeping the
+        # first occurrence in generation order.  ``group[parent]`` stands
+        # for the parent's (triple sequence, first edge) and the candidate
+        # fixes the appended triple and the last edge.  Chains of one group
+        # end on one triple, hence on one fault, so they share one
+        # adjacency row: a signature is a slot, ``goff[group]`` plus the
+        # candidate's offset in that row, and ``first_at[slot]`` is the
+        # least generation position (over all blocks so far) that reached
+        # it.
+        gdeg = _np.zeros(int(group.max()) + 1, dtype=_np.int64)
+        gdeg[group] = deg
+        goff = _np.cumsum(gdeg) - gdeg
+        slot_shift = goff[group] - self.adj_indptr[last]
+        first_at = _np.full(int(gdeg.sum()), int(deg.sum()), dtype=_np.int64)
         head_src = self.src[first]
+        eparents, ecands = [last[:0]], [last[:0]]
 
         # The candidate table — one row per (chain, adjacent edge), in
         # (queue order, bucket order), the reference's generation order —
-        # exists one block of chains ``lo:hi`` at a time, as 1-D columns;
-        # blocks run in queue order, so closures are reported in that order.
-        # A per-chain column reaches the table by ``repeat`` over ``reps``.
-        hi = 0
-        while hi < queue.shape[0]:
-            lo, base = hi, int(starts[hi])
-            hi = max(lo + 1, int(_np.searchsorted(ends, base + self.BLOCK, side="right")))
-            total = int(ends[hi - 1]) - base
+        # exists one block of chains at a time, as 1-D columns; blocks run
+        # in queue order, so closures are reported in that order.  A
+        # per-chain column reaches the table by ``repeat`` over ``reps``.
+        for lo, hi, base, parent, gpos in self._blocks(deg, self.adj_indptr[last]):
             reps = deg[lo:hi]
-            parent = _np.repeat(_np.arange(lo, hi, dtype=_np.int64), reps)
-            gpos = _np.arange(total, dtype=_np.int64) + _np.repeat(
-                self.adj_indptr[last[lo:hi]] - (starts[lo:hi] - base), reps
-            )
             cand = self.adj[gpos]
 
             # Chains never reuse an edge — membership is id equality
             # because keys (hence edges) are unique.
-            alive = _np.ones(total, dtype=bool)
+            alive = _np.ones(cand.shape[0], dtype=bool)
             for col in range(queue.shape[1]):
                 alive &= _np.repeat(queue[lo:hi, col], reps) != cand
             # match(chain.last, edge): candidates come from last.dst's
@@ -385,26 +422,93 @@ class _VectorizedKernel:
             closing = _np.take(queue, parent[cpos], axis=0)
             self._report(_np.concatenate([closing, cand[cpos][:, None]], axis=1), seen)
 
+            # A candidate is kept where it is its slot's first occurrence;
+            # blocks run in order, so what is kept across blocks is
+            # O(distinct signatures), not O(extensions).
             alive[cpos] = False
             epos = _np.flatnonzero(alive)
             result.chains_explored += int(epos.shape[0])
-            if not final:
-                # A candidate is kept where it is its slot's first
-                # occurrence; blocks run in order, so what is kept across
-                # blocks is O(distinct signatures), not O(extensions).
-                eparent = parent[epos]
-                slot = gpos[epos] + slot_shift[eparent]
-                gen = base + epos
-                _np.minimum.at(first_at, slot, gen)
-                keep = first_at[slot] == gen
-                eparents.append(eparent[keep])
-                ecands.append(cand[epos[keep]])
-                del eparent, slot, gen, keep
+            eparent = parent[epos]
+            slot = gpos[epos] + slot_shift[eparent]
+            gen = base + epos
+            _np.minimum.at(first_at, slot, gen)
+            keep = first_at[slot] == gen
+            eparents.append(eparent[keep])
+            ecands.append(cand[epos[keep]])
             # Free this block's columns before the next block allocates its
             # own: a level holds one block at a time, not two.
             del parent, gpos, cand, alive, fpos, cpos, closing, epos
+            del eparent, slot, gen, keep
 
         return _np.concatenate(eparents), _np.concatenate(ecands)
+
+    def _last_level(
+        self,
+        frontier: Tuple["_np.ndarray", ...],
+        seen: Dict[Tuple[int, ...], List[int]],
+        result: BeamSearchResult,
+    ) -> None:
+        """The level that reaches ``max_chain_len``: reports its closures
+        and settles every counter, but builds no frontier, so its
+        extensions are counted instead of enumerated.
+
+        A chain's candidates are its last edge's row minus the chain's own
+        members (``fresh``), of which ``ok`` match and ``live`` also pass
+        the delay cap.  Per row these are ``adj_counts``, ``ok_deg`` and —
+        for a chain at the cap — ``ok_deg0``, summed over the chains; the
+        members that sit in a chain's row (those injecting its last edge's
+        destination) are subtracted.  Only the candidates that lead back to
+        the first edge's source can close, and those are walked, in bucket
+        order, to report closures in the reference's order.
+        """
+        queue, _, _, delays, _, _ = frontier
+        cap = self.config.max_delay_faults
+        first, last = queue[:, 0], queue[:, -1]
+        n_fresh = int(self.adj_counts[last].sum())
+        n_ok = int(self.ok_deg[last].sum())
+        if cap is None:
+            n_live = n_ok
+        else:
+            live = _np.where(delays < cap, self.ok_deg[last], self.ok_deg0[last])
+            n_live = int(live[delays <= cap].sum())
+        row_fault = self.dst[last]
+        for col in range(queue.shape[1]):
+            # Chain ids are distinct, so a column holds at most one entry of
+            # each chain's row.
+            member = queue[:, col]
+            at = _np.flatnonzero(self.src[member] == row_fault)
+            n_fresh -= int(at.shape[0])
+            at = at[self._row_ok(last[at], member[at])]
+            n_ok -= int(at.shape[0])
+            if cap is not None:
+                at = at[delays[at] + self.delay[member[at]] <= cap]
+            n_live -= int(at.shape[0])
+
+        # Closing candidates: the (row fault, first source) group, walked
+        # block by block in queue order.
+        code = row_fault * self.n_faults + self.src[first]
+        starts = _np.searchsorted(self.pair_codes, code, side="left")
+        counts = _np.searchsorted(self.pair_codes, code, side="right") - starts
+        n_fault_ok = n_closing = 0
+        for _, _, _, parent, pos in self._blocks(counts, starts):
+            cand = self.pair_edges[pos]
+            alive = self._row_ok(last[parent], cand)
+            for col in range(queue.shape[1]):
+                alive &= queue[parent, col] != cand
+            if cap is not None:
+                alive &= delays[parent] + self.delay[cand] <= cap
+            fpos = _np.flatnonzero(alive)
+            cpos = fpos[self._is_match(cand[fpos], first[parent[fpos]])]
+            n_fault_ok += int(fpos.shape[0])
+            n_closing += int(cpos.shape[0])
+            closing = _np.take(queue, parent[cpos], axis=0)
+            self._report(_np.concatenate([closing, cand[cpos][:, None]], axis=1), seen)
+            del parent, pos, cand, alive, fpos, cpos, closing
+
+        self._checks += n_fresh + n_live
+        self._rej_state += n_fresh - n_ok + n_fault_ok - n_closing
+        self._rej_fault += n_live - n_fault_ok
+        result.chains_explored += n_live - n_closing
 
     def _extend_level(
         self,
@@ -433,16 +537,21 @@ class _VectorizedKernel:
             pool = _np.arange(scores.shape[0])
         # Sort by id sequence (unique keys: any sort), then stably by score.
         pool = pool[_np.argsort(rank[eparent[pool]] * self.n + ecand[pool])]
-        top = pool[_np.argsort(scores[pool], kind="stable")][:width]
+        sel = _np.argsort(scores[pool], kind="stable")[:width]
+        # ``pool`` is now in id-sequence order, so a survivor's new rank is
+        # the number of survivors before it in ``pool``.
+        mark = _np.zeros(pool.shape[0], dtype=bool)
+        mark[sel] = True
+        new_rank = _np.cumsum(mark)[sel] - 1
+        top = pool[sel]
         tparent, tcand = eparent[top], ecand[top]
+        new_sums, new_cnts = new_sums[top], new_cnts[top]
+        # Free the extension-long columns before the survivors' rows exist.
+        del eparent, ecand, scores, pool, sel, mark, top
         # Id rows, classes and ranks exist for the <= B survivors only; the
         # latter two are renumbered densely so next level's keys stay small.
         classes = group[tparent] * self.n + self.triple[tcand]
         new_queue = _np.concatenate([_np.take(queue, tparent, axis=0), tcand[:, None]], axis=1)
         new_delays = delays[tparent] + self.delay[tcand]
         new_group = _np.unique(classes, return_inverse=True)[1]
-        # Id sequences are unique, so one sort ranks them: scatter each
-        # sorted position to the chain that holds it.
-        new_rank = _np.empty(top.shape[0], dtype=_np.int64)
-        new_rank[_np.argsort(rank[tparent] * self.n + tcand)] = _np.arange(top.shape[0])
-        return new_queue, new_sums[top], new_cnts[top], new_delays, new_group, new_rank
+        return new_queue, new_sums, new_cnts, new_delays, new_group, new_rank

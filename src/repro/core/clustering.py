@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..types import FaultKey
-from .idf import cosine_distance
+from .idf import pairwise_distances
 
 
 @dataclass
@@ -163,12 +163,7 @@ def cluster_faults(
     if n == 0:
         return Clustering(clusters=[])
 
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cosine_distance(vectors[i], vectors[j])
-            dist[i, j] = dist[j, i] = d
-    labels = average_linkage_labels(dist, distance_threshold)
+    labels = average_linkage_labels(pairwise_distances(vectors), distance_threshold)
 
     members: List[List[FaultKey]] = [[] for _ in range(max(labels) + 1)]
     for fault, label in zip(faults, labels):

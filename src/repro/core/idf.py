@@ -70,29 +70,63 @@ class IdfVectorizer:
         return vec
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``1 - cos(a, b)``; empty (all-zero) vectors are at distance 1 from
-    everything except another empty vector (distance 0 — two injections with
-    no interference are maximally similar to each other)."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+def _cosine(dot: float, na: float, nb: float) -> float:
+    """``cosine_distance`` from the dot product and the two norms."""
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:
         return 1.0
-    cos = float(np.dot(a, b)) / (na * nb)
+    cos = dot / (na * nb)
     return min(1.0, max(0.0, 1.0 - cos))
 
 
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``1 - cos(a, b)``; empty (all-zero) vectors are at distance 1 from
+    everything except another empty vector (distance 0 — two injections with
+    no interference are maximally similar to each other)."""
+    return _cosine(float(np.dot(a, b)), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def pairwise_distances(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Square matrix of :func:`cosine_distance` over every pair of distinct
+    vectors (zero diagonal), equal to it bit for bit.
+
+    Each norm is taken once, by the same per-vector ``norm`` call
+    (``norm(M, axis=1)`` is not the same sum and differs in the last bit
+    on some rows).  Two finite non-empty vectors with disjoint supports
+    have a dot product of exactly zero, hence distance 1.0, so one integer
+    product of the nonzero masks finds the pairs that overlap, and only
+    those (and any whose norm product underflows) pay for an ``np.dot``.
+    """
+    n = len(vectors)
+    if n < 2:
+        return np.zeros((n, n))
+    norm = np.array([float(np.linalg.norm(v)) for v in vectors])
+    empty = norm == 0.0
+    # A pair with an empty vector is at 1.0, or at 0.0 if both are empty.
+    dist = np.where(empty[:, None] & empty, 0.0, 1.0)
+    np.fill_diagonal(dist, 0.0)
+    nonzero = np.array([v != 0 for v in vectors], dtype=np.int64)
+    dot = (nonzero @ nonzero.T > 0) | (np.multiply.outer(norm, norm) == 0.0)
+    dot &= ~(empty[:, None] | empty)
+    norms = norm.tolist()
+    i_s, j_s = np.nonzero(np.triu(dot, 1))
+    for i, j in zip(i_s.tolist(), j_s.tolist()):
+        dist[i, j] = dist[j, i] = _cosine(float(np.dot(vectors[i], vectors[j])), norms[i], norms[j])
+    return dist
+
+
 def mean_pairwise_distance(vectors: Sequence[np.ndarray]) -> float:
-    """Average pairwise cosine distance; 0.0 for fewer than two vectors."""
+    """Average pairwise cosine distance; 0.0 for fewer than two vectors.
+
+    The upper triangle is added in row-major order one term at a time:
+    builtin ``sum`` compensates (Python 3.12) and ``np.sum`` sums
+    pairwise, and either would change the last bits.
+    """
     n = len(vectors)
     if n < 2:
         return 0.0
     total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += cosine_distance(vectors[i], vectors[j])
-            pairs += 1
-    return total / pairs if pairs else 0.0
+    for d in pairwise_distances(vectors)[np.triu_indices(n, 1)].tolist():
+        total += d
+    return total / (n * (n - 1) // 2)

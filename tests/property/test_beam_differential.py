@@ -54,7 +54,7 @@ sim_scores = st.dictionaries(faults, st.sampled_from([0.0, 0.25, 0.5, 1.0]), max
 configs = st.builds(
     CSnakeConfig,
     beam_width=st.sampled_from([1, 2, 3, 500]),
-    max_chain_len=st.sampled_from([3, 5]),
+    max_chain_len=st.sampled_from([2, 3, 4, 5]),
     max_delay_faults=st.sampled_from([None, 0, 1]),
     compat_check=st.booleans(),
 )
@@ -198,3 +198,42 @@ def test_closure_classes_wider_than_int64(block):
     expected = assert_identical(edge_list, config, scores, block)
     # Some reported class really was coded past int64.
     assert radix ** max(len(c.edges) for c in expected.cycles) >= 2**63
+
+
+@pytest.mark.parametrize("max_delay_faults", [None, 0, 1])
+@pytest.mark.parametrize("max_chain_len", [2, 3, 4, 5])
+def test_last_level_subtracts_members_in_its_own_row(max_delay_faults, max_chain_len):
+    # The last level counts a chain's candidates from its last edge's row
+    # and subtracts the chain's own members found there.  A self-loop edge
+    # sits in its own row, and a 2-cycle's first edge sits in the row of
+    # its second; some of those pairs are state-incompatible and some
+    # inject a delay, so a subtracted member may or may not have matched
+    # and may or may not pass the cap.
+    a, b, c = FaultKey("a", DELAY), FaultKey("b", EXCEPTION), FaultKey("c", NEGATION)
+    f = frozenset({LocalState(call_stack=("f", "h"), branch_trace=())})
+    g = frozenset({LocalState(call_stack=("g", "h"), branch_trace=())})
+    edge_list = [
+        CausalEdge(a, a, EdgeType.SP_D, "t1", f, f),
+        CausalEdge(a, a, EdgeType.SP_D, "t2", f, g),
+        CausalEdge(a, b, EdgeType.E_D, "t1", f, f),
+        CausalEdge(b, a, EdgeType.SP_I, "t1", f, f),
+        CausalEdge(b, a, EdgeType.SP_I, "t2", g, g),
+        CausalEdge(b, b, EdgeType.E_I, "t1", f, f),
+        CausalEdge(b, c, EdgeType.E_I, "t1", f, f),
+        CausalEdge(b, c, EdgeType.E_I, "t2", g, g),
+        CausalEdge(c, b, EdgeType.E_I, "t1", f, f),
+        CausalEdge(c, b, EdgeType.E_I, "t2", g, f),
+        CausalEdge(c, c, EdgeType.ICFG, "t1", frozenset(), frozenset()),
+    ]
+    scores = {a: 0.5, b: 0.25}
+    levels = set()
+    for width in (1, 3, 500):
+        for compat in (True, False):
+            config = CSnakeConfig(
+                beam_width=width, max_chain_len=max_chain_len,
+                max_delay_faults=max_delay_faults, compat_check=compat,
+            )
+            for block in (1, DEFAULT_KERNEL_BLOCK):
+                levels.add(assert_identical(edge_list, config, scores, block).levels)
+    # Some configuration's search reached the counted level.
+    assert max_chain_len - 1 in levels

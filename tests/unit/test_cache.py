@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +175,7 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     assert cache.lookup_profile(key) == group
 
     # Truncated JSON.
-    path = cache._path(key)
+    path = Path(cache._path(key))
     path.write_text("{not json")
     before = (cache.hits, cache.misses)
     assert cache.lookup_profile(key) is None
@@ -216,7 +217,7 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     }
     for kind in ("profile", "experiment", "slices"):
         store[kind]()
-        path = cache._path(keys[kind])
+        path = Path(cache._path(keys[kind]))
         valid = path.read_text()
         for what, text in _malformed(valid).items():
             path.write_text(text)
@@ -299,7 +300,7 @@ def test_no_temp_file_survives_a_store_that_raises(tmp_path, monkeypatch):
         cache.store_experiment(key, "t", FAULT, unencodable, runs=2)
 
     # A lone surrogate has no UTF-8 encoding: the write itself raises.
-    target = cache._path(key)
+    target = Path(cache._path(key))
     target.parent.mkdir(parents=True, exist_ok=True)
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(target, "{}" * 10_000 + "\ud800")
@@ -372,7 +373,7 @@ def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monk
     assert errors == []
     assert cache.lookup_profile(key) == group
     # Nothing but the entry is left behind.
-    assert [p.name for p in cache._path(key).parent.iterdir()] == [key + ".json"]
+    assert [p.name for p in Path(cache._path(key)).parent.iterdir()] == [key + ".json"]
 
 
 def _writer_cache(root):
@@ -442,5 +443,5 @@ def test_writer_processes_storing_the_same_entries_leave_each_whole(tmp_path):
     assert all(lookup() for _, _, lookup in entries)
     assert (cache.hits, cache.misses) == (2, 0)
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(
-        cache._path(key) for key, _, _ in entries
+        Path(cache._path(key)) for key, _, _ in entries
     )
