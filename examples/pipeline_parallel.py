@@ -11,19 +11,26 @@ recovered: run it again over the same cache.
     python examples/pipeline_parallel.py
 """
 
+import sys
 import tempfile
 
 from repro.config import CSnakeConfig
-from repro.pipeline import Pipeline, ProgressPrinter
+from repro.pipeline import Pipeline, format_event
 from repro.systems import get_system
 
 CONFIG = dict(repeats=3, delay_values_ms=(500.0, 2000.0, 8000.0), seed=7)
 
 
+def progress(event) -> None:
+    """A sink: any callable of one event.  This one prints what
+    ``repro run -v`` prints."""
+    print(format_event("toy", event.kind, event.detail()), file=sys.stderr)
+
+
 def main() -> None:
     print("— serial campaign, with progress events —")
     serial = Pipeline.default(
-        get_system("toy"), CSnakeConfig(**CONFIG), observers=[ProgressPrinter()]
+        get_system("toy"), CSnakeConfig(**CONFIG), observers=[progress]
     ).run().get("report")
 
     cache_dir = tempfile.mkdtemp(prefix="csnake-cache-")

@@ -32,7 +32,7 @@ from .faults import (
     registered_kinds,
     registered_schedules,
 )
-from .pipeline import BACKENDS, Pipeline, ProgressPrinter
+from .pipeline import BACKENDS, Pipeline, format_event
 from .systems import available_systems, get_system
 from .types import FaultKey
 
@@ -321,7 +321,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    observers = [ProgressPrinter()] if args.verbose else []
+    def progress(event) -> None:
+        print(format_event(args.system, event.kind, event.detail()), file=sys.stderr)
+
+    observers = [progress] if args.verbose else []
     # The pipeline builds its executor from config (and closes it when the
     # run finishes — process pools must not outlive the campaign).
     ctx = Pipeline.default(get_system(args.system), _config(args), observers=observers).run()
@@ -604,11 +607,7 @@ def _follow_campaign(transport, campaign_id: str, verbose: bool, quiet: bool = F
 
     for event in follow_campaign(transport, campaign_id):
         if not quiet and (verbose or event["kind"].startswith("campaign")):
-            detail = event["detail"]
-            line = ", ".join(
-                "%s=%s" % (k, v) for k, v in sorted(detail.items()) if v not in (None, "")
-            )
-            print("[%s] %s %s" % (campaign_id, event["kind"], line), file=sys.stderr)
+            print(format_event(campaign_id, event["kind"], event["detail"]), file=sys.stderr)
     return transport.campaign_status(campaign_id)
 
 

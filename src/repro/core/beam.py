@@ -124,8 +124,9 @@ class _VectorizedKernel:
         self._rej_state = 0
         if n == 0:
             return
-        # A FaultKey sorts as its (site_id, kind) pair, so the flat string
-        # tuples order like the keys without a dataclass comparison each.
+        # A FaultKey sorts and compares as its (site_id, kind) pair, so the
+        # flat string tuples order the keys and intern the faults without a
+        # dataclass comparison or hash each.
         flat = [(s.site_id, s.kind, d.site_id, d.kind, t, i) for s, d, t, i in keys]
         order = sorted(range(n), key=flat.__getitem__)
         #: Edge objects by interned id (ascending key order).
@@ -133,7 +134,7 @@ class _VectorizedKernel:
         #: Edge id at each original input position (the level-0 queue).
         self.input_ids = _np.argsort(order)
 
-        fault_ids: Dict[FaultKey, int] = {}
+        fault_ids: Dict[Tuple[str, str], int] = {}
         triple_ids: Dict[Tuple[int, int, str], int] = {}
         src = _np.empty(n, dtype=_np.int64)
         dst = _np.empty(n, dtype=_np.int64)
@@ -142,8 +143,9 @@ class _VectorizedKernel:
         delay = _np.zeros(n, dtype=_np.int64)
         score_term = _np.zeros(n, dtype=_np.float64)
         for eid, e in enumerate(self.edges):
-            s = fault_ids.setdefault(e.src, len(fault_ids))
-            d = fault_ids.setdefault(e.dst, len(fault_ids))
+            key = flat[order[eid]]
+            s = fault_ids.setdefault(key[:2], len(fault_ids))
+            d = fault_ids.setdefault(key[2:4], len(fault_ids))
             src[eid] = s
             dst[eid] = d
             if e.etype in INJECTION_EDGE_TYPES:

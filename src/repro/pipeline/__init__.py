@@ -16,12 +16,7 @@ by running it again.  See DESIGN.md §4.
 """
 
 from .context import PipelineContext
-from .events import (
-    EventRecorder,
-    PipelineEvent,
-    PipelineObserver,
-    ProgressPrinter,
-)
+from .events import EventRecorder, PipelineEvent, format_event
 from .executor import (
     BACKENDS,
     Executor,
@@ -42,7 +37,6 @@ __all__ = [
     "BACKENDS",
     "make_executor",
     "PipelineEvent",
-    "PipelineObserver",
-    "ProgressPrinter",
     "EventRecorder",
+    "format_event",
 ]

@@ -1,17 +1,18 @@
-"""Observer hooks for pipeline progress reporting.
+"""The campaign event stream: lifecycle events, sinks and their one format.
 
-The runner emits one :class:`PipelineEvent` per lifecycle transition;
-observers subscribe by implementing :meth:`PipelineObserver.on_event`.
-Events are purely informational — observers cannot alter pipeline
-behaviour, and a misbehaving observer fails the run loudly rather than
-corrupting it silently.
+The runner hands one :class:`PipelineEvent` per lifecycle transition to
+each of its sinks, and a sink is any callable of one event.  Events are
+purely informational: a sink cannot alter the campaign, and a sink that
+raises fails the run loudly rather than corrupting it silently.
+
+:func:`format_event` is the one way an event becomes a line of text, for a
+local campaign (``repro run -v``) and a submitted one (``--follow``) alike.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Any, Dict, List, Optional
 
 #: Event kinds, in lifecycle order.
 PIPELINE_STARTED = "pipeline_started"
@@ -28,40 +29,28 @@ class PipelineEvent:
     stage: Optional[str] = None  # stage name, None for pipeline-level events
     seconds: float = 0.0  # wall time, for *_finished events
 
-
-class PipelineObserver:
-    """Base observer: override :meth:`on_event` (default ignores all)."""
-
-    def on_event(self, event: PipelineEvent) -> None:  # pragma: no cover
-        pass
+    def detail(self) -> Dict[str, Any]:
+        """The ``detail`` of this event in a campaign's event feed."""
+        return {"stage": self.stage, "seconds": round(self.seconds, 6)}
 
 
-class ProgressPrinter(PipelineObserver):
-    """Human-readable stage progress on a stream (stderr by default)."""
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self.stream = stream or sys.stderr
-
-    def on_event(self, event: PipelineEvent) -> None:
-        if event.kind == STAGE_STARTED:
-            line = "[pipeline] %s ..." % event.stage
-        elif event.kind == STAGE_FINISHED:
-            line = "[pipeline] %s done in %.2fs" % (event.stage, event.seconds)
-        elif event.kind == PIPELINE_FINISHED:
-            line = "[pipeline] finished in %.2fs" % event.seconds
-        else:
-            return
-        print(line, file=self.stream)
-
-
-class EventRecorder(PipelineObserver):
-    """Records every event; handy for tests and programmatic inspection."""
+class EventRecorder:
+    """The list sink: records every event, for tests and programmatic use."""
 
     def __init__(self) -> None:
-        self.events = []
+        self.events: List[PipelineEvent] = []
 
-    def on_event(self, event: PipelineEvent) -> None:
+    def __call__(self, event: PipelineEvent) -> None:
         self.events.append(event)
 
-    def kinds(self, stage: Optional[str] = None):
+    def kinds(self, stage: Optional[str] = None) -> List[str]:
         return [e.kind for e in self.events if stage is None or e.stage == stage]
+
+
+def format_event(label: str, kind: str, detail: Dict[str, Any]) -> str:
+    """``[label] kind key=value, ...``: the detail's keys sorted, its empty
+    values left out."""
+    fields = ", ".join(
+        "%s=%s" % (k, v) for k, v in sorted(detail.items()) if v not in (None, "")
+    )
+    return "[%s] %s %s" % (label, kind, fields)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..config import CSnakeConfig
 from ..systems.base import SystemSpec
@@ -14,7 +14,6 @@ from .events import (
     STAGE_FINISHED,
     STAGE_STARTED,
     PipelineEvent,
-    PipelineObserver,
 )
 from .executor import Executor, make_executor
 from .stages import STAGES
@@ -28,7 +27,7 @@ class Pipeline:
         spec: SystemSpec,
         config: Optional[CSnakeConfig] = None,
         executor: Optional[Executor] = None,
-        observers: Sequence[PipelineObserver] = (),
+        observers: Sequence[Callable[[PipelineEvent], None]] = (),
     ) -> None:
         self.spec = spec
         self.config = config or CSnakeConfig()
@@ -46,7 +45,7 @@ class Pipeline:
     def _emit(self, kind: str, stage: Optional[str] = None, seconds: float = 0.0) -> None:
         event = PipelineEvent(kind=kind, stage=stage, seconds=seconds)
         for observer in self.observers:
-            observer.on_event(event)
+            observer(event)
 
     def run(self) -> PipelineContext:
         """Run the campaign on a fresh context and return it.

@@ -22,7 +22,7 @@ from ..core.driver import execute_experiment_task, worker_driver
 from ..pipeline.executor import ProcessExecutor
 from ..serialize import task_from_obj, task_result_to_obj
 
-#: Default long-poll duration of one lease request.
+#: The longest long-poll of one lease request (capped at half the lease TTL).
 LEASE_WAIT_S = 5.0
 
 #: The ``stats()`` fields an agent sums over its workers' tasks (``dir``
@@ -64,14 +64,12 @@ class Agent:
         workers: int = 1,
         name: str = "",
         batch: Optional[int] = None,
-        lease_wait_s: float = LEASE_WAIT_S,
         fail_after_tasks: Optional[int] = None,
     ) -> None:
         self.transport = transport
         self.workers = max(1, int(workers))
         self.name = name
         self.batch = batch or self.workers
-        self.lease_wait_s = lease_wait_s
         self.fail_after_tasks = fail_after_tasks
         self.agent_id: Optional[str] = None
         self.tasks_completed = 0
@@ -150,7 +148,7 @@ class Agent:
                 reply = self.transport.lease(
                     self.agent_id,
                     max_tasks=self.batch,
-                    wait_s=min(self.lease_wait_s, lease_ttl_s / 2.0),
+                    wait_s=min(LEASE_WAIT_S, lease_ttl_s / 2.0),
                 )
             except Exception:  # noqa: BLE001 - manager briefly unreachable
                 if self._stop.wait(0.5):

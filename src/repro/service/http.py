@@ -1,4 +1,4 @@
-"""HTTP framing for the manager: stdlib server, JSON client, SSE stream.
+"""HTTP framing for the manager: stdlib server and JSON client.
 
 The wire protocol is deliberately boring: every endpoint is JSON over
 POST/GET, a thin shim over one :class:`~repro.service.manager.ManagerCore`
@@ -22,7 +22,6 @@ Endpoints (all request/response bodies JSON):
  GET       ``/api/campaigns/<id>``             ``campaign_status(id)``
  GET       ``/api/campaigns/<id>/report``      ``campaign_report(id)``
  GET       ``/api/campaigns/<id>/events``      ``campaign_events(id, after, wait)``
- GET       ``/api/campaigns/<id>/stream``      SSE wrapper over the event feed
 ========  ==================================  =====================================
 
 Failure semantics: a :class:`~repro.errors.ReproError` from the core maps
@@ -47,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ReproError
-from .manager import ManagerCore, follow_campaign
+from .manager import ManagerCore
 
 #: Extra client-side slack over a long-poll's server-side wait bound.
 CLIENT_TIMEOUT_MARGIN_S = 30.0
@@ -146,8 +145,6 @@ class _Handler(BaseHTTPRequestHandler):
                     wait_s=_field(query, "wait", float, 0.0),
                 )
             )
-        elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] and parts[3] == "stream":
-            self._stream(parts[2], query)
         else:
             self._reply({"error": "no such endpoint: %s" % parsed.path}, status=404)
 
@@ -192,28 +189,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply({"error": "no such endpoint: %s" % self.path}, status=404)
         else:
             self._dispatch(fn)
-
-    def _stream(self, campaign_id: str, query: Dict[str, str]) -> None:
-        """Server-sent events: one ``data:`` line per campaign event,
-        closing once the campaign leaves the running state."""
-        try:
-            cursor = _field(query, "after", int, 0)
-            self.core.campaign_status(campaign_id)  # 400 on unknown id
-        except ReproError as exc:
-            self._reply({"error": str(exc)}, status=400)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            for event in follow_campaign(self.core, campaign_id, after=cursor):
-                data = json.dumps(event, sort_keys=True)
-                self.wfile.write(("data: %s\n\n" % data).encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
 
 
 class ManagerServer:

@@ -392,28 +392,15 @@ class ManagerCore:
 
     def _run_campaign(self, campaign_id: str, spec: Any, config: Any) -> None:
         from ..pipeline import Pipeline
-        from ..pipeline.events import PipelineObserver
         from .remote import RemoteExecutor
 
-        core = self
-
-        class _Stream(PipelineObserver):
-            def on_event(self, event: Any) -> None:
-                with core._cond:
-                    campaign = core._campaigns[campaign_id]
-                    core._emit(
-                        campaign,
-                        event.kind,
-                        stage=event.stage,
-                        seconds=round(event.seconds, 6),
-                    )
+        def to_ring(event: Any) -> None:
+            with self._cond:
+                self._emit(self._campaigns[campaign_id], event.kind, **event.detail())
 
         executor = RemoteExecutor(self, campaign=campaign_id)
         try:
-            pipeline = Pipeline(
-                spec, config, executor=executor, observers=[_Stream()]
-            )
-            ctx = pipeline.run()
+            ctx = Pipeline(spec, config, executor=executor, observers=[to_ring]).run()
             report = ctx.get("report").to_dict()
             digest = campaign_digest(ctx)
             with self._cond:
@@ -552,7 +539,8 @@ class ManagerCore:
 
 def follow_campaign(transport: Any, campaign_id: str, after: int = 0) -> Iterator[Dict[str, Any]]:
     """A campaign's events from ``seq >= after`` on, long-polling, until it
-    has left ``running`` and every event it emitted has been yielded.
+    has left ``running`` and every event it emitted has been yielded.  It is
+    the one reader of the event feed.
 
     ``transport`` is a :class:`ManagerCore` or an
     :class:`~repro.service.http.HttpTransport`; both answer

@@ -8,16 +8,14 @@ mid-run.
 """
 
 import functools
-import json
 import os
-import urllib.request
 import uuid
 
 import pytest
 
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
-from repro.pipeline import Pipeline
+from repro.pipeline import STAGES, EventRecorder, Pipeline, format_event
 from repro.service import agent as agent_module
 from repro.service.agent import execute_wire_task
 from repro.service.http import HttpTransport, ManagerServer
@@ -29,13 +27,28 @@ from tests.helpers import agent_thread
 CFG = dict(repeats=2, delay_values_ms=(500.0,), seed=3, budget_per_fault=2)
 
 
-def _serial(config=None):
-    return Pipeline.default(get_system("toy"), config or CSnakeConfig(**CFG)).run()
+@pytest.fixture(scope="module")
+def serial_run():
+    """The serial toy campaign's digest and its lifecycle events, as
+    ``(kind, detail)`` pairs."""
+    recorder = EventRecorder()
+    ctx = Pipeline.default(get_system("toy"), CSnakeConfig(**CFG), observers=[recorder]).run()
+    return campaign_digest(ctx), [(e.kind, e.detail()) for e in recorder.events]
 
 
 @pytest.fixture(scope="module")
-def serial_digest():
-    return campaign_digest(_serial())
+def serial_digest(serial_run):
+    return serial_run[0]
+
+
+def _progress_lines(events):
+    """The ``pipeline_*`` / ``stage_*`` events of ``(kind, detail)`` pairs as
+    :func:`format_event` renders them, without label or ``seconds``."""
+    return [
+        format_event("", kind, {k: v for k, v in detail.items() if k != "seconds"})
+        for kind, detail in events
+        if kind.startswith(("pipeline_", "stage_"))
+    ]
 
 
 def _record_pid(directory, obj):
@@ -212,9 +225,10 @@ def test_concurrent_campaigns_share_the_queue_without_double_execution():
     assert b["tasks"] == {"done": stats["total"], "total": stats["total"]}
 
 
-def test_manager_side_campaign_matches_serial(serial_digest):
+def test_manager_side_campaign_matches_serial(serial_run):
     """`repro submit` path: a campaign run manager-side over the in-process
-    transport produces the serial digest and streams progress events."""
+    transport produces the serial digest, and its feed carries the serial
+    run's stage events as one formatter renders them."""
     core = ManagerCore(lease_ttl_s=10.0)
     agent, thread = agent_thread(core, workers=2, name="evt")
     try:
@@ -224,7 +238,7 @@ def test_manager_side_campaign_matches_serial(serial_digest):
         agent.stop()
         thread.join(timeout=10.0)
     assert status["state"] == "done"
-    assert status["digest"] == serial_digest
+    assert status["digest"] == serial_run[0]
     events = core.campaign_events(campaign, after=0)["events"]
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "campaign_submitted"
@@ -234,12 +248,10 @@ def test_manager_side_campaign_matches_serial(serial_digest):
     dones = [e["detail"]["done"] for e in events if e["kind"] == "task_done"]
     assert dones == sorted(dones)
     assert status["tasks"]["done"] == status["tasks"]["total"] > 0
-    # The SSE stream of a finished campaign is exactly its event feed.
-    with ManagerServer(core=core, port=0) as server:
-        url = "%s/api/campaigns/%s/stream" % (server.url, campaign)
-        with urllib.request.urlopen(url, timeout=30.0) as resp:
-            body = resp.read().decode("utf-8")
-    assert body == "".join("data: %s\n\n" % json.dumps(e, sort_keys=True) for e in events)
+    # The fleet campaign's lifecycle events are the local serial run's.
+    fleet = _progress_lines((e["kind"], e["detail"]) for e in events)
+    assert fleet == _progress_lines(serial_run[1])
+    assert len(fleet) == 2 + 2 * len(STAGES)
 
 
 def test_http_error_surfaces_as_repro_error():

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import _config, _parse_delays, _parse_fault, main
 from repro.config import DELAY_VALUES_MS
 from repro.errors import ReproError
+from repro.pipeline import STAGES
 from repro.types import DELAY, EXCEPTION, FaultKey
 
 
@@ -98,11 +99,14 @@ def test_inject_rejects_a_fault_it_cannot_run(capsys, fault, test, message):
 def test_run_command_on_toy(capsys):
     rc = main([
         "run", "toy", "--repeats", "2", "--seed", "7", "--budget", "2",
-        "--delays", "2000",
+        "--delays", "2000", "-v",
     ])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "system: toy" in out
     assert rc in (0, 1)
+    # -v: one format_event line per stage, labelled with the system.
+    finished = re.findall(r"^\[toy\] stage_finished seconds=[0-9.e-]+, stage=(\w+)$", err, re.M)
+    assert finished == [name for name, _ in STAGES]
 
 
 def test_run_command_json_output(capsys):

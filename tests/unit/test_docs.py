@@ -100,6 +100,34 @@ def test_every_named_test_file_exists():
             assert (REPO / path).is_file(), "%s names missing %s" % (md.relative_to(REPO), path)
 
 
+#: Names DESIGN.md cites that belong to other code: the standard library,
+#: the Python data model and the Java systems the paper studies.
+FOREIGN_NAMES = {"ThreadPoolExecutor", "__lt__", "hasNext"}
+
+#: A backticked dotted name, optionally called: `Pipeline.run()`.
+CODE_NAME_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?`")
+
+
+def test_every_code_name_in_design_exists():
+    """A name DESIGN.md cites in backticks that has an underscore or an
+    inner capital (a function, class, constant or field, not an English
+    word) is named somewhere under ``src/``, ``tests/`` or ``benchmarks/``."""
+    text = re.sub(r"```.*?```", "", (REPO / "DESIGN.md").read_text(encoding="utf-8"), flags=re.S)
+    cited = {
+        part
+        for name in CODE_NAME_RE.findall(text)
+        for part in name.split(".")
+        if "_" in part or re.search(r"(?<=.)[A-Z]", part)
+    }
+    defined = set()
+    for top in ("src", "tests", "benchmarks"):
+        for path in (REPO / top).rglob("*"):
+            if path.suffix in (".py", ".json"):
+                defined.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    missing = sorted(cited - defined - FOREIGN_NAMES)
+    assert not missing, "DESIGN.md cites names no code has: %s" % ", ".join(missing)
+
+
 def test_tutorial_list_output_matches_reality(capsys):
     """docs/cli.md and docs/adding-a-system.md embed ``repro list`` output;
     it must match what the command actually prints."""

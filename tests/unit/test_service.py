@@ -266,7 +266,6 @@ def test_list_campaigns_is_the_get_the_route_table_documents(http):
         ("/api/agents/lease", {"agent": "agent-1", "max_tasks": "many"}, "'max_tasks'"),
         ("/api/campaigns", {"system": "toy"}, "'config'"),
         ("/api/campaigns/campaign-1/events?after=x", None, "'after'"),
-        ("/api/campaigns/campaign-1/stream?after=x", None, "'after'"),
         ("/api/agents/lease", [1, 2], "JSON object"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
@@ -274,6 +273,11 @@ def test_list_campaigns_is_the_get_the_route_table_documents(http):
 def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payload, named):
     with pytest.raises(ReproError, match="replied 400.*%s" % named):
         http._call(path, payload)
+
+
+def test_the_event_feed_is_the_only_campaign_event_endpoint(http):
+    with pytest.raises(ReproError, match="replied 404.*no such endpoint"):
+        http._call("/api/campaigns/campaign-1/stream")
 
 
 @pytest.mark.parametrize(
