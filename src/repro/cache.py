@@ -54,6 +54,7 @@ from .faults import fault_models_digest, model_for
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .serialize import (
+    InternTable,
     atomic_write_text,
     fault_to_obj,
     fca_from_obj,
@@ -159,6 +160,10 @@ class ExperimentCache:
         #: through this cache; ``None`` when it never did (the spec carried
         #: one already, or declares no source modules).
         self.slices: Optional[str] = None
+        #: The decoded faults, local states and state sets of every entry
+        #: this instance replayed, one object per distinct value: a warm
+        #: campaign's edges then share their state sets.
+        self.interned = InternTable()
 
     # ---------------------------------------------------------------- keys
 
@@ -319,7 +324,7 @@ class ExperimentCache:
         atomic_write_text(path, "%s%s, %s\n" % (_DATA, text, header[1:]))
 
     def lookup_profile(self, key: str) -> Optional[RunGroup]:
-        return self._lookup(key, "profile", group_from_obj)
+        return self._lookup(key, "profile", lambda data: group_from_obj(data, self.interned))
 
     def store_profile(self, key: str, test_id: str, group: RunGroup) -> None:
         self._store(key, "profile", {"test_id": test_id}, group_to_obj(group))
@@ -327,7 +332,9 @@ class ExperimentCache:
 
     def lookup_experiment(self, key: str) -> Optional[Tuple[FcaResult, int]]:
         return self._lookup(
-            key, "experiment", lambda data: (fca_from_obj(data["result"]), int(data["runs"]))
+            key,
+            "experiment",
+            lambda data: (fca_from_obj(data["result"], self.interned), int(data["runs"])),
         )
 
     def store_experiment(

@@ -624,7 +624,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
     print(campaign_id)
     if not (args.wait or args.follow or args.json or args.out):
         return 0
-    status = _follow_campaign(transport, campaign_id, args.verbose, quiet=not args.follow)
+    status = _follow_campaign(
+        transport, campaign_id, args.verbose, quiet=not (args.follow or args.verbose)
+    )
     if status["state"] == "failed":
         print("error: campaign failed: %s" % status["error"], file=sys.stderr)
         return 2

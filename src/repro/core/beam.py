@@ -341,7 +341,9 @@ class _VectorizedKernel:
         last_level = self.config.max_chain_len - 1
         while frontier[0].shape[0] and result.levels < last_level - 1:
             result.levels += 1
-            frontier = self._extend_level(frontier, seen, result)
+            frontier = self._extend_level(
+                frontier, seen, result, final=result.levels == last_level - 1
+            )
         if frontier[0].shape[0] and result.levels < last_level:
             result.levels += 1
             self._last_level(frontier, seen, result)
@@ -517,7 +519,12 @@ class _VectorizedKernel:
         frontier: Tuple["_np.ndarray", ...],
         seen: Dict[Tuple[int, ...], List[int]],
         result: BeamSearchResult,
-    ) -> Tuple["_np.ndarray", ...]:
+        final: bool,
+    ) -> Tuple[Optional["_np.ndarray"], ...]:
+        """One level's survivors as the next frontier.  The ``final`` one
+        feeds :meth:`_last_level`, which reads only id rows and delay
+        counts, so it carries no score sums, injection counts, classes or
+        ranks (``None`` in their places)."""
         queue, sums, cnts, delays, group, rank = frontier
         eparent, ecand = self._extensions(frontier, seen, result)
         # Rank by (score, id sequence) and keep the stable top B.  Scores
@@ -540,20 +547,26 @@ class _VectorizedKernel:
         # Sort by id sequence (unique keys: any sort), then stably by score.
         pool = pool[_np.argsort(rank[eparent[pool]] * self.n + ecand[pool])]
         sel = _np.argsort(scores[pool], kind="stable")[:width]
-        # ``pool`` is now in id-sequence order, so a survivor's new rank is
-        # the number of survivors before it in ``pool``.
-        mark = _np.zeros(pool.shape[0], dtype=bool)
-        mark[sel] = True
-        new_rank = _np.cumsum(mark)[sel] - 1
         top = pool[sel]
         tparent, tcand = eparent[top], ecand[top]
-        new_sums, new_cnts = new_sums[top], new_cnts[top]
+        if final:
+            new_sums = new_cnts = new_rank = None
+        else:
+            # ``pool`` is now in id-sequence order, so a survivor's new rank
+            # is the number of survivors before it in ``pool``.
+            mark = _np.zeros(pool.shape[0], dtype=bool)
+            mark[sel] = True
+            new_rank = _np.cumsum(mark)[sel] - 1
+            del mark
+            new_sums, new_cnts = new_sums[top], new_cnts[top]
         # Free the extension-long columns before the survivors' rows exist.
-        del eparent, ecand, scores, pool, sel, mark, top
-        # Id rows, classes and ranks exist for the <= B survivors only; the
-        # latter two are renumbered densely so next level's keys stay small.
-        classes = group[tparent] * self.n + self.triple[tcand]
+        del eparent, ecand, scores, pool, sel, top
         new_queue = _np.concatenate([_np.take(queue, tparent, axis=0), tcand[:, None]], axis=1)
         new_delays = delays[tparent] + self.delay[tcand]
-        new_group = _np.unique(classes, return_inverse=True)[1]
+        new_group = None
+        if not final:
+            # Classes and ranks exist for the <= B survivors only, renumbered
+            # densely so next level's keys stay small.
+            classes = group[tparent] * self.n + self.triple[tcand]
+            new_group = _np.unique(classes, return_inverse=True)[1]
         return new_queue, new_sums, new_cnts, new_delays, new_group, new_rank

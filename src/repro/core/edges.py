@@ -5,7 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from ..types import CausalEdge, FaultKey
+from ..types import CausalEdge, FaultKey, StateSet
+
+
+def _union(old: StateSet, new: StateSet) -> StateSet:
+    """``old | new``, as the operand it equals when it equals one: state
+    sets replayed from a cache are one object per value
+    (:class:`repro.serialize.InternTable`), and a merge keeps them so."""
+    if new <= old:
+        return old
+    if old <= new:
+        return new
+    return old | new
 
 
 @dataclass
@@ -38,8 +49,8 @@ class EdgeDB:
                 dst=edge.dst,
                 etype=edge.etype,
                 test_id=edge.test_id,
-                src_states=existing.src_states | edge.src_states,
-                dst_states=existing.dst_states | edge.dst_states,
+                src_states=_union(existing.src_states, edge.src_states),
+                dst_states=_union(existing.dst_states, edge.dst_states),
             )
             self._replace(key, merged)
             return False

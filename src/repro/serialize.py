@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analysis.slicer import SliceAnalysis
@@ -27,6 +27,8 @@ from .instrument.analyzer import AnalysisResult
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .types import CausalEdge, EdgeType, FaultKey, LocalState, StateSet
+
+_EDGE_TYPES = {etype.value: etype for etype in EdgeType}
 
 # ------------------------------------------------------------ atomic writes
 
@@ -50,6 +52,33 @@ def atomic_write_text(path: "os.PathLike[str]", text: str) -> None:
         raise
 
 
+# ------------------------------------------------------------ intern table
+
+
+class InternTable:
+    """The one decoded object per distinct fault, local state and state set.
+
+    A decoder given a table returns the object already in it for a value
+    equal to one it decoded before, so a campaign replaying its cache
+    holds each distinct state set once and every set, dict and frozenset
+    that meets one again compares it by identity, never through the
+    dataclasses' ``__eq__``.  Keys are the wire form: a fault its string,
+    a state ``(stack, branches)`` as tuples, a state set the tuple of its
+    states' keys in written order; one dict per kind, so keys of
+    different kinds never meet.  A decoder called without a table uses a
+    fresh one for that call.  The table only grows, by the distinct
+    values of the entries it decoded, so its owner bounds its life: an
+    :class:`~repro.cache.ExperimentCache` has one.
+    """
+
+    __slots__ = ("faults", "states", "state_sets")
+
+    def __init__(self) -> None:
+        self.faults: Dict[str, FaultKey] = {}
+        self.states: Dict[Tuple[Any, ...], LocalState] = {}
+        self.state_sets: Dict[Tuple[Any, ...], StateSet] = {}
+
+
 # --------------------------------------------------------------- fault keys
 
 
@@ -57,9 +86,15 @@ def fault_to_obj(fault: FaultKey) -> str:
     return "%s:%s" % (fault.site_id, fault.kind)
 
 
-def fault_from_obj(obj: str) -> FaultKey:
-    site_id, kind = obj.rsplit(":", 1)
-    return FaultKey(site_id, model_for(kind).kind_id)  # unregistered: ValueError
+def fault_from_obj(obj: str, table: Optional[InternTable] = None) -> FaultKey:
+    if table is None:
+        table = InternTable()
+    fault = table.faults.get(obj)
+    if fault is None:
+        site_id, kind = obj.rsplit(":", 1)
+        # An unregistered kind is a ValueError from model_for.
+        fault = table.faults[obj] = FaultKey(site_id, model_for(kind).kind_id)
+    return fault
 
 
 # ------------------------------------------------------------ local states
@@ -72,20 +107,31 @@ def state_to_obj(state: LocalState) -> Dict[str, Any]:
     }
 
 
-def state_from_obj(obj: Dict[str, Any]) -> LocalState:
-    return LocalState(
-        call_stack=tuple(obj["stack"]),
-        branch_trace=tuple((site, bool(taken)) for site, taken in obj["branches"]),
-    )
-
-
 def states_to_obj(states: StateSet) -> List[Dict[str, Any]]:
     ordered = sorted(states, key=lambda s: (s.call_stack, s.branch_trace))
     return [state_to_obj(s) for s in ordered]
 
 
-def states_from_obj(obj: List[Dict[str, Any]]) -> StateSet:
-    return frozenset(state_from_obj(o) for o in obj)
+def states_from_obj(obj: List[Dict[str, Any]], table: Optional[InternTable] = None) -> StateSet:
+    if table is None:
+        table = InternTable()
+    # ``states_to_obj`` writes a set's states in sorted order, so an equal
+    # set always spells the same key.
+    keys = tuple((tuple(o["stack"]), tuple(map(tuple, o["branches"]))) for o in obj)
+    found = table.state_sets.get(keys)
+    if found is None:
+        states = table.states
+        members = []
+        for key in keys:
+            state = states.get(key)
+            if state is None:
+                stack, branches = key
+                state = states[key] = LocalState(
+                    stack, tuple((site, bool(taken)) for site, taken in branches)
+                )
+            members.append(state)
+        found = table.state_sets[keys] = frozenset(members)
+    return found
 
 
 # ------------------------------------------------------------ causal edges
@@ -102,14 +148,23 @@ def edge_to_obj(edge: CausalEdge) -> Dict[str, Any]:
     }
 
 
-def edge_from_obj(obj: Dict[str, Any]) -> CausalEdge:
+def _edge_type(value: str) -> EdgeType:
+    try:
+        return _EDGE_TYPES[value]
+    except (KeyError, TypeError):
+        raise ValueError("%r is not a valid EdgeType" % (value,)) from None
+
+
+def edge_from_obj(obj: Dict[str, Any], table: Optional[InternTable] = None) -> CausalEdge:
+    if table is None:
+        table = InternTable()
     return CausalEdge(
-        src=fault_from_obj(obj["src"]),
-        dst=fault_from_obj(obj["dst"]),
-        etype=EdgeType(obj["etype"]),
+        src=fault_from_obj(obj["src"], table),
+        dst=fault_from_obj(obj["dst"], table),
+        etype=_edge_type(obj["etype"]),
         test_id=obj["test_id"],
-        src_states=states_from_obj(obj["src_states"]),
-        dst_states=states_from_obj(obj["dst_states"]),
+        src_states=states_from_obj(obj["src_states"], table),
+        dst_states=states_from_obj(obj["dst_states"], table),
     )
 
 
@@ -132,10 +187,12 @@ def plan_to_obj(plan: Optional[InjectionPlan]) -> Optional[Dict[str, Any]]:
     return out
 
 
-def plan_from_obj(obj: Optional[Dict[str, Any]]) -> Optional[InjectionPlan]:
+def plan_from_obj(
+    obj: Optional[Dict[str, Any]], table: Optional[InternTable] = None
+) -> Optional[InjectionPlan]:
     if obj is None:
         return None
-    fault = fault_from_obj(obj["fault"])
+    fault = fault_from_obj(obj["fault"], table)
     return InjectionPlan(
         fault=fault,
         delay_ms=obj["delay_ms"],
@@ -169,17 +226,23 @@ def group_to_obj(group: RunGroup) -> Dict[str, Any]:
     }
 
 
-def group_from_obj(obj: Dict[str, Any]) -> RunGroup:
-    natural = {fault_from_obj(fault): row for fault, row in obj["natural"].items()}
+def group_from_obj(obj: Dict[str, Any], table: Optional[InternTable] = None) -> RunGroup:
+    if table is None:
+        table = InternTable()
+    natural = {fault_from_obj(fault, table): row for fault, row in obj["natural"].items()}
     return RunGroup(
         test_id=obj["test_id"],
-        injection=plan_from_obj(obj["injection"]),
+        injection=plan_from_obj(obj["injection"], table),
         n_runs=obj["n_runs"],
         loop_counts={site: tuple(row) for site, row in obj["loop_counts"].items()},
-        loop_states={site: states_from_obj(states) for site, states in obj["loop_states"].items()},
+        loop_states={
+            site: states_from_obj(states, table) for site, states in obj["loop_states"].items()
+        },
         natural_hits={fault: row["hits"] for fault, row in natural.items()},
-        natural_states={fault: states_from_obj(row["states"]) for fault, row in natural.items()},
-        injected_states=states_from_obj(obj["injected_states"]),
+        natural_states={
+            fault: states_from_obj(row["states"], table) for fault, row in natural.items()
+        },
+        injected_states=states_from_obj(obj["injected_states"], table),
         reached=frozenset(obj["reached"]),
     )
 
@@ -251,12 +314,14 @@ def fca_to_obj(result: FcaResult) -> Dict[str, Any]:
     }
 
 
-def fca_from_obj(obj: Dict[str, Any]) -> FcaResult:
+def fca_from_obj(obj: Dict[str, Any], table: Optional[InternTable] = None) -> FcaResult:
+    if table is None:
+        table = InternTable()
     return FcaResult(
-        fault=fault_from_obj(obj["fault"]),
+        fault=fault_from_obj(obj["fault"], table),
         test_id=obj["test_id"],
-        edges=[edge_from_obj(e) for e in obj["edges"]],
-        interference=[fault_from_obj(f) for f in obj["interference"]],
+        edges=[edge_from_obj(e, table) for e in obj["edges"]],
+        interference=[fault_from_obj(f, table) for f in obj["interference"]],
         min_p=obj["min_p"],
         aborted=obj["aborted"],
     )
@@ -331,5 +396,6 @@ def cycle_to_obj(cycle: Cycle) -> Dict[str, Any]:
 
 
 def cycle_from_obj(obj: Dict[str, Any]) -> Cycle:
-    return Cycle(tuple(edge_from_obj(e) for e in obj["edges"]))
+    table = InternTable()
+    return Cycle(tuple(edge_from_obj(e, table) for e in obj["edges"]))
 

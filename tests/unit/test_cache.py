@@ -1,6 +1,7 @@
 """Tests for the content-addressed experiment cache."""
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -76,6 +77,25 @@ def test_cold_campaign_fills_warm_campaign_replays(tmp_path, monkeypatch):
     assert warm_stats["misses"] == 0
     assert warm_stats["stores"] == 0
     assert _fingerprint(warm) == _fingerprint(cold)
+
+
+def test_benchmark_campaign_replays_warm_onto_its_golden_digest(tmp_path):
+    """The minihdfs2 benchmark campaign, cold over an empty cache and then
+    replayed from it: both reach the recorded digest, the replay misses
+    nothing, and its edges share one object per distinct state set (every
+    entry decoded through the cache's one intern table)."""
+    from tests.golden import recorded
+    from tests.golden_campaigns import DIGESTED, context_digest
+
+    system, config = DIGESTED["minihdfs2_benchmark"]
+    config = dataclasses.replace(config, cache_dir=str(tmp_path / "cache"))
+    golden = recorded("campaigns")["minihdfs2_benchmark"]
+    cold = Pipeline.default(get_system(system), config).run()
+    warm = Pipeline.default(get_system(system), config).run()
+    assert context_digest(cold) == context_digest(warm) == golden
+    assert warm.driver.cache.stats()["misses"] == 0
+    sets = [s for e in warm.driver.edges.all_edges() for s in (e.src_states, e.dst_states)]
+    assert len({id(s) for s in sets}) == len(set(sets))
 
 
 def test_execution_only_knobs_do_not_change_keys(tmp_path):

@@ -109,6 +109,48 @@ def test_run_command_on_toy(capsys):
     assert finished == [name for name, _ in STAGES]
 
 
+def test_submit_wait_verbose_prints_every_event(monkeypatch, capsys):
+    """`repro submit --wait -v` prints the campaign's whole event feed on
+    stderr in `format_event`'s shape, labelled with the campaign id, as
+    `--follow -v` does."""
+    import repro.service
+    from repro.core.report import DetectionReport
+
+    feed = [{"kind": "campaign_submitted", "detail": {"label": "", "system": "toy"}}]
+    feed += [
+        {"kind": "stage_finished", "detail": {"seconds": 0.5, "stage": name}}
+        for name, _ in STAGES
+    ]
+    feed.append({"kind": "campaign_done", "detail": {"digest": "d"}})
+    for seq, event in enumerate(feed):
+        event["seq"] = seq
+
+    class StubTransport:
+        def __init__(self, url):
+            self.url = url
+
+        def start_campaign(self, system, config, label=""):
+            return {"campaign": "c-1"}
+
+        def campaign_events(self, campaign_id, after=0, wait_s=0.0):
+            events = [e for e in feed if e["seq"] >= after]
+            return {"events": events, "next": len(feed), "state": "done"}
+
+        def campaign_status(self, campaign_id):
+            return {"state": "done"}
+
+        def campaign_report(self, campaign_id):
+            return DetectionReport("toy").to_dict()
+
+    monkeypatch.setattr(repro.service, "HttpTransport", StubTransport)
+    assert main(["submit", "toy", "--manager", "http://stub", "--wait", "-v"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("c-1\n") and "system: toy" in out
+    finished = re.findall(r"^\[c-1\] stage_finished seconds=0.5, stage=(\w+)$", err, re.M)
+    assert finished == [name for name, _ in STAGES]
+    assert "[c-1] campaign_done digest=d" in err
+
+
 def test_run_command_json_output(capsys):
     rc = main([
         "run", "toy", "--repeats", "2", "--seed", "7", "--budget", "2",
