@@ -75,7 +75,7 @@ def _start_manager():
     transport = HttpTransport(url)
     for _ in range(50):
         try:
-            assert transport.health()["protocol"] == 1
+            assert transport.health()["protocol"] == 2
             break
         except (ReproError, OSError):
             time.sleep(0.1)

@@ -13,17 +13,16 @@ Python source with :mod:`ast`:
   (``env.every``, ``env.rpc``, ``rt.rpc_call`` arguments);
 * :mod:`repro.analysis.slicer` — per-:class:`~repro.instrument.sites.FaultSite`
   *reachable slices* (every function body transitively reachable from the
-  site's enclosing function) and their content digests, plus workload
-  entry-point reachability;
+  site's enclosing function), workload entry-point reachability, and the
+  one source digest every stored result is keyed on;
 * :mod:`repro.analysis.source` — source providers (live modules, source
   trees, git refs) so the same slicer serves the running system and
   ``repro diff-run OLD NEW``;
-* :mod:`repro.analysis.diff` — slice-digest and report diffing for
+* :mod:`repro.analysis.diff` — function and report diffing for
   ``repro diff-run``.
 
-Slice digests are the per-site cache axis of ``CACHE_SCHEMA`` 3: editing
-one handler invalidates only the experiments whose reachable slice
-contains it (see docs/static-analysis.md).
+Reachability prunes the fault space; the source digest is the code
+component of every result key (see docs/static-analysis.md).
 """
 
 from .diff import ReportDiff, SliceDiff, diff_reports, diff_slices

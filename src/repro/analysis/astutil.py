@@ -9,7 +9,9 @@ artifacts built here:
   ``__qualname__``), carrying its AST node, class context, and the fault
   site-id literals it passes to ``rt.*`` hooks;
 * a *normalized digest* per function — sha256 over ``ast.dump`` of the
-  function node with docstrings stripped.  Comments and whitespace never
+  function node with docstrings stripped — and one per module over the
+  statements no function covers (imports, constants, class bodies and
+  their dataclass defaults, decorators).  Comments and whitespace never
   reach the AST, so digests are insensitive to them by construction.
 
 The digest deliberately covers nested functions textually (editing a
@@ -20,6 +22,7 @@ must be invalidated when the closure changes.
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -66,6 +69,8 @@ class ModuleInfo:
     # local alias -> (absolute module, attr-or-None); attr None for plain
     # ``import x.y as z`` style bindings.
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
+    # normalized digest of the statements no function covers
+    digest: str = ""
 
 
 def _docstring_bodies(node: ast.AST) -> Iterator[List[ast.stmt]]:
@@ -251,11 +256,28 @@ def _base_name(expr: ast.AST) -> str:
     return ""
 
 
+def _own_statements(body: List[ast.stmt]) -> List[ast.stmt]:
+    """``body`` without its function definitions, and each class in it cut
+    down the same way: the statements no function digest covers."""
+    out: List[ast.stmt] = []
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.ClassDef):
+            cls = copy.copy(stmt)
+            cls.body = _own_statements(stmt.body) or [ast.Pass()]
+            stmt = cls
+        out.append(stmt)
+    return out
+
+
 def collect_module(name: str, source: str) -> ModuleInfo:
-    """Parse ``source`` and collect its functions, classes, and imports."""
+    """Parse ``source`` and collect its functions, classes, imports and
+    digests."""
     tree = ast.parse(source, filename="%s.py" % name.replace(".", "/"))
     info = ModuleInfo(name=name)
     collector = _Collector(info)
     collector.visit(tree)
     collector.finalize()
+    info.digest = digest_node(ast.Module(body=_own_statements(tree.body), type_ignores=[]))
     return info

@@ -1,33 +1,29 @@
-"""Per-site reachable slices and their content digests.
+"""Per-site reachable slices and the one digest of a system's source.
 
 For every code :class:`~repro.instrument.sites.FaultSite` the *slice* is
 the set of function bodies transitively reachable (over the call graph)
-from the site's enclosing function — the code whose behaviour an
-experiment injecting at that site can possibly observe.  The slice
-digest is a sha256 over the sorted ``(function key, normalized body
-digest)`` pairs, so it changes exactly when some executable statement in
-the slice changes and never for comment/whitespace/docstring edits.
+from the site's enclosing function — the code an experiment injecting at
+that site can reach.  Slices and workload entry-point reachability drive
+fault-space pruning (``repro.instrument.analyzer``): a site no workload
+can reach is never injected.  Reachability is only trusted when *every*
+entry point resolved.
 
 Site → function binding is primary-by-literal: the analyzer finds the
 ``rt.<hook>("site.id", ...)`` string literal in a function body.  Sites
 whose literal never appears (registry entries declared for code that
 does not exist) fall back to the declared ``FaultSite.function``
-qualname; if that also fails they are *unresolved* and keep whole-spec
-cache keying with an explicit ``slice_unresolved`` reason.
+qualname; if that also fails they are *unresolved* and never pruned.
 
-Environment sites (crash/partition — no code location) are keyed on the
-whole-source digest: any executable change anywhere invalidates them,
-which is the sound conservative choice.
-
-Workload entry points get the same treatment: each test's slice is the
-closure from its setup function, and profile cache entries are keyed on
-that digest.  Reachability (for fault-space pruning) is only trusted
-when *every* entry point resolved.
+The analysis also carries the **source digest**: one sha256 over every
+function's normalized body digest and every module's digest of the
+statements no function covers (constants, class bodies, dataclass
+defaults).  Every stored result is keyed on it (``repro.cache``), so any
+executable edit to a declared source module re-runs everything, and a
+comment, whitespace or docstring edit re-runs nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -52,20 +48,20 @@ class SliceAnalysis:
 
     system: str
     modules: Tuple[str, ...]
-    source_digest: str  # digest over every function's normalized body digest
+    source_digest: str  # digest over every function and module digest below
     function_digests: Dict[str, str] = field(default_factory=dict)  # fn key -> body digest
+    # module -> digest of the statements no function covers
+    module_digests: Dict[str, str] = field(default_factory=dict)
     # call_edges / calls_seen / calls_resolved of the call graph.
     counts: Dict[str, int] = field(default_factory=dict)
     # site -> enclosing function key(s); usually one, several when the same
     # literal is legitimately instrumented at more than one code location
     # (the slice is then the union of the closures).
     site_roots: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    site_digests: Dict[str, str] = field(default_factory=dict)  # site -> slice digest
     site_slices: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     env_sites: Tuple[str, ...] = ()
     unresolved: Dict[str, str] = field(default_factory=dict)  # site -> reason
     entry_function: Dict[str, str] = field(default_factory=dict)  # test -> fn key
-    entry_digests: Dict[str, str] = field(default_factory=dict)
     unresolved_entries: Dict[str, str] = field(default_factory=dict)
     reachable: Set[str] = field(default_factory=set)
     reachability_trusted: bool = False
@@ -98,12 +94,6 @@ class SliceAnalysis:
         for phase, wall in sorted(self.timings.items()):
             out["wall_%s_s" % phase] = round(wall, 6)
         return out
-
-
-def _slice_digest(keys: Sequence[str], function_digests: Dict[str, str]) -> str:
-    pairs = [[k, function_digests[k]] for k in sorted(keys)]
-    blob = json.dumps(pairs, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _find_site_functions(
@@ -152,7 +142,7 @@ def analyze_sources(
 
     ``entries`` maps test ids to entry-point keys (``module:qualname``).
     Pure function of its inputs — deterministic across processes, which
-    is what lets per-worker recomputation produce identical cache keys.
+    is what lets every process derive identical result keys.
     """
     t0 = time.perf_counter()
     modules: Dict[str, ModuleInfo] = {}
@@ -163,14 +153,19 @@ def analyze_sources(
     t2 = time.perf_counter()
 
     function_digests = {k: fn.digest for k, fn in sorted(graph.functions.items())}
+    module_digests = {name: info.digest for name, info in modules.items()}
     source_digest = digest_text(
-        json.dumps([[k, d] for k, d in function_digests.items()], separators=(",", ":"))
+        json.dumps(
+            [sorted(function_digests.items()), sorted(module_digests.items())],
+            separators=(",", ":"),
+        )
     )
     analysis = SliceAnalysis(
         system=system,
         modules=tuple(sorted(sources)),
         source_digest=source_digest,
         function_digests=function_digests,
+        module_digests=module_digests,
         counts={
             "call_edges": graph.n_edges,
             "calls_seen": graph.calls_seen,
@@ -182,26 +177,17 @@ def analyze_sources(
     analysis.env_sites = tuple(sorted(s.site_id for s in sites if s.kind in ENV_KINDS))
     analysis.site_roots, analysis.unresolved = _find_site_functions(code_sites, graph)
 
-    slice_cache: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], str]] = {}
-
-    def slice_of(roots: Tuple[str, ...]) -> Tuple[Tuple[str, ...], str]:
-        if roots not in slice_cache:
-            keys = tuple(sorted(graph.reachable_from(roots)))
-            slice_cache[roots] = (keys, _slice_digest(keys, function_digests))
-        return slice_cache[roots]
-
+    slice_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
     for site_id in sorted(analysis.site_roots):
-        keys, digest = slice_of(analysis.site_roots[site_id])
-        analysis.site_slices[site_id] = keys
-        analysis.site_digests[site_id] = digest
-    for site_id in analysis.env_sites:
-        analysis.site_digests[site_id] = source_digest
+        roots = analysis.site_roots[site_id]
+        if roots not in slice_cache:
+            slice_cache[roots] = tuple(sorted(graph.reachable_from(roots)))
+        analysis.site_slices[site_id] = slice_cache[roots]
 
     for test_id in sorted(entries):
         fn_key = entries[test_id]
         if fn_key in graph.functions:
             analysis.entry_function[test_id] = fn_key
-            _, analysis.entry_digests[test_id] = slice_of((fn_key,))
         else:
             analysis.unresolved_entries[test_id] = "entry point %r not in source" % fn_key
     analysis.reachable = graph.reachable_from(analysis.entry_function.values())

@@ -1,19 +1,28 @@
 """Content-addressed experiment cache: skip re-executing what cannot change.
 
 Every profile run group and every (fault, test) injection experiment is a
-pure function of *(system structure, test id, injection plans,
+pure function of *(system structure, code, test id, injection plans,
 result-affecting config, seeds)* — the determinism guarantee the executor
-backends already rely on.  The cache turns that purity into incremental
-campaigns: results are stored on disk under a SHA-256 **key digest** of
-exactly that tuple, so a repeated campaign replays byte-identical results
-instead of re-simulating, and *any* relevant change — a site added to the
-registry, a workload renamed, a bumped ``SystemSpec.version``, a different
-seed or delay sweep — changes the digest and misses cleanly.  The
-code-slice analysis those keys embed is as pure a function of the target's
-source files, so it is the third kind of entry (``slices``): a campaign
-with a cache directory slices a system's source once, not once per
-campaign.  Knobs listed
-in :data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
+backends already rely on.  :class:`ResultKey` is the one identity of such
+a result: a SHA-256 over exactly that tuple, the code being the source
+digest of the system's declared ``source_modules`` (every function body,
+module constant, class body and dataclass default; not comments,
+whitespace or docstrings).  The cache stores results under it, so a
+repeated campaign replays byte-identical results instead of
+re-simulating, and *any* relevant change — an executable edit to a
+source module, a site added to the registry, a workload renamed, a
+different seed or delay sweep — changes the key and misses cleanly.  The
+agent fleet deduplicates tasks on the same key (``repro.service``).
+
+The framework modules the systems run on (``repro.sim``,
+``repro.instrument``, ``repro.faults``) are not in any key: an edit there
+that changes results needs a :data:`CACHE_SCHEMA` bump.
+
+The code-slice analysis that carries the source digest is itself a pure
+function of the source files, so it is the third kind of entry
+(``slices``): a campaign with a cache directory slices a system's source
+once, not once per campaign.  Knobs listed in
+:data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
 cache directory itself) are excluded from the key, so a warm cache written
 by a serial campaign serves process- and agent-backed ones.
 
@@ -44,13 +53,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .analysis.slicer import workload_entries
 from .analysis.source import analyzer_digest
 from .config import CSnakeConfig
 from .core.fca import FcaResult
-from .faults import fault_models_digest, model_for
+from .faults import fault_models_digest
 from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .serialize import (
@@ -85,9 +94,7 @@ _T = TypeVar("_T")
 #:       embed the injected site's slice digest, profile keys the test's
 #:       entry-point slice digest, and the whole-spec digest moved into
 #:       the *fallback* component used only when the slicer could not
-#:       resolve the site (``slice_unresolved``) or the system declares
-#:       no ``source_modules``.  Editing one handler now invalidates
-#:       exactly the entries whose slice can reach it.
+#:       resolve the site or the system declares no ``source_modules``.
 #:   4 — compositional fault schedules: every key embeds the schedule
 #:       registry digest, and an experiment key's slice component is the
 #:       *union* of the slices of every site its plans touch
@@ -117,21 +124,77 @@ _T = TypeVar("_T")
 #:       hits and state unions, injected states, ``reached``) instead of
 #:       one serialized trace per run, and every entry carries the
 #:       ``sha256`` of its data bytes, checked on each lookup.
-CACHE_SCHEMA = 6
+#:   7 — one key for every result (:class:`ResultKey`): its code
+#:       component is the source digest of the whole declared source,
+#:       module constants and class bodies included, in place of the
+#:       per-site slice union and the test's entry slice, which replayed
+#:       stale entries after an edit the slices did not reach.  The
+#:       fleet's task dedup uses the same key.
+CACHE_SCHEMA = 7
 
 #: How every entry begins: sorted keys put ``data`` first.
 _DATA = '{"data": '
 _DECODER = json.JSONDecoder()
 
 
+class ResultKey:
+    """The one identity of a stored result, for one ``(system, config)``.
+
+    ``key(test_id)`` names a test's profile run group, ``key(test_id,
+    fault, plans)`` one (fault, test) experiment with its full plan sweep
+    (one budget unit).  The cache stores under it and the manager's queue
+    deduplicates on it.  Its code component is the spec's source digest
+    (``SliceAnalysis.source_digest``), or the whole-spec digest for a
+    system that declares no source modules; it is read on the first call,
+    so a driver attaches the analysis it replayed before then.
+    """
+
+    def __init__(self, spec: SystemSpec, config: CSnakeConfig) -> None:
+        self.spec = spec
+        self.config_snapshot = config.result_affecting()
+        self._base: Optional[Dict[str, Any]] = None
+
+    def __call__(
+        self,
+        test_id: str,
+        fault: Optional[FaultKey] = None,
+        plans: Sequence[InjectionPlan] = (),
+    ) -> str:
+        if self._base is None:
+            slices = self.spec.slice_analysis()
+            self._base = {
+                "schema": CACHE_SCHEMA,
+                "system": self.spec.name,
+                # All site rows (ids, kinds, metadata) — traces record every
+                # registered site and loop parent/sibling rows feed the FCA
+                # edge derivation, so results may depend on any of them.
+                "sites": self.spec.sites_digest(),
+                # Registering or revising a fault model (a schedule is one)
+                # shifts every key, so results computed under a different
+                # fault vocabulary can never replay as hits.
+                "fault_models": fault_models_digest(),
+                "config": self.config_snapshot,
+                "code": self.spec.digest() if slices is None else slices.source_digest,
+            }
+        material = dict(
+            self._base,
+            test_id=test_id,
+            # This test's declared duration and sim config; *other*
+            # workloads cannot affect this entry and are not keyed.
+            workload=self.spec.workload_row(test_id),
+            fault=None if fault is None else fault_to_obj(fault),
+            plans=[plan_to_obj(p) for p in plans],
+        )
+        return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+
+
 class ExperimentCache:
     """On-disk, content-addressed store of campaign intermediate results.
 
-    One instance serves one ``(system, config)`` campaign: the spec digest
-    and the result-affecting config snapshot are folded into every key at
-    construction.  ``hits``/``misses``/``stores`` count this instance's
-    profile and experiment lookups only; ``slices`` says what became of
-    its one code-slice lookup.
+    One instance serves one ``(system, config)`` campaign and keys through
+    one :class:`ResultKey`.  ``hits``/``misses``/``stores`` count this
+    instance's profile and experiment lookups only; ``slices`` says what
+    became of its one code-slice lookup.
     """
 
     def __init__(self, root: "os.PathLike[str]", spec: SystemSpec, config: CSnakeConfig) -> None:
@@ -139,10 +202,7 @@ class ExperimentCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.spec = spec
         self.system = spec.name
-        self.spec_digest = spec.digest()
-        self.sites_digest = spec.sites_digest()
-        self.models_digest = fault_models_digest()
-        self.config_snapshot = config.result_affecting()
+        self.key = ResultKey(spec, config)
         # What a stored slice analysis additionally depends on: the
         # analyzer's own source (a smarter call graph must never replay a
         # stale slice, also not across the two trees of ``repro diff-run``,
@@ -166,77 +226,19 @@ class ExperimentCache:
         self.interned = InternTable()
 
     # ---------------------------------------------------------------- keys
-
-    def _slices(self) -> Optional["SliceAnalysis"]:
-        """The spec's code-slice analysis: the one the driver attached
-        (replayed from this cache or freshly computed), else sliced
-        lazily — either way a deterministic function of the source files,
-        so every process derives identical keys."""
-        return self.spec.slice_analysis()
-
-    def _slice(self, ident: str, *, entry: bool = False) -> Dict[str, Any]:
-        """Slice component of a key: the slice digest of an injected site
-        (of a test's workload entry point when ``entry``), or — when the
-        slicer could not bind it to code, or the system declares no
-        source modules — the whole-spec digest with an explicit fallback
-        reason."""
-        slices = self._slices()
-        if slices is None:
-            return {"digest": None, "reason": "no_source_analysis", "spec": self.spec_digest}
-        digest = (slices.entry_digests if entry else slices.site_digests).get(ident)
-        if digest is None:
-            return {"digest": None, "reason": "slice_unresolved", "spec": self.spec_digest}
-        return {"digest": digest}
-
-    def _digest(self, kind: str, payload: Dict[str, Any], *, test_id: str) -> str:
-        material = {
-            "schema": CACHE_SCHEMA,
-            "kind": kind,
-            "system": self.system,
-            # All site rows (ids, kinds, metadata) — traces record every
-            # registered site and loop parent/sibling rows feed the FCA
-            # edge derivation, so results may depend on any of them.
-            "sites": self.sites_digest,
-            # This test's declared duration and sim config; *other*
-            # workloads cannot affect this entry and are not keyed.
-            "workload": self.spec.workload_row(test_id),
-            # Registry fingerprint: registering or revising a fault model
-            # (a schedule is one) shifts every key, so results computed
-            # under a different fault vocabulary can never replay as hits.
-            "fault_models": self.models_digest,
-            "config": self.config_snapshot,
-        }
-        material.update(payload)
-        blob = json.dumps(material, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+    #
+    # Both are :attr:`key`; they stay two methods because the benchmark's
+    # ``cache.key`` span wraps them by name.
 
     def profile_key(self, test_id: str) -> str:
         """Key of the fault-free profile run group of ``test_id``."""
-        return self._digest(
-            "profile",
-            {"test_id": test_id, "slice": self._slice(test_id, entry=True)},
-            test_id=test_id,
-        )
+        return self.key(test_id)
 
     def experiment_key(
         self, test_id: str, fault: FaultKey, plans: List[InjectionPlan]
     ) -> str:
-        """Key of one (fault, test) injection experiment (its full plan
-        sweep counts as one entry, mirroring one budget unit)."""
-        model = model_for(fault.kind)
-        touched = sorted({site for p in plans for site in model.plan_sites(p)})
-        return self._digest(
-            "experiment",
-            {
-                "test_id": test_id,
-                "fault": fault_to_obj(fault),
-                "plans": [plan_to_obj(p) for p in plans],
-                # Slice union over every site the plans touch: one entry
-                # per site so any constituent's code change misses.
-                "slices": [[site, self._slice(site)] for site in touched],
-            },
-            test_id=test_id,
-        )
+        """Key of one (fault, test) injection experiment."""
+        return self.key(test_id, fault, plans)
 
     def slices_key(self, sources: Dict[str, str]) -> str:
         """Key of the code-slice analysis of ``sources`` (module name ->
@@ -311,7 +313,6 @@ class ExperimentCache:
                 "schema": CACHE_SCHEMA,
                 "kind": kind,
                 "system": self.system,
-                "spec": self.spec_digest,
                 "key": key_material,
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
             },

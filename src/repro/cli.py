@@ -144,8 +144,8 @@ def _flag_params(args: argparse.Namespace, rows: Sequence[tuple]) -> Dict[str, A
 
 
 def _fault_space_kinds(args: argparse.Namespace) -> tuple:
-    """The kinds ``analyze`` and ``diff-run`` select a fault space over:
-    the ``--fault-kinds`` and ``--schedules`` passed (else the defaults)."""
+    """The kinds ``analyze`` selects a fault space over: the
+    ``--fault-kinds`` and ``--schedules`` passed (else the defaults)."""
     config = CSnakeConfig(**_flag_params(args, _FAULT_SPACE_FLAGS))
     return config.fault_kinds + config.schedules
 
@@ -351,8 +351,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             }
             obj["slices"] = {
                 "stats": stats,
-                "site_digests": dict(sorted(slices.site_digests.items())),
-                "entry_digests": dict(sorted(slices.entry_digests.items())),
+                "source_digest": slices.source_digest,
                 "unresolved": dict(sorted(slices.unresolved.items())),
             }
         json.dump(obj, sys.stdout, indent=1, sort_keys=True)
@@ -413,8 +412,8 @@ def _diffrun_argv(args: argparse.Namespace, cache_dir: str) -> List[str]:
 
 def _diffrun_campaign(root, args, cache_dir: str):
     """Run one side's campaign in a subprocess whose ``repro`` package is
-    imported from that side's tree, sharing ``cache_dir`` across sides so
-    unchanged-slice experiments replay instead of re-simulating."""
+    imported from that side's tree, sharing ``cache_dir`` across sides (a
+    side whose source digest did not move replays the other's entries)."""
     import subprocess
 
     src = root / "src"
@@ -432,14 +431,14 @@ def _diffrun_campaign(root, args, cache_dir: str):
 
 
 def cmd_diff_run(args: argparse.Namespace) -> int:
-    """Slice-diff two revisions of a system, then (unless --static-only)
-    run both campaigns against one shared cache and diff the reports."""
+    """Name the functions two revisions of a system differ in, then
+    (unless --static-only) run both campaigns against one shared cache and
+    diff the reports."""
     import tempfile
     from pathlib import Path
 
     from .analysis import analyze_system, diff_reports, diff_slices
     from .analysis.source import resolve_provider
-    from .instrument.analyzer import analyze
 
     spec = get_system(args.system)
     if not spec.source_modules:
@@ -455,18 +454,12 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     old_slices = analyze_system(spec, old_provider.sources(spec.source_modules))
     new_slices = analyze_system(spec, new_provider.sources(spec.source_modules))
     sdiff = diff_slices(old_slices, new_slices)
-    analysis = analyze(spec.registry, _fault_space_kinds(args), slices=new_slices)
-    invalidated, reusable = sdiff.partition_faults(analysis.faults)
 
     payload = {
         "system": spec.name,
         "old": old_provider.label,
         "new": new_provider.label,
         "static": sdiff.to_obj(),
-        "experiments": {
-            "invalidated": [str(f) for f in invalidated],
-            "reusable": [str(f) for f in reusable],
-        },
         "reports": None,
     }
     if not args.static_only:
@@ -496,21 +489,13 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
                 len(sdiff.removed_functions),
             )
         )
+        for key in sdiff.changed_functions:
+            print("    changed %s" % key)
+        for module in sdiff.changed_modules:
+            print("    changed %s (statements outside functions)" % module)
         print(
-            "  slices: %d sites changed, %d unchanged, %d unresolved; "
-            "%d entries changed"
-            % (
-                len(sdiff.changed_sites),
-                len(sdiff.unchanged_sites),
-                len(sdiff.unresolved_sites),
-                len(sdiff.changed_entries),
-            )
-        )
-        for site_id in sdiff.changed_sites:
-            print("    changed %s" % site_id)
-        print(
-            "  experiments: %d invalidated, %d reusable"
-            % (len(invalidated), len(reusable))
+            "  source digest: %s"
+            % ("changed, every experiment re-runs" if sdiff.source_changed else "unchanged")
         )
         reports = payload["reports"]
         if reports is not None:
@@ -784,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff_run = sub.add_parser(
         "diff-run",
-        help="slice-diff two revisions, report which cached experiments an "
-        "edit invalidates, and re-run both campaigns against one cache",
+        help="name the functions two revisions differ in, re-run both "
+        "campaigns against one cache, and diff their reports",
     )
     diff_run.add_argument(
         "old", metavar="OLD", help="baseline: a git ref or a source-tree directory"
@@ -799,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_run.add_argument(
         "--static-only", action="store_true",
-        help="stop after the slice diff and invalidation report (no campaigns)",
+        help="stop after the function diff (no campaigns)",
     )
     _add_flags(diff_run, _BACKEND_FLAGS + _EXPERIMENT_FLAGS)
     _add_cache_flags(diff_run, bare=False)

@@ -257,8 +257,8 @@ class CSnakeConfig:
         return {f.name: _retyped(getattr(self, f.name), tuple, list) for f in fields(self)}
 
     def result_affecting(self) -> Dict[str, Any]:
-        """:meth:`to_dict` minus :data:`EXECUTION_ONLY_KNOBS` — what cache
-        keys and task digests compare."""
+        """:meth:`to_dict` minus :data:`EXECUTION_ONLY_KNOBS` — what result
+        keys (``repro.cache.ResultKey``) compare."""
         out = self.to_dict()
         for name in EXECUTION_ONLY_KNOBS:
             del out[name]

@@ -25,7 +25,8 @@ process, one after the other, through :meth:`ExperimentDriver.execute_experiment
 workers — pool processes, a manager's agent fleet — which cannot run the
 driver's closures and so receive picklable :class:`ExperimentTask`
 *descriptors* (system **name**, test id, fault, injection-plan payload,
-config snapshot) through ``executor.map(execute_experiment_task, tasks)``.
+config snapshot, and the task's result key) through
+``executor.map(execute_experiment_task, tasks)``.
 :func:`execute_experiment_task` is the one worker entry point: it finds
 this process's driver for the task (:func:`worker_driver`: each worker
 builds its spec once and computes each profile group at most once) and
@@ -102,7 +103,10 @@ class ExperimentTask:
     group of ``test_id``); otherwise the task carries the injection-plan
     payload of one (fault, test) experiment.  The worker resolves
     ``system_name`` through the systems registry — specs themselves hold
-    closures and never cross the process boundary.
+    closures and never cross the process boundary.  ``key`` is the
+    submitting driver's :class:`~repro.cache.ResultKey` of the task: the
+    manager deduplicates on it, and an agent whose own tree keys the task
+    differently refuses it.
     """
 
     system_name: str
@@ -110,6 +114,7 @@ class ExperimentTask:
     config_json: str
     fault: Optional[FaultKey] = None
     plans: Tuple[InjectionPlan, ...] = ()
+    key: str = ""
 
 
 #: Per-process cache of (system name, config) -> driver, so one worker
@@ -165,21 +170,23 @@ class ExperimentDriver:
         self.results: List[FcaResult] = []
         self.experiments_run = 0  # budget units consumed
         self.runs_executed = 0  # individual simulated runs
+        from ..cache import ExperimentCache, ResultKey  # deferred: avoids an import cycle
+
         self.cache = None
         if self.config.cache_dir:
-            from ..cache import ExperimentCache  # deferred: avoids an import cycle
-
             self.cache = ExperimentCache(self.config.cache_dir, self.spec, self.config)
             self._resolve_slices()
+        #: The one identity of this driver's results (cache entries and
+        #: worker tasks alike).
+        self.key = ResultKey(self.spec, self.config) if self.cache is None else self.cache.key
 
     def _resolve_slices(self) -> None:
-        """Attach the spec's code-slice analysis before the first cache
-        key is computed (keys embed slice digests): looked up in the
-        cache under the digest of the source files, sliced and stored on
-        a miss — so a system is sliced once per source edit, not once per
+        """Attach the spec's code-slice analysis before the first key is
+        computed (keys embed its source digest): looked up in the cache
+        under the digest of the source files, sliced and stored on a miss
+        — so a system is sliced once per source edit, not once per
         campaign, worker or agent.  A spec that already carries an
-        analysis (tests and ``repro diff-run`` key on other source text)
-        is left alone."""
+        analysis (tests key on other source text) is left alone."""
         spec = self.spec
         if spec.attached_slice_analysis is not None or not spec.source_modules:
             return
@@ -379,8 +386,9 @@ class ExperimentDriver:
 
     def _task(self, test_id: str, fault: Optional[FaultKey] = None) -> ExperimentTask:
         """Descriptor of one miss: a profile task, or with ``fault`` an
-        experiment task carrying its plan sweep.  Fails fast for ad-hoc
-        specs, which workers could not rebuild by name."""
+        experiment task carrying its plan sweep, stamped with its key.
+        Fails fast for ad-hoc specs, which workers could not rebuild by
+        name."""
         from ..systems import available_systems  # deferred: systems import core
 
         if self.spec.name not in available_systems():
@@ -389,12 +397,14 @@ class ExperimentDriver:
                 "repro.systems to rebuild %r inside workers; use the serial "
                 "backend for ad-hoc specs" % (self.spec.name,)
             )
+        plans = () if fault is None else tuple(self._plans_for(fault))
         return ExperimentTask(
             system_name=self.spec.name,
             test_id=test_id,
             config_json=self._config_json,
             fault=fault,
-            plans=() if fault is None else tuple(self._plans_for(fault)),
+            plans=plans,
+            key=self.key(test_id, fault, plans),
         )
 
     def execute_task(self, task: ExperimentTask) -> Union[RunGroup, Tuple[FcaResult, int]]:

@@ -108,15 +108,6 @@ class FaultModel:
 
         return [InjectionPlan(fault, warmup_ms=INJECTION_WARMUP_MS)]
 
-    def plan_sites(self, plan: "InjectionPlan") -> List[str]:
-        """Every site a plan touches (cache slice-invalidation surface).
-
-        Single-fault plans touch only their own site; composed plans
-        (schedules) add every event's resolved site so an edit near any
-        of them invalidates the cached result.
-        """
-        return [plan.fault.site_id]
-
     def validate_sweep(self, values: Tuple[float, ...]) -> None:
         """Reject sweep values this model cannot plan with (``ValueError``).
 

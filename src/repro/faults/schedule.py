@@ -320,11 +320,6 @@ class ScheduleFaultModel(FaultModel):
             )
             model_for(kind_id).arm(env, runtime, sub_plan)
 
-    def plan_sites(self, plan: "InjectionPlan") -> List[str]:
-        sites = {plan.fault.site_id}
-        sites.update(site_id for site_id, _, _, _ in plan.param("events", ()))
-        return sorted(sites)
-
     # ---------------------------------------------------------------- codec
 
     def params_to_obj(self, plan: "InjectionPlan") -> Dict[str, Any]:

@@ -264,6 +264,7 @@ def task_to_obj(task: "ExperimentTask") -> Dict[str, Any]:
         "config_json": task.config_json,
         "fault": None if task.fault is None else fault_to_obj(task.fault),
         "plans": [plan_to_obj(p) for p in task.plans],
+        "key": task.key,
     }
 
 
@@ -278,6 +279,7 @@ def task_from_obj(obj: Dict[str, Any]) -> "ExperimentTask":
         config_json=obj["config_json"],
         fault=None if fault is None else fault_from_obj(fault),
         plans=tuple(p for p in plans if p is not None),
+        key=obj["key"],
     )
 
 
@@ -351,14 +353,13 @@ def slices_to_obj(slices: "SliceAnalysis") -> Dict[str, Any]:
         "modules": list(slices.modules),
         "source_digest": slices.source_digest,
         "function_digests": slices.function_digests,
+        "module_digests": slices.module_digests,
         "counts": slices.counts,
         "site_roots": {site: list(roots) for site, roots in slices.site_roots.items()},
-        "site_digests": slices.site_digests,
         "site_slices": {site: list(keys) for site, keys in slices.site_slices.items()},
         "env_sites": list(slices.env_sites),
         "unresolved": slices.unresolved,
         "entry_function": slices.entry_function,
-        "entry_digests": slices.entry_digests,
         "unresolved_entries": slices.unresolved_entries,
         "reachable": sorted(slices.reachable),
         "reachability_trusted": slices.reachability_trusted,
@@ -374,14 +375,13 @@ def slices_from_obj(obj: Dict[str, Any]) -> "SliceAnalysis":
         modules=tuple(obj["modules"]),
         source_digest=obj["source_digest"],
         function_digests=dict(obj["function_digests"]),
+        module_digests=dict(obj["module_digests"]),
         counts=dict(obj["counts"]),
         site_roots={site: tuple(roots) for site, roots in obj["site_roots"].items()},
-        site_digests=dict(obj["site_digests"]),
         site_slices={site: tuple(keys) for site, keys in obj["site_slices"].items()},
         env_sites=tuple(obj["env_sites"]),
         unresolved=dict(obj["unresolved"]),
         entry_function=dict(obj["entry_function"]),
-        entry_digests=dict(obj["entry_digests"]),
         unresolved_entries=dict(obj["unresolved_entries"]),
         reachable=set(obj["reachable"]),
         reachability_trusted=bool(obj["reachability_trusted"]),

@@ -15,7 +15,7 @@ a network and the whole service runs on the standard library alone:
 
 from .agent import Agent
 from .http import HttpTransport, ManagerServer
-from .manager import ManagerCore, task_digest
+from .manager import ManagerCore
 from .remote import RemoteExecutor
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "ManagerCore",
     "ManagerServer",
     "RemoteExecutor",
-    "task_digest",
 ]

@@ -34,13 +34,25 @@ def execute_wire_task(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[Dic
     """Decode one wire-form task, run it through the worker entry point,
     encode: ``({"result": envelope} or {"error": "Type: message"}, cache)``,
     ``cache`` being the executing driver's ``stats()`` with the counters
-    replaced by this task's change to them (``None`` without a cache)."""
+    replaced by this task's change to them (``None`` without a cache).
+
+    A task whose key this agent's own tree does not reproduce was
+    submitted from other code: it fails with an error that begins
+    ``code_mismatch:`` and is never executed."""
     cache = before = None
     try:
         task = task_from_obj(obj)
-        cache = worker_driver(task).cache
+        driver = worker_driver(task)
+        cache = driver.cache
         before = None if cache is None else cache.stats()
-        outcome = {"result": task_result_to_obj(execute_experiment_task(task))}
+        key = driver.key(task.test_id, task.fault, task.plans)
+        if key != task.key:
+            outcome = {
+                "error": "code_mismatch: this agent keys the task %s, the submitter %s"
+                % (key[:12], task.key[:12])
+            }
+        else:
+            outcome = {"result": task_result_to_obj(execute_experiment_task(task))}
     except Exception as exc:  # noqa: BLE001 - report, don't crash the fleet
         outcome = {"error": "%s: %s" % (type(exc).__name__, exc)}
     if cache is None:

@@ -16,11 +16,15 @@ id, config, plans, seeds), so a re-queued task re-executes bit-identically
 on any other agent and the deterministic commit order downstream (the
 driver commits in submission order) is never at risk.
 
-Tasks are keyed by the SHA-256 of their *result-affecting* content
-(:func:`task_digest` strips the execution-only config knobs), which makes
-the queue itself the dedup layer: two concurrent campaigns submitting the
-same (fault, test) experiment share one queue entry, one execution, and
-one result.
+Tasks are keyed by the submitting driver's result key
+(:class:`~repro.cache.ResultKey`: the experiment-cache key, code
+included, execution-only knobs excluded), which makes the queue itself
+the dedup layer: two concurrent campaigns submitting the same (fault,
+test) experiment share one queue entry, one execution, and one result.
+An agent on other code refuses the task (``code_mismatch``).  Finished
+tasks stay for dedup and polling in a ring of :data:`FINISHED_TASKS`;
+one that has left it runs again when resubmitted, which is safe because
+tasks are pure.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import hashlib
 import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set
 
 from ..config import CSnakeConfig
@@ -41,24 +45,10 @@ DEFAULT_LEASE_TTL_S = 15.0
 #: Cap on buffered progress events per campaign (a ring; oldest dropped).
 MAX_CAMPAIGN_EVENTS = 4096
 
-
-def task_digest(task_obj: Dict[str, Any]) -> str:
-    """Content address of a wire-form task: the dedup identity.
-
-    Execution-only config knobs (workers, backend, cache dir) are
-    stripped before hashing — two campaigns that could not
-    produce different results for this task must collide here, whatever
-    machine or cache layout each runs with.
-    """
-    config = CSnakeConfig.from_dict(json.loads(task_obj["config_json"])).result_affecting()
-    identity = {
-        "system": task_obj["system"],
-        "test_id": task_obj["test_id"],
-        "fault": task_obj["fault"],
-        "plans": task_obj["plans"],
-        "config": config,
-    }
-    return hashlib.sha256(json.dumps(identity, sort_keys=True).encode()).hexdigest()
+#: How many finished tasks the manager keeps, oldest forgotten first when
+#: new tasks are submitted.  A forgotten task's result is gone: polling it
+#: is an unknown-task error, and resubmitting it runs it again.
+FINISHED_TASKS = 4096
 
 
 class _Task:
@@ -152,6 +142,8 @@ class ManagerCore:
         # others (stats -> list_campaigns) under one critical section.
         self._cond = threading.Condition()
         self._tasks: Dict[str, _Task] = {}
+        # Finished task ids in the order they finished (values unused).
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
         self._queue: Deque[str] = deque()
         self._agents: Dict[str, _Agent] = {}
         self._campaigns: Dict[str, _Campaign] = {}
@@ -159,6 +151,8 @@ class ManagerCore:
         self._next_campaign = 0
         self._executed = 0  # tasks that ran on an agent (≠ dedup hits)
         self._requeued = 0  # leases reclaimed from expired agents
+        self._evicted = 0  # finished tasks forgotten past FINISHED_TASKS
+        self._code_mismatch = 0  # tasks an agent refused as other code's
         self.started_at = self._clock()
 
     # ----------------------------------------------------------- internals
@@ -249,7 +243,8 @@ class ManagerCore:
         """Record a task outcome.  First completion wins; results are
         accepted even from agents whose lease lapsed mid-execution (the
         work is deterministic, so a late result equals the re-queued
-        re-execution it raced)."""
+        re-execution it raced), and a late one for a task that finished
+        and was forgotten since is a duplicate too."""
         with self._cond:
             now = self._clock()
             self._reap(now)
@@ -259,17 +254,17 @@ class ManagerCore:
                 if cache:
                     agent.cache = dict(cache)
             task = self._tasks.get(task_id)
-            if task is None:
-                raise ReproError("completion for unknown task %r" % (task_id,))
-            if task.state in ("done", "failed"):
+            if task is None or task.state in ("done", "failed"):
                 return {"ok": True, "duplicate": True}
             wait_s = (task.leased_at or now) - task.enqueued_at
             if error is not None:
                 task.state = "failed"
                 task.error = error
+                self._code_mismatch += error.startswith("code_mismatch:")
             else:
                 task.state = "done"
                 task.result = result
+            self._finished[task_id] = None
             self._executed += 1
             if agent is not None:
                 agent.completed += 1
@@ -294,18 +289,22 @@ class ManagerCore:
     def submit_tasks(
         self, tasks: List[Dict[str, Any]], campaign: Optional[str] = None
     ) -> Dict[str, Any]:
-        """Enqueue wire-form tasks; returns their content-digest ids.
+        """Enqueue wire-form tasks; returns their ids, which are their keys.
 
-        A task whose digest is already known (queued, leased, or done) is
+        A task whose key is already known (queued, leased, or done) is
         *not* enqueued again — the existing entry serves every submitter.
+        Finished tasks beyond :data:`FINISHED_TASKS` are forgotten first.
         """
         with self._cond:
             now = self._clock()
             self._reap(now)
+            while len(self._finished) > FINISHED_TASKS:
+                del self._tasks[self._finished.popitem(last=False)[0]]
+                self._evicted += 1
             ids: List[str] = []
             fresh = 0
             for obj in tasks:
-                digest = task_digest(obj)
+                digest = obj["key"]
                 ids.append(digest)
                 task = self._tasks.get(digest)
                 if task is None:
@@ -315,6 +314,7 @@ class ManagerCore:
                     fresh += 1
                 elif task.state == "failed":
                     # A failed task may be retried by a fresh submission.
+                    del self._finished[digest]
                     task.state = "queued"
                     task.error = None
                     self._queue.append(digest)
@@ -506,7 +506,7 @@ class ManagerCore:
                 (t.leased_at or t.enqueued_at) - t.enqueued_at for t in done
             ]
             return {
-                "protocol": 1,
+                "protocol": 2,
                 "uptime_s": round(now - self.started_at, 3),
                 "lease_ttl_s": self.lease_ttl_s,
                 "agents": [
@@ -528,6 +528,8 @@ class ManagerCore:
                     "executed": self._executed,
                     "deduped": sum(1 for t in tasks if len(t.campaigns) > 1),
                     "requeued": self._requeued,
+                    "evicted": self._evicted,
+                    "code_mismatch": self._code_mismatch,
                 },
                 "queue_wait_s": {
                     "mean": round(sum(waits) / len(waits), 6) if waits else 0.0,

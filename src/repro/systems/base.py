@@ -74,20 +74,23 @@ class SystemSpec:
     registry: SiteRegistry
     workloads: Dict[str, WorkloadSpec] = field(default_factory=dict)
     known_bugs: List[KnownBug] = field(default_factory=list)
-    #: Spec version, part of every experiment-cache key.  Bump it whenever
-    #: the system's *behaviour* changes (node logic, workload bodies, cost
-    #: models) — structural changes to the registry or workload list are
-    #: picked up by :meth:`digest` automatically, behavioural ones are not.
+    #: Spec version, part of every result key.  Code in
+    #: :attr:`source_modules` is keyed by its own digest, and the registry
+    #: and workload list by :meth:`digest`; bump the version when behaviour
+    #: changes anywhere else (a module this spec does not declare).
     version: str = "0"
     #: The system's injectable environment surface: crashable nodes and
     #: severable links.  Declaring a port registers the corresponding
     #: ``ENV_NODE``/``ENV_LINK`` sites, which environment fault models
     #: (``repro.faults.environment``) target like code sites.
     env_port: Optional[EnvFaultPort] = None
-    #: Python modules holding this system's node implementations and
-    #: workload bodies — the input of the code-slice analysis
-    #: (``repro.analysis``).  Empty means "not sliceable": per-site cache
-    #: keys fall back to the whole-spec digest and no reachability
+    #: Python modules holding this system's node implementations, config
+    #: and workload bodies — the input of the code-slice analysis
+    #: (``repro.analysis``), whose source digest is the code component of
+    #: every result key.  The framework (``repro.sim``, ``repro.instrument``,
+    #: ``repro.faults``) is not covered; an edit there needs a
+    #: ``CACHE_SCHEMA`` bump.  Empty means "not sliceable": result keys
+    #: carry the whole-spec :meth:`digest` instead and no reachability
     #: pruning happens.
     source_modules: Tuple[str, ...] = ()
     _slices: Optional["SliceAnalysis"] = field(
@@ -126,12 +129,11 @@ class SystemSpec:
     def attach_slice_analysis(self, slices: "SliceAnalysis") -> None:
         """Make ``slices`` this spec's analysis.  Called by the experiment
         driver with the cache's or a fresh analysis of the live source,
-        and by tests and ``repro diff-run`` with an analysis of *other*
-        source text — a patched tree, a git ref — sliced against this
-        spec's registry and workloads; the driver leaves a spec that
-        already carries one alone."""
+        and by tests with an analysis of *other* source text (an edited
+        tree) sliced against this spec's registry and workloads; result
+        keys then carry that text's source digest.  The driver leaves a
+        spec that already carries one alone."""
         self._slices = slices
-        self.registry.attach_slice_digests(slices)
 
     def _sites_payload(self) -> List[List[str]]:
         sites = []
@@ -154,11 +156,9 @@ class SystemSpec:
 
         Covers the name, the declared :attr:`version`, every site
         definition (id, kind, function, metadata), and the workload
-        inventory (test ids, durations, and sim configs).  Since
-        ``CACHE_SCHEMA`` 3 this whole-spec digest is only the cache-key
-        *fallback* for slice-unresolved sites; resolved entries key on
-        :meth:`sites_digest`, the test's :meth:`workload_row`, and the
-        site's slice digest instead.
+        inventory (test ids, durations, and sim configs).  It is the code
+        component of the result keys of a system that declares no
+        :attr:`source_modules`.
         """
         import hashlib
         import json

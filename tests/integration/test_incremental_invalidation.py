@@ -1,90 +1,119 @@
-"""Incremental cache invalidation under a one-handler source edit.
+"""A cache hit after an edit equals the edited tree's recompute.
 
-The CACHE_SCHEMA 3 contract: experiment entries are keyed on the
-injection site's *slice digest*, so editing one handler re-runs only the
-experiments whose reachable slice contains the edit — everything else is
-a warm hit.  The edit used here is the shared ``examples/diffrun``
-behaviour-neutral one-liner in ``RaftNode.install_snapshot`` (the same
-edit CI's bench job drives through the CLI).
+Every stored result is keyed on the source digest of the system's
+declared source modules (``repro.cache.ResultKey``), so a cache filled by
+one tree and replayed by an edited copy may only reuse an entry the
+edited tree would have written byte for byte.  The campaigns run the way
+``repro diff-run`` runs them: one ``repro run`` subprocess per tree
+(``_diffrun_side_root`` / ``_diffrun_campaign``), so each side executes
+its own code.
 
-The warm campaign runs in-process against the *edited tree's* analysis
-(``SystemSpec.attach_slice_analysis``): cache keys see the edited
-source, execution uses the live code.  Because the edit is
-behaviour-neutral these coincide, and the subprocess-based CI job covers
-the actually-executes-the-edit path.
+The edits are fact 9 of ROADMAP.md (a ``spin`` cost in
+``NameNode.replication_monitor``) and a dataclass default in
+``hconfig.py``, a statement no function covers.  A per-site slice key
+replayed stale entries for the first and every entry for the second.  A
+comment-only edit must replay everything.
 """
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from examples.diffrun.edit_miniraft import make_edited_tree
 from repro.analysis import TreeSource, analyze_system, diff_slices
-from repro.config import CSnakeConfig
-from repro.pipeline import Pipeline
+from repro.cli import _diffrun_campaign, _diffrun_side_root, build_parser
 from repro.systems import get_system
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Budget 6 (not the smoke default 2): under tighter budgets the 3PA
-#: allocator can spend every phase at unchanged sites, leaving the
-#: invalidation path unexercised.
-CFG = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=6)
+RUN = ["--system", "minihdfs2", "--repeats", "2", "--delays", "2000", "--budget", "2",
+       "--seed", "7"]
+
+#: name -> (module path under src/repro, text, replacement)
+EDITS = {
+    "spin": (
+        "systems/minihdfs/namenode.py",
+        'for bid in self.rt.loop("nn.repl.scan", work):\n                self.env.spin(0.1)',
+        'for bid in self.rt.loop("nn.repl.scan", work):\n                self.env.spin(0.5)',
+    ),
+    "config_default": (
+        "systems/minihdfs/hconfig.py",
+        "heartbeat_interval_ms: float = 3_000.0",
+        "heartbeat_interval_ms: float = 2_000.0",
+    ),
+    "comment": (
+        "systems/minihdfs/namenode.py",
+        'for bid in self.rt.loop("nn.repl.scan", work):\n',
+        'for bid in self.rt.loop("nn.repl.scan", work):  # scan every queued block\n',
+    ),
+}
 
 
-def _cache_files(cache_dir):
-    return {str(p) for p in Path(cache_dir).glob("*/*.json")}
-
-
-def test_single_handler_edit_invalidates_only_changed_slices(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cold_spec = get_system("miniraft")
-    cold = Pipeline.default(
-        cold_spec, CSnakeConfig(cache_dir=str(cache_dir), **CFG)
-    ).run()
-    assert cold.driver.cache.hits == 0 and cold.driver.cache.stores > 0
-    cold_files = _cache_files(cache_dir)
-
-    edited_root = make_edited_tree(tmp_path / "edited", REPO_ROOT)
-    warm_spec = get_system("miniraft")
-    edited = analyze_system(
-        warm_spec, TreeSource(edited_root).sources(warm_spec.source_modules)
+def _edited_copy(dest, name):
+    rel, old, new = EDITS[name]
+    shutil.copytree(
+        str(REPO_ROOT / "src"), str(dest / "src"), ignore=shutil.ignore_patterns("__pycache__")
     )
-    sdiff = diff_slices(cold_spec.slice_analysis(), edited)
-    assert sdiff.changed_sites and sdiff.unchanged_sites
-    # every miniraft workload entry point transitively reaches the edited
-    # handler, so all profile entries (but not all experiments) re-run
-    assert sdiff.changed_entries
+    target = dest / "src" / "repro" / rel
+    text = target.read_text(encoding="utf-8")
+    assert text.count(old) == 1, "edit anchor drifted in %s" % rel
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    return dest
 
-    warm_spec.attach_slice_analysis(edited)
-    warm = Pipeline.default(
-        warm_spec, CSnakeConfig(cache_dir=str(cache_dir), **CFG)
-    ).run()
-    assert warm.driver.cache.hits > 0, "nothing reused across the edit"
-    assert warm.driver.cache.misses > 0, "the edit invalidated nothing"
 
-    changed_sites = set(sdiff.changed_sites)
-    changed_entries = set(sdiff.changed_entries)
-    fresh = sorted(_cache_files(cache_dir) - cold_files)
-    assert fresh, "warm campaign stored no new entries"
-    exp_misses = 0
-    for path in fresh:
-        entry = json.loads(Path(path).read_text())
-        if entry["kind"] == "experiment":
-            site = entry["key"]["fault"].rsplit(":", 1)[0]
-            assert site in changed_sites, (
-                "unchanged-slice experiment re-ran: %s" % site
-            )
-            exp_misses += 1
-        else:
-            assert entry["kind"] == "profile"
-            assert entry["key"]["test_id"] in changed_entries, (
-                "unchanged-entry profile re-ran: %s" % entry["key"]["test_id"]
-            )
-    assert exp_misses > 0, "budget never reached a changed-slice experiment"
-    assert len(fresh) == warm.driver.cache.misses == warm.driver.cache.stores
+def _campaign(root, cache_dir):
+    """One side's campaign, as ``repro diff-run`` runs it."""
+    args = build_parser().parse_args(["diff-run", ".", "."] + RUN)
+    return _diffrun_campaign(_diffrun_side_root(TreeSource(root), None, "side"), args, cache_dir)
 
-    # Behaviour-neutral edit: the detection reports agree exactly.
-    assert cold.get("report").to_dict() == warm.get("report").to_dict()
+
+def _entries(cache_dir):
+    """Entry file name -> ``(kind, data)`` of every profile and experiment entry."""
+    out = {}
+    for path in Path(cache_dir).glob("*/*.json"):
+        entry = json.loads(path.read_text())
+        if entry["kind"] != "slices":
+            out[path.name] = (entry["kind"], entry["data"])
+    return out
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """The unedited tree's cache and report."""
+    cache = tmp_path_factory.mktemp("base") / "cache"
+    report = _campaign(REPO_ROOT, str(cache))
+    return cache, report
+
+
+@pytest.mark.parametrize("edit", ["spin", "config_default"])
+def test_a_replay_across_an_executable_edit_equals_the_edited_recompute(edit, base, tmp_path):
+    base_cache, _ = base
+    edited = _edited_copy(tmp_path / "edited", edit)
+    replay_cache = tmp_path / "replay"
+    shutil.copytree(str(base_cache), str(replay_cache))
+    replayed = _campaign(edited, str(replay_cache))
+    cold_cache = tmp_path / "cold"
+    recomputed = _campaign(edited, str(cold_cache))
+
+    cold, replay, stale = _entries(cold_cache), _entries(replay_cache), _entries(base_cache)
+    # Every entry the replay could read (the base tree's, plus what it
+    # stored) is the one the edited tree computes under that key.
+    for name, entry in sorted(cold.items()):
+        assert replay.get(name) == entry, "%s entry %s: replay != recompute" % (entry[0], name)
+    # And the edit reached every key: the replay stored all of them anew.
+    assert set(replay) - set(stale) == set(cold)
+    assert replayed == recomputed
+
+
+def test_a_comment_edit_replays_every_entry(base, tmp_path):
+    base_cache, base_report = base
+    edited = _edited_copy(tmp_path / "edited", "comment")
+    replay_cache = tmp_path / "replay"
+    shutil.copytree(str(base_cache), str(replay_cache))
+    assert _campaign(edited, str(replay_cache)) == base_report
+    assert _entries(replay_cache) == _entries(base_cache)
 
 
 def test_edit_script_is_behaviour_neutral_and_anchored(tmp_path):
@@ -100,55 +129,3 @@ def test_edit_script_is_behaviour_neutral_and_anchored(tmp_path):
         "repro.systems.miniraft.nodes:RaftNode.install_snapshot",
     )
     assert sdiff.added_functions == () and sdiff.removed_functions == ()
-
-
-def test_minihdfs_datanode_edit_invalidates_only_changed_slices(tmp_path):
-    """The same CACHE_SCHEMA 3 contract on a paper-evaluation system: a
-    one-statement edit to the shared datanode write-pipeline handler
-    (``DataNode.receive_block``) re-runs only experiments whose slice
-    reaches the edit; namenode- and client-only paths stay warm."""
-    from examples.diffrun.edit_minihdfs import make_edited_tree as edit_hdfs
-
-    cache_dir = tmp_path / "cache"
-    cold_spec = get_system("minihdfs2")
-    cold = Pipeline.default(
-        cold_spec, CSnakeConfig(cache_dir=str(cache_dir), **CFG)
-    ).run()
-    assert cold.driver.cache.hits == 0 and cold.driver.cache.stores > 0
-    cold_files = _cache_files(cache_dir)
-
-    edited_root = edit_hdfs(tmp_path / "edited", REPO_ROOT)
-    warm_spec = get_system("minihdfs2")
-    edited = analyze_system(
-        warm_spec, TreeSource(edited_root).sources(warm_spec.source_modules)
-    )
-    sdiff = diff_slices(cold_spec.slice_analysis(), edited)
-    assert sdiff.changed_functions == (
-        "repro.systems.minihdfs.datanode:DataNode.receive_block",
-    )
-    assert sdiff.changed_sites and sdiff.unchanged_sites
-
-    warm_spec.attach_slice_analysis(edited)
-    warm = Pipeline.default(
-        warm_spec, CSnakeConfig(cache_dir=str(cache_dir), **CFG)
-    ).run()
-    assert warm.driver.cache.hits > 0, "nothing reused across the edit"
-    assert warm.driver.cache.misses > 0, "the edit invalidated nothing"
-
-    changed_sites = set(sdiff.changed_sites)
-    changed_entries = set(sdiff.changed_entries)
-    for path in sorted(_cache_files(cache_dir) - cold_files):
-        entry = json.loads(Path(path).read_text())
-        if entry["kind"] == "experiment":
-            site = entry["key"]["fault"].rsplit(":", 1)[0]
-            assert site in changed_sites, (
-                "unchanged-slice experiment re-ran: %s" % site
-            )
-        else:
-            assert entry["kind"] == "profile"
-            assert entry["key"]["test_id"] in changed_entries, (
-                "unchanged-entry profile re-ran: %s" % entry["key"]["test_id"]
-            )
-
-    # Behaviour-neutral edit: the detection reports agree exactly.
-    assert cold.get("report").to_dict() == warm.get("report").to_dict()

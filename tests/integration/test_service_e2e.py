@@ -9,19 +9,29 @@ mid-run.
 
 import functools
 import os
+import shutil
+import subprocess
+import sys
 import uuid
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import TreeSource, analyze_system
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
+from repro.errors import ReproError
 from repro.pipeline import STAGES, EventRecorder, Pipeline, format_event
 from repro.service import agent as agent_module
+from repro.service import manager as manager_module
 from repro.service.agent import execute_wire_task
 from repro.service.http import HttpTransport, ManagerServer
 from repro.service.manager import ManagerCore, campaign_digest, follow_campaign
+from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
 from tests.helpers import agent_thread
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Small but non-trivial toy campaign: a few dozen tasks, seconds to run.
 CFG = dict(repeats=2, delay_values_ms=(500.0,), seed=3, budget_per_fault=2)
@@ -254,11 +264,84 @@ def test_manager_side_campaign_matches_serial(serial_run):
     assert len(fleet) == 2 + 2 * len(STAGES)
 
 
-def test_http_error_surfaces_as_repro_error():
-    from repro.errors import ReproError
+def test_a_campaign_through_a_tiny_finished_ring_matches_serial(serial_digest, monkeypatch):
+    """The manager keeps only its newest finished tasks: a campaign of many
+    times the ring's size still ends with serial's digest, and the task
+    table stays bounded by the ring plus one batch."""
+    monkeypatch.setattr(manager_module, "FINISHED_TASKS", 1)
+    core = ManagerCore(lease_ttl_s=10.0)
+    left_over = []
+    submit = core.submit_tasks
 
+    def submit_and_measure(tasks, campaign=None):
+        reply = submit(tasks, campaign=campaign)
+        left_over.append(len(core._tasks) - len(tasks))
+        return reply
+
+    monkeypatch.setattr(core, "submit_tasks", submit_and_measure)
+    agent, thread = agent_thread(core, workers=2, name="ring")
+    try:
+        status = _submitted(core)
+    finally:
+        agent.stop()
+        thread.join(timeout=10.0)
+    assert status["state"] == "done", status
+    assert status["digest"] == serial_digest
+    stats = core.stats()["tasks"]
+    assert stats["executed"] >= 10 * 1 and stats["evicted"] > 0
+    # beside a submitted batch, the table holds at most the ring
+    assert max(left_over) <= 1
+
+
+def _toy_copy_with_neutral_edit(dest):
+    """A copy of the source tree whose toy module gained one executable,
+    behaviour-neutral statement: other code, the same results."""
+    shutil.copytree(
+        str(REPO_ROOT / "src"), str(dest / "src"), ignore=shutil.ignore_patterns("__pycache__")
+    )
+    toy = dest / "src" / "repro" / "systems" / "toy.py"
+    toy.write_text(toy.read_text(encoding="utf-8") + "\n_EDITED = True\n", encoding="utf-8")
+    return dest
+
+
+def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path):
+    """An agent whose tree keys tasks differently answers each with a
+    counted ``code_mismatch`` error, never a result; a resubmission keyed
+    by the agent's tree executes and ends with serial's digest (the edit
+    is behaviour-neutral)."""
+    edited = _toy_copy_with_neutral_edit(tmp_path / "edited")
+    with ManagerServer(port=0) as server:
+        core = server.core
+        agent = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "agent", "--manager", server.url,
+             "--workers", "1", "--idle-exit", "60"],
+            env=dict(os.environ, PYTHONPATH=str(edited / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            unedited = Pipeline(get_system("toy"), CSnakeConfig(**CFG), executor=RemoteExecutor(core))
+            with pytest.raises(ReproError, match="code_mismatch: "):
+                unedited.run()
+            refused = core.stats()["tasks"]
+            assert refused["code_mismatch"] == refused["failed"] == refused["total"] > 0
+
+            spec = get_system("toy")
+            spec.attach_slice_analysis(
+                analyze_system(spec, TreeSource(edited).sources(spec.source_modules))
+            )
+            ctx = Pipeline(spec, CSnakeConfig(**CFG), executor=RemoteExecutor(core)).run()
+            assert campaign_digest(ctx) == serial_digest
+            stats = core.stats()["tasks"]
+            assert stats["code_mismatch"] == refused["code_mismatch"]
+            assert stats["done"] == stats["executed"] - refused["total"] > 0
+        finally:
+            agent.terminate()
+            agent.wait(timeout=30.0)
+
+
+def test_http_error_surfaces_as_repro_error():
     with ManagerServer(port=0) as server:
         transport = HttpTransport(server.url)
-        assert transport.health()["protocol"] == 1
+        assert transport.health()["protocol"] == 2
         with pytest.raises(ReproError):
             transport.campaign_status("campaign-404")

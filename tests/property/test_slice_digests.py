@@ -1,11 +1,12 @@
-"""Property-based tests: slice digests are exactly as sensitive as they
+"""Property-based tests: the source digest is exactly as sensitive as it
 should be.
 
-The cache contract (DESIGN.md, docs/static-analysis.md) is that a site's
-slice digest is invariant under *behaviour-neutral* source edits —
-comments, blank lines, docstrings — and changes for any executable edit
-inside the slice.  Hypothesis drives random combinations of both kinds
-of edit against a small instrumented module.
+The cache contract (DESIGN.md, docs/static-analysis.md) is that the
+source digest every result key embeds is invariant under
+*behaviour-neutral* source edits — comments, blank lines, docstrings —
+and changes for any executable edit, inside a function or not.
+Hypothesis drives random combinations of both kinds of edit against a
+small instrumented module.
 """
 
 from hypothesis import given, settings
@@ -16,11 +17,16 @@ from repro.instrument.sites import FaultSite
 from repro.types import SiteKind
 
 BASE = '''\
+LIMIT = 0
+
+
 def run(svc):
     return svc.handle(4)
 
 
 class Svc:
+    scale = 0
+
     def __init__(self, rt):
         self.rt = rt
 
@@ -77,8 +83,8 @@ def _apply_neutral(source, edits):
 def test_digests_invariant_under_comment_blank_and_docstring_edits(edits):
     mutated = _apply_neutral(BASE, edits)
     analysis = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    assert analysis.site_digests == BASELINE.site_digests
-    assert analysis.entry_digests == BASELINE.entry_digests
+    assert analysis.function_digests == BASELINE.function_digests
+    assert analysis.module_digests == BASELINE.module_digests
     assert analysis.source_digest == BASELINE.source_digest
 
 
@@ -87,6 +93,8 @@ _EXEC_EDITS = st.sampled_from(
         ("item * 3", "item * %d"),  # constant in a leaf callee
         ("total = 0", "total = %d"),  # constant in the root function
         ("range(n)", "range(n + %d)"),  # loop bound
+        ("LIMIT = 0", "LIMIT = %d"),  # module constant
+        ("scale = 0", "scale = %d"),  # class attribute
     ]
 )
 
@@ -98,9 +106,6 @@ def test_digests_change_for_executable_edits_even_with_neutral_noise(edit, k, no
     replacement = template % (k + 3 if "* %d" in template else k)
     mutated = _apply_neutral(BASE.replace(needle, replacement, 1), noise)
     analysis = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    # every edit above lands inside handle's slice (handle or weigh)
-    assert analysis.site_digests["svc.scan"] != BASELINE.site_digests["svc.scan"]
-    assert analysis.entry_digests["t-run"] != BASELINE.entry_digests["t-run"]
     assert analysis.source_digest != BASELINE.source_digest
 
 
@@ -111,5 +116,5 @@ def test_digest_is_a_pure_function_of_normalized_source(text):
     mutated = _apply_neutral(BASE, [("comment", 3, text)])
     a = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
     b = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    assert a.site_digests == b.site_digests
+    assert a.function_digests == b.function_digests
     assert a.source_digest == b.source_digest

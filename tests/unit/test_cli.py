@@ -9,6 +9,7 @@ from repro.cli import _config, _parse_delays, _parse_fault, main
 from repro.config import DELAY_VALUES_MS
 from repro.errors import ReproError
 from repro.pipeline import STAGES
+from repro.systems import get_system
 from repro.types import DELAY, EXCEPTION, FaultKey
 
 
@@ -238,7 +239,7 @@ def test_analyze_command_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["analysis"]["system"] == "miniraft"
     slices = obj["slices"]
-    assert slices["site_digests"] and slices["entry_digests"]
+    assert slices["source_digest"] == get_system("miniraft").slice_analysis().source_digest
     assert "ldr.compact.scan" not in {f.rsplit(":", 1)[0] for f in obj["analysis"]["faults"]}
     # stats are stable scalars: no wall-clock noise in the JSON form
     assert not any(k.startswith("wall_") for k in slices["stats"])
@@ -268,7 +269,7 @@ def test_diff_run_static_only_json(tmp_path, capsys):
     assert obj["static"]["functions"]["changed"] == [
         "repro.systems.miniraft.nodes:RaftNode.install_snapshot"
     ]
-    assert obj["experiments"]["invalidated"] and obj["experiments"]["reusable"]
+    assert obj["static"]["modules"]["changed"] == []
     assert obj["reports"] is None  # static-only: no campaigns were run
 
 
@@ -277,9 +278,7 @@ def test_diff_run_static_only_identical_sides(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert not obj["static"]["source_changed"]
-    assert obj["static"]["sites"]["changed"] == []
-    # unresolved registry sites are conservatively invalidated even here
-    assert set(obj["experiments"]["invalidated"]) <= {"E@raft.sec.cert_check"}
+    assert obj["static"]["functions"]["changed"] == []
 
 
 DIFF_RUN = ["diff-run", ".", ".", "--system", "toy", "--budget", "1", "--repeats", "2",
@@ -299,24 +298,6 @@ def test_diff_run_runs_both_child_campaigns(capsys):
         with pytest.raises(SystemExit) as exc:
             main(DIFF_RUN + extra)
         assert exc.value.code == 2, extra
-
-
-def test_diff_run_partitions_the_fault_space_analyze_reports(capsys):
-    """``diff-run --schedules`` must partition the same fault space the
-    campaigns it launches run: env kinds and schedule faults included."""
-    from repro.serialize import fault_from_obj
-
-    space = ["--fault-kinds", "all", "--schedules", "all", "--json"]
-    assert main(["analyze", "minidfs"] + space) == 0
-    analyzed = json.loads(capsys.readouterr().out)["analysis"]["faults"]
-    assert main(["diff-run", ".", ".", "--system", "minidfs", "--static-only"] + space) == 0
-    experiments = json.loads(capsys.readouterr().out)["experiments"]
-    partitioned = experiments["invalidated"] + experiments["reusable"]
-    assert sorted(partitioned) == sorted(str(fault_from_obj(f)) for f in analyzed)
-    classic = len(partitioned)
-    assert main(["diff-run", ".", ".", "--system", "minidfs", "--static-only", "--json"]) == 0
-    experiments = json.loads(capsys.readouterr().out)["experiments"]
-    assert len(experiments["invalidated"] + experiments["reusable"]) < classic
 
 
 def test_execution_flags_resolve_to_execution_only_fields(tmp_path):

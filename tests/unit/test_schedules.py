@@ -197,7 +197,8 @@ def test_plans_carry_concrete_events_and_sites(raft_registry):
     plans = model.plans_for(fault, CONFIG, raft_registry)
     assert len(plans) == 1  # default time_scale sweep: the composition as declared
     assert plans[0].warmup_ms == INJECTION_WARMUP_MS
-    assert model.plan_sites(plans[0]) == ["env.link.raft0~raft1", "env.node.raft1"]
+    sites = {plans[0].fault.site_id} | {site for site, _, _, _ in plans[0].param("events")}
+    assert sorted(sites) == ["env.link.raft0~raft1", "env.node.raft1"]
     model.validate_plan(plans[0])
 
 

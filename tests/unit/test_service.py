@@ -6,17 +6,23 @@ advancing a counter, never by sleeping; the executor tests hand the
 executor the core itself, as manager-side campaigns do.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.cache import ResultKey
+from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentTask
 from repro.errors import ReproError
 from repro.instrument.plan import InjectionPlan
 from repro.serialize import task_from_obj, task_to_obj
-from repro.service.manager import ManagerCore, task_digest
+from repro.service.manager import ManagerCore
 from repro.service.remote import RemoteExecutor
+from repro.systems import get_system
 from repro.types import DELAY, FaultKey
+
+TOY = get_system("toy")
 
 
 class FakeClock:
@@ -30,17 +36,19 @@ class FakeClock:
         self.now += seconds
 
 
-def _task_obj(fault="svc.loop:DELAY", test_id="t1", seed=7, **config):
-    """A minimal wire-form task; config defaults to result-affecting only."""
+def _key(task):
+    """A task's result key, computed as its submitting driver would."""
+    config = CSnakeConfig.from_dict(json.loads(task.config_json))
+    return ResultKey(TOY, config)(task.test_id, task.fault, task.plans)
+
+
+def _task_obj(fault=FaultKey("svc.loop", DELAY), test_id="t1", seed=7, **config):
+    """A minimal wire-form task, stamped with its key; config defaults to
+    result-affecting only."""
     cfg = {"seed": seed}
     cfg.update(config)
-    return {
-        "system": "toy",
-        "test_id": test_id,
-        "config_json": json.dumps(cfg, sort_keys=True),
-        "fault": fault,
-        "plans": [],
-    }
+    task = ExperimentTask("toy", test_id, json.dumps(cfg, sort_keys=True), fault)
+    return task_to_obj(dataclasses.replace(task, key=_key(task)))
 
 
 @pytest.fixture()
@@ -68,7 +76,7 @@ def test_lease_complete_happy_path(core):
     stats = core.stats()["tasks"]
     assert stats == {
         "total": 2, "queued": 0, "leased": 0, "done": 2, "failed": 0,
-        "executed": 2, "deduped": 0, "requeued": 0,
+        "executed": 2, "deduped": 0, "requeued": 0, "evicted": 0, "code_mismatch": 0,
     }
 
 
@@ -128,6 +136,33 @@ def test_failed_task_retries_on_fresh_submission(core):
     assert core.poll_results(ids)["done"][ids[0]] == {"result": {"ok": 1}}
 
 
+def test_finished_tasks_are_a_bounded_ring(core, monkeypatch):
+    """Queued and leased tasks plus the newest ``FINISHED_TASKS`` finished
+    ones: ten times the ring's size of distinct tasks leaves the table
+    bounded, every result reads back as completed, and a task that left
+    the ring runs again when resubmitted."""
+    from repro.service import manager as manager_module
+
+    ring = 3
+    monkeypatch.setattr(manager_module, "FINISHED_TASKS", ring)
+    agent = core.register_agent()["agent"]
+    first = None
+    for i in range(10 * ring):
+        ids = core.submit_tasks([_task_obj(test_id="t%d" % i)])["ids"]
+        first = first or ids
+        assert len(core._tasks) <= ring + 1
+        (entry,) = core.lease(agent, max_tasks=1)["tasks"]
+        core.complete(agent, entry["id"], result={"i": i})
+        assert core.poll_results(ids)["done"] == {ids[0]: {"result": {"i": i}}}
+    stats = core.stats()["tasks"]
+    assert stats["evicted"] == 10 * ring - (ring + 1)
+    assert stats["total"] == ring + 1 and stats["executed"] == 10 * ring
+    with pytest.raises(ReproError):
+        core.poll_results(first)
+    assert core.submit_tasks([_task_obj(test_id="t0")])["ids"] == first
+    assert [e["id"] for e in core.lease(agent, max_tasks=1)["tasks"]] == first
+
+
 def test_poll_unknown_task_raises(core):
     with pytest.raises(ReproError):
         core.poll_results(["nope"])
@@ -136,17 +171,17 @@ def test_poll_unknown_task_raises(core):
 # ------------------------------------------------------------------ dedup
 
 
-def test_task_digest_strips_execution_only_knobs():
-    base = _task_obj()
+def test_result_key_strips_execution_only_knobs():
+    base = _task_obj()["key"]
     for knob, value in (
         ("experiment_workers", 7),
         ("experiment_backend", "process"),
         ("cache_dir", "/tmp/elsewhere"),
     ):
-        assert task_digest(_task_obj(**{knob: value})) == task_digest(base), knob
-    assert task_digest(_task_obj(seed=8)) != task_digest(base)
-    assert task_digest(_task_obj(fault=None)) != task_digest(base)
-    assert task_digest(_task_obj(test_id="t2")) != task_digest(base)
+        assert _task_obj(**{knob: value})["key"] == base, knob
+    assert _task_obj(seed=8)["key"] != base
+    assert _task_obj(fault=None)["key"] != base
+    assert _task_obj(test_id="t2")["key"] != base
 
 
 def test_identical_submissions_share_one_queue_entry(core):
@@ -188,7 +223,9 @@ def test_task_wire_roundtrip(task):
     obj = task_to_obj(task)
     assert json.loads(json.dumps(obj)) == obj  # JSON-clean
     assert task_from_obj(obj) == task
-    assert task_digest(obj) == task_digest(task_to_obj(task_from_obj(obj)))
+    # An agent recomputes the key from the decoded task: the wire must not
+    # move it.
+    assert _key(task_from_obj(obj)) == _key(task)
 
 
 # ---------------------------------------------------------------- executor
@@ -314,8 +351,6 @@ def test_a_wire_task_with_a_malformed_config_is_a_named_error():
         outcome, cache = execute_wire_task(task)
         assert outcome["error"].startswith("ConfigError: ") and named in outcome["error"]
         assert cache is None
-        with pytest.raises(ReproError, match=named):
-            task_digest(task)
 
 
 def raw_post(url: str, path: str, content_length: int, body: bytes = b"") -> tuple:

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cache import ResultKey
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver, ExperimentTask, execute_experiment_task
 from repro.faults import model_for
@@ -158,9 +159,10 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
 
     def task(root):
         config = CSnakeConfig(cache_dir=str(root), **SMOKE)
-        plans = model_for(fault.kind).plans_for(fault, config, spec.registry)
+        plans = tuple(model_for(fault.kind).plans_for(fault, config, spec.registry))
         return ExperimentTask(
-            "toy", test_id, json.dumps(config.to_dict(), sort_keys=True), fault, tuple(plans)
+            "toy", test_id, json.dumps(config.to_dict(), sort_keys=True), fault, plans,
+            key=ResultKey(spec, config)(test_id, fault, plans),
         )
 
     try:

@@ -17,7 +17,7 @@ from repro.analysis import (
 from repro.analysis.astutil import collect_module, digest_node
 from repro.analysis.callgraph import build_call_graph
 from repro.instrument.sites import FaultSite
-from repro.types import NEGATION, FaultKey, SiteKind
+from repro.types import SiteKind
 
 MOD_A = '''\
 from demo.b import Helper, util
@@ -265,12 +265,14 @@ def test_slicer_unions_multi_root_literals(analysis):
 def test_slicer_reports_unresolved_sites(analysis):
     assert "svc.ghost" in analysis.unresolved
     assert "not in source" in analysis.unresolved["svc.ghost"]
-    assert "svc.ghost" not in analysis.site_digests
+    assert "svc.ghost" not in analysis.site_slices
 
 
 def test_slicer_keys_env_sites_on_whole_source(analysis):
+    # an environment site has no code and no slice; like every site, its
+    # results key on the whole source digest
     assert analysis.env_sites == ("env.node.0",)
-    assert analysis.site_digests["env.node.0"] == analysis.source_digest
+    assert "env.node.0" not in analysis.site_roots and "env.node.0" not in analysis.site_slices
 
 
 def test_slicer_entry_points_and_reachability(analysis):
@@ -299,27 +301,36 @@ def test_slicer_digest_stable_under_comment_edit():
     )
     base = analyze_sources("demo", SOURCES, SITES, ENTRIES)
     after = analyze_sources("demo", edited, SITES, ENTRIES)
-    assert after.site_digests == base.site_digests
-    assert after.entry_digests == base.entry_digests
+    assert after.function_digests == base.function_digests
+    assert after.module_digests == base.module_digests
+    assert after.source_digest == base.source_digest
 
 
-def test_slicer_digest_changes_only_for_affected_slices():
-    edited = dict(SOURCES)
-    edited["demo.b"] = MOD_B.replace("return x + 1", "return x + 2")
+@pytest.mark.parametrize(
+    "module,old,new",
+    [
+        ("demo.b", "return x + 1", "return x + 2"),  # a function body
+        ("demo.a", "from demo.b import Helper, util", "from demo.b import util, Helper"),
+        ("demo.a", "class Service:", "class Service:\n    limit = 3\n"),  # a class body
+        ("demo.b", "def util(x):", "RETRIES = 2\n\n\ndef util(x):"),  # a module constant
+        ("demo.b", "class Helper:", "@dataclass\nclass Helper:"),  # a class decorator
+    ],
+)
+def test_source_digest_covers_every_statement(module, old, new):
+    edited = dict(SOURCES, **{module: SOURCES[module].replace(old, new, 1)})
+    assert edited != SOURCES
     base = analyze_sources("demo", SOURCES, SITES, ENTRIES)
     after = analyze_sources("demo", edited, SITES, ENTRIES)
-    # util is in handle's and step's slices but not in shared_*'s
-    assert after.site_digests["svc.handle.scan"] != base.site_digests["svc.handle.scan"]
-    assert after.site_digests["svc.step.is_big"] != base.site_digests["svc.step.is_big"]
-    assert after.site_digests["svc.shared.check"] == base.site_digests["svc.shared.check"]
-    # env sites ride the whole-source digest: any edit invalidates them
-    assert after.site_digests["env.node.0"] != base.site_digests["env.node.0"]
+    assert after.source_digest != base.source_digest
+    # statements outside any function move their module's digest only
+    inside = after.function_digests != base.function_digests
+    assert inside != (after.module_digests != base.module_digests)
 
 
 def test_slicer_is_deterministic():
     a = analyze_sources("demo", SOURCES, SITES, ENTRIES)
     b = analyze_sources("demo", dict(reversed(list(SOURCES.items()))), SITES, ENTRIES)
-    assert a.site_digests == b.site_digests
+    assert a.site_slices == b.site_slices
     assert a.source_digest == b.source_digest
 
 
@@ -380,19 +391,16 @@ def test_resolve_provider_prefers_directories(tmp_path):
 # -------------------------------------------------------------------- diff
 
 
-def test_diff_slices_classifies_sites_and_functions():
+def test_diff_slices_classifies_functions_and_modules():
     edited = dict(SOURCES)
-    edited["demo.b"] = MOD_B.replace("return x + 1", "return x + 2")
+    edited["demo.b"] = MOD_B.replace("return x + 1", "return x + 2") + "\nLIMIT = 4\n"
     old = analyze_sources("demo", SOURCES, SITES, ENTRIES)
     new = analyze_sources("demo", edited, SITES, ENTRIES)
     diff = diff_slices(old, new)
     assert diff.source_changed
-    assert "svc.handle.scan" in diff.changed_sites
-    assert "svc.shared.check" in diff.unchanged_sites
-    assert "svc.ghost" in diff.unresolved_sites
     assert diff.changed_functions == ("demo.b:util",)
     assert diff.added_functions == () and diff.removed_functions == ()
-    assert "t-basic" in diff.changed_entries  # register -> handle -> step -> util
+    assert diff.changed_modules == ("demo.b",)
 
 
 def test_diff_slices_on_identical_sources_is_empty():
@@ -400,23 +408,7 @@ def test_diff_slices_on_identical_sources_is_empty():
     new = analyze_sources("demo", dict(SOURCES), SITES, ENTRIES)
     diff = diff_slices(old, new)
     assert not diff.source_changed
-    assert diff.changed_sites == () and diff.changed_entries == ()
-
-
-def test_diff_partition_faults_conservatively_invalidates_unresolved():
-    edited = dict(SOURCES)
-    edited["demo.a"] = MOD_A.replace("item > 2", "item > 3")
-    old = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    new = analyze_sources("demo", edited, SITES, ENTRIES)
-    diff = diff_slices(old, new)
-    faults = [
-        FaultKey("svc.step.is_big", NEGATION),
-        FaultKey("svc.shared.check", NEGATION),
-        FaultKey("svc.ghost", NEGATION),
-    ]
-    invalidated, reusable = diff.partition_faults(faults)
-    assert {f.site_id for f in invalidated} == {"svc.step.is_big", "svc.ghost"}
-    assert {f.site_id for f in reusable} == {"svc.shared.check"}
+    assert diff.changed_functions == () and diff.changed_modules == ()
 
 
 def _report(cycle_edges, bugs):
@@ -453,13 +445,15 @@ def test_diff_reports_identical_ignores_recorded_state_noise():
 
 
 @pytest.mark.parametrize("name", ["minihdfs2", "minihdfs3"])
-def test_minihdfs_cache_entries_key_on_slice_digests(name, tmp_path):
-    """The PR-6 follow-up contract: with ``source_modules`` declared, the
-    MiniHDFS specs' cache entries key on per-site slice digests — never
-    the whole-spec fallback.  Every analyzer-selected fault site and
-    every workload entry point must resolve; the only unresolved sites
-    are ones the static analyzer filters out of the fault space anyway
-    (metrics, test-only, reflection)."""
+def test_minihdfs_cache_entries_key_on_the_source_digest(name, tmp_path):
+    """With ``source_modules`` declared, the MiniHDFS specs' cache entries
+    key on the source digest — never the whole-spec fallback.  Every
+    analyzer-selected fault site and every workload entry point resolves,
+    so reachability prunes; the only unresolved sites are ones the static
+    analyzer filters out of the fault space anyway (metrics, test-only,
+    reflection)."""
+    import dataclasses
+
     from repro.cache import ExperimentCache
     from repro.config import CSnakeConfig
     from repro.instrument.analyzer import analyze
@@ -469,15 +463,12 @@ def test_minihdfs_cache_entries_key_on_slice_digests(name, tmp_path):
     slices = spec.slice_analysis()
     assert slices is not None, "source_modules undeclared"
     selected = {f.site_id for f in analyze(spec.registry, slices=slices).faults}
-    assert selected - set(slices.site_digests) == set()
-    assert set(spec.workload_ids()) - set(slices.entry_digests) == set()
+    assert selected - set(slices.site_slices) == set()
+    assert set(spec.workload_ids()) - set(slices.entry_function) == set()
     assert not (selected & set(slices.unresolved))
+    assert slices.reachability_trusted
 
-    cache = ExperimentCache(tmp_path, spec, CSnakeConfig(cache_dir=str(tmp_path)))
-    for site_id in sorted(selected):
-        component = cache._slice(site_id)
-        assert "reason" not in component, (site_id, component)
-        assert component["digest"] == slices.site_digests[site_id]
-    for test_id in spec.workload_ids():
-        component = cache._slice(test_id, entry=True)
-        assert "reason" not in component, (test_id, component)
+    test_id = spec.workload_ids()[0]
+    key = ExperimentCache(tmp_path, spec, CSnakeConfig()).profile_key(test_id)
+    spec.attach_slice_analysis(dataclasses.replace(slices, source_digest="0" * 64))
+    assert ExperimentCache(tmp_path, spec, CSnakeConfig()).profile_key(test_id) != key
