@@ -153,8 +153,8 @@ def main() -> int:
         # the same campaign would be served entirely from its result table
         # — a new seed gives the campaign fresh task digests and forces
         # real execution.  Retire the idle fleet, then run it on an agent
-        # that completes its first batch, leases the next one, and dies
-        # holding it (--fail-after).  Being alone it is guaranteed the
+        # that completes its first task, and dies holding its next lease
+        # (--fail-after).  Being alone it is guaranteed the
         # work, so the death is deterministic; once its process exits a
         # fresh survivor joins, the reaper re-queues the held tasks
         # (TTL 3s), and the campaign completes with that seed's serial

@@ -565,7 +565,6 @@ def cmd_agent(args: argparse.Namespace) -> int:
         HttpTransport(args.manager),
         workers=args.workers or (os.cpu_count() or 1),
         name=args.name or "",
-        batch=args.batch,
         fail_after_tasks=args.fail_after,
     )
     print(
@@ -821,8 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     agent = sub.add_parser(
         "agent",
-        help="run a worker agent: lease task batches from a manager, "
-        "execute them locally, report results + cache counters",
+        help="run a worker agent: stream tasks leased from a manager "
+        "through local worker processes, report results + cache counters",
     )
     _add_manager_flag(agent)
     agent.add_argument(
@@ -834,17 +833,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="agent name reported to the manager (default: assigned id)",
     )
     agent.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="max tasks leased per request (default: the worker count)",
-    )
-    agent.add_argument(
         "--idle-exit", type=float, default=None, metavar="S",
         help="exit after S seconds with nothing to lease (default: serve forever)",
     )
     agent.add_argument(
         "--fail-after", type=int, default=None, metavar="N",
-        help="testing hook: complete N tasks, lease one more batch, then "
-        "die holding it (exercises lease expiry + re-queue)",
+        help="testing hook: complete N tasks, then die holding the next "
+        "lease (exercises lease expiry + re-queue)",
     )
 
     submit = sub.add_parser(

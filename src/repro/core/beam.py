@@ -134,6 +134,9 @@ class _VectorizedKernel:
         #: Edge id at each original input position (the level-0 queue).
         self.input_ids = _np.argsort(order)
 
+        # Scores keyed the same way: a lookup by FaultKey would compare
+        # dataclasses whenever the allocator's keys are other objects.
+        flat_scores = {(f.site_id, f.kind): score for f, score in sim_scores.items()}
         fault_ids: Dict[Tuple[str, str], int] = {}
         triple_ids: Dict[Tuple[int, int, str], int] = {}
         src = _np.empty(n, dtype=_np.int64)
@@ -152,7 +155,7 @@ class _VectorizedKernel:
                 inj[eid] = 1
                 if e.src.kind == DELAY:
                     delay[eid] = 1
-                score_term[eid] = sim_scores.get(e.src, 1.0)
+                score_term[eid] = flat_scores.get(key[:2], 1.0)
             triple[eid] = triple_ids.setdefault((s, d, e.etype.value), len(triple_ids))
         self.src, self.dst, self.triple = src, dst, triple
         self.inj, self.delay, self.score_term = inj, delay, score_term

@@ -1,13 +1,14 @@
-"""The worker agent: leases task batches and runs them on worker processes.
+"""The worker agent: streams leased tasks through its worker processes.
 
-Each leased batch runs on a :class:`ProcessExecutor` through
-:func:`execute_wire_task`, the wire codec around the one worker entry
-point, :func:`~repro.core.driver.execute_experiment_task`.  Execution is
-a pure function of the descriptor, which is what makes the lease
-discipline safe: an agent that dies mid-lease is simply reaped, its tasks
-re-queued, and any other agent's re-execution is bit-identical.
+At most ``IN_FLIGHT_PER_WORKER × workers`` tasks are in flight; the agent
+leases only the free room and completes each task as it finishes, in any
+order.  A task runs through :func:`execute_wire_task`, the wire codec
+around the one worker entry point, :func:`~repro.core.driver.execute_experiment_task`.
+Execution is a pure function of the descriptor, which is what makes the
+lease discipline safe: an agent that dies mid-lease is simply reaped, its
+tasks re-queued, and any other agent's re-execution is bit-identical.
 ``fail_after_tasks`` turns that property into a test/CI hook — the agent
-completes N tasks, leases one more batch, and exits *without* completing
+completes N tasks, holds its next lease, and exits *without* completing
 or heartbeating, exactly the failure the reaper must absorb.
 """
 
@@ -15,15 +16,21 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Tuple
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.driver import execute_experiment_task, worker_driver
-from ..pipeline.executor import ProcessExecutor
 from ..serialize import task_from_obj, task_result_to_obj
 
 #: The longest long-poll of one lease request (capped at half the lease TTL).
 LEASE_WAIT_S = 5.0
+
+#: Tasks held per worker: one running, one queued so no worker waits on a lease.
+IN_FLIGHT_PER_WORKER = 2
+
+#: The first and the longest wait before a failed manager call is re-sent.
+RETRY_FIRST_S = 0.1
+RETRY_MAX_S = 2.0
 
 #: The ``stats()`` fields an agent sums over its workers' tasks (``dir``
 #: and ``slices`` are reported as last seen).
@@ -75,14 +82,12 @@ class Agent:
         transport: Any,
         workers: int = 1,
         name: str = "",
-        batch: Optional[int] = None,
         fail_after_tasks: Optional[int] = None,
     ) -> None:
         self.transport = transport
         self.workers = max(1, int(workers))
         self.name = name
-        self.batch = batch or self.workers
-        self.fail_after_tasks = fail_after_tasks
+        self.fail_after_tasks = float("inf") if fail_after_tasks is None else fail_after_tasks
         self.agent_id: Optional[str] = None
         self.tasks_completed = 0
         self.cache: Dict[str, Any] = {}  # counters summed over the workers
@@ -98,6 +103,27 @@ class Agent:
         reply = self.transport.register_agent(name=self.name, workers=self.workers)
         self.agent_id = reply["agent"]
         return float(reply["lease_ttl_s"])
+
+    def _idle_expired(self) -> bool:
+        """Whether the agent is stopped, stopping it first once it has gone
+        ``idle_exit_s`` without leasing a task, its manager down or not."""
+        idle_s = time.monotonic() - self._idle_since
+        if self._idle_exit_s is not None and idle_s >= self._idle_exit_s:
+            self._stop.set()
+        return self._stop.is_set()
+
+    def _retry(self, call: Callable[[], Any]) -> Any:
+        """``call()`` re-sent until the manager answers, each failure
+        waiting twice as long as the last, up to ``RETRY_MAX_S``; ``None``
+        if the agent is stopped (or goes idle) first."""
+        delay = RETRY_FIRST_S
+        while True:
+            try:
+                return call()
+            except Exception:  # noqa: BLE001 - manager briefly unreachable
+                if self._idle_expired() or self._stop.wait(delay):
+                    return None
+                delay = min(2.0 * delay, RETRY_MAX_S)
 
     def _start_heartbeat(self, lease_ttl_s: float, done: threading.Event) -> threading.Thread:
         interval = max(0.2, lease_ttl_s / 3.0)
@@ -126,68 +152,80 @@ class Agent:
         serve forever.  The workers fork before the agent registers, and
         inherit every lock another thread of the process holds then, so a
         host with threads of its own waits for ``agent_id`` before they
-        take any.
+        take any.  Only the first registration may fail: a later one is
+        re-sent until the manager answers, or until the agent goes idle.
         """
-        pool = ProcessExecutor(self.workers)
+        # The idle clock restarts whenever a lease brings a task.
+        self._idle_exit_s, self._idle_since = idle_exit_s, time.monotonic()
         try:
             while not self._stop.is_set():
-                # A throwaway task forks every worker while this is the
-                # agent's only thread: the heartbeat starts after it, and
-                # stops before a pool a dying worker broke is re-opened.
-                pool.map(abs, [0])
-                lease_ttl_s = self._register()
-                done = threading.Event()
-                heartbeat = self._start_heartbeat(lease_ttl_s, done)
-                try:
-                    self._serve(pool, lease_ttl_s, idle_exit_s)
-                finally:
-                    done.set()
-                    heartbeat.join()
+                with ProcessPoolExecutor(self.workers) as pool:
+                    # A throwaway task forks every worker while this is the
+                    # agent's only thread: the heartbeat starts after it,
+                    # and stops before a pool a dying worker broke is
+                    # replaced by a fresh one.
+                    pool.submit(abs, 0).result()
+                    lease_ttl_s = self._retry(self._register) if self.agent_id else self._register()
+                    if lease_ttl_s is None:
+                        break
+                    done = threading.Event()
+                    heartbeat = self._start_heartbeat(lease_ttl_s, done)
+                    try:
+                        self._serve(pool, lease_ttl_s)
+                    except BrokenExecutor:
+                        pass  # a worker died: what was in flight stays leased
+                    finally:
+                        pool.shutdown(cancel_futures=True)  # what has not started never runs
+                        done.set()
+                        heartbeat.join()
         finally:
             self._stop.set()
-            pool.close()
         return self.tasks_completed
 
-    def _serve(
-        self, pool: ProcessExecutor, lease_ttl_s: float, idle_exit_s: Optional[float]
-    ) -> None:
-        """Lease, execute and complete batches until stopped, or until a
-        worker dies: then the batch is left uncompleted and this
-        registration lapses, so the reaper re-queues what it held."""
-        idle_since = time.monotonic()
+    def _serve(self, pool: ProcessPoolExecutor, lease_ttl_s: float) -> None:
+        """Keep the window full and complete each task as it finishes, until
+        stopped or a worker dies: then what is in flight is left uncompleted
+        and this registration lapses, so the reaper re-queues what it held."""
+        window = IN_FLIGHT_PER_WORKER * self.workers
+        running: Dict[Future, str] = {}  # task id by its future
         while not self._stop.is_set():
-            try:
-                reply = self.transport.lease(
-                    self.agent_id,
-                    max_tasks=self.batch,
-                    wait_s=min(LEASE_WAIT_S, lease_ttl_s / 2.0),
-                )
-            except Exception:  # noqa: BLE001 - manager briefly unreachable
-                if self._stop.wait(0.5):
-                    return
-                lease_ttl_s = self._register()
-                continue
-            entries = reply["tasks"]
-            if not entries:
-                if idle_exit_s is not None and time.monotonic() - idle_since >= idle_exit_s:
-                    self._stop.set()
-                continue
-            idle_since = time.monotonic()
-            if self.fail_after_tasks is not None and self.tasks_completed >= self.fail_after_tasks:
-                # Simulated crash: hold the fresh leases, stop heartbeating,
-                # and vanish.  The manager's reaper must re-queue everything
-                # this agent held.
-                self.died = True
-                self._stop.set()
-                return
-            try:
-                outcomes = pool.map(execute_wire_task, [e["task"] for e in entries])
-            except BrokenProcessPool:
-                return
-            for entry, (outcome, cache) in zip(entries, outcomes):
+            if len(running) < window:
+                try:
+                    entries = self.transport.lease(
+                        self.agent_id,
+                        max_tasks=window - len(running),
+                        wait_s=0.0 if running else min(LEASE_WAIT_S, lease_ttl_s / 2.0),
+                    )["tasks"]
+                except Exception:  # noqa: BLE001 - manager unreachable or restarted
+                    if self._idle_expired() or self._stop.wait(0.5):
+                        return
+                    lease_ttl_s = self._retry(self._register)
+                    continue
+                if entries:
+                    self._idle_since = time.monotonic()
+                    if self.tasks_completed >= self.fail_after_tasks:
+                        # Simulated crash: hold the fresh leases and vanish
+                        # unheard; the reaper must re-queue all it held.
+                        self.died = True
+                        self._stop.set()
+                        return
+                    for entry in entries:
+                        running[pool.submit(execute_wire_task, entry["task"])] = entry["id"]
+                elif not running:
+                    self._idle_expired()
+                    continue
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                outcome, cache = future.result()
+                task_id = running.pop(future)
                 for key, value in (cache or {}).items():
                     self.cache[key] = self.cache.get(key, 0) + value if key in _COUNTERS else value
-                self.transport.complete(
-                    self.agent_id, entry["id"], cache=self.cache or None, **outcome
+                # Re-sent until delivered: a task's first completion wins,
+                # and a repeated one is counted as a duplicate.
+                delivered = self._retry(
+                    lambda: self.transport.complete(
+                        self.agent_id, task_id, cache=self.cache or None, **outcome
+                    )
                 )
+                if delivered is None:
+                    return
                 self.tasks_completed += 1

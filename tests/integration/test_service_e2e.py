@@ -12,7 +12,10 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import uuid
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,7 @@ from repro.errors import ReproError
 from repro.pipeline import STAGES, EventRecorder, Pipeline, format_event
 from repro.service import agent as agent_module
 from repro.service import manager as manager_module
-from repro.service.agent import execute_wire_task
+from repro.service.agent import Agent, execute_wire_task
 from repro.service.http import HttpTransport, ManagerServer
 from repro.service.manager import ManagerCore, campaign_digest, follow_campaign
 from repro.service.remote import RemoteExecutor
@@ -76,6 +79,70 @@ def _die_once(marker, obj):
     except FileExistsError:
         return execute_wire_task(obj)
     os._exit(1)
+
+
+def _sleep_then_echo(obj):
+    """A stand-in for ``execute_wire_task``: a short task whose result
+    names it."""
+    time.sleep(0.05)
+    return {"result": {"key": obj["key"]}}, None
+
+
+class _Recording:
+    """A :class:`ManagerCore` as one agent sees it, recording which tasks
+    the agent holds (leased, not yet completed) whenever it leases."""
+
+    def __init__(self, core):
+        self.core = core
+        self.held = set()
+        self.held_at_lease = []  # tasks held when each lease was issued
+        self.most_held = 0
+        self.completions = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.core, name)
+
+    def lease(self, agent_id, max_tasks=1, wait_s=0.0):
+        self.held_at_lease.append(len(self.held))
+        reply = self.core.lease(agent_id, max_tasks=max_tasks, wait_s=wait_s)
+        self.held.update(entry["id"] for entry in reply["tasks"])
+        self.most_held = max(self.most_held, len(self.held))
+        return reply
+
+    def complete(self, agent_id, task_id, **outcome):
+        self.held.discard(task_id)
+        self.completions[task_id] += 1
+        return self.core.complete(agent_id, task_id, **outcome)
+
+
+class _Blipping:
+    """A :class:`ManagerCore` behind a link that fails the first
+    ``failures`` ``complete``, ``lease`` and ``register_agent`` calls after
+    the agent's start-up registration, as a manager restart or a network
+    blip would."""
+
+    BLIPPED = ("complete", "lease", "register_agent")
+
+    def __init__(self, core, failures=2):
+        self.core = core
+        self.failures = failures
+        self.started = False
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.core, name)
+        if name not in self.BLIPPED:
+            return method
+
+        def call(*args, **kwargs):
+            if self.started:
+                self.calls[name] += 1
+                if self.calls[name] <= self.failures:
+                    raise ReproError("manager unreachable (%s #%d)" % (name, self.calls[name]))
+            self.started = True
+            return method(*args, **kwargs)
+
+        return call
 
 
 def _submitted(transport, **config):
@@ -196,6 +263,68 @@ def test_a_worker_that_dies_mid_batch_does_not_end_the_agent(serial_digest, tmp_
     stats = core.stats()["tasks"]
     assert stats["requeued"] > 0, "the reaper never reclaimed the dead batch"
     assert stats["queued"] == stats["leased"] == 0
+
+
+def test_an_agent_streams_a_window_of_twice_its_workers(monkeypatch):
+    """The agent keeps at most ``2 × workers`` tasks in flight, leases
+    again while some of them still run, and completes every task exactly
+    once."""
+    monkeypatch.setattr(agent_module, "execute_wire_task", _sleep_then_echo)
+    core = ManagerCore(lease_ttl_s=10.0)
+    transport = _Recording(core)
+    workers = 2
+    agent, thread = agent_thread(transport, workers=workers, name="window")
+    try:
+        tasks = [{"key": "window-%02d" % i} for i in range(5 * 2 * workers)]
+        ids = core.submit_tasks(tasks)["ids"]
+        deadline = time.monotonic() + 60.0
+        while core.poll_results(ids, wait_s=1.0)["pending"]:
+            assert time.monotonic() < deadline, "the queued tasks never finished"
+    finally:
+        agent.stop()
+        thread.join(timeout=10.0)
+    assert any(transport.held_at_lease), "every lease waited for the last one's tasks"
+    assert transport.most_held == agent_module.IN_FLIGHT_PER_WORKER * workers == 2 * workers
+    assert transport.completions == Counter({task_id: 1 for task_id in ids})
+    assert agent.tasks_completed == len(ids)
+
+
+def test_a_manager_blip_does_not_end_the_agent(serial_digest):
+    """Failed ``complete``, ``lease`` and re-``register_agent`` calls are
+    re-sent with a backoff: the agent keeps serving, delivers every
+    outcome, and the campaign ends with serial's digest."""
+    core = ManagerCore(lease_ttl_s=10.0)
+    transport = _Blipping(core)
+    agent, thread = agent_thread(transport, workers=2, name="blip")
+    try:
+        campaign = core.start_campaign("toy", dict(CFG))["campaign"]
+        status = core.wait_campaign(campaign, timeout_s=60.0)
+        assert thread.is_alive(), "the agent stopped serving"
+    finally:
+        agent.stop()
+        thread.join(timeout=10.0)
+    assert status["state"] == "done", status
+    assert status["digest"] == serial_digest
+    assert all(transport.calls[name] > 2 for name in _Blipping.BLIPPED), transport.calls
+    stats = core.stats()["tasks"]
+    assert stats["queued"] == stats["leased"] == 0
+
+
+def test_an_agent_whose_manager_stays_down_exits_once_idle():
+    """Retries do not outlast ``idle_exit_s``: with every call failing
+    after start-up, the agent returns from ``run`` rather than raising or
+    retrying for ever."""
+    transport = _Blipping(ManagerCore(lease_ttl_s=2.0), failures=10**6)
+    agent = Agent(transport, workers=1, name="orphan")
+    returned = []
+    thread = threading.Thread(
+        target=lambda: returned.append(agent.run(idle_exit_s=1.0)), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive(), "the agent kept retrying past its idle exit"
+    assert returned == [0]
+    assert transport.calls["register_agent"] > 0
 
 
 def test_concurrent_campaigns_share_the_queue_without_double_execution():
