@@ -10,9 +10,10 @@ then runs N pairs of the minidfs environment campaign:
 
 Each pair has a seed of its own, so the manager serves no task of it
 from an earlier pair, and the side that runs first alternates from pair
-to pair.  Every pair prints both walls, the fleet/local ratio and
-whether F and L are byte-equal; the script exits 1 if any pair's reports
-differ.  The walls are those of the two CLI processes, start-up included.
+to pair.  Every pair prints both walls, the fleet/local ratio, the agent
+requests the manager served per task the fleet completed, and whether F
+and L are byte-equal; the script exits 1 if any pair's reports differ.
+The walls are those of the two CLI processes, start-up included.
 
     PYTHONPATH=src python examples/fleet_vs_local.py --pairs 5
 """
@@ -75,14 +76,19 @@ def main(argv=None) -> int:
                           "--backend", "process", "--workers", "2", "--out", out["local"]),
             }
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            before = transport.health()
             wall = {side: _timed(argvs[side]) for side in order}
+            after = transport.health()
+            requests = sum(after["requests"].values()) - sum(before["requests"].values())
+            tasks = after["tasks"]["executed"] - before["tasks"]["executed"]
             equal = filecmp.cmp(out["fleet"], out["local"], shallow=False)
             unequal += not equal
             ratios.append(wall["fleet"] / wall["local"])
             print(
-                "pair %d  seed %s  %s first  fleet %.2f s  local %.2f s  ratio %.2f  reports %s"
+                "pair %d  seed %s  %s first  fleet %.2f s  local %.2f s  ratio %.2f  "
+                "requests/task %.2f (%d / %d)  reports %s"
                 % (pair + 1, seed, order[0], wall["fleet"], wall["local"], ratios[-1],
-                   "equal" if equal else "DIFFER"),
+                   requests / max(1, tasks), requests, tasks, "equal" if equal else "DIFFER"),
                 flush=True,
             )
     finally:

@@ -15,8 +15,8 @@ the manager and asserts the service contract end to end:
    (``--fail-after``) still completes with the identical digest — lease
    expiry and re-queue absorb the death;
 4. every other agent is still serving when it is retired, so one that
-   crashed (for one, on forking its worker processes after starting a
-   thread, an error in CI) fails the smoke.
+   crashed (for one, on forking its worker processes from a process that
+   runs a second thread, an error in CI) fails the smoke.
 
     PYTHONPATH=src python examples/service_smoke.py
 """
@@ -75,7 +75,7 @@ def _start_manager():
     transport = HttpTransport(url)
     for _ in range(50):
         try:
-            assert transport.health()["protocol"] == 2
+            assert transport.health()["protocol"] == 3
             break
         except (ReproError, OSError):
             time.sleep(0.1)

@@ -1,23 +1,26 @@
 """The worker agent: streams leased tasks through its worker processes.
 
-At most ``IN_FLIGHT_PER_WORKER × workers`` tasks are in flight; the agent
-leases only the free room and completes each task as it finishes, in any
-order.  A task runs through :func:`execute_wire_task`, the wire codec
-around the one worker entry point, :func:`~repro.core.driver.execute_experiment_task`.
+Once registered, the agent sends one ``lease`` request per wake-up (a
+task finished, or ``lease_ttl_s / 3`` passed): it delivers the outcomes
+finished since the last one, renews the lease, and leases the free room
+in a window of ``IN_FLIGHT_PER_WORKER × workers`` tasks.  A task runs
+through :func:`execute_wire_task`, the wire codec around the one worker
+entry point, :func:`~repro.core.driver.execute_experiment_task`.
 Execution is a pure function of the descriptor, which is what makes the
-lease discipline safe: an agent that dies mid-lease is simply reaped, its
-tasks re-queued, and any other agent's re-execution is bit-identical.
+lease discipline safe: an agent that dies mid-lease is simply reaped,
+its tasks re-queued, and any other agent's re-execution is bit-identical.
 ``fail_after_tasks`` turns that property into a test/CI hook — the agent
-completes N tasks, holds its next lease, and exits *without* completing
-or heartbeating, exactly the failure the reaper must absorb.
+completes N tasks, holds its next lease, and exits without another
+request, exactly the failure the reaper must absorb.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.driver import execute_experiment_task, worker_driver
 from ..serialize import task_from_obj, task_result_to_obj
@@ -69,11 +72,11 @@ def execute_wire_task(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[Dic
 
 
 class Agent:
-    """The agent loop: register, lease, execute, complete, heartbeat.
+    """The agent loop: register, then lease and execute.
 
     ``transport`` needs the agent-side manager surface
-    (``register_agent`` / ``heartbeat`` / ``lease`` / ``complete``) —
-    either an :class:`~repro.service.http.HttpTransport` or a
+    (``register_agent`` / ``lease``) — either an
+    :class:`~repro.service.http.HttpTransport` or a
     :class:`~repro.service.manager.ManagerCore` directly.
     """
 
@@ -93,6 +96,7 @@ class Agent:
         self.cache: Dict[str, Any] = {}  # counters summed over the workers
         self.died = False  # set by the fail_after_tasks hook
         self._stop = threading.Event()
+        self._unreachable = False  # a manager call failed, none got through since
 
     # ------------------------------------------------------------ plumbing
 
@@ -112,35 +116,31 @@ class Agent:
             self._stop.set()
         return self._stop.is_set()
 
-    def _retry(self, call: Callable[[], Any]) -> Any:
-        """``call()`` re-sent until the manager answers, each failure
-        waiting twice as long as the last, up to ``RETRY_MAX_S``; ``None``
-        if the agent is stopped (or goes idle) first."""
+    def _outage(self, call: str, exc: Optional[Exception] = None, wait_s: float = 0.0) -> None:
+        """One stderr line when a manager call first fails (``exc``), and one
+        when a call gets through after that."""
+        if self._unreachable != (exc is not None):
+            self._unreachable = exc is not None
+            news = "failed (%s); retrying in %.1f s" % (exc, wait_s) if exc else "got through again"
+            print("agent: %s %s" % (call, news), file=sys.stderr, flush=True)
+
+    def _reregister(self) -> Optional[float]:
+        """A fresh registration's lease TTL, re-sent until the manager
+        answers, each failure waiting twice as long as the last, up to
+        ``RETRY_MAX_S``; ``None`` if the agent is stopped (or goes idle)
+        first."""
         delay = RETRY_FIRST_S
         while True:
             try:
-                return call()
-            except Exception:  # noqa: BLE001 - manager briefly unreachable
+                lease_ttl_s = self._register()
+            except Exception as exc:  # noqa: BLE001 - manager briefly unreachable
+                self._outage("register_agent", exc, delay)
                 if self._idle_expired() or self._stop.wait(delay):
                     return None
                 delay = min(2.0 * delay, RETRY_MAX_S)
-
-    def _start_heartbeat(self, lease_ttl_s: float, done: threading.Event) -> threading.Thread:
-        interval = max(0.2, lease_ttl_s / 3.0)
-
-        def beat() -> None:
-            while not done.wait(interval):
-                try:
-                    if not self.transport.heartbeat(self.agent_id)["ok"]:
-                        # Lease lapsed (manager restarted, long GC pause):
-                        # re-register rather than working unleased.
-                        self._register()
-                except Exception:  # noqa: BLE001 - transient transport errors
-                    done.wait(interval)
-
-        thread = threading.Thread(target=beat, name="repro-agent-heartbeat", daemon=True)
-        thread.start()
-        return thread
+            else:
+                self._outage("register_agent")
+                return lease_ttl_s
 
     # ---------------------------------------------------------------- loop
 
@@ -157,75 +157,71 @@ class Agent:
         """
         # The idle clock restarts whenever a lease brings a task.
         self._idle_exit_s, self._idle_since = idle_exit_s, time.monotonic()
+        finished: List[Dict[str, Any]] = []  # outcomes not yet delivered
         try:
             while not self._stop.is_set():
                 with ProcessPoolExecutor(self.workers) as pool:
-                    # A throwaway task forks every worker while this is the
-                    # agent's only thread: the heartbeat starts after it,
-                    # and stops before a pool a dying worker broke is
-                    # replaced by a fresh one.
-                    pool.submit(abs, 0).result()
-                    lease_ttl_s = self._retry(self._register) if self.agent_id else self._register()
+                    pool.submit(abs, 0).result()  # forks every worker before registering
+                    lease_ttl_s = self._reregister() if self.agent_id else self._register()
                     if lease_ttl_s is None:
                         break
-                    done = threading.Event()
-                    heartbeat = self._start_heartbeat(lease_ttl_s, done)
                     try:
-                        self._serve(pool, lease_ttl_s)
+                        self._serve(pool, lease_ttl_s, finished)
                     except BrokenExecutor:
                         pass  # a worker died: what was in flight stays leased
                     finally:
                         pool.shutdown(cancel_futures=True)  # what has not started never runs
-                        done.set()
-                        heartbeat.join()
         finally:
             self._stop.set()
         return self.tasks_completed
 
-    def _serve(self, pool: ProcessPoolExecutor, lease_ttl_s: float) -> None:
-        """Keep the window full and complete each task as it finishes, until
-        stopped or a worker dies: then what is in flight is left uncompleted
-        and this registration lapses, so the reaper re-queues what it held."""
+    def _serve(
+        self, pool: ProcessPoolExecutor, lease_ttl_s: float, finished: List[Dict[str, Any]]
+    ) -> None:
+        """Keep the window full with one lease per wake-up, each delivering
+        ``finished``, until stopped or a worker dies: then what is in flight
+        is left undelivered and this registration lapses, so the reaper
+        re-queues what it held; what had finished rides the next
+        registration's first lease."""
         window = IN_FLIGHT_PER_WORKER * self.workers
         running: Dict[Future, str] = {}  # task id by its future
         while not self._stop.is_set():
-            if len(running) < window:
-                try:
-                    entries = self.transport.lease(
-                        self.agent_id,
-                        max_tasks=window - len(running),
-                        wait_s=0.0 if running else min(LEASE_WAIT_S, lease_ttl_s / 2.0),
-                    )["tasks"]
-                except Exception:  # noqa: BLE001 - manager unreachable or restarted
-                    if self._idle_expired() or self._stop.wait(0.5):
-                        return
-                    lease_ttl_s = self._retry(self._register)
-                    continue
-                if entries:
-                    self._idle_since = time.monotonic()
-                    if self.tasks_completed >= self.fail_after_tasks:
-                        # Simulated crash: hold the fresh leases and vanish
-                        # unheard; the reaper must re-queue all it held.
-                        self.died = True
-                        self._stop.set()
-                        return
-                    for entry in entries:
-                        running[pool.submit(execute_wire_task, entry["task"])] = entry["id"]
-                elif not running:
-                    self._idle_expired()
-                    continue
-            for future in wait(running, return_when=FIRST_COMPLETED).done:
+            try:
+                entries = self.transport.lease(
+                    self.agent_id,
+                    max_tasks=window - len(running),
+                    wait_s=0.0 if running else min(LEASE_WAIT_S, lease_ttl_s / 2.0),
+                    outcomes=finished,
+                    cache=self.cache or None,
+                )["tasks"]
+            except Exception as exc:  # noqa: BLE001 - manager unreachable or restarted
+                # Re-sent by a fresh registration: a task's first
+                # completion wins, and a repeated one is a duplicate.
+                self._outage("lease", exc, RETRY_FIRST_S)
+                if self._idle_expired() or self._stop.wait(RETRY_FIRST_S):
+                    return
+                lease_ttl_s = self._reregister()
+                if lease_ttl_s is None:
+                    return
+                continue
+            self._outage("lease")
+            self.tasks_completed += len(finished)
+            finished.clear()
+            if entries:
+                self._idle_since = time.monotonic()
+                if self.tasks_completed >= self.fail_after_tasks:
+                    # Simulated crash: hold the fresh leases and vanish
+                    # unheard; the reaper must re-queue all it held.
+                    self.died = True
+                    self._stop.set()
+                    return
+                for entry in entries:
+                    running[pool.submit(execute_wire_task, entry["task"])] = entry["id"]
+            elif not running:
+                self._idle_expired()
+                continue
+            for future in wait(running, lease_ttl_s / 3.0, FIRST_COMPLETED).done:
                 outcome, cache = future.result()
-                task_id = running.pop(future)
+                finished.append(dict(outcome, id=running.pop(future)))
                 for key, value in (cache or {}).items():
                     self.cache[key] = self.cache.get(key, 0) + value if key in _COUNTERS else value
-                # Re-sent until delivered: a task's first completion wins,
-                # and a repeated one is counted as a duplicate.
-                delivered = self._retry(
-                    lambda: self.transport.complete(
-                        self.agent_id, task_id, cache=self.cache or None, **outcome
-                    )
-                )
-                if delivered is None:
-                    return
-                self.tasks_completed += 1

@@ -3,31 +3,33 @@
 The wire protocol is deliberately boring: every endpoint is JSON over
 POST/GET, a thin shim over one :class:`~repro.service.manager.ManagerCore`
 method each, so the in-process transport used by tests exercises the same
-state machine as the network.  The primary server is built on
-``http.server.ThreadingHTTPServer`` — no dependency beyond the standard
-library, which is what keeps the tier-1 test suite runnable anywhere.
+state machine as the network.  After registering, an agent sends one kind
+of request: a ``lease`` that delivers the outcomes it finished since the
+last one, renews its lease, and leases the free room in its window.  The
+primary server is built on ``http.server.ThreadingHTTPServer`` — no
+dependency beyond the standard library, which is what keeps the tier-1
+test suite runnable anywhere.
 
 Endpoints (all request/response bodies JSON):
 
-========  ==================================  =====================================
+========  ==================================  ==================================================
  method    path                                core method
-========  ==================================  =====================================
- GET       ``/api/health``                     ``stats()`` (plus protocol version)
+========  ==================================  ==================================================
+ GET       ``/api/health``                     ``stats()`` (protocol version 3)
  POST      ``/api/agents/register``            ``register_agent(name, workers)``
- POST      ``/api/agents/heartbeat``           ``heartbeat(agent)``
- POST      ``/api/agents/lease``               ``lease(agent, max_tasks, wait_s)``
- POST      ``/api/agents/complete``            ``complete(agent, id, result|error)``
+ POST      ``/api/agents/lease``               ``lease(agent, max_tasks, wait_s, outcomes, cache)``
  POST      ``/api/campaigns``                  ``start_campaign(system, config)``
  GET       ``/api/campaigns``                  ``list_campaigns()``
  GET       ``/api/campaigns/<id>``             ``campaign_status(id)``
  GET       ``/api/campaigns/<id>/report``      ``campaign_report(id)``
  GET       ``/api/campaigns/<id>/events``      ``campaign_events(id, after, wait)``
-========  ==================================  =====================================
+========  ==================================  ==================================================
 
 Failure semantics: a :class:`~repro.errors.ReproError` from the core maps
 to HTTP 400 with ``{"error": ...}``, as does a body or query that lacks or
-mistypes a field the route reads (the error names it) and a body shorter
-than its ``Content-Length``; a declared length over
+mistypes a field the route reads (the error names it, down to one entry
+of a lease's ``outcomes``) and a body shorter than its
+``Content-Length``; a declared length over
 :data:`MAX_REQUEST_BYTES` is a 413, answered unread; anything else is a
 500.  Long-polling endpoints (``lease``, ``events``) bound
 their own wait, so a client timeout only needs a small margin over the
@@ -43,7 +45,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from .manager import ManagerCore
@@ -52,9 +54,11 @@ from .manager import ManagerCore
 CLIENT_TIMEOUT_MARGIN_S = 30.0
 #: The longest request body the manager reads, in bytes; a longer declared
 #: ``Content-Length`` is answered 413 before any of it is read.  The largest
-#: body measured is an ``/api/agents/complete`` of a submitted minidfs
-#: campaign: 26 326 bytes at the default config (24 879 with every fault
-#: kind and schedule).  16 MiB leaves a margin of over 600x.
+#: body measured is an ``/api/agents/lease`` of a submitted minidfs campaign
+#: on a 2-worker agent: 26 358 bytes at the default config (24 911 with
+#: every fault kind and schedule).  16 MiB leaves a margin of over 600x: a
+#: lease carries at most ``2 × workers`` outcomes, so even a 300-worker
+#: agent's window of outcomes that large fits.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
@@ -72,6 +76,27 @@ def _field(obj: Dict[str, Any], name: str, cast: Optional[Callable] = None, defa
         raise ReproError(
             "bad request: field %r must be %s, got %r" % (name, cast.__name__, obj[name])
         ) from None
+
+
+def _outcomes(body: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The ``outcomes`` of a lease request, ``[]`` when absent; a
+    :class:`ReproError` (HTTP 400) names the field that is not a list of
+    objects each with a string ``id`` and one of ``result`` or ``error``."""
+    outcomes = body.get("outcomes", [])
+    if not isinstance(outcomes, list):
+        raise ReproError("bad request: field 'outcomes' must be a list")
+    for i, entry in enumerate(outcomes):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and (entry.get("result") is None) != (entry.get("error") is None)
+            and isinstance(entry.get("error", ""), (str, type(None)))
+        ):
+            raise ReproError(
+                "bad request: field 'outcomes[%d]' needs a string 'id' and either a "
+                "'result' or an 'error' string" % i
+            )
+    return outcomes
 
 
 # ---------------------------------------------------------------- server
@@ -167,17 +192,11 @@ class _Handler(BaseHTTPRequestHandler):
             ("api", "agents", "register"): lambda: self.core.register_agent(
                 name=body.get("name", ""), workers=_field(body, "workers", int, 1)
             ),
-            ("api", "agents", "heartbeat"): lambda: self.core.heartbeat(_field(body, "agent")),
             ("api", "agents", "lease"): lambda: self.core.lease(
                 _field(body, "agent"),
                 max_tasks=_field(body, "max_tasks", int, 1),
                 wait_s=_field(body, "wait_s", float, 0.0),
-            ),
-            ("api", "agents", "complete"): lambda: self.core.complete(
-                _field(body, "agent"),
-                _field(body, "id"),
-                result=body.get("result"),
-                error=body.get("error"),
+                outcomes=_outcomes(body),
                 cache=body.get("cache"),
             ),
             ("api", "campaigns"): lambda: self.core.start_campaign(
@@ -251,9 +270,9 @@ class ManagerServer:
 class HttpTransport:
     """JSON client for the manager API (urllib; no dependencies).
 
-    Implements the agent-side surface (``register_agent`` /
-    ``heartbeat`` / ``lease`` / ``complete``) and the campaign verbs the
-    CLI uses — one class is the entire protocol.
+    Implements the agent-side surface (``register_agent`` / ``lease``)
+    and the campaign verbs the CLI uses — one class is the entire
+    protocol.
     """
 
     def __init__(self, url: str, timeout_s: float = CLIENT_TIMEOUT_MARGIN_S) -> None:
@@ -295,28 +314,17 @@ class HttpTransport:
     def register_agent(self, name: str = "", workers: int = 1) -> Dict[str, Any]:
         return self._call("/api/agents/register", {"name": name, "workers": workers})
 
-    def heartbeat(self, agent: str) -> Dict[str, Any]:
-        return self._call("/api/agents/heartbeat", {"agent": agent})
-
-    def lease(self, agent: str, max_tasks: int = 1, wait_s: float = 0.0) -> Dict[str, Any]:
-        return self._call(
-            "/api/agents/lease",
-            {"agent": agent, "max_tasks": max_tasks, "wait_s": wait_s},
-            wait_s=wait_s,
-        )
-
-    def complete(
+    def lease(
         self,
         agent: str,
-        task_id: str,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[str] = None,
+        max_tasks: int = 1,
+        wait_s: float = 0.0,
+        outcomes: Sequence[Dict[str, Any]] = (),
         cache: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        return self._call(
-            "/api/agents/complete",
-            {"agent": agent, "id": task_id, "result": result, "error": error, "cache": cache},
-        )
+        payload = {"agent": agent, "max_tasks": max_tasks, "wait_s": wait_s}
+        payload.update(outcomes=list(outcomes), cache=cache)
+        return self._call("/api/agents/lease", payload, wait_s=wait_s)
 
     # campaign verbs ----------------------------------------------------
 

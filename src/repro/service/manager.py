@@ -8,9 +8,10 @@ transport used by tests and manager-side campaigns exercises the exact
 code paths the wire does.
 
 Liveness follows the lease discipline of Timed Quorum Systems: an agent
-*joins* (``register_agent``), holds a lease it renews by heartbeat (or by
-any other call), and *expires* when the lease lapses — at which point
-every task it held is silently re-queued for the surviving fleet.  Task
+*joins* (``register_agent``), holds a lease that its every ``lease``
+request renews (the same request delivers its finished outcomes), and
+*expires* when the lease lapses — at which point every task it held is
+silently re-queued for the surviving fleet.  Task
 execution is a pure function of the task descriptor (system name, test
 id, config, plans, seeds), so a re-queued task re-executes bit-identically
 on any other agent and the deterministic commit order downstream (the
@@ -34,12 +35,12 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..config import CSnakeConfig
 from ..errors import ReproError
 
-#: Default lease duration granted to agents; renewed by any agent call.
+#: Default lease duration granted to agents; renewed by each ``lease`` request.
 DEFAULT_LEASE_TTL_S = 15.0
 
 #: Cap on buffered progress events per campaign (a ring; oldest dropped).
@@ -153,6 +154,7 @@ class ManagerCore:
         self._requeued = 0  # leases reclaimed from expired agents
         self._evicted = 0  # finished tasks forgotten past FINISHED_TASKS
         self._code_mismatch = 0  # tasks an agent refused as other code's
+        self._requests = {"register": 0, "lease": 0}  # agent requests served
         self.started_at = self._clock()
 
     # ----------------------------------------------------------- internals
@@ -171,13 +173,6 @@ class ManagerCore:
         if dead:
             self._cond.notify_all()
 
-    def _touch(self, agent_id: str, now: float) -> _Agent:
-        agent = self._agents.get(agent_id)
-        if agent is None:
-            raise ReproError("unknown or expired agent %r (re-register)" % (agent_id,))
-        agent.deadline = now + self.lease_ttl_s
-        return agent
-
     def _emit(self, campaign: _Campaign, kind: str, **detail: Any) -> None:
         event = {"seq": campaign.next_seq, "kind": kind, "detail": detail}
         campaign.next_seq += 1
@@ -190,6 +185,7 @@ class ManagerCore:
         with self._cond:
             now = self._clock()
             self._reap(now)
+            self._requests["register"] += 1
             self._next_agent += 1
             agent_id = "agent-%d" % self._next_agent
             self._agents[agent_id] = _Agent(
@@ -197,30 +193,35 @@ class ManagerCore:
             )
             return {"agent": agent_id, "lease_ttl_s": self.lease_ttl_s}
 
-    def heartbeat(self, agent_id: str) -> Dict[str, Any]:
-        with self._cond:
-            now = self._clock()
-            self._reap(now)
-            agent = self._agents.get(agent_id)
-            if agent is None:
-                return {"ok": False}
-            agent.deadline = now + self.lease_ttl_s
-            return {"ok": True}
-
-    def lease(self, agent_id: str, max_tasks: int = 1, wait_s: float = 0.0) -> Dict[str, Any]:
-        """Lease up to ``max_tasks`` queued tasks; long-polls up to ``wait_s``.
-
-        An expired/unknown agent gets an explicit error so it re-registers
-        instead of silently executing work it no longer holds a lease on.
-        """
+    def lease(
+        self,
+        agent_id: str,
+        max_tasks: int = 1,
+        wait_s: float = 0.0,
+        outcomes: Sequence[Dict[str, Any]] = (),
+        cache: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """Record ``outcomes`` (``{"id", "result"}`` or ``{"id", "error"}``
+        objects; ``duplicates`` in the reply counts the repeats), renew the
+        agent's lease, and lease up to ``max_tasks`` queued tasks (none for
+        0), long-polling up to ``wait_s`` for one.  The outcomes count even
+        from an expired or unknown agent, which then gets an explicit error,
+        so it re-registers instead of executing work it no longer holds."""
         deadline = self._clock() + max(0.0, wait_s)
         with self._cond:
+            self._requests["lease"] += 1
+            duplicates = sum(self._complete(agent_id, outcome) for outcome in outcomes)
             while True:
                 now = self._clock()
                 self._reap(now)
-                agent = self._touch(agent_id, now)
+                agent = self._agents.get(agent_id)
+                if agent is None:
+                    raise ReproError("unknown or expired agent %r (re-register)" % (agent_id,))
+                agent.deadline = now + self.lease_ttl_s
+                if cache:
+                    agent.cache = dict(cache)
                 leased: List[Dict[str, Any]] = []
-                while self._queue and len(leased) < max(1, int(max_tasks)):
+                while self._queue and len(leased) < max_tasks:
                     task = self._tasks[self._queue.popleft()]
                     if task.state != "queued":
                         continue  # completed by a still-working ex-leaseholder
@@ -228,61 +229,48 @@ class ManagerCore:
                     task.agent = agent.agent_id
                     task.leased_at = now
                     leased.append({"id": task.digest, "task": task.obj})
-                if leased or now >= deadline:
-                    return {"tasks": leased}
+                if leased or max_tasks <= 0 or now >= deadline:
+                    return {"tasks": leased, "duplicates": duplicates}
                 self._cond.wait(timeout=min(0.5, deadline - now))
 
-    def complete(
-        self,
-        agent_id: str,
-        task_id: str,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[str] = None,
-        cache: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Record a task outcome.  First completion wins; results are
-        accepted even from agents whose lease lapsed mid-execution (the
-        work is deterministic, so a late result equals the re-queued
-        re-execution it raced), and a late one for a task that finished
-        and was forgotten since is a duplicate too."""
-        with self._cond:
-            now = self._clock()
-            self._reap(now)
-            agent = self._agents.get(agent_id)
-            if agent is not None:
-                agent.deadline = now + self.lease_ttl_s
-                if cache:
-                    agent.cache = dict(cache)
-            task = self._tasks.get(task_id)
-            if task is None or task.state in ("done", "failed"):
-                return {"ok": True, "duplicate": True}
-            wait_s = (task.leased_at or now) - task.enqueued_at
-            if error is not None:
-                task.state = "failed"
-                task.error = error
-                self._code_mismatch += error.startswith("code_mismatch:")
-            else:
-                task.state = "done"
-                task.result = result
-            self._finished[task_id] = None
-            self._executed += 1
-            if agent is not None:
-                agent.completed += 1
-            for cid in sorted(task.campaigns):
-                campaign = self._campaigns.get(cid)
-                if campaign is not None:
-                    campaign.tasks_done += 1
-                    self._emit(
-                        campaign,
-                        "task_failed" if error is not None else "task_done",
-                        id=task.digest[:12],
-                        agent=agent_id,
-                        done=campaign.tasks_done,
-                        total=campaign.tasks_total,
-                        queue_wait_s=round(wait_s, 6),
-                    )
-            self._cond.notify_all()
-            return {"ok": True, "duplicate": False}
+    def _complete(self, agent_id: str, outcome: Dict[str, Any]) -> bool:
+        """Record one task outcome; whether it was a duplicate.  First
+        completion wins; results are accepted even from agents whose lease
+        lapsed mid-execution (the work is deterministic, so a late result
+        equals the re-queued re-execution it raced), and a late one for a
+        task that finished and was forgotten since is a duplicate too."""
+        task_id, error = outcome["id"], outcome.get("error")
+        task = self._tasks.get(task_id)
+        if task is None or task.state in ("done", "failed"):
+            return True
+        wait_s = (task.leased_at or self._clock()) - task.enqueued_at
+        if error is not None:
+            task.state = "failed"
+            task.error = error
+            self._code_mismatch += error.startswith("code_mismatch:")
+        else:
+            task.state = "done"
+            task.result = outcome["result"]
+        self._finished[task_id] = None
+        self._executed += 1
+        agent = self._agents.get(agent_id)
+        if agent is not None:
+            agent.completed += 1
+        for cid in sorted(task.campaigns):
+            campaign = self._campaigns.get(cid)
+            if campaign is not None:
+                campaign.tasks_done += 1
+                self._emit(
+                    campaign,
+                    "task_failed" if error is not None else "task_done",
+                    id=task.digest[:12],
+                    agent=agent_id,
+                    done=campaign.tasks_done,
+                    total=campaign.tasks_total,
+                    queue_wait_s=round(wait_s, 6),
+                )
+        self._cond.notify_all()
+        return False
 
     # --------------------------------------------------------------- tasks
 
@@ -506,9 +494,10 @@ class ManagerCore:
                 (t.leased_at or t.enqueued_at) - t.enqueued_at for t in done
             ]
             return {
-                "protocol": 2,
+                "protocol": 3,
                 "uptime_s": round(now - self.started_at, 3),
                 "lease_ttl_s": self.lease_ttl_s,
+                "requests": dict(self._requests),
                 "agents": [
                     {
                         "agent": a.agent_id,

@@ -75,12 +75,13 @@ class RemoteExecutor(Executor):
         objs = [task_to_obj(t) for t in tasks]
         ids = self.transport.submit_tasks(objs, campaign=self.campaign)["ids"]
         resolved: Dict[str, Dict[str, Any]] = {}
+        pending = list(dict.fromkeys(ids))  # input order, each id once
         stalled_s = 0.0
-        while len(resolved) < len(set(ids)):
-            pending = sorted({i for i in ids if i not in resolved})
+        while pending:
             reply = self.transport.poll_results(pending, wait_s=POLL_WAIT_S)
             if reply["done"]:
                 resolved.update(reply["done"])
+                pending[:] = [i for i in pending if i not in resolved]
                 stalled_s = 0.0
             else:
                 stalled_s += POLL_WAIT_S

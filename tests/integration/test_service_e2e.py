@@ -88,9 +88,11 @@ def _sleep_then_echo(obj):
     return {"result": {"key": obj["key"]}}, None
 
 
-class _Recording:
+class _Counting:
     """A :class:`ManagerCore` as one agent sees it, recording which tasks
-    the agent holds (leased, not yet completed) whenever it leases."""
+    the agent holds (leased, not yet delivered) whenever it leases, and
+    counting its registrations and the leases that return a task or carry
+    an outcome."""
 
     def __init__(self, core):
         self.core = core
@@ -98,30 +100,36 @@ class _Recording:
         self.held_at_lease = []  # tasks held when each lease was issued
         self.most_held = 0
         self.completions = Counter()
+        self.registrations = 0
+        self.busy_leases = 0
 
     def __getattr__(self, name):
         return getattr(self.core, name)
 
-    def lease(self, agent_id, max_tasks=1, wait_s=0.0):
+    def register_agent(self, **kwargs):
+        self.registrations += 1
+        return self.core.register_agent(**kwargs)
+
+    def lease(self, agent_id, max_tasks=1, wait_s=0.0, outcomes=(), cache=None):
+        for outcome in outcomes:
+            self.held.discard(outcome["id"])
+            self.completions[outcome["id"]] += 1
         self.held_at_lease.append(len(self.held))
-        reply = self.core.lease(agent_id, max_tasks=max_tasks, wait_s=wait_s)
+        reply = self.core.lease(
+            agent_id, max_tasks=max_tasks, wait_s=wait_s, outcomes=outcomes, cache=cache
+        )
         self.held.update(entry["id"] for entry in reply["tasks"])
         self.most_held = max(self.most_held, len(self.held))
+        self.busy_leases += bool(reply["tasks"] or outcomes)
         return reply
-
-    def complete(self, agent_id, task_id, **outcome):
-        self.held.discard(task_id)
-        self.completions[task_id] += 1
-        return self.core.complete(agent_id, task_id, **outcome)
 
 
 class _Blipping:
     """A :class:`ManagerCore` behind a link that fails the first
-    ``failures`` ``complete``, ``lease`` and ``register_agent`` calls after
-    the agent's start-up registration, as a manager restart or a network
-    blip would."""
+    ``failures`` ``lease`` and ``register_agent`` calls after the agent's
+    start-up registration, as a manager restart or a network blip would."""
 
-    BLIPPED = ("complete", "lease", "register_agent")
+    BLIPPED = ("lease", "register_agent")
 
     def __init__(self, core, failures=2):
         self.core = core
@@ -181,7 +189,7 @@ def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_p
         # profiles and a replayed slice analysis, each storing exactly one
         # entry; the manager memoized them, so the warm run executed none.
         # Its counters, summed over both workers, travel back with every
-        # completion.
+        # lease.
         stats = server.core.stats()
         fleet = {a["name"]: a["cache"] for a in stats["agents"]}
         assert stats["tasks"]["executed"] == executed > 0
@@ -193,8 +201,8 @@ def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_p
 
 
 def test_agent_death_mid_run_is_absorbed(serial_digest):
-    """An agent that leases a batch and vanishes without completing or
-    heartbeating (``fail_after_tasks``) must not change the outcome: the
+    """An agent that leases a batch and vanishes without another request
+    (``fail_after_tasks``) must not change the outcome: the
     reaper re-queues its held tasks for the survivor and the campaign
     digest stays identical to serial."""
     core = ManagerCore(lease_ttl_s=1.5)
@@ -267,11 +275,12 @@ def test_a_worker_that_dies_mid_batch_does_not_end_the_agent(serial_digest, tmp_
 
 def test_an_agent_streams_a_window_of_twice_its_workers(monkeypatch):
     """The agent keeps at most ``2 × workers`` tasks in flight, leases
-    again while some of them still run, and completes every task exactly
-    once."""
+    again while some of them still run, delivers every task exactly once,
+    and sends no more leases that bring a task or an outcome than it
+    completed tasks, plus one per registration."""
     monkeypatch.setattr(agent_module, "execute_wire_task", _sleep_then_echo)
     core = ManagerCore(lease_ttl_s=10.0)
-    transport = _Recording(core)
+    transport = _Counting(core)
     workers = 2
     agent, thread = agent_thread(transport, workers=workers, name="window")
     try:
@@ -287,12 +296,14 @@ def test_an_agent_streams_a_window_of_twice_its_workers(monkeypatch):
     assert transport.most_held == agent_module.IN_FLIGHT_PER_WORKER * workers == 2 * workers
     assert transport.completions == Counter({task_id: 1 for task_id in ids})
     assert agent.tasks_completed == len(ids)
+    assert transport.busy_leases <= agent.tasks_completed + transport.registrations
 
 
-def test_a_manager_blip_does_not_end_the_agent(serial_digest):
-    """Failed ``complete``, ``lease`` and re-``register_agent`` calls are
-    re-sent with a backoff: the agent keeps serving, delivers every
-    outcome, and the campaign ends with serial's digest."""
+def test_a_manager_blip_does_not_end_the_agent(serial_digest, capsys):
+    """Failed ``lease`` and re-``register_agent`` calls are re-sent with a
+    backoff: the agent keeps serving, delivers every outcome, and the
+    campaign ends with serial's digest.  Each outage prints one stderr
+    line when a call first fails and one when a call gets through."""
     core = ManagerCore(lease_ttl_s=10.0)
     transport = _Blipping(core)
     agent, thread = agent_thread(transport, workers=2, name="blip")
@@ -308,6 +319,11 @@ def test_a_manager_blip_does_not_end_the_agent(serial_digest):
     assert all(transport.calls[name] > 2 for name in _Blipping.BLIPPED), transport.calls
     stats = core.stats()["tasks"]
     assert stats["queued"] == stats["leased"] == 0
+    err = capsys.readouterr().err
+    assert (
+        "agent: lease failed (manager unreachable (lease #1)); retrying in 0.1 s\n" in err
+    ), err
+    assert "agent: register_agent got through again\n" in err, err
 
 
 def test_an_agent_whose_manager_stays_down_exits_once_idle():
@@ -471,6 +487,6 @@ def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path):
 def test_http_error_surfaces_as_repro_error():
     with ManagerServer(port=0) as server:
         transport = HttpTransport(server.url)
-        assert transport.health()["protocol"] == 2
+        assert transport.health()["protocol"] == 3
         with pytest.raises(ReproError):
             transport.campaign_status("campaign-404")

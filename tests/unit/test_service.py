@@ -8,6 +8,7 @@ executor the core itself, as manager-side campaigns do.
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,12 @@ def core(clock):
     return ManagerCore(lease_ttl_s=10.0, clock=clock)
 
 
+def _deliver(core, agent, task_id, **outcome):
+    """Deliver one outcome the way an agent does, on a lease that leases
+    nothing; returns the lease's reply."""
+    return core.lease(agent, max_tasks=0, outcomes=[dict(outcome, id=task_id)])
+
+
 # ------------------------------------------------------------------ queue
 
 
@@ -69,8 +76,8 @@ def test_lease_complete_happy_path(core):
     ids = core.submit_tasks([_task_obj(test_id="t1"), _task_obj(test_id="t2")])["ids"]
     leased = core.lease(agent, max_tasks=4)["tasks"]
     assert [e["id"] for e in leased] == ids  # FIFO
-    for entry in leased:
-        core.complete(agent, entry["id"], result={"ok": 1})
+    outcomes = [{"id": entry["id"], "result": {"ok": 1}} for entry in leased]
+    assert core.lease(agent, max_tasks=4, outcomes=outcomes) == {"tasks": [], "duplicates": 0}
     reply = core.poll_results(ids)
     assert sorted(reply["done"]) == sorted(ids) and not reply["pending"]
     stats = core.stats()["tasks"]
@@ -98,15 +105,32 @@ def test_expired_lease_requeues_for_surviving_agents(core, clock):
         core.lease(dying)  # the dead agent was forgotten entirely
 
 
-def test_heartbeat_extends_lease_across_ttl(core, clock):
+def test_an_empty_lease_extends_the_lease_across_the_ttl(core, clock):
     agent = core.register_agent()["agent"]
     ids = core.submit_tasks([_task_obj()])["ids"]
     core.lease(agent, max_tasks=1)
     clock.advance(8.0)
-    assert core.heartbeat(agent)["ok"]
-    clock.advance(8.0)  # 16s total — but the beat at t=8 renewed to t=18
-    assert core.complete(agent, ids[0], result={"ok": 1})["duplicate"] is False
+    assert core.lease(agent, max_tasks=0) == {"tasks": [], "duplicates": 0}
+    clock.advance(8.0)  # 16s total — but the lease at t=8 renewed to t=18
+    assert _deliver(core, agent, ids[0], result={"ok": 1})["duplicates"] == 0
     assert core.stats()["tasks"]["requeued"] == 0
+
+
+def test_a_lease_of_zero_tasks_never_leases(core):
+    agent = core.register_agent()["agent"]
+    ids = core.submit_tasks([_task_obj(test_id="t1"), _task_obj(test_id="t2")])["ids"]
+    for wait_s in (0.0, 30.0):  # returns at once: the fake clock never moves
+        assert core.lease(agent, max_tasks=0, wait_s=wait_s)["tasks"] == []
+    assert core.stats()["tasks"]["queued"] == 2
+    assert [e["id"] for e in core.lease(agent, max_tasks=2)["tasks"]] == ids
+
+
+def test_a_lease_counts_as_an_agent_request(core):
+    agent = core.register_agent()["agent"]
+    core.lease(agent, max_tasks=0)
+    core.lease(agent, max_tasks=1)
+    core.register_agent()
+    assert core.stats()["requests"] == {"register": 2, "lease": 2}
 
 
 def test_late_result_from_reaped_agent_is_first_completion_wins(core, clock):
@@ -116,23 +140,41 @@ def test_late_result_from_reaped_agent_is_first_completion_wins(core, clock):
     clock.advance(11.0)
     fast = core.register_agent(name="fast")["agent"]
     core.lease(fast, max_tasks=1)
-    assert core.complete(fast, ids[0], result={"ok": 1})["duplicate"] is False
+    assert _deliver(core, fast, ids[0], result={"ok": 1})["duplicates"] == 0
     # The reaped agent finishes the work it still held: deterministic
-    # execution makes the race benign, and the duplicate is absorbed.
-    assert core.complete(slow, ids[0], result={"ok": 1})["duplicate"] is True
+    # execution makes the race benign, and the duplicate is absorbed —
+    # before the lease it asked for is refused.
+    with pytest.raises(ReproError, match="re-register"):
+        _deliver(core, slow, ids[0], result={"ok": 1})
     assert core.stats()["tasks"]["executed"] == 1
+    again = core.register_agent(name="slow")["agent"]
+    assert _deliver(core, again, ids[0], result={"ok": 1})["duplicates"] == 1
+
+
+def test_a_lapsed_agents_result_is_accepted(core, clock):
+    lapsed = core.register_agent(name="lapsed")["agent"]
+    ids = core.submit_tasks([_task_obj()])["ids"]
+    core.lease(lapsed, max_tasks=1)
+    clock.advance(11.0)
+    survivor = core.register_agent(name="survivor")["agent"]  # reaps: the task is re-queued
+    with pytest.raises(ReproError, match="re-register"):
+        _deliver(core, lapsed, ids[0], result={"ok": 1})
+    assert core.poll_results(ids)["done"] == {ids[0]: {"result": {"ok": 1}}}
+    assert core.lease(survivor, max_tasks=1)["tasks"] == []  # never re-executed
+    stats = core.stats()["tasks"]
+    assert stats["requeued"] == 1 and stats["executed"] == 1 and stats["done"] == 1
 
 
 def test_failed_task_retries_on_fresh_submission(core):
     agent = core.register_agent()["agent"]
     ids = core.submit_tasks([_task_obj()])["ids"]
     core.lease(agent, max_tasks=1)
-    core.complete(agent, ids[0], error="boom")
+    _deliver(core, agent, ids[0], error="boom")
     assert core.poll_results(ids)["done"][ids[0]] == {"error": "boom"}
     assert core.submit_tasks([_task_obj()])["ids"] == ids
     retried = core.lease(agent, max_tasks=1)["tasks"]
     assert [e["id"] for e in retried] == ids
-    core.complete(agent, ids[0], result={"ok": 1})
+    assert _deliver(core, agent, ids[0], result={"ok": 1})["duplicates"] == 0
     assert core.poll_results(ids)["done"][ids[0]] == {"result": {"ok": 1}}
 
 
@@ -152,7 +194,7 @@ def test_finished_tasks_are_a_bounded_ring(core, monkeypatch):
         first = first or ids
         assert len(core._tasks) <= ring + 1
         (entry,) = core.lease(agent, max_tasks=1)["tasks"]
-        core.complete(agent, entry["id"], result={"i": i})
+        _deliver(core, agent, entry["id"], result={"i": i})
         assert core.poll_results(ids)["done"] == {ids[0]: {"result": {"i": i}}}
     stats = core.stats()["tasks"]
     assert stats["evicted"] == 10 * ring - (ring + 1)
@@ -191,7 +233,7 @@ def test_identical_submissions_share_one_queue_entry(core):
     assert a == b
     assert core.lease(agent, max_tasks=4)["tasks"] != []
     assert core.lease(agent, max_tasks=4)["tasks"] == []  # nothing left
-    core.complete(agent, a[0], result={"ok": 1})
+    _deliver(core, agent, a[0], result={"ok": 1})
     assert core.stats()["tasks"]["total"] == 1
     assert core.stats()["tasks"]["executed"] == 1
 
@@ -257,7 +299,7 @@ def test_remote_executor_propagates_task_errors():
     def serve_one_error():
         agent = live.register_agent(name="err")["agent"]
         entry = live.lease(agent, max_tasks=1, wait_s=5.0)["tasks"][0]
-        live.complete(agent, entry["id"], error="RuntimeError: kaboom")
+        _deliver(live, agent, entry["id"], error="RuntimeError: kaboom")
 
     thread = threading.Thread(target=serve_one_error, daemon=True)
     thread.start()
@@ -275,6 +317,83 @@ def test_remote_executor_timeout_without_agents(monkeypatch):
     task = ExperimentTask("toy", "t1", '{"seed": 7}', None, ())
     with pytest.raises(ReproError, match="stalled"):
         executor.map(execute_experiment_task, [task])
+
+
+class _Polling:
+    """A :class:`ManagerCore` that records the ids of every
+    ``poll_results`` call and the ids each reply resolved."""
+
+    def __init__(self, core):
+        self.core = core
+        self.polls = []  # (ids sent, ids resolved) per call
+
+    def __getattr__(self, name):
+        return getattr(self.core, name)
+
+    def poll_results(self, ids, wait_s=0.0):
+        reply = self.core.poll_results(ids, wait_s=wait_s)
+        self.polls.append((list(ids), set(reply["done"])))
+        return reply
+
+
+def _keyed_tasks(*test_ids):
+    tasks = [ExperimentTask("toy", t, '{"seed": 7}', None, ()) for t in test_ids]
+    return [dataclasses.replace(t, key=_key(t)) for t in tasks]
+
+
+def _echo_results(monkeypatch):
+    """Results decode to themselves, so a test's fake results need not be
+    run groups."""
+    from repro.service import remote as remote_mod
+
+    monkeypatch.setattr(remote_mod, "task_result_from_obj", lambda obj: obj)
+
+
+def test_remote_executor_polls_a_resolved_batch_once(monkeypatch):
+    from repro.core.driver import execute_experiment_task
+
+    _echo_results(monkeypatch)
+    core = ManagerCore()
+    tasks = _keyed_tasks("t1", "t2", "t1")
+    agent = core.register_agent()["agent"]
+    ids = core.submit_tasks([task_to_obj(t) for t in tasks])["ids"]
+    leased = core.lease(agent, max_tasks=3)["tasks"]
+    outcomes = [{"id": e["id"], "result": {"test": e["task"]["test_id"]}} for e in leased]
+    core.lease(agent, max_tasks=0, outcomes=outcomes)
+    polling = _Polling(core)
+    out = RemoteExecutor(polling).map(execute_experiment_task, tasks)
+    assert out == [{"test": "t1"}, {"test": "t2"}, {"test": "t1"}]
+    assert [sent for sent, _ in polling.polls] == [[ids[0], ids[1]]]  # input order, once
+
+
+def test_remote_executor_never_polls_a_resolved_id_again(monkeypatch):
+    import threading
+    import time
+
+    from repro.core.driver import execute_experiment_task
+
+    _echo_results(monkeypatch)
+    core = ManagerCore()
+    tasks = _keyed_tasks("t1", "t2", "t3", "t4")
+
+    def serve_one_at_a_time():
+        agent = core.register_agent(name="slow")["agent"]
+        for _ in tasks:
+            (entry,) = core.lease(agent, max_tasks=1, wait_s=5.0)["tasks"]
+            time.sleep(0.05)
+            _deliver(core, agent, entry["id"], result={"test": entry["task"]["test_id"]})
+
+    thread = threading.Thread(target=serve_one_at_a_time, daemon=True)
+    thread.start()
+    polling = _Polling(core)
+    out = RemoteExecutor(polling).map(execute_experiment_task, tasks)
+    thread.join(timeout=5.0)
+    assert out == [{"test": t.test_id} for t in tasks]
+    assert len(polling.polls) > 1
+    resolved = set()
+    for sent, done in polling.polls:
+        assert not resolved & set(sent), "a poll re-sent a resolved id"
+        resolved |= done
 
 
 # -------------------------------------------------------------- HTTP framing
@@ -295,12 +414,23 @@ def test_list_campaigns_is_the_get_the_route_table_documents(http):
     assert http.list_campaigns() == {"campaigns": []}
 
 
+def _leasing(outcomes):
+    """A lease request body carrying ``outcomes``."""
+    return {"agent": "agent-1", "max_tasks": 0, "outcomes": outcomes}
+
+
 @pytest.mark.parametrize(
     "path,payload,named",
     [
         ("/api/agents/lease", {}, "'agent'"),
-        ("/api/agents/heartbeat", {"cache": None}, "'agent'"),
         ("/api/agents/lease", {"agent": "agent-1", "max_tasks": "many"}, "'max_tasks'"),
+        ("/api/agents/lease", _leasing({"id": "x"}), "'outcomes'"),
+        ("/api/agents/lease", _leasing([{"result": {}}]), "'outcomes[0]'"),
+        ("/api/agents/lease", _leasing([{"id": 7, "error": "e"}]), "'outcomes[0]'"),
+        ("/api/agents/lease", _leasing(["abc"]), "'outcomes[0]'"),
+        ("/api/agents/lease", _leasing([{"id": "x"}]), "'outcomes[0]'"),
+        ("/api/agents/lease", _leasing([{"id": "x", "result": {}, "error": "e"}]), "'outcomes[0]'"),
+        ("/api/agents/lease", _leasing([{"id": "x", "error": 3}]), "'outcomes[0]'"),
         ("/api/campaigns", {"system": "toy"}, "'config'"),
         ("/api/campaigns/campaign-1/events?after=x", None, "'after'"),
         ("/api/agents/lease", [1, 2], "JSON object"),
@@ -308,7 +438,7 @@ def test_list_campaigns_is_the_get_the_route_table_documents(http):
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payload, named):
-    with pytest.raises(ReproError, match="replied 400.*%s" % named):
+    with pytest.raises(ReproError, match="replied 400.*%s" % re.escape(named)):
         http._call(path, payload)
 
 
