@@ -10,9 +10,11 @@ then runs N pairs of the minidfs environment campaign:
 
 Each pair has a seed of its own, so the manager serves no task of it
 from an earlier pair, and the side that runs first alternates from pair
-to pair.  Every pair prints both walls, the fleet/local ratio, the agent
-requests the manager served per task the fleet completed, and whether F
-and L are byte-equal; the script exits 1 if any pair's reports differ.
+to pair.  Every pair prints both walls, the fleet/local ratio, the
+requests the manager served per task the fleet completed (the agent's
+``register`` and ``lease``, and the client's campaign ``status`` and
+``events`` apart), and whether F and L are byte-equal; the script exits 1
+if any pair's reports differ.
 The walls are those of the two CLI processes, start-up included.
 
     PYTHONPATH=src python examples/fleet_vs_local.py --pairs 5
@@ -36,6 +38,9 @@ CAMPAIGN_FLAGS = (
     "--fault-kinds", "all", "--schedules", "all", "--adaptive-budget",
 )
 SIDES = ("fleet", "local")
+#: The ``stats()["requests"]`` counters an agent sends; the rest are the
+#: campaign client's.
+AGENT_REQUESTS = ("register", "lease")
 
 
 def _timed(argv):
@@ -79,16 +84,23 @@ def main(argv=None) -> int:
             before = transport.health()
             wall = {side: _timed(argvs[side]) for side in order}
             after = transport.health()
-            requests = sum(after["requests"].values()) - sum(before["requests"].values())
-            tasks = after["tasks"]["executed"] - before["tasks"]["executed"]
+            served = {
+                route: after["requests"][route] - before["requests"][route]
+                for route in after["requests"]
+            }
+            agent_requests = sum(served[route] for route in AGENT_REQUESTS)
+            client_requests = sum(served.values()) - agent_requests
+            tasks = max(1, after["tasks"]["executed"] - before["tasks"]["executed"])
             equal = filecmp.cmp(out["fleet"], out["local"], shallow=False)
             unequal += not equal
             ratios.append(wall["fleet"] / wall["local"])
             print(
                 "pair %d  seed %s  %s first  fleet %.2f s  local %.2f s  ratio %.2f  "
-                "requests/task %.2f (%d / %d)  reports %s"
+                "agent requests/task %.3f (%d / %d)  client requests/task %.3f (%d)  "
+                "reports %s"
                 % (pair + 1, seed, order[0], wall["fleet"], wall["local"], ratios[-1],
-                   requests / max(1, tasks), requests, tasks, "equal" if equal else "DIFFER"),
+                   agent_requests / tasks, agent_requests, tasks,
+                   client_requests / tasks, client_requests, "equal" if equal else "DIFFER"),
                 flush=True,
             )
     finally:

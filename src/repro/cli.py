@@ -585,12 +585,23 @@ def cmd_agent(args: argparse.Namespace) -> int:
 
 def _follow_campaign(transport, campaign_id: str, verbose: bool, quiet: bool = False) -> dict:
     """Wait for a campaign to finish, printing its events to stderr (all
-    of them if ``verbose``, only ``campaign_*`` ones otherwise, none if
-    ``quiet``); returns the final status."""
-    from .service.manager import follow_campaign
+    of them if ``verbose``, only ``campaign_*`` ones otherwise); returns
+    the final status.  ``quiet`` reads no event: it long-polls the status,
+    and refuses a manager on another protocol, which would not wait."""
+    from .service.manager import PROTOCOL, follow_campaign
 
+    if quiet:
+        protocol = transport.health()["protocol"]
+        if protocol != PROTOCOL:
+            raise ReproError(
+                "manager speaks protocol %s; this client speaks protocol %d" % (protocol, PROTOCOL)
+            )
+        while True:
+            status = transport.campaign_status(campaign_id, wait_s=10.0)
+            if status["state"] != "running":
+                return status
     for event in follow_campaign(transport, campaign_id):
-        if not quiet and (verbose or event["kind"].startswith("campaign")):
+        if verbose or event["kind"].startswith("campaign"):
             print(format_event(campaign_id, event["kind"], event["detail"]), file=sys.stderr)
     return transport.campaign_status(campaign_id)
 

@@ -2,7 +2,7 @@
 
 These kinds disturb the simulated *world* rather than a code path, wired
 to the substrate machinery ``repro.sim`` always had (``Node.crash``,
-``SimEnv.partition``, silent datagram drop in ``SimEnv.send``) but which
+``SimEnv.partition_names``, silent datagram drop in ``SimEnv.send``) but which
 no campaign could reach before the registry existed.  They target the
 ``ENV_NODE`` / ``ENV_LINK`` sites a system declares through its
 :class:`~repro.faults.base.EnvFaultPort`.

@@ -15,12 +15,12 @@ Endpoints (all request/response bodies JSON):
 ========  ==================================  ==================================================
  method    path                                core method
 ========  ==================================  ==================================================
- GET       ``/api/health``                     ``stats()`` (protocol version 3)
+ GET       ``/api/health``                     ``stats()`` (protocol version 4)
  POST      ``/api/agents/register``            ``register_agent(name, workers)``
  POST      ``/api/agents/lease``               ``lease(agent, max_tasks, wait_s, outcomes, cache)``
  POST      ``/api/campaigns``                  ``start_campaign(system, config)``
  GET       ``/api/campaigns``                  ``list_campaigns()``
- GET       ``/api/campaigns/<id>``             ``campaign_status(id)``
+ GET       ``/api/campaigns/<id>``             ``campaign_status(id, wait)``
  GET       ``/api/campaigns/<id>/report``      ``campaign_report(id)``
  GET       ``/api/campaigns/<id>/events``      ``campaign_events(id, after, wait)``
 ========  ==================================  ==================================================
@@ -31,9 +31,9 @@ mistypes a field the route reads (the error names it, down to one entry
 of a lease's ``outcomes``) and a body shorter than its
 ``Content-Length``; a declared length over
 :data:`MAX_REQUEST_BYTES` is a 413, answered unread; anything else is a
-500.  Long-polling endpoints (``lease``, ``events``) bound
-their own wait, so a client timeout only needs a small margin over the
-requested wait.
+500.  Long-polling endpoints (``lease``, a campaign's status and
+``events``) bound their own wait, so a client timeout only needs a small
+margin over the requested wait.
 """
 
 from __future__ import annotations
@@ -159,7 +159,11 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["api", "campaigns"]:
             self._dispatch(self.core.list_campaigns)
         elif len(parts) == 3 and parts[:2] == ["api", "campaigns"]:
-            self._dispatch(lambda: self.core.campaign_status(parts[2]))
+            self._dispatch(
+                lambda: self.core.campaign_status(
+                    parts[2], wait_s=_field(query, "wait", float, 0.0)
+                )
+            )
         elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] and parts[3] == "report":
             self._dispatch(lambda: {"report": self.core.campaign_report(parts[2])})
         elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] and parts[3] == "events":
@@ -341,8 +345,8 @@ class HttpTransport:
     def list_campaigns(self) -> Dict[str, Any]:
         return self._call("/api/campaigns")
 
-    def campaign_status(self, campaign_id: str) -> Dict[str, Any]:
-        return self._call("/api/campaigns/%s" % campaign_id)
+    def campaign_status(self, campaign_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        return self._call("/api/campaigns/%s?wait=%s" % (campaign_id, wait_s), wait_s=wait_s)
 
     def campaign_report(self, campaign_id: str) -> Optional[Dict[str, Any]]:
         return self._call("/api/campaigns/%s/report" % campaign_id)["report"]

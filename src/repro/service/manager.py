@@ -23,7 +23,7 @@ included, execution-only knobs excluded), which makes the queue itself
 the dedup layer: two concurrent campaigns submitting the same (fault,
 test) experiment share one queue entry, one execution, and one result.
 An agent on other code refuses the task (``code_mismatch``).  Finished
-tasks stay for dedup and polling in a ring of :data:`FINISHED_TASKS`;
+tasks stay for dedup and waiting in a ring of :data:`FINISHED_TASKS`;
 one that has left it runs again when resubmitted, which is safe because
 tasks are pure.
 """
@@ -47,9 +47,12 @@ DEFAULT_LEASE_TTL_S = 15.0
 MAX_CAMPAIGN_EVENTS = 4096
 
 #: How many finished tasks the manager keeps, oldest forgotten first when
-#: new tasks are submitted.  A forgotten task's result is gone: polling it
-#: is an unknown-task error, and resubmitting it runs it again.
+#: new tasks are submitted.  A forgotten task's result is gone: waiting for
+#: it is an unknown-task error, and resubmitting it runs it again.
 FINISHED_TASKS = 4096
+
+#: The wire protocol ``stats()`` reports; 4 since a status long-polls.
+PROTOCOL = 4
 
 
 class _Task:
@@ -58,8 +61,7 @@ class _Task:
         "obj",
         "state",
         "agent",
-        "result",
-        "error",
+        "outcome",
         "campaigns",
         "enqueued_at",
         "leased_at",
@@ -70,8 +72,7 @@ class _Task:
         self.obj = obj
         self.state = "queued"  # queued | leased | done | failed
         self.agent: Optional[str] = None
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+        self.outcome: Optional[Dict[str, Any]] = None  # {"result": ...} or {"error": ...}
         self.campaigns: Set[str] = set()
         self.enqueued_at = now
         self.leased_at: Optional[float] = None
@@ -124,8 +125,9 @@ class ManagerCore:
     """Thread-safe lease-based task queue + campaign registry.
 
     All public methods take and return JSON-compatible values; the lock
-    is a single condition variable so long-polls (``lease``,
-    ``poll_results``, ``campaign_events``) wake on any state change.
+    is a single condition variable, so the long-polls (``lease``,
+    ``wait_tasks``, ``campaign_status``, ``campaign_events``), which all
+    block in :meth:`_wait`, wake on any state change.
     ``clock`` is injectable (monotonic seconds) so lease-expiry tests
     never sleep.
     """
@@ -154,7 +156,8 @@ class ManagerCore:
         self._requeued = 0  # leases reclaimed from expired agents
         self._evicted = 0  # finished tasks forgotten past FINISHED_TASKS
         self._code_mismatch = 0  # tasks an agent refused as other code's
-        self._requests = {"register": 0, "lease": 0}  # agent requests served
+        # Requests served: an agent's register and lease, a client's status and events.
+        self._requests = {"register": 0, "lease": 0, "status": 0, "events": 0}
         self.started_at = self._clock()
 
     # ----------------------------------------------------------- internals
@@ -178,6 +181,26 @@ class ManagerCore:
         campaign.next_seq += 1
         campaign.events.append(event)
         self._cond.notify_all()
+
+    def _wait(self, wait_s: Optional[float], ready: Callable[[float], bool]) -> bool:
+        """With the lock held, reap and ask ``ready(now)`` on every state
+        change until it is true or ``wait_s`` runs out (never for ``None``);
+        returns its last answer."""
+        deadline = None if wait_s is None else self._clock() + max(0.0, wait_s)
+        while True:
+            now = self._clock()
+            self._reap(now)
+            if ready(now):
+                return True
+            if deadline is not None and now >= deadline:
+                return False
+            self._cond.wait(timeout=0.5 if deadline is None else min(0.5, deadline - now))
+
+    def _campaign(self, campaign_id: str) -> _Campaign:
+        campaign = self._campaigns.get(campaign_id)
+        if campaign is None:
+            raise ReproError("unknown campaign %r" % (campaign_id,))
+        return campaign
 
     # -------------------------------------------------------------- agents
 
@@ -207,31 +230,30 @@ class ManagerCore:
         0), long-polling up to ``wait_s`` for one.  The outcomes count even
         from an expired or unknown agent, which then gets an explicit error,
         so it re-registers instead of executing work it no longer holds."""
-        deadline = self._clock() + max(0.0, wait_s)
+        leased: List[Dict[str, Any]] = []
+
+        def take(now: float) -> bool:
+            agent = self._agents.get(agent_id)
+            if agent is None:
+                raise ReproError("unknown or expired agent %r (re-register)" % (agent_id,))
+            agent.deadline = now + self.lease_ttl_s
+            if cache:
+                agent.cache = dict(cache)
+            while self._queue and len(leased) < max_tasks:
+                task = self._tasks[self._queue.popleft()]
+                if task.state != "queued":
+                    continue  # completed by a still-working ex-leaseholder
+                task.state = "leased"
+                task.agent = agent.agent_id
+                task.leased_at = now
+                leased.append({"id": task.digest, "task": task.obj})
+            return bool(leased) or max_tasks <= 0
+
         with self._cond:
             self._requests["lease"] += 1
             duplicates = sum(self._complete(agent_id, outcome) for outcome in outcomes)
-            while True:
-                now = self._clock()
-                self._reap(now)
-                agent = self._agents.get(agent_id)
-                if agent is None:
-                    raise ReproError("unknown or expired agent %r (re-register)" % (agent_id,))
-                agent.deadline = now + self.lease_ttl_s
-                if cache:
-                    agent.cache = dict(cache)
-                leased: List[Dict[str, Any]] = []
-                while self._queue and len(leased) < max_tasks:
-                    task = self._tasks[self._queue.popleft()]
-                    if task.state != "queued":
-                        continue  # completed by a still-working ex-leaseholder
-                    task.state = "leased"
-                    task.agent = agent.agent_id
-                    task.leased_at = now
-                    leased.append({"id": task.digest, "task": task.obj})
-                if leased or max_tasks <= 0 or now >= deadline:
-                    return {"tasks": leased, "duplicates": duplicates}
-                self._cond.wait(timeout=min(0.5, deadline - now))
+            self._wait(wait_s, take)
+            return {"tasks": leased, "duplicates": duplicates}
 
     def _complete(self, agent_id: str, outcome: Dict[str, Any]) -> bool:
         """Record one task outcome; whether it was a duplicate.  First
@@ -244,13 +266,9 @@ class ManagerCore:
         if task is None or task.state in ("done", "failed"):
             return True
         wait_s = (task.leased_at or self._clock()) - task.enqueued_at
-        if error is not None:
-            task.state = "failed"
-            task.error = error
-            self._code_mismatch += error.startswith("code_mismatch:")
-        else:
-            task.state = "done"
-            task.result = outcome["result"]
+        task.state = "done" if error is None else "failed"
+        task.outcome = {"result": outcome["result"]} if error is None else {"error": error}
+        self._code_mismatch += (error or "").startswith("code_mismatch:")
         self._finished[task_id] = None
         self._executed += 1
         agent = self._agents.get(agent_id)
@@ -304,7 +322,7 @@ class ManagerCore:
                     # A failed task may be retried by a fresh submission.
                     del self._finished[digest]
                     task.state = "queued"
-                    task.error = None
+                    task.outcome = None
                     self._queue.append(digest)
                     fresh += 1
                 if campaign is not None:
@@ -320,29 +338,35 @@ class ManagerCore:
                 self._cond.notify_all()
             return {"ids": ids}
 
-    def poll_results(self, ids: List[str], wait_s: float = 0.0) -> Dict[str, Any]:
-        """Resolved outcomes for ``ids``; long-polls until at least one of
-        the *pending* ids resolves or ``wait_s`` elapses."""
-        deadline = self._clock() + max(0.0, wait_s)
+    def wait_tasks(
+        self, ids: Sequence[str], stall_s: Optional[float] = None
+    ) -> List[Dict[str, Any]]:
+        """The outcome of each of ``ids`` (``{"result": ...}`` or
+        ``{"error": ...}``), in input order, once the last of them resolves.
+        A :class:`ReproError` for an unknown id, or when ``stall_s`` pass
+        with none of them resolving."""
+        outcomes: Dict[str, Dict[str, Any]] = {}
+        pending = dict.fromkeys(ids)  # unresolved ids, in input order, each once
+
+        def resolve(_now: float) -> bool:
+            before = len(pending)
+            for task_id in list(pending):
+                task = self._tasks.get(task_id)
+                if task is None:
+                    raise ReproError("wait for unknown task %r" % (task_id,))
+                if task.outcome is not None:
+                    outcomes[task_id] = task.outcome
+                    del pending[task_id]
+            return len(pending) < before
+
         with self._cond:
-            while True:
-                now = self._clock()
-                self._reap(now)
-                done: Dict[str, Dict[str, Any]] = {}
-                pending: List[str] = []
-                for task_id in ids:
-                    task = self._tasks.get(task_id)
-                    if task is None:
-                        raise ReproError("poll for unknown task %r" % (task_id,))
-                    if task.state == "done":
-                        done[task_id] = {"result": task.result}
-                    elif task.state == "failed":
-                        done[task_id] = {"error": task.error}
-                    else:
-                        pending.append(task_id)
-                if done or not pending or now >= deadline:
-                    return {"done": done, "pending": pending}
-                self._cond.wait(timeout=min(0.5, deadline - now))
+            while pending:
+                if not self._wait(stall_s, resolve):
+                    raise ReproError(
+                        "remote batch stalled: %d/%d tasks unresolved after %.0fs with no "
+                        "progress (are any agents connected?)" % (len(pending), len(ids), stall_s)
+                    )
+        return [outcomes[task_id] for task_id in ids]
 
     # ----------------------------------------------------------- campaigns
 
@@ -407,27 +431,13 @@ class ManagerCore:
                 campaign.error = "%s: %s" % (type(exc).__name__, exc)
                 self._emit(campaign, "campaign_failed", error=campaign.error)
 
-    def wait_campaign(self, campaign_id: str, timeout_s: Optional[float] = None) -> Dict[str, Any]:
-        """Block until the campaign leaves ``running``; returns its status."""
-        deadline = None if timeout_s is None else self._clock() + timeout_s
+    def campaign_status(self, campaign_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        """The campaign's status, long-polling up to ``wait_s`` for it to
+        leave ``running``."""
         with self._cond:
-            while True:
-                campaign = self._campaigns.get(campaign_id)
-                if campaign is None:
-                    raise ReproError("unknown campaign %r" % (campaign_id,))
-                if campaign.state != "running":
-                    break
-                remaining = None if deadline is None else deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    break
-                self._cond.wait(timeout=0.5 if remaining is None else min(0.5, remaining))
-        return self.campaign_status(campaign_id)
-
-    def campaign_status(self, campaign_id: str) -> Dict[str, Any]:
-        with self._cond:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is None:
-                raise ReproError("unknown campaign %r" % (campaign_id,))
+            self._requests["status"] += 1
+            campaign = self._campaign(campaign_id)
+            self._wait(wait_s, lambda _: campaign.state != "running")
             return {
                 "campaign": campaign.campaign_id,
                 "system": campaign.system,
@@ -442,31 +452,22 @@ class ManagerCore:
 
     def campaign_report(self, campaign_id: str) -> Optional[Dict[str, Any]]:
         with self._cond:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is None:
-                raise ReproError("unknown campaign %r" % (campaign_id,))
-            return campaign.report
+            return self._campaign(campaign_id).report
 
     def campaign_events(
         self, campaign_id: str, after: int = 0, wait_s: float = 0.0
     ) -> Dict[str, Any]:
         """Events with ``seq >= after``; long-polls up to ``wait_s`` when
         none are buffered yet and the campaign is still running."""
-        deadline = self._clock() + max(0.0, wait_s)
         with self._cond:
-            while True:
-                campaign = self._campaigns.get(campaign_id)
-                if campaign is None:
-                    raise ReproError("unknown campaign %r" % (campaign_id,))
-                events = [e for e in campaign.events if e["seq"] >= after]
-                now = self._clock()
-                if events or campaign.state != "running" or now >= deadline:
-                    return {
-                        "events": events,
-                        "next": campaign.next_seq,
-                        "state": campaign.state,
-                    }
-                self._cond.wait(timeout=min(0.5, deadline - now))
+            self._requests["events"] += 1
+            campaign = self._campaign(campaign_id)
+            self._wait(wait_s, lambda _: campaign.next_seq > after or campaign.state != "running")
+            return {
+                "events": [e for e in campaign.events if e["seq"] >= after],
+                "next": campaign.next_seq,
+                "state": campaign.state,
+            }
 
     def list_campaigns(self) -> Dict[str, Any]:
         with self._cond:
@@ -494,7 +495,7 @@ class ManagerCore:
                 (t.leased_at or t.enqueued_at) - t.enqueued_at for t in done
             ]
             return {
-                "protocol": 3,
+                "protocol": PROTOCOL,
                 "uptime_s": round(now - self.started_at, 3),
                 "lease_ttl_s": self.lease_ttl_s,
                 "requests": dict(self._requests),

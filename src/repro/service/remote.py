@@ -7,7 +7,7 @@ pipeline manager-side over one.  The driver hands it what it hands the
 process backend — picklable
 :class:`~repro.core.driver.ExperimentTask` descriptors and a module-level
 entry point — and the executor serializes each descriptor to its wire
-form, submits the batch to the manager queue, and blocks until every
+form, submits the batch to the manager queue, and waits once, until every
 result (possibly computed out of order, by several agents, with mid-batch
 agent deaths and re-queues) is resolved.  Results return **in input
 order**, and the driver keeps committing in submission order, so a remote
@@ -17,24 +17,17 @@ that covers the process backend.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import ReproError
 from ..pipeline.executor import Executor
 from ..serialize import task_result_from_obj, task_to_obj
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.driver import ExperimentTask
-
-#: How long one result poll blocks manager-side before the executor
-#: re-checks for shutdown; purely an execution knob.
-POLL_WAIT_S = 2.0
-
 
 class RemoteExecutor(Executor):
     """Ordered map over the manager's distributed task queue.
 
-    ``transport`` needs ``submit_tasks`` / ``poll_results``: the
+    ``transport`` needs ``submit_tasks`` / ``wait_tasks``: the
     :class:`~repro.service.manager.ManagerCore` itself (manager-side
     campaigns and tests).
 
@@ -69,31 +62,12 @@ class RemoteExecutor(Executor):
                 "(got %r); use the serial backend for ad-hoc callables"
                 % (getattr(fn, "__name__", fn),)
             )
-        tasks: List["ExperimentTask"] = list(items)
-        if not tasks:
+        objs = [task_to_obj(t) for t in items]
+        if not objs:
             return []
-        objs = [task_to_obj(t) for t in tasks]
         ids = self.transport.submit_tasks(objs, campaign=self.campaign)["ids"]
-        resolved: Dict[str, Dict[str, Any]] = {}
-        pending = list(dict.fromkeys(ids))  # input order, each id once
-        stalled_s = 0.0
-        while pending:
-            reply = self.transport.poll_results(pending, wait_s=POLL_WAIT_S)
-            if reply["done"]:
-                resolved.update(reply["done"])
-                pending[:] = [i for i in pending if i not in resolved]
-                stalled_s = 0.0
-            else:
-                stalled_s += POLL_WAIT_S
-                if self.timeout_s is not None and stalled_s >= self.timeout_s:
-                    raise ReproError(
-                        "remote batch stalled: %d/%d tasks unresolved after %.0fs "
-                        "with no progress (are any agents connected?)"
-                        % (len(pending), len(ids), stalled_s)
-                    )
         out: List[Any] = []
-        for task_id in ids:
-            outcome = resolved[task_id]
+        for outcome in self.transport.wait_tasks(ids, stall_s=self.timeout_s):
             if "error" in outcome:
                 raise ReproError("remote task failed: %s" % (outcome["error"],))
             out.append(task_result_from_obj(outcome["result"]))

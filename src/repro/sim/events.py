@@ -200,15 +200,9 @@ class SimEnv:
 
     # ---------------------------------------------------------------- network
 
-    def partition(self, a: Any, b: Any) -> None:
-        self._partitions.add(frozenset((a.name, b.name)))
-
-    def heal(self, a: Any, b: Any) -> None:
-        self._partitions.discard(frozenset((a.name, b.name)))
-
     def partition_names(self, a: str, b: str) -> None:
-        """Name-based :meth:`partition` (environment fault models hold
-        node names, not node objects)."""
+        """Cut the link between the nodes named ``a`` and ``b`` (fault
+        models hold node names, not node objects)."""
         self._partitions.add(frozenset((a, b)))
 
     def heal_names(self, a: str, b: str) -> None:

@@ -4,6 +4,7 @@ service and EC-style block reconstruction."""
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict, deque
 from typing import Dict, List, Set
 
@@ -355,7 +356,7 @@ class DataNode(Node):
                     self.recon_queue.append(bid)
                     group = sorted(self.nn.blocks)
                     if group:
-                        start = hash(bid) % len(group)
+                        start = zlib.crc32(bid.encode()) % len(group)
                         for i in range(8):
                             self.recon_queue.append(group[(start + i) % len(group)])
                     continue

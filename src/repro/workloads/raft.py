@@ -89,8 +89,9 @@ def wl_partition(env: SimEnv, rt: Runtime) -> None:
                      election_timeout_ms=20_000.0, election_tick_ms=4_000.0,
                      leader_catchup=30, append_rpc_timeout_ms=8_000.0)
     nodes = build_cluster(env, rt, cfg)
-    env.schedule_at(30_000.0, None, env.partition, nodes[0], nodes[1])
-    env.schedule_at(40_000.0, None, env.heal, nodes[0], nodes[1])
+    link = (nodes[0].name, nodes[1].name)
+    env.schedule_at(30_000.0, None, env.partition_names, *link)
+    env.schedule_at(40_000.0, None, env.heal_names, *link)
     RaftClient(env, rt, nodes, 0, cmds_per_tick=3, interval_ms=3_000.0)
 
 

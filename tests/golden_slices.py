@@ -11,7 +11,11 @@ so one fixture serves every supported Python version.
 ``golden_slices.json`` was recorded on the commit *before* the
 per-function CFG and typed-local resolution were deleted from
 ``repro.analysis``; a change of the slicer that keeps every digest
-keeps every call edge, slice and reachability verdict.
+keeps every call edge, slice and reachability verdict.  The minihdfs2
+and minihdfs3 rows were re-recorded when ``DataNode.reconstruction_tick``
+took a stable ``zlib.crc32`` stripe index in place of ``hash``: their
+payloads moved only in ``calls_seen`` (416 to 417, the added
+``bid.encode()``).
 
 It is the ``slices`` entry of ``tests/golden.py``: one row per system.
 """

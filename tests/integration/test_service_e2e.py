@@ -286,9 +286,7 @@ def test_an_agent_streams_a_window_of_twice_its_workers(monkeypatch):
     try:
         tasks = [{"key": "window-%02d" % i} for i in range(5 * 2 * workers)]
         ids = core.submit_tasks(tasks)["ids"]
-        deadline = time.monotonic() + 60.0
-        while core.poll_results(ids, wait_s=1.0)["pending"]:
-            assert time.monotonic() < deadline, "the queued tasks never finished"
+        core.wait_tasks(ids, stall_s=60.0)  # raises if the queued tasks stop finishing
     finally:
         agent.stop()
         thread.join(timeout=10.0)
@@ -309,7 +307,7 @@ def test_a_manager_blip_does_not_end_the_agent(serial_digest, capsys):
     agent, thread = agent_thread(transport, workers=2, name="blip")
     try:
         campaign = core.start_campaign("toy", dict(CFG))["campaign"]
-        status = core.wait_campaign(campaign, timeout_s=60.0)
+        status = core.campaign_status(campaign, wait_s=60.0)
         assert thread.is_alive(), "the agent stopped serving"
     finally:
         agent.stop()
@@ -359,8 +357,8 @@ def test_concurrent_campaigns_share_the_queue_without_double_execution():
         second = core.start_campaign(
             "toy", dict(config_obj, experiment_workers=5), label="second"
         )["campaign"]
-        a = core.wait_campaign(first, timeout_s=120.0)
-        b = core.wait_campaign(second, timeout_s=120.0)
+        a = core.campaign_status(first, wait_s=120.0)
+        b = core.campaign_status(second, wait_s=120.0)
     finally:
         agent.stop()
         thread.join(timeout=10.0)
@@ -388,7 +386,7 @@ def test_manager_side_campaign_matches_serial(serial_run):
     agent, thread = agent_thread(core, workers=2, name="evt")
     try:
         campaign = core.start_campaign("toy", dict(CFG), label="evt")["campaign"]
-        status = core.wait_campaign(campaign, timeout_s=120.0)
+        status = core.campaign_status(campaign, wait_s=120.0)
     finally:
         agent.stop()
         thread.join(timeout=10.0)
@@ -487,6 +485,6 @@ def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path):
 def test_http_error_surfaces_as_repro_error():
     with ManagerServer(port=0) as server:
         transport = HttpTransport(server.url)
-        assert transport.health()["protocol"] == 3
+        assert transport.health()["protocol"] == 4
         with pytest.raises(ReproError):
             transport.campaign_status("campaign-404")

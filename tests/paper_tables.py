@@ -240,8 +240,9 @@ class BlackboxFuzzer:
             else:
                 other = rng.choice([n for n in nodes if n is not victim])
                 result.partitions_injected += 1
-                env.schedule_at(at, victim, lambda a=victim, b=other: env.partition(a, b))
-                env.schedule_at(at + duration, victim, lambda a=victim, b=other: env.heal(a, b))
+                pair = (victim.name, other.name)
+                env.schedule_at(at, victim, lambda p=pair: env.partition_names(*p))
+                env.schedule_at(at + duration, victim, lambda p=pair: env.heal_names(*p))
 
     def run(self) -> BlackboxResult:
         result = BlackboxResult()

@@ -78,8 +78,7 @@ def test_lease_complete_happy_path(core):
     assert [e["id"] for e in leased] == ids  # FIFO
     outcomes = [{"id": entry["id"], "result": {"ok": 1}} for entry in leased]
     assert core.lease(agent, max_tasks=4, outcomes=outcomes) == {"tasks": [], "duplicates": 0}
-    reply = core.poll_results(ids)
-    assert sorted(reply["done"]) == sorted(ids) and not reply["pending"]
+    assert core.wait_tasks(ids) == [{"result": {"ok": 1}}] * 2
     stats = core.stats()["tasks"]
     assert stats == {
         "total": 2, "queued": 0, "leased": 0, "done": 2, "failed": 0,
@@ -130,7 +129,7 @@ def test_a_lease_counts_as_an_agent_request(core):
     core.lease(agent, max_tasks=0)
     core.lease(agent, max_tasks=1)
     core.register_agent()
-    assert core.stats()["requests"] == {"register": 2, "lease": 2}
+    assert core.stats()["requests"] == {"register": 2, "lease": 2, "status": 0, "events": 0}
 
 
 def test_late_result_from_reaped_agent_is_first_completion_wins(core, clock):
@@ -159,7 +158,7 @@ def test_a_lapsed_agents_result_is_accepted(core, clock):
     survivor = core.register_agent(name="survivor")["agent"]  # reaps: the task is re-queued
     with pytest.raises(ReproError, match="re-register"):
         _deliver(core, lapsed, ids[0], result={"ok": 1})
-    assert core.poll_results(ids)["done"] == {ids[0]: {"result": {"ok": 1}}}
+    assert core.wait_tasks(ids) == [{"result": {"ok": 1}}]
     assert core.lease(survivor, max_tasks=1)["tasks"] == []  # never re-executed
     stats = core.stats()["tasks"]
     assert stats["requeued"] == 1 and stats["executed"] == 1 and stats["done"] == 1
@@ -170,12 +169,12 @@ def test_failed_task_retries_on_fresh_submission(core):
     ids = core.submit_tasks([_task_obj()])["ids"]
     core.lease(agent, max_tasks=1)
     _deliver(core, agent, ids[0], error="boom")
-    assert core.poll_results(ids)["done"][ids[0]] == {"error": "boom"}
+    assert core.wait_tasks(ids) == [{"error": "boom"}]
     assert core.submit_tasks([_task_obj()])["ids"] == ids
     retried = core.lease(agent, max_tasks=1)["tasks"]
     assert [e["id"] for e in retried] == ids
     assert _deliver(core, agent, ids[0], result={"ok": 1})["duplicates"] == 0
-    assert core.poll_results(ids)["done"][ids[0]] == {"result": {"ok": 1}}
+    assert core.wait_tasks(ids) == [{"result": {"ok": 1}}]
 
 
 def test_finished_tasks_are_a_bounded_ring(core, monkeypatch):
@@ -195,19 +194,19 @@ def test_finished_tasks_are_a_bounded_ring(core, monkeypatch):
         assert len(core._tasks) <= ring + 1
         (entry,) = core.lease(agent, max_tasks=1)["tasks"]
         _deliver(core, agent, entry["id"], result={"i": i})
-        assert core.poll_results(ids)["done"] == {ids[0]: {"result": {"i": i}}}
+        assert core.wait_tasks(ids) == [{"result": {"i": i}}]
     stats = core.stats()["tasks"]
     assert stats["evicted"] == 10 * ring - (ring + 1)
     assert stats["total"] == ring + 1 and stats["executed"] == 10 * ring
     with pytest.raises(ReproError):
-        core.poll_results(first)
+        core.wait_tasks(first)
     assert core.submit_tasks([_task_obj(test_id="t0")])["ids"] == first
     assert [e["id"] for e in core.lease(agent, max_tasks=1)["tasks"]] == first
 
 
-def test_poll_unknown_task_raises(core):
+def test_wait_for_an_unknown_task_raises(core):
     with pytest.raises(ReproError):
-        core.poll_results(["nope"])
+        core.wait_tasks(["nope"])
 
 
 # ------------------------------------------------------------------ dedup
@@ -308,32 +307,29 @@ def test_remote_executor_propagates_task_errors():
     thread.join(timeout=5.0)
 
 
-def test_remote_executor_timeout_without_agents(monkeypatch):
+def test_remote_executor_timeout_without_agents():
     from repro.core.driver import execute_experiment_task
-    from repro.service import remote as remote_mod
 
-    monkeypatch.setattr(remote_mod, "POLL_WAIT_S", 0.1)
     executor = RemoteExecutor(ManagerCore(), timeout_s=0.2)
     task = ExperimentTask("toy", "t1", '{"seed": 7}', None, ())
     with pytest.raises(ReproError, match="stalled"):
         executor.map(execute_experiment_task, [task])
 
 
-class _Polling:
-    """A :class:`ManagerCore` that records the ids of every
-    ``poll_results`` call and the ids each reply resolved."""
+class _Waiting:
+    """A :class:`ManagerCore` that records the ids of every ``wait_tasks``
+    call."""
 
     def __init__(self, core):
         self.core = core
-        self.polls = []  # (ids sent, ids resolved) per call
+        self.waits = []
 
     def __getattr__(self, name):
         return getattr(self.core, name)
 
-    def poll_results(self, ids, wait_s=0.0):
-        reply = self.core.poll_results(ids, wait_s=wait_s)
-        self.polls.append((list(ids), set(reply["done"])))
-        return reply
+    def wait_tasks(self, ids, stall_s=None):
+        self.waits.append(list(ids))
+        return self.core.wait_tasks(ids, stall_s=stall_s)
 
 
 def _keyed_tasks(*test_ids):
@@ -349,24 +345,10 @@ def _echo_results(monkeypatch):
     monkeypatch.setattr(remote_mod, "task_result_from_obj", lambda obj: obj)
 
 
-def test_remote_executor_polls_a_resolved_batch_once(monkeypatch):
-    from repro.core.driver import execute_experiment_task
-
-    _echo_results(monkeypatch)
-    core = ManagerCore()
-    tasks = _keyed_tasks("t1", "t2", "t1")
-    agent = core.register_agent()["agent"]
-    ids = core.submit_tasks([task_to_obj(t) for t in tasks])["ids"]
-    leased = core.lease(agent, max_tasks=3)["tasks"]
-    outcomes = [{"id": e["id"], "result": {"test": e["task"]["test_id"]}} for e in leased]
-    core.lease(agent, max_tasks=0, outcomes=outcomes)
-    polling = _Polling(core)
-    out = RemoteExecutor(polling).map(execute_experiment_task, tasks)
-    assert out == [{"test": "t1"}, {"test": "t2"}, {"test": "t1"}]
-    assert [sent for sent, _ in polling.polls] == [[ids[0], ids[1]]]  # input order, once
-
-
-def test_remote_executor_never_polls_a_resolved_id_again(monkeypatch):
+def test_remote_executor_waits_once_per_batch(monkeypatch):
+    """Tasks that resolve one at a time, and an id repeated within a
+    batch, still cost one ``wait_tasks`` call per ``map``, and the results
+    come back in input order."""
     import threading
     import time
 
@@ -374,26 +356,98 @@ def test_remote_executor_never_polls_a_resolved_id_again(monkeypatch):
 
     _echo_results(monkeypatch)
     core = ManagerCore()
-    tasks = _keyed_tasks("t1", "t2", "t3", "t4")
+    batches = [_keyed_tasks("t1", "t2", "t1"), _keyed_tasks("t3", "t4")]
 
     def serve_one_at_a_time():
         agent = core.register_agent(name="slow")["agent"]
-        for _ in tasks:
+        for _ in range(4):
             (entry,) = core.lease(agent, max_tasks=1, wait_s=5.0)["tasks"]
             time.sleep(0.05)
             _deliver(core, agent, entry["id"], result={"test": entry["task"]["test_id"]})
 
     thread = threading.Thread(target=serve_one_at_a_time, daemon=True)
     thread.start()
-    polling = _Polling(core)
-    out = RemoteExecutor(polling).map(execute_experiment_task, tasks)
+    waiting = _Waiting(core)
+    executor = RemoteExecutor(waiting)
+    outs = [executor.map(execute_experiment_task, batch) for batch in batches]
     thread.join(timeout=5.0)
-    assert out == [{"test": t.test_id} for t in tasks]
-    assert len(polling.polls) > 1
-    resolved = set()
-    for sent, done in polling.polls:
-        assert not resolved & set(sent), "a poll re-sent a resolved id"
-        resolved |= done
+    assert not thread.is_alive()
+    assert outs == [[{"test": t.test_id} for t in batch] for batch in batches]
+    assert waiting.waits == [[t.key for t in batch] for batch in batches]
+
+
+def test_a_stall_is_time_without_progress(clock):
+    """``wait_tasks`` gives up ``stall_s`` after the last task of the batch
+    resolved, not after the call began."""
+    import threading
+    import time
+
+    core = ManagerCore(lease_ttl_s=1000.0, clock=clock)
+    agent = core.register_agent()["agent"]
+    ids = core.submit_tasks([_task_obj(test_id="t1"), _task_obj(test_id="t2")])["ids"]
+    core.lease(agent, max_tasks=2)
+
+    def resolve_slowly():
+        clock.advance(20.0)
+        _deliver(core, agent, ids[0], result={"n": 1})
+        time.sleep(0.1)
+        clock.advance(20.0)  # 40 s since the call, 20 s since progress
+        time.sleep(0.6)  # the waiter wakes at least once at that time
+        _deliver(core, agent, ids[1], result={"n": 2})
+
+    thread = threading.Thread(target=resolve_slowly, daemon=True)
+    thread.start()
+    assert core.wait_tasks(ids, stall_s=30.0) == [{"result": {"n": 1}}, {"result": {"n": 2}}]
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    threading.Timer(0.1, clock.advance, args=(31.0,)).start()
+    ids = core.submit_tasks([_task_obj(test_id="t3")])["ids"]
+    with pytest.raises(ReproError, match="stalled: 1/1 tasks unresolved after 30s"):
+        core.wait_tasks(ids, stall_s=30.0)
+
+
+# -------------------------------------------------------------- campaigns
+
+
+def _scripted_campaign(tasks=0, gate=None):
+    """A ``ManagerCore._run_campaign`` that runs no pipeline: it puts
+    ``tasks`` no-op tasks through the queue one at a time on an agent of its
+    own, waits for ``gate`` if given, and ends the campaign."""
+    import time
+
+    def run(self, campaign_id, spec, config):
+        objs = [{"key": "%s-%d" % (campaign_id, i)} for i in range(tasks)]
+        ids = self.submit_tasks(objs, campaign=campaign_id)["ids"]
+        agent = self.register_agent(name="scripted")["agent"]
+        for task_id in ids:
+            self.lease(agent, max_tasks=1)
+            time.sleep(0.002)
+            _deliver(self, agent, task_id, result={})
+        if gate is not None:
+            gate.wait(timeout=30.0)
+        with self._cond:
+            campaign = self._campaigns[campaign_id]
+            campaign.state = "done"
+            self._emit(campaign, "campaign_done", digest="d", summary={})
+
+    return run
+
+
+def test_campaign_status_waits_for_the_end_or_the_wait(core, clock, monkeypatch):
+    """Under the injected clock, ``campaign_status(id, wait_s)`` returns a
+    running campaign once the clock passes the wait, and a campaign that
+    ends while it waits as soon as it ends."""
+    import threading
+
+    gate = threading.Event()
+    monkeypatch.setattr(ManagerCore, "_run_campaign", _scripted_campaign(gate=gate))
+    campaign = core.start_campaign("toy", {})["campaign"]
+    assert core.campaign_status(campaign)["state"] == "running"  # no wait: at once
+    threading.Timer(0.1, clock.advance, args=(31.0,)).start()
+    assert core.campaign_status(campaign, wait_s=30.0)["state"] == "running"
+    threading.Timer(0.1, gate.set).start()  # the fake clock never reaches this wait
+    assert core.campaign_status(campaign, wait_s=3600.0)["state"] == "done"
+    assert core.stats()["requests"]["status"] == 3
 
 
 # -------------------------------------------------------------- HTTP framing
@@ -433,6 +487,7 @@ def _leasing(outcomes):
         ("/api/agents/lease", _leasing([{"id": "x", "error": 3}]), "'outcomes[0]'"),
         ("/api/campaigns", {"system": "toy"}, "'config'"),
         ("/api/campaigns/campaign-1/events?after=x", None, "'after'"),
+        ("/api/campaigns/campaign-1?wait=soon", None, "'wait'"),
         ("/api/agents/lease", [1, 2], "JSON object"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
@@ -440,6 +495,38 @@ def _leasing(outcomes):
 def test_missing_or_mistyped_request_field_is_a_400_naming_it(http, path, payload, named):
     with pytest.raises(ReproError, match="replied 400.*%s" % re.escape(named)):
         http._call(path, payload)
+
+
+def test_a_quiet_follow_reads_no_event_and_waits_per_status_request(monkeypatch):
+    """`repro submit --wait` without `-v` or `--follow` long-polls the
+    campaign's status over HTTP: it makes no ``/events`` request, and as
+    many status requests for 200 tasks as for 10."""
+    from repro.cli import _follow_campaign
+    from repro.service.http import HttpTransport, ManagerServer
+
+    status_requests = []
+    for tasks in (10, 200):
+        monkeypatch.setattr(ManagerCore, "_run_campaign", _scripted_campaign(tasks))
+        with ManagerServer(ManagerCore(), port=0) as server:
+            http = HttpTransport(server.url, timeout_s=5.0)
+            campaign = http.start_campaign("toy", {})["campaign"]
+            status = _follow_campaign(http, campaign, verbose=False, quiet=True)
+            requests = server.core.stats()["requests"]
+        assert status["state"] == "done"
+        assert status["tasks"] == {"done": tasks, "total": tasks}
+        assert requests["events"] == 0
+        status_requests.append(requests["status"])
+    assert status_requests[0] == status_requests[1] == 1
+
+
+def test_a_quiet_follow_refuses_a_manager_on_another_protocol(http, monkeypatch):
+    """A manager that would not wait on ``?wait=`` is refused, not spun
+    against."""
+    from repro.cli import _follow_campaign
+
+    monkeypatch.setattr(ManagerCore, "stats", lambda self: {"protocol": 3})
+    with pytest.raises(ReproError, match="speaks protocol 3; this client speaks protocol 4"):
+        _follow_campaign(http, "campaign-1", verbose=False, quiet=True)
 
 
 def test_the_event_feed_is_the_only_campaign_event_endpoint(http):

@@ -205,7 +205,7 @@ class TestRpc:
     def test_rpc_to_partitioned_node_times_out(self):
         env = make_env()
         a, b = Node(env, "a"), Node(env, "b")
-        env.partition(a, b)
+        env.partition_names("a", "b")
         out = {}
 
         def caller():
@@ -221,8 +221,8 @@ class TestRpc:
     def test_heal_restores_connectivity(self):
         env = make_env()
         a, b = Node(env, "a"), Node(env, "b")
-        env.partition(a, b)
-        env.heal(a, b)
+        env.partition_names("a", "b")
+        env.heal_names("a", "b")
         out = {}
         env.schedule_at(1.0, a, lambda: out.setdefault("r", env.rpc(b, lambda: "pong")))
         env.run(100.0)
@@ -302,7 +302,7 @@ class TestSendAndSaturation:
     def test_send_dropped_across_partition(self):
         env = make_env()
         a, b = Node(env, "a"), Node(env, "b")
-        env.partition(a, b)
+        env.partition_names("a", "b")
         got = []
         env.schedule_at(1.0, a, lambda: env.send(b, got.append, "hi"))
         env.run(100.0)

@@ -131,3 +131,59 @@ def test_nested_loop_declarations_consistent(specs):
             if site.loop and site.loop.parent:
                 parent = reg.get(site.loop.parent)
                 assert parent.kind is SiteKind.LOOP
+
+
+#: Runs one minihdfs3 ``reconstruction_tick`` whose every fetch fails, over
+#: stand-ins for the runtime, the sim and the NameNode, and prints the
+#: re-queued block ids in order.
+_RECON_REQUEUE = r'''
+import contextlib
+from collections import deque
+from types import SimpleNamespace
+
+from repro.errors import IOEx
+from repro.systems.minihdfs.datanode import DataNode
+
+
+def failing_fetch(site_id, exc_type, *args, **kwargs):
+    raise IOEx("fetch failed")
+
+
+blocks = ["blk_%d" % i for i in range(20)]
+source = DataNode.__new__(DataNode)
+source.finalized = set(blocks)
+node = DataNode.__new__(DataNode)
+node.name = "dn9"
+node.rt = SimpleNamespace(
+    function=lambda name: contextlib.nullcontext(),
+    loop=lambda site_id, items: items,
+    lib_call=failing_fetch,
+)
+node.env = SimpleNamespace(spin=lambda ms: None, rpc=None)
+node.nn = SimpleNamespace(datanodes={"dn1": source}, blocks=dict.fromkeys(blocks))
+node.cfg = SimpleNamespace(recon_fetch_timeout_ms=1000.0)
+node.recon_queue = deque(blocks[:5])
+node.reconstruction_tick()
+print(" ".join(node.recon_queue))
+'''
+
+
+def test_reconstruction_requeue_order_is_hash_seed_independent():
+    """A failed reconstruction fetch re-queues its block and eight stripe
+    neighbours; which neighbours must not depend on ``PYTHONHASHSEED``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    orders = []
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RECON_REQUEUE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        orders.append(proc.stdout.split())
+    assert len(orders[0]) == 5 * 9
+    assert orders[0] == orders[1]
