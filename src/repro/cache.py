@@ -26,19 +26,31 @@ once, not once per campaign.  Knobs listed in
 cache directory itself) are excluded from the key, so a warm cache written
 by a serial campaign serves process- and agent-backed ones.
 
-Layout (all writes atomic, safe for concurrent worker processes)::
+Layout (append-only, safe for concurrent writer processes and threads)::
 
     <cache-dir>/
-        <digest[:2]>/<digest>.json   # {"data": ..., "key": ..., "kind": ...,
-                                     #  "schema": N, "sha256": ..., ...}
+        <identity>/              # ResultKey.identity: one (system, config, code)
+            <pid>-<nonce>.seg    # one segment per writer, made at its first store
+        <slices key>/            # each code-slice analysis: a directory of its own
+            <pid>-<nonce>.seg
 
-An entry is one sorted-key JSON object, so ``data`` comes first and its
-bytes run from a fixed offset to wherever the JSON value ends;
-``sha256`` is the digest of exactly those bytes as written.  Entries
-embed key material for debuggability; unreadable, malformed or
-mismatching entries are treated as misses (and overwritten by the
-recompute), and an entry whose data no longer hashes to its checksum —
-a value changed inside valid JSON — is a miss counted as ``corrupt``.
+A segment is a run of records, each ``<key> <entry>\n`` and written with
+one ``write`` before the store returns.  An entry is one sorted-key JSON
+object (``{"data": ..., "key": ..., "kind": ..., "schema": N, "sha256":
+..., "system": ...}``), so ``data`` comes first and its bytes run from a
+fixed offset to wherever the JSON value ends; ``sha256`` is the digest of
+exactly those bytes as written.  A lookup reads its directory's segments
+once into an in-memory index and, on a miss, what any writer appended
+since, so a worker hits an entry its parent stored.  A record without its
+newline (a writer killed mid-append; a writer whose append fails never
+uses that segment again) is not read at all.  Entries embed key material
+for debuggability; malformed or mismatching entries are treated as
+misses (the recompute appends a good record, which later lookups find),
+and an entry whose data no longer hashes to its checksum — a value
+changed inside valid JSON — is a miss counted as ``corrupt``.  A store
+appends nothing when the index already holds a good record of its key:
+after a fanned-out batch the driver reads what its workers stored, so
+each entry is written once, by the process that computed it.
 Hit/miss/store counters — of ``profile`` and ``experiment`` entries
 only; the one ``slices`` lookup is reported as ``replayed`` or
 ``recomputed`` — are kept per :class:`ExperimentCache` instance and
@@ -52,8 +64,13 @@ import hashlib
 import json
 import os
 import sys
+import threading
+import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 from .analysis.slicer import workload_entries
 from .analysis.source import analyzer_digest
@@ -64,7 +81,6 @@ from .instrument.plan import InjectionPlan
 from .instrument.trace import RunGroup
 from .serialize import (
     InternTable,
-    atomic_write_text,
     fault_to_obj,
     fca_from_obj,
     fca_to_obj,
@@ -130,11 +146,159 @@ _T = TypeVar("_T")
 #:       per-site slice union and the test's entry slice, which replayed
 #:       stale entries after an edit the slices did not reach.  The
 #:       fleet's task dedup uses the same key.
-CACHE_SCHEMA = 7
+#:   8 — append-only segments in one directory per result identity (see
+#:       the layout above) replace one ``<digest[:2]>/<digest>.json``
+#:       file per entry; keys, entries and checksums are unchanged, and a
+#:       schema-7 file is never read.
+CACHE_SCHEMA = 8
 
 #: How every entry begins: sorted keys put ``data`` first.
 _DATA = '{"data": '
 _DECODER = json.JSONDecoder()
+#: What an entry that fails its checksum reads as (see :func:`_data`).
+_CORRUPT = object()
+#: What a malformed entry, or data its codec rejects, raises.
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError)
+#: The suffix of a segment file; anything else in a directory is not read.
+_SEGMENT = ".seg"
+
+
+def _data(entry: bytes, kind: str) -> Any:
+    """The JSON data of one entry of ``kind`` and this schema; ``None`` for
+    anything that is not one (JSON that is not an object, a missing
+    field, another kind or schema), ``_CORRUPT`` for data that fails its
+    checksum."""
+    try:
+        # Latin-1 maps each byte to one character, so the decoder's
+        # offsets are byte offsets into ``entry``.
+        text = entry.decode("latin-1")
+        if not text.startswith(_DATA):
+            return None
+        data, end = _DECODER.raw_decode(text, len(_DATA))
+        header = json.loads("{" + text[end + 1 :])  # text[end:] is ', "key": ...}'
+        if header["schema"] != CACHE_SCHEMA or header["kind"] != kind:
+            return None
+        if hashlib.sha256(entry[len(_DATA) : end]).hexdigest() != header["sha256"]:
+            return _CORRUPT
+        return data
+    except _MALFORMED:
+        return None
+
+
+def _split(chunk: bytes) -> Iterator[Tuple[str, bytes]]:
+    """``(key, entry)`` of each whole record in ``chunk``; a last record
+    without its newline is torn, and left out."""
+    for line in chunk.split(b"\n")[:-1]:
+        key, _, entry = line.partition(b" ")
+        yield key.decode("latin-1"), entry
+
+
+class Record(NamedTuple):
+    """One whole record on disk, as :func:`records` reads it."""
+
+    key: str
+    entry: bytes  # the checksummed entry, without the record's newline
+    segment: str  # path of the segment file that holds it
+
+
+def records(root: "os.PathLike[str]") -> Iterator[Record]:
+    """Every whole record under the cache directory ``root``: directories
+    and segments in name order, each segment in append order, and every
+    record of a key (two writers that both stored it leave two).  The
+    store's reader for tests and tools; a campaign reads only its own
+    directories."""
+    for directory in sorted(os.scandir(root), key=lambda d: d.name):
+        if not directory.is_dir():
+            continue
+        for name in sorted(os.listdir(directory.path)):
+            if name.endswith(_SEGMENT):
+                path = os.path.join(directory.path, name)
+                with open(path, "rb") as fh:
+                    chunk = fh.read()
+                for key, entry in _split(chunk):
+                    yield Record(key, entry, path)
+
+
+class _Segments:
+    """One directory of the store: an index of the records this process
+    has read or written, and this writer's own segment.
+
+    ``lock`` guards both: a cache may be shared by threads, and each
+    record goes out as one ``write`` to a segment no other writer opens,
+    so records never interleave.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: Key -> entry of each whole record indexed, in the order read.
+        self.index: Dict[str, List[bytes]] = {}
+        #: Segment name -> how many of its bytes are indexed.
+        self._read: Dict[str, int] = {}
+        self._fd: Optional[int] = None
+        #: Closes ``_fd`` once: on a failed append, or when this object is
+        #: collected or the interpreter exits.
+        self._closer: Optional[weakref.finalize] = None
+        self._name = ""
+        #: The process that opened ``_fd``: a forked child opens its own.
+        self._pid = 0
+        self.lock = threading.Lock()
+
+    def _close(self) -> None:
+        if self._closer is not None:
+            self._closer()
+        self._fd = self._closer = None
+        self._pid = 0
+
+    def refresh(self) -> None:
+        """Index what every writer appended since the last refresh: the
+        whole directory at the first, nothing when it does not exist."""
+        try:
+            listing = os.scandir(self.path)
+        except FileNotFoundError:
+            return
+        with listing:
+            for segment in listing:
+                done = self._read.get(segment.name, 0)
+                if not segment.name.endswith(_SEGMENT) or segment.stat().st_size <= done:
+                    continue
+                with open(segment.path, "rb") as fh:
+                    fh.seek(done)
+                    chunk = fh.read()
+                # A tail without its newline is a record still being
+                # written (or torn): read it again next time.
+                whole = chunk.rfind(b"\n") + 1
+                self._read[segment.name] = done + whole
+                for key, entry in _split(chunk[:whole]):
+                    self.index.setdefault(key, []).append(entry)
+
+    def append(self, key: str, entry: bytes) -> None:
+        """Write one record to this writer's segment, made (with the
+        directory) at this process's first append.  An append that fails
+        closes the segment for good, so a torn record is always the last
+        of its segment and never damages a later one."""
+        if self._pid != os.getpid():
+            self._close()
+            os.makedirs(self.path, exist_ok=True)
+            self._name = "%d-%s%s" % (os.getpid(), os.urandom(6).hex(), _SEGMENT)
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+            self._fd = os.open(os.path.join(self.path, self._name), flags, 0o644)
+            self._closer = weakref.finalize(self, os.close, self._fd)
+            self._pid = os.getpid()
+            self._read[self._name] = 0
+        record = b"%s %s\n" % (key.encode(), entry)
+        try:
+            written = os.write(self._fd, record)
+        except BaseException:
+            self._close()
+            raise
+        if written != len(record):
+            self._close()
+            raise OSError(
+                "short write to %s/%s (%d of %d bytes)"
+                % (self.path, self._name, written, len(record))
+            )
+        self._read[self._name] += written
+        self.index.setdefault(key, []).append(entry)
 
 
 class ResultKey:
@@ -153,13 +317,10 @@ class ResultKey:
         self.spec = spec
         self.config_snapshot = config.result_affecting()
         self._base: Optional[Dict[str, Any]] = None
+        self._identity: Optional[str] = None
 
-    def __call__(
-        self,
-        test_id: str,
-        fault: Optional[FaultKey] = None,
-        plans: Sequence[InjectionPlan] = (),
-    ) -> str:
+    def _material(self) -> Dict[str, Any]:
+        """The key material every result of this ``(system, config)`` shares."""
         if self._base is None:
             slices = self.spec.slice_analysis()
             self._base = {
@@ -176,8 +337,26 @@ class ResultKey:
                 "config": self.config_snapshot,
                 "code": self.spec.digest() if slices is None else slices.source_digest,
             }
+        return self._base
+
+    @property
+    def identity(self) -> str:
+        """Digest of the shared key material: the name of the cache
+        directory that holds these results, so a campaign reads no other
+        config's, code's or schema's entries."""
+        if self._identity is None:
+            material = json.dumps(self._material(), sort_keys=True)
+            self._identity = hashlib.sha256(material.encode()).hexdigest()
+        return self._identity
+
+    def __call__(
+        self,
+        test_id: str,
+        fault: Optional[FaultKey] = None,
+        plans: Sequence[InjectionPlan] = (),
+    ) -> str:
         material = dict(
-            self._base,
+            self._base or self._material(),
             test_id=test_id,
             # This test's declared duration and sim config; *other*
             # workloads cannot affect this entry and are not keyed.
@@ -224,6 +403,8 @@ class ExperimentCache:
         #: this instance replayed, one object per distinct value: a warm
         #: campaign's edges then share their state sets.
         self.interned = InternTable()
+        #: The store's directories this instance has read or written.
+        self._dirs: Dict[str, _Segments] = {}
 
     # ---------------------------------------------------------------- keys
     #
@@ -262,73 +443,88 @@ class ExperimentCache:
         }
         return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
-    def _path(self, key: str) -> str:
-        # A string, not two pathlib joins: a warm campaign looks up about
-        # a hundred entries.
-        return "%s/%s/%s.json" % (self.root, key[:2], key)
+    def _segments(self, name: str) -> _Segments:
+        """This instance's one view of the store's directory ``name``."""
+        segments = self._dirs.get(name)
+        if segments is None:
+            segments = self._dirs[name] = _Segments(os.path.join(self.root, name))
+        return segments
 
     # -------------------------------------------------------------- lookup
 
-    def _load(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
-        """The decoded entry under ``key``, or ``None`` for anything that
-        is not a well-formed entry of this kind and schema: a missing or
-        truncated file, JSON that is not an object, a missing field, data
-        that fails its checksum (counted in ``corrupt``), data the codec
-        rejects."""
-        try:
-            with open(self._path(key), "rb") as fh:
-                raw = fh.read()
-            # Latin-1 maps each byte to one character, so the decoder's
-            # offsets are byte offsets into ``raw``.
-            text = raw.decode("latin-1")
-            if not text.startswith(_DATA):
-                return None
-            data, end = _DECODER.raw_decode(text, len(_DATA))
-            header = json.loads("{" + text[end + 1 :])  # text[end:] is ', "key": ...}'
-            if header["schema"] != CACHE_SCHEMA or header["kind"] != kind:
-                return None
-            if hashlib.sha256(raw[len(_DATA) : end]).hexdigest() != header["sha256"]:
-                self.corrupt += 1
-                return None
-            return decode(data)
-        except (OSError, ValueError, LookupError, TypeError, AttributeError):
-            return None
+    def _load(self, name: str, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
+        """The decoded entry under ``key`` in directory ``name``, or
+        ``None`` when no record of it is a well-formed entry of this kind
+        and schema whose data passes its checksum and decodes: the index
+        first, then what other writers appended since.  A lookup that
+        finds only records failing their checksum counts ``corrupt``."""
+        segments = self._segments(name)
+        tried, corrupt = 0, False
+        with segments.lock:
+            for refresh in (False, True):
+                if refresh:
+                    segments.refresh()
+                found = segments.index.get(key, ())
+                for entry in found[tried:]:
+                    data = _data(entry, kind)
+                    if data is _CORRUPT:
+                        corrupt = True
+                    elif data is not None:
+                        try:
+                            return decode(data)
+                        except _MALFORMED:
+                            pass
+                tried = len(found)
+        self.corrupt += corrupt
+        return None
 
     def _lookup(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
-        """:meth:`_load`, counted: a hit once the entry has decoded,
-        everything else a miss."""
-        value = self._load(key, kind, decode)
+        """:meth:`_load` from this campaign's directory, counted: a hit
+        once the entry has decoded, everything else a miss."""
+        value = self._load(self.key.identity, key, kind, decode)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
         return value
 
-    def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = json.dumps(data, sort_keys=True)
-        header = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "kind": kind,
-                "system": self.system,
-                "key": key_material,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            },
-            sort_keys=True,
-        )
-        # Every header key sorts after "data", so this is the sorted dump
-        # of the whole entry, with the data encoded once.  Writers racing
-        # on one entry write identical bytes, each through its own temp
-        # file.
-        atomic_write_text(path, "%s%s, %s\n" % (_DATA, text, header[1:]))
+    def refresh(self) -> None:
+        """Read what other writers appended to this campaign's directory
+        since this instance last read it — a fanned-out batch's workers
+        store what they compute, so the stores that follow append nothing."""
+        segments = self._segments(self.key.identity)
+        with segments.lock:
+            segments.refresh()
+
+    def _store(
+        self, name: str, key: str, kind: str, key_material: Dict[str, Any], data: Any
+    ) -> None:
+        """Append the entry to this writer's segment of directory ``name``,
+        unless a good record of it was read already (see :meth:`refresh`)."""
+        segments = self._segments(name)
+        with segments.lock:
+            if any(_data(e, kind) not in (None, _CORRUPT) for e in segments.index.get(key, ())):
+                return
+            text = json.dumps(data, sort_keys=True)
+            header = json.dumps(
+                {
+                    "schema": CACHE_SCHEMA,
+                    "kind": kind,
+                    "system": self.system,
+                    "key": key_material,
+                    "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                },
+                sort_keys=True,
+            )
+            # Every header key sorts after "data", so this is the sorted
+            # dump of the whole entry, with the data encoded once.
+            segments.append(key, ("%s%s, %s" % (_DATA, text, header[1:])).encode())
 
     def lookup_profile(self, key: str) -> Optional[RunGroup]:
         return self._lookup(key, "profile", lambda data: group_from_obj(data, self.interned))
 
     def store_profile(self, key: str, test_id: str, group: RunGroup) -> None:
-        self._store(key, "profile", {"test_id": test_id}, group_to_obj(group))
+        self._store(self.key.identity, key, "profile", {"test_id": test_id}, group_to_obj(group))
         self.stores += 1
 
     def lookup_experiment(self, key: str) -> Optional[Tuple[FcaResult, int]]:
@@ -342,6 +538,7 @@ class ExperimentCache:
         self, key: str, test_id: str, fault: FaultKey, result: FcaResult, runs: int
     ) -> None:
         self._store(
+            self.key.identity,
             key,
             "experiment",
             {"test_id": test_id, "fault": fault_to_obj(fault)},
@@ -350,13 +547,14 @@ class ExperimentCache:
         self.stores += 1
 
     def lookup_slices(self, key: str) -> Optional["SliceAnalysis"]:
-        slices = self._load(key, "slices", slices_from_obj)
+        slices = self._load(key, key, "slices", slices_from_obj)
         if slices is not None:
             self.slices = "replayed"
         return slices
 
     def store_slices(self, key: str, slices: "SliceAnalysis") -> None:
         self._store(
+            key,
             key,
             "slices",
             {"analyzer": self.analyzer_digest, "python": list(self.python)},
@@ -367,8 +565,9 @@ class ExperimentCache:
     # ------------------------------------------------------------- queries
 
     def __len__(self) -> int:
-        """Number of entries on disk (walks the store; for tests/tools)."""
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Number of distinct keys on disk, of every directory (walks the
+        store; for tests/tools)."""
+        return len({record.key for record in records(self.root)})
 
     def stats(self) -> Dict[str, Any]:
         return {

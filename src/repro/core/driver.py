@@ -238,6 +238,7 @@ class ExperimentDriver:
             computed: Iterable[RunGroup] = executor.map(
                 execute_experiment_task, [self._task(t) for t in misses]
             )
+            self._read_worker_stores()
         else:
             computed = map(self._compute_profile, misses)
         for test_id, group in zip(misses, computed):
@@ -373,6 +374,7 @@ class ExperimentDriver:
             executed: Iterable[Tuple[FcaResult, int]] = executor.map(
                 execute_experiment_task, [self._task(pairs[i][1], pairs[i][0]) for i in misses]
             )
+            self._read_worker_stores()
         else:
             executed = (self.execute_experiment(*pairs[i]) for i in misses)
         for i, (result, runs) in zip(misses, executed):
@@ -383,6 +385,15 @@ class ExperimentDriver:
         return [resolved[i] for i in range(len(pairs))]
 
     # ------------------------------------------------------ worker tasks
+
+    def _read_worker_stores(self) -> None:
+        """After a fanned-out batch: workers that share the cache directory
+        stored each result they computed, so read those records and the
+        store of each result below appends nothing (it still counts).  A
+        worker that cannot see the directory — an agent on another host —
+        stored nothing here, and the submitter's store writes it."""
+        if self.cache is not None:
+            self.cache.refresh()
 
     def _task(self, test_id: str, fault: Optional[FaultKey] = None) -> ExperimentTask:
         """Descriptor of one miss: a profile task, or with ``fault`` an

@@ -11,9 +11,6 @@ value twice yields byte-identical files.
 
 from __future__ import annotations
 
-import os
-import threading
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,28 +26,6 @@ from .instrument.trace import RunGroup
 from .types import CausalEdge, EdgeType, FaultKey, LocalState, StateSet
 
 _EDGE_TYPES = {etype.value: etype for etype in EdgeType}
-
-# ------------------------------------------------------------ atomic writes
-
-
-def atomic_write_text(path: "os.PathLike[str]", text: str) -> None:
-    """Write ``text`` via temp file + ``os.replace``.
-
-    The temp file is named per writer (process id and thread id), so
-    concurrent writers of one entry — cache-sharing worker processes, a
-    manager's campaign threads — never open, or move, each other's temp.
-    A write that fails removes its temp file.
-    """
-    path = Path(path)
-    tmp = path.with_suffix(".tmp.%d.%d" % (os.getpid(), threading.get_ident()))
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
 
 # ------------------------------------------------------------ intern table
 

@@ -35,7 +35,7 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..config import CSnakeConfig
 from ..errors import ReproError
@@ -148,6 +148,8 @@ class ManagerCore:
         # Finished task ids in the order they finished (values unused).
         self._finished: "OrderedDict[str, None]" = OrderedDict()
         self._queue: Deque[str] = deque()
+        # Unresolved task id -> the inbox of each wait_tasks call watching it.
+        self._watchers: Dict[str, List[List[Tuple[str, Dict[str, Any]]]]] = {}
         self._agents: Dict[str, _Agent] = {}
         self._campaigns: Dict[str, _Campaign] = {}
         self._next_agent = 0
@@ -268,6 +270,8 @@ class ManagerCore:
         wait_s = (task.leased_at or self._clock()) - task.enqueued_at
         task.state = "done" if error is None else "failed"
         task.outcome = {"result": outcome["result"]} if error is None else {"error": error}
+        for inbox in self._watchers.pop(task_id, ()):
+            inbox.append((task_id, task.outcome))
         self._code_mismatch += (error or "").startswith("code_mismatch:")
         self._finished[task_id] = None
         self._executed += 1
@@ -344,28 +348,44 @@ class ManagerCore:
         """The outcome of each of ``ids`` (``{"result": ...}`` or
         ``{"error": ...}``), in input order, once the last of them resolves.
         A :class:`ReproError` for an unknown id, or when ``stall_s`` pass
-        with none of them resolving."""
+        with none of them resolving.  Each unresolved id is watched once:
+        ``_complete`` hands its outcome to this wait's inbox, so a wake-up
+        costs what resolved since the last one, not a rescan of the batch."""
         outcomes: Dict[str, Dict[str, Any]] = {}
-        pending = dict.fromkeys(ids)  # unresolved ids, in input order, each once
-
-        def resolve(_now: float) -> bool:
-            before = len(pending)
-            for task_id in list(pending):
-                task = self._tasks.get(task_id)
-                if task is None:
-                    raise ReproError("wait for unknown task %r" % (task_id,))
-                if task.outcome is not None:
-                    outcomes[task_id] = task.outcome
-                    del pending[task_id]
-            return len(pending) < before
-
+        inbox: List[Tuple[str, Dict[str, Any]]] = []
         with self._cond:
-            while pending:
-                if not self._wait(stall_s, resolve):
-                    raise ReproError(
-                        "remote batch stalled: %d/%d tasks unresolved after %.0fs with no "
-                        "progress (are any agents connected?)" % (len(pending), len(ids), stall_s)
-                    )
+            tasks = {task_id: self._tasks.get(task_id) for task_id in ids}
+            unknown = [task_id for task_id, task in tasks.items() if task is None]
+            if unknown:
+                raise ReproError("wait for unknown task %r" % (unknown[0],))
+            for task_id, task in tasks.items():
+                if task.outcome is None:
+                    self._watchers.setdefault(task_id, []).append(inbox)
+                else:
+                    outcomes[task_id] = task.outcome
+            pending = set(tasks) - set(outcomes)
+
+            def resolve(_now: float) -> bool:
+                for task_id, outcome in inbox:
+                    outcomes[task_id] = outcome
+                    pending.discard(task_id)
+                resolved = bool(inbox)
+                inbox.clear()
+                return resolved
+
+            try:
+                while pending:
+                    if not self._wait(stall_s, resolve):
+                        raise ReproError(
+                            "remote batch stalled: %d/%d tasks unresolved after %.0fs with no "
+                            "progress (are any agents connected?)"
+                            % (len(pending), len(ids), stall_s)
+                        )
+            finally:
+                for task_id in pending:
+                    others = [i for i in self._watchers.pop(task_id, ()) if i is not inbox]
+                    if others:
+                        self._watchers[task_id] = others
         return [outcomes[task_id] for task_id in ids]
 
     # ----------------------------------------------------------- campaigns

@@ -1,14 +1,18 @@
 """Shared factories for synthetic traces, edges, and states in tests, the
-JSON form of a run's trace that trace-level comparisons are taken over, and
-an agent serving from a thread of the test process."""
+JSON form of a run's trace that trace-level comparisons are taken over, an
+agent serving from a thread of the test process, and the by-key view and
+in-place damage of a cache directory's records."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 import time
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.cache import records
 from repro.core import beam
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import FaultEvent, RunGroup, RunTrace
@@ -136,3 +140,31 @@ def agent_thread(transport: Any, **kwargs: Any) -> Tuple[Agent, threading.Thread
         assert time.monotonic() < deadline, "the agent never registered"
         time.sleep(0.01)
     return agent, thread
+
+
+def stored(root: Any) -> Dict[str, List[bytes]]:
+    """Key -> the entry bytes of each of its records under the cache
+    directory ``root``, in :func:`repro.cache.records` order."""
+    out: Dict[str, List[bytes]] = {}
+    for record in records(root):
+        out.setdefault(record.key, []).append(record.entry)
+    return out
+
+
+def stored_kinds(root: Any) -> List[str]:
+    """The sorted ``kind`` of every record under ``root``."""
+    return sorted(json.loads(record.entry)["kind"] for record in records(root))
+
+
+def rewrite_record(root: Any, key: str, entry: str) -> None:
+    """Replace the entry of every record of ``key`` under ``root`` by
+    ``entry`` in place — the damage a disk or an editor could do; a live
+    cache instance keeps what it indexed before."""
+    prefix = key.encode() + b" "
+    for segment in sorted({r.segment for r in records(root) if r.key == key}):
+        path = Path(segment)
+        lines = [
+            prefix + entry.encode() if line.startswith(prefix) else line
+            for line in path.read_bytes().split(b"\n")
+        ]
+        path.write_bytes(b"\n".join(lines))

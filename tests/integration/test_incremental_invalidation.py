@@ -23,6 +23,7 @@ import pytest
 
 from examples.diffrun.edit_miniraft import make_edited_tree
 from repro.analysis import TreeSource, analyze_system, diff_slices
+from repro.cache import records
 from repro.cli import _diffrun_campaign, _diffrun_side_root, build_parser
 from repro.systems import get_system
 
@@ -70,12 +71,12 @@ def _campaign(root, cache_dir):
 
 
 def _entries(cache_dir):
-    """Entry file name -> ``(kind, data)`` of every profile and experiment entry."""
+    """Key -> ``(kind, data)`` of every profile and experiment entry."""
     out = {}
-    for path in Path(cache_dir).glob("*/*.json"):
-        entry = json.loads(path.read_text())
+    for record in records(cache_dir):
+        entry = json.loads(record.entry)
         if entry["kind"] != "slices":
-            out[path.name] = (entry["kind"], entry["data"])
+            out[record.key] = (entry["kind"], entry["data"])
     return out
 
 
@@ -100,8 +101,8 @@ def test_a_replay_across_an_executable_edit_equals_the_edited_recompute(edit, ba
     cold, replay, stale = _entries(cold_cache), _entries(replay_cache), _entries(base_cache)
     # Every entry the replay could read (the base tree's, plus what it
     # stored) is the one the edited tree computes under that key.
-    for name, entry in sorted(cold.items()):
-        assert replay.get(name) == entry, "%s entry %s: replay != recompute" % (entry[0], name)
+    for key, entry in sorted(cold.items()):
+        assert replay.get(key) == entry, "%s entry %s: replay != recompute" % (entry[0], key)
     # And the edit reached every key: the replay stored all of them anew.
     assert set(replay) - set(stale) == set(cold)
     assert replayed == recomputed

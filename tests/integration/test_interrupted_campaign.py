@@ -8,7 +8,6 @@ rest, and ends with the straight-through run's report and causal edges —
 on the serial backend and on two worker processes alike.
 """
 
-import json
 import shutil
 
 import pytest
@@ -21,6 +20,7 @@ from repro.pipeline.events import STAGE_FINISHED, STAGE_STARTED
 from repro.systems import get_system
 
 from tests.golden_campaigns import context_digest
+from tests.helpers import stored_kinds
 
 SMOKE = dict(repeats=2, seed=7, budget_per_fault=2)
 
@@ -52,7 +52,7 @@ def _config(system, **execution):
 def _entries(cache_dir):
     """Profile and experiment entries on disk; the one ``slices`` entry is
     not one of them."""
-    kinds = [json.loads(p.read_text())["kind"] for p in cache_dir.glob("*/*.json")]
+    kinds = stored_kinds(cache_dir)
     return len(kinds) - kinds.count("slices")
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import CACHE_SCHEMA, ExperimentCache
+from repro.cache import CACHE_SCHEMA, ExperimentCache, records
 from repro.cli import _cache_dir
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.instrument.plan import InjectionPlan
@@ -19,7 +19,7 @@ from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.types import DELAY, FaultKey
-from tests.helpers import run_trace
+from tests.helpers import rewrite_record, run_trace, stored
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -187,78 +187,82 @@ def _malformed(valid_entry):
 
 
 def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
+    """Damage is read by the next cache over the directory (a live
+    instance keeps what it indexed): each kind of bad record is a miss,
+    and the good record the recompute appends is what later lookups find."""
     spec = get_system("toy")
-    cache = ExperimentCache(tmp_path, spec, CSnakeConfig(seed=1))
+    config = CSnakeConfig(seed=1)
+    cache = ExperimentCache(tmp_path, spec, config)
     group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
     key = cache.profile_key("t")
     cache.store_profile(key, "t", group)
     assert cache.lookup_profile(key) == group
+    (valid,) = stored(tmp_path)[key]
 
     # Truncated JSON.
-    path = Path(cache._path(key))
-    path.write_text("{not json")
-    before = (cache.hits, cache.misses)
-    assert cache.lookup_profile(key) is None
-    assert (cache.hits, cache.misses) == (before[0], before[1] + 1)
+    rewrite_record(tmp_path, key, "{not json")
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert reader.lookup_profile(key) is None
+    assert (reader.hits, reader.misses, reader.corrupt) == (0, 1, 0)
 
     # Wrong kind: an experiment lookup must not deserialize a profile entry.
-    cache.store_profile(key, "t", group)
-    assert cache.lookup_experiment(key) is None
+    rewrite_record(tmp_path, key, valid.decode())
+    assert ExperimentCache(tmp_path, spec, config).lookup_experiment(key) is None
 
     # Wrong schema version.
-    payload = json.loads(path.read_text())
+    payload = json.loads(valid)
     payload["schema"] = CACHE_SCHEMA + 1
-    path.write_text(json.dumps(payload))
-    assert cache.lookup_profile(key) is None
+    rewrite_record(tmp_path, key, json.dumps(payload))
+    assert ExperimentCache(tmp_path, spec, config).lookup_profile(key) is None
 
     # Every way of being malformed, for all three kinds, with exact counters.
     from repro.analysis.source import live_sources
     from repro.core.fca import FcaResult
 
-    cache = ExperimentCache(tmp_path / "kinds", spec, CSnakeConfig(seed=1))
+    root = tmp_path / "kinds"
     sources = live_sources(spec.source_modules)
     slices = spec.slice_analysis()
+    probe = ExperimentCache(root, spec, config)
     keys = {
-        "profile": cache.profile_key("t"),
-        "experiment": cache.experiment_key("t", FAULT, PLANS),
-        "slices": cache.slices_key(sources),
+        "profile": probe.profile_key("t"),
+        "experiment": probe.experiment_key("t", FAULT, PLANS),
+        "slices": probe.slices_key(sources),
     }
     store = {
-        "profile": lambda: cache.store_profile(keys["profile"], "t", group),
-        "experiment": lambda: cache.store_experiment(
+        "profile": lambda c: c.store_profile(keys["profile"], "t", group),
+        "experiment": lambda c: c.store_experiment(
             keys["experiment"], "t", FAULT, FcaResult(fault=FAULT, test_id="t"), runs=2
         ),
-        "slices": lambda: cache.store_slices(keys["slices"], slices),
+        "slices": lambda c: c.store_slices(keys["slices"], slices),
     }
     lookup = {
-        "profile": cache.lookup_profile,
-        "experiment": cache.lookup_experiment,
-        "slices": cache.lookup_slices,
+        "profile": lambda c: c.lookup_profile(keys["profile"]),
+        "experiment": lambda c: c.lookup_experiment(keys["experiment"]),
+        "slices": lambda c: c.lookup_slices(keys["slices"]),
     }
+    stores = 0
     for kind in ("profile", "experiment", "slices"):
-        store[kind]()
-        path = Path(cache._path(keys[kind]))
-        valid = path.read_text()
-        for what, text in _malformed(valid).items():
-            path.write_text(text)
-            cache.slices = None
-            before = (cache.hits, cache.misses, cache.stores)
-            assert lookup[kind](keys[kind]) is None, (kind, what)
+        store[kind](ExperimentCache(root, spec, config))
+        (valid,) = stored(root)[keys[kind]]
+        for what, text in _malformed(valid.decode()).items():
+            rewrite_record(root, keys[kind], text)
+            reader = ExperimentCache(root, spec, config)
+            assert lookup[kind](reader) is None, (kind, what)
             # The slices lookup is reported on its own and never counted.
             missed = 0 if kind == "slices" else 1
-            assert (cache.hits, cache.misses, cache.stores) == (
-                before[0], before[1] + missed, before[2],
-            ), (kind, what)
-            assert cache.slices is None
-        # The recompute overwrites the bad file and the entry reads again.
-        store[kind]()
-        assert path.read_text() == valid
-        before = (cache.hits, cache.misses)
-        assert lookup[kind](keys[kind]) is not None
+            assert (reader.hits, reader.misses, reader.stores) == (0, missed, 0), (kind, what)
+            assert reader.slices is None
+        # The recompute appends the good record beside the bad one, and
+        # the entry reads again, without counting the bad one.
+        store[kind](reader)
+        stores += reader.stores
+        assert sorted(stored(root)[keys[kind]]) == sorted([text.encode(), valid])
+        again = ExperimentCache(root, spec, config)
+        assert lookup[kind](again) is not None
         hit = 0 if kind == "slices" else 1
-        assert (cache.hits, cache.misses) == (before[0] + hit, before[1])
-    assert cache.stores == 4  # profile and experiment, twice each; never slices
-    assert cache.slices == "replayed"
+        assert (again.hits, again.misses, again.corrupt) == (hit, 0, 0)
+        assert again.slices == ("replayed" if kind == "slices" else None)
+    assert stores == 2  # profile and experiment; never slices
 
 
 @pytest.mark.contract
@@ -266,25 +270,28 @@ def test_a_value_changed_inside_a_valid_entry_is_a_corrupt_miss(tmp_path, monkey
     """One digit of a loop count flipped inside a profile entry leaves
     valid JSON of the right shape: without a checksum it would replay as a
     hit and change FCA's controls.  It must be a miss counted ``corrupt``,
-    recomputed once, rewritten to the clean bytes, and the campaign must
-    report exactly what a clean run reports."""
+    recomputed once, the clean record appended, and the campaign must
+    report exactly what a clean run reports; the next campaign finds the
+    clean record and counts nothing corrupt."""
     import repro.core.driver as driver_mod
 
     root = tmp_path / "cache"
     clean = _campaign(root)
     entries = {}
-    for path in root.glob("*/*.json"):
-        entry = json.loads(path.read_text())
+    for record in records(root):
+        entry = json.loads(record.entry)
         if entry["kind"] == "profile" and entry["data"]["loop_counts"]:
-            entries[path] = entry
-    path, entry = sorted(entries.items())[0]
-    valid = path.read_text()
+            entries[record.key] = entry
+    key, entry = sorted(entries.items())[0]
+    (valid,) = stored(root)[key]
+    valid = valid.decode()
     site, row = sorted(entry["data"]["loop_counts"].items())[0]
     before = '"%s": [%d, ' % (site, row[0])
     after = '"%s": [%d, ' % (site, row[0] - row[0] % 10 + (row[0] + 1) % 10)
     assert valid.count(before) == 1
-    path.write_text(valid.replace(before, after))
-    assert json.loads(path.read_text())["data"] != entry["data"]
+    damaged = valid.replace(before, after)
+    rewrite_record(root, key, damaged)
+    assert json.loads(damaged)["data"] != entry["data"]
 
     runs = []
     run_workload = driver_mod.run_workload
@@ -301,38 +308,91 @@ def test_a_value_changed_inside_a_valid_entry_is_a_corrupt_miss(tmp_path, monkey
         total - 1, 1, 1, 1,
     )
     assert runs == [entry["key"]["test_id"]] * SMOKE["repeats"]
-    assert path.read_text() == valid
+    assert sorted(stored(root)[key]) == sorted([damaged.encode(), valid.encode()])
     report = json.dumps(healed.get("report").to_dict(), sort_keys=True)
     assert report == json.dumps(clean.get("report").to_dict(), sort_keys=True)
     assert _fingerprint(healed) == _fingerprint(clean)
+    replay = _campaign(root).driver.cache.stats()
+    assert (replay["hits"], replay["misses"], replay["corrupt"]) == (total, 0, 0)
 
 
-def test_no_temp_file_survives_a_store_that_raises(tmp_path, monkeypatch):
-    """A store that fails while encoding, while writing or while moving
-    the temp file into place leaves the cache directory as it was."""
+@pytest.mark.parametrize("layout", ["bad, good", "good, bad", "two segments"])
+def test_the_good_record_is_found_whichever_segment_holds_it(layout, tmp_path):
+    """A key with a record failing its checksum and a good one reads as a
+    hit, counting nothing corrupt, whichever is read first and whether
+    they share a segment; with the bad record alone it is a miss counted
+    ``corrupt``."""
+    spec, config = get_system("toy"), CSnakeConfig(seed=1)
+    writer = ExperimentCache(tmp_path, spec, config)
+    group = RunGroup.of("t", None, [run_trace("t", loop_counts={"a": 12})])
+    key = writer.profile_key("t")
+    writer.store_profile(key, "t", group)
+    (record,) = records(tmp_path)
+    segment = Path(record.segment)
+    good = b"%s %s\n" % (key.encode(), record.entry)
+    bad = good.replace(b'"a": [12', b'"a": [13')
+    assert bad != good
+    segment.write_bytes(bad)
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert reader.lookup_profile(key) is None
+    assert (reader.hits, reader.misses, reader.corrupt) == (0, 1, 1)
+
+    if layout == "two segments":
+        segment.with_name("0-other.seg").write_bytes(good)
+    else:  # one segment, in append order
+        segment.write_bytes(bad + good if layout == "bad, good" else good + bad)
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert reader.lookup_profile(key) == group
+    assert (reader.hits, reader.misses, reader.corrupt) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("failure", ["raises", "short"])
+def test_a_torn_record_is_a_plain_miss_and_damages_no_later_record(failure, tmp_path, monkeypatch):
+    """A record cut off before its newline — a writer killed mid-append,
+    an append that raises or writes part of the record — reads as a plain
+    miss, never as ``corrupt``; the writer never appends after it, so the
+    next record, in a segment of its own, reads whole."""
     from repro.core.fca import FcaResult
-    from repro.serialize import atomic_write_text
 
-    cache = ExperimentCache(tmp_path, get_system("toy"), CSnakeConfig(seed=1))
+    spec, config = get_system("toy"), CSnakeConfig(seed=1)
+    cache = ExperimentCache(tmp_path, spec, config)
     key = cache.experiment_key("t", FAULT, PLANS)
+    result = FcaResult(fault=FAULT, test_id="t")
+    # A store that fails while encoding writes nothing at all.
     unencodable = FcaResult(fault=FAULT, test_id="t", min_p=object())
     with pytest.raises(TypeError):
         cache.store_experiment(key, "t", FAULT, unencodable, runs=2)
+    assert list(tmp_path.iterdir()) == []
 
-    # A lone surrogate has no UTF-8 encoding: the write itself raises.
-    target = Path(cache._path(key))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with pytest.raises(UnicodeEncodeError):
-        atomic_write_text(target, "{}" * 10_000 + "\ud800")
+    write = os.write
 
-    def refuse(src, dst):
-        raise OSError("disk full")
+    def half(fd, data):
+        written = write(fd, data[: len(data) // 2])
+        if failure == "raises":
+            raise OSError("disk full")
+        return written
 
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
-        cache.store_experiment(key, "t", FAULT, FcaResult(fault=FAULT, test_id="t"), runs=2)
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", half)
+        with pytest.raises(OSError, match="disk full" if failure == "raises" else "short write"):
+            cache.store_experiment(key, "t", FAULT, result, runs=2)
     assert cache.stores == 0
+    (torn,) = tmp_path.glob("*/*.seg")
+    tail = torn.read_bytes()
+    assert tail and not tail.endswith(b"\n")
+    assert list(records(tmp_path)) == []
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert reader.lookup_experiment(key) is None
+    assert (reader.hits, reader.misses, reader.corrupt) == (0, 1, 0)
+
+    cache.store_experiment(key, "t", FAULT, result, runs=2)
+    assert torn.read_bytes() == tail
+    assert len(list(tmp_path.glob("*/*.seg"))) == 2
+    (record,) = records(tmp_path)
+    assert record.segment != str(torn)
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert reader.lookup_experiment(key)[1] == 2
+    assert (reader.hits, reader.misses, reader.corrupt) == (1, 0, 0)
 
 
 def test_experiment_roundtrip_preserves_runs_counter(tmp_path):
@@ -360,40 +420,103 @@ def test_cli_cache_dir_resolution():
     assert _cache_dir(ns(cache=True)) == ".repro-cache"
 
 
-def test_two_threads_storing_one_entry_write_their_own_temp_files(tmp_path, monkeypatch):
-    """A manager runs campaigns on threads, so two threads of one process
-    may store the same entry.  Neither may open or move the other's temp
-    file: here both temps are written before either is moved into place,
-    and both moves must succeed."""
-    cache = ExperimentCache(tmp_path, get_system("toy"), CSnakeConfig(seed=1))
-    group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
-    key = cache.profile_key("t")
-    both_written = threading.Barrier(2, timeout=10)
-    replace = os.replace
+def test_two_caches_of_one_process_never_share_a_segment(tmp_path):
+    """A manager runs campaigns on threads, each with a cache of its own
+    over one directory.  Two such caches, storing wide entries at the same
+    time from two threads, each append to a segment of their own; every
+    record reads back whole, and each cache finds the other's entries."""
+    import sys
 
-    def replace_once_both_are_written(src, dst):
-        both_written.wait()
-        replace(src, dst)
+    from repro.core.fca import FcaResult
 
-    monkeypatch.setattr(os, "replace", replace_once_both_are_written)
+    spec, config = get_system("toy"), CSnakeConfig(seed=1)
+    caches = [ExperimentCache(tmp_path, spec, config) for _ in range(2)]
+    # A few hundred faults wide, so a write takes long enough to be
+    # interleaved with the other thread's.
+    wide = [FaultKey("site.%d" % i, DELAY) for i in range(300)]
+    result = FcaResult(fault=FAULT, test_id="t", interference=wide)
+    plans = [InjectionPlan(FAULT, delay_ms=float(d)) for d in range(1, 41)]
+    keys = [
+        [caches[0].experiment_key("t", FAULT, plans[:n]) for n in range(1 + side, 41, 2)]
+        for side in range(2)
+    ]
+    started = threading.Barrier(2, timeout=10)
     errors = []
 
-    def store():
+    def store(cache, mine):
         try:
-            cache.store_profile(key, "t", group)
+            started.wait()
+            for key in mine:
+                cache.store_experiment(key, "t", FAULT, result, runs=len(wide))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
-    threads = [threading.Thread(target=store) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=20)
-        assert not thread.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=store, args=(cache, mine)) for cache, mine in zip(caches, keys)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert cache.lookup_profile(key) == group
-    # Nothing but the entry is left behind.
-    assert [p.name for p in Path(cache._path(key)).parent.iterdir()] == [key + ".json"]
+    on_disk = list(records(tmp_path))
+    assert sorted(r.key for r in on_disk) == sorted(keys[0] + keys[1])
+    assert all(json.loads(r.entry)["data"]["runs"] == len(wide) for r in on_disk)
+    segments = {}
+    for record in on_disk:
+        segments.setdefault(record.segment, []).append(record.key)
+    assert sorted(segments.values()) == sorted(keys)  # one segment per cache, in store order
+    for cache, theirs in zip(caches, reversed(keys)):
+        assert all(cache.lookup_experiment(key)[1] == len(wide) for key in theirs)
+        assert (cache.hits, cache.misses) == (len(theirs), 0)
+
+
+def test_a_campaign_reads_only_its_own_directory(tmp_path, monkeypatch):
+    """Results of another config or another tree are in directories of
+    their own, which a campaign never opens; a warm lookup of its own
+    entries reads each of its segments once, however many entries it
+    looks up."""
+    import builtins
+
+    import repro.cache as cache_mod
+
+    config = CSnakeConfig(seed=1)
+    spec = get_system("toy")
+    other_tree = get_system("toy")
+    other_tree.version = "edited"
+    group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
+    tests = spec.workload_ids()
+    writers = [
+        ExperimentCache(tmp_path, spec, config),
+        ExperimentCache(tmp_path, spec, CSnakeConfig(seed=2)),
+        ExperimentCache(tmp_path, other_tree, config),
+    ]
+    for writer in writers:
+        for test_id in tests:
+            writer.store_profile(writer.profile_key(test_id), test_id, group)
+    directories = {Path(r.segment).parent for r in records(tmp_path)}
+    assert len(directories) == 3
+    first = writers[0].profile_key(tests[0])
+    (own,) = {Path(r.segment).parent for r in records(tmp_path) if r.key == first}
+
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "open", recording_open, raising=False)
+    reader = ExperimentCache(tmp_path, spec, config)
+    assert all(reader.lookup_profile(reader.profile_key(t)) == group for t in tests)
+    assert (reader.hits, reader.misses) == (len(tests), 0)
+    assert len(tests) > 1 and opened == list(own.iterdir())
 
 
 def _writer_cache(root):
@@ -462,6 +585,10 @@ def test_writer_processes_storing_the_same_entries_leave_each_whole(tmp_path):
     entries = _writer_entries(cache)
     assert all(lookup() for _, _, lookup in entries)
     assert (cache.hits, cache.misses) == (2, 0)
-    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(
-        Path(cache._path(key)) for key, _, _ in entries
-    )
+    # Nothing but segments of the one directory, holding whole records
+    # only: each of the two entries once or more, byte for byte the same.
+    on_disk = stored(tmp_path)
+    assert sorted(on_disk) == sorted(key for key, _, _ in entries)
+    assert all(len(set(entries)) == 1 for entries in on_disk.values())
+    (directory,) = tmp_path.iterdir()
+    assert all(p.suffix == ".seg" for p in directory.iterdir())

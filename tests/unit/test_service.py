@@ -404,6 +404,54 @@ def test_a_stall_is_time_without_progress(clock):
     ids = core.submit_tasks([_task_obj(test_id="t3")])["ids"]
     with pytest.raises(ReproError, match="stalled: 1/1 tasks unresolved after 30s"):
         core.wait_tasks(ids, stall_s=30.0)
+    assert core._watchers == {}  # a stalled wait stops watching its tasks
+
+
+class _CountedTasks(dict):
+    """The manager's task table, counting lookups by id."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_a_wake_up_costs_what_resolved_since_the_last(core):
+    """200 tasks resolve one at a time with a stage event (one more
+    wake-up) after each: the waiter looks each task up a bounded number of
+    times, not once per still-pending task on every wake-up (n²/2)."""
+    import threading
+    import time
+
+    from repro.service.manager import _Campaign
+
+    n = 200
+    agent = core.register_agent()["agent"]
+    ids = core.submit_tasks([{"key": "task-%d" % i} for i in range(n)])["ids"]
+    core.lease(agent, max_tasks=n)
+    campaign = _Campaign("c", "toy", "toy")
+    core._tasks = counted = _CountedTasks(core._tasks)
+    got = []
+    waiter = threading.Thread(target=lambda: got.append(core.wait_tasks(ids)), daemon=True)
+    waiter.start()
+    deadline = time.monotonic() + 10.0
+    while counted.lookups < n and time.monotonic() < deadline:
+        time.sleep(0.001)  # the waiter has looked at the batch once
+    for i, task_id in enumerate(ids):
+        _deliver(core, agent, task_id, result={"n": i})
+        with core._cond:
+            core._emit(campaign, "stage_finished", stage="s")
+        time.sleep(0.001)  # the waiter wakes in between
+    waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    assert got == [[{"result": {"n": i}} for i in range(n)]]
+    assert counted.lookups <= 3 * n, counted.lookups
+    assert core._watchers == {}
 
 
 # -------------------------------------------------------------- campaigns

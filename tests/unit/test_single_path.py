@@ -8,11 +8,13 @@ one worker entry point behind both the process pool and the agent.
 """
 
 import contextlib
+import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.cache import ResultKey
+from repro.cache import ResultKey, records
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver, ExperimentTask, execute_experiment_task
 from repro.faults import model_for
@@ -23,7 +25,7 @@ from repro.service.manager import ManagerCore, campaign_digest
 from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
 from repro.types import DELAY, NEGATION, FaultKey
-from tests.helpers import agent_thread
+from tests.helpers import agent_thread, stored, stored_kinds
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -35,13 +37,11 @@ PAIRS = [
 
 
 def _entries(root):
-    """Relative path -> bytes of every cache entry under ``root``
-    (profile, experiment and the one ``slices`` entry alike)."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.glob("*/*.json"))}
-
-
-def _kinds(root):
-    return sorted(json.loads(data)["kind"] for data in _entries(root).values())
+    """Key -> record bytes of every cache entry under ``root`` (profile,
+    experiment and the one ``slices`` entry alike), each written once."""
+    entries = stored(root)
+    assert all(len(found) == 1 for found in entries.values()), "an entry written twice"
+    return {key: found[0] for key, found in entries.items()}
 
 
 def _counters(driver):
@@ -96,12 +96,65 @@ def test_parent_counters_entries_and_digest_equal_across_backends(
     assert entries == reference_entries  # same keys, same bytes
     # The counters are of profile and experiment entries; whichever
     # process sliced first also wrote the one ``slices`` entry.
-    assert _kinds(tmp_path / "cache").count("slices") == 1
+    assert stored_kinds(tmp_path / "cache").count("slices") == 1
     counted = len(entries) - 1
     cold, warm = runs["cold"][0], runs["warm"][0]
     assert cold["hits"] == 0 and cold["stores"] == cold["misses"] == counted
     assert warm == {"hits": counted, "misses": 0, "stores": 0}
     assert runs["cold"][1] == runs["warm"][1]
+
+
+def test_a_process_campaign_writes_each_entry_once(tmp_path):
+    """Workers store the entries a batch fans out to them; the parent's
+    store of each finds the worker's record on disk and appends nothing,
+    yet counts it, as a serial campaign does.  Each append, in whichever
+    process, is one record, so the records count the writes: one per
+    entry (the parent alone used to write all 58 of this campaign again)."""
+    root = tmp_path / "cache"
+    config = CSnakeConfig(seed=7, repeats=2, budget_per_fault=2, cache_dir=str(root))
+    try:
+        with ProcessExecutor(2) as executor:
+            ctx = Pipeline.default(get_system("minidfs"), config, executor=executor).run()
+    except (ImportError, OSError, PermissionError) as exc:
+        pytest.skip("process backend unavailable: %s" % exc)
+    on_disk = list(records(root))
+    assert len(on_disk) == len({record.key for record in on_disk}) == 58
+    # The slices entry is the one store the counters leave out.
+    assert ctx.driver.cache.stats()["stores"] == len(on_disk) - 1
+    parent = "%d-" % os.getpid()
+    by_workers = [r for r in on_disk if not os.path.basename(r.segment).startswith(parent)]
+    assert len(by_workers) > len(on_disk) // 2
+
+
+class _OtherDisk(SerialExecutor):
+    """Fans a batch out to workers that cannot see the submitter's cache
+    directory, as an agent on another host cannot: each task runs in a
+    driver whose config names a directory of its own."""
+
+    max_workers = 2
+
+    def __init__(self, root):
+        self.root = root
+
+    def map(self, fn, items):
+        out = []
+        for task in items:
+            config = dict(json.loads(task.config_json), cache_dir=str(self.root))
+            out.append(fn(dataclasses.replace(task, config_json=json.dumps(config, sort_keys=True))))
+        return out
+
+
+def test_the_submitter_stores_what_its_workers_stored_out_of_its_sight(
+    serial_reference, tmp_path
+):
+    """Results from workers on another disk are written by the submitter:
+    its directory ends up with every entry, once, as a serial campaign's."""
+    config = CSnakeConfig(cache_dir=str(tmp_path / "cache"), **SMOKE)
+    ctx = Pipeline.default(get_system("toy"), config, executor=_OtherDisk(tmp_path / "far")).run()
+    reference, reference_entries = serial_reference
+    assert _counters(ctx.driver) == reference["cold"][0]
+    assert _entries(tmp_path / "cache") == reference_entries
+    assert stored_kinds(tmp_path / "far").count("experiment") > 0
 
 
 def test_run_experiment_is_a_batch_of_one(tmp_path):
@@ -145,7 +198,7 @@ def test_serial_batch_stores_each_experiment_before_the_next(tmp_path):
     with pytest.raises(RuntimeError, match="boom"):
         driver.run_experiments(PAIRS)
     assert calls == PAIRS
-    assert _kinds(root).count("experiment") == 2
+    assert stored_kinds(root).count("experiment") == 2
     assert driver.experiments_run == 0  # nothing commits out of a failed batch
 
     resumed = ExperimentDriver(get_system("toy"), CSnakeConfig(cache_dir=str(root), **SMOKE))
@@ -176,7 +229,7 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
     assert envelope == task_result_to_obj(worker_result)
     assert envelope["kind"] == "experiment"
     assert _entries(tmp_path / "agent") == _entries(tmp_path / "worker")
-    assert _kinds(tmp_path / "agent") == ["experiment", "profile", "slices"]
+    assert stored_kinds(tmp_path / "agent") == ["experiment", "profile", "slices"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 2)
     # Re-executing the task (a re-queued lease) replays the stored entry;
     # the counters are each task's own change to them.

@@ -19,11 +19,12 @@ import pytest
 from examples.diffrun.edit_miniraft import make_edited_tree
 from repro.analysis import TreeSource, analyze_system
 from repro.analysis.source import live_sources
-from repro.cache import ExperimentCache
+from repro.cache import ExperimentCache, records
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.systems import available_systems, get_system
 from repro.systems.base import SystemSpec
+from tests.helpers import rewrite_record, stored
 
 pytestmark = pytest.mark.contract
 
@@ -35,10 +36,9 @@ def _cache(root, spec):
     return ExperimentCache(root, spec, CSnakeConfig(cache_dir=str(root)))
 
 
-def _slices_files(root):
-    return [
-        p for p in sorted(root.glob("*/*.json")) if json.loads(p.read_text())["kind"] == "slices"
-    ]
+def _slices_records(root):
+    """Every ``slices`` record under ``root``."""
+    return [r for r in records(root) if json.loads(r.entry)["kind"] == "slices"]
 
 
 @pytest.mark.parametrize("system", available_systems())
@@ -111,7 +111,7 @@ def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_digests(
     config = CSnakeConfig(cache_dir=str(root), **SMOKE)
     live = get_system("miniraft")
     ExperimentDriver(live, config)
-    assert len(_slices_files(root)) == 1
+    assert len(_slices_records(root)) == 1
 
     spec = get_system("miniraft")
     cache = _cache(root, spec)
@@ -130,7 +130,7 @@ def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_digests(
     assert cache.lookup_slices(key) is None
     again = analyze_system(spec, commented)
     cache.store_slices(key, again)
-    assert len(_slices_files(root)) == 2
+    assert len(_slices_records(root)) == 2
     assert again == live.slice_analysis()
 
 
@@ -148,14 +148,14 @@ def test_a_bad_entry_falls_back_to_a_fresh_analysis_and_is_rewritten(damage, tmp
     config = CSnakeConfig(cache_dir=str(tmp_path), **SMOKE)
     first = ExperimentDriver(get_system("toy"), config)
     assert first.cache.slices == "recomputed"
-    (path,) = _slices_files(tmp_path)
-    valid = path.read_text()
-    path.write_text(damage(valid))
+    (record,) = _slices_records(tmp_path)
+    valid = record.entry.decode()
+    rewrite_record(tmp_path, record.key, damage(valid))
 
     second = ExperimentDriver(get_system("toy"), config)
     assert second.cache.slices == "recomputed"
     assert second.spec.slice_analysis() == first.spec.slice_analysis()
-    assert path.read_text() == valid
+    assert sorted(stored(tmp_path)[record.key]) == sorted([damage(valid).encode(), record.entry])
     assert ExperimentDriver(get_system("toy"), config).cache.slices == "replayed"
 
 
@@ -166,7 +166,7 @@ def test_a_spec_that_carries_an_analysis_neither_reads_nor_writes_the_entry(tmp_
     driver = ExperimentDriver(spec, CSnakeConfig(cache_dir=str(tmp_path), **SMOKE))
     assert driver.cache.slices is None
     assert spec.slice_analysis() is carried
-    assert list(tmp_path.glob("*/*.json")) == []
+    assert list(tmp_path.iterdir()) == []
 
     # Nor does a cache-less driver touch any: slicing stays lazy.
     lazy = get_system("toy")
@@ -188,7 +188,7 @@ def test_racing_threads_of_one_process_slice_once(tmp_path):
     """A manager's campaign threads build their drivers side by side;
     on a cold cache exactly one of them slices and stores, the
     rest replay its entry (two threads of one process must not parse
-    concurrently, nor write the entry through one temp file)."""
+    concurrently, nor both append the entry)."""
     import sys
     import threading
 
@@ -215,5 +215,5 @@ def test_racing_threads_of_one_process_slice_once(tmp_path):
     assert not errors, errors
     assert sorted(d.cache.slices for d in got) == ["recomputed"] + ["replayed"] * 7
     assert all(d.spec.slice_analysis() == got[0].spec.slice_analysis() for d in got)
-    assert len(_slices_files(tmp_path)) == 1
-    assert list(tmp_path.glob("*/*.tmp*")) == []
+    assert len(_slices_records(tmp_path)) == 1
+    assert len(list(tmp_path.glob("*/*.seg"))) == 1
