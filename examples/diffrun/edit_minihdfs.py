@@ -4,18 +4,17 @@
 Copies the repository's ``src/`` into DEST and inserts a single
 *behaviour-neutral* executable statement into
 ``DataNode.receive_block`` (minihdfs) — the write-pipeline handler every
-datanode shares.  Because the statement is executable, the slice digest
-of every site whose slice reaches ``receive_block`` changes — those
-experiments are invalidated and re-run — while sites that cannot reach
-it (namenode-only paths, client retry logic) keep their digests and
-replay from the cache.  Because the statement is behaviour-neutral, the
-two campaign reports come out identical:
+datanode shares.  The edited file has other bytes, so every result key
+of the system moves and every experiment re-runs; none replays from the
+cache.  Because the statement is executable, the static diff names
+``receive_block`` as the one changed function.  Because it is
+behaviour-neutral, the two campaign reports come out identical:
 
     $ python examples/diffrun/edit_minihdfs.py /tmp/edited
     $ python -m repro.cli diff-run . /tmp/edited --system minihdfs2
 
-reports the invalidated experiment set, zero appeared/vanished loops,
-and ``reports identical``.
+reports the one changed function, zero appeared/vanished loops, and
+``reports identical``.
 """
 
 import shutil
@@ -30,7 +29,7 @@ ANCHOR = (
     "        \"\"\"Receive a block and forward it down the pipeline.\"\"\"\n"
     "        self.check_alive()\n"
 )
-#: The inserted statement: executable (changes the slice digest) but
+#: The inserted statement: executable (changes the function's digest) but
 #: behaviour-neutral (packets is already an int).
 INSERT = "        packets = int(packets)\n"
 

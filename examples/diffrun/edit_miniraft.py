@@ -3,19 +3,19 @@
 
 Copies the repository's ``src/`` into DEST and inserts a single
 *behaviour-neutral* executable statement into
-``RaftNode.install_snapshot`` (miniraft).  Because the statement is
-executable, the slice digest of every site whose slice reaches
-``install_snapshot`` changes — those experiments are invalidated and
-re-run — while sites that cannot reach it keep their digests and replay
-from the cache.  Because the statement is behaviour-neutral, the two
-campaign reports come out identical, so the expected diff-run output is
-fully deterministic:
+``RaftNode.install_snapshot`` (miniraft).  The edited file has other
+bytes, so every result key of the system moves and every experiment
+re-runs; none replays from the cache.  Because the statement is
+executable, the static diff names ``install_snapshot`` as the one
+changed function.  Because it is behaviour-neutral, the two campaign
+reports come out identical, so the expected diff-run output is fully
+deterministic:
 
     $ python examples/diffrun/edit_miniraft.py /tmp/edited
     $ python -m repro.cli diff-run . /tmp/edited --system miniraft
 
-reports the invalidated experiment set, zero appeared/vanished loops,
-and ``reports identical``.
+reports the one changed function, zero appeared/vanished loops, and
+``reports identical``.
 """
 
 import shutil
@@ -28,7 +28,7 @@ ANCHOR = (
     " -> Tuple[int, bool]:\n"
     "        self.check_alive()\n"
 )
-#: The inserted statement: executable (changes the slice digest) but
+#: The inserted statement: executable (changes the function's digest) but
 #: behaviour-neutral (snap_index is already an int).
 INSERT = "        snap_index = int(snap_index)\n"
 

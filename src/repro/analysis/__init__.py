@@ -13,16 +13,16 @@ Python source with :mod:`ast`:
   (``env.every``, ``env.rpc``, ``rt.rpc_call`` arguments);
 * :mod:`repro.analysis.slicer` — per-:class:`~repro.instrument.sites.FaultSite`
   *reachable slices* (every function body transitively reachable from the
-  site's enclosing function), workload entry-point reachability, and the
-  one source digest every stored result is keyed on;
+  site's enclosing function), workload entry-point reachability, and one
+  source digest of the whole parsed source;
 * :mod:`repro.analysis.source` — source providers (live modules, source
   trees, git refs) so the same slicer serves the running system and
   ``repro diff-run OLD NEW``;
 * :mod:`repro.analysis.diff` — function and report diffing for
   ``repro diff-run``.
 
-Reachability prunes the fault space; the source digest is the code
-component of every result key (see docs/static-analysis.md).
+Reachability prunes the fault space (see docs/static-analysis.md); no
+result key reads the analysis.
 """
 
 from .diff import ReportDiff, SliceDiff, diff_reports, diff_slices

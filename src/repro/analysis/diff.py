@@ -1,9 +1,10 @@
 """Diffing two slice analyses and two detection reports.
 
 Backs ``repro diff-run OLD NEW``: the static half names the functions and
-modules an edit changed (any change moves the source digest, so every
-stored result of the system re-runs); the report half states what
-actually changed — fault-induced loops that newly appeared or vanished.
+modules an edit changed (any edit at all moves the bytes every result key
+hashes, so every stored result of the system re-runs); the report half
+states what actually changed — fault-induced loops that newly appeared or
+vanished.
 """
 
 from __future__ import annotations

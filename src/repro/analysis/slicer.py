@@ -17,9 +17,10 @@ qualname; if that also fails they are *unresolved* and never pruned.
 The analysis also carries the **source digest**: one sha256 over every
 function's normalized body digest and every module's digest of the
 statements no function covers (constants, class bodies, dataclass
-defaults).  Every stored result is keyed on it (``repro.cache``), so any
-executable edit to a declared source module re-runs everything, and a
-comment, whitespace or docstring edit re-runs nothing.
+defaults).  It moves on any executable edit to a declared source module
+and on no comment, whitespace or docstring edit; ``repro diff-run`` and
+``repro analyze`` report it.  No result key reads it: those hash file
+bytes (``repro.cache.code_digests``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ providers here produce that mapping from three places:
 
 from __future__ import annotations
 
-import hashlib
 import subprocess
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -128,12 +127,3 @@ def live_sources(modules: Sequence[str]) -> Dict[str, str]:
         out[module] = (pkg_root / (module.replace(".", "/") + ".py")).read_text(encoding="utf-8")
     return out
 
-
-def analyzer_digest() -> str:
-    """SHA-256 over the analyzer's own source — every ``.py`` file of this
-    package.  A stored analysis is keyed on it (``repro.cache``), so the
-    output of a different analyzer never replays as this one's."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
-    return digest.hexdigest()

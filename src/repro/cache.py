@@ -4,23 +4,23 @@ Every profile run group and every (fault, test) injection experiment is a
 pure function of *(system structure, code, test id, injection plans,
 result-affecting config, seeds)* — the determinism guarantee the executor
 backends already rely on.  :class:`ResultKey` is the one identity of such
-a result: a SHA-256 over exactly that tuple, the code being the source
-digest of the system's declared ``source_modules`` (every function body,
-module constant, class body and dataclass default; not comments,
-whitespace or docstrings).  The cache stores results under it, so a
-repeated campaign replays byte-identical results instead of
-re-simulating, and *any* relevant change — an executable edit to a
-source module, a site added to the registry, a workload renamed, a
-different seed or delay sweep — changes the key and misses cleanly.  The
-agent fleet deduplicates tasks on the same key (``repro.service``).
+a result: a SHA-256 over exactly that tuple, the code being the SHA-256
+of the raw bytes of every file a run executes (:func:`code_digests`): the
+framework (:data:`FRAMEWORK`) and every ``.py`` file of the package of
+each of the system's declared ``source_modules``.  The cache stores
+results under it, so a repeated campaign replays byte-identical results
+instead of re-simulating, and *any* change — an edit to one of those
+files, comments included, a site added to the registry, a workload
+renamed, a different seed or delay sweep — changes the key and misses
+cleanly.  The agent fleet deduplicates tasks on the same key
+(``repro.service``).  Code outside the keyed files (``repro.analysis``,
+``repro.pipeline``, ``repro.service``, the CLI) computes no stored
+result.
 
-The framework modules the systems run on (``repro.sim``,
-``repro.instrument``, ``repro.faults``) are not in any key: an edit there
-that changes results needs a :data:`CACHE_SCHEMA` bump.
-
-The code-slice analysis that carries the source digest is itself a pure
+The code-slice analysis the analyze stage prunes with is itself a pure
 function of the source files, so it is the third kind of entry
-(``slices``): a campaign with a cache directory slices a system's source
+(``slices``), keyed by the bytes of the result key's files and of the
+analyzer: a campaign with a cache directory slices a system's source
 once, not once per campaign.  Knobs listed in
 :data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
 cache directory itself) are excluded from the key, so a warm cache written
@@ -73,7 +73,6 @@ from typing import (
 )
 
 from .analysis.slicer import workload_entries
-from .analysis.source import analyzer_digest
 from .config import CSnakeConfig
 from .core.fca import FcaResult
 from .faults import fault_models_digest
@@ -150,7 +149,56 @@ _T = TypeVar("_T")
 #:       the layout above) replace one ``<digest[:2]>/<digest>.json``
 #:       file per entry; keys, entries and checksums are unchanged, and a
 #:       schema-7 file is never read.
-CACHE_SCHEMA = 8
+#:   9 — the code component is the SHA-256 of the raw bytes of every file
+#:       a run executes (:func:`code_digests`) in place of the slicer's
+#:       source digest of the declared modules: an edit to the framework
+#:       or to a system's ``build.py`` / ``sites.py`` now misses, and so
+#:       does a comment edit.  ``SystemSpec.version`` left the key, and a
+#:       key folds in its identity in place of the shared material.
+#:       Entries and codecs are unchanged.
+CACHE_SCHEMA = 9
+
+#: The directory that holds the ``repro`` package: :func:`code_digests`
+#: reads the files under it.
+SOURCE_ROOT = Path(__file__).resolve().parent.parent
+
+#: What every run executes whatever the system: these packages' ``.py``
+#: files and these modules, relative to :data:`SOURCE_ROOT`.
+FRAMEWORK = (
+    "repro/sim",
+    "repro/instrument",
+    "repro/faults",
+    "repro/core",
+    "repro/types.py",
+    "repro/config.py",
+    "repro/systems/__init__.py",
+    "repro/systems/base.py",
+)
+
+
+def _packages(spec: SystemSpec) -> Tuple[str, ...]:
+    """The package directory of each of the spec's declared source
+    modules, relative to :data:`SOURCE_ROOT`: its ``build.py``,
+    ``sites.py`` and workloads are in them."""
+    return tuple(sorted({os.path.dirname(m.replace(".", "/")) for m in spec.source_modules}))
+
+
+def code_digests(paths: Sequence[str]) -> Dict[str, str]:
+    """The SHA-256 of the raw bytes of each file of ``paths`` (relative to
+    :data:`SOURCE_ROOT`; a directory stands for its ``.py`` files), by
+    path.  Any byte moves it, a comment's too: the key is sound without
+    knowing what an edit means."""
+    files = set()
+    for path in paths:
+        full = SOURCE_ROOT / path
+        if full.is_dir():
+            files.update("%s/%s" % (path, name) for name in os.listdir(full) if name.endswith(".py"))
+        else:
+            files.add(path)
+    return {
+        rel: hashlib.sha256((SOURCE_ROOT / rel).read_bytes()).hexdigest() for rel in sorted(files)
+    }
+
 
 #: How every entry begins: sorted keys put ``data`` first.
 _DATA = '{"data": '
@@ -307,37 +355,42 @@ class ResultKey:
     ``key(test_id)`` names a test's profile run group, ``key(test_id,
     fault, plans)`` one (fault, test) experiment with its full plan sweep
     (one budget unit).  The cache stores under it and the manager's queue
-    deduplicates on it.  Its code component is the spec's source digest
-    (``SliceAnalysis.source_digest``), or the whole-spec digest for a
-    system that declares no source modules; it is read on the first call,
-    so a driver attaches the analysis it replayed before then.
+    deduplicates on it.  Its code component is the byte digest of the
+    framework and the spec's packages (:func:`code_digests`), read on the
+    first call; every key folds in :attr:`identity`, the digest of that
+    shared material, rather than the material itself.
     """
 
     def __init__(self, spec: SystemSpec, config: CSnakeConfig) -> None:
         self.spec = spec
         self.config_snapshot = config.result_affecting()
-        self._base: Optional[Dict[str, Any]] = None
+        self._code: Optional[Dict[str, str]] = None
         self._identity: Optional[str] = None
+
+    @property
+    def code(self) -> Dict[str, str]:
+        """The code component: the byte digest of every file a run of this
+        system executes, read once."""
+        if self._code is None:
+            self._code = code_digests(FRAMEWORK + _packages(self.spec))
+        return self._code
 
     def _material(self) -> Dict[str, Any]:
         """The key material every result of this ``(system, config)`` shares."""
-        if self._base is None:
-            slices = self.spec.slice_analysis()
-            self._base = {
-                "schema": CACHE_SCHEMA,
-                "system": self.spec.name,
-                # All site rows (ids, kinds, metadata) — traces record every
-                # registered site and loop parent/sibling rows feed the FCA
-                # edge derivation, so results may depend on any of them.
-                "sites": self.spec.sites_digest(),
-                # Registering or revising a fault model (a schedule is one)
-                # shifts every key, so results computed under a different
-                # fault vocabulary can never replay as hits.
-                "fault_models": fault_models_digest(),
-                "config": self.config_snapshot,
-                "code": self.spec.digest() if slices is None else slices.source_digest,
-            }
-        return self._base
+        return {
+            "schema": CACHE_SCHEMA,
+            "system": self.spec.name,
+            # All site rows (ids, kinds, metadata) — traces record every
+            # registered site and loop parent/sibling rows feed the FCA
+            # edge derivation, so results may depend on any of them.
+            "sites": self.spec.sites_digest(),
+            # Registering or revising a fault model (a schedule is one)
+            # shifts every key, so results computed under a different
+            # fault vocabulary can never replay as hits.
+            "fault_models": fault_models_digest(),
+            "config": self.config_snapshot,
+            "code": self.code,
+        }
 
     @property
     def identity(self) -> str:
@@ -355,15 +408,15 @@ class ResultKey:
         fault: Optional[FaultKey] = None,
         plans: Sequence[InjectionPlan] = (),
     ) -> str:
-        material = dict(
-            self._base or self._material(),
-            test_id=test_id,
+        material = {
+            "identity": self.identity,
+            "test_id": test_id,
             # This test's declared duration and sim config; *other*
             # workloads cannot affect this entry and are not keyed.
-            workload=self.spec.workload_row(test_id),
-            fault=None if fault is None else fault_to_obj(fault),
-            plans=[plan_to_obj(p) for p in plans],
-        )
+            "workload": self.spec.workload_row(test_id),
+            "fault": None if fault is None else fault_to_obj(fault),
+            "plans": [plan_to_obj(p) for p in plans],
+        }
         return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
 
@@ -382,12 +435,8 @@ class ExperimentCache:
         self.spec = spec
         self.system = spec.name
         self.key = ResultKey(spec, config)
-        # What a stored slice analysis additionally depends on: the
-        # analyzer's own source (a smarter call graph must never replay a
-        # stale slice, also not across the two trees of ``repro diff-run``,
-        # which share one cache directory) and the interpreter's
-        # (major, minor), because the digests are over ``ast.dump``.
-        self.analyzer_digest = analyzer_digest()
+        #: What a stored slice analysis also depends on: the interpreter's
+        #: (major, minor), because its digests are over ``ast.dump``.
         self.python = sys.version_info[:2]
         self.hits = 0
         self.misses = 0
@@ -395,9 +444,9 @@ class ExperimentCache:
         #: Lookups of any kind whose entry failed its checksum (each is
         #: also a miss, or a recomputed slice analysis).
         self.corrupt = 0
-        #: ``"replayed"`` / ``"recomputed"`` once the slice analysis went
-        #: through this cache; ``None`` when it never did (the spec carried
-        #: one already, or declares no source modules).
+        #: ``"replayed"`` / ``"recomputed"`` once the analyze stage's slice
+        #: analysis went through this cache; ``None`` when it never did (a
+        #: worker's cache, or a system that declares no source modules).
         self.slices: Optional[str] = None
         #: The decoded faults, local states and state sets of every entry
         #: this instance replayed, one object per distinct value: a warm
@@ -421,24 +470,24 @@ class ExperimentCache:
         """Key of one (fault, test) injection experiment."""
         return self.key(test_id, fault, plans)
 
-    def slices_key(self, sources: Dict[str, str]) -> str:
-        """Key of the code-slice analysis of ``sources`` (module name ->
-        source text) against this spec's sites and workloads: everything
-        the analysis is a function of — and no campaign config, so every
-        campaign over one system shares the entry."""
+    def slices_key(self) -> str:
+        """Key of the code-slice analysis of this spec's source against its
+        sites and workloads: everything the analysis is a function of —
+        and no campaign config, so every campaign over one system shares
+        the entry."""
         material = {
             "schema": CACHE_SCHEMA,
             "kind": "slices",
             "system": self.system,
-            "sources": [
-                [module, hashlib.sha256(text.encode("utf-8")).hexdigest()]
-                for module, text in sorted(sources.items())
-            ],
+            # The sliced packages, read once for both keys, and the
+            # analyzer's own files: a smarter call graph must never replay
+            # a stale slice, also not across the two trees of ``repro
+            # diff-run``, which share one cache directory.
+            "code": {**self.key.code, **code_digests(("repro/analysis",))},
             # The site rows the slicer binds, and the entry points it
             # closes over.
             "sites": sorted([s.site_id, s.kind.value, s.function] for s in self.spec.registry),
             "entries": workload_entries(self.spec),
-            "analyzer": self.analyzer_digest,
             "python": list(self.python),
         }
         return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
@@ -557,7 +606,7 @@ class ExperimentCache:
             key,
             key,
             "slices",
-            {"analyzer": self.analyzer_digest, "python": list(self.python)},
+            {"python": list(self.python)},
             slices_to_obj(slices),
         )
         self.slices = "recomputed"

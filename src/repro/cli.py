@@ -413,7 +413,7 @@ def _diffrun_argv(args: argparse.Namespace, cache_dir: str) -> List[str]:
 def _diffrun_campaign(root, args, cache_dir: str):
     """Run one side's campaign in a subprocess whose ``repro`` package is
     imported from that side's tree, sharing ``cache_dir`` across sides (a
-    side whose source digest did not move replays the other's entries)."""
+    side whose keyed files are byte-equal replays the other's entries)."""
     import subprocess
 
     src = root / "src"
@@ -494,8 +494,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
         for module in sdiff.changed_modules:
             print("    changed %s (statements outside functions)" % module)
         print(
-            "  source digest: %s"
-            % ("changed, every experiment re-runs" if sdiff.source_changed else "unchanged")
+            "  source digest: %s" % ("changed" if sdiff.source_changed else "unchanged")
         )
         reports = payload["reports"]
         if reports is not None:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis import SliceAnalysis
     from ..pipeline.executor import Executor
 
 from ..config import CSnakeConfig
@@ -121,10 +122,10 @@ class ExperimentTask:
 #: builds each system spec once and computes each profile group once.
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
 #: One slice resolve per process at a time.  A manager's campaign threads
-#: build their drivers side by side, and on a cold cache each would slice
-#: the source, but ``ast.parse`` is not safe to run on two threads of every
-#: supported interpreter; behind the lock the second finds the entry the
-#: first stored, and slices nothing.
+#: run their analyze stages side by side, but ``ast.parse`` is not safe to
+#: run on two threads of every supported interpreter; behind the lock, on a
+#: cold cache the second finds the entry the first stored, and slices
+#: nothing.
 _SLICES_LOCK = threading.Lock()
 
 
@@ -175,34 +176,31 @@ class ExperimentDriver:
         self.cache = None
         if self.config.cache_dir:
             self.cache = ExperimentCache(self.config.cache_dir, self.spec, self.config)
-            self._resolve_slices()
         #: The one identity of this driver's results (cache entries and
         #: worker tasks alike).
         self.key = ResultKey(self.spec, self.config) if self.cache is None else self.cache.key
 
-    def _resolve_slices(self) -> None:
-        """Attach the spec's code-slice analysis before the first key is
-        computed (keys embed its source digest): looked up in the cache
-        under the digest of the source files, sliced and stored on a miss
-        — so a system is sliced once per source edit, not once per
-        campaign, worker or agent.  A spec that already carries an
-        analysis (tests key on other source text) is left alone."""
-        spec = self.spec
-        if spec.attached_slice_analysis is not None or not spec.source_modules:
-            return
+    def slice_analysis(self) -> Optional["SliceAnalysis"]:
+        """The spec's code-slice analysis, which the analyze stage prunes
+        the fault space with: looked up in the cache under the digest of
+        the source files, sliced and stored on a miss — so a system is
+        sliced once per source edit, not once per campaign.  Without a
+        cache, the spec's own (:meth:`SystemSpec.slice_analysis`)."""
         # Deferred: importing the driver does not load the analysis
         # package, and ``analyze_system`` is looked up through it at call
         # time.
         from .. import analysis
 
-        sources = analysis.live_sources(spec.source_modules)
-        key = self.cache.slices_key(sources)
+        spec = self.spec
         with _SLICES_LOCK:
+            if self.cache is None or not spec.source_modules:
+                return spec.slice_analysis()
+            key = self.cache.slices_key()
             slices = self.cache.lookup_slices(key)
             if slices is None:
-                slices = analysis.analyze_system(spec, sources)
+                slices = analysis.analyze_system(spec, analysis.live_sources(spec.source_modules))
                 self.cache.store_slices(key, slices)
-        spec.attach_slice_analysis(slices)
+        return slices
 
     # -------------------------------------------------------------- profiles
 

@@ -41,7 +41,7 @@ def analyze_stage(ctx: PipelineContext) -> None:
         analyze(
             ctx.spec.registry,
             ctx.config.fault_kinds + ctx.config.schedules,
-            slices=ctx.spec.slice_analysis(),
+            slices=ctx.driver.slice_analysis(),
         ),
     )
 

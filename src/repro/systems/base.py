@@ -74,11 +74,6 @@ class SystemSpec:
     registry: SiteRegistry
     workloads: Dict[str, WorkloadSpec] = field(default_factory=dict)
     known_bugs: List[KnownBug] = field(default_factory=list)
-    #: Spec version, part of every result key.  Code in
-    #: :attr:`source_modules` is keyed by its own digest, and the registry
-    #: and workload list by :meth:`digest`; bump the version when behaviour
-    #: changes anywhere else (a module this spec does not declare).
-    version: str = "0"
     #: The system's injectable environment surface: crashable nodes and
     #: severable links.  Declaring a port registers the corresponding
     #: ``ENV_NODE``/``ENV_LINK`` sites, which environment fault models
@@ -86,12 +81,11 @@ class SystemSpec:
     env_port: Optional[EnvFaultPort] = None
     #: Python modules holding this system's node implementations, config
     #: and workload bodies — the input of the code-slice analysis
-    #: (``repro.analysis``), whose source digest is the code component of
-    #: every result key.  The framework (``repro.sim``, ``repro.instrument``,
-    #: ``repro.faults``) is not covered; an edit there needs a
-    #: ``CACHE_SCHEMA`` bump.  Empty means "not sliceable": result keys
-    #: carry the whole-spec :meth:`digest` instead and no reachability
-    #: pruning happens.
+    #: (``repro.analysis``).  Every result key covers the raw bytes of
+    #: every ``.py`` file of their packages, ``build.py`` and ``sites.py``
+    #: included, beside the framework's (``repro.cache.code_digests``).
+    #: Empty means "not sliceable": no reachability pruning happens, and
+    #: the key covers the framework only.
     source_modules: Tuple[str, ...] = ()
     _slices: Optional["SliceAnalysis"] = field(
         default=None, repr=False, compare=False
@@ -102,99 +96,44 @@ class SystemSpec:
             self.env_port.register_sites(self.registry)
 
     def slice_analysis(self) -> Optional["SliceAnalysis"]:
-        """This system's code-slice analysis: the attached one when there
-        is one, else a fresh slice of the live :attr:`source_modules`
+        """A fresh code-slice analysis of the live :attr:`source_modules`
         (then kept for this spec object); ``None`` for a system that
-        declares no source modules.
-
-        The fresh path serves whoever holds a spec and no cache
-        directory — ``repro analyze``, the analyze stage of a cache-less
-        campaign, tests.  A campaign *with* a cache directory never
-        reaches it: its :class:`~repro.core.driver.ExperimentDriver`
-        attaches the analysis (replayed from the cache, or computed and
-        stored) before anything asks.
-        """
+        declares no source modules.  Slices serve the analyze stage's
+        reachability pruning only: no result key reads them, and a
+        campaign with a cache directory replays them through its driver
+        (:meth:`~repro.core.driver.ExperimentDriver.slice_analysis`)."""
         if self._slices is None and self.source_modules:
             from ..analysis import analyze_system
             from ..analysis.source import live_sources
 
-            self.attach_slice_analysis(analyze_system(self, live_sources(self.source_modules)))
+            self._slices = analyze_system(self, live_sources(self.source_modules))
         return self._slices
-
-    @property
-    def attached_slice_analysis(self) -> Optional["SliceAnalysis"]:
-        """The analysis this spec already carries, if any (never slices)."""
-        return self._slices
-
-    def attach_slice_analysis(self, slices: "SliceAnalysis") -> None:
-        """Make ``slices`` this spec's analysis.  Called by the experiment
-        driver with the cache's or a fresh analysis of the live source,
-        and by tests with an analysis of *other* source text (an edited
-        tree) sliced against this spec's registry and workloads; result
-        keys then carry that text's source digest.  The driver leaves a
-        spec that already carries one alone."""
-        self._slices = slices
-
-    def _sites_payload(self) -> List[List[str]]:
-        sites = []
-        for site in sorted(self.registry, key=lambda s: s.site_id):
-            sites.append(
-                [
-                    site.site_id,
-                    site.kind.value,
-                    site.function,
-                    repr(site.loop),
-                    repr(site.detector),
-                    repr(site.throw),
-                    repr(site.env),
-                ]
-            )
-        return sites
-
-    def digest(self) -> str:
-        """Content digest of the declared system structure.
-
-        Covers the name, the declared :attr:`version`, every site
-        definition (id, kind, function, metadata), and the workload
-        inventory (test ids, durations, and sim configs).  It is the code
-        component of the result keys of a system that declares no
-        :attr:`source_modules`.
-        """
-        import hashlib
-        import json
-
-        payload = {
-            "name": self.name,
-            "version": self.version,
-            "sites": self._sites_payload(),
-            "workloads": [
-                # sim_config feeds SimEnv directly (timeouts, latencies),
-                # so it is declared result-affecting data like duration.
-                self.workload_row(t) for t in self.workload_ids()
-            ],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
     def sites_digest(self) -> str:
         """Digest of the full site inventory (every site's id, kind, and
-        metadata) plus name and version — *without* the workload list.
+        metadata) — *without* the workload list.
 
         Experiment results can structurally depend on every registered
         site (traces record all of them, and loop parent/sibling rows
         feed the FCA edge derivation), but not on what other workloads
-        exist; cache keys therefore embed this instead of :meth:`digest`.
+        exist; cache keys embed this and one :meth:`workload_row`.
         """
         import hashlib
         import json
 
-        payload = {
-            "name": self.name,
-            "version": self.version,
-            "sites": self._sites_payload(),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        sites = [
+            [
+                site.site_id,
+                site.kind.value,
+                site.function,
+                repr(site.loop),
+                repr(site.detector),
+                repr(site.throw),
+                repr(site.env),
+            ]
+            for site in sorted(self.registry, key=lambda s: s.site_id)
+        ]
+        return hashlib.sha256(json.dumps(sites).encode()).hexdigest()
 
     def workload_row(self, test_id: str) -> List[object]:
         """The result-affecting declaration of one workload (cache-key

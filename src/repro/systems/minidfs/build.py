@@ -22,7 +22,7 @@ ENV_PORT = EnvFaultPort(
 
 def build_system() -> SystemSpec:
     spec = SystemSpec(
-        name="minidfs", version="2", registry=build_registry(), env_port=ENV_PORT,
+        name="minidfs", registry=build_registry(), env_port=ENV_PORT,
         source_modules=("repro.systems.minidfs.nodes", "repro.workloads.dfs"),
     )
     for workload in dfs_workloads():

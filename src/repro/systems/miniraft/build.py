@@ -18,7 +18,7 @@ ENV_PORT = EnvFaultPort(
 
 def build_system() -> SystemSpec:
     spec = SystemSpec(
-        name="miniraft", version="3", registry=build_registry(), env_port=ENV_PORT,
+        name="miniraft", registry=build_registry(), env_port=ENV_PORT,
         source_modules=("repro.systems.miniraft.nodes", "repro.workloads.raft"),
     )
     for workload in raft_workloads():

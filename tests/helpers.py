@@ -1,12 +1,14 @@
 """Shared factories for synthetic traces, edges, and states in tests, the
 JSON form of a run's trace that trace-level comparisons are taken over, an
-agent serving from a thread of the test process, and the by-key view and
-in-place damage of a cache directory's records."""
+agent serving from a thread of the test process, the by-key view and
+in-place damage of a cache directory's records, and an edited copy of the
+source tree."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -129,9 +131,10 @@ def trace_to_obj(trace: RunTrace) -> Dict[str, Any]:
 
 def agent_thread(transport: Any, **kwargs: Any) -> Tuple[Agent, threading.Thread]:
     """An agent serving from a thread of this process, returned once it has
-    registered: its workers fork before that, and so must fork before the
-    test's own threads take a lock they would inherit held (slicing a cold
-    cache holds the driver's ``_SLICES_LOCK``)."""
+    registered: its workers fork before that, and so before the test's own
+    threads run a campaign and can hold a lock at the fork that a worker
+    would inherit held (an import's module lock, say, of a module that
+    worker imports next)."""
     agent = Agent(transport, **kwargs)
     thread = threading.Thread(target=agent.run, kwargs={"idle_exit_s": 20.0}, daemon=True)
     thread.start()
@@ -168,3 +171,15 @@ def rewrite_record(root: Any, key: str, entry: str) -> None:
             for line in path.read_bytes().split(b"\n")
         ]
         path.write_bytes(b"\n".join(lines))
+
+
+def edited_source(dest: Path, rel: str, line: str = "\n_EDITED = True\n") -> Path:
+    """A copy of this checkout's ``src`` under ``dest`` whose ``repro/<rel>``
+    gained ``line`` at its end: other bytes, the same behaviour.  Returns
+    the copy's ``src``, which a test keys as by setting
+    ``repro.cache.SOURCE_ROOT`` to it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    shutil.copytree(str(src), str(dest / "src"), ignore=shutil.ignore_patterns("__pycache__"))
+    target = dest / "src" / "repro" / rel
+    target.write_text(target.read_text(encoding="utf-8") + line, encoding="utf-8")
+    return dest / "src"

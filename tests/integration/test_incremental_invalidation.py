@@ -1,18 +1,22 @@
 """A cache hit after an edit equals the edited tree's recompute.
 
-Every stored result is keyed on the source digest of the system's
-declared source modules (``repro.cache.ResultKey``), so a cache filled by
-one tree and replayed by an edited copy may only reuse an entry the
-edited tree would have written byte for byte.  The campaigns run the way
-``repro diff-run`` runs them: one ``repro run`` subprocess per tree
-(``_diffrun_side_root`` / ``_diffrun_campaign``), so each side executes
-its own code.
+Every stored result is keyed on the raw bytes of every file a run
+executes (``repro.cache.ResultKey``): the framework and the packages of
+the system's declared source modules.  So a cache filled by one tree and
+replayed by an edited copy may only reuse an entry the edited tree would
+have written byte for byte.  The campaigns run the way ``repro diff-run``
+runs them: one ``repro run`` subprocess per tree (``_diffrun_side_root`` /
+``_diffrun_campaign``), so each side executes its own code.
 
 The edits are fact 9 of ROADMAP.md (a ``spin`` cost in
-``NameNode.replication_monitor``) and a dataclass default in
-``hconfig.py``, a statement no function covers.  A per-site slice key
-replayed stale entries for the first and every entry for the second.  A
-comment-only edit must replay everything.
+``NameNode.replication_monitor``), a dataclass default in ``hconfig.py``,
+a statement no function covers, and a behaviour-neutral statement in a
+framework module (``repro/instrument/runtime.py``) and in minihdfs's
+``sites.py``, neither of them a declared source module.  A per-site slice
+key replayed stale entries for the first and every entry for the second;
+the slicer's source digest replayed every entry for the last two.  A
+comment-only edit is other bytes too: it stores every entry anew, with
+the same data.
 """
 
 import json
@@ -43,6 +47,16 @@ EDITS = {
         "systems/minihdfs/hconfig.py",
         "heartbeat_interval_ms: float = 3_000.0",
         "heartbeat_interval_ms: float = 2_000.0",
+    ),
+    "framework": (
+        "instrument/runtime.py",
+        '_ROOT = "<root>"\n',
+        '_ROOT = "<root>"\n_ROOT = str(_ROOT)\n',
+    ),
+    "sites": (
+        "systems/minihdfs/sites.py",
+        "    reg = SiteRegistry(system)\n",
+        "    reg = SiteRegistry(system)\n    system = str(system)\n",
     ),
     "comment": (
         "systems/minihdfs/namenode.py",
@@ -88,7 +102,7 @@ def base(tmp_path_factory):
     return cache, report
 
 
-@pytest.mark.parametrize("edit", ["spin", "config_default"])
+@pytest.mark.parametrize("edit", ["spin", "config_default", "framework", "sites"])
 def test_a_replay_across_an_executable_edit_equals_the_edited_recompute(edit, base, tmp_path):
     base_cache, _ = base
     edited = _edited_copy(tmp_path / "edited", edit)
@@ -108,13 +122,19 @@ def test_a_replay_across_an_executable_edit_equals_the_edited_recompute(edit, ba
     assert replayed == recomputed
 
 
-def test_a_comment_edit_replays_every_entry(base, tmp_path):
+def test_a_comment_edit_stores_every_entry_anew(base, tmp_path):
     base_cache, base_report = base
     edited = _edited_copy(tmp_path / "edited", "comment")
     replay_cache = tmp_path / "replay"
     shutil.copytree(str(base_cache), str(replay_cache))
     assert _campaign(edited, str(replay_cache)) == base_report
-    assert _entries(replay_cache) == _entries(base_cache)
+    stale = _entries(base_cache)
+    fresh = [entry for key, entry in _entries(replay_cache).items() if key not in stale]
+
+    def dumped(entries):
+        return sorted(json.dumps(entry, sort_keys=True) for entry in entries)
+
+    assert dumped(fresh) == dumped(stale.values())
 
 
 def test_edit_script_is_behaviour_neutral_and_anchored(tmp_path):

@@ -9,7 +9,6 @@ mid-run.
 
 import functools
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import TreeSource, analyze_system
+import repro.cache
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentDriver
 from repro.errors import ReproError
@@ -32,7 +31,7 @@ from repro.service.http import HttpTransport, ManagerServer
 from repro.service.manager import ManagerCore, campaign_digest, follow_campaign
 from repro.service.remote import RemoteExecutor
 from repro.systems import get_system
-from tests.helpers import agent_thread
+from tests.helpers import agent_thread, edited_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -186,16 +185,15 @@ def test_submitted_campaign_over_stdlib_http_matches_serial(serial_digest, tmp_p
             agent.stop()
             thread.join(timeout=10.0)
         # The agent executed the cold run's experiments over replayed
-        # profiles and a replayed slice analysis, each storing exactly one
-        # entry; the manager memoized them, so the warm run executed none.
-        # Its counters, summed over both workers, travel back with every
-        # lease.
+        # profiles, each storing exactly one entry, and sliced nothing; the
+        # manager memoized them, so the warm run executed none.  Its
+        # counters, summed over both workers, travel back with every lease.
         stats = server.core.stats()
         fleet = {a["name"]: a["cache"] for a in stats["agents"]}
         assert stats["tasks"]["executed"] == executed > 0
         assert fleet["it-a"]["stores"] == executed
         assert fleet["it-a"]["hits"] > 0
-        assert fleet["it-a"]["slices"] == "replayed"
+        assert fleet["it-a"]["slices"] is None
     assert stats["tasks"]["executed"] == stats["tasks"]["total"]
     assert stats["tasks"]["queued"] == stats["tasks"]["leased"] == 0
 
@@ -204,26 +202,33 @@ def test_agent_death_mid_run_is_absorbed(serial_digest):
     """An agent that leases a batch and vanishes without another request
     (``fail_after_tasks``) must not change the outcome: the
     reaper re-queues its held tasks for the survivor and the campaign
-    digest stays identical to serial."""
+    digest stays identical to serial.  The survivor starts only once the
+    doomed agent has vanished holding its lease: alone, the doomed agent
+    leases every task, so a lease after its third completion brings
+    tasks whatever the timing, and no race with the survivor decides
+    whether the hook fires."""
     core = ManagerCore(lease_ttl_s=1.5)
     with ManagerServer(core=core, port=0) as server:
+        transport = HttpTransport(server.url)
         doomed, doomed_thread = agent_thread(
             HttpTransport(server.url), workers=2, name="doomed",
             fail_after_tasks=3,
         )
+        campaign = transport.start_campaign("toy", CFG)["campaign"]
+        doomed_thread.join(timeout=60.0)
+        assert doomed.died, "the fail_after_tasks hook never fired"
         survivor, survivor_thread = agent_thread(
             HttpTransport(server.url), workers=2, name="survivor"
         )
         try:
-            status = _submitted(HttpTransport(server.url))
+            for _ in follow_campaign(transport, campaign):
+                pass
+            status = transport.campaign_status(campaign)
             assert status["state"] == "done", status
             assert status["digest"] == serial_digest
         finally:
-            doomed.stop()
             survivor.stop()
-            doomed_thread.join(timeout=10.0)
             survivor_thread.join(timeout=10.0)
-        assert doomed.died, "the fail_after_tasks hook never fired"
         stats = core.stats()
         assert stats["tasks"]["requeued"] > 0, "the reaper never reclaimed a lease"
         assert stats["tasks"]["queued"] == stats["tasks"]["leased"] == 0
@@ -436,29 +441,18 @@ def test_a_campaign_through_a_tiny_finished_ring_matches_serial(serial_digest, m
     assert max(left_over) <= 1
 
 
-def _toy_copy_with_neutral_edit(dest):
-    """A copy of the source tree whose toy module gained one executable,
-    behaviour-neutral statement: other code, the same results."""
-    shutil.copytree(
-        str(REPO_ROOT / "src"), str(dest / "src"), ignore=shutil.ignore_patterns("__pycache__")
-    )
-    toy = dest / "src" / "repro" / "systems" / "toy.py"
-    toy.write_text(toy.read_text(encoding="utf-8") + "\n_EDITED = True\n", encoding="utf-8")
-    return dest
-
-
-def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path):
+def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path, monkeypatch):
     """An agent whose tree keys tasks differently answers each with a
     counted ``code_mismatch`` error, never a result; a resubmission keyed
     by the agent's tree executes and ends with serial's digest (the edit
     is behaviour-neutral)."""
-    edited = _toy_copy_with_neutral_edit(tmp_path / "edited")
+    edited = edited_source(tmp_path / "edited", "systems/toy.py")
     with ManagerServer(port=0) as server:
         core = server.core
         agent = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "agent", "--manager", server.url,
              "--workers", "1", "--idle-exit", "60"],
-            env=dict(os.environ, PYTHONPATH=str(edited / "src")),
+            env=dict(os.environ, PYTHONPATH=str(edited)),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
@@ -468,11 +462,10 @@ def test_an_agent_on_other_code_refuses_every_task(serial_digest, tmp_path):
             refused = core.stats()["tasks"]
             assert refused["code_mismatch"] == refused["failed"] == refused["total"] > 0
 
-            spec = get_system("toy")
-            spec.attach_slice_analysis(
-                analyze_system(spec, TreeSource(edited).sources(spec.source_modules))
-            )
-            ctx = Pipeline(spec, CSnakeConfig(**CFG), executor=RemoteExecutor(core)).run()
+            monkeypatch.setattr(repro.cache, "SOURCE_ROOT", edited)
+            ctx = Pipeline(
+                get_system("toy"), CSnakeConfig(**CFG), executor=RemoteExecutor(core)
+            ).run()
             assert campaign_digest(ctx) == serial_digest
             stats = core.stats()["tasks"]
             assert stats["code_mismatch"] == refused["code_mismatch"]

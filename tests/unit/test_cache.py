@@ -19,7 +19,7 @@ from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.types import DELAY, FaultKey
-from tests.helpers import rewrite_record, run_trace, stored
+from tests.helpers import edited_source, rewrite_record, run_trace, stored
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -129,17 +129,12 @@ def test_result_affecting_changes_miss(tmp_path):
     assert a.experiment_key("t", FAULT, PLANS) != a.experiment_key("t", FAULT, other_plans)
 
 
-def test_spec_structure_and_version_invalidate(tmp_path):
+def test_spec_structure_invalidates(tmp_path):
     config = CSnakeConfig(seed=1)
     spec = get_system("toy")
     same = ExperimentCache(tmp_path, get_system("toy"), config)
     base = ExperimentCache(tmp_path, spec, config)
     assert base.experiment_key("t", FAULT, PLANS) == same.experiment_key("t", FAULT, PLANS)
-
-    bumped_spec = get_system("toy")
-    bumped_spec.version = "bumped"
-    bumped = ExperimentCache(tmp_path, bumped_spec, config)
-    assert bumped.experiment_key("t", FAULT, PLANS) != base.experiment_key("t", FAULT, PLANS)
 
     # Build an independent registry (the bundled toy spec shares one
     # module-level registry instance) and grow it by one site.
@@ -216,17 +211,15 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     assert ExperimentCache(tmp_path, spec, config).lookup_profile(key) is None
 
     # Every way of being malformed, for all three kinds, with exact counters.
-    from repro.analysis.source import live_sources
     from repro.core.fca import FcaResult
 
     root = tmp_path / "kinds"
-    sources = live_sources(spec.source_modules)
     slices = spec.slice_analysis()
     probe = ExperimentCache(root, spec, config)
     keys = {
         "profile": probe.profile_key("t"),
         "experiment": probe.experiment_key("t", FAULT, PLANS),
-        "slices": probe.slices_key(sources),
+        "slices": probe.slices_key(),
     }
     store = {
         "profile": lambda c: c.store_profile(keys["profile"], "t", group),
@@ -488,14 +481,16 @@ def test_a_campaign_reads_only_its_own_directory(tmp_path, monkeypatch):
 
     config = CSnakeConfig(seed=1)
     spec = get_system("toy")
-    other_tree = get_system("toy")
-    other_tree.version = "edited"
     group = RunGroup.of("t", None, [RunTrace(test_id="t", seed=3)])
     tests = spec.workload_ids()
+    other_tree = ExperimentCache(tmp_path, spec, config)
+    with monkeypatch.context() as patch:  # a key reads its tree's bytes once
+        patch.setattr(cache_mod, "SOURCE_ROOT", edited_source(tmp_path / "tree", "types.py"))
+        other_tree.key.identity
     writers = [
         ExperimentCache(tmp_path, spec, config),
         ExperimentCache(tmp_path, spec, CSnakeConfig(seed=2)),
-        ExperimentCache(tmp_path, other_tree, config),
+        other_tree,
     ]
     for writer in writers:
         for test_id in tests:

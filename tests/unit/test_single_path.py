@@ -229,7 +229,9 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
     assert envelope == task_result_to_obj(worker_result)
     assert envelope["kind"] == "experiment"
     assert _entries(tmp_path / "agent") == _entries(tmp_path / "worker")
-    assert stored_kinds(tmp_path / "agent") == ["experiment", "profile", "slices"]
+    # A worker keys on file bytes and never slices: no ``slices`` entry.
+    assert stored_kinds(tmp_path / "agent") == stored_kinds(tmp_path / "worker")
+    assert stored_kinds(tmp_path / "agent") == ["experiment", "profile"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 2)
     # Re-executing the task (a re-queued lease) replays the stored entry;
     # the counters are each task's own change to them.

@@ -445,19 +445,22 @@ def test_diff_reports_identical_ignores_recorded_state_noise():
 
 
 @pytest.mark.parametrize("name", ["minihdfs2", "minihdfs3"])
-def test_minihdfs_cache_entries_key_on_the_source_digest(name, tmp_path):
-    """With ``source_modules`` declared, the MiniHDFS specs' cache entries
-    key on the source digest — never the whole-spec fallback.  Every
-    analyzer-selected fault site and every workload entry point resolves,
+def test_minihdfs_slices_resolve_and_keys_follow_the_file_bytes(
+    name, tmp_path, monkeypatch
+):
+    """With ``source_modules`` declared, every analyzer-selected fault
+    site and every workload entry point of the MiniHDFS specs resolves,
     so reachability prunes; the only unresolved sites are ones the static
     analyzer filters out of the fault space anyway (metrics, test-only,
-    reflection)."""
-    import dataclasses
-
+    reflection).  Their cache entries key on the bytes of the declared
+    packages: other bytes of ``sites.py``, which no declared module is,
+    make other keys."""
+    import repro.cache
     from repro.cache import ExperimentCache
     from repro.config import CSnakeConfig
     from repro.instrument.analyzer import analyze
     from repro.systems import get_system
+    from tests.helpers import edited_source
 
     spec = get_system(name)
     slices = spec.slice_analysis()
@@ -470,5 +473,6 @@ def test_minihdfs_cache_entries_key_on_the_source_digest(name, tmp_path):
 
     test_id = spec.workload_ids()[0]
     key = ExperimentCache(tmp_path, spec, CSnakeConfig()).profile_key(test_id)
-    spec.attach_slice_analysis(dataclasses.replace(slices, source_digest="0" * 64))
+    edited = edited_source(tmp_path / "edited", "systems/minihdfs/sites.py")
+    monkeypatch.setattr(repro.cache, "SOURCE_ROOT", edited)
     assert ExperimentCache(tmp_path, spec, CSnakeConfig()).profile_key(test_id) != key
