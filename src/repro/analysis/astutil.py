@@ -1,22 +1,23 @@
 """AST parsing, function collection, and normalized digests.
 
-Everything downstream (call graph, slices, cache keys) consumes the two
-artifacts built here:
+Two artifacts are built here:
 
 * a table of :class:`FunctionInfo` — every ``def``/``async def`` in the
   analyzed modules, keyed by ``module:QualName`` (the qualname uses the
   same ``Cls.method`` / ``outer.<locals>.inner`` convention as
   ``__qualname__``), carrying its AST node, class context, and the fault
-  site-id literals it passes to ``rt.*`` hooks;
-* a *normalized digest* per function — sha256 over ``ast.dump`` of the
-  function node with docstrings stripped — and one per module over the
-  statements no function covers (imports, constants, class bodies and
-  their dataclass defaults, decorators).  Comments and whitespace never
-  reach the AST, so digests are insensitive to them by construction.
+  site-id literals it passes to ``rt.*`` hooks — what the call graph and
+  the slicer consume;
+* :func:`source_digests` — a *normalized digest* per function (sha256
+  over ``ast.dump`` of the function node with docstrings stripped), one
+  per module over the statements no function covers (imports, constants,
+  class bodies and their dataclass defaults, decorators), and one over
+  all of them.  Comments and whitespace never reach the AST, so digests
+  are insensitive to them by construction.  Only ``repro diff-run`` and
+  ``repro analyze`` read them; a campaign never computes them.
 
-The digest deliberately covers nested functions textually (editing a
-closure edits its host's digest too) — a slice that reaches the host
-must be invalidated when the closure changes.
+A function's digest covers its nested functions textually: editing a
+closure changes its host's digest too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import ast
 import copy
 import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -44,7 +46,6 @@ class FunctionInfo:
     cls: Optional[str]  # immediate enclosing class qualname, if any
     node: ast.AST  # the FunctionDef / AsyncFunctionDef node
     site_literals: Tuple[str, ...] = ()  # site ids passed to rt.* hooks here
-    digest: str = ""  # normalized body digest (filled by collect_module)
 
 
 @dataclass
@@ -69,8 +70,6 @@ class ModuleInfo:
     # local alias -> (absolute module, attr-or-None); attr None for plain
     # ``import x.y as z`` style bindings.
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
-    # normalized digest of the statements no function covers
-    digest: str = ""
 
 
 def _docstring_bodies(node: ast.AST) -> Iterator[List[ast.stmt]]:
@@ -235,8 +234,6 @@ class _Collector(ast.NodeVisitor):
     def finalize(self) -> None:
         for key, sites in self._sites.items():
             self.info.functions[key].site_literals = tuple(sites)
-        for fn in self.info.functions.values():
-            fn.digest = digest_node(fn.node)
 
 
 def _owner_qual(fn_qual: str) -> str:
@@ -271,13 +268,46 @@ def _own_statements(body: List[ast.stmt]) -> List[ast.stmt]:
     return out
 
 
-def collect_module(name: str, source: str) -> ModuleInfo:
-    """Parse ``source`` and collect its functions, classes, imports and
-    digests."""
+def _parse(name: str, source: str) -> Tuple[ast.Module, ModuleInfo]:
     tree = ast.parse(source, filename="%s.py" % name.replace(".", "/"))
     info = ModuleInfo(name=name)
     collector = _Collector(info)
     collector.visit(tree)
     collector.finalize()
-    info.digest = digest_node(ast.Module(body=_own_statements(tree.body), type_ignores=[]))
-    return info
+    return tree, info
+
+
+def collect_module(name: str, source: str) -> ModuleInfo:
+    """Parse ``source`` and collect its functions, classes and imports."""
+    return _parse(name, source)[1]
+
+
+@dataclass(frozen=True)
+class SourceDigests:
+    """The normalized digests of one source tree's modules."""
+
+    functions: Dict[str, str]  # function key -> body digest
+    modules: Dict[str, str]  # module -> digest of the statements no function covers
+
+    @property
+    def source(self) -> str:
+        """One digest over every function and module digest: it moves on
+        any executable edit and on no comment, whitespace or docstring
+        edit."""
+        return digest_text(
+            json.dumps(
+                [sorted(self.functions.items()), sorted(self.modules.items())],
+                separators=(",", ":"),
+            )
+        )
+
+
+def source_digests(sources: Dict[str, str]) -> SourceDigests:
+    """The digests of ``sources`` (module name -> source text)."""
+    functions: Dict[str, str] = {}
+    modules: Dict[str, str] = {}
+    for name in sorted(sources):
+        tree, info = _parse(name, sources[name])
+        functions.update((key, digest_node(fn.node)) for key, fn in info.functions.items())
+        modules[name] = digest_node(ast.Module(body=_own_statements(tree.body), type_ignores=[]))
+    return SourceDigests(functions, modules)

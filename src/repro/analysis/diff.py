@@ -1,4 +1,4 @@
-"""Diffing two slice analyses and two detection reports.
+"""Diffing two source trees' digests and two detection reports.
 
 Backs ``repro diff-run OLD NEW``: the static half names the functions and
 modules an edit changed (any edit at all moves the bytes every result key
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
-from .slicer import SliceAnalysis
+from .astutil import SourceDigests
 
 
 @dataclass
 class SliceDiff:
     """Which functions and module-level statements differ between two
-    analyses of one system."""
+    trees of one system."""
 
     system: str
     changed_functions: Tuple[str, ...] = ()  # function keys with new body digests
@@ -40,11 +40,11 @@ class SliceDiff:
         }
 
 
-def diff_slices(old: SliceAnalysis, new: SliceAnalysis) -> SliceDiff:
-    old_fns, new_fns = old.function_digests, new.function_digests
-    old_mods, new_mods = old.module_digests, new.module_digests
+def diff_slices(system: str, old: SourceDigests, new: SourceDigests) -> SliceDiff:
+    old_fns, new_fns = old.functions, new.functions
+    old_mods, new_mods = old.modules, new.modules
     return SliceDiff(
-        system=new.system,
+        system=system,
         changed_functions=tuple(
             sorted(k for k in old_fns.keys() & new_fns.keys() if old_fns[k] != new_fns[k])
         ),
@@ -55,7 +55,7 @@ def diff_slices(old: SliceAnalysis, new: SliceAnalysis) -> SliceDiff:
                 m for m in old_mods.keys() | new_mods.keys() if old_mods.get(m) != new_mods.get(m)
             )
         ),
-        source_changed=old.source_digest != new.source_digest,
+        source_changed=old.source != new.source,
     )
 
 

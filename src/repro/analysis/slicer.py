@@ -1,10 +1,9 @@
-"""Per-site reachable slices and the one digest of a system's source.
+"""Workload reachability of every fault site, over the call graph.
 
-For every code :class:`~repro.instrument.sites.FaultSite` the *slice* is
-the set of function bodies transitively reachable (over the call graph)
-from the site's enclosing function — the code an experiment injecting at
-that site can reach.  Slices and workload entry-point reachability drive
-fault-space pruning (``repro.instrument.analyzer``): a site no workload
+Each code :class:`~repro.instrument.sites.FaultSite` is bound to its
+enclosing function(s), its *roots*; the functions transitively reachable
+(over the call graph) from the workload entry points drive fault-space
+pruning (``repro.instrument.analyzer``): a site whose roots no workload
 can reach is never injected.  Reachability is only trusted when *every*
 entry point resolved.
 
@@ -14,24 +13,19 @@ whose literal never appears (registry entries declared for code that
 does not exist) fall back to the declared ``FaultSite.function``
 qualname; if that also fails they are *unresolved* and never pruned.
 
-The analysis also carries the **source digest**: one sha256 over every
-function's normalized body digest and every module's digest of the
-statements no function covers (constants, class bodies, dataclass
-defaults).  It moves on any executable edit to a declared source module
-and on no comment, whitespace or docstring edit; ``repro diff-run`` and
-``repro analyze`` report it.  No result key reads it: those hash file
-bytes (``repro.cache.code_digests``).
+The analysis holds no digest: ``repro diff-run`` and ``repro analyze``
+take the normalized digests from :func:`repro.analysis.source_digests`,
+and result keys hash file bytes (``repro.cache.code_digests``).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 from ..types import SiteKind
-from .astutil import ModuleInfo, collect_module, digest_text
+from .astutil import ModuleInfo, collect_module
 from .callgraph import CallGraph, build_call_graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -43,23 +37,18 @@ ENV_KINDS = (SiteKind.ENV_NODE, SiteKind.ENV_LINK)
 
 @dataclass
 class SliceAnalysis:
-    """Result of slicing one system's source: plain data only (digests,
-    function keys, counts), so it round-trips through the experiment
-    cache (``repro.serialize.slices_to_obj``) and pins no parsed module."""
+    """Result of slicing one system's source: plain data only (function
+    keys, counts), so it round-trips through the experiment cache
+    (``repro.serialize.slices_to_obj``) and pins no parsed module."""
 
     system: str
     modules: Tuple[str, ...]
-    source_digest: str  # digest over every function and module digest below
-    function_digests: Dict[str, str] = field(default_factory=dict)  # fn key -> body digest
-    # module -> digest of the statements no function covers
-    module_digests: Dict[str, str] = field(default_factory=dict)
-    # call_edges / calls_seen / calls_resolved of the call graph.
+    # functions / call_edges / calls_seen / calls_resolved of the call graph.
     counts: Dict[str, int] = field(default_factory=dict)
     # site -> enclosing function key(s); usually one, several when the same
     # literal is legitimately instrumented at more than one code location
-    # (the slice is then the union of the closures).
+    # (the site is reachable when any of them is).
     site_roots: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    site_slices: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     env_sites: Tuple[str, ...] = ()
     unresolved: Dict[str, str] = field(default_factory=dict)  # site -> reason
     entry_function: Dict[str, str] = field(default_factory=dict)  # test -> fn key
@@ -82,7 +71,6 @@ class SliceAnalysis:
         """Scalar summary (``repro analyze``; ``analysis.*`` in campaign_bench)."""
         out: Dict[str, object] = {
             "modules": len(self.modules),
-            "functions": len(self.function_digests),
             "sites_resolved": len(self.site_roots),
             "sites_env": len(self.env_sites),
             "sites_unresolved": len(self.unresolved),
@@ -103,7 +91,7 @@ def _find_site_functions(
     """Bind each code site to its enclosing function key(s).
 
     Primary: the ``rt.*("site.id", ...)`` literal scan — a literal that
-    appears in several functions yields a multi-root site (union slice).
+    appears in several functions yields a multi-root site.
     Secondary: the registry-declared qualname, if it names exactly one
     parsed function.
     """
@@ -153,21 +141,11 @@ def analyze_sources(
     graph = build_call_graph(modules)
     t2 = time.perf_counter()
 
-    function_digests = {k: fn.digest for k, fn in sorted(graph.functions.items())}
-    module_digests = {name: info.digest for name, info in modules.items()}
-    source_digest = digest_text(
-        json.dumps(
-            [sorted(function_digests.items()), sorted(module_digests.items())],
-            separators=(",", ":"),
-        )
-    )
     analysis = SliceAnalysis(
         system=system,
         modules=tuple(sorted(sources)),
-        source_digest=source_digest,
-        function_digests=function_digests,
-        module_digests=module_digests,
         counts={
+            "functions": len(graph.functions),
             "call_edges": graph.n_edges,
             "calls_seen": graph.calls_seen,
             "calls_resolved": graph.calls_resolved,
@@ -177,13 +155,6 @@ def analyze_sources(
     code_sites = [s for s in sites if s.kind not in ENV_KINDS]
     analysis.env_sites = tuple(sorted(s.site_id for s in sites if s.kind in ENV_KINDS))
     analysis.site_roots, analysis.unresolved = _find_site_functions(code_sites, graph)
-
-    slice_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-    for site_id in sorted(analysis.site_roots):
-        roots = analysis.site_roots[site_id]
-        if roots not in slice_cache:
-            slice_cache[roots] = tuple(sorted(graph.reachable_from(roots)))
-        analysis.site_slices[site_id] = slice_cache[roots]
 
     for test_id in sorted(entries):
         fn_key = entries[test_id]

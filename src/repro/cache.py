@@ -156,6 +156,10 @@ _T = TypeVar("_T")
 #:       does a comment edit.  ``SystemSpec.version`` left the key, and a
 #:       key folds in its identity in place of the shared material.
 #:       Entries and codecs are unchanged.
+#:
+#: The ``slices`` codec lost its digests and per-site slices without a
+#: bump: every ``slices`` key covers the bytes of ``repro/analysis``, which
+#: that change edited, so no record of the old codec is ever looked up.
 CACHE_SCHEMA = 9
 
 #: The directory that holds the ``repro`` package: :func:`code_digests`
@@ -436,7 +440,8 @@ class ExperimentCache:
         self.system = spec.name
         self.key = ResultKey(spec, config)
         #: What a stored slice analysis also depends on: the interpreter's
-        #: (major, minor), because its digests are over ``ast.dump``.
+        #: (major, minor), because the AST the slicer walks is the
+        #: interpreter's own.
         self.python = sys.version_info[:2]
         self.hits = 0
         self.misses = 0

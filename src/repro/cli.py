@@ -217,22 +217,14 @@ def _print_cache_stats(ctx) -> None:
         return
     stats = cache.stats()
     corrupt = " (%d corrupt)" % stats["corrupt"] if stats["corrupt"] else ""
+    # ``; slices replayed`` / ``; slices recomputed``: whether the analyze
+    # stage's slice analysis came out of the cache or was sliced and stored.
+    slices = "; slices %s" % stats["slices"] if stats["slices"] else ""
     print(
         "cache: %d hits, %d misses%s, %d stored%s (%s)"
-        % (
-            stats["hits"], stats["misses"], corrupt, stats["stores"],
-            _slices_note(stats), stats["dir"],
-        ),
+        % (stats["hits"], stats["misses"], corrupt, stats["stores"], slices, stats["dir"]),
         file=sys.stderr,
     )
-
-
-def _slices_note(cache_stats) -> str:
-    """``; slices replayed`` / ``; slices recomputed``: whether the
-    code-slice analysis came out of the cache or was sliced afresh (and
-    stored); empty when it never went through the cache."""
-    slices = cache_stats.get("slices")
-    return "; slices %s" % slices if slices else ""
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -337,11 +329,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Static-analysis report: the fault space, per-site exclusion
     reasons, and the code-slice resolution/reachability status."""
+    from .analysis import analyze_system, live_sources, source_digests
     from .instrument.analyzer import analyze
     from .serialize import analysis_to_obj
 
     spec = get_system(args.system)
-    slices = spec.slice_analysis()
+    sources = live_sources(spec.source_modules)
+    slices = analyze_system(spec, sources) if sources else None
     result = analyze(spec.registry, _fault_space_kinds(args), slices=slices)
     if args.json:
         obj = {"analysis": analysis_to_obj(result), "slices": None}
@@ -351,7 +345,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             }
             obj["slices"] = {
                 "stats": stats,
-                "source_digest": slices.source_digest,
+                "source_digest": source_digests(sources).source,
                 "unresolved": dict(sorted(slices.unresolved.items())),
             }
         json.dump(obj, sys.stdout, indent=1, sort_keys=True)
@@ -437,7 +431,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
 
-    from .analysis import analyze_system, diff_reports, diff_slices
+    from .analysis import diff_reports, diff_slices, source_digests
     from .analysis.source import resolve_provider
 
     spec = get_system(args.system)
@@ -451,9 +445,11 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
 
-    old_slices = analyze_system(spec, old_provider.sources(spec.source_modules))
-    new_slices = analyze_system(spec, new_provider.sources(spec.source_modules))
-    sdiff = diff_slices(old_slices, new_slices)
+    sdiff = diff_slices(
+        spec.name,
+        source_digests(old_provider.sources(spec.source_modules)),
+        source_digests(new_provider.sources(spec.source_modules)),
+    )
 
     payload = {
         "system": spec.name,
@@ -663,9 +659,8 @@ def cmd_status(args: argparse.Namespace) -> int:
                 "  agent %-12s %d workers, %d completed%s"
                 % (
                     agent["name"], agent["workers"], agent["completed"],
-                    "  cache %s/%s hit%s" % (
+                    "  cache %s/%s hit" % (
                         cache.get("hits"), cache.get("hits", 0) + cache.get("misses", 0),
-                        _slices_note(cache),
                     )
                     if cache else "",
                 )

@@ -303,18 +303,14 @@ class SimConfig:
     #: Reduced timeouts (§4.2): systems run with 10–20 s timeouts so they
     #: are sensitive to injected delay, in virtual ms.
     rpc_timeout_ms: float = 10_000.0
-    stale_timeout_ms: float = 15_000.0
-    heartbeat_interval_ms: float = 3_000.0
     network_latency_ms: float = 2.0
     network_jitter_ms: float = 1.0
     #: Virtual-time horizon of one workload run.
     run_duration_ms: float = 120_000.0
-    #: Per-iteration base processing cost charged by instrumented loops.
-    loop_iter_cost_ms: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.rpc_timeout_ms <= 0 or self.heartbeat_interval_ms <= 0:
-            raise ConfigError("timeouts and intervals must be positive")
+        if self.rpc_timeout_ms <= 0:
+            raise ConfigError("rpc_timeout_ms must be positive")
 
 
 #: Cap on distinct local states remembered per site in one run, to bound

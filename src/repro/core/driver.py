@@ -182,24 +182,27 @@ class ExperimentDriver:
 
     def slice_analysis(self) -> Optional["SliceAnalysis"]:
         """The spec's code-slice analysis, which the analyze stage prunes
-        the fault space with: looked up in the cache under the digest of
-        the source files, sliced and stored on a miss — so a system is
-        sliced once per source edit, not once per campaign.  Without a
-        cache, the spec's own (:meth:`SystemSpec.slice_analysis`)."""
+        the fault space with; ``None`` for a system that declares no
+        source modules.  With a cache it is looked up under the digest of
+        the source files, and sliced and stored on a miss — so a system is
+        sliced once per source edit, not once per campaign; without one
+        it is sliced afresh."""
         # Deferred: importing the driver does not load the analysis
         # package, and ``analyze_system`` is looked up through it at call
         # time.
         from .. import analysis
 
         spec = self.spec
+        if not spec.source_modules:
+            return None
+        cache = self.cache
         with _SLICES_LOCK:
-            if self.cache is None or not spec.source_modules:
-                return spec.slice_analysis()
-            key = self.cache.slices_key()
-            slices = self.cache.lookup_slices(key)
+            key = "" if cache is None else cache.slices_key()
+            slices = None if cache is None else cache.lookup_slices(key)
             if slices is None:
                 slices = analysis.analyze_system(spec, analysis.live_sources(spec.source_modules))
-                self.cache.store_slices(key, slices)
+                if cache is not None:
+                    cache.store_slices(key, slices)
         return slices
 
     # -------------------------------------------------------------- profiles

@@ -326,12 +326,8 @@ def slices_to_obj(slices: "SliceAnalysis") -> Dict[str, Any]:
     return {
         "system": slices.system,
         "modules": list(slices.modules),
-        "source_digest": slices.source_digest,
-        "function_digests": slices.function_digests,
-        "module_digests": slices.module_digests,
         "counts": slices.counts,
         "site_roots": {site: list(roots) for site, roots in slices.site_roots.items()},
-        "site_slices": {site: list(keys) for site, keys in slices.site_slices.items()},
         "env_sites": list(slices.env_sites),
         "unresolved": slices.unresolved,
         "entry_function": slices.entry_function,
@@ -348,12 +344,8 @@ def slices_from_obj(obj: Dict[str, Any]) -> "SliceAnalysis":
     return SliceAnalysis(
         system=obj["system"],
         modules=tuple(obj["modules"]),
-        source_digest=obj["source_digest"],
-        function_digests=dict(obj["function_digests"]),
-        module_digests=dict(obj["module_digests"]),
         counts=dict(obj["counts"]),
         site_roots={site: tuple(roots) for site, roots in obj["site_roots"].items()},
-        site_slices={site: tuple(keys) for site, keys in obj["site_slices"].items()},
         env_sites=tuple(obj["env_sites"]),
         unresolved=dict(obj["unresolved"]),
         entry_function=dict(obj["entry_function"]),

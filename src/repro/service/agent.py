@@ -35,16 +35,17 @@ IN_FLIGHT_PER_WORKER = 2
 RETRY_FIRST_S = 0.1
 RETRY_MAX_S = 2.0
 
-#: The ``stats()`` fields an agent sums over its workers' tasks (``dir``
-#: and ``slices`` are reported as last seen).
+#: The ``stats()`` fields an agent sums over its workers' tasks (``dir`` is
+#: reported as last seen; ``slices`` is not reported, as a worker never
+#: slices).
 _COUNTERS = ("hits", "misses", "stores", "corrupt")
 
 
 def execute_wire_task(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """Decode one wire-form task, run it through the worker entry point,
     encode: ``({"result": envelope} or {"error": "Type: message"}, cache)``,
-    ``cache`` being the executing driver's ``stats()`` with the counters
-    replaced by this task's change to them (``None`` without a cache).
+    ``cache`` being the executing driver's cache directory and this task's
+    change to its counters (``None`` without a cache).
 
     A task whose key this agent's own tree does not reproduce was
     submitted from other code: it fails with an error that begins
@@ -68,7 +69,7 @@ def execute_wire_task(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[Dic
     if cache is None:
         return outcome, None
     after = cache.stats()
-    return outcome, dict(after, **{k: after[k] - before[k] for k in _COUNTERS})
+    return outcome, dict(dir=after["dir"], **{k: after[k] - before[k] for k in _COUNTERS})
 
 
 class Agent:

@@ -16,7 +16,6 @@ from ..instrument.sites import SiteRegistry
 from ..types import FaultKey
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..analysis import SliceAnalysis
     from ..core.cycles import Cycle
     from ..instrument.runtime import Runtime
     from ..sim import SimEnv
@@ -87,27 +86,10 @@ class SystemSpec:
     #: Empty means "not sliceable": no reachability pruning happens, and
     #: the key covers the framework only.
     source_modules: Tuple[str, ...] = ()
-    _slices: Optional["SliceAnalysis"] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.env_port is not None:
             self.env_port.register_sites(self.registry)
-
-    def slice_analysis(self) -> Optional["SliceAnalysis"]:
-        """A fresh code-slice analysis of the live :attr:`source_modules`
-        (then kept for this spec object); ``None`` for a system that
-        declares no source modules.  Slices serve the analyze stage's
-        reachability pruning only: no result key reads them, and a
-        campaign with a cache directory replays them through its driver
-        (:meth:`~repro.core.driver.ExperimentDriver.slice_analysis`)."""
-        if self._slices is None and self.source_modules:
-            from ..analysis import analyze_system
-            from ..analysis.source import live_sources
-
-            self._slices = analyze_system(self, live_sources(self.source_modules))
-        return self._slices
 
     def sites_digest(self) -> str:
         """Digest of the full site inventory (every site's id, kind, and

@@ -267,15 +267,15 @@ class NameNode(Node):
                     elif src and dst:
                         self.commands[src[0]].append(("replicate", bid, dst[0]))
                         self._log_edit("replicate", bid)
-            # Invalidate extra replicas of over-replicated blocks.
-            for bid in sorted(self.blocks):
+            # Invalidate extra replicas of over-replicated blocks, the few
+            # ids sorted, not every block's.
+            replication = self.cfg.replication
+            for bid in sorted(b for b in self.blocks if len(self.blocks[b]) > replication):
                 holders = self.blocks[bid]
-                if len(holders) > self.cfg.replication:
-                    extra = sorted(holders)[self.cfg.replication:]
-                    for dn_name in extra:
-                        holders.discard(dn_name)
-                        self.commands.setdefault(dn_name, []).append(("delete", bid))
-                        self._log_edit("invalidate", bid)
+                for dn_name in sorted(holders)[replication:]:
+                    holders.discard(dn_name)
+                    self.commands.setdefault(dn_name, []).append(("delete", bid))
+                    self._log_edit("invalidate", bid)
             # Recovery monitor: recoveries that have not concluded within
             # the re-issue timeout are issued again (the retry logic H2-3
             # and H2-4 feed on).

@@ -43,10 +43,6 @@ class EdgeType(enum.Enum):
     CFG = "CFG"  # parent-loop delay propagates to a following sibling
 
 
-#: Edge types whose *destination* fault is a delay (loop) fault.
-DELAY_EDGE_TYPES = frozenset({EdgeType.SP_D, EdgeType.SP_I, EdgeType.ICFG, EdgeType.CFG})
-
-
 @dataclass(frozen=True, order=True)
 class FaultKey:
     """Identity of a fault: an injectable site plus its manifestation kind.

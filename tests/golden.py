@@ -77,7 +77,10 @@ GOLDENS: Dict[str, Golden] = {
     "detection": Golden(
         HERE / "golden_detection.json", tuple(sorted(golden_campaigns.CAMPAIGNS)),
         lambda name: golden_campaigns.campaign_rows(name).detection,
-        slow=("minihdfs2_evaluation",),
+        slow=("minihdfs2_evaluation",) + tuple(
+            key for key, (_, config) in golden_campaigns.PANEL.items()
+            if config.seed not in golden_campaigns.SUITE_SEEDS
+        ),
     ),
     "slices": Golden(HERE / "golden_slices.json", SYSTEMS, golden_slices.slice_digest),
     "fault_spaces": Golden(

@@ -36,16 +36,24 @@ campaign detects re-records it, and
 ``test_detection_rows_keep_the_campaign_matrix`` in
 ``tests/unit/test_golden.py`` must still pass on the new rows.
 
+Detection power is a rate over seeds, so the ``detection`` rows also hold
+a panel (:data:`PANEL`): both benchmark-scale campaigns at seeds 1–8,
+``<campaign>/s<seed>``, with nothing but the seed replaced.  Those 16 rows
+were recorded on the source tree of commit ``3a07d98``;
+``test_panel_rates_hold`` asserts each pinned bug's rate over the eight
+seeds.
+
 They are three entries of ``tests/golden.py`` with one row per campaign:
 ``campaigns`` (the digests) and ``campaign_searches`` (the counters) for
-the three named campaigns, ``detection`` for all nine.
+the three named campaigns, ``detection`` for all 25.
 :func:`campaign_rows` runs each campaign once for all three.  The test
-suite checks every campaign but the evaluation-scale one (~20 s), which
-only ``tests/golden.py`` checks.
+suite checks every campaign but the evaluation-scale one (~20 s) and the
+panel's seeds 5–8, which only ``tests/golden.py`` checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -104,9 +112,23 @@ def keyed_campaign(key: str) -> Tuple[str, CSnakeConfig]:
     return system, CSnakeConfig(repeats=int(repeats[1:]), seed=int(seed[1:]), **fields)
 
 
+#: The seeds of the detection panel, and the ones the test suite runs.
+PANEL_SEEDS = range(1, 9)
+SUITE_SEEDS = range(1, 5)
+
+#: The detection panel: each benchmark-scale :data:`DIGESTED` campaign at
+#: every seed of :data:`PANEL_SEEDS`, named ``<campaign>/s<seed>``, with
+#: nothing but ``seed`` replaced.
+PANEL: Dict[str, Tuple[str, CSnakeConfig]] = {
+    "%s/s%d" % (name, seed): (system, dataclasses.replace(config, seed=seed))
+    for name, (system, config) in DIGESTED.items()
+    if name.endswith("_benchmark")
+    for seed in PANEL_SEEDS
+}
+
 #: Campaign name -> (system, config).
 CAMPAIGNS: Dict[str, Tuple[str, CSnakeConfig]] = {
-    **DIGESTED, **{key: keyed_campaign(key) for key in MATRIX},
+    **DIGESTED, **{key: keyed_campaign(key) for key in MATRIX}, **PANEL,
 }
 
 

@@ -6,7 +6,9 @@ with ``calls_seen`` and ``calls_resolved``, each site's root functions
 and slice, each workload's entry function, the reachable set, and the
 unresolved sites and entries.  Everything digested is a function key, a
 site id, a test id, a count or a reason string — no ``ast.dump`` text —
-so one fixture serves every supported Python version.
+so one fixture serves every supported Python version.  A site's slice is
+the closure of its roots over the call graph built here; the analysis
+keeps only the roots.
 
 ``golden_slices.json`` was recorded on the commit *before* the
 per-function CFG and typed-local resolution were deleted from
@@ -45,7 +47,9 @@ def slice_payload(system: str) -> Dict[str, Any]:
         "calls_seen": graph.calls_seen,
         "calls_resolved": graph.calls_resolved,
         "site_roots": {k: list(v) for k, v in analysis.site_roots.items()},
-        "site_slices": {k: list(v) for k, v in analysis.site_slices.items()},
+        "site_slices": {
+            k: sorted(graph.reachable_from(v)) for k, v in analysis.site_roots.items()
+        },
         "entry_function": analysis.entry_function,
         "reachable": sorted(analysis.reachable),
         "unresolved": analysis.unresolved,

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.analysis import SliceAnalysis, analyze_system, live_sources
 from repro.cache import records
 from repro.core import beam
 from repro.instrument.plan import InjectionPlan
@@ -143,6 +144,11 @@ def agent_thread(transport: Any, **kwargs: Any) -> Tuple[Agent, threading.Thread
         assert time.monotonic() < deadline, "the agent never registered"
         time.sleep(0.01)
     return agent, thread
+
+
+def live_slices(spec: Any) -> SliceAnalysis:
+    """A fresh slice analysis of ``spec``'s live source modules."""
+    return analyze_system(spec, live_sources(spec.source_modules))
 
 
 def stored(root: Any) -> Dict[str, List[bytes]]:

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from examples.diffrun.edit_miniraft import make_edited_tree
-from repro.analysis import TreeSource, analyze_system, diff_slices
+from repro.analysis import TreeSource, diff_slices, live_sources, source_digests
 from repro.cache import records
 from repro.cli import _diffrun_campaign, _diffrun_side_root, build_parser
 from repro.systems import get_system
@@ -142,9 +142,9 @@ def test_edit_script_is_behaviour_neutral_and_anchored(tmp_path):
     the live source in exactly one module."""
     root = make_edited_tree(tmp_path / "edited", REPO_ROOT)
     spec = get_system("miniraft")
-    live = spec.slice_analysis()
-    edited = analyze_system(spec, TreeSource(root).sources(spec.source_modules))
-    sdiff = diff_slices(live, edited)
+    live = source_digests(live_sources(spec.source_modules))
+    edited = source_digests(TreeSource(root).sources(spec.source_modules))
+    sdiff = diff_slices(spec.name, live, edited)
     assert sdiff.source_changed
     assert sdiff.changed_functions == (
         "repro.systems.miniraft.nodes:RaftNode.install_snapshot",

@@ -1,20 +1,18 @@
 """Property-based tests: the source digest is exactly as sensitive as it
 should be.
 
-The cache contract (DESIGN.md, docs/static-analysis.md) is that the
-source digest every result key embeds is invariant under
-*behaviour-neutral* source edits — comments, blank lines, docstrings —
-and changes for any executable edit, inside a function or not.
-Hypothesis drives random combinations of both kinds of edit against a
-small instrumented module.
+``repro diff-run`` names what an edit changed by the normalized digests
+of :func:`repro.analysis.source_digests` (docs/static-analysis.md): they
+are invariant under *behaviour-neutral* source edits — comments, blank
+lines, docstrings — and change for any executable edit, inside a
+function or not.  Hypothesis drives random combinations of both kinds of
+edit against a small instrumented module.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import analyze_sources
-from repro.instrument.sites import FaultSite
-from repro.types import SiteKind
+from repro.analysis import source_digests
 
 BASE = '''\
 LIMIT = 0
@@ -41,10 +39,7 @@ class Svc:
         return item * 3
 '''
 
-SITES = [FaultSite(site_id="svc.scan", kind=SiteKind.LOOP, system="demo", function="Svc.handle")]
-ENTRIES = {"t-run": "demo.m:run"}
-
-BASELINE = analyze_sources("demo", {"demo.m": BASE}, SITES, ENTRIES)
+BASELINE = source_digests({"demo.m": BASE})
 
 _WORDS = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ", min_size=0, max_size=30
@@ -82,10 +77,10 @@ def _apply_neutral(source, edits):
 @settings(max_examples=40, deadline=None)
 def test_digests_invariant_under_comment_blank_and_docstring_edits(edits):
     mutated = _apply_neutral(BASE, edits)
-    analysis = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    assert analysis.function_digests == BASELINE.function_digests
-    assert analysis.module_digests == BASELINE.module_digests
-    assert analysis.source_digest == BASELINE.source_digest
+    digests = source_digests({"demo.m": mutated})
+    assert digests.functions == BASELINE.functions
+    assert digests.modules == BASELINE.modules
+    assert digests.source == BASELINE.source
 
 
 _EXEC_EDITS = st.sampled_from(
@@ -105,8 +100,7 @@ def test_digests_change_for_executable_edits_even_with_neutral_noise(edit, k, no
     needle, template = edit
     replacement = template % (k + 3 if "* %d" in template else k)
     mutated = _apply_neutral(BASE.replace(needle, replacement, 1), noise)
-    analysis = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    assert analysis.source_digest != BASELINE.source_digest
+    assert source_digests({"demo.m": mutated}).source != BASELINE.source
 
 
 @given(_WORDS)
@@ -114,7 +108,4 @@ def test_digests_change_for_executable_edits_even_with_neutral_noise(edit, k, no
 def test_digest_is_a_pure_function_of_normalized_source(text):
     """Same (neutrally mutated) source analyzed twice -> identical digests."""
     mutated = _apply_neutral(BASE, [("comment", 3, text)])
-    a = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    b = analyze_sources("demo", {"demo.m": mutated}, SITES, ENTRIES)
-    assert a.function_digests == b.function_digests
-    assert a.source_digest == b.source_digest
+    assert source_digests({"demo.m": mutated}) == source_digests({"demo.m": mutated})

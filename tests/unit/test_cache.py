@@ -19,7 +19,7 @@ from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.types import DELAY, FaultKey
-from tests.helpers import edited_source, rewrite_record, run_trace, stored
+from tests.helpers import edited_source, live_slices, rewrite_record, run_trace, stored
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -214,7 +214,7 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     from repro.core.fca import FcaResult
 
     root = tmp_path / "kinds"
-    slices = spec.slice_analysis()
+    slices = live_slices(spec)
     probe = ExperimentCache(root, spec, config)
     keys = {
         "profile": probe.profile_key("t"),

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.analysis import live_sources, source_digests
 from repro.cli import _config, _parse_delays, _parse_fault, main
 from repro.config import DELAY_VALUES_MS
 from repro.errors import ReproError
@@ -239,7 +240,8 @@ def test_analyze_command_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["analysis"]["system"] == "miniraft"
     slices = obj["slices"]
-    assert slices["source_digest"] == get_system("miniraft").slice_analysis().source_digest
+    modules = get_system("miniraft").source_modules
+    assert slices["source_digest"] == source_digests(live_sources(modules)).source
     assert "ldr.compact.scan" not in {f.rsplit(":", 1)[0] for f in obj["analysis"]["faults"]}
     # stats are stable scalars: no wall-clock noise in the JSON form
     assert not any(k.startswith("wall_") for k in slices["stats"])

@@ -2,20 +2,23 @@
 fixture holds exactly the declared rows, and the checks that are not row
 equalities — the beam kernel's block size is invisible, a site is in the
 fault space or excluded, never both, the recorded detection rows keep the
-campaign matrix's contrasts — plus the harness itself: a perturbed row
-fails the check by name, a fixture not recorded yet fails every row and
-the check goes on, and recording one of the two goldens that share
-``golden_beam.json`` leaves the other's keys as they are."""
+campaign matrix's contrasts and the panel's per-bug rates over seeds —
+plus the harness itself: a perturbed row fails the check by name, a
+fixture not recorded yet fails every row and the check goes on, and
+recording one of the two goldens that share ``golden_beam.json`` leaves
+the other's keys as they are."""
 
 import dataclasses
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
 from tests import golden
 from tests.golden import GOLDENS, recorded
 from tests.golden_beam import system_results
+from tests.golden_campaigns import PANEL_SEEDS
 from tests.golden_fault_spaces import fault_space, fault_space_row, flavours
 from tests.helpers import kernel_block_size
 
@@ -95,6 +98,23 @@ def test_detection_rows_keep_the_campaign_matrix():
         for row in (raft_all, raft_scheduled, raft_adaptive)
     )
     assert "RAFT-6" in raft_adaptive - raft_scheduled
+
+
+#: How many of the panel's eight seeds detect each bug, per benchmark-scale
+#: campaign, as recorded with the panel: H2-1 and DFS-2 at 5 / 8, as
+#: earlier runs of the same seeds had read, and H2-2, H2-5 and H2-6 never.
+PANEL_RATES = {
+    "minihdfs2_benchmark": {"H2-1": 5, "H2-3": 8, "H2-4": 8},
+    "minidfs_benchmark": {"DFS-1": 8, "DFS-2": 5, "DFS-3": 6, "DFS-4": 6},
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(PANEL_RATES))
+def test_panel_rates_hold(campaign):
+    rows = recorded("detection")
+    seeds = [rows["%s/s%d" % (campaign, seed)] for seed in PANEL_SEEDS]
+    assert len(seeds) == 8
+    assert dict(Counter(bug for row in seeds for bug in row["detected"])) == PANEL_RATES[campaign]
 
 
 def _copied(tmp_path, names, **changes):

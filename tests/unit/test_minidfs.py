@@ -9,6 +9,7 @@ from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.systems.minidfs.nodes import DfsConfig
 from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
+from tests.helpers import live_slices
 
 #: Reduced configuration used by every campaign-shaped test here: the
 #: same knobs the designated-experiment probes and CI smoke use.
@@ -46,7 +47,7 @@ def test_registry_and_ground_truth(spec):
 
 
 def test_fault_space_excludes_filtered_sites(spec):
-    result = analyze(spec.registry, slices=spec.slice_analysis())
+    result = analyze(spec.registry, slices=live_slices(spec))
     selected = {f.site_id for f in result.faults}
     assert "nn.metrics.flush" not in selected  # constant bound
     assert "dn.conf.is_cached" not in selected  # final-only detector

@@ -13,6 +13,7 @@ from repro.analysis import (
     diff_slices,
     module_relpath,
     resolve_provider,
+    source_digests,
 )
 from repro.analysis.astutil import collect_module, digest_node
 from repro.analysis.callgraph import build_call_graph
@@ -239,7 +240,7 @@ def test_reachable_from_is_a_transitive_closure():
 
 def test_slicer_binds_sites_by_literal(analysis):
     assert analysis.site_roots["svc.handle.scan"] == ("demo.a:Service.handle",)
-    assert set(analysis.site_slices["svc.handle.scan"]) == {
+    assert _graph().reachable_from(analysis.site_roots["svc.handle.scan"]) == {
         "demo.a:Service.handle",
         "demo.a:Service.step",
         "demo.b:util",
@@ -251,28 +252,24 @@ def test_slicer_falls_back_to_declared_qualname(analysis):
     assert analysis.site_roots["svc.retired.op"] == ("demo.a:Service.retired",)
 
 
-def test_slicer_unions_multi_root_literals(analysis):
+def test_slicer_binds_multi_root_literals(analysis):
     assert analysis.site_roots["svc.shared.check"] == (
         "demo.a:Service.shared_one",
         "demo.a:Service.shared_two",
     )
-    assert set(analysis.site_slices["svc.shared.check"]) == {
-        "demo.a:Service.shared_one",
-        "demo.a:Service.shared_two",
-    }
 
 
 def test_slicer_reports_unresolved_sites(analysis):
     assert "svc.ghost" in analysis.unresolved
     assert "not in source" in analysis.unresolved["svc.ghost"]
-    assert "svc.ghost" not in analysis.site_slices
+    assert "svc.ghost" not in analysis.site_roots
 
 
-def test_slicer_keys_env_sites_on_whole_source(analysis):
-    # an environment site has no code and no slice; like every site, its
-    # results key on the whole source digest
+def test_slicer_binds_no_code_to_env_sites(analysis):
+    # an environment site has no code, so no roots, and is never pruned
     assert analysis.env_sites == ("env.node.0",)
-    assert "env.node.0" not in analysis.site_roots and "env.node.0" not in analysis.site_slices
+    assert "env.node.0" not in analysis.site_roots
+    assert analysis.is_reachable("env.node.0")
 
 
 def test_slicer_entry_points_and_reachability(analysis):
@@ -293,17 +290,16 @@ def test_slicer_distrusts_reachability_on_unresolved_entry():
     assert analysis.is_reachable("svc.retired.op")  # conservative
 
 
-def test_slicer_digest_stable_under_comment_edit():
+def test_source_digests_stable_under_comment_edit():
     edited = dict(SOURCES)
     edited["demo.a"] = MOD_A.replace(
         '"""Process n items through the instrumented scan loop."""',
         "# rewritten as a comment",
     )
-    base = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    after = analyze_sources("demo", edited, SITES, ENTRIES)
-    assert after.function_digests == base.function_digests
-    assert after.module_digests == base.module_digests
-    assert after.source_digest == base.source_digest
+    base, after = source_digests(SOURCES), source_digests(edited)
+    assert after.functions == base.functions
+    assert after.modules == base.modules
+    assert after.source == base.source
 
 
 @pytest.mark.parametrize(
@@ -319,19 +315,19 @@ def test_slicer_digest_stable_under_comment_edit():
 def test_source_digest_covers_every_statement(module, old, new):
     edited = dict(SOURCES, **{module: SOURCES[module].replace(old, new, 1)})
     assert edited != SOURCES
-    base = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    after = analyze_sources("demo", edited, SITES, ENTRIES)
-    assert after.source_digest != base.source_digest
+    base, after = source_digests(SOURCES), source_digests(edited)
+    assert after.source != base.source
     # statements outside any function move their module's digest only
-    inside = after.function_digests != base.function_digests
-    assert inside != (after.module_digests != base.module_digests)
+    inside = after.functions != base.functions
+    assert inside != (after.modules != base.modules)
 
 
-def test_slicer_is_deterministic():
+def test_slicer_and_digests_are_deterministic():
+    reordered = dict(reversed(list(SOURCES.items())))
     a = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    b = analyze_sources("demo", dict(reversed(list(SOURCES.items()))), SITES, ENTRIES)
-    assert a.site_slices == b.site_slices
-    assert a.source_digest == b.source_digest
+    b = analyze_sources("demo", reordered, SITES, ENTRIES)
+    assert a == b
+    assert source_digests(SOURCES) == source_digests(reordered)
 
 
 def test_slicer_stats_are_scalars(analysis):
@@ -394,9 +390,7 @@ def test_resolve_provider_prefers_directories(tmp_path):
 def test_diff_slices_classifies_functions_and_modules():
     edited = dict(SOURCES)
     edited["demo.b"] = MOD_B.replace("return x + 1", "return x + 2") + "\nLIMIT = 4\n"
-    old = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    new = analyze_sources("demo", edited, SITES, ENTRIES)
-    diff = diff_slices(old, new)
+    diff = diff_slices("demo", source_digests(SOURCES), source_digests(edited))
     assert diff.source_changed
     assert diff.changed_functions == ("demo.b:util",)
     assert diff.added_functions == () and diff.removed_functions == ()
@@ -404,9 +398,7 @@ def test_diff_slices_classifies_functions_and_modules():
 
 
 def test_diff_slices_on_identical_sources_is_empty():
-    old = analyze_sources("demo", SOURCES, SITES, ENTRIES)
-    new = analyze_sources("demo", dict(SOURCES), SITES, ENTRIES)
-    diff = diff_slices(old, new)
+    diff = diff_slices("demo", source_digests(SOURCES), source_digests(dict(SOURCES)))
     assert not diff.source_changed
     assert diff.changed_functions == () and diff.changed_modules == ()
 
@@ -460,13 +452,13 @@ def test_minihdfs_slices_resolve_and_keys_follow_the_file_bytes(
     from repro.config import CSnakeConfig
     from repro.instrument.analyzer import analyze
     from repro.systems import get_system
-    from tests.helpers import edited_source
+    from tests.helpers import edited_source, live_slices
 
     spec = get_system(name)
-    slices = spec.slice_analysis()
-    assert slices is not None, "source_modules undeclared"
+    assert spec.source_modules, "source_modules undeclared"
+    slices = live_slices(spec)
     selected = {f.site_id for f in analyze(spec.registry, slices=slices).faults}
-    assert selected - set(slices.site_slices) == set()
+    assert selected - set(slices.site_roots) == set()
     assert set(spec.workload_ids()) - set(slices.entry_function) == set()
     assert not (selected & set(slices.unresolved))
     assert slices.reachability_trusted

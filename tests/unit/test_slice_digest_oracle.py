@@ -1,13 +1,14 @@
 """Function digests against a reference kept on the test side.
 
-Cache keys are functions of the per-function digests, so however
-``repro.analysis.astutil`` computes them they must equal what the
-original implementation produced: deep-copy the function's AST, strip
-docstrings from the copy, ``ast.dump`` it without location attributes,
-SHA-256.  The digests are over ``ast.dump``, whose shape differs between
-interpreter minors, so the reference is recomputed here rather than read
-from a recorded file.  Site, entry and source digests are pure functions
-of the per-function ones and need no oracle of their own.
+``repro diff-run`` names changed functions by their digests, so however
+:func:`repro.analysis.source_digests` computes them they must equal what
+the original implementation produced: deep-copy the function's AST,
+strip docstrings from the copy, ``ast.dump`` it without location
+attributes, SHA-256.  The digests are over ``ast.dump``, whose shape
+differs between interpreter minors, so the reference is recomputed here
+rather than read from a recorded file.  The source digest is a pure
+function of the per-function and per-module ones and needs no oracle of
+its own.
 """
 
 import ast
@@ -18,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.astutil import collect_module
-from repro.analysis.source import live_sources
+from repro.analysis import live_sources, source_digests
 from repro.systems import available_systems, get_system
 
 pytestmark = pytest.mark.contract
@@ -57,7 +57,7 @@ def _reference_digests(module, source):
 
 
 def _digests(module, source):
-    return {key: fn.digest for key, fn in collect_module(module, source).functions.items()}
+    return source_digests({module: source}).functions
 
 
 @pytest.mark.parametrize("system", available_systems())

@@ -7,7 +7,9 @@ Nothing else slices: no result key, no driver's construction and no
 worker.  Pinned here: a replayed record equals a fresh one, every key
 component misses when it changes (and nothing else does), a bad entry
 falls back to a fresh analysis and is rewritten, racing analyze stages
-slice once, and keys and workers never call the slicer.
+slice once, keys and workers never call the slicer, and no campaign
+computes the normalized digests, which only ``repro diff-run`` and
+``repro analyze`` read.
 """
 
 import copy
@@ -20,20 +22,20 @@ from pathlib import Path
 import pytest
 
 import repro.analysis
+import repro.analysis.astutil
 import repro.cache
 from examples.diffrun.edit_miniraft import make_edited_tree
-from repro.analysis import TreeSource, analyze_system
-from repro.analysis.source import live_sources
+from repro.analysis import TreeSource, analyze_system, live_sources, source_digests
 from repro.cache import ExperimentCache, ResultKey, records
 from repro.config import CSnakeConfig
 from repro.core.driver import ExperimentTask, execute_experiment_task, worker_driver
 from repro.instrument.plan import InjectionPlan
-from repro.pipeline import stages
+from repro.pipeline import Pipeline, stages
 from repro.pipeline.context import PipelineContext
 from repro.systems import available_systems, get_system
 from repro.systems.base import SystemSpec
 from repro.types import DELAY, FaultKey
-from tests.helpers import edited_source, rewrite_record, stored
+from tests.helpers import edited_source, live_slices, rewrite_record, stored
 
 pytestmark = pytest.mark.contract
 
@@ -134,7 +136,7 @@ def test_every_key_component_misses_when_it_changes(system, tmp_path, monkeypatc
     assert len(set(keys.values())) == len(keys), keys
 
 
-def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_digests(
+def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_analysis(
     tmp_path, monkeypatch
 ):
     root = tmp_path / "cache"
@@ -151,8 +153,8 @@ def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_digests(
     assert cache.lookup_slices(cache.slices_key()) is None
 
     # A comment-only edit of a target module is a different file (the key
-    # misses, the module is sliced again) but the same code: the slicer's
-    # digests come out unchanged.
+    # misses, the module is sliced again) but the same code: the analysis
+    # comes out unchanged.
     commented = edited_source(
         tmp_path / "commented", "systems/miniraft/nodes.py", "# a comment\n"
     )
@@ -163,7 +165,7 @@ def test_editing_a_module_stores_a_second_entry_and_a_comment_keeps_the_digests(
     again = analyze_system(spec, TreeSource(commented.parent).sources(spec.source_modules))
     cache.store_slices(key, again)
     assert len(_slices_records(root)) == 2
-    assert again == get_system("miniraft").slice_analysis()
+    assert again == live_slices(spec)
 
 
 @pytest.mark.parametrize(
@@ -269,3 +271,24 @@ def test_no_key_and_no_worker_slices(tmp_path, monkeypatch):
     execute_experiment_task(task)
     assert driver.cache.slices is None and driver.cache.stores == 1
     assert _slices_records(tmp_path) == []
+
+
+def test_no_campaign_digests_the_source(tmp_path, monkeypatch):
+    """A cold campaign with a cache directory, which slices and stores the
+    analysis, and a cache-less one, which slices afresh, both finish with
+    the normalized AST dump that every digest is taken over raising."""
+
+    def no_digesting(node):
+        raise AssertionError("digested")
+
+    monkeypatch.setattr(repro.analysis.astutil, "normalized_dump", no_digesting)
+    with pytest.raises(AssertionError, match="digested"):
+        source_digests(live_sources(get_system("toy").source_modules))
+
+    config = CSnakeConfig(cache_dir=str(tmp_path), **SMOKE)
+    cold = Pipeline.default(get_system("minihdfs2"), config).run()
+    assert cold.driver.cache.slices == "recomputed"
+    assert cold.get("report").runs_executed > 0
+    cacheless = Pipeline.default(get_system("toy"), CSnakeConfig(**SMOKE)).run()
+    assert cacheless.driver.cache is None
+    assert cacheless.get("report").runs_executed > 0
