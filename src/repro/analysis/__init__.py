@@ -21,8 +21,9 @@ Python source with :mod:`ast`:
 * :mod:`repro.analysis.diff` — digest and report diffing for
   ``repro diff-run``.
 
-Reachability prunes the fault space (see docs/static-analysis.md); no
-result key reads the analysis.
+Reachability checks the sites each system declares dead
+(``tests/unit/test_dead_sites.py``, docs/static-analysis.md); no campaign
+and no result key reads the analysis.
 """
 
 from .astutil import source_digests

@@ -2,10 +2,10 @@
 
 Each code :class:`~repro.instrument.sites.FaultSite` is bound to its
 enclosing function(s), its *roots*; the functions transitively reachable
-(over the call graph) from the workload entry points drive fault-space
-pruning (``repro.instrument.analyzer``): a site whose roots no workload
-can reach is never injected.  Reachability is only trusted when *every*
-entry point resolved.
+(over the call graph) from the workload entry points decide which sites
+no workload can reach, which ``tests/unit/test_dead_sites.py`` requires
+to be exactly the sites declared ``dead`` (the analyzer never injects
+those).  Reachability is only trusted when *every* entry point resolved.
 
 Site → function binding is primary-by-literal: the analyzer finds the
 ``rt.<hook>("site.id", ...)`` string literal in a function body.  Sites
@@ -38,8 +38,7 @@ ENV_KINDS = (SiteKind.ENV_NODE, SiteKind.ENV_LINK)
 @dataclass
 class SliceAnalysis:
     """Result of slicing one system's source: plain data only (function
-    keys, counts), so it round-trips through the experiment cache
-    (``repro.serialize.slices_to_obj``) and pins no parsed module."""
+    keys, counts), so it pins no parsed module."""
 
     system: str
     modules: Tuple[str, ...]
@@ -55,8 +54,8 @@ class SliceAnalysis:
     unresolved_entries: Dict[str, str] = field(default_factory=dict)
     reachable: Set[str] = field(default_factory=set)
     reachability_trusted: bool = False
-    # Wall seconds per phase of the pass that computed this record: empty
-    # on one replayed from the cache, and not part of its identity.
+    # Wall seconds per phase of the pass that computed this record, not
+    # part of its identity.
     timings: Dict[str, float] = field(default_factory=dict, compare=False)
 
     def is_reachable(self, site_id: str) -> bool:

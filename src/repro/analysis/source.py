@@ -4,7 +4,7 @@ The slicer is a pure function of ``{module name: source text}``; the
 providers here produce that mapping from three places:
 
 * :func:`live_sources` — the files backing the currently imported
-  ``repro`` package (what ``repro run`` and the cache use);
+  ``repro`` package (what ``repro analyze`` reads);
 * :class:`TreeSource` — an on-disk checkout (a repo root containing
   ``src/repro/...`` or a bare ``repro/...`` package directory);
 * :class:`GitSource` — a git ref of the current repository, read with

@@ -15,13 +15,7 @@ renamed, a different seed or delay sweep — changes the key and misses
 cleanly.  The agent fleet deduplicates tasks on the same key
 (``repro.service``).  Code outside the keyed files (``repro.analysis``,
 ``repro.pipeline``, ``repro.service``, the CLI) computes no stored
-result.
-
-The code-slice analysis the analyze stage prunes with is itself a pure
-function of the source files, so it is the third kind of entry
-(``slices``), keyed by the bytes of the result key's files and of the
-analyzer: a campaign with a cache directory slices a system's source
-once, not once per campaign.  Knobs listed in
+result.  Knobs listed in
 :data:`repro.config.EXECUTION_ONLY_KNOBS` (backends, worker counts, the
 cache directory itself) are excluded from the key, so a warm cache written
 by a serial campaign serves process- and agent-backed ones.
@@ -31,8 +25,6 @@ Layout (append-only, safe for concurrent writer processes and threads)::
     <cache-dir>/
         <identity>/              # ResultKey.identity: one (system, config, code)
             <pid>-<nonce>.seg    # one segment per writer, made at its first store
-        <slices key>/            # each code-slice analysis: a directory of its own
-            <pid>-<nonce>.seg
 
 A segment is a run of records, each ``<key> <entry>\n`` and written with
 one ``write`` before the store returns.  An entry is one sorted-key JSON
@@ -51,10 +43,8 @@ changed inside valid JSON — is a miss counted as ``corrupt``.  A store
 appends nothing when the index already holds a good record of its key:
 after a fanned-out batch the driver reads what its workers stored, so
 each entry is written once, by the process that computed it.
-Hit/miss/store counters — of ``profile`` and ``experiment`` entries
-only; the one ``slices`` lookup is reported as ``replayed`` or
-``recomputed`` — are kept per :class:`ExperimentCache` instance and
-surfaced by the CLI (stderr), by agents to their manager, and by
+Hit/miss/store counters are kept per :class:`ExperimentCache` instance
+and surfaced by the CLI (stderr), by agents to their manager, and by
 ``benchmarks/campaign_bench``.
 """
 
@@ -63,16 +53,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import threading
 import weakref
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-    TypeVar,
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
 )
 
-from .analysis.slicer import workload_entries
 from .config import CSnakeConfig
 from .core.fca import FcaResult
 from .faults import fault_models_digest
@@ -86,14 +73,9 @@ from .serialize import (
     group_from_obj,
     group_to_obj,
     plan_to_obj,
-    slices_from_obj,
-    slices_to_obj,
 )
 from .systems.base import SystemSpec
 from .types import FaultKey
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from .analysis import SliceAnalysis
 
 _T = TypeVar("_T")
 
@@ -160,6 +142,11 @@ _T = TypeVar("_T")
 #: The ``slices`` codec lost its digests and per-site slices without a
 #: bump: every ``slices`` key covers the bytes of ``repro/analysis``, which
 #: that change edited, so no record of the old codec is ever looked up.
+#:
+#: The ``slices`` entry kind left without a bump, once the analyzer read
+#: declared dead sites in place of a slice analysis: no kept codec
+#: changed, and a ``slices`` record in an older cache directory is never
+#: looked up.
 CACHE_SCHEMA = 9
 
 #: The directory that holds the ``repro`` package: :func:`code_digests`
@@ -429,36 +416,26 @@ class ExperimentCache:
 
     One instance serves one ``(system, config)`` campaign and keys through
     one :class:`ResultKey`.  ``hits``/``misses``/``stores`` count this
-    instance's profile and experiment lookups only; ``slices`` says what
-    became of its one code-slice lookup.
+    instance's lookups and stores.
     """
 
     def __init__(self, root: "os.PathLike[str]", spec: SystemSpec, config: CSnakeConfig) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.spec = spec
         self.system = spec.name
         self.key = ResultKey(spec, config)
-        #: What a stored slice analysis also depends on: the interpreter's
-        #: (major, minor), because the AST the slicer walks is the
-        #: interpreter's own.
-        self.python = sys.version_info[:2]
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Lookups of any kind whose entry failed its checksum (each is
-        #: also a miss, or a recomputed slice analysis).
+        #: Lookups whose entry failed its checksum (each is also a miss).
         self.corrupt = 0
-        #: ``"replayed"`` / ``"recomputed"`` once the analyze stage's slice
-        #: analysis went through this cache; ``None`` when it never did (a
-        #: worker's cache, or a system that declares no source modules).
-        self.slices: Optional[str] = None
         #: The decoded faults, local states and state sets of every entry
         #: this instance replayed, one object per distinct value: a warm
         #: campaign's edges then share their state sets.
         self.interned = InternTable()
-        #: The store's directories this instance has read or written.
-        self._dirs: Dict[str, _Segments] = {}
+        #: This instance's view of its campaign's directory, made at the
+        #: first lookup or store (naming it reads the code digests).
+        self._dir: Optional[_Segments] = None
 
     # ---------------------------------------------------------------- keys
     #
@@ -475,44 +452,22 @@ class ExperimentCache:
         """Key of one (fault, test) injection experiment."""
         return self.key(test_id, fault, plans)
 
-    def slices_key(self) -> str:
-        """Key of the code-slice analysis of this spec's source against its
-        sites and workloads: everything the analysis is a function of —
-        and no campaign config, so every campaign over one system shares
-        the entry."""
-        material = {
-            "schema": CACHE_SCHEMA,
-            "kind": "slices",
-            "system": self.system,
-            # The sliced packages, read once for both keys, and the
-            # analyzer's own files: a smarter call graph must never replay
-            # a stale slice, also not across the two trees of ``repro
-            # diff-run``, which share one cache directory.
-            "code": {**self.key.code, **code_digests(("repro/analysis",))},
-            # The site rows the slicer binds, and the entry points it
-            # closes over.
-            "sites": sorted([s.site_id, s.kind.value, s.function] for s in self.spec.registry),
-            "entries": workload_entries(self.spec),
-            "python": list(self.python),
-        }
-        return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
-
-    def _segments(self, name: str) -> _Segments:
-        """This instance's one view of the store's directory ``name``."""
-        segments = self._dirs.get(name)
-        if segments is None:
-            segments = self._dirs[name] = _Segments(os.path.join(self.root, name))
-        return segments
+    def _segments(self) -> _Segments:
+        """This instance's one view of its campaign's directory of the store."""
+        if self._dir is None:
+            self._dir = _Segments(os.path.join(self.root, self.key.identity))
+        return self._dir
 
     # -------------------------------------------------------------- lookup
 
-    def _load(self, name: str, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
-        """The decoded entry under ``key`` in directory ``name``, or
-        ``None`` when no record of it is a well-formed entry of this kind
-        and schema whose data passes its checksum and decodes: the index
-        first, then what other writers appended since.  A lookup that
-        finds only records failing their checksum counts ``corrupt``."""
-        segments = self._segments(name)
+    def _lookup(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
+        """The decoded entry under ``key``, or ``None`` when no record of it
+        is a well-formed entry of this kind and schema whose data passes
+        its checksum and decodes: the index first, then what other writers
+        appended since.  Counted: a hit once the entry has decoded,
+        everything else a miss, and ``corrupt`` too when only records
+        failing their checksum were found."""
+        segments = self._segments()
         tried, corrupt = 0, False
         with segments.lock:
             for refresh in (False, True):
@@ -525,37 +480,28 @@ class ExperimentCache:
                         corrupt = True
                     elif data is not None:
                         try:
-                            return decode(data)
+                            value = decode(data)
                         except _MALFORMED:
-                            pass
+                            continue
+                        self.hits += 1
+                        return value
                 tried = len(found)
         self.corrupt += corrupt
+        self.misses += 1
         return None
-
-    def _lookup(self, key: str, kind: str, decode: Callable[[Any], _T]) -> Optional[_T]:
-        """:meth:`_load` from this campaign's directory, counted: a hit
-        once the entry has decoded, everything else a miss."""
-        value = self._load(self.key.identity, key, kind, decode)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
 
     def refresh(self) -> None:
         """Read what other writers appended to this campaign's directory
         since this instance last read it — a fanned-out batch's workers
         store what they compute, so the stores that follow append nothing."""
-        segments = self._segments(self.key.identity)
+        segments = self._segments()
         with segments.lock:
             segments.refresh()
 
-    def _store(
-        self, name: str, key: str, kind: str, key_material: Dict[str, Any], data: Any
-    ) -> None:
-        """Append the entry to this writer's segment of directory ``name``,
-        unless a good record of it was read already (see :meth:`refresh`)."""
-        segments = self._segments(name)
+    def _store(self, key: str, kind: str, key_material: Dict[str, Any], data: Any) -> None:
+        """Append the entry to this writer's segment, unless a good record
+        of it was read already (see :meth:`refresh`)."""
+        segments = self._segments()
         with segments.lock:
             if any(_data(e, kind) not in (None, _CORRUPT) for e in segments.index.get(key, ())):
                 return
@@ -578,7 +524,7 @@ class ExperimentCache:
         return self._lookup(key, "profile", lambda data: group_from_obj(data, self.interned))
 
     def store_profile(self, key: str, test_id: str, group: RunGroup) -> None:
-        self._store(self.key.identity, key, "profile", {"test_id": test_id}, group_to_obj(group))
+        self._store(key, "profile", {"test_id": test_id}, group_to_obj(group))
         self.stores += 1
 
     def lookup_experiment(self, key: str) -> Optional[Tuple[FcaResult, int]]:
@@ -592,29 +538,12 @@ class ExperimentCache:
         self, key: str, test_id: str, fault: FaultKey, result: FcaResult, runs: int
     ) -> None:
         self._store(
-            self.key.identity,
             key,
             "experiment",
             {"test_id": test_id, "fault": fault_to_obj(fault)},
             {"result": fca_to_obj(result), "runs": runs},
         )
         self.stores += 1
-
-    def lookup_slices(self, key: str) -> Optional["SliceAnalysis"]:
-        slices = self._load(key, key, "slices", slices_from_obj)
-        if slices is not None:
-            self.slices = "replayed"
-        return slices
-
-    def store_slices(self, key: str, slices: "SliceAnalysis") -> None:
-        self._store(
-            key,
-            key,
-            "slices",
-            {"python": list(self.python)},
-            slices_to_obj(slices),
-        )
-        self.slices = "recomputed"
 
     # ------------------------------------------------------------- queries
 
@@ -630,5 +559,4 @@ class ExperimentCache:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "slices": self.slices,
         }

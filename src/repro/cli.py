@@ -217,12 +217,9 @@ def _print_cache_stats(ctx) -> None:
         return
     stats = cache.stats()
     corrupt = " (%d corrupt)" % stats["corrupt"] if stats["corrupt"] else ""
-    # ``; slices replayed`` / ``; slices recomputed``: whether the analyze
-    # stage's slice analysis came out of the cache or was sliced and stored.
-    slices = "; slices %s" % stats["slices"] if stats["slices"] else ""
     print(
-        "cache: %d hits, %d misses%s, %d stored%s (%s)"
-        % (stats["hits"], stats["misses"], corrupt, stats["stores"], slices, stats["dir"]),
+        "cache: %d hits, %d misses%s, %d stored (%s)"
+        % (stats["hits"], stats["misses"], corrupt, stats["stores"], stats["dir"]),
         file=sys.stderr,
     )
 
@@ -336,7 +333,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spec = get_system(args.system)
     sources = live_sources(spec.source_modules)
     slices = analyze_system(spec, sources) if sources else None
-    result = analyze(spec.registry, _fault_space_kinds(args), slices=slices)
+    result = analyze(spec.registry, _fault_space_kinds(args))
     if args.json:
         obj = {"analysis": analysis_to_obj(result), "slices": None}
         if slices is not None:
@@ -366,7 +363,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 stats["sites_resolved"],
                 stats["sites_env"],
                 stats["sites_unresolved"],
-                "trusted" if stats["reachability_trusted"] else "NOT trusted (no pruning)",
+                "trusted" if stats["reachability_trusted"] else "NOT trusted",
             )
         )
     print(

@@ -40,12 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..analysis import SliceAnalysis
     from ..pipeline.executor import Executor
 
 from ..config import CSnakeConfig
@@ -121,12 +119,6 @@ class ExperimentTask:
 #: Per-process cache of (system name, config) -> driver, so one worker
 #: builds each system spec once and computes each profile group once.
 _WORKER_DRIVERS: Dict[Tuple[str, str], "ExperimentDriver"] = {}
-#: One slice resolve per process at a time.  A manager's campaign threads
-#: run their analyze stages side by side, but ``ast.parse`` is not safe to
-#: run on two threads of every supported interpreter; behind the lock, on a
-#: cold cache the second finds the entry the first stored, and slices
-#: nothing.
-_SLICES_LOCK = threading.Lock()
 
 
 def worker_driver(task: ExperimentTask) -> "ExperimentDriver":
@@ -179,31 +171,6 @@ class ExperimentDriver:
         #: The one identity of this driver's results (cache entries and
         #: worker tasks alike).
         self.key = ResultKey(self.spec, self.config) if self.cache is None else self.cache.key
-
-    def slice_analysis(self) -> Optional["SliceAnalysis"]:
-        """The spec's code-slice analysis, which the analyze stage prunes
-        the fault space with; ``None`` for a system that declares no
-        source modules.  With a cache it is looked up under the digest of
-        the source files, and sliced and stored on a miss — so a system is
-        sliced once per source edit, not once per campaign; without one
-        it is sliced afresh."""
-        # Deferred: importing the driver does not load the analysis
-        # package, and ``analyze_system`` is looked up through it at call
-        # time.
-        from .. import analysis
-
-        spec = self.spec
-        if not spec.source_modules:
-            return None
-        cache = self.cache
-        with _SLICES_LOCK:
-            key = "" if cache is None else cache.slices_key()
-            slices = None if cache is None else cache.lookup_slices(key)
-            if slices is None:
-                slices = analysis.analyze_system(spec, analysis.live_sources(spec.source_modules))
-                if cache is not None:
-                    cache.store_slices(key, slices)
-        return slices
 
     # -------------------------------------------------------------- profiles
 

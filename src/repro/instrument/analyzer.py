@@ -10,12 +10,11 @@ Applies the paper's conservative filtering rules:
 * detectors (§7): boolean functions whose return value depends only on
   final/configuration variables, is constant/unused, or is computed purely
   from primitive utility state are excluded;
-* reachability (code-slice analysis, ``repro.analysis``): sites whose
-  enclosing function is statically unreachable from every workload entry
-  point are excluded — no workload can ever drive execution through them,
-  so budget spent there is wasted.  Only applied when a slice analysis is
-  supplied *and* every entry point resolved (unresolved sites are kept,
-  conservatively).
+* reachability: sites declared ``dead`` (``FaultSite.dead``: no workload
+  entry point reaches their code) are excluded — no workload can ever
+  drive execution through them, so budget spent there is wasted.
+  ``tests/unit/test_dead_sites.py`` checks every declaration against the
+  call graph of ``repro.analysis``.
 
 The output is the fault space ``F`` the 3PA protocol allocates budget over,
 plus the monitor-point inventory for the Table 2 reproduction.  A site may
@@ -26,15 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..config import LOOP_SIZE_PRUNE_FRAC
 from ..faults import CLASSIC_FAULT_KINDS, models_for_site_kind
 from ..types import DELAY, EXCEPTION, NEGATION, FaultKey, SiteKind
 from .sites import FaultSite, SiteRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
-    from ..analysis.slicer import SliceAnalysis
 
 
 @dataclass
@@ -44,7 +40,7 @@ class AnalysisResult:
     system: str
     faults: List[FaultKey] = field(default_factory=list)
     #: site_id -> every reason that excluded it (a site can trip several
-    #: filters, e.g. constant-bound *and* statically unreachable).
+    #: filters, e.g. constant-bound *and* dead).
     excluded: Dict[str, List[str]] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
 
@@ -62,8 +58,7 @@ class StaticAnalyzer:
     inject with (``CSnakeConfig.fault_kinds`` plus
     ``CSnakeConfig.schedules``); sites whose only models are disabled are
     excluded with an explanatory reason, exactly like the paper's static
-    filters.  ``slices`` (a :class:`repro.analysis.SliceAnalysis`)
-    enables the reachability rule.
+    filters.
     """
 
     def __init__(
@@ -71,14 +66,12 @@ class StaticAnalyzer:
         registry: SiteRegistry,
         loop_prune_frac: float = LOOP_SIZE_PRUNE_FRAC,
         fault_kinds: Optional[Sequence[str]] = None,
-        slices: Optional["SliceAnalysis"] = None,
     ) -> None:
         self.registry = registry
         self.loop_prune_frac = loop_prune_frac
         self.fault_kinds = (
             tuple(fault_kinds) if fault_kinds is not None else CLASSIC_FAULT_KINDS
         )
-        self.slices = slices
 
     def _enabled(self, kind_id: str) -> bool:
         return kind_id in self.fault_kinds
@@ -173,29 +166,14 @@ class StaticAnalyzer:
                 continue
             result.faults.extend(keys)
 
-    def _prune_unreachable(self, result: AnalysisResult) -> int:
-        """Reachability rule: drop faults at sites the slice analysis
-        proves unreachable from every workload entry point.  Applies to
-        filter-surviving faults *and* stamps an extra reason on already
-        excluded unreachable sites (multi-reason bookkeeping)."""
-        slices = self.slices
-        if slices is None or not slices.reachability_trusted:
-            return 0
-        reason = "statically unreachable from any workload entry point"
-        kept: List[FaultKey] = []
-        dropped = 0
-        for fault in result.faults:
-            if slices.is_reachable(fault.site_id):
-                kept.append(fault)
-            else:
-                if reason not in result.excluded.get(fault.site_id, []):
-                    result.exclude(fault.site_id, reason)
-                dropped += 1
-        result.faults = kept
-        for site_id in list(result.excluded):
-            if not slices.is_reachable(site_id) and reason not in result.excluded[site_id]:
-                result.exclude(site_id, reason)
-        return dropped
+    def _prune_dead(self, result: AnalysisResult) -> None:
+        """Reachability rule: drop the faults of dead sites, and stamp the
+        same reason on dead sites an earlier filter excluded (multi-reason
+        bookkeeping)."""
+        dead = {site.site_id for site in self.registry if site.dead}
+        result.faults = [fault for fault in result.faults if fault.site_id not in dead]
+        for site_id in sorted(dead):
+            result.exclude(site_id, "statically unreachable from any workload entry point")
 
     # -------------------------------------------------------------- driver
 
@@ -205,23 +183,18 @@ class StaticAnalyzer:
         self._select_loops(result)
         self._select_detectors(result)
         self._select_env(result)
-        n_unreachable = self._prune_unreachable(result)
+        self._prune_dead(result)
         result.faults.sort()
         result.counts = self.registry.counts()
         result.counts["injectable"] = len(result.faults)
         result.counts["excluded"] = len(result.excluded)
-        if self.slices is not None:
-            result.counts["unreachable_pruned"] = n_unreachable
-            result.counts["slices_resolved"] = len(self.slices.site_roots)
-            result.counts["slices_unresolved"] = len(self.slices.unresolved)
         return result
 
 
 def analyze(
     registry: SiteRegistry,
     fault_kinds: Optional[Sequence[str]] = None,
-    slices: Optional["SliceAnalysis"] = None,
 ) -> AnalysisResult:
     """Convenience wrapper: run the static analyzer with default settings
     (``fault_kinds`` defaults to the paper's classic taxonomy)."""
-    return StaticAnalyzer(registry, fault_kinds=fault_kinds, slices=slices).analyze()
+    return StaticAnalyzer(registry, fault_kinds=fault_kinds).analyze()

@@ -15,7 +15,10 @@ class FaultSite:
 
     Environment sites (``ENV_NODE`` / ``ENV_LINK``) name a piece of the
     simulated world instead of a code location; their ``function`` is the
-    synthetic ``"<environment>"``.
+    synthetic ``"<environment>"``.  ``dead`` declares that no workload
+    entry point reaches the site's code: the analyzer drops its faults,
+    and ``tests/unit/test_dead_sites.py`` checks the declaration against
+    the call graph.
     """
 
     site_id: str
@@ -26,6 +29,7 @@ class FaultSite:
     detector: Optional[DetectorMeta] = None
     throw: Optional[ThrowMeta] = None
     env: Optional[EnvMeta] = None
+    dead: bool = False
 
     def __post_init__(self) -> None:
         if self.kind is SiteKind.LOOP and self.loop is None:
@@ -68,9 +72,10 @@ class SiteRegistry:
         constant_bound: bool = False,
         does_io: bool = False,
         body_size: int = 10,
+        dead: bool = False,
     ) -> str:
         meta = LoopMeta(parent=parent, order=order, constant_bound=constant_bound, does_io=does_io, body_size=body_size)
-        return self._add(FaultSite(site_id, SiteKind.LOOP, self.system, function, loop=meta))
+        return self._add(FaultSite(site_id, SiteKind.LOOP, self.system, function, loop=meta, dead=dead))
 
     def throw(self, site_id: str, function: str, exception: str = "IOException", **meta: bool) -> str:
         return self._add(

@@ -34,16 +34,8 @@ class AllocationArtifact:
 def analyze_stage(ctx: PipelineContext) -> None:
     """Stage 1: static analyzer selects the injectable fault space F
     (restricted to the fault kinds and schedules the campaign's config
-    enables, and pruned by code-slice reachability when the system is
-    sliceable)."""
-    ctx.put(
-        "analysis",
-        analyze(
-            ctx.spec.registry,
-            ctx.config.fault_kinds + ctx.config.schedules,
-            slices=ctx.driver.slice_analysis(),
-        ),
-    )
+    enables, less the faults of dead sites)."""
+    ctx.put("analysis", analyze(ctx.spec.registry, ctx.config.fault_kinds + ctx.config.schedules))
 
 
 def profile_stage(ctx: PipelineContext) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .analysis.slicer import SliceAnalysis
     from .core.driver import ExperimentTask
 
 from .core.cycles import Cycle
@@ -314,45 +313,6 @@ def analysis_to_obj(analysis: AnalysisResult) -> Dict[str, Any]:
         "excluded": {k: list(v) for k, v in sorted(analysis.excluded.items())},
         "counts": dict(sorted(analysis.counts.items())),
     }
-
-
-# ------------------------------------------------------ code-slice analysis
-
-
-def slices_to_obj(slices: "SliceAnalysis") -> Dict[str, Any]:
-    """Everything but ``timings``, which describe the pass that computed
-    the record rather than the record (and would make two writers of one
-    cache entry disagree on its bytes)."""
-    return {
-        "system": slices.system,
-        "modules": list(slices.modules),
-        "counts": slices.counts,
-        "site_roots": {site: list(roots) for site, roots in slices.site_roots.items()},
-        "env_sites": list(slices.env_sites),
-        "unresolved": slices.unresolved,
-        "entry_function": slices.entry_function,
-        "unresolved_entries": slices.unresolved_entries,
-        "reachable": sorted(slices.reachable),
-        "reachability_trusted": slices.reachability_trusted,
-    }
-
-
-def slices_from_obj(obj: Dict[str, Any]) -> "SliceAnalysis":
-    # deferred: a cache-less campaign never loads the analysis package
-    from .analysis.slicer import SliceAnalysis
-
-    return SliceAnalysis(
-        system=obj["system"],
-        modules=tuple(obj["modules"]),
-        counts=dict(obj["counts"]),
-        site_roots={site: tuple(roots) for site, roots in obj["site_roots"].items()},
-        env_sites=tuple(obj["env_sites"]),
-        unresolved=dict(obj["unresolved"]),
-        entry_function=dict(obj["entry_function"]),
-        unresolved_entries=dict(obj["unresolved_entries"]),
-        reachable=set(obj["reachable"]),
-        reachability_trusted=bool(obj["reachability_trusted"]),
-    )
 
 
 # ------------------------------------------------------------------ cycles

@@ -36,8 +36,7 @@ RETRY_FIRST_S = 0.1
 RETRY_MAX_S = 2.0
 
 #: The ``stats()`` fields an agent sums over its workers' tasks (``dir`` is
-#: reported as last seen; ``slices`` is not reported, as a worker never
-#: slices).
+#: reported as last seen).
 _COUNTERS = ("hits", "misses", "stores", "corrupt")
 
 

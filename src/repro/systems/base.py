@@ -83,8 +83,8 @@ class SystemSpec:
     #: (``repro.analysis``).  Every result key covers the raw bytes of
     #: every ``.py`` file of their packages, ``build.py`` and ``sites.py``
     #: included, beside the framework's (``repro.cache.code_digests``).
-    #: Empty means "not sliceable": no reachability pruning happens, and
-    #: the key covers the framework only.
+    #: Empty means "not sliceable": ``repro analyze`` reports no slices,
+    #: and the key covers the framework only.
     source_modules: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

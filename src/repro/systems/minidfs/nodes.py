@@ -713,9 +713,10 @@ class DfsNode(Node):
         """Pre-re-replication namespace audit, superseded by rerepl_tick.
 
         Dead code: no workload path or peer RPC calls it anymore, but its
-        instrumented loop (``nn.fsck.scan``) is still in the site registry
-        — the code-slice reachability analysis proves it unreachable from
-        every workload entry point and prunes its faults from the space.
+        instrumented loop (``nn.fsck.scan``) is still in the site registry,
+        declared dead, so its faults leave the space; the code-slice
+        reachability analysis proves it unreachable from every workload
+        entry point (``tests/unit/test_dead_sites.py``).
         """
         checked = 0
         for _ in self.rt.loop("nn.fsck.scan", sorted(self.block_map)):

@@ -48,9 +48,9 @@ def build_registry() -> SiteRegistry:
     reg.lib_call("cli.data.rpc", "DfsClient._write", exception="SocketTimeoutException")
     reg.lib_call("cli.read.rpc", "DfsClient._read", exception="SocketTimeoutException")
 
-    # Dead code: fsck_scan_legacy has no callers, so the code-slice
-    # reachability analysis excludes this site from the fault space.
-    reg.loop("nn.fsck.scan", "DfsNode.fsck_scan_legacy", does_io=True, body_size=12)
+    # Dead code: fsck_scan_legacy has no callers: the site is declared
+    # dead, and its faults leave the fault space.
+    reg.loop("nn.fsck.scan", "DfsNode.fsck_scan_legacy", does_io=True, body_size=12, dead=True)
 
     # Filtered examples (excluded by the static analyzer's §4.1/§7 rules).
     reg.loop("nn.metrics.flush", "DfsNode.update_metrics", constant_bound=True, body_size=3)

@@ -380,11 +380,11 @@ class RaftNode(Node):
 
         Dead code: no workload path or peer RPC calls it anymore, but its
         instrumented loop (``ldr.compact.scan``) is still in the site
-        registry — exactly the situation the code-slice reachability
-        analysis exists for.  The analyzer proves the site unreachable
-        from every workload entry point and prunes its faults from the
-        space instead of spending injection budget on experiments that
-        cannot perturb any run.
+        registry.  The site is declared dead, so the analyzer prunes its
+        faults from the space instead of spending injection budget on
+        experiments that cannot perturb any run; the code-slice
+        reachability analysis proves it unreachable from every workload
+        entry point (``tests/unit/test_dead_sites.py``).
         """
         removed = 0
         for _ in self.rt.loop("ldr.compact.scan", range(max(0, self.snap_index))):

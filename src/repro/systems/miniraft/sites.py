@@ -50,9 +50,11 @@ def build_registry() -> SiteRegistry:
     reg.loop("cli.cmd.submit", "RaftClient.submit_tick", does_io=True, body_size=25)
     reg.lib_call("cli.submit.rpc", "RaftClient.submit_tick", exception="SocketTimeoutException")
 
-    # Dead code: compact_log_legacy has no callers, so the code-slice
-    # reachability analysis excludes this site from the fault space.
-    reg.loop("ldr.compact.scan", "RaftNode.compact_log_legacy", does_io=True, body_size=12)
+    # Dead code: compact_log_legacy has no callers: the site is declared
+    # dead, and its faults leave the fault space.
+    reg.loop(
+        "ldr.compact.scan", "RaftNode.compact_log_legacy", does_io=True, body_size=12, dead=True
+    )
 
     # Filtered examples (excluded by the static analyzer's §4.1/§7 rules).
     reg.loop("ldr.metrics.flush", "RaftNode.update_metrics", constant_bound=True, body_size=3)

@@ -28,7 +28,7 @@ from repro.instrument.analyzer import analyze
 from repro.sim import SimEnv
 from repro.systems import get_system
 
-from tests.helpers import live_slices, trace_to_obj
+from tests.helpers import trace_to_obj
 
 CAMPAIGN_SEED = 7
 
@@ -74,9 +74,7 @@ def system_digests(system: str) -> Dict[str, str]:
         trace, out["profile/%s" % test_id] = _digest(spec, test_id, None, seed)
         reached[test_id] = trace.reached
 
-    space = analyze(
-        spec.registry, config.fault_kinds + config.schedules, slices=live_slices(spec)
-    )
+    space = analyze(spec.registry, config.fault_kinds + config.schedules)
     by_kind: Dict[str, list] = {}
     for fault in space.faults:
         by_kind.setdefault(fault.kind, []).append(fault)

@@ -89,8 +89,7 @@ def _entries(cache_dir):
     out = {}
     for record in records(cache_dir):
         entry = json.loads(record.entry)
-        if entry["kind"] != "slices":
-            out[record.key] = (entry["kind"], entry["data"])
+        out[record.key] = (entry["kind"], entry["data"])
     return out
 
 

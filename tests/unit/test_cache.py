@@ -19,7 +19,7 @@ from repro.instrument.trace import RunGroup, RunTrace
 from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.types import DELAY, FaultKey
-from tests.helpers import edited_source, live_slices, rewrite_record, run_trace, stored
+from tests.helpers import edited_source, rewrite_record, run_trace, stored
 
 SMOKE = dict(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2)
 
@@ -50,13 +50,12 @@ def test_cold_campaign_fills_warm_campaign_replays(tmp_path, monkeypatch):
     assert stats["hits"] == 0
     assert stats["misses"] > 0
     assert stats["stores"] == stats["misses"]
-    # One entry per counted store, plus the uncounted ``slices`` entry.
-    assert len(cold.driver.cache) == stats["stores"] + 1
-    assert stats["slices"] == "recomputed"
+    # One entry per store.
+    assert len(cold.driver.cache) == stats["stores"]
 
     # The warm campaign must never simulate, and never parse the target's
-    # source: every profile group, every experiment and the code-slice
-    # analysis come out of the store.
+    # source: every profile group and every experiment come out of the
+    # store, and the analyze stage reads declared sites only.
     import ast
 
     import repro.core.driver as driver_mod
@@ -65,14 +64,13 @@ def test_cold_campaign_fills_warm_campaign_replays(tmp_path, monkeypatch):
         raise AssertionError("simulated a run despite a fully warm cache")
 
     def _no_parse(*_a, **_k):  # pragma: no cover - failure path
-        raise AssertionError("parsed source despite a stored slice analysis")
+        raise AssertionError("parsed source in a campaign")
 
     monkeypatch.setattr(driver_mod, "run_workload", _boom)
     with monkeypatch.context() as patch:
         patch.setattr(ast, "parse", _no_parse)
         warm = _campaign(root)
     warm_stats = warm.driver.cache.stats()
-    assert warm_stats["slices"] == "replayed"
     assert warm_stats["hits"] == stats["stores"]
     assert warm_stats["misses"] == 0
     assert warm_stats["stores"] == 0
@@ -210,41 +208,34 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
     rewrite_record(tmp_path, key, json.dumps(payload))
     assert ExperimentCache(tmp_path, spec, config).lookup_profile(key) is None
 
-    # Every way of being malformed, for all three kinds, with exact counters.
+    # Every way of being malformed, for both kinds, with exact counters.
     from repro.core.fca import FcaResult
 
     root = tmp_path / "kinds"
-    slices = live_slices(spec)
     probe = ExperimentCache(root, spec, config)
     keys = {
         "profile": probe.profile_key("t"),
         "experiment": probe.experiment_key("t", FAULT, PLANS),
-        "slices": probe.slices_key(),
     }
     store = {
         "profile": lambda c: c.store_profile(keys["profile"], "t", group),
         "experiment": lambda c: c.store_experiment(
             keys["experiment"], "t", FAULT, FcaResult(fault=FAULT, test_id="t"), runs=2
         ),
-        "slices": lambda c: c.store_slices(keys["slices"], slices),
     }
     lookup = {
         "profile": lambda c: c.lookup_profile(keys["profile"]),
         "experiment": lambda c: c.lookup_experiment(keys["experiment"]),
-        "slices": lambda c: c.lookup_slices(keys["slices"]),
     }
     stores = 0
-    for kind in ("profile", "experiment", "slices"):
+    for kind in ("profile", "experiment"):
         store[kind](ExperimentCache(root, spec, config))
         (valid,) = stored(root)[keys[kind]]
         for what, text in _malformed(valid.decode()).items():
             rewrite_record(root, keys[kind], text)
             reader = ExperimentCache(root, spec, config)
             assert lookup[kind](reader) is None, (kind, what)
-            # The slices lookup is reported on its own and never counted.
-            missed = 0 if kind == "slices" else 1
-            assert (reader.hits, reader.misses, reader.stores) == (0, missed, 0), (kind, what)
-            assert reader.slices is None
+            assert (reader.hits, reader.misses, reader.stores) == (0, 1, 0), (kind, what)
         # The recompute appends the good record beside the bad one, and
         # the entry reads again, without counting the bad one.
         store[kind](reader)
@@ -252,10 +243,8 @@ def test_corrupt_and_mismatched_entries_read_as_misses(tmp_path):
         assert sorted(stored(root)[keys[kind]]) == sorted([text.encode(), valid])
         again = ExperimentCache(root, spec, config)
         assert lookup[kind](again) is not None
-        hit = 0 if kind == "slices" else 1
-        assert (again.hits, again.misses, again.corrupt) == (hit, 0, 0)
-        assert again.slices == ("replayed" if kind == "slices" else None)
-    assert stores == 2  # profile and experiment; never slices
+        assert (again.hits, again.misses, again.corrupt) == (1, 0, 0)
+    assert stores == 2
 
 
 @pytest.mark.contract

@@ -186,7 +186,7 @@ def test_run_again_over_one_cache_dir_prints_the_same_report(tmp_path, capsys):
     again = capsys.readouterr()
     assert rc_again == rc_first
     assert again.out == first.out
-    assert " 0 misses, 0 stored; slices replayed" in again.err
+    assert " 0 misses, 0 stored (" in again.err
 
 
 def test_run_parallel_matches_serial(tmp_path, capsys):
@@ -229,7 +229,7 @@ def test_analyze_command_text(capsys):
     assert main(["analyze", "miniraft"]) == 0
     out = capsys.readouterr().out
     assert "slices:" in out and "fault space:" in out
-    # the dead demo site is excluded by the reachability analysis
+    # the demo site declared dead is excluded
     assert "statically unreachable from any workload entry point" in out
     # registry entries whose code does not exist stay unresolved (unpruned)
     assert "unresolved raft.sec.cert_check" in out

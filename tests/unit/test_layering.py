@@ -12,7 +12,8 @@ Four rules, checked on the AST of every module under ``src/repro``:
   dependency), and ``test_a_campaign_loads_no_scipy_module`` checks the
   same thing on a live process — and no ``import tests`` either: the
   oracles (``tests/reference_*.py``) live with the tests, never the
-  other way round;
+  other way round; the same live process loads no ``repro.analysis``
+  module (``test_a_campaign_loads_no_analysis_module``);
 * every function, class and method defined under ``src/repro`` is named
   somewhere besides its own ``def`` — in ``src``, ``tests``,
   ``benchmarks`` or ``examples`` — except dunders and the callbacks a
@@ -20,6 +21,8 @@ Four rules, checked on the AST of every module under ``src/repro``:
 """
 
 import ast
+import functools
+import json
 import re
 import subprocess
 import sys
@@ -171,20 +174,32 @@ def test_the_guard_sees_an_unreferenced_definition():
     ], found
 
 
-def test_a_campaign_loads_no_scipy_module():
-    """A whole campaign through ``repro.cli`` — analysis, profiling, FCA's
-    Welch tests, 3PA clustering, beam search, report — in a fresh
-    interpreter, then the loaded-module table is read."""
+@functools.lru_cache(maxsize=None)
+def _campaign_modules():
+    """The loaded-module table after a whole campaign through ``repro.cli``
+    — analysis, profiling, FCA's Welch tests, 3PA clustering, beam search,
+    report — in a fresh interpreter."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "sys.path.insert(0, %r)\n"
         "from repro.cli import main\n"
         "code = main(['run', 'toy', '--repeats', '2', '--delays', '2000', '--budget', '2'])\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print('exit', code, 'scipy modules', loaded, file=sys.stderr)\n"
-        "sys.exit(1 if code or loaded else 0)\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
     ) % str(SRC.parent)
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def test_a_campaign_loads_no_scipy_module():
+    assert [m for m in _campaign_modules() if m.split(".")[0] == "scipy"] == []
+
+
+def test_a_campaign_loads_no_analysis_module():
+    """The analyze stage reads declared sites only (``FaultSite.dead``), so
+    a campaign never slices, also of a system that declares source
+    modules, as toy does."""
+    assert [m for m in _campaign_modules() if m.startswith("repro.analysis")] == []

@@ -9,7 +9,6 @@ from repro.pipeline import Pipeline
 from repro.systems import get_system
 from repro.systems.minidfs.nodes import DfsConfig
 from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
-from tests.helpers import live_slices
 
 #: Reduced configuration used by every campaign-shaped test here: the
 #: same knobs the designated-experiment probes and CI smoke use.
@@ -47,12 +46,12 @@ def test_registry_and_ground_truth(spec):
 
 
 def test_fault_space_excludes_filtered_sites(spec):
-    result = analyze(spec.registry, slices=live_slices(spec))
+    result = analyze(spec.registry)
     selected = {f.site_id for f in result.faults}
     assert "nn.metrics.flush" not in selected  # constant bound
     assert "dn.conf.is_cached" not in selected  # final-only detector
     assert "dfs.sec.acl_check" not in selected  # security-related
-    assert "nn.fsck.scan" not in selected  # dead code: no reachable caller
+    assert "nn.fsck.scan" not in selected  # declared dead: no reachable caller
     assert "dn.ibr.build" not in selected  # bottom-decile non-IO loop body
     assert "nn.report.blocks" in selected
     assert "dn.master.is_down" in selected

@@ -182,6 +182,23 @@ class TestRpc:
         # The work still happened on the callee (overload semantics).
         assert b.busy_until == pytest.approx(202.0)
 
+    def test_rpc_without_a_timeout_uses_the_config_timeout(self):
+        """``SimConfig.rpc_timeout_ms`` is the timeout of every call that
+        passes no ``timeout_ms``, as minidfs's client RPCs do."""
+        env = make_env(rpc_timeout_ms=80.0)
+        a, b = Node(env, "a"), Node(env, "b")
+        out = {}
+
+        def caller():
+            try:
+                env.rpc(b, lambda: env.spin(100.0))
+            except RpcTimeout:
+                out["t"] = env.now
+
+        env.schedule_at(1.0, a, caller)
+        env.run(1000.0)
+        assert out["t"] == pytest.approx(81.0)  # call time + the config's timeout
+
     def test_rpc_propagates_callee_fault(self):
         from repro.errors import IOEx
 

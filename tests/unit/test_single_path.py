@@ -37,8 +37,8 @@ PAIRS = [
 
 
 def _entries(root):
-    """Key -> record bytes of every cache entry under ``root`` (profile,
-    experiment and the one ``slices`` entry alike), each written once."""
+    """Key -> record bytes of every cache entry under ``root`` (profile
+    and experiment alike), each written once."""
     entries = stored(root)
     assert all(len(found) == 1 for found in entries.values()), "an entry written twice"
     return {key: found[0] for key, found in entries.items()}
@@ -94,10 +94,7 @@ def test_parent_counters_entries_and_digest_equal_across_backends(
     reference, reference_entries = serial_reference
     assert runs == reference
     assert entries == reference_entries  # same keys, same bytes
-    # The counters are of profile and experiment entries; whichever
-    # process sliced first also wrote the one ``slices`` entry.
-    assert stored_kinds(tmp_path / "cache").count("slices") == 1
-    counted = len(entries) - 1
+    counted = len(entries)
     cold, warm = runs["cold"][0], runs["warm"][0]
     assert cold["hits"] == 0 and cold["stores"] == cold["misses"] == counted
     assert warm == {"hits": counted, "misses": 0, "stores": 0}
@@ -109,7 +106,7 @@ def test_a_process_campaign_writes_each_entry_once(tmp_path):
     store of each finds the worker's record on disk and appends nothing,
     yet counts it, as a serial campaign does.  Each append, in whichever
     process, is one record, so the records count the writes: one per
-    entry (the parent alone used to write all 58 of this campaign again)."""
+    entry (the parent alone used to write all 57 of this campaign again)."""
     root = tmp_path / "cache"
     config = CSnakeConfig(seed=7, repeats=2, budget_per_fault=2, cache_dir=str(root))
     try:
@@ -118,9 +115,8 @@ def test_a_process_campaign_writes_each_entry_once(tmp_path):
     except (ImportError, OSError, PermissionError) as exc:
         pytest.skip("process backend unavailable: %s" % exc)
     on_disk = list(records(root))
-    assert len(on_disk) == len({record.key for record in on_disk}) == 58
-    # The slices entry is the one store the counters leave out.
-    assert ctx.driver.cache.stats()["stores"] == len(on_disk) - 1
+    assert len(on_disk) == len({record.key for record in on_disk}) == 57
+    assert ctx.driver.cache.stats()["stores"] == len(on_disk)
     parent = "%d-" % os.getpid()
     by_workers = [r for r in on_disk if not os.path.basename(r.segment).startswith(parent)]
     assert len(by_workers) > len(on_disk) // 2
@@ -161,11 +157,7 @@ def test_run_experiment_is_a_batch_of_one(tmp_path):
     fault, test_id = PAIRS[0]
 
     def drive(root, call):
-        # A spec of its own per driver: the first driver to see a spec
-        # attaches the slice analysis to it and writes the ``slices``
-        # entry, which a second driver on the same spec would not repeat.
-        spec = get_system("toy")
-        driver = ExperimentDriver(spec, CSnakeConfig(cache_dir=str(root), **SMOKE))
+        driver = ExperimentDriver(get_system("toy"), CSnakeConfig(cache_dir=str(root), **SMOKE))
         call(driver)
         return (
             [edge_to_obj(e) for e in driver.edges.all_edges()],
@@ -229,7 +221,6 @@ def test_agent_and_process_worker_execute_through_one_entry_point(tmp_path):
     assert envelope == task_result_to_obj(worker_result)
     assert envelope["kind"] == "experiment"
     assert _entries(tmp_path / "agent") == _entries(tmp_path / "worker")
-    # A worker keys on file bytes and never slices: no ``slices`` entry.
     assert stored_kinds(tmp_path / "agent") == stored_kinds(tmp_path / "worker")
     assert stored_kinds(tmp_path / "agent") == ["experiment", "profile"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 2)

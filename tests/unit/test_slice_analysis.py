@@ -442,7 +442,7 @@ def test_minihdfs_slices_resolve_and_keys_follow_the_file_bytes(
 ):
     """With ``source_modules`` declared, every analyzer-selected fault
     site and every workload entry point of the MiniHDFS specs resolves,
-    so reachability prunes; the only unresolved sites are ones the static
+    so reachability is trusted; the only unresolved sites are ones the static
     analyzer filters out of the fault space anyway (metrics, test-only,
     reflection).  Their cache entries key on the bytes of the declared
     packages: other bytes of ``sites.py``, which no declared module is,
@@ -457,7 +457,7 @@ def test_minihdfs_slices_resolve_and_keys_follow_the_file_bytes(
     spec = get_system(name)
     assert spec.source_modules, "source_modules undeclared"
     slices = live_slices(spec)
-    selected = {f.site_id for f in analyze(spec.registry, slices=slices).faults}
+    selected = {f.site_id for f in analyze(spec.registry).faults}
     assert selected - set(slices.site_roots) == set()
     assert set(spec.workload_ids()) - set(slices.entry_function) == set()
     assert not (selected & set(slices.unresolved))
