@@ -14,7 +14,6 @@ class the detector is built for.
     python examples/aws_motivating_example.py
 """
 
-from repro.config import SimConfig
 from repro.sim import Node, SimEnv
 
 N_HOSTS = 6
@@ -88,7 +87,7 @@ class Host(Node):
 
 
 def main() -> None:
-    env = SimEnv(SimConfig(run_duration_ms=120_000.0), seed=42)
+    env = SimEnv(seed=42)
     manager = CellManager(env)
     hosts = [Host(env, manager, i) for i in range(N_HOSTS)]
 
@@ -102,7 +101,7 @@ def main() -> None:
 
     print("Simulating the Figure 1 cascade (%d hosts, %d shards each):"
           % (N_HOSTS, SHARDS_PER_HOST))
-    env.run()
+    env.run(120_000.0)
 
     print("\nfinal state:")
     for host in hosts:

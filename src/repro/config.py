@@ -305,8 +305,6 @@ class SimConfig:
     rpc_timeout_ms: float = 10_000.0
     network_latency_ms: float = 2.0
     network_jitter_ms: float = 1.0
-    #: Virtual-time horizon of one workload run.
-    run_duration_ms: float = 120_000.0
 
     def __post_init__(self) -> None:
         if self.rpc_timeout_ms <= 0:

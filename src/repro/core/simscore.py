@@ -38,9 +38,9 @@ def cluster_sim_scores(
     return {cid: sim_score(vecs) for cid, vecs in grouped.items()}
 
 
-def allocation_weight(score: float, epsilon: float = EPSILON_WEIGHT) -> float:
+def allocation_weight(score: float) -> float:
     """Phase-three budget weight for a cluster (§A.4)."""
-    return max(epsilon, 1.0 - score)
+    return max(EPSILON_WEIGHT, 1.0 - score)
 
 
 def fault_sim_scores(

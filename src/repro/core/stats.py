@@ -116,12 +116,3 @@ def one_sided_t_pvalue(treatment: Sequence[float], control: Sequence[float]) -> 
     """:func:`one_sided_t_pvalues` for one pair of samples (which, alone,
     may differ in length)."""
     return one_sided_t_pvalues([treatment], [control])[0]
-
-
-def significant_increase(
-    treatment: Sequence[float], control: Sequence[float], p_value: float = 0.1
-) -> bool:
-    """True if treatment counts statistically exceed control counts."""
-    if not treatment:
-        return False
-    return one_sided_t_pvalue(treatment, control) < p_value

@@ -64,11 +64,9 @@ class StaticAnalyzer:
     def __init__(
         self,
         registry: SiteRegistry,
-        loop_prune_frac: float = LOOP_SIZE_PRUNE_FRAC,
         fault_kinds: Optional[Sequence[str]] = None,
     ) -> None:
         self.registry = registry
-        self.loop_prune_frac = loop_prune_frac
         self.fault_kinds = (
             tuple(fault_kinds) if fault_kinds is not None else CLASSIC_FAULT_KINDS
         )
@@ -117,7 +115,7 @@ class StaticAnalyzer:
         # Rank by reachable-code size; prune the bottom fraction unless the
         # loop performs I/O.
         ranked = sorted(candidates, key=lambda s: (s.loop.body_size, s.site_id))
-        n_prune = math.floor(len(ranked) * self.loop_prune_frac)
+        n_prune = math.floor(len(ranked) * LOOP_SIZE_PRUNE_FRAC)
         pruned_ids = set()
         for site in ranked[:n_prune]:
             if not site.loop.does_io:
@@ -125,7 +123,7 @@ class StaticAnalyzer:
                 result.exclude(
                     site.site_id,
                     "short loop without I/O (bottom %d%% by size)"
-                    % int(self.loop_prune_frac * 100),
+                    % int(LOOP_SIZE_PRUNE_FRAC * 100),
                 )
         for site in candidates:
             if site.site_id not in pruned_ids:

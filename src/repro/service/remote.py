@@ -36,20 +36,18 @@ class RemoteExecutor(Executor):
     clock, so slow-but-alive fleets are never killed mid-batch.
     """
 
+    #: The fleet's size is its agents', not the executor's. The driver
+    #: reads only whether this exceeds 1, so every batch of two or more
+    #: misses goes to the fleet.
+    max_workers = 2
+
     def __init__(
         self,
         transport: Any,
-        max_workers: int = 8,
         campaign: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> None:
-        if max_workers < 2:
-            # The driver skips fan-out entirely at max_workers <= 1; a
-            # remote backend that silently runs serially would be a
-            # misconfiguration, not an optimization.
-            raise ReproError("RemoteExecutor needs max_workers >= 2")
         self.transport = transport
-        self.max_workers = max_workers
         self.campaign = campaign
         self.timeout_s = timeout_s
 

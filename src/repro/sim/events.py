@@ -109,9 +109,9 @@ class SimEnv:
 
     # -------------------------------------------------------------- execution
 
-    def run(self, until_ms: Optional[float] = None) -> None:
-        """Process events in time order until the heap drains or ``until_ms``."""
-        horizon = until_ms if until_ms is not None else self.cfg.run_duration_ms
+    def run(self, until_ms: float) -> None:
+        """Process events in time order until the heap drains or ``until_ms``
+        (a workload's horizon is its ``WorkloadSpec.duration_ms``)."""
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -128,7 +128,7 @@ class SimEnv:
                 time, seq, node, fn, args, period = entry
                 if dropped and seq < dropped.get(node, 0):
                     continue
-                if time > horizon:
+                if time > until_ms:
                     # Leave it for a later run() call with a larger horizon.
                     heappush(heap, entry)
                     break
@@ -169,8 +169,8 @@ class SimEnv:
                     if node is not None:
                         end = self.now
                         node.busy_until = end if end > busy else busy
-            if not heap and horizon > loop_time:
-                loop_time = horizon
+            if not heap and until_ms > loop_time:
+                loop_time = until_ms
         finally:
             self.now = loop_time
 

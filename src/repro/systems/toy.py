@@ -46,9 +46,6 @@ def build_registry() -> SiteRegistry:
     return reg
 
 
-REGISTRY = build_registry()
-
-
 class ToyServer(Node):
     """Server with a request queue, periodic batch processing, and a
     worker-staleness monitor that re-replicates lost workers' data."""
@@ -289,7 +286,7 @@ ENV_PORT = EnvFaultPort(
 
 def build_system() -> SystemSpec:
     spec = SystemSpec(
-        name=SYSTEM, registry=REGISTRY, env_port=ENV_PORT,
+        name=SYSTEM, registry=build_registry(), env_port=ENV_PORT,
         source_modules=("repro.systems.toy",),
     )
     spec.add_workload(WorkloadSpec("toy.big_batches", _wl_big_batches.__doc__ or "", _wl_big_batches))

@@ -17,7 +17,11 @@ keeps every call edge, slice and reachability verdict.  The minihdfs2
 and minihdfs3 rows were re-recorded when ``DataNode.reconstruction_tick``
 took a stable ``zlib.crc32`` stripe index in place of ``hash``: their
 payloads moved only in ``calls_seen`` (416 to 417, the added
-``bid.encode()``).
+``bid.encode()``).  The toy row was re-recorded when ``build_system``
+began to call ``build_registry()`` per spec instead of reading a
+module-level registry built at import: its payload moved only by that
+one call (``calls_seen`` 86 to 87, ``calls_resolved`` 17 to 18, and the
+edge ``build_system -> build_registry``).
 
 It is the ``slices`` entry of ``tests/golden.py``: one row per system.
 """

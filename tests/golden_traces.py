@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro import faults
 from repro.config import CSnakeConfig
@@ -39,7 +39,7 @@ def events_processed_log() -> Iterator[List[int]]:
     log: List[int] = []
     original = SimEnv.run
 
-    def run(env: SimEnv, until_ms: Optional[float] = None) -> None:
+    def run(env: SimEnv, until_ms: float) -> None:
         original(env, until_ms)
         log.append(env.events_processed)
 

@@ -129,9 +129,13 @@ def test_sibling_and_child_loop_queries():
     assert reg.siblings_after("s.parent") == []
 
 
-def test_prune_fraction_configurable():
+def test_prune_fraction_configurable(monkeypatch):
     reg = SiteRegistry("s")
     for i in range(10):
         reg.loop("s.loop%02d" % i, "F.f%d" % i, body_size=i + 1)
-    result = StaticAnalyzer(reg, loop_prune_frac=0.5).analyze()
+    # LOOP_SIZE_PRUNE_FRAC (10 %) prunes the one shortest of ten loops.
+    assert len(StaticAnalyzer(reg).analyze().fault_sites()) == 9
+    monkeypatch.setattr("repro.instrument.analyzer.LOOP_SIZE_PRUNE_FRAC", 0.5)
+    result = StaticAnalyzer(reg).analyze()
     assert len(result.fault_sites()) == 5
+    assert "bottom 50% by size" in result.excluded["s.loop00"][0]

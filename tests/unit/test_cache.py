@@ -134,14 +134,9 @@ def test_spec_structure_invalidates(tmp_path):
     base = ExperimentCache(tmp_path, spec, config)
     assert base.experiment_key("t", FAULT, PLANS) == same.experiment_key("t", FAULT, PLANS)
 
-    # Build an independent registry (the bundled toy spec shares one
-    # module-level registry instance) and grow it by one site.
-    from repro.systems.base import SystemSpec
-    from repro.systems.toy import build_registry
-
-    grown_registry = build_registry()
-    grown_registry.loop("toy.new.loop", "ToyServer.new_method")
-    grown_spec = SystemSpec(name="toy", registry=grown_registry, workloads=spec.workloads)
+    # Each spec builds its own registry: grow a fresh one by one site.
+    grown_spec = get_system("toy")
+    grown_spec.registry.loop("toy.new.loop", "ToyServer.new_method")
     grown = ExperimentCache(tmp_path, grown_spec, config)
     assert grown.experiment_key("t", FAULT, PLANS) != base.experiment_key("t", FAULT, PLANS)
 

@@ -281,11 +281,6 @@ def test_remote_executor_rejects_adhoc_callables():
         executor.map(len, [[1], [2]])
 
 
-def test_remote_executor_needs_real_fanout():
-    with pytest.raises(ReproError):
-        RemoteExecutor(ManagerCore(), max_workers=1)
-
-
 def test_remote_executor_propagates_task_errors():
     import threading
 

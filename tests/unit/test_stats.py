@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.stats import one_sided_t_pvalue, significant_increase
+from repro.core.stats import one_sided_t_pvalue
 
 
 def test_clear_increase_is_significant():
@@ -39,18 +39,6 @@ def test_too_few_samples_no_evidence():
 def test_one_side_constant_still_works():
     p = one_sided_t_pvalue([10, 10, 10, 10, 10], [5, 6, 5, 6, 5])
     assert p < 0.05
-
-
-def test_significant_increase_uses_threshold():
-    treatment = [12, 13, 12, 14, 12]
-    control = [10, 11, 10, 11, 10]
-    p = one_sided_t_pvalue(treatment, control)
-    assert significant_increase(treatment, control, p_value=max(p * 1.5, 1e-9) if p else 0.1)
-    assert not significant_increase(treatment, control, p_value=p * 0.5)
-
-
-def test_significant_increase_empty_treatment_false():
-    assert not significant_increase([], [1, 2, 3])
 
 
 def test_noisy_equal_means_not_significant():

@@ -1,11 +1,15 @@
 """Unit tests over every mini-system: registries, workloads, ground truth."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.driver import seed_for, run_workload
 from repro.instrument.analyzer import analyze
 from repro.systems import available_systems, evaluation_systems, get_system
 from repro.types import SiteKind
+from tests.golden import recorded
+from tests.golden_fault_spaces import fault_space_row, flavours
 
 ALL_SYSTEMS = available_systems()
 
@@ -30,6 +34,20 @@ def test_registry_lists_eight_systems():
 def test_unknown_system_raises():
     with pytest.raises(KeyError):
         get_system("hadoop")
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_each_spec_builds_its_own_registry(name):
+    assert get_system(name).registry is not get_system(name).registry
+
+
+def test_a_changed_toy_registry_leaves_the_next_spec_alone():
+    registry = get_system("toy").registry
+    site = registry.get("toy.server.process_batch")
+    registry._sites[site.site_id] = dataclasses.replace(site, dead=True)
+    assert get_system("toy").registry.get(site.site_id).dead is False
+    for flavour in flavours():
+        assert fault_space_row("toy", flavour) == recorded("fault_spaces")["toy"][flavour]
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
