@@ -7,11 +7,11 @@ no workload can reach, which ``tests/unit/test_dead_sites.py`` requires
 to be exactly the sites declared ``dead`` (the analyzer never injects
 those).  Reachability is only trusted when *every* entry point resolved.
 
-Site → function binding is primary-by-literal: the analyzer finds the
-``rt.<hook>("site.id", ...)`` string literal in a function body.  Sites
-whose literal never appears (registry entries declared for code that
-does not exist) fall back to the declared ``FaultSite.function``
-qualname; if that also fails they are *unresolved* and never pruned.
+A site is bound to a function by its literal alone: the analyzer finds
+the ``rt.<hook>("site.id", ...)`` string literal in a function body.  A
+site whose literal never appears (declared for code that does not exist,
+or whose hook computes its id at run time) is *unresolved* and never
+pruned.
 
 The analysis holds no digest: ``repro diff-run`` and ``repro analyze``
 take the normalized digests from :func:`repro.analysis.source_digests`,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Set, Tuple
 
 from ..types import SiteKind
 from .astutil import ModuleInfo, collect_module
@@ -87,20 +87,13 @@ class SliceAnalysis:
 def _find_site_functions(
     sites: Sequence["FaultSite"], graph: CallGraph
 ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, str]]:
-    """Bind each code site to its enclosing function key(s).
-
-    Primary: the ``rt.*("site.id", ...)`` literal scan — a literal that
-    appears in several functions yields a multi-root site.
-    Secondary: the registry-declared qualname, if it names exactly one
-    parsed function.
-    """
+    """Bind each code site to the function key(s) whose body holds its
+    ``rt.*("site.id", ...)`` literal — a literal that appears in several
+    functions yields a multi-root site."""
     by_literal: Dict[str, Set[str]] = {}
     for key, fn in graph.functions.items():
         for site_id in fn.site_literals:
             by_literal.setdefault(site_id, set()).add(key)
-    by_qualname: Dict[str, List[str]] = {}
-    for key, fn in graph.functions.items():
-        by_qualname.setdefault(fn.qualname, []).append(key)
 
     resolved: Dict[str, Tuple[str, ...]] = {}
     unresolved: Dict[str, str] = {}
@@ -108,15 +101,8 @@ def _find_site_functions(
         hits = tuple(sorted(by_literal.get(site.site_id, ())))
         if hits:
             resolved[site.site_id] = hits
-            continue
-        decl = sorted(by_qualname.get(site.function, []))
-        if len(decl) == 1:
-            resolved[site.site_id] = (decl[0],)
         else:
-            unresolved[site.site_id] = (
-                "site literal not found and declared function %r %s"
-                % (site.function, "is ambiguous" if decl else "not in source")
-            )
+            unresolved[site.site_id] = "site literal not found"
     return resolved, unresolved
 
 

@@ -168,23 +168,10 @@ def _execution_overrides(args: argparse.Namespace) -> dict:
         # A parallel backend without an explicit worker count means
         # "use the machine": one worker per core.
         overrides.setdefault("experiment_workers", os.cpu_count() or 1)
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None:
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir:
         overrides["cache_dir"] = cache_dir
     return overrides
-
-
-def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """Resolve the --cache/--cache-dir flags to a directory.
-
-    ``--cache-dir DIR`` selects DIR; bare ``--cache`` uses ``.repro-cache``.
-    """
-    explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return explicit
-    if getattr(args, "cache", False):
-        return ".repro-cache"
-    return None
 
 
 def _print_report(report: DetectionReport, args: argparse.Namespace) -> None:
@@ -458,7 +445,7 @@ def cmd_diff_run(args: argparse.Namespace) -> int:
     if not args.static_only:
         with tempfile.TemporaryDirectory(prefix="repro-diffrun-") as tmp:
             workdir = Path(tmp)
-            cache_dir = _cache_dir(args) or str(workdir / "cache")
+            cache_dir = args.cache_dir or str(workdir / "cache")
             old_root = _diffrun_side_root(old_provider, workdir, "old")
             new_root = _diffrun_side_root(new_provider, workdir, "new")
             old_report = _diffrun_campaign(old_root, args, cache_dir)
@@ -696,18 +683,10 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser, bare: bool = True) -> None:
-    """Experiment-cache selection shared by experiment subcommands.
-
-    ``bare=False`` omits the ``--cache`` shorthand: diff-run shares a
-    temporary store between its two campaigns unless ``--cache-dir`` names
-    another.
-    """
-    if bare:
-        parser.add_argument(
-            "--cache", action="store_true",
-            help="enable the content-addressed experiment cache under .repro-cache",
-        )
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    """Experiment-cache selection shared by experiment subcommands
+    (diff-run shares a temporary store between its two campaigns unless
+    ``--cache-dir`` names another)."""
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="enable the experiment cache rooted at DIR",
@@ -788,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after the function diff (no campaigns)",
     )
     _add_flags(diff_run, _BACKEND_FLAGS + _EXPERIMENT_FLAGS)
-    _add_cache_flags(diff_run, bare=False)
+    _add_cache_flags(diff_run)
     _add_output_flags(diff_run)
 
     inject = sub.add_parser("inject", help="run one fault injection experiment")

@@ -38,7 +38,7 @@ from ..types import DELAY, EXCEPTION, NEGATION, SiteKind
 from .base import INJECTION_WARMUP_MS, EnvFaultPort, FaultModel
 from .classic import DelayFault, ExceptionFault, NegationFault
 from .environment import ENV_STATE, MsgDropFault, NodeCrashFault, PartitionFault
-from .schedule import FaultSchedule, ScheduleFaultModel, TimedFault, overlap, seq, stagger, timed
+from .schedule import FaultSchedule, ScheduleFaultModel, TimedFault, stagger, timed
 
 #: Registered models by kind id, in registration order.
 _MODELS: Dict[str, FaultModel] = {}
@@ -141,27 +141,25 @@ register(NegationFault())
 register(NodeCrashFault())
 register(PartitionFault())
 register(MsgDropFault())
+# A rolling crash/restart wave across every cluster node, anchor node first.
 register(
     ScheduleFaultModel(
         FaultSchedule(
             name="membership_churn",
             char="M",
-            description="rolling crash/restart wave across every cluster node, "
-            "anchor node first",
             events=stagger(
                 timed("node_crash", site="nodes", restart_ms=10_000.0), step_ms=15_000.0
             ),
         )
     )
 )
+# Crash/restart the anchor node and cut its first link while it recovers.
 register(
     ScheduleFaultModel(
         FaultSchedule(
             name="partition_during_restart",
             char="R",
-            description="crash/restart the anchor node and cut its first link "
-            "while it recovers",
-            events=overlap(
+            events=(
                 timed("node_crash", site="primary", restart_ms=20_000.0),
                 timed("partition", site="adjacent_link", offset_ms=5_000.0,
                       duration_ms=40_000.0),
@@ -188,7 +186,5 @@ __all__ = [
     "ScheduleFaultModel",
     "TimedFault",
     "timed",
-    "seq",
-    "overlap",
     "stagger",
 ]

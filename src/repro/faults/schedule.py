@@ -3,15 +3,11 @@
 A :class:`FaultSchedule` is a named composition of *timed events*, each
 one an occurrence of a registered single-fault :class:`FaultModel`
 (``node_crash``, ``partition``, ...) at a site *selector* and a start
-offset.  Compositions are built with three combinators:
-
-* :func:`overlap` — events run concurrently, keeping their own offsets
-  (a partition *during* a crash-restart window);
-* :func:`seq` — events chain back to back, each one starting when the
-  previous one's duration-bearing parameter says it ends;
-* :func:`stagger` — one event template fans out across a multi-site
-  selector as a wave, successive occurrences ``step_ms`` apart
-  (membership churn: rolling crash/restart over every cluster node).
+offset.  A composition is a tuple of events built with :func:`timed`;
+events run concurrently, each at its own offset (a partition *during* a
+crash-restart window).  :func:`stagger` fans one event out across a
+multi-site selector as a wave, successive occurrences ``step_ms`` apart
+(membership churn: rolling crash/restart over every cluster node).
 
 A schedule is registered like every other fault model:
 ``register(ScheduleFaultModel(FaultSchedule(...)))`` puts it in the one
@@ -45,16 +41,9 @@ if TYPE_CHECKING:
     from ..instrument.plan import InjectionPlan
     from ..instrument.sites import SiteRegistry
 
-#: Duration-bearing parameter per composable kind: :func:`seq` uses it to
-#: chain events back to back (kinds without one count as instantaneous).
-_DURATION_PARAM: Dict[str, str] = {
-    "node_crash": "restart_ms",
-    "partition": "duration_ms",
-}
-
 #: Site selectors a timed event may name, resolved at plan time against
 #: the schedule's anchor node (see ``ScheduleFaultModel.resolve_events``).
-SITE_SELECTORS: Tuple[str, ...] = ("primary", "adjacent_link", "nodes", "other_nodes")
+SITE_SELECTORS: Tuple[str, ...] = ("primary", "adjacent_link", "nodes")
 
 
 @dataclass(frozen=True)
@@ -68,13 +57,6 @@ class TimedFault:
     #: Per-occurrence offset increment when ``site`` resolves to several
     #: sites (set by :func:`stagger`; 0 = all occurrences start together).
     stagger_ms: float = 0.0
-
-    def duration_ms(self) -> float:
-        """How long this event's disturbance lasts (0 = instantaneous)."""
-        name = _DURATION_PARAM.get(self.kind_id)
-        if name is None:
-            return 0.0
-        return dict(self.params).get(name, 0.0)
 
     def descriptor(self) -> List[Any]:
         return [
@@ -109,30 +91,6 @@ def timed(
     )
 
 
-# ------------------------------------------------------------- combinators
-
-
-def overlap(*events: TimedFault) -> Tuple[TimedFault, ...]:
-    """Concurrent composition: every event keeps its own offset."""
-    if not events:
-        raise ValueError("overlap() needs at least one event")
-    return tuple(events)
-
-
-def seq(*events: TimedFault, gap_ms: float = 0.0) -> Tuple[TimedFault, ...]:
-    """Sequential composition: each event starts after the previous one
-    ends (its duration-bearing parameter) plus ``gap_ms``."""
-    if not events:
-        raise ValueError("seq() needs at least one event")
-    out: List[TimedFault] = []
-    cursor = 0.0
-    for ev in events:
-        placed = dataclasses.replace(ev, offset_ms=cursor + ev.offset_ms)
-        out.append(placed)
-        cursor = placed.offset_ms + ev.duration_ms() + gap_ms
-    return tuple(out)
-
-
 def stagger(event: TimedFault, step_ms: float) -> Tuple[TimedFault, ...]:
     """Wave composition: when ``event.site`` resolves to several sites,
     the i-th occurrence starts ``i * step_ms`` after the first."""
@@ -150,7 +108,6 @@ class FaultSchedule:
 
     name: str
     char: str
-    description: str
     events: Tuple[TimedFault, ...]
     version: str = "1"
 
@@ -272,8 +229,6 @@ class ScheduleFaultModel(FaultModel):
             return [by_node[primary]]
         if selector == "nodes":
             return [by_node[n] for n in rotated]
-        if selector == "other_nodes":
-            return [by_node[n] for n in rotated if n != primary]
         if selector == "adjacent_link":
             links = sorted(
                 s.site_id

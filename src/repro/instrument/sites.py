@@ -13,18 +13,18 @@ from ..types import DetectorMeta, EnvMeta, LoopMeta, SiteKind, ThrowMeta
 class FaultSite:
     """One instrumented program location of a target system.
 
+    A code site is named in the code by its id alone, the literal first
+    argument of the runtime hook that instruments it (``rt.loop("id",
+    ...)``); the slicer finds its enclosing function by that literal.
     Environment sites (``ENV_NODE`` / ``ENV_LINK``) name a piece of the
-    simulated world instead of a code location; their ``function`` is the
-    synthetic ``"<environment>"``.  ``dead`` declares that no workload
-    entry point reaches the site's code: the analyzer drops its faults,
-    and ``tests/unit/test_dead_sites.py`` checks the declaration against
-    the call graph.
+    simulated world instead of a code location.  ``dead`` declares that
+    no workload entry point reaches the site's code: the analyzer drops
+    its faults, and ``tests/unit/test_dead_sites.py`` checks the
+    declaration against the call graph.
     """
 
     site_id: str
     kind: SiteKind
-    system: str
-    function: str  # enclosing function, e.g. "DataNode.offerService"
     loop: Optional[LoopMeta] = None
     detector: Optional[DetectorMeta] = None
     throw: Optional[ThrowMeta] = None
@@ -66,7 +66,7 @@ class SiteRegistry:
     def loop(
         self,
         site_id: str,
-        function: str,
+        *,
         parent: Optional[str] = None,
         order: int = 0,
         constant_bound: bool = False,
@@ -75,50 +75,29 @@ class SiteRegistry:
         dead: bool = False,
     ) -> str:
         meta = LoopMeta(parent=parent, order=order, constant_bound=constant_bound, does_io=does_io, body_size=body_size)
-        return self._add(FaultSite(site_id, SiteKind.LOOP, self.system, function, loop=meta, dead=dead))
+        return self._add(FaultSite(site_id, SiteKind.LOOP, loop=meta, dead=dead))
 
-    def throw(self, site_id: str, function: str, exception: str = "IOException", **meta: bool) -> str:
-        return self._add(
-            FaultSite(site_id, SiteKind.THROW, self.system, function, throw=ThrowMeta(exception=exception, **meta))
-        )
+    def throw(self, site_id: str, **meta: bool) -> str:
+        return self._add(FaultSite(site_id, SiteKind.THROW, throw=ThrowMeta(**meta)))
 
-    def lib_call(self, site_id: str, function: str, exception: str = "IOException", **meta: bool) -> str:
-        return self._add(
-            FaultSite(site_id, SiteKind.LIB_CALL, self.system, function, throw=ThrowMeta(exception=exception, **meta))
-        )
+    def lib_call(self, site_id: str, **meta: bool) -> str:
+        return self._add(FaultSite(site_id, SiteKind.LIB_CALL, throw=ThrowMeta(**meta)))
 
-    def detector(self, site_id: str, function: str, error_value: bool = True, **meta: bool) -> str:
-        return self._add(
-            FaultSite(
-                site_id,
-                SiteKind.DETECTOR,
-                self.system,
-                function,
-                detector=DetectorMeta(error_value=error_value, **meta),
-            )
-        )
+    def detector(self, site_id: str, *, error_value: bool = True, **meta: bool) -> str:
+        detector = DetectorMeta(error_value=error_value, **meta)
+        return self._add(FaultSite(site_id, SiteKind.DETECTOR, detector=detector))
 
-    def branch(self, site_id: str, function: str) -> str:
-        return self._add(FaultSite(site_id, SiteKind.BRANCH, self.system, function))
+    def branch(self, site_id: str) -> str:
+        return self._add(FaultSite(site_id, SiteKind.BRANCH))
 
     def env_node(self, site_id: str, node: str) -> str:
         """Environment site: one crashable cluster node (by ``Node.name``)."""
-        return self._add(
-            FaultSite(
-                site_id, SiteKind.ENV_NODE, self.system, "<environment>",
-                env=EnvMeta(node=node),
-            )
-        )
+        return self._add(FaultSite(site_id, SiteKind.ENV_NODE, env=EnvMeta(node=node)))
 
     def env_link(self, site_id: str, link: Tuple[str, str]) -> str:
         """Environment site: one severable node-pair link."""
         a, b = sorted(link)
-        return self._add(
-            FaultSite(
-                site_id, SiteKind.ENV_LINK, self.system, "<environment>",
-                env=EnvMeta(link=(a, b)),
-            )
-        )
+        return self._add(FaultSite(site_id, SiteKind.ENV_LINK, env=EnvMeta(link=(a, b))))
 
     def env_sites(self) -> List[FaultSite]:
         """All environment sites (nodes and links) of this registry."""

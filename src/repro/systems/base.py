@@ -31,7 +31,6 @@ class WorkloadSpec:
     """One integration test shipped with the target system."""
 
     test_id: str
-    description: str
     setup: WorkloadFn
     duration_ms: float = 120_000.0
     sim_config: Optional[SimConfig] = None
@@ -107,7 +106,6 @@ class SystemSpec:
             [
                 site.site_id,
                 site.kind.value,
-                site.function,
                 repr(site.loop),
                 repr(site.detector),
                 repr(site.throw),

@@ -9,26 +9,26 @@ def build_registry() -> SiteRegistry:
     reg = SiteRegistry("miniflink")
 
     # JobManager: scheduler, restart strategy, checkpoint coordinator.
-    reg.loop("jm.deploy.tasks", "JobManager.redeploy", does_io=True, body_size=45)
-    reg.loop("jm.cancel.tasks", "JobManager.restart_job", body_size=25)
-    reg.lib_call("jm.deploy.rpc", "JobManager.redeploy", exception="IOException")
-    reg.throw("jm.sink.cancel", "JobManager.restart_job", exception="CancelTaskException")
-    reg.throw("jm.no_slots", "JobManager.redeploy", exception="NoResourceAvailableException")
-    reg.detector("jm.cp.is_stalled", "JobManager.checkpoint_tick", error_value=True)
-    reg.branch("jm.restart.b_strategy", "JobManager.restart_job")
-    reg.branch("jm.cp.b_pending", "JobManager.checkpoint_tick")
+    reg.loop("jm.deploy.tasks", does_io=True, body_size=45)
+    reg.loop("jm.cancel.tasks", body_size=25)
+    reg.lib_call("jm.deploy.rpc")
+    reg.throw("jm.sink.cancel")
+    reg.throw("jm.no_slots")
+    reg.detector("jm.cp.is_stalled", error_value=True)
+    reg.branch("jm.restart.b_strategy")
+    reg.branch("jm.cp.b_pending")
 
     # TaskManagers: worker loops per task role, barriers, state machine.
-    reg.loop("tm.head.process", "TaskManager.process_head", does_io=True, body_size=50)
-    reg.loop("tm.agg.process", "TaskManager.process_agg", does_io=True, body_size=45)
-    reg.loop("tm.sink.process", "TaskManager.process_sink", does_io=True, body_size=40)
-    reg.loop("tm.state.restore", "TaskManager.deploy_task", does_io=True, body_size=30)
-    reg.throw("tm.head.fail", "TaskManager.process_head", exception="TaskException")
-    reg.throw("tm.barrier.fail", "TaskManager.on_barrier", exception="CheckpointException")
-    reg.throw("tm.state.transition", "TaskManager.cancel_task", exception="IllegalStateException")
-    reg.lib_call("tm.forward.rpc", "TaskManager.process_head", exception="IOException")
+    reg.loop("tm.head.process", does_io=True, body_size=50)
+    reg.loop("tm.agg.process", does_io=True, body_size=45)
+    reg.loop("tm.sink.process", does_io=True, body_size=40)
+    reg.loop("tm.state.restore", does_io=True, body_size=30)
+    reg.throw("tm.head.fail")
+    reg.throw("tm.barrier.fail")
+    reg.throw("tm.state.transition")
+    reg.lib_call("tm.forward.rpc")
     # Filtered examples.
-    reg.loop("tm.metrics.report", "TaskManager.update_metrics", constant_bound=True, body_size=3)
-    reg.detector("tm.conf.is_local", "TaskManager.__init__", final_only=True)
+    reg.loop("tm.metrics.report", constant_bound=True, body_size=3)
+    reg.detector("tm.conf.is_local", final_only=True)
 
     return reg

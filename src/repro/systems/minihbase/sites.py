@@ -9,32 +9,31 @@ def build_registry() -> SiteRegistry:
     reg = SiteRegistry("minihbase")
 
     # HMaster: assignment manager + balancer.
-    reg.loop("hm.assign.queue", "HMaster.assign_tick", does_io=True, body_size=50)
-    reg.loop("hm.plan.build", "HMaster.assign_tick", parent="hm.assign.queue", order=0, body_size=20)
-    reg.lib_call("hm.assign.rpc", "HMaster.assign_tick", exception="IOException")
-    reg.detector("hm.balancer.can_place", "FavoredStochasticBalancer.canPlaceFavoredNodes",
-                 error_value=False)
-    reg.detector("hm.rs.is_online", "HMaster.check_servers", error_value=False)
-    reg.throw("hm.assign.no_plan", "HMaster.assign_tick", exception="HBaseIOException")
-    reg.branch("hm.assign.b_favored", "HMaster.assign_tick")
-    reg.branch("hm.assign.b_retry", "HMaster.assign_tick")
+    reg.loop("hm.assign.queue", does_io=True, body_size=50)
+    reg.loop("hm.plan.build", parent="hm.assign.queue", order=0, body_size=20)
+    reg.lib_call("hm.assign.rpc")
+    reg.detector("hm.balancer.can_place", error_value=False)
+    reg.detector("hm.rs.is_online", error_value=False)
+    reg.throw("hm.assign.no_plan")
+    reg.branch("hm.assign.b_favored")
+    reg.branch("hm.assign.b_retry")
 
     # RegionServer: deployment + WAL.
-    reg.loop("rs.deploy.regions", "RegionServer.deploy_tick", does_io=True, body_size=45)
-    reg.loop("rs.wal.roll", "RegionServer.wal_roll", does_io=True, body_size=40)
-    reg.loop("rs.flush.memstore", "RegionServer.flush_tick", does_io=True, body_size=30)
-    reg.throw("rs.open.ioe", "RegionServer.open_region", exception="RegionOpeningException")
-    reg.throw("rs.wal.sync_fail", "RegionServer.append", exception="WALSyncTimeoutIOException")
-    reg.detector("rs.wal.premature_eof", "RegionServer.wal_roll", error_value=True)
-    reg.lib_call("rs.report.rpc", "RegionServer.report_tick", exception="IOException")
-    reg.branch("rs.deploy.b_overloaded", "RegionServer.deploy_tick")
+    reg.loop("rs.deploy.regions", does_io=True, body_size=45)
+    reg.loop("rs.wal.roll", does_io=True, body_size=40)
+    reg.loop("rs.flush.memstore", does_io=True, body_size=30)
+    reg.throw("rs.open.ioe")
+    reg.throw("rs.wal.sync_fail")
+    reg.detector("rs.wal.premature_eof", error_value=True)
+    reg.lib_call("rs.report.rpc")
+    reg.branch("rs.deploy.b_overloaded")
     # Filtered examples.
-    reg.loop("rs.metrics.update", "RegionServer.update_metrics", constant_bound=True, body_size=3)
-    reg.detector("rs.conf.is_secure", "RegionServer.__init__", final_only=True)
-    reg.throw("rs.refl.coproc", "RegionServer.load_coprocessor", reflection_related=True)
+    reg.loop("rs.metrics.update", constant_bound=True, body_size=3)
+    reg.detector("rs.conf.is_secure", final_only=True)
+    reg.throw("rs.refl.coproc", reflection_related=True)
 
     # Client.
-    reg.loop("cli.batch.ops", "HBaseClient.run_batch", does_io=True, body_size=30)
-    reg.lib_call("cli.admin.rpc", "HBaseClient.run_batch", exception="IOException")
+    reg.loop("cli.batch.ops", does_io=True, body_size=30)
+    reg.lib_call("cli.admin.rpc")
 
     return reg

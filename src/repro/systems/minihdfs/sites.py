@@ -11,83 +11,77 @@ def build_registry(version: int = 2) -> SiteRegistry:
     reg = SiteRegistry(system)
 
     # ------------------------------------------------------------- NameNode
-    reg.loop("nn.ibr.entries", "NameNode.process_ibr", does_io=True, body_size=50)
-    reg.loop("nn.fbr.entries", "NameNode.process_full_report", does_io=True, body_size=45)
-    reg.loop("nn.repl.scan", "NameNode.replication_monitor", does_io=True, body_size=40)
-    reg.loop("nn.lease.scan", "NameNode.lease_monitor", body_size=35)
-    reg.loop("nn.edit.flush", "NameNode.flush_edits", does_io=True, body_size=30)
+    reg.loop("nn.ibr.entries", does_io=True, body_size=50)
+    reg.loop("nn.fbr.entries", does_io=True, body_size=45)
+    reg.loop("nn.repl.scan", does_io=True, body_size=40)
+    reg.loop("nn.lease.scan", body_size=35)
+    reg.loop("nn.edit.flush", does_io=True, body_size=30)
     # Constant-bound bookkeeping loop: excluded by the scalability analysis.
-    reg.loop("nn.metrics.update", "NameNode.update_metrics", constant_bound=True, body_size=4)
+    reg.loop("nn.metrics.update", constant_bound=True, body_size=4)
 
-    reg.throw("nn.ibr.overflow", "NameNode.process_ibr", exception="RetriableException")
-    reg.throw("nn.rpc.not_primary", "NameNode.check_active", exception="StandbyException")
-    reg.throw("nn.safemode.ioe", "NameNode.check_safemode", exception="SafeModeException")
+    reg.throw("nn.ibr.overflow")
+    reg.throw("nn.rpc.not_primary")
+    reg.throw("nn.safemode.ioe")
     # Test-only throw: excluded by the static analyzer (§4.1).
-    reg.throw("nn.test.inject_only", "NameNode.test_hook", test_only=True)
+    reg.throw("nn.test.inject_only", test_only=True)
 
-    reg.detector("nn.dn.is_stale", "NameNode.replication_monitor", error_value=True)
-    reg.detector("nn.block.is_under_replicated", "NameNode.replication_monitor", error_value=True)
+    reg.detector("nn.dn.is_stale", error_value=True)
+    reg.detector("nn.block.is_under_replicated", error_value=True)
     # Filtered detectors (§7 rules).
-    reg.detector("nn.conf.is_ha_enabled", "NameNode.__init__", final_only=True)
-    reg.detector("nn.util.is_sorted", "NameNode.util", primitive_only=True)
+    reg.detector("nn.conf.is_ha_enabled", final_only=True)
+    reg.detector("nn.util.is_sorted", primitive_only=True)
 
-    reg.branch("nn.ibr.b_standby", "NameNode.process_ibr")
-    reg.branch("nn.repl.b_urgent", "NameNode.replication_monitor")
-    reg.branch("nn.lease.b_expired", "NameNode.lease_monitor")
-    reg.branch("nn.edit.b_backlog", "NameNode.flush_edits")
+    reg.branch("nn.ibr.b_standby")
+    reg.branch("nn.repl.b_urgent")
+    reg.branch("nn.lease.b_expired")
+    reg.branch("nn.edit.b_backlog")
 
     # ------------------------------------------------------------- DataNode
     # BPServiceActor: one wrapper iteration per heartbeat with the command
     # and IBR-conversion loops nested inside (the Figure 5 structure).
-    reg.loop("dn.bpsa.offer", "DataNode.offer_service", does_io=True, body_size=60)
-    reg.loop("dn.bpsa.cmds", "DataNode.offer_service", parent="dn.bpsa.offer", order=0, body_size=30)
-    reg.loop(
-        "dn.ibr.convert", "DataNode.offer_service", parent="dn.bpsa.offer", order=1, body_size=25
-    )
-    reg.loop("dn.pipe.packets", "DataNode.receive_block", does_io=True, body_size=50)
-    reg.loop("dn.rec.attempts", "DataNode.recover_block", body_size=30)
-    reg.loop("dn.cache.evict", "DataNode.cache_tick", body_size=20)
+    reg.loop("dn.bpsa.offer", does_io=True, body_size=60)
+    reg.loop("dn.bpsa.cmds", parent="dn.bpsa.offer", order=0, body_size=30)
+    reg.loop("dn.ibr.convert", parent="dn.bpsa.offer", order=1, body_size=25)
+    reg.loop("dn.pipe.packets", does_io=True, body_size=50)
+    reg.loop("dn.rec.attempts", body_size=30)
+    reg.loop("dn.cache.evict", body_size=20)
 
-    reg.lib_call("dn.hb.rpc", "DataNode.offer_service", exception="IOException")
-    reg.lib_call("dn.ibr.rpc", "DataNode.offer_service", exception="IOException")
-    reg.lib_call("dn.fbr.rpc", "DataNode.offer_service", exception="IOException")
-    reg.lib_call("dn.repl.transfer", "DataNode.replicate_block", exception="IOException")
+    reg.lib_call("dn.hb.rpc")
+    reg.lib_call("dn.ibr.rpc")
+    reg.lib_call("dn.fbr.rpc")
+    reg.lib_call("dn.repl.transfer")
 
-    reg.throw("dn.pipe.ioe", "DataNode.receive_block", exception="IOException")
-    reg.throw(
-        "dn.pipe.replica_exists",
-        "DataNode.create_tmp",
-        exception="ReplicaAlreadyExistsException",
-    )
-    reg.throw("dn.rec.ioe", "DataNode.recover_block", exception="RecoveryInProgressException")
+    reg.throw("dn.pipe.ioe")
+    reg.throw("dn.pipe.replica_exists")
+    reg.throw("dn.rec.ioe")
     # Reflection-related: excluded by the static analyzer.
-    reg.throw("dn.refl.load_class", "DataNode.load_plugin", reflection_related=True)
+    reg.throw("dn.refl.load_class", reflection_related=True)
 
-    reg.detector("dn.cache.is_full", "DataNode.cache_tick", error_value=True)
+    reg.detector("dn.cache.is_full", error_value=True)
 
-    reg.branch("dn.pipe.b_last_packet", "DataNode.receive_block")
-    reg.branch("dn.pipe.b_downstream", "DataNode.receive_block")
-    reg.branch("dn.rec.b_genstamp", "DataNode.recover_block")
-    reg.branch("dn.bpsa.b_force_ibr", "DataNode.offer_service")
-    reg.branch("dn.cache.b_pressure", "DataNode.cache_tick")
+    reg.branch("dn.pipe.b_last_packet")
+    reg.branch("dn.pipe.b_downstream")
+    reg.branch("dn.rec.b_genstamp")
+    reg.branch("dn.bpsa.b_force_ibr")
+    reg.branch("dn.cache.b_pressure")
 
     # --------------------------------------------------------------- Client
-    reg.loop("cli.write.retries", "DFSClient.write_block", does_io=True, body_size=35)
-    reg.lib_call("cli.pipe.rpc", "DFSClient.write_block", exception="IOException")
-    reg.branch("cli.write.b_abandon", "DFSClient.write_block")
+    reg.loop("cli.write.retries", does_io=True, body_size=35)
+    reg.lib_call("cli.pipe.rpc")
+    reg.branch("cli.write.b_abandon")
 
     if version >= 3:
         # Async event queue on the NameNode: reports are processed by a
         # dispatcher with separate error handlers.
-        reg.loop("nn3.eventq.dispatch", "NameNode.dispatch_events", does_io=True, body_size=55)
-        reg.throw("nn3.eventq.handler_ioe", "NameNode.dispatch_events", exception="IOException")
-        reg.throw("nn3.eventq.overflow", "NameNode.enqueue_event", exception="RetriableException")
-        reg.detector("nn3.eventq.is_saturated", "NameNode.enqueue_event", error_value=True)
-        reg.branch("nn3.eventq.b_kind", "NameNode.dispatch_events")
+        reg.loop("nn3.eventq.dispatch", does_io=True, body_size=55)
+        reg.throw("nn3.eventq.handler_ioe")
+        reg.throw("nn3.eventq.overflow")
+        reg.detector("nn3.eventq.is_saturated", error_value=True)
+        reg.branch("nn3.eventq.b_kind")
         # Block deletion service and EC-style reconstruction on DataNodes.
-        reg.loop("dn3.del.work", "DataNode.deletion_tick", does_io=True, body_size=30)
-        reg.loop("dn3.recon.work", "DataNode.reconstruction_tick", does_io=True, body_size=45)
-        reg.lib_call("dn3.recon.fetch", "DataNode.reconstruction_tick", exception="IOException")
-        reg.branch("dn3.del.b_batch", "DataNode.deletion_tick")
+        reg.loop("dn3.del.work", does_io=True, body_size=30)
+        reg.loop("dn3.recon.work", does_io=True, body_size=45)
+        reg.lib_call("dn3.recon.fetch")
+        reg.branch("dn3.del.b_batch")
 
     return reg

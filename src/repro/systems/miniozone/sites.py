@@ -9,34 +9,34 @@ def build_registry() -> SiteRegistry:
     reg = SiteRegistry("miniozone")
 
     # SCM: event queue, heartbeat processing, pipelines, replication.
-    reg.loop("scm.eventq.dispatch", "SCM.dispatch_tick", does_io=True, body_size=50)
-    reg.loop("scm.hb.updates", "SCM.process_heartbeat", body_size=35)
-    reg.loop("scm.pipeline.scan", "SCM.pipeline_tick", body_size=40)
-    reg.loop("scm.repl.scan", "SCM.replication_tick", does_io=True, body_size=45)
-    reg.detector("scm.eventq.dispatch_ok", "SCM.dispatch_tick", error_value=False)
-    reg.detector("scm.pipeline.is_healthy", "SCM.pipeline_tick", error_value=False)
-    reg.detector("scm.dn.is_dead", "SCM.pipeline_tick", error_value=True)
-    reg.throw("scm.pipeline.create_ioe", "SCM.create_pipeline", exception="SCMException")
-    reg.throw("scm.eventq.overflow", "SCM.enqueue_report", exception="EventQueueFullException")
-    reg.branch("scm.eventq.b_requeue", "SCM.dispatch_tick")
-    reg.branch("scm.pipeline.b_open", "SCM.pipeline_tick")
-    reg.branch("scm.repl.b_urgent", "SCM.replication_tick")
+    reg.loop("scm.eventq.dispatch", does_io=True, body_size=50)
+    reg.loop("scm.hb.updates", body_size=35)
+    reg.loop("scm.pipeline.scan", body_size=40)
+    reg.loop("scm.repl.scan", does_io=True, body_size=45)
+    reg.detector("scm.eventq.dispatch_ok", error_value=False)
+    reg.detector("scm.pipeline.is_healthy", error_value=False)
+    reg.detector("scm.dn.is_dead", error_value=True)
+    reg.throw("scm.pipeline.create_ioe")
+    reg.throw("scm.eventq.overflow")
+    reg.branch("scm.eventq.b_requeue")
+    reg.branch("scm.pipeline.b_open")
+    reg.branch("scm.repl.b_urgent")
 
     # DataNodes.
-    reg.loop("dn.hb.cmds", "OzoneDN.heartbeat_tick", body_size=30)
-    reg.loop("dn.repl.handle", "OzoneDN.replication_tick", does_io=True, body_size=45)
-    reg.loop("dn.report.build", "OzoneDN.heartbeat_tick", body_size=25)
-    reg.lib_call("dn.hb.rpc", "OzoneDN.heartbeat_tick", exception="IOException")
-    reg.lib_call("dn.repl.push", "OzoneDN.replication_tick", exception="IOException")
-    reg.throw("dn.container.ioe", "OzoneDN.write_chunk", exception="StorageContainerException")
-    reg.branch("dn.repl.b_retry", "OzoneDN.replication_tick")
+    reg.loop("dn.hb.cmds", body_size=30)
+    reg.loop("dn.repl.handle", does_io=True, body_size=45)
+    reg.loop("dn.report.build", body_size=25)
+    reg.lib_call("dn.hb.rpc")
+    reg.lib_call("dn.repl.push")
+    reg.throw("dn.container.ioe")
+    reg.branch("dn.repl.b_retry")
     # Filtered examples.
-    reg.loop("dn.metrics.flush", "OzoneDN.update_metrics", constant_bound=True, body_size=3)
-    reg.detector("dn.conf.is_ratis", "OzoneDN.__init__", final_only=True)
-    reg.throw("scm.sec.cert_check", "SCM.check_cert", security_related=True)
+    reg.loop("dn.metrics.flush", constant_bound=True, body_size=3)
+    reg.detector("dn.conf.is_ratis", final_only=True)
+    reg.throw("scm.sec.cert_check", security_related=True)
 
     # Client.
-    reg.loop("cli.keys.write", "OzoneClient.write_tick", does_io=True, body_size=30)
-    reg.lib_call("cli.scm.rpc", "OzoneClient.write_tick", exception="IOException")
+    reg.loop("cli.keys.write", does_io=True, body_size=30)
+    reg.lib_call("cli.scm.rpc")
 
     return reg

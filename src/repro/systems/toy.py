@@ -34,15 +34,15 @@ SYSTEM = "toy"
 
 def build_registry() -> SiteRegistry:
     reg = SiteRegistry(SYSTEM)
-    reg.loop("toy.server.process_batch", "ToyServer.process_tick", does_io=True, body_size=40)
-    reg.loop("toy.client.send_loop", "ToyClient.send_batch", does_io=True, body_size=30)
-    reg.loop("toy.worker.cmd_loop", "ToyWorker.heartbeat", body_size=20)
-    reg.lib_call("toy.client.rpc_call", "ToyClient.send_one", exception="SocketTimeoutException")
-    reg.throw("toy.server.queue_full", "ToyServer.handle_request", exception="RetriableException")
-    reg.detector("toy.server.is_stale", "ToyServer.check_workers", error_value=True)
-    reg.branch("toy.server.b_is_write", "ToyServer.process_tick")
-    reg.branch("toy.client.b_retryable", "ToyClient.send_batch")
-    reg.branch("toy.server.b_over_cap", "ToyServer.handle_request")
+    reg.loop("toy.server.process_batch", does_io=True, body_size=40)
+    reg.loop("toy.client.send_loop", does_io=True, body_size=30)
+    reg.loop("toy.worker.cmd_loop", body_size=20)
+    reg.lib_call("toy.client.rpc_call")
+    reg.throw("toy.server.queue_full")
+    reg.detector("toy.server.is_stale", error_value=True)
+    reg.branch("toy.server.b_is_write")
+    reg.branch("toy.client.b_retryable")
+    reg.branch("toy.server.b_over_cap")
     return reg
 
 
@@ -289,12 +289,10 @@ def build_system() -> SystemSpec:
         name=SYSTEM, registry=build_registry(), env_port=ENV_PORT,
         source_modules=("repro.systems.toy",),
     )
-    spec.add_workload(WorkloadSpec("toy.big_batches", _wl_big_batches.__doc__ or "", _wl_big_batches))
-    spec.add_workload(
-        WorkloadSpec("toy.retry_clients", _wl_retry_clients.__doc__ or "", _wl_retry_clients)
-    )
-    spec.add_workload(WorkloadSpec("toy.balancer", _wl_balancer.__doc__ or "", _wl_balancer))
-    spec.add_workload(WorkloadSpec("toy.idle", _wl_idle.__doc__ or "", _wl_idle))
+    spec.add_workload(WorkloadSpec("toy.big_batches", _wl_big_batches))
+    spec.add_workload(WorkloadSpec("toy.retry_clients", _wl_retry_clients))
+    spec.add_workload(WorkloadSpec("toy.balancer", _wl_balancer))
+    spec.add_workload(WorkloadSpec("toy.idle", _wl_idle))
     spec.known_bugs = [
         KnownBug(
             bug_id="TOY-1",

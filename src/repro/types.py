@@ -174,7 +174,6 @@ class EnvMeta:
 class ThrowMeta:
     """Static metadata for a throw / library-call site (§4.1 filters)."""
 
-    exception: str = "IOException"
     reflection_related: bool = False
     security_related: bool = False
     test_only: bool = False  # only reachable from test code

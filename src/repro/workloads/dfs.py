@@ -121,11 +121,11 @@ def wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 def dfs_workloads() -> List[WorkloadSpec]:
     return [
-        WorkloadSpec("dfs.write", wl_write.__doc__ or "", wl_write),
-        WorkloadSpec("dfs.read", wl_read.__doc__ or "", wl_read),
-        WorkloadSpec("dfs.hb_storm", wl_hb_storm.__doc__ or "", wl_hb_storm),
-        WorkloadSpec("dfs.replicate", wl_replicate.__doc__ or "", wl_replicate),
-        WorkloadSpec("dfs.failover", wl_failover.__doc__ or "", wl_failover),
-        WorkloadSpec("dfs.churn", wl_churn.__doc__ or "", wl_churn),
-        WorkloadSpec("dfs.idle", wl_idle.__doc__ or "", wl_idle, duration_ms=60_000.0),
+        WorkloadSpec("dfs.write", wl_write),
+        WorkloadSpec("dfs.read", wl_read),
+        WorkloadSpec("dfs.hb_storm", wl_hb_storm),
+        WorkloadSpec("dfs.replicate", wl_replicate),
+        WorkloadSpec("dfs.failover", wl_failover),
+        WorkloadSpec("dfs.churn", wl_churn),
+        WorkloadSpec("dfs.idle", wl_idle, duration_ms=60_000.0),
     ]

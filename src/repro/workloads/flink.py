@@ -87,11 +87,11 @@ def wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 def flink_workloads() -> List[WorkloadSpec]:
     return [
-        WorkloadSpec("flink.stream_heavy", wl_stream_heavy.__doc__ or "", wl_stream_heavy),
-        WorkloadSpec("flink.restart_strategy", wl_restart_strategy.__doc__ or "", wl_restart_strategy),
-        WorkloadSpec("flink.rescale", wl_rescale.__doc__ or "", wl_rescale),
-        WorkloadSpec("flink.checkpoint_barrier", wl_checkpoint_barrier.__doc__ or "", wl_checkpoint_barrier),
-        WorkloadSpec("flink.checkpoint_failover", wl_checkpoint_failover.__doc__ or "", wl_checkpoint_failover),
-        WorkloadSpec("flink.batch_small", wl_batch_small.__doc__ or "", wl_batch_small),
-        WorkloadSpec("flink.idle", wl_idle.__doc__ or "", wl_idle, duration_ms=60_000.0),
+        WorkloadSpec("flink.stream_heavy", wl_stream_heavy),
+        WorkloadSpec("flink.restart_strategy", wl_restart_strategy),
+        WorkloadSpec("flink.rescale", wl_rescale),
+        WorkloadSpec("flink.checkpoint_barrier", wl_checkpoint_barrier),
+        WorkloadSpec("flink.checkpoint_failover", wl_checkpoint_failover),
+        WorkloadSpec("flink.batch_small", wl_batch_small),
+        WorkloadSpec("flink.idle", wl_idle, duration_ms=60_000.0),
     ]

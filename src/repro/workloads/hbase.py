@@ -116,19 +116,13 @@ def wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 def hbase_workloads() -> List[WorkloadSpec]:
     specs = [
-        WorkloadSpec("hbase.create_heavy", wl_create_heavy.__doc__ or "", wl_create_heavy),
-        WorkloadSpec(
-            "hbase.rs_fault_tolerance", wl_rs_fault_tolerance.__doc__ or "",
-            wl_rs_fault_tolerance, duration_ms=45_000.0,
-        ),
-        WorkloadSpec(
-            "hbase.balancer_5rs", wl_balancer_5rs.__doc__ or "", wl_balancer_5rs,
-            duration_ms=45_000.0,
-        ),
-        WorkloadSpec("hbase.balancer_long", wl_balancer_long.__doc__ or "", wl_balancer_long),
-        WorkloadSpec("hbase.write_heavy", wl_write_heavy.__doc__ or "", wl_write_heavy),
-        WorkloadSpec("hbase.wal_replay", wl_wal_replay.__doc__ or "", wl_wal_replay),
-        WorkloadSpec("hbase.mixed", wl_mixed.__doc__ or "", wl_mixed),
-        WorkloadSpec("hbase.idle", wl_idle.__doc__ or "", wl_idle, duration_ms=60_000.0),
+        WorkloadSpec("hbase.create_heavy", wl_create_heavy),
+        WorkloadSpec("hbase.rs_fault_tolerance", wl_rs_fault_tolerance, duration_ms=45_000.0),
+        WorkloadSpec("hbase.balancer_5rs", wl_balancer_5rs, duration_ms=45_000.0),
+        WorkloadSpec("hbase.balancer_long", wl_balancer_long),
+        WorkloadSpec("hbase.write_heavy", wl_write_heavy),
+        WorkloadSpec("hbase.wal_replay", wl_wal_replay),
+        WorkloadSpec("hbase.mixed", wl_mixed),
+        WorkloadSpec("hbase.idle", wl_idle, duration_ms=60_000.0),
     ]
     return specs

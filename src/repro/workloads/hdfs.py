@@ -462,14 +462,7 @@ def hdfs_workloads(version: int) -> List[WorkloadSpec]:
             ("reconstruction", wl_reconstruction),
             ("eventq", wl_eventq),
         ]
-    specs = []
-    for name, factory in base:
-        setup = factory(version)
-        specs.append(
-            WorkloadSpec(
-                test_id="%s.%s" % (prefix, name),
-                description=(setup.__doc__ or name).strip(),
-                setup=setup,
-            )
-        )
-    return specs
+    return [
+        WorkloadSpec(test_id="%s.%s" % (prefix, name), setup=factory(version))
+        for name, factory in base
+    ]

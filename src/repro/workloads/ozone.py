@@ -93,11 +93,11 @@ def wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 def ozone_workloads() -> List[WorkloadSpec]:
     return [
-        WorkloadSpec("ozone.reports_heavy", wl_reports_heavy.__doc__ or "", wl_reports_heavy),
-        WorkloadSpec("ozone.requeue", wl_requeue.__doc__ or "", wl_requeue),
-        WorkloadSpec("ozone.hb_pipeline", wl_hb_pipeline.__doc__ or "", wl_hb_pipeline),
-        WorkloadSpec("ozone.repl_heavy", wl_repl_heavy.__doc__ or "", wl_repl_heavy),
-        WorkloadSpec("ozone.pipeline_small", wl_pipeline_small.__doc__ or "", wl_pipeline_small),
-        WorkloadSpec("ozone.fallback_repl", wl_fallback_repl.__doc__ or "", wl_fallback_repl),
-        WorkloadSpec("ozone.idle", wl_idle.__doc__ or "", wl_idle, duration_ms=60_000.0),
+        WorkloadSpec("ozone.reports_heavy", wl_reports_heavy),
+        WorkloadSpec("ozone.requeue", wl_requeue),
+        WorkloadSpec("ozone.hb_pipeline", wl_hb_pipeline),
+        WorkloadSpec("ozone.repl_heavy", wl_repl_heavy),
+        WorkloadSpec("ozone.pipeline_small", wl_pipeline_small),
+        WorkloadSpec("ozone.fallback_repl", wl_fallback_repl),
+        WorkloadSpec("ozone.idle", wl_idle, duration_ms=60_000.0),
     ]

@@ -128,13 +128,13 @@ def wl_idle(env: SimEnv, rt: Runtime) -> None:
 
 def raft_workloads() -> List[WorkloadSpec]:
     return [
-        WorkloadSpec("raft.steady", wl_steady.__doc__ or "", wl_steady),
-        WorkloadSpec("raft.heavy_appends", wl_heavy_appends.__doc__ or "", wl_heavy_appends),
-        WorkloadSpec("raft.resend", wl_resend.__doc__ or "", wl_resend),
-        WorkloadSpec("raft.elections", wl_elections.__doc__ or "", wl_elections),
-        WorkloadSpec("raft.partition", wl_partition.__doc__ or "", wl_partition),
-        WorkloadSpec("raft.quorum", wl_quorum.__doc__ or "", wl_quorum),
-        WorkloadSpec("raft.churn", wl_churn.__doc__ or "", wl_churn),
-        WorkloadSpec("raft.snapshot", wl_snapshot.__doc__ or "", wl_snapshot),
-        WorkloadSpec("raft.idle", wl_idle.__doc__ or "", wl_idle, duration_ms=60_000.0),
+        WorkloadSpec("raft.steady", wl_steady),
+        WorkloadSpec("raft.heavy_appends", wl_heavy_appends),
+        WorkloadSpec("raft.resend", wl_resend),
+        WorkloadSpec("raft.elections", wl_elections),
+        WorkloadSpec("raft.partition", wl_partition),
+        WorkloadSpec("raft.quorum", wl_quorum),
+        WorkloadSpec("raft.churn", wl_churn),
+        WorkloadSpec("raft.snapshot", wl_snapshot),
+        WorkloadSpec("raft.idle", wl_idle, duration_ms=60_000.0),
     ]

@@ -23,6 +23,22 @@ module-level registry built at import: its payload moved only by that
 one call (``calls_seen`` 86 to 87, ``calls_resolved`` 17 to 18, and the
 edge ``build_system -> build_registry``).
 
+The miniflink, minihbase, minihdfs2, minihdfs3, miniozone and miniraft
+rows were re-recorded when sites stopped declaring their enclosing
+function and the slicer lost its fallback to that declared name: a site
+whose hook literal is in no function body is unresolved with the one
+reason ``site literal not found``.  Every unresolved reason string
+changed with it.  Eight site-system pairs that only the fallback had
+bound left ``site_roots`` and ``site_slices`` for ``unresolved``:
+``tm.conf.is_local`` (miniflink), ``hm.assign.no_plan``,
+``hm.plan.build`` and ``rs.conf.is_secure`` (minihbase),
+``nn.conf.is_ha_enabled`` (minihdfs2 and minihdfs3), ``dn.conf.is_ratis``
+(miniozone) and ``flw.conf.is_voter`` (miniraft).  The two minihdfs rows
+also moved in ``calls_seen`` (417 to 415): ``hdfs_workloads`` stopped
+copying each setup's docstring, and with it its ``.strip()`` and
+``specs.append`` calls.  No call edge and no reachable set changed; the
+minidfs and toy rows, which have no unresolved site, held.
+
 It is the ``slices`` entry of ``tests/golden.py``: one row per system.
 """
 

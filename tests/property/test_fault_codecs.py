@@ -53,10 +53,10 @@ SITE_FOR_KIND = {
 #: The registry every model plans against: the sites above, plus what a
 #: schedule anchored at ``n1`` resolves to (its peers and a link at it).
 REGISTRY = SiteRegistry("sys")
-REGISTRY.throw("sys.a.throw", "A.run")
-REGISTRY.lib_call("sys.a.rpc", "A.run")
-REGISTRY.loop("sys.a.loop", "A.run")
-REGISTRY.detector("sys.a.is_ok", "A.is_ok")
+REGISTRY.throw("sys.a.throw")
+REGISTRY.lib_call("sys.a.rpc")
+REGISTRY.loop("sys.a.loop")
+REGISTRY.detector("sys.a.is_ok")
 EnvFaultPort(nodes=("n1", "a", "b"), links=(("a", "b"), ("a", "n1"))).register_sites(REGISTRY)
 
 

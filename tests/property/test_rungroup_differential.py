@@ -36,13 +36,13 @@ pytestmark = pytest.mark.contract
 #: Loops ``s.a`` < ``s.b`` < ``s.c`` nest under ``s.outer`` (so a delayed
 #: ``s.a`` expands to ICFG and CFG edges); ``s.solo`` stands alone.
 REGISTRY = SiteRegistry("s")
-REGISTRY.loop("s.outer", "S.run")
+REGISTRY.loop("s.outer")
 for order, site in enumerate(("s.a", "s.b", "s.c")):
-    REGISTRY.loop(site, "S.step", parent="s.outer", order=order)
-REGISTRY.loop("s.solo", "S.idle")
-REGISTRY.throw("s.t1", "S.step")
-REGISTRY.throw("s.t2", "S.step")
-REGISTRY.detector("s.d1", "S.check")
+    REGISTRY.loop(site, parent="s.outer", order=order)
+REGISTRY.loop("s.solo")
+REGISTRY.throw("s.t1")
+REGISTRY.throw("s.t2")
+REGISTRY.detector("s.d1")
 
 LOOPS = ("s.outer", "s.a", "s.b", "s.c", "s.solo")
 #: Natural faults, a delay-kind one among them (FCA skips it).

@@ -57,8 +57,8 @@ MAX_CALLS = 60
 
 def make_registry() -> SiteRegistry:
     registry = SiteRegistry("diff")
-    registry.detector("d.true", "F.a", error_value=True)
-    registry.detector("d.false", "F.b", error_value=False)
+    registry.detector("d.true", error_value=True)
+    registry.detector("d.false", error_value=False)
     return registry
 
 

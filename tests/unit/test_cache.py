@@ -1,6 +1,5 @@
 """Tests for the content-addressed experiment cache."""
 
-import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -12,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.cache import CACHE_SCHEMA, ExperimentCache, records
-from repro.cli import _cache_dir
 from repro.config import EXECUTION_ONLY_KNOBS, CSnakeConfig
 from repro.instrument.plan import InjectionPlan
 from repro.instrument.trace import RunGroup, RunTrace
@@ -136,7 +134,7 @@ def test_spec_structure_invalidates(tmp_path):
 
     # Each spec builds its own registry: grow a fresh one by one site.
     grown_spec = get_system("toy")
-    grown_spec.registry.loop("toy.new.loop", "ToyServer.new_method")
+    grown_spec.registry.loop("toy.new.loop")
     grown = ExperimentCache(tmp_path, grown_spec, config)
     assert grown.experiment_key("t", FAULT, PLANS) != base.experiment_key("t", FAULT, PLANS)
 
@@ -384,17 +382,6 @@ def test_experiment_roundtrip_preserves_runs_counter(tmp_path):
     assert runs == 14
     assert loaded.fault == result.fault
     assert loaded.interference == result.interference
-
-
-def test_cli_cache_dir_resolution():
-    def ns(**kw):
-        base = dict(cache=False, cache_dir=None)
-        base.update(kw)
-        return argparse.Namespace(**base)
-
-    assert _cache_dir(ns()) is None
-    assert _cache_dir(ns(cache_dir="/x")) == "/x"
-    assert _cache_dir(ns(cache=True)) == ".repro-cache"
 
 
 def test_two_caches_of_one_process_never_share_a_segment(tmp_path):

@@ -225,6 +225,24 @@ def test_removed_session_verb_and_flags_are_argparse_errors(argv, message, capsy
     assert message in capsys.readouterr().err
 
 
+def test_bare_cache_flag_is_an_argparse_error(capsys):
+    """The cache directory has one spelling, ``--cache-dir DIR``: a bare
+    ``--cache`` names no directory and is refused before any run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "toy", "--cache"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_bare_cache_flag_is_an_argparse_error(capsys):
+    """The cache directory has one spelling, ``--cache-dir DIR``: a bare
+    ``--cache`` names no directory and is refused before any run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "toy", "--cache"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_analyze_command_text(capsys):
     assert main(["analyze", "miniraft"]) == 0
     out = capsys.readouterr().out
@@ -316,7 +334,6 @@ def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
         ["--backend", "serial"],
         ["--workers", "3"],
         ["--backend", "process", "--workers", "2"],
-        ["--cache"],
         ["--cache-dir", str(tmp_path / "c")],
         [],
     ):
@@ -330,9 +347,6 @@ def test_execution_flags_resolve_to_execution_only_fields(tmp_path):
     assert _execution_overrides(parser.parse_args(run + ["--backend", "process"]))[
         "experiment_workers"
     ] == (os.cpu_count() or 1)
-    assert _execution_overrides(parser.parse_args(run + ["--cache"])) == {
-        "cache_dir": ".repro-cache"
-    }
 
 
 def test_diff_run_rejects_unresolvable_operand(tmp_path, capsys):

@@ -13,11 +13,11 @@ from tests.helpers import dly, event, exc, group, neg, run_trace, state
 @pytest.fixture
 def registry():
     reg = SiteRegistry("toy")
-    reg.loop("L1", "F.run")
-    reg.loop("L2", "F.run", parent="L1", order=0)
-    reg.loop("L3", "F.run", parent="L1", order=1)
-    reg.throw("X", "F.step")
-    reg.detector("N", "F.check")
+    reg.loop("L1")
+    reg.loop("L2", parent="L1", order=0)
+    reg.loop("L3", parent="L1", order=1)
+    reg.throw("X")
+    reg.detector("N")
     return reg
 
 

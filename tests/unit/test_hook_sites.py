@@ -11,6 +11,10 @@ package that several systems share (minihdfs2 and minihdfs3 run one
 ``minihdfs`` package) is checked against the union of their registries.
 Ids computed at run time (miniflink's ``"tm.%s.process" % self.role``)
 cannot be read here; they are listed so that a new one is seen.
+
+The reverse direction is pinned too: a declared code site that no hook
+literal names is listed, and the slicer, which finds a site's function
+by its literal alone, leaves exactly those sites unresolved.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Dict, Iterator, Set, Tuple
 
 import pytest
 
+from repro.analysis import analyze_system, live_sources
+from repro.analysis.slicer import ENV_KINDS
 from repro.systems import available_systems, get_system
 from repro.types import SiteKind
 
@@ -42,6 +48,40 @@ HOOK_KINDS = {
 #: ``path hook(argument)`` of every hook call whose id is not a literal.
 COMPUTED_IDS = {
     "repro/systems/miniflink/nodes.py loop(site)",
+}
+
+#: The declared sites that each computed id above names at run time.
+COMPUTED_SITES = {"miniflink": {"tm.agg.process", "tm.sink.process"}}
+
+_HDFS_HOOKLESS = {
+    "dn.refl.load_class",
+    "nn.conf.is_ha_enabled",
+    "nn.metrics.update",
+    "nn.test.inject_only",
+    "nn.util.is_sorted",
+}
+
+#: System -> its declared code sites whose id no hook call in its
+#: packages holds as a literal: sites declared for code the mini-system
+#: does not have (the analyzer's filter examples, minihbase's unhooked
+#: plan/flush paths).
+HOOKLESS = {
+    "minidfs": set(),
+    "miniflink": {"tm.conf.is_local", "tm.metrics.report"},
+    "minihbase": {
+        "hm.assign.no_plan",
+        "hm.plan.build",
+        "hm.rs.is_online",
+        "rs.conf.is_secure",
+        "rs.flush.memstore",
+        "rs.metrics.update",
+        "rs.refl.coproc",
+    },
+    "minihdfs2": _HDFS_HOOKLESS,
+    "minihdfs3": _HDFS_HOOKLESS,
+    "miniozone": {"dn.conf.is_ratis", "dn.metrics.flush", "scm.sec.cert_check"},
+    "miniraft": {"flw.conf.is_voter", "ldr.metrics.flush", "raft.sec.cert_check"},
+    "toy": set(),
 }
 
 #: The sites minihdfs3 declares and minihdfs2 does not.
@@ -142,3 +182,31 @@ def test_the_shared_hdfs_package_names_every_v3_only_site():
     v2, v3 = set(declared({"minihdfs2"})), set(declared({"minihdfs3"}))
     assert ids - v2 == v3 - v2 == V3_ONLY
     assert ids - v3 == set()
+
+
+def test_hookless_declared_sites_are_the_listed_ones():
+    literal_ids = {
+        package: {site_id for _, _, _, site_id in hook_calls(package) if isinstance(site_id, str)}
+        for package in PACKAGES
+    }
+    hookless = {}
+    for system in available_systems():
+        named = set().union(
+            *(ids for package, ids in literal_ids.items() if system in PACKAGES[package])
+        )
+        hookless[system] = {
+            site.site_id
+            for site in get_system(system).registry
+            if site.kind not in ENV_KINDS and site.site_id not in named
+        } - COMPUTED_SITES.get(system, set())
+    assert hookless == HOOKLESS
+
+
+def test_the_slicer_leaves_exactly_the_unnamed_sites_unresolved():
+    # A site is bound by its literal only: the listed sites and the ones a
+    # computed id names are unresolved, and no other.
+    for system in available_systems():
+        spec = get_system(system)
+        analysis = analyze_system(spec, live_sources(spec.source_modules))
+        expected = HOOKLESS[system] | COMPUTED_SITES.get(system, set())
+        assert set(analysis.unresolved) == expected, system

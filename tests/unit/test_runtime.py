@@ -15,11 +15,11 @@ from repro.types import DELAY, EXCEPTION, NEGATION, FaultKey
 @pytest.fixture
 def registry():
     reg = SiteRegistry("toy")
-    reg.loop("toy.outer", "Toy.run")
-    reg.loop("toy.inner", "Toy.run", parent="toy.outer", order=0)
-    reg.throw("toy.ioe", "Toy.step", exception="IOException")
-    reg.detector("toy.is_stale", "Toy.check", error_value=True)
-    reg.branch("toy.b1", "Toy.step")
+    reg.loop("toy.outer")
+    reg.loop("toy.inner", parent="toy.outer", order=0)
+    reg.throw("toy.ioe")
+    reg.detector("toy.is_stale", error_value=True)
+    reg.branch("toy.b1")
     return reg
 
 
@@ -63,7 +63,7 @@ class TestThrowPoint:
     def test_injection_does_not_fire_at_other_sites(self, registry):
         plan = InjectionPlan(FaultKey("toy.ioe", EXCEPTION))
         rt, trace = make_rt(registry, plan)
-        registry.throw("toy.other", "Toy.step2")
+        registry.throw("toy.other")
         rt.throw_point("toy.other", IOEx, natural=False)
         assert trace.events == []
 

@@ -19,8 +19,8 @@ class FakeEnv:
 @pytest.fixture
 def registry():
     reg = SiteRegistry("t")
-    reg.lib_call("t.lib", "F.a")
-    reg.lib_call("t.rpc", "F.b")
+    reg.lib_call("t.lib")
+    reg.lib_call("t.rpc")
     return reg
 
 

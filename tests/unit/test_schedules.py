@@ -1,6 +1,6 @@
 """Unit tests for the compositional fault-schedule API.
 
-Combinator semantics (timed/seq/overlap/stagger), schedules as entries
+Combinator semantics (timed/stagger), schedules as entries
 of the one fault-model registry, anchor-relative site resolution, plan
 validation, and the graceful-degradation counter a runaway composed
 injection feeds.
@@ -21,11 +21,9 @@ from repro.faults import (
     expand_kinds,
     fault_models_digest,
     model_for,
-    overlap,
     register,
     registered_kinds,
     registered_schedules,
-    seq,
     stagger,
     timed,
 )
@@ -41,7 +39,7 @@ CONFIG = CSnakeConfig()
 
 def test_timed_validates_kind_and_selector():
     ev = timed("node_crash", site="primary", restart_ms=5_000.0)
-    assert ev.kind_id == "node_crash" and ev.duration_ms() == 5_000.0
+    assert ev.kind_id == "node_crash" and ev.params == (("restart_ms", 5_000.0),)
     with pytest.raises(ValueError, match="registered single-fault kinds"):
         timed("gamma_burst")
     with pytest.raises(ValueError, match="site selector"):
@@ -52,27 +50,6 @@ def test_schedule_names_are_not_composable_kinds():
     # Schedules compose *single-fault* kinds only: no recursion.
     with pytest.raises(ValueError, match="registered single-fault kinds"):
         timed("membership_churn")
-
-
-def test_overlap_keeps_offsets():
-    a = timed("node_crash", restart_ms=10_000.0)
-    b = timed("partition", site="adjacent_link", offset_ms=3_000.0,
-              duration_ms=20_000.0)
-    assert overlap(a, b) == (a, b)
-    with pytest.raises(ValueError):
-        overlap()
-
-
-def test_seq_chains_on_duration_params():
-    a = timed("node_crash", restart_ms=10_000.0)
-    b = timed("partition", site="adjacent_link", duration_ms=20_000.0)
-    c = timed("node_crash", site="other_nodes", restart_ms=1_000.0)
-    placed = seq(a, b, c, gap_ms=500.0)
-    assert [ev.offset_ms for ev in placed] == [0.0, 10_500.0, 31_000.0]
-    # An event's own offset is preserved relative to its slot.
-    shifted = seq(a, timed("partition", site="adjacent_link",
-                           offset_ms=2_000.0, duration_ms=20_000.0))
-    assert shifted[1].offset_ms == 12_000.0
 
 
 def test_stagger_sets_wave_step():
@@ -121,8 +98,7 @@ def test_schedule_may_not_shadow_a_fault_kind():
     with pytest.raises(ValueError, match="already registered"):
         register(
             ScheduleFaultModel(
-                FaultSchedule(name="delay", char="Z", description="bad",
-                              events=(timed("node_crash"),))
+                FaultSchedule(name="delay", char="Z", events=(timed("node_crash"),))
             )
         )
 
@@ -142,7 +118,7 @@ def test_registering_a_schedule_shifts_the_fault_model_digest():
     register(
         ScheduleFaultModel(
             FaultSchedule(
-                name="test_tmp_wave", char="W", description="temporary",
+                name="test_tmp_wave", char="W",
                 events=(timed("node_crash", restart_ms=1.0),),
             )
         )
@@ -154,6 +130,16 @@ def test_registering_a_schedule_shifts_the_fault_model_digest():
     finally:
         _MODELS.pop("test_tmp_wave")
     assert fault_models_digest() == before
+
+
+def test_the_bundled_fault_models_keep_their_digest():
+    """Every cache key holds ``fault_models_digest()``.  The bundled
+    kinds and schedules, composed from ``timed``, ``stagger`` and plain
+    tuples, fingerprint to this recorded value; a change to any of them
+    moves every key and must re-record it on purpose."""
+    assert fault_models_digest() == (
+        "0e8e7bc5a45ab10ce49ace52759b75058217c911cc7d1819790682e046e192bd"
+    )
 
 
 # --------------------------------------------------------------- resolution

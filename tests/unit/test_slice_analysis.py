@@ -41,8 +41,7 @@ class Service:
             util(item)
 
     def retired(self):
-        return 0
-        util(99)
+        return self.rt.detector("svc.retired.op", util(99) > 0)
 
     def shared_one(self):
         self.rt.detector("svc.shared.check", True)
@@ -68,17 +67,13 @@ def util(x):
 SOURCES = {"demo.a": MOD_A, "demo.b": MOD_B}
 
 
-def site(site_id, kind, function):
-    return FaultSite(site_id=site_id, kind=kind, system="demo", function=function)
-
-
 SITES = [
-    site("svc.handle.scan", SiteKind.LOOP, "Service.handle"),
-    site("svc.step.is_big", SiteKind.BRANCH, "Service.step"),
-    site("svc.retired.op", SiteKind.DETECTOR, "Service.retired"),
-    site("svc.shared.check", SiteKind.DETECTOR, "Service.shared_one"),
-    site("svc.ghost", SiteKind.DETECTOR, "Service.vanished"),
-    site("env.node.0", SiteKind.ENV_NODE, "<environment>"),
+    FaultSite("svc.handle.scan", SiteKind.LOOP),
+    FaultSite("svc.step.is_big", SiteKind.BRANCH),
+    FaultSite("svc.retired.op", SiteKind.DETECTOR),
+    FaultSite("svc.shared.check", SiteKind.DETECTOR),
+    FaultSite("svc.ghost", SiteKind.DETECTOR),
+    FaultSite("env.node.0", SiteKind.ENV_NODE),
 ]
 
 ENTRIES = {"t-basic": "demo.a:register"}
@@ -112,7 +107,7 @@ def test_collect_module_site_literals_bound_to_runtime_receiver():
     assert info.functions["demo.a:Service.handle"].site_literals == ("svc.handle.scan",)
     assert info.functions["demo.a:Service.step"].site_literals == ("svc.step.is_big",)
     # declaration-style receivers (reg.loop(...)) are not runtime hooks
-    decl = collect_module("demo.reg", 'def build(reg):\n    reg.loop("a.b", "F.g")\n')
+    decl = collect_module("demo.reg", 'def build(reg):\n    reg.loop("a.b")\n')
     assert decl.functions["demo.reg:build"].site_literals == ()
 
 
@@ -247,11 +242,6 @@ def test_slicer_binds_sites_by_literal(analysis):
     }
 
 
-def test_slicer_falls_back_to_declared_qualname(analysis):
-    # svc.retired.op's literal never appears; the declared function does
-    assert analysis.site_roots["svc.retired.op"] == ("demo.a:Service.retired",)
-
-
 def test_slicer_binds_multi_root_literals(analysis):
     assert analysis.site_roots["svc.shared.check"] == (
         "demo.a:Service.shared_one",
@@ -260,8 +250,8 @@ def test_slicer_binds_multi_root_literals(analysis):
 
 
 def test_slicer_reports_unresolved_sites(analysis):
-    assert "svc.ghost" in analysis.unresolved
-    assert "not in source" in analysis.unresolved["svc.ghost"]
+    # svc.ghost's literal appears in no function body
+    assert analysis.unresolved == {"svc.ghost": "site literal not found"}
     assert "svc.ghost" not in analysis.site_roots
 
 

@@ -42,7 +42,7 @@ def test_entry_point_returns_wellformed_specs(suite):
     for spec in specs:
         assert isinstance(spec, WorkloadSpec)
         assert spec.test_id.startswith(prefix + "."), spec.test_id
-        assert spec.description.strip(), spec.test_id
+        assert (spec.setup.__doc__ or "").strip(), spec.test_id
         assert callable(spec.setup)
         assert spec.duration_ms > 0
 
